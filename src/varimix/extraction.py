@@ -217,7 +217,10 @@ def extract_bundles(image: SpectralImage, cfg: BundleExtractionConfig) -> Spectr
             image.pixels[subset].reshape(1, subset.size, image.n_bands),
             name=f"{image.name}_subset{r}",
         )
-        sigs, _ = extract_endmembers(sub_img, cfg.n_classes, seed=int(run_seeds[r + 1]))
+        # stream 0 draws the subsets and stream 10 seeds the clustering,
+        # so runs take streams 1-9, 11, 12, ...
+        stream = r + 1 if r < 9 else r + 2
+        sigs, _ = extract_endmembers(sub_img, cfg.n_classes, seed=int(run_seeds[stream]))
         pool.append(sigs)
     pooled = np.concatenate(pool, axis=0)
 

@@ -1,20 +1,21 @@
 from .base import (
+    QPCounts,
     SolverLog,
     SolverOptions,
     UnmixingResult,
     fcls_core,
     nnls_core,
     per_pixel_rms,
-    project_simplex,
     reconstruct,
 )
 from .elmm import elmm_unmix, grid_laplacian
 from .fcls import fcls
 from .mesma import mesma
 from .plmm import plmm_unmix
-from .sparse import kkt_residual_l1, sparse_su_l0, sparse_su_l1
+from .sparse import kkt_residual_l1, kkt_residual_simplex, sparse_su_l0, sparse_su_l1
 
 __all__ = [
+    "QPCounts",
     "SolverLog",
     "SolverOptions",
     "UnmixingResult",
@@ -22,7 +23,6 @@ __all__ = [
     "fcls_core",
     "nnls_core",
     "per_pixel_rms",
-    "project_simplex",
     "reconstruct",
     "grid_laplacian",
     "elmm_unmix",
@@ -31,4 +31,5 @@ __all__ = [
     "sparse_su_l0",
     "sparse_su_l1",
     "kkt_residual_l1",
+    "kkt_residual_simplex",
 ]

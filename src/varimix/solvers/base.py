@@ -1,13 +1,16 @@
 """Shared solver machinery.
 
-The fully constrained least squares core solves, per pixel,
+Every solver reduces to per-pixel constrained least squares in Gram
+form, with G = M'M and h = M'y per pixel:
 
-    min ||y - M a||^2   subject to  a >= 0,  sum(a) = 1
+    simplex:  min 0.5 a'Ga - h'a   s.t.  a >= 0,  sum(a) = 1
+    NNLS:     min 0.5 a'Ga - h'a   s.t.  a >= 0
 
-with an operator-splitting (ADMM) iteration whose projection step uses
-the sort-based simplex projection, followed by an active-set polish that
-drives the KKT residual to machine precision. The polish groups pixels by
-support pattern so everything stays vectorized.
+(the L1-penalized problem is the NNLS one with h = M'y - lam). One exact
+kernel, ``_active_set``, solves both: a primal active-set method with the
+Lawson-Hanson step, batched over pixels by grouping rows that share a
+passive set (combinatorial NNLS). ``fcls_core`` and ``nnls_core`` wrap it
+for a shared (L, P) or per-pixel (N, L, P) endmember matrix.
 """
 
 from __future__ import annotations
@@ -19,37 +22,37 @@ import numpy as np
 
 from ..types import AbundanceMap, EndmemberField
 
-_SUPPORT_TOL = 1e-9
-_KKT_TOL = 1e-10
-_MAX_POLISH_ROUNDS = 40
+_KKT_TOL = 1e-10            # pricing tolerance, relative to max(1, |h|_inf)
+_RIDGE = 1e-10              # relative ridge for a singular face system
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs shared by the unmixing solvers; unused fields are ignored."""
+    """Knobs shared by the unmixing solvers; unused fields are ignored.
+
+    The least-squares kernel is exact and has no options of its own.
+    Option files drop unknown keys when read (``cli._load_opts``,
+    ``bench._solver_options``), so files that still carry the retired
+    splitting-solver keys ``rho``, ``inner_tol`` or ``inner_iters`` load
+    unchanged.
+    """
 
     max_iters: int = 200            # outer iterations (alternating solvers)
-    tol: float = 1e-6               # relative cost change stopping rule
-    rho: Optional[float] = None     # splitting penalty; None = auto-scaled
+    tol: float = 1e-6               # relative cost change stopping rule (alternating solvers)
     lambda_sparse: float = 1e-3     # L1 penalty weight
     lambda_m: float = 1.0           # endmember tie penalty (scaled model)
     lambda_psi: float = 0.1         # spatial smoothness of scaling factors
     gamma_plmm: float = 1.0         # perturbation Frobenius penalty
     seed: int = 0
-    inner_tol: float = 1e-8         # ADMM residual tolerance
-    inner_iters: int = 2000         # ADMM iteration cap
 
     def __post_init__(self):
-        for name in ("max_iters", "inner_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("tol", "lambda_m", "lambda_psi", "gamma_plmm", "inner_tol"):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        for name in ("tol", "lambda_m", "lambda_psi", "gamma_plmm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.lambda_sparse < 0:
             raise ValueError("lambda_sparse must be nonnegative")
-        if self.rho is not None and self.rho <= 0:
-            raise ValueError("rho must be positive")
 
 
 @dataclass
@@ -91,207 +94,175 @@ def per_pixel_rms(y: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
     return np.linalg.norm(y - reconstruction, axis=1) / np.sqrt(y.shape[1])
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex
-    (sort-based algorithm)."""
-    v = np.atleast_2d(v)
-    n, p = v.shape
-    u = -np.sort(-v, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
-    denom = np.arange(1, p + 1)
-    cond = u > css / denom
-    rho = p - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(n), rho] / (rho + 1.0)
-    return np.maximum(v - theta[:, None], 0.0)
+def _round_bound(p: int) -> int:
+    """Rounds after which the kernel stops and reports the rows still
+    open as unsettled. An exact run enters each column about once and
+    drops it at most once, one round each."""
+    return 3 * p + 10
 
 
-def _admm_fcls_shared(y, m, rho, tol, max_iters, warm=None):
-    n, l = y.shape
-    p = m.shape[1]
-    gram = 2.0 * (m.T @ m)
-    h = 2.0 * (y @ m)                          # (N, P)
-    if rho is None:
-        rho = float(np.trace(gram)) / p
-    # ridge-regularized SPD and tiny: a precomputed inverse makes each
-    # iteration a single small matmul
-    inv = np.linalg.inv(gram + rho * np.eye(p))
-    if warm is None:
-        z = np.full((n, p), 1.0 / p)
-        u = np.zeros((n, p))
-    else:
-        z, u = np.array(warm[0]), np.array(warm[1])
-    it = 0
-    for it in range(1, max_iters + 1):
-        x = (h + rho * (z - u)) @ inv
-        z_new = project_simplex(x + u)
-        r = np.max(np.abs(x - z_new))
-        s = rho * np.max(np.abs(z_new - z))
-        z = z_new
-        u += x - z
-        if r <= tol and s <= tol:
-            break
-    return z, u, it
+@dataclass
+class QPCounts:
+    """Kernel work and outcome, summed over the calls it is passed to."""
+
+    rounds: int = 0
+    unsettled_rows: int = 0
+
+    def add(self, rounds: int, open_rows: np.ndarray):
+        self.rounds += rounds
+        self.unsettled_rows += int(open_rows.size)
+
+    def flags(self) -> dict:
+        return {"qp_rounds": self.rounds, "unsettled_rows": self.unsettled_rows}
 
 
-def _admm_fcls_batched(y, m, rho, tol, max_iters, warm=None):
-    n, l, p = m.shape
-    gram = 2.0 * np.einsum("nlp,nlq->npq", m, m)
-    h = 2.0 * np.einsum("nlp,nl->np", m, y)
-    if rho is None:
-        rho = float(np.mean(np.trace(gram, axis1=1, axis2=2))) / p
-        rho = max(rho, 1e-12)
-    inv = np.linalg.inv(gram + rho * np.eye(p)[None])
-    if warm is None:
-        z = np.full((n, p), 1.0 / p)
-        u = np.zeros((n, p))
-    else:
-        z, u = np.array(warm[0]), np.array(warm[1])
-    it = 0
-    for it in range(1, max_iters + 1):
-        x = np.einsum("npq,nq->np", inv, h + rho * (z - u))
-        z_new = project_simplex(x + u)
-        r = np.max(np.abs(x - z_new))
-        s = rho * np.max(np.abs(z_new - z))
-        z = z_new
-        u += x - z
-        if r <= tol and s <= tol:
-            break
-    return z, u, it
-
-
-def _group_kkt_solve(y_grp, m_grp, cols):
-    """Solve the equality-constrained LS on support ``cols`` for a group of
-    pixels; returns (abundances on support, multiplier)."""
-    k = len(cols)
-    if m_grp.ndim == 2:                         # shared endmember matrix
-        ms = m_grp[:, cols]
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = 2.0 * (ms.T @ ms)
-        kkt[:k, k] = -1.0
-        kkt[k, :k] = 1.0
-        rhs = np.empty((k + 1, y_grp.shape[0]))
-        rhs[:k] = 2.0 * (ms.T @ y_grp.T)
-        rhs[k] = 1.0
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            kkt[:k, :k] += 1e-10 * np.trace(kkt[:k, :k]) / max(k, 1) * np.eye(k)
-            sol = np.linalg.solve(kkt, rhs)
-        return sol[:k].T, sol[k]
-    ms = m_grp[:, :, cols]                      # per-pixel matrices
-    g = y_grp.shape[0]
-    kkt = np.zeros((g, k + 1, k + 1))
-    kkt[:, :k, :k] = 2.0 * np.einsum("nlp,nlq->npq", ms, ms)
-    kkt[:, :k, k] = -1.0
-    kkt[:, k, :k] = 1.0
-    rhs = np.empty((g, k + 1, 1))
-    rhs[:, :k, 0] = 2.0 * np.einsum("nlp,nl->np", ms, y_grp)
-    rhs[:, k, 0] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        tr = np.trace(kkt[:, :k, :k], axis1=1, axis2=2) / max(k, 1)
-        kkt[:, :k, :k] += (1e-10 * tr)[:, None, None] * np.eye(k)[None]
-        sol = np.linalg.solve(kkt, rhs)[..., 0]
-    return sol[:, :k], sol[:, k]
-
-
-def _polish_fcls(y, m, z):
-    """Active-set refinement started from the splitting iterate."""
-    n, p = z.shape
-    shared = m.ndim == 2
-    if shared:
-        gram = 2.0 * (m.T @ m)
-        h = 2.0 * (y @ m)
-    else:
-        gram = 2.0 * np.einsum("nlp,nlq->npq", m, m)
-        h = 2.0 * np.einsum("nlp,nl->np", m, y)
-    scale = np.maximum(1.0, np.max(np.abs(h), axis=1))
-    support = z > _SUPPORT_TOL
-    support[~support.any(axis=1), 0] = True
-    a = np.array(z)
-    nu = np.zeros(n)
-    dirty = np.ones(n, dtype=bool)
-    for _ in range(_MAX_POLISH_ROUNDS):
-        if not dirty.any():
-            break
-        idx = np.flatnonzero(dirty)
-        patterns, inverse = np.unique(support[idx], axis=0, return_inverse=True)
-        for gi, pat in enumerate(patterns):
-            cols = np.flatnonzero(pat)
-            if cols.size == 0:
-                continue
-            rows = idx[inverse == gi]
-            try:
-                a_s, nu_g = _group_kkt_solve(
-                    y[rows], m if shared else m[rows], cols
-                )
-            except (np.linalg.LinAlgError, ValueError):
-                continue                        # keep splitting iterate
-            a[np.ix_(rows, np.arange(p))] = 0.0
-            a[np.ix_(rows, cols)] = a_s
-            nu[rows] = nu_g
-        bad = ~np.isfinite(a).all(axis=1)
-        a[bad] = z[bad]
-        # drop negative actives, then pull in violated inactives
-        neg = (a < -1e-12) & support
-        new_dirty = neg.any(axis=1)
-        support &= ~neg
-        support[~support.any(axis=1), 0] = True
-        np.clip(a, 0.0, None, out=a)
-        if shared:
-            grad = a @ gram - h
-        else:
-            grad = np.einsum("npq,nq->np", gram, a) - h
-        slack = grad - nu[:, None]
-        slack[support] = np.inf
-        worst = np.argmin(slack, axis=1)
-        viol = slack[np.arange(n), worst] < -_KKT_TOL * scale
-        viol &= ~new_dirty
-        support[viol, worst[viol]] = True
-        new_dirty |= viol
-        new_dirty &= ~bad
-        dirty = new_dirty
-    # rows that never settled keep the splitting iterate (already feasible)
-    a[dirty] = z[dirty]
-    rows_sum = a.sum(axis=1)
-    ok = rows_sum > 0.5
-    a[ok] /= rows_sum[ok, None]
-    a[~ok] = 1.0 / p
-    return a
-
-
-def fcls_core(
-    y: np.ndarray,
-    m: np.ndarray,
-    rho: Optional[float] = None,
-    tol: float = 1e-8,
-    max_iters: int = 2000,
-    polish: bool = True,
-    warm_state: Optional[tuple] = None,
-    return_state: bool = False,
-):
-    """Simplex-constrained least squares for all pixels.
-
-    Parameters
-    ----------
-    y : (N, L) pixels.
-    m : (L, P) shared matrix or (N, L, P) per-pixel matrices.
-    warm_state : (z, u) splitting state from a previous call on nearby
-        data (alternating solvers); ``return_state=True`` hands it back.
-    """
+def _gram(y, m, lam=0.0):
+    """Gram matrix and linear term for a shared (L, P) or per-pixel
+    (N, L, P) matrix."""
     y = np.asarray(y, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     if not (np.isfinite(y).all() and np.isfinite(m).all()):
         raise ValueError("non-finite solver inputs")
     if m.ndim == 2:
-        z, u, iters = _admm_fcls_shared(y, m, rho, tol, max_iters, warm_state)
+        return m.T @ m, y @ m - lam
+    return np.einsum("nlp,nlq->npq", m, m), np.einsum("nlp,nl->np", m, y) - lam
+
+
+def _faces(passive):
+    """(columns, row positions) for each distinct passive set."""
+    patterns, inverse = np.unique(passive, axis=0, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    ends = np.cumsum(np.bincount(inverse, minlength=len(patterns)))
+    return zip((np.flatnonzero(p) for p in patterns), np.split(order, ends[:-1]))
+
+
+def _face_minimizer(gram, h, rows, cols, simplex, ridge=False):
+    """Minimizer on the face spanned by ``cols`` (dropping the sign
+    constraints, keeping sum-to-one), for each of ``rows``. A singular
+    face system, from collinear or zero columns, gets a small ridge."""
+    k = cols.size
+    if k == 0:
+        return np.zeros((rows.size, 0))
+    if gram.ndim == 2:
+        sub = gram[np.ix_(cols, cols)][None]
     else:
-        z, u, iters = _admm_fcls_batched(y, m, rho, tol, max_iters, warm_state)
-    a = _polish_fcls(y, m, z) if polish else z
-    if return_state:
-        return a, iters, (z, u)
-    return a, iters
+        sub = gram[rows[:, None, None], cols[:, None], cols[None, :]]
+    rhs = h[np.ix_(rows, cols)]
+    if simplex:                     # bordered system [G -1; 1' 0][s; nu] = [h; 1]
+        border = np.zeros((sub.shape[0], k + 1, k + 1))
+        border[:, :k, :k] = sub
+        border[:, :k, k] = -1.0
+        border[:, k, :k] = 1.0
+        sub = border
+        rhs = np.concatenate([rhs, np.ones((rows.size, 1))], axis=1)
+
+    def solve(a):
+        if a.shape[0] == 1:
+            return np.linalg.solve(a[0], rhs.T).T
+        return np.linalg.solve(a, rhs[..., None])[..., 0]
+
+    if not ridge:
+        try:
+            return solve(sub)[:, :k]
+        except np.linalg.LinAlgError:
+            pass
+    tr = np.trace(sub[:, :k, :k], axis1=1, axis2=2) / k
+    sub = sub.copy()
+    sub[:, :k, :k] += (_RIDGE * np.where(tr > 0, tr, 1.0))[:, None, None] * np.eye(k)
+    return solve(sub)[:, :k]
+
+
+def _active_set(gram, h, simplex):
+    """Exact minimizer of 0.5 a'Ga - h'a per row over a >= 0, plus
+    sum(a) = 1 when ``simplex``.
+
+    ``gram`` is shared (P, P) or per-pixel (N, P, P); ``h`` is (N, P).
+    Each row alternates two phases. Pricing: at the minimizer of its
+    passive face, the row is settled when no inactive column lowers the
+    cost (KKT holds to ``_KKT_TOL``); otherwise the most violating column
+    enters. Solving: the face minimizer of the enlarged set is accepted
+    when it is positive; otherwise the iterate moves toward it until the
+    first passive entry reaches zero, which is dropped (Lawson-Hanson),
+    and the smaller face is solved again. Each round solves the open rows
+    once per distinct passive set. Simplex rows start at their best
+    vertex and NNLS rows at zero, so a column identical to a passive one
+    prices at zero and never enters.
+
+    Returns (a, rounds, rows still open after ``_round_bound(P)`` rounds);
+    open rows keep their current feasible iterate.
+    """
+    n, p = h.shape
+    rows = np.arange(n)
+    a = np.zeros((n, p))
+    passive = np.zeros((n, p), dtype=bool)
+    if simplex:
+        vertex = np.argmin(0.5 * np.diagonal(gram, axis1=-2, axis2=-1) - h, axis=1)
+        a[rows, vertex] = 1.0
+        passive[rows, vertex] = True
+    tol = _KKT_TOL * np.maximum(1.0, np.abs(h).max(axis=1, initial=0.0))
+    entering = np.full(n, -1)
+    pricing, solving = rows, rows[:0]
+    rounds = 0
+    while True:
+        if pricing.size:
+            pas = passive[pricing]
+            if gram.ndim == 2:
+                g = a[pricing] @ gram - h[pricing]
+            else:
+                g = np.einsum("npq,nq->np", gram[pricing], a[pricing]) - h[pricing]
+            if simplex:
+                g -= (np.where(pas, g, 0.0).sum(axis=1) / pas.sum(axis=1))[:, None]
+            g[pas] = np.inf
+            col = np.argmin(g, axis=1)
+            enter = g[np.arange(pricing.size), col] < -tol[pricing]
+            passive[pricing[enter], col[enter]] = True
+            entering[pricing[enter]] = col[enter]
+            solving = np.concatenate([solving, pricing[enter]])
+        if solving.size == 0 or rounds == _round_bound(p):
+            return a, rounds, solving
+        rounds += 1
+        s = np.zeros((solving.size, p))
+        for cols, pos in _faces(passive[solving]):
+            s[np.ix_(pos, cols)] = _face_minimizer(gram, h, solving[pos], cols, simplex)
+            # an entering column is positive at the minimizer of a regular
+            # face; a nonpositive one marks a face singular up to rounding
+            new = entering[solving[pos]]
+            bad = pos[(new >= 0) & (s[pos, np.maximum(new, 0)] <= 0.0)]
+            if bad.size:
+                s[np.ix_(bad, cols)] = _face_minimizer(gram, h, solving[bad], cols,
+                                                       simplex, ridge=True)
+        entering[solving] = -1
+        blocked = passive[solving] & (s <= 0.0)
+        done = ~blocked.any(axis=1)
+        a[solving[done]] = s[done]
+        if not done.all():
+            r, s, blocked = solving[~done], s[~done], blocked[~done]
+            x = a[r]
+            ratio = np.where(blocked, np.divide(x, x - s, out=np.zeros_like(x), where=x > s),
+                             np.inf)
+            first = np.argmin(ratio, axis=1)
+            x += ratio[np.arange(r.size), first][:, None] * (s - x)
+            x[np.arange(r.size), first] = 0.0
+            keep = passive[r] & (x > 0.0)
+            passive[r] = keep
+            a[r] = np.where(keep, x, 0.0)
+        pricing, solving = solving[done], solving[~done]
+
+
+def fcls_core(y: np.ndarray, m: np.ndarray, counts: Optional[QPCounts] = None):
+    """Simplex-constrained least squares for all pixels,
+    min ||y - M a||^2 s.t. a >= 0, sum(a) = 1.
+
+    ``y`` is (N, L); ``m`` a shared (L, P) or per-pixel (N, L, P) matrix.
+    Returns (abundances, kernel rounds); ``counts`` accumulates the rounds
+    and the unsettled rows.
+    """
+    gram, h = _gram(y, m)
+    a, rounds, open_rows = _active_set(gram, h, simplex=True)
+    a /= a.sum(axis=1, keepdims=True)
+    if counts is not None:
+        counts.add(rounds, open_rows)
+    return a, rounds
 
 
 def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -305,88 +276,20 @@ def nnls_core(
     y: np.ndarray,
     m: np.ndarray,
     lam: float = 0.0,
-    rho: Optional[float] = None,
-    tol: float = 1e-7,
-    max_iters: int = 2000,
-    polish: bool = True,
+    counts: Optional[QPCounts] = None,
 ) -> tuple[np.ndarray, int]:
     """Nonnegative least squares with a linear sparsity term,
 
         min 0.5 ||y - M a||^2 + lam * sum(a)   s.t.  a >= 0
 
-    solved per pixel by splitting with a nonnegativity projection, then
-    an active-set polish.
+    for all pixels, with the same shapes, return value and ``counts`` as
+    ``fcls_core``.
     """
-    y = np.asarray(y, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    n = y.shape[0]
-    q = m.shape[1]
-    gram = m.T @ m
-    h = y @ m - lam                               # (N, Q) linear term
-    if rho is None:
-        rho = float(np.trace(gram)) / q
-        rho = max(rho, 1e-12)
-    inv = np.linalg.inv(gram + rho * np.eye(q))
-    z = np.zeros((n, q))
-    u = np.zeros((n, q))
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        x = (h + rho * (z - u)) @ inv
-        z_new = np.maximum(x + u, 0.0)
-        r = np.max(np.abs(x - z_new))
-        s = rho * np.max(np.abs(z_new - z))
-        z = z_new
-        u += x - z
-        if r <= tol and s <= tol:
-            break
-    if polish:
-        z = _polish_nnls(y, m, z, lam, gram)
-    return z, iters
-
-
-def _polish_nnls(y, m, z, lam, gram):
-    n, q = z.shape
-    h = y @ m - lam
-    scale = np.maximum(1.0, np.max(np.abs(y @ m), axis=1) + lam)
-    support = z > _SUPPORT_TOL
-    a = np.where(support, z, 0.0)
-    dirty = np.ones(n, dtype=bool)
-    for _ in range(_MAX_POLISH_ROUNDS):
-        if not dirty.any():
-            break
-        idx = np.flatnonzero(dirty)
-        patterns, inverse = np.unique(support[idx], axis=0, return_inverse=True)
-        for gi, pat in enumerate(patterns):
-            rows = idx[inverse == gi]
-            cols = np.flatnonzero(pat)
-            if cols.size == 0:
-                a[rows] = 0.0
-                continue
-            sub = gram[np.ix_(cols, cols)]
-            try:
-                sol = np.linalg.solve(sub, h[np.ix_(rows, cols)].T).T
-            except np.linalg.LinAlgError:
-                sub = sub + 1e-12 * np.trace(sub) / cols.size * np.eye(cols.size)
-                sol = np.linalg.solve(sub, h[np.ix_(rows, cols)].T).T
-            a[np.ix_(rows, np.arange(q))] = 0.0
-            a[np.ix_(rows, cols)] = sol
-        bad = ~np.isfinite(a).all(axis=1)
-        a[bad] = z[bad]
-        neg = (a < -1e-12) & support
-        new_dirty = neg.any(axis=1)
-        support &= ~neg
-        np.clip(a, 0.0, None, out=a)
-        grad = a @ gram - (h)                   # = M^T(Ma - y) + lam
-        slack = np.where(support, np.inf, grad)
-        worst = np.argmin(slack, axis=1)
-        viol = slack[np.arange(n), worst] < -_KKT_TOL * scale
-        viol &= ~new_dirty
-        support[viol, worst[viol]] = True
-        new_dirty |= viol
-        new_dirty &= ~bad
-        dirty = new_dirty
-    a[dirty] = z[dirty]
-    return a
+    gram, h = _gram(y, m, lam)
+    a, rounds, open_rows = _active_set(gram, h, simplex=False)
+    if counts is not None:
+        counts.add(rounds, open_rows)
+    return a, rounds
 
 
 _ZERO_COST_FLOOR = 1e-24

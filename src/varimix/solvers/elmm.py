@@ -24,6 +24,7 @@ from scipy.sparse.linalg import splu
 
 from ..types import AbundanceMap, DimensionError, EndmemberField, SpectralImage
 from .base import (
+    QPCounts,
     SolverLog,
     SolverOptions,
     UnmixingResult,
@@ -92,8 +93,9 @@ def elmm_unmix(
     ]
     eye_p = np.eye(p)
 
+    counts = QPCounts()
     if init_abundances is None:
-        a0, _ = fcls_core(y, m0, rho=opts.rho, tol=opts.inner_tol, max_iters=opts.inner_iters)
+        a0, _ = fcls_core(y, m0, counts)
     else:
         a0 = np.array(init_abundances, dtype=np.float64)
     psi0 = np.ones((n, p)) if init_psi is None else np.array(init_psi, dtype=np.float64)
@@ -102,14 +104,9 @@ def elmm_unmix(
     else:
         m_init = np.array(init_endmembers, dtype=np.float64)
 
-    warm = {"state": None}
-
     def step(state):
         a, psi, m = state
-        a_new, _, warm["state"] = fcls_core(
-            y, m, rho=opts.rho, tol=opts.inner_tol, max_iters=opts.inner_iters,
-            warm_state=warm["state"], return_state=True,
-        )
+        a_new, _ = fcls_core(y, m, counts)
         rhs = np.einsum("nl,np->nlp", y, a_new) + lam_m * (m0[None, :, :] * psi[:, None, :])
         sys = np.einsum("np,nq->npq", a_new, a_new) + lam_m * eye_p
         m_new = np.linalg.solve(sys, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -133,10 +130,10 @@ def elmm_unmix(
     log = SolverLog(
         iterations=len(history) - 1,
         final_cost=history[-1],
-        converged=converged,
+        converged=converged and counts.unsettled_rows == 0,
         wall_time_s=time.perf_counter() - start,
         cost_history=tuple(history),
-        flags={"lambda_m": lam_m, "lambda_psi": lam_psi},
+        flags={"lambda_m": lam_m, "lambda_psi": lam_psi, **counts.flags()},
     )
     return UnmixingResult(
         abundances=AbundanceMap(a, sum_to_one=True, class_names=class_names),

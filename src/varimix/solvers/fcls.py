@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, SpectralImage
-from .base import SolverOptions, SolverLog, UnmixingResult, fcls_core, per_pixel_rms, reconstruct
+from .base import (QPCounts, SolverOptions, SolverLog, UnmixingResult, fcls_core,
+                   per_pixel_rms, reconstruct)
 
 
 def fcls(
@@ -32,15 +33,17 @@ def fcls(
         warnings.warn("endmember matrix is rank deficient")
     start = time.perf_counter()
     y = image.pixels
-    a, iters = fcls_core(y, m, rho=opts.rho, tol=opts.inner_tol, max_iters=opts.inner_iters)
+    counts = QPCounts()
+    a, rounds = fcls_core(y, m, counts)
     recon = reconstruct(m, a)
     cost = float(np.sum((y - recon) ** 2))
     log = SolverLog(
-        iterations=iters,
+        iterations=rounds,
         final_cost=cost,
-        converged=True,
+        converged=counts.unsettled_rows == 0,
         wall_time_s=time.perf_counter() - start,
         cost_history=(cost,),
+        flags=counts.flags(),
     )
     return UnmixingResult(
         abundances=AbundanceMap(a, sum_to_one=True, class_names=class_names),

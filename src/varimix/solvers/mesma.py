@@ -10,14 +10,10 @@ from typing import Optional
 import numpy as np
 
 from ..types import AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage, SpectralLibrary
-from .base import SolverOptions, SolverLog, UnmixingResult, fcls_core, per_pixel_rms, reconstruct
+from .base import (QPCounts, SolverOptions, SolverLog, UnmixingResult, fcls_core,
+                   per_pixel_rms, reconstruct)
 
 DEFAULT_MODEL_BUDGET = 10**6
-
-# iteration cap for the per-model splitting phase: the active-set polish
-# takes the iterate to an exact KKT point, so a short support-guess run
-# suffices (the oracle-equivalence tests pin this down)
-_SUPPORT_GUESS_ITERS = 40
 
 
 def mesma(
@@ -59,14 +55,14 @@ def mesma(
     sigs = [c.signatures for c in library.classes]
 
     models_tried = 0
+    counts = QPCounts()
     for combo in itertools.product(*(range(s) for s in sizes)):
         if frozen.all():
             break
         models_tried += 1
         m = np.stack([sigs[cls][i] for cls, i in enumerate(combo)], axis=1)   # (L, P)
         active = np.flatnonzero(~frozen)
-        a, _ = fcls_core(y[active], m, rho=opts.rho, tol=opts.inner_tol,
-                         max_iters=min(opts.inner_iters, _SUPPORT_GUESS_ITERS))
+        a, _ = fcls_core(y[active], m, counts)
         re = np.linalg.norm(y[active] - a @ m.T, axis=1) / sqrt_l
         better = re < best_re[active]
         rows = active[better]
@@ -87,10 +83,11 @@ def mesma(
     log = SolverLog(
         iterations=models_tried,
         final_cost=cost,
-        converged=True,
+        converged=counts.unsettled_rows == 0,
         wall_time_s=time.perf_counter() - start,
         cost_history=(cost,),
-        flags={"models_enumerated": models_tried, "early_stop": re_threshold is not None},
+        flags={"models_enumerated": models_tried, "early_stop": re_threshold is not None,
+               **counts.flags()},
     )
     return UnmixingResult(
         abundances=AbundanceMap(best_a, sum_to_one=True, class_names=library.class_names),

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..types import AbundanceMap, DimensionError, EndmemberField, SpectralImage
 from .base import (
+    QPCounts,
     SolverLog,
     SolverOptions,
     UnmixingResult,
@@ -56,21 +57,16 @@ def plmm_unmix(
     l, p = m0.shape
     gamma = opts.gamma_plmm
 
+    counts = QPCounts()
     if init_abundances is None:
-        a0, _ = fcls_core(y, m0, rho=opts.rho, tol=opts.inner_tol, max_iters=opts.inner_iters)
+        a0, _ = fcls_core(y, m0, counts)
     else:
         a0 = np.array(init_abundances, dtype=np.float64)
     dm0 = np.zeros((n, l, p)) if init_perturbation is None else np.array(init_perturbation)
 
-    warm = {"state": None}
-
     def step(state):
         a, dm = state
-        a_new, _, warm["state"] = fcls_core(
-            y, m0[None, :, :] + dm, rho=opts.rho,
-            tol=opts.inner_tol, max_iters=opts.inner_iters,
-            warm_state=warm["state"], return_state=True,
-        )
+        a_new, _ = fcls_core(y, m0[None, :, :] + dm, counts)
         residual = y - a_new @ m0.T
         denom = gamma + np.sum(a_new**2, axis=1)
         dm_new = np.einsum("nl,np->nlp", residual, a_new) / denom[:, None, None]
@@ -89,10 +85,10 @@ def plmm_unmix(
     log = SolverLog(
         iterations=len(history) - 1,
         final_cost=history[-1],
-        converged=converged,
+        converged=converged and counts.unsettled_rows == 0,
         wall_time_s=time.perf_counter() - start,
         cost_history=tuple(history),
-        flags={"gamma": gamma},
+        flags={"gamma": gamma, **counts.flags()},
     )
     return UnmixingResult(
         abundances=AbundanceMap(a, sum_to_one=True, class_names=class_names),

@@ -28,6 +28,7 @@ from ..types import (
     SpectralLibrary,
 )
 from .base import (
+    QPCounts,
     SolverLog,
     SolverOptions,
     UnmixingResult,
@@ -88,6 +89,29 @@ def kkt_residual_l1(y: np.ndarray, m: np.ndarray, a: np.ndarray, lam: float):
     return float(act), float(inact), scale
 
 
+def kkt_residual_simplex(y: np.ndarray, m: np.ndarray, a: np.ndarray):
+    """Worst KKT violations of min ||y - M a||^2 s.t. a >= 0, sum(a) = 1,
+    for a shared (L, P) or per-pixel (N, L, P) matrix.
+
+    Returns (active violation, inactive violation, scale): with gradient
+    g = M^T(Ma - y) and nu the per-row mean of g over the active columns,
+    active columns should satisfy g = nu and inactive ones g >= nu.
+    """
+    if m.ndim == 2:
+        grad = (a @ m.T - y) @ m
+        h = y @ m
+    else:
+        grad = np.einsum("nlp,nl->np", m, np.einsum("nlp,np->nl", m, a) - y)
+        h = np.einsum("nlp,nl->np", m, y)
+    active = a > _MASS_TOL
+    nu = np.where(active, grad, 0.0).sum(axis=1) / np.maximum(active.sum(axis=1), 1)
+    dev = grad - nu[:, None]
+    act = np.max(np.abs(dev[active])) if active.any() else 0.0
+    inact = np.max(np.maximum(0.0, -dev[~active])) if (~active).any() else 0.0
+    scale = float(np.max(np.maximum(1.0, np.max(np.abs(h), axis=1))))
+    return float(act), float(inact), scale
+
+
 def sparse_su_l1(
     image: SpectralImage,
     library: SpectralLibrary,
@@ -109,17 +133,18 @@ def sparse_su_l1(
     m = flat.T                                   # (L, Q)
     y = image.pixels
     lam = opts.lambda_sparse
-    raw, iters = nnls_core(y, m, lam=lam, rho=opts.rho, tol=1e-7, max_iters=opts.inner_iters)
+    counts = QPCounts()
+    raw, rounds = nnls_core(y, m, lam, counts)
     collapsed, proxy, n_uniform = _collapse_and_proxy(raw, library)
     recon = np.einsum("nlp,np->nl", proxy, collapsed)
     cost = float(0.5 * np.sum((y - raw @ m.T) ** 2) + lam * raw.sum())
     log = SolverLog(
-        iterations=iters,
+        iterations=rounds,
         final_cost=cost,
-        converged=True,
+        converged=counts.unsettled_rows == 0,
         wall_time_s=time.perf_counter() - start,
         cost_history=(cost,),
-        flags={"uniform_rows": n_uniform, "lambda": lam},
+        flags={"uniform_rows": n_uniform, "lambda": lam, **counts.flags()},
     )
     return UnmixingResult(
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
@@ -131,8 +156,9 @@ def sparse_su_l1(
     )
 
 
-def _greedy_l0_pixel(y: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
-    """Forward selection with nonnegative refits; returns the support."""
+def _greedy_l0_pixel(y: np.ndarray, m: np.ndarray, k: int) -> tuple:
+    """Forward selection with nonnegative refits; returns the sorted
+    support."""
     q = m.shape[1]
     norms = np.linalg.norm(m, axis=0)
     norms[norms == 0] = 1.0
@@ -149,7 +175,7 @@ def _greedy_l0_pixel(y: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
         residual = y - m[:, support] @ coef
     if not support:
         support = [int(np.argmax((m.T @ y) / norms))]
-    return np.array(sorted(support), dtype=np.intp)
+    return tuple(sorted(support))
 
 
 def sparse_su_l0(
@@ -183,12 +209,16 @@ def sparse_su_l0(
     raw = np.zeros((n, q))
     sqrt_l = math.sqrt(image.n_bands)
 
+    counts = QPCounts()
     if mode == "greedy":
+        # one simplex refit per distinct support, over all its pixels
+        by_support: dict = {}
         for i in range(n):
-            support = _greedy_l0_pixel(y[i], m, k)
-            a, _ = fcls_core(y[i][None, :], m[:, support], tol=opts.inner_tol,
-                             max_iters=opts.inner_iters)
-            raw[i, support] = a[0]
+            by_support.setdefault(_greedy_l0_pixel(y[i], m, k), []).append(i)
+        for support, rows in by_support.items():
+            cols = np.array(support, dtype=np.intp)
+            a, _ = fcls_core(y[rows], m[:, cols], counts)
+            raw[np.ix_(rows, cols)] = a
     else:
         n_supports = sum(math.comb(q, j) for j in range(1, k + 1))
         if n_supports > support_budget:
@@ -199,8 +229,7 @@ def sparse_su_l0(
         for size in range(1, k + 1):
             for support in itertools.combinations(range(q), size):
                 cols = np.array(support, dtype=np.intp)
-                a, _ = fcls_core(y, m[:, cols], tol=opts.inner_tol,
-                                 max_iters=opts.inner_iters)
+                a, _ = fcls_core(y, m[:, cols], counts)
                 re = np.linalg.norm(y - a @ m[:, cols].T, axis=1) / sqrt_l
                 better = re < best_re
                 best_re[better] = re[better]
@@ -213,10 +242,10 @@ def sparse_su_l0(
     log = SolverLog(
         iterations=1,
         final_cost=cost,
-        converged=True,
+        converged=counts.unsettled_rows == 0,
         wall_time_s=time.perf_counter() - start,
         cost_history=(cost,),
-        flags={"mode": mode, "k": k, "uniform_rows": n_uniform},
+        flags={"mode": mode, "k": k, "uniform_rows": n_uniform, **counts.flags()},
     )
     return UnmixingResult(
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),

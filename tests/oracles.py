@@ -2,12 +2,27 @@
 
 These deliberately avoid the package's solver code paths: the simplex QP
 enumerates active sets directly, the model search is a plain double loop,
-and the sparse oracle is cyclic coordinate descent on the objective.
+the sparse oracle is cyclic coordinate descent on the objective, and the
+simplex projection backs a projected-gradient optimality check.
 """
 
 import itertools
 
 import numpy as np
+
+
+def project_simplex(v):
+    """Euclidean projection of each row onto the probability simplex
+    (sort-based algorithm)."""
+    v = np.atleast_2d(v)
+    n, p = v.shape
+    u = -np.sort(-v, axis=1)
+    css = np.cumsum(u, axis=1) - 1.0
+    denom = np.arange(1, p + 1)
+    cond = u > css / denom
+    rho = p - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(n), rho] / (rho + 1.0)
+    return np.maximum(v - theta[:, None], 0.0)
 
 
 def qp_fcls_oracle(y, m):

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from varimix.bench import _solver_options
 from varimix.cli import main
 from varimix.io import load_abundances, load_library, save_library
+from varimix.solvers import SolverOptions
 from varimix.synth import synthetic_base_spectra
 
 
@@ -107,6 +109,22 @@ def test_unmix_with_opts_json_and_fda(scene_dir):
     assert main(["unmix", "--image", scene, "--algo", "mesma",
                  "--library", lib, "--transform", tjson, "--out", out2]) == 0
     assert load_abundances(scene_dir / "mesma_fda" / "abundances.csv").n_classes == 3
+
+
+def test_opts_json_with_removed_kernel_keys(scene_dir):
+    # option files written before the exact QP kernel still carry the
+    # splitting solver's rho / inner_tol / inner_iters; unknown keys are
+    # dropped, on the command line and in bench configs alike
+    old = {"rho": 2.0, "inner_tol": 1e-6, "inner_iters": 50, "max_iters": 3}
+    (scene_dir / "old_opts.json").write_text(json.dumps(old))
+    out = scene_dir / "elmm_out"
+    assert main(["unmix", "--image", str(scene_dir / "scene"), "--algo", "elmm",
+                 "--m0", str(scene_dir / "base.csv"),
+                 "--opts", str(scene_dir / "old_opts.json"), "--out", str(out)]) == 0
+    log = json.loads((out / "solver_log.json").read_text())
+    assert 1 <= log["iterations"] <= 3
+    assert log["flags"]["unsettled_rows"] == 0
+    assert _solver_options(old) == SolverOptions(max_iters=3)
 
 
 def test_music_prune_via_cli(scene_dir):

@@ -146,3 +146,35 @@ class TestExtractBundles:
         norms = [np.linalg.norm(c.signatures.mean(axis=0)) for c in lib.classes]
         assert norms == sorted(norms, reverse=True)
         assert lib.class_names == ("class_0", "class_1", "class_2")
+
+    def _recorded_seeds(self, monkeypatch, num_runs):
+        """(per-run VCA seeds, first clustering seed) of one extraction."""
+        import varimix.extraction as ext
+
+        runs, clusters = [], []
+
+        def vca(image, n_classes, seed=None):
+            runs.append(seed)
+            return extract_endmembers(image, n_classes, seed=seed)
+
+        def cluster(signatures, n_classes, metric="spectral_angle", seed=None):
+            clusters.append(seed)
+            return cluster_signatures(signatures, n_classes, metric, seed=seed)
+
+        monkeypatch.setattr(ext, "extract_endmembers", vca)
+        monkeypatch.setattr(ext, "cluster_signatures", cluster)
+        truth = make_scene(snr_db=30.0, pure_fraction=0.05, seed=17)
+        cfg = BundleExtractionConfig(n_classes=3, num_runs=num_runs, subset_size=60, seed=4)
+        extract_bundles(truth.image_noisy, cfg)
+        return runs, clusters[0]
+
+    def test_seed_streams_distinct_with_many_runs(self, monkeypatch):
+        runs, cluster_seed = self._recorded_seeds(monkeypatch, 12)
+        assert len(runs) == 12
+        assert len(set(runs + [cluster_seed])) == 13
+
+    def test_seed_streams_unchanged_up_to_nine_runs(self, monkeypatch):
+        runs, cluster_seed = self._recorded_seeds(monkeypatch, 9)
+        streams = np.random.SeedSequence(4).generate_state(9 + 11)
+        assert runs == [int(s) for s in streams[1:10]]
+        assert cluster_seed == int(streams[10])

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from varimix.solvers import SolverOptions, fcls, fcls_core, project_simplex
+from varimix.solvers import SolverOptions, fcls, fcls_core
 from varimix.types import SpectralImage
 
-from oracles import qp_fcls_oracle
+from oracles import project_simplex, qp_fcls_oracle
 
 
 def _image(y):
