@@ -169,7 +169,8 @@ def load_endmember_field(path, n_bands: int) -> EndmemberField:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def save_scene(truth: SceneTruth, out_dir) -> Path:
@@ -199,8 +200,13 @@ def save_scene(truth: SceneTruth, out_dir) -> Path:
 
 
 def load_scene(scene_dir) -> SceneTruth:
+    """Read a directory written by ``save_scene``, after checking every
+    artifact against the SHA-256 digest recorded in truth_meta.json."""
     d = Path(scene_dir)
     meta = json.loads((d / "truth_meta.json").read_text())
+    for name, digest in meta.get("digests", {}).items():
+        if _sha256(d / name) != digest:
+            raise FormatError(f"{d / name}: SHA-256 digest does not match truth_meta.json")
     snr = meta.get("snr_db")
     return SceneTruth(
         image_noisy=load_image(d / "image_noisy"),

@@ -10,11 +10,16 @@ form, with G = M'M and h = M'y per pixel:
 kernel, ``_active_set``, solves both: a primal active-set method with the
 Lawson-Hanson step, batched over pixels by grouping rows that share a
 passive set (combinatorial NNLS). ``fcls_core`` and ``nnls_core`` wrap it
-for a shared (L, P) or per-pixel (N, L, P) endmember matrix.
+for a shared (L, P) or per-pixel (N, L, P) endmember matrix;
+``fcls_gram`` takes G and h directly, for solvers that build them in
+factored form. ``monotone_loop`` drives the alternating solvers and
+``timed`` fills their per-phase timings.
 """
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,6 +68,7 @@ class SolverLog:
     wall_time_s: float = 0.0
     cost_history: tuple = ()
     flags: dict = field(default_factory=dict)
+    phases: dict = field(default_factory=dict)      # seconds per solver phase
 
     def to_dict(self) -> dict:
         return {
@@ -72,6 +78,7 @@ class SolverLog:
             "wall_time_s": self.wall_time_s,
             "cost_history": list(self.cost_history),
             "flags": self.flags,
+            "phases": self.phases,
         }
 
 
@@ -129,11 +136,14 @@ def _gram(y, m, lam=0.0):
 
 
 def _faces(passive):
-    """(columns, row positions) for each distinct passive set."""
-    patterns, inverse = np.unique(passive, axis=0, return_inverse=True)
+    """(columns, row positions) for each distinct passive set. Rows are
+    keyed on their bit-packed passive set, one void scalar per row."""
+    keys = np.packbits(passive, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
-    ends = np.cumsum(np.bincount(inverse, minlength=len(patterns)))
-    return zip((np.flatnonzero(p) for p in patterns), np.split(order, ends[:-1]))
+    ends = np.cumsum(np.bincount(inverse, minlength=first.size))
+    return zip((np.flatnonzero(passive[i]) for i in first), np.split(order, ends[:-1]))
 
 
 def _face_minimizer(gram, h, rows, cols, simplex, ridge=False):
@@ -257,7 +267,12 @@ def fcls_core(y: np.ndarray, m: np.ndarray, counts: Optional[QPCounts] = None):
     Returns (abundances, kernel rounds); ``counts`` accumulates the rounds
     and the unsettled rows.
     """
-    gram, h = _gram(y, m)
+    return fcls_gram(*_gram(y, m), counts)
+
+
+def fcls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):
+    """``fcls_core`` in Gram form: ``gram`` is a shared (P, P) or
+    per-pixel (N, P, P) M'M and ``h`` the (N, P) M'y."""
     a, rounds, open_rows = _active_set(gram, h, simplex=True)
     a /= a.sum(axis=1, keepdims=True)
     if counts is not None:
@@ -295,41 +310,52 @@ def nnls_core(
 _ZERO_COST_FLOOR = 1e-24
 
 
-def monotone_loop(initial_state, step_fn, cost_fn, blend_fn, max_iters, tol):
-    """Alternating-minimization driver with an enforced nonincreasing cost.
+@contextmanager
+def timed(phases: dict, name: str):
+    """Add the block's wall time to ``phases[name]`` (seconds)."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] = phases.get(name, 0.0) + time.perf_counter() - start
 
-    A step that raises the cost is rejected and retried with a halved
-    step (state blended toward the candidate) up to five times; if the
-    cost still will not drop, the loop terminates unconverged. Only
-    accepted costs enter the history. Costs at the floating-point floor
-    count as zero, so exact-data fixtures stop at the initialization.
+
+def monotone_loop(initial_state, step_fn, cost_fn, max_iters, tol):
+    """Alternating-minimization driver with a nonincreasing cost history.
+
+    Each step is one sweep of exact block updates, so the cost can only
+    rise through clamping or rounding. A step that raises it is not
+    taken: the loop ends at the previous state, unconverged, and the rise
+    is counted in ``flags["cost_rises"]``. ``converged`` means the
+    relative cost change fell below ``tol``. Costs at the floating-point
+    floor count as zero, so exact-data fixtures stop at the
+    initialization.
+
+    Returns (state, SolverLog) with the iterations, costs and flags
+    filled in.
     """
     state = initial_state
     c = cost_fn(state)
     history = [c]
-    if c <= _ZERO_COST_FLOOR:
-        return state, history, True
-    converged = False
-    for _ in range(max_iters):
+    converged = c <= _ZERO_COST_FLOOR
+    rises = 0
+    for _ in range(0 if converged else max_iters):
         cand = step_fn(state)
         c_new = cost_fn(cand)
         if c_new > c:
-            accepted = False
-            f = 0.5
-            for _ in range(5):
-                blended = blend_fn(state, cand, f)
-                c_b = cost_fn(blended)
-                if c_b <= c:
-                    cand, c_new, accepted = blended, c_b, True
-                    break
-                f *= 0.5
-            if not accepted:
-                return state, history, False
+            rises = 1
+            break
         rel = (c - c_new) / max(c, 1e-300)
-        state = cand
-        c = c_new
+        state, c = cand, c_new
         history.append(c)
         if rel < tol or c <= _ZERO_COST_FLOOR:
             converged = True
             break
-    return state, history, converged
+    log = SolverLog(
+        iterations=len(history) - 1,
+        final_cost=c,
+        converged=converged,
+        cost_history=tuple(history),
+        flags={"cost_rises": rises},
+    )
+    return state, log

@@ -9,8 +9,12 @@ Block coordinate descent on
 
 with simplex abundances and positive scalings (clamped at 1e-6). The
 abundance step is a per-pixel constrained least squares, the endmember
-step a closed-form ridge solve, and the scaling step a sparse linear
-solve on the image grid.
+step the closed-form rank-one update M_n = M0 diag(psi_n) + u_n a_n',
+and the scaling step a sparse linear solve on the image grid.
+
+The loop runs on the factored state of ``rankone``: O(N(L+P)) memory,
+no (N, L, P) array per iteration. The endmember field is built once,
+for the result.
 """
 
 from __future__ import annotations
@@ -24,15 +28,15 @@ from scipy.sparse.linalg import splu
 
 from ..types import AbundanceMap, DimensionError, EndmemberField, SpectralImage
 from .base import (
-    QPCounts,
-    SolverLog,
     SolverOptions,
     UnmixingResult,
     fcls_core,
     monotone_loop,
     per_pixel_rms,
     reconstruct,
+    timed,
 )
+from .rankone import RankOneModel, RankOneState
 
 _PSI_FLOOR = 1e-6
 
@@ -53,12 +57,16 @@ def grid_laplacian(height: int, width: int):
     return (diags(deg) - adj).tocsc()
 
 
+def _spatial(lap, psi):
+    return sum(float(psi[:, p] @ (lap @ psi[:, p])) for p in range(psi.shape[1]))
+
+
 def _elmm_cost(y, m0, lap, lam_m, lam_psi, state):
+    """The cost on a dense (a, psi, M) state."""
     a, psi, m = state
     fit = y - np.einsum("nlp,np->nl", m, a)
     tie = m - m0[None, :, :] * psi[:, None, :]
-    spatial = sum(float(psi[:, p] @ (lap @ psi[:, p])) for p in range(psi.shape[1]))
-    return float(np.sum(fit**2) + lam_m * np.sum(tie**2) + lam_psi * spatial)
+    return float(np.sum(fit**2) + lam_m * np.sum(tie**2) + lam_psi * _spatial(lap, psi))
 
 
 def elmm_unmix(
@@ -72,8 +80,10 @@ def elmm_unmix(
 ) -> UnmixingResult:
     """Unmix under the scaled-reference endmember model.
 
-    ``ref_matrix`` is the (L, P) reference. The emitted endmember field is
-    clamped to be nonnegative; the solver state is not.
+    ``ref_matrix`` is the (L, P) reference. A dense ``init_endmembers``
+    field is used by the first abundance step and the initial cost only.
+    The emitted endmember field is clamped to be nonnegative; the solver
+    state is not.
     """
     m0 = np.asarray(ref_matrix, dtype=np.float64)
     if m0.ndim != 2 or m0.shape[0] != image.n_bands:
@@ -83,63 +93,49 @@ def elmm_unmix(
     start = time.perf_counter()
     y = image.pixels
     n = y.shape[0]
-    l, p = m0.shape
+    p = m0.shape[1]
     lam_m, lam_psi = opts.lambda_m, opts.lambda_psi
     lap = grid_laplacian(image.height, image.width)
-    col_sq = np.sum(m0**2, axis=0)                       # (P,)
+    core = RankOneModel(y, m0, lam_m)
     psi_solvers = [
-        splu((lam_m * col_sq[j] * identity(n, format="csc") + lam_psi * lap).tocsc())
+        splu((lam_m * core.col_sq[j] * identity(n, format="csc") + lam_psi * lap).tocsc())
         for j in range(p)
     ]
-    eye_p = np.eye(p)
 
-    counts = QPCounts()
     if init_abundances is None:
-        a0, _ = fcls_core(y, m0, counts)
+        with timed(core.phases, "qp"):
+            a0, _ = fcls_core(y, m0, core.counts)
     else:
         a0 = np.array(init_abundances, dtype=np.float64)
     psi0 = np.ones((n, p)) if init_psi is None else np.array(init_psi, dtype=np.float64)
-    if init_endmembers is None:
-        m_init = m0[None, :, :] * psi0[:, None, :]
-    else:
-        m_init = np.array(init_endmembers, dtype=np.float64)
+    dense0 = None if init_endmembers is None else np.array(init_endmembers, dtype=np.float64)
 
-    def step(state):
-        a, psi, m = state
-        a_new, _ = fcls_core(y, m, counts)
-        rhs = np.einsum("nl,np->nlp", y, a_new) + lam_m * (m0[None, :, :] * psi[:, None, :])
-        sys = np.einsum("np,nq->npq", a_new, a_new) + lam_m * eye_p
-        m_new = np.linalg.solve(sys, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
-        psi_new = np.empty_like(psi)
-        for j in range(p):
-            b = lam_m * (m_new[:, :, j] @ m0[:, j])
-            psi_new[:, j] = psi_solvers[j].solve(b)
-        np.clip(psi_new, _PSI_FLOOR, None, out=psi_new)
-        return a_new, psi_new, m_new
+    def step(s):
+        a, u, w = core.step(s, s.psi)
+        with timed(core.phases, "psi"):
+            rhs = lam_m * (s.psi * core.col_sq + a * w)
+            psi = np.column_stack([psi_solvers[j].solve(rhs[:, j]) for j in range(p)])
+            np.clip(psi, _PSI_FLOOR, None, out=psi)
+        return RankOneState(a, psi, s.psi, u, w)
 
-    def blend(prev, cand, f):
-        return tuple(pv + f * (cv - pv) for pv, cv in zip(prev, cand))
+    def cost(s):
+        with timed(core.phases, "cost"):
+            if s.dense is not None:
+                return _elmm_cost(y, m0, lap, lam_m, lam_psi, (s.a, s.psi, s.dense))
+            return core.cost(s) + lam_psi * _spatial(lap, s.psi)
 
-    cost_fn = lambda s: _elmm_cost(y, m0, lap, lam_m, lam_psi, s)
-    (a, psi, m), history, converged = monotone_loop(
-        (a0, psi0, m_init), step, cost_fn, blend, opts.max_iters, opts.tol
-    )
+    state, log = monotone_loop(core.start(a0, psi0, dense0), step, cost,
+                               opts.max_iters, opts.tol)
+    core.finish(log, start, {"lambda_m": lam_m, "lambda_psi": lam_psi})
 
-    emitted = np.clip(m, 0.0, None)
-    recon = reconstruct(emitted, a)
-    log = SolverLog(
-        iterations=len(history) - 1,
-        final_cost=history[-1],
-        converged=converged and counts.unsettled_rows == 0,
-        wall_time_s=time.perf_counter() - start,
-        cost_history=tuple(history),
-        flags={"lambda_m": lam_m, "lambda_psi": lam_psi, **counts.flags()},
-    )
+    emitted = core.field(state)
+    np.clip(emitted, 0.0, None, out=emitted)
+    recon = reconstruct(emitted, state.a)
     return UnmixingResult(
-        abundances=AbundanceMap(a, sum_to_one=True, class_names=class_names),
+        abundances=AbundanceMap(state.a, sum_to_one=True, class_names=class_names),
         per_pixel_re=per_pixel_rms(y, recon),
         reconstruction=recon,
         solver_log=log,
         endmembers=EndmemberField(emitted),
-        extras={"psi": psi},
+        extras={"psi": state.psi},
     )

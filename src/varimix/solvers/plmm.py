@@ -5,8 +5,11 @@ Block coordinate descent on
     J(A, {dM_n}) = sum_n ||y_n - (M0 + dM_n) a_n||^2 + gamma * sum_n ||dM_n||_F^2
 
 with simplex abundances. The perturbation step has the rank-one closed
-form dM_n = r_n a_n^T / (gamma + ||a_n||^2) with r_n the reference-model
-residual.
+form dM_n = u_n a_n^T with u_n = r_n / (gamma + ||a_n||^2) and r_n the
+reference-model residual, so the loop runs on the factored state of
+``rankone`` (scalings fixed at one): O(N(L+P)) memory, no (N, L, P)
+array per iteration. The perturbation field is built once, for the
+result.
 """
 
 from __future__ import annotations
@@ -18,18 +21,19 @@ import numpy as np
 
 from ..types import AbundanceMap, DimensionError, EndmemberField, SpectralImage
 from .base import (
-    QPCounts,
-    SolverLog,
     SolverOptions,
     UnmixingResult,
     fcls_core,
     monotone_loop,
     per_pixel_rms,
     reconstruct,
+    timed,
 )
+from .rankone import RankOneModel, RankOneState
 
 
 def _plmm_cost(y, m0, gamma, state):
+    """The cost on a dense (a, dM) state."""
     a, dm = state
     fit = y - np.einsum("nlp,np->nl", m0[None, :, :] + dm, a)
     return float(np.sum(fit**2) + gamma * np.sum(dm**2))
@@ -45,8 +49,9 @@ def plmm_unmix(
 ) -> UnmixingResult:
     """Unmix under the additively perturbed endmember model.
 
-    The emitted field M0 + dM_n is clamped to be nonnegative; the solver
-    state keeps the unclamped perturbations.
+    A dense ``init_perturbation`` is used by the first abundance step and
+    the initial cost only. The emitted field M0 + dM_n is clamped to be
+    nonnegative; ``extras["perturbation"]`` keeps the unclamped dM_n.
     """
     m0 = np.asarray(ref_matrix, dtype=np.float64)
     if m0.ndim != 2 or m0.shape[0] != image.n_bands:
@@ -54,44 +59,38 @@ def plmm_unmix(
     start = time.perf_counter()
     y = image.pixels
     n = y.shape[0]
-    l, p = m0.shape
+    p = m0.shape[1]
     gamma = opts.gamma_plmm
+    core = RankOneModel(y, m0, gamma)
+    ones = np.ones((n, p))
 
-    counts = QPCounts()
     if init_abundances is None:
-        a0, _ = fcls_core(y, m0, counts)
+        with timed(core.phases, "qp"):
+            a0, _ = fcls_core(y, m0, core.counts)
     else:
         a0 = np.array(init_abundances, dtype=np.float64)
-    dm0 = np.zeros((n, l, p)) if init_perturbation is None else np.array(init_perturbation)
+    dm0 = None if init_perturbation is None else np.array(init_perturbation, dtype=np.float64)
 
-    def step(state):
-        a, dm = state
-        a_new, _ = fcls_core(y, m0[None, :, :] + dm, counts)
-        residual = y - a_new @ m0.T
-        denom = gamma + np.sum(a_new**2, axis=1)
-        dm_new = np.einsum("nl,np->nlp", residual, a_new) / denom[:, None, None]
-        return a_new, dm_new
+    def step(s):
+        a, u, w = core.step(s, ones)
+        return RankOneState(a, ones, ones, u, w)
 
-    def blend(prev, cand, f):
-        return tuple(pv + f * (cv - pv) for pv, cv in zip(prev, cand))
+    def cost(s):
+        with timed(core.phases, "cost"):
+            if s.dense is not None:
+                return _plmm_cost(y, m0, gamma, (s.a, dm0))
+            return core.cost(s)
 
-    cost_fn = lambda s: _plmm_cost(y, m0, gamma, s)
-    (a, dm), history, converged = monotone_loop(
-        (a0, dm0), step, cost_fn, blend, opts.max_iters, opts.tol
-    )
+    initial = core.start(a0, ones, None if dm0 is None else m0[None, :, :] + dm0)
+    state, log = monotone_loop(initial, step, cost, opts.max_iters, opts.tol)
+    core.finish(log, start, {"gamma": gamma})
 
-    emitted = np.clip(m0[None, :, :] + dm, 0.0, None)
-    recon = reconstruct(emitted, a)
-    log = SolverLog(
-        iterations=len(history) - 1,
-        final_cost=history[-1],
-        converged=converged and counts.unsettled_rows == 0,
-        wall_time_s=time.perf_counter() - start,
-        cost_history=tuple(history),
-        flags={"gamma": gamma, **counts.flags()},
-    )
+    dm = dm0 if state.dense is not None else state.u[:, :, None] * state.a[:, None, :]
+    emitted = m0[None, :, :] + dm
+    np.clip(emitted, 0.0, None, out=emitted)
+    recon = reconstruct(emitted, state.a)
     return UnmixingResult(
-        abundances=AbundanceMap(a, sum_to_one=True, class_names=class_names),
+        abundances=AbundanceMap(state.a, sum_to_one=True, class_names=class_names),
         per_pixel_re=per_pixel_rms(y, recon),
         reconstruction=recon,
         solver_log=log,

@@ -3,12 +3,17 @@
 These deliberately avoid the package's solver code paths: the simplex QP
 enumerates active sets directly, the model search is a plain double loop,
 the sparse oracle is cyclic coordinate descent on the objective, and the
-simplex projection backs a projected-gradient optimality check.
+simplex projection backs a projected-gradient optimality check. The
+dense alternating references keep one (L, P) matrix per pixel and solve
+the endmember step as a batched ridge system; they share only the QP
+kernel with the package.
 """
 
 import itertools
 
 import numpy as np
+
+from varimix.solvers import fcls_core
 
 
 def project_simplex(v):
@@ -140,3 +145,82 @@ def cd_l1_oracle(y, m, lam, iters=20000, tol=1e-14):
         if delta < tol:
             break
     return a
+
+
+def _dense_loop(cost, step, state, max_iters, tol, floor=1e-24):
+    """Alternating descent that stops at a cost rise, the relative-change
+    rule ``tol`` or a cost at the floating-point floor."""
+    c = cost(state)
+    history = [c]
+    if c <= floor:
+        return state, history
+    for _ in range(max_iters):
+        cand = step(state)
+        c_new = cost(cand)
+        if c_new > c:
+            break
+        rel = (c - c_new) / max(c, 1e-300)
+        state, c = cand, c_new
+        history.append(c)
+        if rel < tol or c <= floor:
+            break
+    return state, history
+
+
+def elmm_dense_reference(y, m0, lap, lam_m, lam_psi, max_iters, tol, psi_floor=1e-6):
+    """Scaled-model block coordinate descent on dense per-pixel matrices
+    M_n, from a0 = FCLS(y, M0), psi = 1, M_n = M0. Returns (a, psi, M,
+    cost history)."""
+    n, p = y.shape[0], m0.shape[1]
+    col_sq = np.sum(m0**2, axis=0)
+    lap_dense = lap.toarray()
+
+    def cost(state):
+        a, psi, m = state
+        fit = y - np.einsum("nlp,np->nl", m, a)
+        tie = m - m0[None] * psi[:, None, :]
+        spatial = sum(float(psi[:, j] @ (lap @ psi[:, j])) for j in range(p))
+        return float(np.sum(fit**2) + lam_m * np.sum(tie**2) + lam_psi * spatial)
+
+    def step(state):
+        a, psi, m = state
+        a_new, _ = fcls_core(y, m)
+        rhs = np.einsum("nl,np->npl", y, a_new) + lam_m * (m0[None] * psi[:, None, :]).transpose(0, 2, 1)
+        sys = np.einsum("np,nq->npq", a_new, a_new) + lam_m * np.eye(p)
+        m_new = np.linalg.solve(sys, rhs).transpose(0, 2, 1)
+        psi_new = np.empty_like(psi)
+        for j in range(p):
+            op = lam_m * col_sq[j] * np.eye(n) + lam_psi * lap_dense
+            psi_new[:, j] = np.linalg.solve(op, lam_m * (m_new[:, :, j] @ m0[:, j]))
+        return a_new, np.maximum(psi_new, psi_floor), m_new
+
+    a0, _ = fcls_core(y, m0)
+    init = (a0, np.ones((n, p)), np.repeat(m0[None], n, axis=0))
+    (a, psi, m), history = _dense_loop(cost, step, init, max_iters, tol)
+    return a, psi, m, history
+
+
+def plmm_dense_reference(y, m0, gamma, max_iters, tol):
+    """Perturbed-model block coordinate descent on dense per-pixel
+    perturbations dM_n, from a0 = FCLS(y, M0), dM = 0, with the ridge
+    endmember step of the scaled model at psi = 1. Returns (a, dM, cost
+    history)."""
+    n, l = y.shape
+    p = m0.shape[1]
+
+    def cost(state):
+        a, dm = state
+        fit = y - np.einsum("nlp,np->nl", m0[None] + dm, a)
+        return float(np.sum(fit**2) + gamma * np.sum(dm**2))
+
+    def step(state):
+        a, dm = state
+        a_new, _ = fcls_core(y, m0[None] + dm)
+        # min_dM ||y - (M0 + dM) a||^2 + gamma ||dM||^2, row by row of dM
+        rhs = np.einsum("nl,np->npl", y - a_new @ m0.T, a_new)
+        sys = np.einsum("np,nq->npq", a_new, a_new) + gamma * np.eye(p)
+        return a_new, np.linalg.solve(sys, rhs).transpose(0, 2, 1)
+
+    a0, _ = fcls_core(y, m0)
+    (a, dm), history = _dense_loop(cost, step, (a0, np.zeros((n, l, p))), max_iters, tol)
+    return a, dm, history

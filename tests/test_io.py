@@ -97,3 +97,15 @@ def test_scene_meta_has_digests(tmp_path):
     out = save_scene(truth, tmp_path / "scene")
     meta = json.loads((out / "truth_meta.json").read_text())
     assert "digests" in meta and "abundances.csv" in meta["digests"]
+
+
+@pytest.mark.parametrize("name", ["image_noisy.bin", "abundances.csv", "endmembers.json"])
+def test_scene_load_rejects_one_flipped_byte(tmp_path, name):
+    truth = make_scene(height=4, width=5)
+    out = save_scene(truth, tmp_path / "scene")
+    target = out / name
+    raw = bytearray(target.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    target.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=name):
+        load_scene(out)
