@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -225,10 +224,3 @@ def resolve_image(path) -> SpectralImage:
     if p.is_dir():
         return load_image(p / "image_noisy")
     return load_image(p)
-
-
-def resolve_scene_dir(path) -> Optional[SceneTruth]:
-    p = Path(path)
-    if p.is_dir() and (p / "truth_meta.json").exists():
-        return load_scene(p)
-    return None

@@ -11,9 +11,10 @@ kernel, ``_active_set``, solves both: a primal active-set method with the
 Lawson-Hanson step, batched over pixels by grouping rows that share a
 passive set (combinatorial NNLS). ``fcls_core`` and ``nnls_core`` wrap it
 for a shared (L, P) or per-pixel (N, L, P) endmember matrix;
-``fcls_gram`` takes G and h directly, for solvers that build them in
-factored form. ``monotone_loop`` drives the alternating solvers and
-``timed`` fills their per-phase timings.
+``fcls_gram`` and ``nnls_gram`` take G and h directly, for solvers that
+build them in factored form or from library statistics.
+``monotone_loop`` drives the alternating solvers and ``timed`` fills
+their per-phase timings.
 """
 
 from __future__ import annotations
@@ -300,7 +301,11 @@ def nnls_core(
     for all pixels, with the same shapes, return value and ``counts`` as
     ``fcls_core``.
     """
-    gram, h = _gram(y, m, lam)
+    return nnls_gram(*_gram(y, m, lam), counts)
+
+
+def nnls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):
+    """``nnls_core`` in Gram form, with ``h`` = M'y - lam."""
     a, rounds, open_rows = _active_set(gram, h, simplex=False)
     if counts is not None:
         counts.add(rounds, open_rows)
@@ -327,9 +332,10 @@ def monotone_loop(initial_state, step_fn, cost_fn, max_iters, tol):
     rise through clamping or rounding. A step that raises it is not
     taken: the loop ends at the previous state, unconverged, and the rise
     is counted in ``flags["cost_rises"]``. ``converged`` means the
-    relative cost change fell below ``tol``. Costs at the floating-point
-    floor count as zero, so exact-data fixtures stop at the
-    initialization.
+    relative cost change fell below ``tol``; ``flags["cap_hit"]`` is 1
+    when the loop took ``max_iters`` steps and neither ended it. Costs at
+    the floating-point floor count as zero, so exact-data fixtures stop
+    at the initialization.
 
     Returns (state, SolverLog) with the iterations, costs and flags
     filled in.
@@ -356,6 +362,6 @@ def monotone_loop(initial_state, step_fn, cost_fn, max_iters, tol):
         final_cost=c,
         converged=converged,
         cost_history=tuple(history),
-        flags={"cost_rises": rises},
+        flags={"cost_rises": rises, "cap_hit": int(not (converged or rises))},
     )
     return state, log

@@ -1,4 +1,7 @@
-"""Per-pixel exhaustive search over library model combinations."""
+"""Per-pixel exhaustive search over library model combinations, in Gram
+space over each class's distinct signatures (``search``): each model is
+one shared-Gram kernel call on a (P, P) block of the statistics.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +13,8 @@ from typing import Optional
 import numpy as np
 
 from ..types import AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage, SpectralLibrary
-from .base import (QPCounts, SolverOptions, SolverLog, UnmixingResult, fcls_core,
-                   per_pixel_rms, reconstruct)
+from .base import QPCounts, SolverOptions, SolverLog, UnmixingResult, per_pixel_rms, reconstruct
+from .search import distinct_rows, library_stats, subset_search
 
 DEFAULT_MODEL_BUDGET = 10**6
 
@@ -27,10 +30,16 @@ def mesma(
     constrained least squares for each, and keep the per-pixel model with
     the smallest reconstruction error.
 
-    Ties are broken toward the lexicographically smallest index tuple.
-    With ``re_threshold`` set, a pixel is frozen at the first enumerated
-    model whose RMS residual falls below the threshold (early stop);
-    pixels that never hit the threshold keep their best model.
+    Ties are broken toward the lexicographically smallest index tuple;
+    a later copy of a signature is never tried, so a tie between copies
+    goes to the first one. With ``re_threshold`` set, a pixel is frozen
+    at the first enumerated model whose RMS residual is at most the
+    threshold (early stop), tested on the residual computed from the
+    pixel wherever the search statistics (precise to about 1e-8 ||y||)
+    put it near the threshold; pixels that never hit the threshold keep
+    their best model. ``models_enumerated`` counts the distinct models
+    solved and ``duplicates`` the signatures collapsed; the budget
+    applies to the library as given.
     """
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")
@@ -43,34 +52,19 @@ def mesma(
         )
     start = time.perf_counter()
     y = image.pixels
-    n = y.shape[0]
+    n, l = y.shape
     p = library.n_classes
-    l = image.n_bands
-
-    best_re = np.full(n, np.inf)
-    best_a = np.zeros((n, p))
-    best_model = np.zeros((n, p), dtype=np.intp)
-    frozen = np.zeros(n, dtype=bool)
-    sqrt_l = np.sqrt(l)
     sigs = [c.signatures for c in library.classes]
 
-    models_tried = 0
+    keep = [distinct_rows(s) for s in sigs]             # original index per distinct row
+    offsets = np.cumsum([0] + [k.size for k in keep[:-1]])
+    distinct = np.concatenate([s[k] for s, k in zip(sigs, keep)])
+    gram, ys, yy = library_stats(y, distinct)
+    models = (offsets + np.array(pos) for pos in itertools.product(*(range(k.size) for k in keep)))
     counts = QPCounts()
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        if frozen.all():
-            break
-        models_tried += 1
-        m = np.stack([sigs[cls][i] for cls, i in enumerate(combo)], axis=1)   # (L, P)
-        active = np.flatnonzero(~frozen)
-        a, _ = fcls_core(y[active], m, counts)
-        re = np.linalg.norm(y[active] - a @ m.T, axis=1) / sqrt_l
-        better = re < best_re[active]
-        rows = active[better]
-        best_re[rows] = re[better]
-        best_a[rows] = a[better]
-        best_model[rows] = combo
-        if re_threshold is not None:
-            frozen[active[re <= re_threshold]] = True
+    stop = None if re_threshold is None else re_threshold**2 * l
+    cols, best_a, models_tried = subset_search(gram, ys, yy, models, p, counts, stop, y, distinct)
+    best_model = np.stack([keep[cls][cols[:, cls] - offsets[cls]] for cls in range(p)], axis=1)
 
     fields = np.empty((n, l, p))
     for cls in range(p):
@@ -87,7 +81,7 @@ def mesma(
         wall_time_s=time.perf_counter() - start,
         cost_history=(cost,),
         flags={"models_enumerated": models_tried, "early_stop": re_threshold is not None,
-               **counts.flags()},
+               "duplicates": sum(sizes) - sum(k.size for k in keep), **counts.flags()},
     )
     return UnmixingResult(
         abundances=AbundanceMap(best_a, sum_to_one=True, class_names=library.class_names),

@@ -8,6 +8,13 @@ The L1 variant solves, per pixel and without a sum-to-one constraint,
 linear). The L0 variant limits the support size instead, either greedily
 or by exhaustive support enumeration; the exhaustive mode doubles as the
 oracle for the greedy one.
+
+Both L0 modes search the library's distinct signatures in Gram space
+(``search``): exact duplicates collapse to their first occurrence, which
+gets the raw mass, and the exhaustive mode's residuals, read from the
+statistics, are precise to about 1e-8 ||y|| on the RMS error. The greedy
+mode is orthogonal matching pursuit batched over pixels (Batch-OMP,
+Rubinstein, Zibulevsky & Elad 2008) with nonnegative refits.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import math
 import time
 
 import numpy as np
-from scipy.optimize import nnls as scipy_nnls
 
 from ..types import (
     AbundanceMap,
@@ -28,14 +34,17 @@ from ..types import (
     SpectralLibrary,
 )
 from .base import (
+    _KKT_TOL,
     QPCounts,
     SolverLog,
     SolverOptions,
     UnmixingResult,
-    fcls_core,
+    fcls_gram,
     nnls_core,
+    nnls_gram,
     per_pixel_rms,
 )
+from .search import distinct_rows, library_stats, subset_search
 
 _MASS_TOL = 1e-9
 L0_SUPPORT_BUDGET = 10**4
@@ -156,26 +165,44 @@ def sparse_su_l1(
     )
 
 
-def _greedy_l0_pixel(y: np.ndarray, m: np.ndarray, k: int) -> tuple:
-    """Forward selection with nonnegative refits; returns the sorted
-    support."""
-    q = m.shape[1]
-    norms = np.linalg.norm(m, axis=0)
+def _greedy_supports(gram: np.ndarray, ys: np.ndarray, k: int, counts: QPCounts):
+    """Forward selection with nonnegative refits, all pixels at once.
+
+    Each step scores every unselected column by its correlation with the
+    pixel's residual over its norm, (Y S' - C G) / ||s||, with C the
+    current NNLS coefficients, and adds the best one. A pixel stops when
+    no score exceeds the kernel's pricing tolerance, relative to
+    max(1, |S y|_inf); its first column is taken regardless.
+
+    Returns the (N, min(k, Q)) selected columns, sorted ascending in each
+    row and padded with -1.
+    """
+    n, q = ys.shape
+    steps = min(k, q)
+    norms = np.sqrt(np.diagonal(gram)).copy()
     norms[norms == 0] = 1.0
-    support: list[int] = []
-    residual = y.copy()
-    for _ in range(min(k, q)):
-        scores = (m.T @ residual) / norms
-        scores[support] = -np.inf
-        best = int(np.argmax(scores))
-        if scores[best] <= 0:
+    tol = _KKT_TOL * np.maximum(1.0, np.abs(ys).max(axis=1))
+    sel = np.full((n, steps), q)                # q marks an empty slot
+    coef = np.zeros((n, q))
+    rows = np.arange(n)
+    for t in range(steps):
+        idx = np.arange(rows.size)[:, None]
+        scores = (ys[rows] - coef[rows] @ gram) / norms
+        scores[idx, sel[rows, :t]] = -np.inf
+        best = np.argmax(scores, axis=1)
+        go = scores[idx[:, 0], best] > tol[rows]
+        take = go | (t == 0)
+        sel[rows[take], t] = best[take]
+        rows = rows[go]
+        if t + 1 == steps or rows.size == 0:
             break
-        support.append(best)
-        coef, _ = scipy_nnls(m[:, support], y)
-        residual = y - m[:, support] @ coef
-    if not support:
-        support = [int(np.argmax((m.T @ y) / norms))]
-    return tuple(sorted(support))
+        s = sel[rows, :t + 1]
+        c, _ = nnls_gram(gram[s[:, :, None], s[:, None, :]], ys[rows[:, None], s], counts)
+        coef[rows] = 0.0
+        coef[rows[:, None], s] = c
+    sel.sort(axis=1)
+    sel[sel == q] = -1
+    return sel
 
 
 def sparse_su_l0(
@@ -189,10 +216,11 @@ def sparse_su_l0(
     """Support-limited unmixing: at most ``k`` active library columns per
     pixel, with a simplex-constrained fit on the chosen support.
 
-    ``greedy`` runs matching-pursuit-style forward selection per pixel;
-    ``exhaustive`` enumerates every support of size <= k (sizes ascending,
-    lexicographic within a size, strict-improvement updates, so smaller
-    supports win ties).
+    ``greedy`` runs matching-pursuit-style forward selection for all
+    pixels at once; ``exhaustive`` enumerates every support of size <= k
+    (sizes ascending, lexicographic within a size, strict-improvement
+    updates, so smaller supports win ties). Both search the distinct
+    signatures; the budget applies to the library as given.
     """
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")
@@ -203,38 +231,34 @@ def sparse_su_l0(
         raise ValueError(f"k must lie in [1, {q}]")
     if mode not in ("greedy", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
-    start = time.perf_counter()
-    y = image.pixels
-    n = y.shape[0]
-    raw = np.zeros((n, q))
-    sqrt_l = math.sqrt(image.n_bands)
-
-    counts = QPCounts()
-    if mode == "greedy":
-        # one simplex refit per distinct support, over all its pixels
-        by_support: dict = {}
-        for i in range(n):
-            by_support.setdefault(_greedy_l0_pixel(y[i], m, k), []).append(i)
-        for support, rows in by_support.items():
-            cols = np.array(support, dtype=np.intp)
-            a, _ = fcls_core(y[rows], m[:, cols], counts)
-            raw[np.ix_(rows, cols)] = a
-    else:
+    if mode == "exhaustive":
         n_supports = sum(math.comb(q, j) for j in range(1, k + 1))
         if n_supports > support_budget:
             raise BudgetError(
                 f"{n_supports} supports exceed the enumeration budget of {support_budget}"
             )
-        best_re = np.full(n, np.inf)
-        for size in range(1, k + 1):
-            for support in itertools.combinations(range(q), size):
-                cols = np.array(support, dtype=np.intp)
-                a, _ = fcls_core(y, m[:, cols], counts)
-                re = np.linalg.norm(y - a @ m[:, cols].T, axis=1) / sqrt_l
-                better = re < best_re
-                best_re[better] = re[better]
-                raw[better] = 0.0
-                raw[np.ix_(np.flatnonzero(better), cols)] = a[better]
+    start = time.perf_counter()
+    y = image.pixels
+    n = y.shape[0]
+    keep = distinct_rows(flat)                  # original column per distinct one
+    gram, ys, yy = library_stats(y, flat[keep])
+    width = min(k, keep.size)
+    counts = QPCounts()
+    if mode == "greedy":
+        cols = _greedy_supports(gram, ys, k, counts)
+        sizes = (cols >= 0).sum(axis=1)
+        a = np.zeros((n, width))
+        for i in range(1, width + 1):
+            r = np.flatnonzero(sizes == i)
+            s = cols[r, :i]
+            a[r, :i], _ = fcls_gram(gram[s[:, :, None], s[:, None, :]], ys[r[:, None], s], counts)
+    else:
+        supports = itertools.chain.from_iterable(
+            itertools.combinations(range(keep.size), i) for i in range(1, width + 1))
+        cols, a, _ = subset_search(gram, ys, yy, supports, width, counts)
+    raw = np.zeros((n, q))
+    r, slot = np.nonzero(cols >= 0)
+    raw[r, keep[cols[r, slot]]] = a[r, slot]
 
     collapsed, proxy, n_uniform = _collapse_and_proxy(raw, library)
     recon = np.einsum("nlp,np->nl", proxy, collapsed)
@@ -245,7 +269,8 @@ def sparse_su_l0(
         converged=counts.unsettled_rows == 0,
         wall_time_s=time.perf_counter() - start,
         cost_history=(cost,),
-        flags={"mode": mode, "k": k, "uniform_rows": n_uniform, **counts.flags()},
+        flags={"mode": mode, "k": k, "uniform_rows": n_uniform, "duplicates": q - keep.size,
+               **counts.flags()},
     )
     return UnmixingResult(
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's solver code paths: the simplex QP
 enumerates active sets directly, the model search is a plain double loop,
-the sparse oracle is cyclic coordinate descent on the objective, and the
-simplex projection backs a projected-gradient optimality check. The
+the sparse oracle is cyclic coordinate descent on the objective, the
+greedy L0 oracle is a per-pixel forward selection with scipy's NNLS, and
+the simplex projection backs a projected-gradient optimality check. The
 dense alternating references keep one (L, P) matrix per pixel and solve
 the endmember step as a batched ridge system; they share only the QP
 kernel with the package.
@@ -12,6 +13,7 @@ kernel with the package.
 import itertools
 
 import numpy as np
+from scipy.optimize import nnls as scipy_nnls
 
 from varimix.solvers import fcls_core
 
@@ -145,6 +147,30 @@ def cd_l1_oracle(y, m, lam, iters=20000, tol=1e-14):
         if delta < tol:
             break
     return a
+
+
+def greedy_l0_oracle(y, m, k, rel_tol=1e-10):
+    """Forward selection for one pixel with nonnegative refits. The
+    column with the largest residual correlation over its norm enters
+    while that score exceeds ``rel_tol * max(1, |M'y|_inf)``, the
+    kernel's pricing tolerance; the first column enters regardless.
+    Returns the sorted support."""
+    q = m.shape[1]
+    norms = np.linalg.norm(m, axis=0)
+    norms[norms == 0] = 1.0
+    tol = rel_tol * max(1.0, float(np.max(np.abs(m.T @ y))))
+    support = []
+    residual = y.copy()
+    for _ in range(min(k, q)):
+        scores = (m.T @ residual) / norms
+        scores[support] = -np.inf
+        best = int(np.argmax(scores))
+        if scores[best] <= tol:
+            break
+        support.append(best)
+        coef, _ = scipy_nnls(m[:, support], y)
+        residual = y - m[:, support] @ coef
+    return tuple(sorted(support or [int(np.argmax((m.T @ y) / norms))]))
 
 
 def _dense_loop(cost, step, state, max_iters, tol, floor=1e-24):

@@ -1,0 +1,208 @@
+"""Library search in Gram space: duplicate signatures, tie and
+early-stop rules, and the batched greedy L0 against its per-pixel oracle.
+
+MESMA and both L0 modes collapse exact duplicate signatures to their
+first occurrence, so a tie between copies goes to the first one exactly
+and the results equal those for the library without the later copies.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from varimix.solvers import QPCounts, kkt_residual_simplex, mesma, sparse_su_l0
+from varimix.solvers.search import distinct_rows
+from varimix.solvers.sparse import _greedy_supports
+from varimix.types import SpectralImage, SpectralLibrary
+
+from oracles import greedy_l0_oracle, mesma_oracle, qp_fcls_oracle
+
+
+def _image(y):
+    n, l = y.shape
+    return SpectralImage(y.reshape(1, n, l))
+
+
+def _first_index(sigs, i):
+    """Index of the first row of ``sigs`` equal to row ``i``."""
+    return int(np.flatnonzero(np.all(sigs == sigs[i], axis=1))[0])
+
+
+def _duplicated_library(rng, l=20):
+    """Two classes with exact copies placed after and before other rows:
+    class 0 is [u, v, u, w, v], class 1 is [x, z, x, z]."""
+    u, v, w, x, z = rng.uniform(0.05, 1.0, size=(5, l))
+    return SpectralLibrary.from_arrays(["c0", "c1"], [np.stack([u, v, u, w, v]),
+                                                      np.stack([x, z, x, z])])
+
+
+def _pixels(rng, lib, n_mixed=12, n_noisy=12):
+    """Exact mixtures of random models (copies included) plus noisy pixels."""
+    s0, s1 = (c.signatures for c in lib.classes)
+    t = rng.uniform(0.1, 0.9, size=n_mixed)[:, None]
+    mixed = t * s0[rng.integers(0, len(s0), n_mixed)] + (1 - t) * s1[rng.integers(0, len(s1), n_mixed)]
+    noisy = rng.uniform(0.0, 1.0, size=(n_noisy, lib.n_bands))
+    return np.concatenate([mixed, noisy])
+
+
+def test_distinct_rows_are_first_occurrences(rng):
+    base = rng.uniform(size=(6, 8))
+    s = base[rng.integers(0, 6, size=30)]
+    assert np.array_equal(distinct_rows(s), np.sort(np.unique(s, axis=0, return_index=True)[1]))
+    assert distinct_rows(np.zeros((0, 8))).size == 0
+
+
+def test_mesma_duplicates_select_first_occurrence(rng):
+    lib = _duplicated_library(rng)
+    y = _pixels(rng, lib)
+    res = mesma(_image(y), lib)
+    flags = res.solver_log.flags
+    assert flags["models_enumerated"] == 3 * 2
+    assert flags["duplicates"] == 4
+    for i in range(y.shape[0]):
+        sel = tuple(int(j) for j in res.selected_model[i])
+        assert sel == tuple(_first_index(c.signatures, j) for c, j in zip(lib.classes, sel))
+        re_o, combo_o, a_o = mesma_oracle(y[i], lib)
+        assert sel == combo_o
+        assert np.max(np.abs(res.abundances.data[i] - a_o)) < 1e-8
+        assert res.per_pixel_re[i] == pytest.approx(re_o, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+def test_l0_duplicate_columns_match_deduplicated_library(rng, mode):
+    u, v, w, x, z = rng.uniform(0.05, 1.0, size=(5, 20))
+    # flattened columns: u v u w | x u z x; copies at 2, 5 and 7
+    lib = SpectralLibrary.from_arrays(["c0", "c1"], [np.stack([u, v, u, w]),
+                                                     np.stack([x, u, z, x])])
+    dedup = SpectralLibrary.from_arrays(["c0", "c1"], [np.stack([u, v, w]),
+                                                       np.stack([x, z])])
+    y = _pixels(rng, dedup)
+    res = sparse_su_l0(_image(y), lib, k=2, mode=mode)
+    ref = sparse_su_l0(_image(y), dedup, k=2, mode=mode)
+    raw = res.raw_abundances.data
+    assert res.solver_log.flags["duplicates"] == 3
+    assert np.all(raw[:, [2, 5, 7]] == 0.0)
+    assert np.array_equal(raw[:, [0, 1, 3, 4, 6]], ref.raw_abundances.data)
+    assert np.array_equal(res.abundances.data, ref.abundances.data)
+
+
+def _early_stop_reference(y, lib, threshold):
+    """First model in enumeration order with RMS error <= threshold, else
+    the best one, per pixel, from the QP oracle."""
+    sigs = [c.signatures for c in lib.classes]
+    l = y.shape[0]
+    best = None
+    for combo in itertools.product(*(range(len(s)) for s in sigs)):
+        m = np.stack([sigs[c][i] for c, i in enumerate(combo)], axis=1)
+        a, cost = qp_fcls_oracle(y, m)
+        re = np.sqrt(cost / l)
+        if best is None or re < best[0]:
+            best = (re, combo, a)
+        if re <= threshold:
+            return combo, a, True
+    return best[1], best[2], False
+
+
+def test_mesma_early_stop_matches_per_pixel_reference(rng):
+    lib = SpectralLibrary.from_arrays(
+        ["c0", "c1", "c2"], [rng.uniform(0.05, 1.0, size=(3, 12)) for _ in range(3)])
+    y = rng.uniform(0.2, 0.8, size=(40, 12))
+    res_all = mesma(_image(y), lib)
+    # a threshold in the widest gap between per-pixel errors near their
+    # median, so no error lies within rounding of it
+    errs = []
+    for combo in itertools.product(range(3), repeat=3):
+        m = np.stack([lib.classes[c].signatures[i] for c, i in enumerate(combo)], axis=1)
+        errs.extend(np.sqrt(qp_fcls_oracle(yi, m)[1] / 12) for yi in y)
+    errs = np.sort(errs)
+    mid = errs.size // 2
+    window = slice(mid - errs.size // 8, mid + errs.size // 8)
+    gap = int(np.argmax(np.diff(errs[window])))
+    threshold = 0.5 * (errs[window][gap] + errs[window][gap + 1])
+
+    res = mesma(_image(y), lib, re_threshold=threshold)
+    froze = 0
+    for i in range(y.shape[0]):
+        combo, a, hit = _early_stop_reference(y[i], lib, threshold)
+        froze += hit
+        assert tuple(res.selected_model[i]) == combo
+        assert np.max(np.abs(res.abundances.data[i] - a)) < 1e-8
+    # the threshold freezes some pixels, some of them away from their best model
+    assert 0 < froze < y.shape[0]
+    assert np.any(res.selected_model != res_all.selected_model)
+    assert res.solver_log.flags["early_stop"]
+    assert res.solver_log.flags["models_enumerated"] <= 27
+
+
+def test_mesma_early_stop_below_the_statistics_floor(rng):
+    """A threshold far below the ~1e-8 ||y|| that r^2 from the statistics
+    resolves: pixels that two models fit exactly freeze at the first."""
+    w, u, x1 = rng.uniform(0.05, 1.0, size=(3, 20))
+    x2 = x1 + 0.5 * (u - x1)
+    lib = SpectralLibrary.from_arrays(["c0", "c1"], [np.stack([w, u]), np.stack([x1, x2])])
+    # mixtures of u and x1 with t > 0.5 are also mixtures of u and x2
+    t = rng.uniform(0.55, 0.95, size=40)[:, None]
+    y = t * u + (1 - t) * x1
+    res = mesma(_image(y), lib, re_threshold=1e-12)
+    for i in range(y.shape[0]):
+        combo, a, hit = _early_stop_reference(y[i], lib, 1e-12)
+        assert hit and combo == (1, 0)
+        assert tuple(res.selected_model[i]) == combo
+        assert np.max(np.abs(res.abundances.data[i] - a)) < 1e-8
+    assert res.solver_log.flags["models_enumerated"] == 3
+
+
+def _assert_kkt_on_support(y, m, a):
+    """Each row of ``a`` solves the simplex problem on its own support."""
+    for i in range(y.shape[0]):
+        sup = np.flatnonzero(a[i])
+        act, inact, scale = kkt_residual_simplex(y[i:i + 1], m[:, sup], a[i:i + 1, sup])
+        assert max(act, inact) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("solver", ["mesma", "exhaustive", "greedy"])
+def test_searches_solve_the_selected_problem(rng, solver):
+    """KKT certificate of every pixel's fit on the model or support it was
+    given, with duplicate signatures in the library."""
+    lib = _duplicated_library(rng)
+    y = _pixels(rng, lib)
+    if solver == "mesma":
+        res = mesma(_image(y), lib)
+        act, inact, scale = kkt_residual_simplex(y, res.endmembers.data, res.abundances.data)
+        assert max(act, inact) <= 1e-9 * scale
+    else:
+        res = sparse_su_l0(_image(y), lib, k=2, mode=solver)
+        _assert_kkt_on_support(y, lib.flatten()[0].T, res.raw_abundances.data)
+    assert res.solver_log.flags["unsettled_rows"] == 0
+    assert res.solver_log.converged
+
+
+@pytest.mark.parametrize("l,q", [(12, 6), (5, 9), (3, 10)])
+def test_greedy_supports_match_oracle(l, q):
+    rng = np.random.default_rng(100 * l + q)
+    m = rng.uniform(0.05, 1.0, size=(l, q))
+    # pixels outside and inside the cone of the columns
+    y = np.concatenate([rng.uniform(0.0, 1.0, size=(20, l)),
+                        rng.dirichlet(np.ones(q), size=20) @ m.T])
+    for k in sorted({1, 2, l, q} & set(range(1, q + 1))):
+        counts = QPCounts()
+        sel = _greedy_supports(m.T @ m, y @ m, k, counts)
+        assert counts.unsettled_rows == 0
+        for i in range(y.shape[0]):
+            assert tuple(int(c) for c in sel[i] if c >= 0) == greedy_l0_oracle(y[i], m, k)
+
+
+def test_greedy_l0_fits_the_oracle_support(rng):
+    lib = SpectralLibrary.from_arrays(
+        ["c0", "c1"], [rng.uniform(0.05, 1.0, size=(4, 5)) for _ in range(2)])
+    m = lib.flatten()[0].T
+    y = rng.uniform(0.0, 1.0, size=(15, 5))
+    res = sparse_su_l0(_image(y), lib, k=3, mode="greedy")
+    raw = res.raw_abundances.data
+    for i in range(y.shape[0]):
+        support = list(greedy_l0_oracle(y[i], m, 3))
+        off = np.setdiff1d(np.arange(m.shape[1]), support)
+        assert np.all(raw[i, off] == 0.0)
+        _, cost = qp_fcls_oracle(y[i], m[:, support])
+        assert np.sum((y[i] - m @ raw[i]) ** 2) == pytest.approx(cost, rel=1e-10, abs=1e-14)

@@ -196,7 +196,7 @@ def test_monotone_loop_stops_at_a_cost_rise():
     assert log.cost_history == (10.0, 9.0, 8.0)
     assert np.all(np.diff(log.cost_history) <= 0)
     assert not log.converged
-    assert log.flags == {"cost_rises": 1}
+    assert log.flags == {"cost_rises": 1, "cap_hit": 0}
     assert log.iterations == 2 and log.final_cost == 8.0
 
 
@@ -205,8 +205,11 @@ def test_monotone_loop_convergence_and_cap():
     assert not capped.converged and capped.iterations == 3
     _, done = monotone_loop(1.0, lambda s: s * (1 - 1e-12), lambda s: s, 3, 1e-9)
     assert done.converged and done.iterations == 1
-    for log in (capped, done):
-        assert log.flags == {"cost_rises": 0}
+    # the halving cost never meets the stopping rule: only the cap ends it
+    assert capped.flags == {"cost_rises": 0, "cap_hit": 1}
+    assert done.flags == {"cost_rises": 0, "cap_hit": 0}
+    _, zero = monotone_loop(0.0, lambda s: s, lambda s: s, 3, 1e-9)
+    assert zero.converged and zero.iterations == 0 and zero.flags["cap_hit"] == 0
 
 
 def test_logs_report_phases_and_loop_flags():
@@ -218,4 +221,5 @@ def test_logs_report_phases_and_loop_flags():
     for log in (e, p):
         assert all(v >= 0.0 for v in log.phases.values())
         assert log.flags["cost_rises"] == 0
+        assert log.flags["cap_hit"] == int(log.iterations == 4 and not log.converged)
         assert log.to_dict()["phases"] == log.phases
