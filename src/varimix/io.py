@@ -1,9 +1,14 @@
 """File formats.
 
 Images are stored as a JSON header plus a raw little-endian float64
-payload, pixel-major (all L bands of pixel 0, then pixel 1, ...).
+payload, pixel-major (all L bands of pixel 0, then pixel 1, ...). The
+payload is written straight from the array's buffer, without a bytes
+copy; an endmember field is written the same way as a 1 x N image
+without being wrapped in a ``SpectralImage``.
 Libraries and abundance maps are CSV with 17-significant-digit floats so
-that save/load round trips are bit-exact.
+that save/load round trips are bit-exact. The whole table of a file is
+formatted by one ``%`` operation whose template repeats ``%.17g`` once
+per value, which gives the same bytes as formatting value by value.
 """
 
 from __future__ import annotations
@@ -38,21 +43,29 @@ def _payload_path(header: Path) -> Path:
     return header.with_suffix(".bin")
 
 
-def save_image(image: SpectralImage, path) -> Path:
-    """Write header (``<path>.json``) and payload (``<path>.bin``)."""
+def _write_cube(path, data: np.ndarray, name: str) -> Path:
+    """Write an (H, W, L) array as header (``<path>.json``) and payload
+    (``<path>.bin``); the payload comes from ``data``'s own buffer."""
     header = _header_path(path)
     header.parent.mkdir(parents=True, exist_ok=True)
+    h, w, l = data.shape
     meta = {
-        "name": image.name,
-        "height": image.height,
-        "width": image.width,
-        "bands": image.n_bands,
+        "name": name,
+        "height": h,
+        "width": w,
+        "bands": l,
         "dtype": "f64",
         "order": _IMAGE_ORDER,
     }
     header.write_text(json.dumps(meta, indent=1) + "\n")
-    _payload_path(header).write_bytes(np.ascontiguousarray(image.data, dtype="<f8").tobytes())
+    with open(_payload_path(header), "wb") as f:
+        f.write(memoryview(np.ascontiguousarray(data, dtype="<f8")))
     return header
+
+
+def save_image(image: SpectralImage, path) -> Path:
+    """Write header (``<path>.json``) and payload (``<path>.bin``)."""
+    return _write_cube(path, image.data, image.name)
 
 
 def load_image(path) -> SpectralImage:
@@ -80,16 +93,28 @@ def load_image(path) -> SpectralImage:
     return SpectralImage(data, name=str(meta["name"]))
 
 
-def save_library(library: SpectralLibrary, path) -> Path:
+def _write_csv(path, header: str, values: np.ndarray, labels=None) -> Path:
+    """Write ``header`` and one line per row of ``values``: the row's
+    values as ``%.17g`` joined by commas, led by ``label,`` when labels
+    are given. One ``%`` call formats the whole file."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    l = library.n_bands
-    lines = ["class," + ",".join(f"b{i}" for i in range(l))]
-    for cls in library.classes:
-        for sig in cls.signatures:
-            lines.append(cls.name + "," + ",".join(_FLOAT_FMT % v for v in sig))
-    p.write_text("\n".join(lines) + "\n")
+    n, m = values.shape
+    row = ",".join([_FLOAT_FMT] * m)
+    if labels is None:
+        rows = [row] * n
+    else:
+        rows = [label.replace("%", "%%") + "," + row for label in labels]
+    template = "\n".join([header.replace("%", "%%")] + rows) + "\n"
+    p.write_text(template % tuple(values.ravel().tolist()))
     return p
+
+
+def save_library(library: SpectralLibrary, path) -> Path:
+    header = "class," + ",".join(f"b{i}" for i in range(library.n_bands))
+    values, labels = library.flatten()
+    names = [library.class_names[k] for k in labels]
+    return _write_csv(path, header, values, names)
 
 
 def load_library(path) -> SpectralLibrary:
@@ -123,13 +148,7 @@ def load_library(path) -> SpectralLibrary:
 
 
 def save_abundances(abundances: AbundanceMap, path) -> Path:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(abundances.names_or_default())]
-    for row in abundances.data:
-        lines.append(",".join(_FLOAT_FMT % v for v in row))
-    p.write_text("\n".join(lines) + "\n")
-    return p
+    return _write_csv(path, ",".join(abundances.names_or_default()), abundances.data)
 
 
 def load_abundances(path, sum_to_one: bool = True) -> AbundanceMap:
@@ -138,8 +157,12 @@ def load_abundances(path, sum_to_one: bool = True) -> AbundanceMap:
     if not lines:
         raise FormatError(f"{p}: empty abundance file")
     names = tuple(lines[0].split(","))
+    rows = [ln.split(",") for ln in lines[1:]]
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(names):
+            raise FormatError(f"{p}: row {i} has {len(row)} values, header has {len(names)}")
     try:
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        data = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise FormatError(f"{p}: non-numeric abundance value") from exc
     if data.ndim != 2 or data.shape[1] != len(names):
@@ -151,11 +174,11 @@ def save_endmember_field(field: EndmemberField, path, name: str = "endmembers") 
     """Store an endmember field as a 1 x N image with L*P bands.
 
     Per pixel the L x P matrix is flattened in C order (class index
-    fastest); the loader needs the band count to split them again.
+    fastest); the loader needs the band count to split them again. The
+    field is already frozen and checked, so its buffer is written as is.
     """
     n, l, p = field.data.shape
-    img = SpectralImage(field.data.reshape(1, n, l * p), name=name)
-    return save_image(img, path)
+    return _write_cube(path, field.data.reshape(1, n, l * p), name)
 
 
 def load_endmember_field(path, n_bands: int) -> EndmemberField:

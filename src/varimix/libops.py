@@ -258,22 +258,34 @@ def music_prune(
 ) -> SpectralLibrary:
     """Drop signatures far from the image's leading signal subspace.
 
-    The subspace is spanned by the top-k left singular vectors of the
-    mean-removed pixel matrix; each signature's residual is the
-    mean-removed, norm-normalized distance to that subspace. A class is
-    never emptied (a warning is raised instead of dropping its last
-    signature)."""
+    The subspace is spanned by the top-k eigenvectors of the (L, L)
+    scatter X'X of the mean-removed (N, L) pixel matrix X, i.e. the top-k
+    left singular vectors of X', found without forming the (L, N) right
+    factor of a thin SVD. Eigenvectors whose eigenvalue is not above
+    100 * L * eps * lambda_max are dropped: when k exceeds the rank of X
+    they would be an arbitrary basis of the null space. (The null
+    eigenvalues of the formed scatter come out at up to a few
+    L * eps * lambda_max, and an eigenvector within 100 times that of
+    zero is resolved only to about a percent.) A zero scatter, as from a
+    constant image whose computed mean equals its pixels, gives an empty
+    subspace: every residual is then 1, or 0 for a signature equal to
+    the image mean.
+
+    Each signature's residual is the mean-removed, norm-normalized
+    distance to the subspace. A class is never emptied (a warning is
+    raised instead of dropping its last signature)."""
     if image.n_pixels == 0:
         raise ValueError("empty image")
-    if not (1 <= subspace_dim <= min(image.n_bands, image.n_pixels)):
+    l = image.n_bands
+    if not (1 <= subspace_dim <= min(l, image.n_pixels)):
         raise ValueError("subspace_dim must lie in [1, min(L, N)]")
     if residual_threshold <= 0:
         raise ValueError("residual_threshold must be positive")
     pixels = image.pixels
     mean = pixels.mean(axis=0)
-    centered = (pixels - mean).T                        # (L, N)
-    u, _, _ = np.linalg.svd(centered, full_matrices=False)
-    u = u[:, :subspace_dim]
+    centered = pixels - mean                            # (N, L)
+    vals, vecs = eigh(centered.T @ centered, subset_by_index=[l - subspace_dim, l - 1])
+    u = vecs[:, vals > 100 * l * np.finfo(float).eps * vals[-1]]
     classes = []
     for c in library.classes:
         shifted = c.signatures - mean

@@ -3,8 +3,9 @@
 These deliberately avoid the package's solver code paths: the simplex QP
 enumerates active sets directly, the model search is a plain double loop,
 the sparse oracle is cyclic coordinate descent on the objective, the
-greedy L0 oracle is a per-pixel forward selection with scipy's NNLS, and
-the simplex projection backs a projected-gradient optimality check. The
+greedy L0 oracle is a per-pixel forward selection with scipy's NNLS, the
+MUSIC residuals come from a thin SVD of the pixel matrix, and the simplex
+projection backs a projected-gradient optimality check. The
 dense alternating references keep one (L, P) matrix per pixel and solve
 the endmember step as a batched ridge system; they share only the QP
 kernel with the package.
@@ -171,6 +172,24 @@ def greedy_l0_oracle(y, m, k, rel_tol=1e-10):
         coef, _ = scipy_nnls(m[:, support], y)
         residual = y - m[:, support] @ coef
     return tuple(sorted(support or [int(np.argmax((m.T @ y) / norms))]))
+
+
+def music_residual_oracle(signatures, pixels, k):
+    """Residual of each (M, L) signature against the image's signal
+    subspace: the top-k left singular vectors of the mean-removed (L, N)
+    pixel matrix, without the directions whose squared singular value is
+    not above 100 * L * eps * s_max^2. Residuals are the norm of the
+    mean-removed signature minus its projection, over the norm of the
+    mean-removed signature (0 where that norm is 0)."""
+    l = pixels.shape[1]
+    mean = pixels.mean(axis=0)
+    u, s, _ = np.linalg.svd((pixels - mean).T, full_matrices=False)
+    s2 = s[:k] ** 2
+    u = u[:, :k][:, s2 > 100 * l * np.finfo(float).eps * s2[0]]
+    shifted = signatures - mean
+    norms = np.linalg.norm(shifted, axis=1)
+    rest = np.linalg.norm(shifted - (shifted @ u) @ u.T, axis=1)
+    return np.divide(rest, norms, out=np.zeros_like(norms), where=norms > 0)
 
 
 def _dense_loop(cost, step, state, max_iters, tol, floor=1e-24):

@@ -197,3 +197,36 @@ def test_cli_byte_determinism_across_thread_counts(tmp_path):
     report4, ab4 = _run_pipeline_subprocess(tmp_path, threads=4)
     assert report1 == report4
     assert ab1 == ab4
+
+
+def test_music_chain_byte_determinism_across_thread_counts(tmp_path):
+    # the MUSIC subspace comes from a BLAS product and a LAPACK eigensolver;
+    # the pruned library and the MESMA endmembers must not depend on the
+    # thread count
+    (tmp_path / "scene.json").write_text(json.dumps(_scene_config(tmp_path)))
+    outputs = []
+    for threads in (1, 4):
+        env = dict(os.environ)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        w = tmp_path / f"t{threads}"
+        script = f"""
+import sys
+from varimix.cli import main
+w = r"{w}"
+assert main(["synth", "--config", r"{tmp_path}/scene.json", "--out", w + "/scene"]) == 0
+assert main(["extract", "--image", w + "/scene", "--classes", "3", "--runs", "4",
+             "--subset", "80", "--seed", "3", "--out", w + "/lib.csv"]) == 0
+assert main(["prune", "--library", w + "/lib.csv", "--method", "music",
+             "--image", w + "/scene", "--subspace-dim", "2",
+             "--residual-threshold", "0.09", "--out", w + "/pruned.csv"]) == 0
+assert main(["unmix", "--image", w + "/scene", "--algo", "mesma",
+             "--library", w + "/pruned.csv", "--out", w + "/mesma"]) == 0
+"""
+        subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                       capture_output=True)
+        outputs.append(((w / "pruned.csv").read_bytes(),
+                        (w / "mesma" / "endmembers.bin").read_bytes()))
+    assert outputs[0] == outputs[1]
+    pruned = load_library(tmp_path / "t1" / "pruned.csv")
+    assert sum(pruned.sizes) < sum(load_library(tmp_path / "t1" / "lib.csv").sizes)

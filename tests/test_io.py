@@ -5,15 +5,24 @@ import pytest
 
 from varimix.io import (
     load_abundances,
+    load_endmember_field,
     load_image,
     load_library,
     load_scene,
     save_abundances,
+    save_endmember_field,
     save_image,
     save_library,
     save_scene,
 )
-from varimix.types import AbundanceMap, FormatError, SpectralImage, SpectralLibrary
+from varimix.types import (
+    AbundanceMap,
+    EndmemberField,
+    FormatError,
+    LibraryClass,
+    SpectralImage,
+    SpectralLibrary,
+)
 
 from conftest import make_scene
 
@@ -109,3 +118,66 @@ def test_scene_load_rejects_one_flipped_byte(tmp_path, name):
     target.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=name):
         load_scene(out)
+
+
+# values whose %.17g text is easy to get wrong: signed zero, the smallest
+# subnormal, a huge value, a value with no short binary form, exact one
+# (an AbundanceMap clips -0.0 to 0.0; a library keeps it)
+_EDGE_VALUES = [-0.0, 5e-324, 1e300, 0.1, 1.0]
+
+
+def _reference_rows(rows):
+    return [",".join("%.17g" % v for v in row) for row in rows]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_abundance_bytes_match_per_value_format(tmp_path, rng, p):
+    data = rng.uniform(0.0, 1.0, size=(7, p))
+    data[: len(_EDGE_VALUES), 0] = _EDGE_VALUES
+    a = AbundanceMap(data, sum_to_one=False, class_names=tuple(f"c{i}" for i in range(p)))
+    path = save_abundances(a, tmp_path / "a.csv")
+    expected = "\n".join([",".join(a.class_names)] + _reference_rows(a.data)) + "\n"
+    assert path.read_text() == expected
+    assert _same_bits(load_abundances(path, sum_to_one=False).data, a.data)
+
+
+def test_library_bytes_match_per_value_format(tmp_path, rng):
+    edge = np.array(_EDGE_VALUES + [0.5])
+    lib = SpectralLibrary((
+        LibraryClass("veg", np.stack([edge, rng.uniform(0.0, 1.0, 6)])),
+        LibraryClass("50%_soil", edge[::-1][None, :]),   # a '%' in a class name
+    ))
+    path = save_library(lib, tmp_path / "lib.csv")
+    lines = ["class,b0,b1,b2,b3,b4,b5"]
+    for c in lib.classes:
+        lines += [c.name + "," + row for row in _reference_rows(c.signatures)]
+    assert path.read_text() == "\n".join(lines) + "\n"
+    back = load_library(path)
+    assert back.class_names == lib.class_names
+    for a, b in zip(lib.classes, back.classes):
+        assert _same_bits(a.signatures, b.signatures)
+
+
+def test_single_column_library_bytes(tmp_path):
+    lib = SpectralLibrary.from_arrays(["a"], [np.array([[0.1], [-0.0]])])
+    path = save_library(lib, tmp_path / "lib.csv")
+    assert path.read_text() == "class,b0\na,0.10000000000000001\na,-0\n"
+
+
+def test_endmember_field_written_as_image(tmp_path, rng):
+    field = EndmemberField(rng.uniform(0.0, 1.0, size=(6, 5, 3)))
+    header = save_endmember_field(field, tmp_path / "field", name="em")
+    ref = save_image(SpectralImage(field.data.reshape(1, 6, 15), name="em"), tmp_path / "ref")
+    assert header.read_bytes() == ref.read_bytes()
+    assert header.with_suffix(".bin").read_bytes() == ref.with_suffix(".bin").read_bytes()
+    assert _same_bits(load_endmember_field(header, 5).data, field.data)
+
+
+def test_abundances_ragged_row(tmp_path):
+    (tmp_path / "a.csv").write_text("a,b\n0.5,0.5\n1.0\n")
+    with pytest.raises(FormatError, match="row 2 has 1 values, header has 2"):
+        load_abundances(tmp_path / "a.csv")

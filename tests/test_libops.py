@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varimix.libops import (
     SpectralTransform,
@@ -13,9 +17,10 @@ from varimix.libops import (
 )
 from varimix.metrics import pairwise_angles
 from varimix.solvers import fcls
-from varimix.types import SpectralLibrary
+from varimix.types import SpectralImage, SpectralLibrary
 
 from conftest import make_scene
+from oracles import music_residual_oracle
 
 
 def _var(rows):
@@ -308,3 +313,84 @@ class TestMusicPrune:
         with pytest.warns(UserWarning):
             pruned = music_prune(lib, truth.image_noisy, 2, residual_threshold=0.5)
         assert pruned.sizes == (1,)
+
+
+def _kept(pruned, library):
+    """Boolean mask over the library's rows (one class) that survived."""
+    sigs = library.classes[0].signatures
+    kept = pruned.classes[0].signatures
+    mask = np.array([any(np.array_equal(s, k) for k in kept) for s in sigs])
+    assert np.array_equal(sigs[mask], kept)
+    return mask
+
+
+@given(
+    n=st.integers(2, 30),
+    l=st.integers(2, 25),
+    seed=st.integers(0, 2**32 - 1),
+    full_dim=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_music_residuals_match_svd_oracle(n, l, seed, full_dim, data):
+    # N < L and N >= L both occur; with subspace_dim = min(L, N) and N <= L
+    # the last direction lies in the null space of the centered pixels
+    # (their rank is at most N - 1), so the rank cut is what keeps it out
+    rng = np.random.default_rng(seed)
+    k = min(l, n) if full_dim else data.draw(st.integers(1, min(l, n)))
+    pixels = rng.uniform(0.0, 1.0, size=(n, l))
+    image = SpectralImage(pixels.reshape(1, n, l))
+    mean = pixels.mean(axis=0)
+    in_span = mean + rng.normal(size=(3, n)) @ (pixels - mean) * 0.1
+    sigs = np.concatenate([mean[None, :], rng.uniform(0.0, 1.0, size=(6, l)), in_span])
+    library = SpectralLibrary.from_arrays(["all"], [sigs])
+    expected = music_residual_oracle(sigs, pixels, k)
+    assert expected[0] == 0.0       # the mean itself: always kept, class never emptied
+    # music_prune takes a residual as sqrt(|s|^2 - |U's|^2) / |s|, which
+    # cancels to about sqrt(eps) for signatures inside the subspace, so
+    # thresholds below 1e-6 are not probed
+    delta = 1e-9
+    for t in np.concatenate([expected - delta, expected + delta]):
+        if t < 1e-6 or np.any(np.abs(expected - t) < delta / 2):
+            continue
+        pruned = music_prune(library, image, k, residual_threshold=float(t))
+        assert np.array_equal(_kept(pruned, library), expected <= t)
+
+
+def _rank2_image(rng, l=20, height=6, width=10):
+    ems = rng.uniform(0.1, 1.0, size=(3, l))
+    ab = rng.dirichlet(np.ones(3), size=height * width)
+    return SpectralImage((ab @ ems).reshape(height, width, l))
+
+
+def test_music_rank2_image_ignores_extra_dimensions(rng):
+    image = _rank2_image(rng)
+    sigs = rng.uniform(0.0, 1.0, size=(40, 20))
+    library = SpectralLibrary.from_arrays(["all"], [sigs])
+    two = music_prune(library, image, 2, residual_threshold=0.9)
+    five = music_prune(library, image, 5, residual_threshold=0.9)
+    kept = _kept(two, library)
+    assert np.array_equal(kept, _kept(five, library))
+    assert 0 < kept.sum() < 40
+    assert np.array_equal(kept, music_residual_oracle(sigs, image.pixels, 5) <= 0.9)
+
+
+def test_music_constant_image_keeps_one_per_class(rng):
+    # 0.25 is exact in binary, so the mean equals the pixels and the
+    # scatter is exactly zero: the subspace is empty, every residual is 1
+    # except that of the signature equal to the mean, which is 0
+    image = SpectralImage(np.full((4, 5, 12), 0.25))
+    flat = np.full(12, 0.25)
+    library = SpectralLibrary.from_arrays(
+        ["a", "b"],
+        [np.stack([rng.uniform(0.1, 1.0, 12), flat]), rng.uniform(0.1, 1.0, size=(3, 12))],
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pruned = music_prune(library, image, 3, residual_threshold=0.5)
+    assert [str(w.message) for w in caught] == [
+        "class 'b' would be emptied; keeping its best signature"
+    ]
+    assert pruned.sizes == (1, 1)
+    assert np.array_equal(pruned.classes[0].signatures[0], flat)
+    assert np.array_equal(pruned.classes[1].signatures[0], library.classes[1].signatures[0])
