@@ -9,6 +9,8 @@ Libraries and abundance maps are CSV with 17-significant-digit floats so
 that save/load round trips are bit-exact. The whole table of a file is
 formatted by one ``%`` operation whose template repeats ``%.17g`` once
 per value, which gives the same bytes as formatting value by value.
+Text is written as UTF-8. A writer given ``digests`` records there the
+SHA-256 of each file's bytes as it writes them, by file name.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +46,15 @@ def _payload_path(header: Path) -> Path:
     return header.with_suffix(".bin")
 
 
-def _write_cube(path, data: np.ndarray, name: str) -> Path:
+def _write_bytes(path: Path, data, digests: Optional[dict]):
+    """Write bytes or a contiguous buffer, recording its digest if asked."""
+    with open(path, "wb") as f:
+        f.write(data)
+    if digests is not None:
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+
+
+def _write_cube(path, data: np.ndarray, name: str, digests: Optional[dict] = None) -> Path:
     """Write an (H, W, L) array as header (``<path>.json``) and payload
     (``<path>.bin``); the payload comes from ``data``'s own buffer."""
     header = _header_path(path)
@@ -57,15 +68,15 @@ def _write_cube(path, data: np.ndarray, name: str) -> Path:
         "dtype": "f64",
         "order": _IMAGE_ORDER,
     }
-    header.write_text(json.dumps(meta, indent=1) + "\n")
-    with open(_payload_path(header), "wb") as f:
-        f.write(memoryview(np.ascontiguousarray(data, dtype="<f8")))
+    _write_bytes(header, (json.dumps(meta, indent=1) + "\n").encode(), digests)
+    payload = memoryview(np.ascontiguousarray(data, dtype="<f8"))
+    _write_bytes(_payload_path(header), payload, digests)
     return header
 
 
-def save_image(image: SpectralImage, path) -> Path:
+def save_image(image: SpectralImage, path, digests: Optional[dict] = None) -> Path:
     """Write header (``<path>.json``) and payload (``<path>.bin``)."""
-    return _write_cube(path, image.data, image.name)
+    return _write_cube(path, image.data, image.name, digests)
 
 
 def load_image(path) -> SpectralImage:
@@ -93,7 +104,8 @@ def load_image(path) -> SpectralImage:
     return SpectralImage(data, name=str(meta["name"]))
 
 
-def _write_csv(path, header: str, values: np.ndarray, labels=None) -> Path:
+def _write_csv(path, header: str, values: np.ndarray, labels=None,
+               digests: Optional[dict] = None) -> Path:
     """Write ``header`` and one line per row of ``values``: the row's
     values as ``%.17g`` joined by commas, led by ``label,`` when labels
     are given. One ``%`` call formats the whole file."""
@@ -106,7 +118,7 @@ def _write_csv(path, header: str, values: np.ndarray, labels=None) -> Path:
     else:
         rows = [label.replace("%", "%%") + "," + row for label in labels]
     template = "\n".join([header.replace("%", "%%")] + rows) + "\n"
-    p.write_text(template % tuple(values.ravel().tolist()))
+    _write_bytes(p, (template % tuple(values.ravel().tolist())).encode(), digests)
     return p
 
 
@@ -147,8 +159,9 @@ def load_library(path) -> SpectralLibrary:
     return SpectralLibrary(tuple(LibraryClass(n, np.stack(rows[n])) for n in order))
 
 
-def save_abundances(abundances: AbundanceMap, path) -> Path:
-    return _write_csv(path, ",".join(abundances.names_or_default()), abundances.data)
+def save_abundances(abundances: AbundanceMap, path, digests: Optional[dict] = None) -> Path:
+    return _write_csv(path, ",".join(abundances.names_or_default()), abundances.data,
+                      digests=digests)
 
 
 def load_abundances(path, sum_to_one: bool = True) -> AbundanceMap:
@@ -170,7 +183,8 @@ def load_abundances(path, sum_to_one: bool = True) -> AbundanceMap:
     return AbundanceMap(data, sum_to_one=sum_to_one, class_names=names)
 
 
-def save_endmember_field(field: EndmemberField, path, name: str = "endmembers") -> Path:
+def save_endmember_field(field: EndmemberField, path, name: str = "endmembers",
+                         digests: Optional[dict] = None) -> Path:
     """Store an endmember field as a 1 x N image with L*P bands.
 
     Per pixel the L x P matrix is flattened in C order (class index
@@ -178,7 +192,7 @@ def save_endmember_field(field: EndmemberField, path, name: str = "endmembers") 
     field is already frozen and checked, so its buffer is written as is.
     """
     n, l, p = field.data.shape
-    return _write_cube(path, field.data.reshape(1, n, l * p), name)
+    return _write_cube(path, field.data.reshape(1, n, l * p), name, digests)
 
 
 def load_endmember_field(path, n_bands: int) -> EndmemberField:
@@ -190,24 +204,15 @@ def load_endmember_field(path, n_bands: int) -> EndmemberField:
     return EndmemberField(img.pixels.reshape(img.n_pixels, n_bands, p))
 
 
-def _sha256(path: Path) -> str:
-    with open(path, "rb") as f:
-        return hashlib.file_digest(f, "sha256").hexdigest()
-
-
 def save_scene(truth: SceneTruth, out_dir) -> Path:
     """Write the five SceneTruth artifacts plus truth_meta.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_image(truth.image_noisy, out / "image_noisy")
-    save_image(truth.image_clean, out / "image_clean")
-    save_abundances(truth.abundances, out / "abundances.csv")
-    save_endmember_field(truth.endmembers, out / "endmembers")
-    artifacts = [
-        "image_noisy.json", "image_noisy.bin",
-        "image_clean.json", "image_clean.bin",
-        "abundances.csv", "endmembers.json", "endmembers.bin",
-    ]
+    digests = {}
+    save_image(truth.image_noisy, out / "image_noisy", digests)
+    save_image(truth.image_clean, out / "image_clean", digests)
+    save_abundances(truth.abundances, out / "abundances.csv", digests)
+    save_endmember_field(truth.endmembers, out / "endmembers", digests=digests)
     meta = {
         "seed": int(truth.seed),
         "snr_db": None if math.isinf(truth.snr_db) else float(truth.snr_db),
@@ -215,7 +220,7 @@ def save_scene(truth: SceneTruth, out_dir) -> Path:
         "width": truth.image_clean.width,
         "bands": truth.image_clean.n_bands,
         "classes": truth.abundances.n_classes,
-        "digests": {a: _sha256(out / a) for a in artifacts},
+        "digests": digests,
     }
     (out / "truth_meta.json").write_text(json.dumps(meta, indent=1) + "\n")
     return out
@@ -227,8 +232,9 @@ def load_scene(scene_dir) -> SceneTruth:
     d = Path(scene_dir)
     meta = json.loads((d / "truth_meta.json").read_text())
     for name, digest in meta.get("digests", {}).items():
-        if _sha256(d / name) != digest:
-            raise FormatError(f"{d / name}: SHA-256 digest does not match truth_meta.json")
+        with open(d / name, "rb") as f:
+            if hashlib.file_digest(f, "sha256").hexdigest() != digest:
+                raise FormatError(f"{d / name}: SHA-256 digest does not match truth_meta.json")
     snr = meta.get("snr_db")
     return SceneTruth(
         image_noisy=load_image(d / "image_noisy"),

@@ -266,14 +266,15 @@ def music_prune(
     they would be an arbitrary basis of the null space. (The null
     eigenvalues of the formed scatter come out at up to a few
     L * eps * lambda_max, and an eigenvector within 100 times that of
-    zero is resolved only to about a percent.) A zero scatter, as from a
-    constant image whose computed mean equals its pixels, gives an empty
-    subspace: every residual is then 1, or 0 for a signature equal to
-    the image mean.
+    zero is resolved only to about a percent.) So are eigenvalues not
+    above 100 * N * (eps * ||mean||)^2, the scatter that the rounding of
+    the computed mean alone can leave: a constant image gives an empty
+    subspace, every residual then 1 (0 for a signature equal to the mean).
 
     Each signature's residual is the mean-removed, norm-normalized
-    distance to the subspace. A class is never emptied (a warning is
-    raised instead of dropping its last signature)."""
+    distance ||s - U U's|| / ||s|| to the subspace (||s||^2 - ||U's||^2
+    would cancel to about 1e-8 inside it). A class is never emptied (a
+    warning is raised instead of dropping its last signature)."""
     if image.n_pixels == 0:
         raise ValueError("empty image")
     l = image.n_bands
@@ -285,16 +286,15 @@ def music_prune(
     mean = pixels.mean(axis=0)
     centered = pixels - mean                            # (N, L)
     vals, vecs = eigh(centered.T @ centered, subset_by_index=[l - subspace_dim, l - 1])
-    u = vecs[:, vals > 100 * l * np.finfo(float).eps * vals[-1]]
+    eps = np.finfo(float).eps
+    cut = max(100 * l * eps * vals[-1], 100 * image.n_pixels * (eps * np.linalg.norm(mean)) ** 2)
+    u = vecs[:, vals > cut]
     classes = []
     for c in library.classes:
         shifted = c.signatures - mean
         norms = np.linalg.norm(shifted, axis=1)
-        proj = shifted @ u                              # (M_p, k)
-        res_norm = np.sqrt(np.maximum(norms**2 - np.sum(proj**2, axis=1), 0.0))
-        residual = np.zeros_like(norms)
-        nz = norms > 0
-        residual[nz] = res_norm[nz] / norms[nz]
+        rest = np.linalg.norm(shifted - (shifted @ u) @ u.T, axis=1)
+        residual = np.divide(rest, norms, out=np.zeros_like(norms), where=norms > 0)
         keep = residual <= residual_threshold
         if not keep.any():
             warnings.warn(f"class {c.name!r} would be emptied; keeping its best signature")

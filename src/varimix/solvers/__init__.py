@@ -8,7 +8,7 @@ from .base import (
     per_pixel_rms,
     reconstruct,
 )
-from .elmm import elmm_unmix, grid_laplacian
+from .elmm import elmm_unmix
 from .fcls import fcls
 from .mesma import mesma
 from .plmm import plmm_unmix
@@ -24,7 +24,6 @@ __all__ = [
     "nnls_core",
     "per_pixel_rms",
     "reconstruct",
-    "grid_laplacian",
     "elmm_unmix",
     "plmm_unmix",
     "mesma",

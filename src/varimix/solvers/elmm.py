@@ -10,63 +10,58 @@ Block coordinate descent on
 with simplex abundances and positive scalings (clamped at 1e-6). The
 abundance step is a per-pixel constrained least squares, the endmember
 step the closed-form rank-one update M_n = M0 diag(psi_n) + u_n a_n',
-and the scaling step a sparse linear solve on the image grid.
+and the scaling step one grid system per class, solved for all classes
+at once in the DCT-II basis, where the grid Laplacian is diagonal.
 
-The loop runs on the factored state of ``rankone``: O(N(L+P)) memory,
-no (N, L, P) array per iteration. The endmember field is built once,
-for the result.
+The loop runs on the per-pixel statistics of ``rankone``: O(N P)
+memory, no pass over the (N, L) image per iteration. The endmember
+field is built once, for the result.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix, diags, identity
-from scipy.sparse.linalg import splu
+from scipy.fft import dctn, idctn
 
-from ..types import AbundanceMap, DimensionError, EndmemberField, SpectralImage
-from .base import (
-    SolverOptions,
-    UnmixingResult,
-    fcls_core,
-    monotone_loop,
-    per_pixel_rms,
-    reconstruct,
-    timed,
-)
-from .rankone import RankOneModel, RankOneState
+from ..types import SpectralImage
+from .base import SolverOptions, UnmixingResult, fcls_core, monotone_loop, timed
+from .rankone import RankOneModel
 
 _PSI_FLOOR = 1e-6
 
 
-def grid_laplacian(height: int, width: int):
-    """Combinatorial Laplacian of the 4-neighbor grid graph."""
-    idx = np.arange(height * width).reshape(height, width)
-    pairs = [
-        (idx[:, :-1].ravel(), idx[:, 1:].ravel()),
-        (idx[:-1, :].ravel(), idx[1:, :].ravel()),
-    ]
-    r = np.concatenate([p[0] for p in pairs])
-    c = np.concatenate([p[1] for p in pairs])
-    n = height * width
-    adj = coo_matrix((np.ones(r.size), (r, c)), shape=(n, n))
-    adj = (adj + adj.T).tocsr()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    return (diags(deg) - adj).tocsc()
+def _grid_solve(rhs: np.ndarray, diag: np.ndarray, lam_psi: float) -> np.ndarray:
+    """Solve (diag_j I + lam_psi L) psi_j = rhs_j for every class j of an
+    (H, W, P) right-hand side, with L the Laplacian of the 4-neighbor grid
+    graph. L is diagonal in the 2-D DCT-II basis, with eigenvalues the
+    sums of the path spectra 2 - 2 cos(pi k / n) of both axes."""
+    h, w = rhs.shape[:2]
+    eig_h = 2.0 - 2.0 * np.cos(np.pi * np.arange(h) / h)
+    eig_w = 2.0 - 2.0 * np.cos(np.pi * np.arange(w) / w)
+    coef = dctn(rhs, axes=(0, 1), norm="ortho")
+    coef /= diag + lam_psi * (eig_h[:, None] + eig_w[None, :])[:, :, None]
+    return idctn(coef, axes=(0, 1), norm="ortho")
 
 
-def _spatial(lap, psi):
-    return sum(float(psi[:, p] @ (lap @ psi[:, p])) for p in range(psi.shape[1]))
-
-
-def _elmm_cost(y, m0, lap, lam_m, lam_psi, state):
-    """The cost on a dense (a, psi, M) state."""
-    a, psi, m = state
-    fit = y - np.einsum("nlp,np->nl", m, a)
-    tie = m - m0[None, :, :] * psi[:, None, :]
-    return float(np.sum(fit**2) + lam_m * np.sum(tie**2) + lam_psi * _spatial(lap, psi))
+def _grid_spatial(psi: np.ndarray, height: int, width: int) -> float:
+    """sum_j psi_j' L psi_j for (N, P) scalings on the H x W grid; L psi is
+    the 4-neighbor stencil summed in increasing neighbor index, which
+    rounds as a sparse product with L does."""
+    g = psi.reshape(height, width, -1)
+    deg = np.zeros((height, width, 1))
+    for near in (deg[1:], deg[:-1], deg[:, 1:], deg[:, :-1]):
+        near += 1.0
+    lg = np.zeros_like(g)
+    lg[1:] -= g[:-1]
+    lg[:, 1:] -= g[:, :-1]
+    lg += deg * g
+    lg[:, :-1] -= g[:, 1:]
+    lg[:-1] -= g[1:]
+    return sum(float(psi[:, j] @ lg[:, :, j].ravel()) for j in range(psi.shape[1]))
 
 
 def elmm_unmix(
@@ -85,22 +80,15 @@ def elmm_unmix(
     The emitted endmember field is clamped to be nonnegative; the solver
     state is not.
     """
-    m0 = np.asarray(ref_matrix, dtype=np.float64)
-    if m0.ndim != 2 or m0.shape[0] != image.n_bands:
-        raise DimensionError("ref_matrix must be (L, P) matching the image")
-    if np.any(np.linalg.norm(m0, axis=0) == 0):
-        raise ValueError("ref_matrix has a zero column")
     start = time.perf_counter()
     y = image.pixels
-    n = y.shape[0]
-    p = m0.shape[1]
     lam_m, lam_psi = opts.lambda_m, opts.lambda_psi
-    lap = grid_laplacian(image.height, image.width)
-    core = RankOneModel(y, m0, lam_m)
-    psi_solvers = [
-        splu((lam_m * core.col_sq[j] * identity(n, format="csc") + lam_psi * lap).tocsc())
-        for j in range(p)
-    ]
+    core = RankOneModel(y, ref_matrix, lam_m)
+    m0 = core.m0
+    if np.any(core.col_sq == 0):
+        raise ValueError("ref_matrix has a zero column")
+    n, p = y.shape[0], m0.shape[1]
+    grid = (image.height, image.width, p)
 
     if init_abundances is None:
         with timed(core.phases, "qp"):
@@ -111,31 +99,19 @@ def elmm_unmix(
     dense0 = None if init_endmembers is None else np.array(init_endmembers, dtype=np.float64)
 
     def step(s):
-        a, u, w = core.step(s, s.psi)
+        new = core.step(s, s.psi)
         with timed(core.phases, "psi"):
-            rhs = lam_m * (s.psi * core.col_sq + a * w)
-            psi = np.column_stack([psi_solvers[j].solve(rhs[:, j]) for j in range(p)])
+            rhs = lam_m * (s.psi * core.col_sq + new.a * new.w)
+            psi = _grid_solve(rhs.reshape(grid), lam_m * core.col_sq, lam_psi).reshape(n, p)
             np.clip(psi, _PSI_FLOOR, None, out=psi)
-        return RankOneState(a, psi, s.psi, u, w)
+        return replace(new, psi=psi)
 
     def cost(s):
         with timed(core.phases, "cost"):
-            if s.dense is not None:
-                return _elmm_cost(y, m0, lap, lam_m, lam_psi, (s.a, s.psi, s.dense))
-            return core.cost(s) + lam_psi * _spatial(lap, s.psi)
+            tie = None if s.dense is None else s.dense - m0[None, :, :] * s.psi[:, None, :]
+            return core.cost(s, tie) + lam_psi * _grid_spatial(s.psi, *grid[:2])
 
     state, log = monotone_loop(core.start(a0, psi0, dense0), step, cost,
                                opts.max_iters, opts.tol)
     core.finish(log, start, {"lambda_m": lam_m, "lambda_psi": lam_psi})
-
-    emitted = core.field(state)
-    np.clip(emitted, 0.0, None, out=emitted)
-    recon = reconstruct(emitted, state.a)
-    return UnmixingResult(
-        abundances=AbundanceMap(state.a, sum_to_one=True, class_names=class_names),
-        per_pixel_re=per_pixel_rms(y, recon),
-        reconstruction=recon,
-        solver_log=log,
-        endmembers=EndmemberField(emitted),
-        extras={"psi": state.psi},
-    )
+    return core.result(state.a, core.field(state), log, class_names, {"psi": state.psi})

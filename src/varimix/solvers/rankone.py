@@ -2,14 +2,18 @@
 
 Both models' endmember steps have the same closed form,
 
-    M_n = M0 diag(psi_n) + u_n a_n',   u_n = (y_n - M0 diag(psi_n) a_n) / (lam + ||a_n||^2)
+    M_n = M0 diag(psi_n) + u_n a_n',   u_n = (y_n - M0 b_n) / c_n,
+    b_n = psi_n * a_n,   c_n = lam + ||a_n||^2
 
-(PLMM: psi = 1 and lam = gamma). The alternating loop therefore keeps
-only per-pixel factors, O(N(L+P)) memory: abundances a_n, scalings
-psi_n, the scalings psi^M_n the field was built with, the direction u_n
-and w_n = M0'u_n. The abundance step's Gram matrix and linear term, the
-endmember step and the cost all follow from G0 = M0'M0, Y M0 and U M0;
-the (N, L, P) field is built once, for output.
+(PLMM: psi = 1 and lam = gamma). The loop keeps, instead of u, O(N P)
+statistics found in O(P^2) per pixel from Y M0, ||y||^2 and G0 = M0'M0:
+w = M0'u = (Y M0 - b G0) / c, u'y = (||y||^2 - b'M0'y) / c and ||u||^2 =
+||y - M0 b||^2 / c^2, the last taken from the pixel where the statistics
+put it within ``_RECOMPUTE`` ||y||^2 of zero (they cancel to about
+eps ||y||^2). The residual y_n - M_n a_n is lam u_n, so the fit is
+lam^2 ||u||^2 and the cost, like the Gram matrix and linear term, follows
+from the statistics; u and the (N, L, P) field are built once, from the
+pixels, for the result.
 """
 
 from __future__ import annotations
@@ -20,80 +24,128 @@ from typing import Optional
 
 import numpy as np
 
-from .base import QPCounts, SolverLog, _gram, fcls_gram, timed
+from ..types import AbundanceMap, DimensionError, EndmemberField
+from .base import (QPCounts, SolverLog, UnmixingResult, _gram, fcls_gram, per_pixel_rms,
+                   reconstruct, timed)
+
+_RECOMPUTE = 1e-10
 
 
 @dataclass(frozen=True)
 class RankOneState:
-    """Per-pixel factors of M_n = M0 diag(psi_m_n) + u_n a_n'."""
+    """Per-pixel factors of M_n = M0 diag(psi_m_n) + u_n a_n', u_n kept as
+    statistics; ``fit`` is None in a start state, whose u is zero."""
 
     a: np.ndarray       # (N, P) abundances (and the field's rank-one factor)
     psi: np.ndarray     # (N, P) scaling factors (ones for PLMM)
     psi_m: np.ndarray   # (N, P) scaling inside the field
-    u: np.ndarray       # (N, L) rank-one direction
     w: np.ndarray       # (N, P) M0' u_n
+    uu: np.ndarray      # (N,) ||u_n||^2
+    uy: np.ndarray      # (N,) u_n' y_n
+    fit: Optional[np.ndarray] = None    # (N,) ||y_n - M_n a_n||^2
     dense: Optional[np.ndarray] = None  # (N, L, P) dense initial field, used by the first step only
 
 
 class RankOneModel:
     """Factored algebra of sum_n ||y_n - M_n a_n||^2 + lam ||M_n - M0 diag(psi_n)||_F^2,
-    with the kernel counts and per-phase seconds of one solver call."""
+    with the kernel counts, recomputed rows and per-phase seconds of one
+    solver call."""
 
-    def __init__(self, y: np.ndarray, m0: np.ndarray, lam: float):
+    def __init__(self, y: np.ndarray, ref_matrix, lam: float):
+        m0 = np.asarray(ref_matrix, dtype=np.float64)
+        if m0.ndim != 2 or m0.shape[0] != y.shape[1]:
+            raise DimensionError("ref_matrix must be (L, P) matching the image")
         self.y, self.m0, self.lam = y, m0, lam
         self.g0 = m0.T @ m0
         self.ym0 = y @ m0
+        self.yy = np.einsum("nl,nl->n", y, y)
         self.col_sq = np.sum(m0**2, axis=0)
         self.counts = QPCounts()
+        self.recomputed_rows = 0
         self.phases = {}
 
     def start(self, a, psi, dense=None) -> RankOneState:
         """State with field M0 diag(psi), or the given dense field."""
-        n, l = self.y.shape
-        return RankOneState(a, psi, psi, np.zeros((n, l)), np.zeros_like(psi), dense)
+        zero = np.zeros(psi.shape[0])
+        return RankOneState(a, psi, psi, np.zeros_like(psi), zero, zero, None, dense)
+
+    def update(self, a: np.ndarray, psi: np.ndarray) -> RankOneState:
+        """Endmember step for abundances ``a`` and scalings ``psi``."""
+        b = psi * a
+        c = self.lam + np.einsum("np,np->n", a, a)
+        bg = b @ self.g0
+        bh = np.einsum("np,np->n", b, self.ym0)
+        rr = self.yy - 2.0 * bh + np.einsum("np,np->n", bg, b)    # ||y - M0 b||^2
+        rows = np.flatnonzero(rr <= _RECOMPUTE * self.yy)
+        if rows.size:
+            r = self.y[rows] - b[rows] @ self.m0.T
+            rr[rows] = np.einsum("nl,nl->n", r, r)
+            self.recomputed_rows += rows.size
+        uu = rr / c**2
+        return RankOneState(a, psi, psi, (self.ym0 - bg) / c[:, None], uu, (self.yy - bh) / c,
+                            self.lam**2 * uu)
 
     def gram(self, s: RankOneState):
         """Per-pixel M_n'M_n (N, P, P) and M_n'y_n (N, P):
         G = D G0 D + D w a' + a w' D + ||u||^2 a a',  h = psi_m * (M0'y) + a (u'y)."""
         dw = s.psi_m * s.w
         cross = dw[:, :, None] * s.a[:, None, :]
-        uu = np.einsum("nl,nl->n", s.u, s.u)
         g = (s.psi_m[:, :, None] * s.psi_m[:, None, :]) * self.g0
         g += cross + cross.transpose(0, 2, 1)
-        g += uu[:, None, None] * (s.a[:, :, None] * s.a[:, None, :])
-        h = s.psi_m * self.ym0 + s.a * np.einsum("nl,nl->n", s.u, self.y)[:, None]
-        return g, h
+        g += s.uu[:, None, None] * (s.a[:, :, None] * s.a[:, None, :])
+        return g, s.psi_m * self.ym0 + s.a * s.uy[:, None]
 
-    def step(self, s: RankOneState, psi: np.ndarray):
+    def step(self, s: RankOneState, psi: np.ndarray) -> RankOneState:
         """Abundance step against each pixel's current M_n, then the
-        endmember step for scalings ``psi``. Returns (a, u, w)."""
+        endmember step for scalings ``psi``."""
         with timed(self.phases, "qp"):
             g, h = _gram(self.y, s.dense) if s.dense is not None else self.gram(s)
             a, _ = fcls_gram(g, h, self.counts)
         with timed(self.phases, "endmember"):
-            r = self.y - (psi * a) @ self.m0.T
-            u = r / (self.lam + np.einsum("np,np->n", a, a))[:, None]
-        return a, u, u @ self.m0
+            return self.update(a, psi)
 
-    def cost(self, s: RankOneState) -> float:
-        """Fit plus ``lam`` times the tie ||M0 diag(psi_m - psi) + u a'||_F^2,
-        the latter from the column norms of M0 and w."""
-        aa = np.einsum("np,np->n", s.a, s.a)
-        fit = self.y - (s.psi_m * s.a) @ self.m0.T - s.u * aa[:, None]
+    def cost(self, s: RankOneState, dense_tie: Optional[np.ndarray] = None) -> float:
+        """Fit plus ``lam`` times the tie ||M_n - M0 diag(psi_n)||_F^2: from the
+        pixels in a start state (tie zero, or ||dense_tie||^2 with a dense
+        field), else from the statistics and the column norms of M0."""
+        if s.fit is None:
+            recon = (s.psi * s.a) @ self.m0.T if s.dense is None else reconstruct(s.dense, s.a)
+            tie = 0.0 if s.dense is None else np.sum(dense_tie**2)
+            return float(np.sum((self.y - recon) ** 2) + self.lam * tie)
         d = s.psi_m - s.psi
         tie = (np.sum(d**2 * self.col_sq) + 2.0 * np.sum(d * s.a * s.w)
-               + np.einsum("nl,nl->n", s.u, s.u) @ aa)
-        return float(np.sum(fit**2) + self.lam * tie)
+               + s.uu @ np.einsum("np,np->n", s.a, s.a))
+        return float(np.sum(s.fit) + self.lam * tie)
+
+    def direction(self, s: RankOneState) -> np.ndarray:
+        """u (N, L), from the pixels."""
+        if s.fit is None:
+            return np.zeros_like(self.y)
+        c = self.lam + np.einsum("np,np->n", s.a, s.a)
+        return (self.y - (s.psi_m * s.a) @ self.m0.T) / c[:, None]
 
     def field(self, s: RankOneState) -> np.ndarray:
         """The (N, L, P) endmember field; a new array."""
         if s.dense is not None:
             return s.dense.copy()
-        return self.m0[None, :, :] * s.psi_m[:, None, :] + s.u[:, :, None] * s.a[:, None, :]
+        u = self.direction(s)
+        f = np.empty(u.shape + (self.m0.shape[1],))
+        for j in range(f.shape[2]):
+            f[:, :, j] = np.outer(s.psi_m[:, j], self.m0[:, j]) + u * s.a[:, j, None]
+        return f
 
     def finish(self, log: SolverLog, start: float, flags: dict):
         """Complete the loop's log: kernel outcome, wall time, phases."""
         log.converged = log.converged and self.counts.unsettled_rows == 0
         log.wall_time_s = time.perf_counter() - start
-        log.flags = {**flags, **self.counts.flags(), **log.flags}
+        log.flags = {**flags, **self.counts.flags(), "recomputed_rows": self.recomputed_rows,
+                     **log.flags}
         log.phases = self.phases
+
+    def result(self, a, emitted, log, class_names, extras) -> UnmixingResult:
+        """The solver's output; the field ``emitted`` is clamped in place."""
+        np.clip(emitted, 0.0, None, out=emitted)
+        recon = reconstruct(emitted, a)
+        return UnmixingResult(AbundanceMap(a, sum_to_one=True, class_names=class_names),
+                              per_pixel_rms(self.y, recon), recon, log,
+                              EndmemberField(emitted), extras=extras)

@@ -6,15 +6,18 @@ the sparse oracle is cyclic coordinate descent on the objective, the
 greedy L0 oracle is a per-pixel forward selection with scipy's NNLS, the
 MUSIC residuals come from a thin SVD of the pixel matrix, and the simplex
 projection backs a projected-gradient optimality check. The
-dense alternating references keep one (L, P) matrix per pixel and solve
-the endmember step as a batched ridge system; they share only the QP
-kernel with the package.
+dense alternating references keep one (L, P) matrix per pixel, solve
+the endmember step as a batched ridge system and the scaling step on
+the sparse grid Laplacian; they share only the QP kernel with the
+package. The dense ELMM and PLMM costs evaluate the objectives on such
+per-pixel matrices.
 """
 
 import itertools
 
 import numpy as np
 from scipy.optimize import nnls as scipy_nnls
+from scipy.sparse import coo_matrix, diags
 
 from varimix.solvers import fcls_core
 
@@ -178,18 +181,56 @@ def music_residual_oracle(signatures, pixels, k):
     """Residual of each (M, L) signature against the image's signal
     subspace: the top-k left singular vectors of the mean-removed (L, N)
     pixel matrix, without the directions whose squared singular value is
-    not above 100 * L * eps * s_max^2. Residuals are the norm of the
+    not above 100 * L * eps * s_max^2 or 100 * N * (eps * ||mean||)^2.
+    Residuals are the norm of the
     mean-removed signature minus its projection, over the norm of the
     mean-removed signature (0 where that norm is 0)."""
     l = pixels.shape[1]
     mean = pixels.mean(axis=0)
     u, s, _ = np.linalg.svd((pixels - mean).T, full_matrices=False)
     s2 = s[:k] ** 2
-    u = u[:, :k][:, s2 > 100 * l * np.finfo(float).eps * s2[0]]
+    eps = np.finfo(float).eps
+    cut = max(100 * l * eps * s2[0], 100 * pixels.shape[0] * (eps * np.linalg.norm(mean)) ** 2)
+    u = u[:, :k][:, s2 > cut]
     shifted = signatures - mean
     norms = np.linalg.norm(shifted, axis=1)
     rest = np.linalg.norm(shifted - (shifted @ u) @ u.T, axis=1)
     return np.divide(rest, norms, out=np.zeros_like(norms), where=norms > 0)
+
+
+def grid_laplacian(height: int, width: int):
+    """Combinatorial Laplacian of the 4-neighbor grid graph."""
+    idx = np.arange(height * width).reshape(height, width)
+    pairs = [
+        (idx[:, :-1].ravel(), idx[:, 1:].ravel()),
+        (idx[:-1, :].ravel(), idx[1:, :].ravel()),
+    ]
+    r = np.concatenate([p[0] for p in pairs])
+    c = np.concatenate([p[1] for p in pairs])
+    n = height * width
+    adj = coo_matrix((np.ones(r.size), (r, c)), shape=(n, n))
+    adj = (adj + adj.T).tocsr()
+    deg = np.asarray(adj.sum(axis=1)).ravel()
+    return (diags(deg) - adj).tocsc()
+
+
+def _spatial(lap, psi):
+    return sum(float(psi[:, p] @ (lap @ psi[:, p])) for p in range(psi.shape[1]))
+
+
+def _elmm_cost(y, m0, lap, lam_m, lam_psi, state):
+    """The ELMM cost on a dense (a, psi, M) state."""
+    a, psi, m = state
+    fit = y - np.einsum("nlp,np->nl", m, a)
+    tie = m - m0[None, :, :] * psi[:, None, :]
+    return float(np.sum(fit**2) + lam_m * np.sum(tie**2) + lam_psi * _spatial(lap, psi))
+
+
+def _plmm_cost(y, m0, gamma, state):
+    """The PLMM cost on a dense (a, dM) state."""
+    a, dm = state
+    fit = y - np.einsum("nlp,np->nl", m0[None, :, :] + dm, a)
+    return float(np.sum(fit**2) + gamma * np.sum(dm**2))
 
 
 def _dense_loop(cost, step, state, max_iters, tol, floor=1e-24):

@@ -28,7 +28,6 @@ from varimix.solvers import (
     plmm_unmix,
     sparse_su_l1,
 )
-from varimix.solvers.elmm import _elmm_cost, grid_laplacian
 from varimix.synth import (
     AbundanceFieldConfig,
     ClassVariability,
@@ -43,7 +42,7 @@ from varimix.synth import (
 from varimix.types import SpectralImage, SpectralLibrary
 
 from conftest import make_scene
-from oracles import mesma_oracle_batch
+from oracles import _elmm_cost, grid_laplacian, mesma_oracle_batch
 
 from scipy.optimize import nnls as scipy_nnls
 

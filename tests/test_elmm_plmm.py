@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from varimix.solvers import SolverOptions, elmm_unmix, fcls, fcls_core, plmm_unmix
-from varimix.solvers.elmm import _elmm_cost, grid_laplacian
-from varimix.solvers.plmm import _plmm_cost
 from varimix.types import SpectralImage
 
 from conftest import make_scene
+from oracles import _elmm_cost, _plmm_cost, grid_laplacian
 
 
 def _grid_image(y, h, w):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -106,6 +107,18 @@ def test_scene_meta_has_digests(tmp_path):
     out = save_scene(truth, tmp_path / "scene")
     meta = json.loads((out / "truth_meta.json").read_text())
     assert "digests" in meta and "abundances.csv" in meta["digests"]
+
+
+def test_scene_digests_are_those_of_the_written_files(tmp_path):
+    truth = make_scene(height=4, width=5)
+    out = save_scene(truth, tmp_path / "scene")
+    digests = json.loads((out / "truth_meta.json").read_text())["digests"]
+    assert list(digests) == [
+        "image_noisy.json", "image_noisy.bin", "image_clean.json", "image_clean.bin",
+        "abundances.csv", "endmembers.json", "endmembers.bin",
+    ]
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", ["image_noisy.bin", "abundances.csv", "endmembers.json"])

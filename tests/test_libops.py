@@ -346,12 +346,9 @@ def test_music_residuals_match_svd_oracle(n, l, seed, full_dim, data):
     library = SpectralLibrary.from_arrays(["all"], [sigs])
     expected = music_residual_oracle(sigs, pixels, k)
     assert expected[0] == 0.0       # the mean itself: always kept, class never emptied
-    # music_prune takes a residual as sqrt(|s|^2 - |U's|^2) / |s|, which
-    # cancels to about sqrt(eps) for signatures inside the subspace, so
-    # thresholds below 1e-6 are not probed
     delta = 1e-9
-    for t in np.concatenate([expected - delta, expected + delta]):
-        if t < 1e-6 or np.any(np.abs(expected - t) < delta / 2):
+    for t in np.concatenate([expected - delta, expected + delta, [1e-12, 1e-10]]):
+        if t < 1e-12 or np.any(np.abs(expected - t) < min(delta, t) / 2):
             continue
         pruned = music_prune(library, image, k, residual_threshold=float(t))
         assert np.array_equal(_kept(pruned, library), expected <= t)
@@ -394,3 +391,23 @@ def test_music_constant_image_keeps_one_per_class(rng):
     assert pruned.sizes == (1, 1)
     assert np.array_equal(pruned.classes[0].signatures[0], flat)
     assert np.array_equal(pruned.classes[1].signatures[0], library.classes[1].signatures[0])
+
+
+def test_music_constant_image_with_inexact_mean_has_an_empty_subspace(rng):
+    # the mean of three 0.1s is not 0.1 in binary: the centered pixels
+    # are 1.4e-17 and the scatter's top eigenvalue 6.9e-33, which only
+    # the floor tied to the mean's rounding removes
+    image = SpectralImage(np.full((1, 3, 12), 0.1))
+    assert np.any(image.pixels - image.pixels.mean(axis=0) != 0.0)
+    library = SpectralLibrary.from_arrays(
+        ["a", "b"], [rng.uniform(0.1, 1.0, size=(4, 12)), rng.uniform(0.1, 1.0, size=(3, 12))])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pruned = music_prune(library, image, 2, residual_threshold=0.9)
+    assert [str(w.message) for w in caught] == [
+        "class 'a' would be emptied; keeping its best signature",
+        "class 'b' would be emptied; keeping its best signature",
+    ]
+    assert pruned.sizes == (1, 1)
+    for kept, c in zip(pruned.classes, library.classes):
+        assert np.array_equal(kept.signatures[0], c.signatures[0])

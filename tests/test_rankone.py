@@ -1,52 +1,78 @@
-"""The factored rank-one state of ELMM and PLMM against the dense form.
+"""The statistic-space rank-one state of ELMM and PLMM against the dense form.
 
 The per-pixel Gram matrix, linear term and costs computed from the
-factors must equal the ones computed from the dense (N, L, P) field; the
-solvers must follow the dense alternating references in
-``tests/oracles.py``; every abundance step must meet its KKT conditions
-against the dense matrix it was solved for; and ``monotone_loop`` must
-stop at a cost rise.
+statistics must equal the ones computed from the dense (N, L, P) field;
+rows the statistics cannot resolve must be recomputed from the pixel;
+the DCT scaling step and the stencil smoothness term must equal their
+sparse-Laplacian forms; the solvers must follow the dense alternating
+references in ``tests/oracles.py``; every abundance step must meet its
+KKT conditions against the dense matrix it was solved for; and
+``monotone_loop`` must stop at a cost rise.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import identity
+from scipy.sparse.linalg import spsolve
 
 from varimix.solvers import (
     SolverOptions,
     elmm_unmix,
     fcls_core,
-    grid_laplacian,
     kkt_residual_simplex,
     plmm_unmix,
 )
 from varimix.solvers import elmm as elmm_module
 from varimix.solvers import plmm as plmm_module
 from varimix.solvers.base import _gram, monotone_loop
-from varimix.solvers.elmm import _elmm_cost, _spatial
-from varimix.solvers.plmm import _plmm_cost
+from varimix.solvers.elmm import _grid_solve, _grid_spatial
 from varimix.solvers.rankone import RankOneModel, RankOneState
+from varimix.types import SpectralImage
 
 from conftest import make_scene
-from oracles import elmm_dense_reference, plmm_dense_reference
+from oracles import (
+    _elmm_cost,
+    _plmm_cost,
+    _spatial,
+    elmm_dense_reference,
+    grid_laplacian,
+    plmm_dense_reference,
+)
 
 RTOL = 1e-12
 REF_TOL = 1e-10
 KKT_RTOL = 1e-9
 
 
-def _dense(m0, s):
-    return m0[None] * s.psi_m[:, None, :] + s.u[:, :, None] * s.a[:, None, :]
+def _u(y, m0, lam, s):
+    """The state's rank-one direction from the pixels: zero for a start
+    state, else the endmember step's (y - M0 (psi_m * a)) / (lam + ||a||^2)."""
+    if s.fit is None:
+        return np.zeros_like(y)
+    return (y - (s.psi_m * s.a) @ m0.T) / (lam + np.sum(s.a**2, axis=1))[:, None]
+
+
+def _dense(m0, s, u):
+    return m0[None] * s.psi_m[:, None, :] + u[:, :, None] * s.a[:, None, :]
 
 
 def _rel(x, ref):
     return np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-300)
 
 
+def _with_fit(y, m0, s, u):
+    """State ``s`` with its per-pixel fit taken from the dense field."""
+    fit = np.sum((y - np.einsum("nlp,np->nl", _dense(m0, s, u), s.a)) ** 2, axis=1)
+    return replace(s, fit=fit)
+
+
 def _factored_case(seed, n, l, p, floor, zeros):
-    """Random factored state; ``floor`` puts scalings at the 1e-6 clamp,
-    ``zeros`` zeroes abundances (whole rows included)."""
+    """Random factored state and its direction u; ``floor`` puts scalings
+    at the 1e-6 clamp, ``zeros`` zeroes abundances (whole rows included)."""
     rng = np.random.default_rng(seed)
     m0 = rng.uniform(0.05, 1.0, size=(l, p))
     y = rng.uniform(0.0, 1.0, size=(n, l))
@@ -60,7 +86,8 @@ def _factored_case(seed, n, l, p, floor, zeros):
         a[rng.random((n, p)) < 0.5] = 0.0
         a[0] = 0.0
     u = rng.normal(0.0, 0.3, size=(n, l))
-    return y, m0, RankOneState(a, psi, psi_m, u, u @ m0)
+    s = RankOneState(a, psi, psi_m, u @ m0, np.sum(u**2, axis=1), np.sum(u * y, axis=1))
+    return y, m0, _with_fit(y, m0, s, u), u
 
 
 case = given(
@@ -76,9 +103,9 @@ case = given(
 @settings(max_examples=60, deadline=None)
 @case
 def test_factored_gram_equals_dense(seed, n, l, p, floor, zeros):
-    y, m0, s = _factored_case(seed, n, l, p, floor, zeros)
+    y, m0, s, u = _factored_case(seed, n, l, p, floor, zeros)
     g, h = RankOneModel(y, m0, 1.0).gram(s)
-    g_ref, h_ref = _gram(y, _dense(m0, s))
+    g_ref, h_ref = _gram(y, _dense(m0, s, u))
     assert _rel(g, g_ref) <= RTOL
     assert _rel(h, h_ref) <= RTOL
     assert np.array_equal(g, g.transpose(0, 2, 1))
@@ -87,24 +114,56 @@ def test_factored_gram_equals_dense(seed, n, l, p, floor, zeros):
 @settings(max_examples=60, deadline=None)
 @case
 def test_factored_elmm_cost_equals_dense(seed, n, l, p, floor, zeros):
-    y, m0, s = _factored_case(seed, n, l, p, floor, zeros)
+    y, m0, s, u = _factored_case(seed, n, l, p, floor, zeros)
     lap = grid_laplacian(1, n)
     lam_m, lam_psi = 0.7, 0.3
     cost = RankOneModel(y, m0, lam_m).cost(s) + lam_psi * _spatial(lap, s.psi)
-    ref = _elmm_cost(y, m0, lap, lam_m, lam_psi, (s.a, s.psi, _dense(m0, s)))
+    ref = _elmm_cost(y, m0, lap, lam_m, lam_psi, (s.a, s.psi, _dense(m0, s, u)))
     assert abs(cost - ref) <= RTOL * ref
 
 
 @settings(max_examples=60, deadline=None)
 @case
 def test_factored_plmm_cost_equals_dense(seed, n, l, p, floor, zeros):
-    y, m0, s = _factored_case(seed, n, l, p, floor, zeros)
+    y, m0, s, u = _factored_case(seed, n, l, p, floor, zeros)
     ones = np.ones((n, p))
-    s = RankOneState(s.a, ones, ones, s.u, s.w)
+    s = _with_fit(y, m0, replace(s, psi=ones, psi_m=ones), u)
     gamma = 0.4
     cost = RankOneModel(y, m0, gamma).cost(s)
-    ref = _plmm_cost(y, m0, gamma, (s.a, s.u[:, :, None] * s.a[:, None, :]))
+    ref = _plmm_cost(y, m0, gamma, (s.a, u[:, :, None] * s.a[:, None, :]))
     assert abs(cost - ref) <= RTOL * ref
+
+
+@settings(max_examples=60, deadline=None)
+@case
+def test_endmember_step_statistics_equal_the_pixel_ones(seed, n, l, p, floor, zeros):
+    y, m0, s, _ = _factored_case(seed, n, l, p, floor, zeros)
+    lam = 0.7
+    new = RankOneModel(y, m0, lam).update(s.a, s.psi_m)
+    u = _u(y, m0, lam, new)
+    b = s.psi_m * s.a
+    c = lam + np.sum(s.a**2, axis=1)
+    # the statistics cancel to the rounding of ||y|| + ||M0 b||, not of u
+    ny = np.linalg.norm(y, axis=1)
+    scale = ny + np.linalg.norm(b @ m0.T, axis=1)
+    assert np.all(np.abs(new.uu - np.sum(u**2, axis=1)) <= RTOL * scale**2 / c**2)
+    assert np.all(np.abs(new.uy - np.sum(u * y, axis=1)) <= RTOL * ny * scale / c)
+    w_scale = (y @ m0 + b @ (m0.T @ m0)) / c[:, None]
+    assert np.all(np.abs(new.w - u @ m0) <= RTOL * w_scale)
+    assert np.array_equal(new.fit, lam**2 * new.uu)
+
+
+@settings(max_examples=60, deadline=None)
+@case
+def test_field_is_the_broadcast_field_bit_for_bit(seed, n, l, p, floor, zeros):
+    y, m0, s, _ = _factored_case(seed, n, l, p, floor, zeros)
+    model = RankOneModel(y, m0, 0.7)
+    start = model.start(s.a, s.psi_m)
+    assert np.array_equal(model.field(start), m0[None] * s.psi_m[:, None, :] + 0.0)
+    new = model.update(s.a, s.psi_m)
+    u = model.direction(new)
+    assert _rel(u, _u(y, m0, 0.7, new)) <= RTOL
+    assert np.array_equal(model.field(new), _dense(m0, new, u))
 
 
 def _small_scene(seed):
@@ -147,12 +206,13 @@ def test_plmm_matches_dense_reference(seed):
 def test_every_abundance_step_meets_kkt(monkeypatch, module, unmix, opts):
     image, m0 = _small_scene(4)
     y = image.pixels
+    lam = opts.lambda_m if module is elmm_module else opts.gamma_plmm
     residuals = []
 
     def loop(initial_state, step_fn, cost_fn, max_iters, tol):
         def step(s):
             new = step_fn(s)
-            dense = s.dense if s.dense is not None else _dense(m0, s)
+            dense = s.dense if s.dense is not None else _dense(m0, s, _u(y, m0, lam, s))
             residuals.append(kkt_residual_simplex(y, dense, new.a))
             return new
         return monotone_loop(initial_state, step, cost_fn, max_iters, tol)
@@ -223,3 +283,63 @@ def test_logs_report_phases_and_loop_flags():
         assert log.flags["cost_rises"] == 0
         assert log.flags["cap_hit"] == int(log.iterations == 4 and not log.converged)
         assert log.to_dict()["phases"] == log.phases
+
+
+GRIDS = [(1, 1), (1, 9), (9, 1), (7, 5), (48, 48)]
+
+
+@pytest.mark.parametrize("height, width", GRIDS)
+def test_dct_psi_solve_equals_sparse_solve(height, width):
+    rng = np.random.default_rng(height * 100 + width)
+    n, p, lam_psi = height * width, 3, 2.5
+    diag = rng.uniform(0.2, 2.0, size=p)
+    rhs = rng.normal(size=(height, width, p))
+    psi = _grid_solve(rhs, diag, lam_psi)
+    lap = grid_laplacian(height, width)
+    for j in range(p):
+        op = (diag[j] * identity(n, format="csc") + lam_psi * lap).tocsc()
+        assert _rel(psi[:, :, j].ravel(), spsolve(op, rhs[:, :, j].ravel())) <= RTOL
+
+
+@pytest.mark.parametrize("height, width", GRIDS)
+def test_grid_spatial_equals_laplacian_quadratic_form(height, width):
+    rng = np.random.default_rng(height * 100 + width)
+    psi = rng.uniform(0.5, 1.5, size=(height * width, 3))
+    ref = _spatial(grid_laplacian(height, width), psi)
+    assert abs(_grid_spatial(psi, height, width) - ref) <= RTOL * ref
+
+
+def _partly_exact(seed, n=40, l=30, p=3):
+    """Pixels y_n = M0 a_n on every fourth row, noisy elsewhere."""
+    rng = np.random.default_rng(seed)
+    m0 = rng.uniform(0.05, 1.0, size=(l, p))
+    a = rng.dirichlet(np.ones(p), size=n)
+    exact = np.arange(n) % 4 == 0
+    y = a @ m0.T
+    y[~exact] += rng.normal(0.0, 0.01, size=(int(np.sum(~exact)), l))
+    return y, m0, a, exact
+
+
+def test_exactly_fitted_rows_are_recomputed_from_the_pixel():
+    y, m0, a, exact = _partly_exact(11)
+    lam = 0.5
+    model = RankOneModel(y, m0, lam)
+    s = model.update(a, np.ones_like(a))
+    assert model.recomputed_rows == np.sum(exact)
+    c2 = (lam + np.sum(a**2, axis=1)) ** 2
+    r = y[exact] - a[exact] @ m0.T
+    pixel = np.sum(r**2, axis=1) / c2[exact]
+    assert np.all(np.abs(s.uu[exact] - pixel) <= RTOL * pixel)
+    r = y[~exact] - a[~exact] @ m0.T
+    assert _rel(s.uu[~exact], np.sum(r**2, axis=1) / c2[~exact]) <= RTOL
+
+
+@pytest.mark.parametrize("unmix", [elmm_unmix, plmm_unmix])
+def test_logs_report_recomputed_rows(unmix):
+    y, m0, _, exact = _partly_exact(12)
+    image = SpectralImage(y.reshape(5, 8, -1))
+    log = unmix(image, m0, SolverOptions(max_iters=3)).solver_log
+    assert log.iterations >= 1
+    assert log.flags["recomputed_rows"] >= np.sum(exact)
+    noisy = SpectralImage(y[~exact].reshape(5, 6, -1))
+    assert unmix(noisy, m0, SolverOptions(max_iters=3)).solver_log.flags["recomputed_rows"] == 0
