@@ -5,6 +5,12 @@ libraries, run every roster algorithm, align classes, score against the
 scene truth, and keep all artifacts. Seeds are derived as
 ``master_seed + run_index`` so any failed cell can be reproduced alone.
 
+A roster entry runs the way ``varimix unmix`` does: the solver's input
+(library or reference matrix, by its kind in ``solvers.SOLVERS``) goes
+through ``transform_input`` and ``solvers.unmix``, and each run directory
+is written by ``io.save_result``, so it holds the same files as an
+``unmix`` output directory.
+
 Wall times are reported in the markdown table and the JSON logs only:
 the CSV outputs contain nothing nondeterministic, so reruns with the
 same configuration are byte-identical.
@@ -24,13 +30,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .extraction import BundleExtractionConfig, extract_bundles, extract_endmembers
-from .io import (
-    load_library,
-    save_abundances,
-    save_endmember_field,
-    save_image,
-    save_scene,
-)
+from .io import load_library, save_result, save_scene
 from .libops import (
     SpectralTransform,
     apply_transform,
@@ -41,16 +41,7 @@ from .libops import (
     select_stable_bands,
 )
 from .metrics import pairwise_angles, rmse, sam_field
-from .solvers import (
-    SolverOptions,
-    UnmixingResult,
-    elmm_unmix,
-    fcls,
-    mesma,
-    plmm_unmix,
-    sparse_su_l0,
-    sparse_su_l1,
-)
+from .solvers import ALGORITHMS, SOLVERS, SolverOptions, UnmixingResult, unmix
 from .synth import SceneConfig, synthesize_from_config, truth_variant_library
 from .types import (
     BenchReport,
@@ -62,8 +53,6 @@ from .types import (
     SpectralLibrary,
 )
 
-ALGORITHMS = ("fcls", "mesma", "sparse-l1", "sparse-l0", "elmm", "plmm")
-_MATRIX_ALGOS = ("fcls", "elmm", "plmm")
 _CSV_FMT = "%.17g"
 
 
@@ -76,7 +65,9 @@ class RosterEntry:
     algorithms a single extracted endmember set; ``extracted-bundles``
     gives matrix algorithms the class means of the pooled library
     instead; ``truth-variants`` uses the scene's realized signatures;
-    ``file`` reads a library CSV.
+    ``file`` reads a library CSV. ``options`` holds ``SolverOptions``
+    fields and the solver's extras (``re_threshold`` for MESMA, ``k`` and
+    ``mode`` for sparse L0); other keys are ignored.
     """
 
     name: str
@@ -119,11 +110,6 @@ class BenchConfig:
             raise ValueError("n_monte_carlo must be >= 1")
 
 
-def _solver_options(overrides: dict) -> SolverOptions:
-    known = {f.name for f in dataclasses.fields(SolverOptions)}
-    return SolverOptions(**{k: v for k, v in overrides.items() if k in known})
-
-
 def _sub_seed(run_seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([run_seed, stream]).generate_state(1)[0])
 
@@ -141,6 +127,18 @@ def build_transform(spec: dict, library: SpectralLibrary) -> SpectralTransform:
     if method == "fda":
         return fda_transform(library, int(spec.get("dim", library.n_classes - 1)))
     raise ValueError(f"unknown transform method {method!r}")
+
+
+def transform_input(spec: dict, image: SpectralImage, source):
+    """Build the transform ``spec`` describes from a solver input (a
+    library, or an (L, P) matrix taken as one signature per class) and
+    apply it to the image and to exactly that input. Returns the
+    transform, the image and the input."""
+    matrix = not isinstance(source, SpectralLibrary)
+    base = SpectralLibrary.from_matrix(source) if matrix else source
+    t = build_transform(spec, base)
+    image, tlib = apply_transform(t, image, base)
+    return t, image, (tlib.class_means().T if matrix else tlib)
 
 
 def apply_prune(spec: dict, library: SpectralLibrary, image: SpectralImage) -> SpectralLibrary:
@@ -258,64 +256,24 @@ class _RunLibraries:
 
 
 def _run_entry(entry: RosterEntry, cfg: BenchConfig, truth: SceneTruth, libs: _RunLibraries):
-    opts = _solver_options(entry.options)
+    opts = SolverOptions.from_dict(entry.options)
     image = truth.image_noisy
     clean_pixels = None
-
-    if entry.algo in _MATRIX_ALGOS:
-        matrix = libs.matrix(entry)
-        class_means = matrix.T
-        library = None
+    if SOLVERS[entry.algo].kind == "matrix":
+        source = libs.matrix(entry)
+        class_means = source.T
     else:
-        library = libs.bundle(entry)
-        class_means = library.class_means()
-        matrix = None
-
+        source = libs.bundle(entry)
+        class_means = source.class_means()
     if cfg.transform:
-        base = library if library is not None else SpectralLibrary.from_matrix(matrix)
-        t = build_transform(cfg.transform, libs.bundle(entry) if library is not None else base)
-        image, tlib = apply_transform(t, image, base)
-        clean_img, _ = apply_transform(t, truth.image_clean, base)
-        clean_pixels = clean_img.pixels
-        if library is not None:
-            library = tlib
-        else:
-            matrix = tlib.class_means().T
+        t, image, source = transform_input(cfg.transform, image, source)
+        clean_pixels = t.apply(truth.image_clean.pixels)
 
     start = time.perf_counter()
-    if entry.algo == "fcls":
-        result = fcls(image, matrix, opts)
-    elif entry.algo == "elmm":
-        result = elmm_unmix(image, matrix, opts)
-    elif entry.algo == "plmm":
-        result = plmm_unmix(image, matrix, opts)
-    elif entry.algo == "mesma":
-        result = mesma(image, library, opts,
-                       re_threshold=entry.options.get("re_threshold"))
-    elif entry.algo == "sparse-l1":
-        result = sparse_su_l1(image, library, opts)
-    else:
-        result = sparse_su_l0(
-            image, library,
-            k=int(entry.options.get("k", truth.abundances.n_classes)),
-            mode=entry.options.get("mode", "greedy"),
-            opts=opts,
-        )
+    result = unmix(entry.algo, image, source, opts, **entry.options)
     wall = time.perf_counter() - start
     metrics = eval_result(truth, result, class_means=class_means, clean_pixels=clean_pixels)
     return result, metrics, wall
-
-
-def _save_result(result: UnmixingResult, out: Path):
-    out.mkdir(parents=True, exist_ok=True)
-    save_abundances(result.abundances, out / "abundances.csv")
-    n = result.per_pixel_re.shape[0]
-    save_image(SpectralImage(result.per_pixel_re.reshape(1, n, 1), name="re"), out / "re")
-    if result.endmembers is not None:
-        save_endmember_field(result.endmembers, out / "endmembers")
-    (out / "solver_log.json").write_text(
-        json.dumps(result.solver_log.to_dict(), default=str) + "\n"
-    )
 
 
 def _aggregate(values: list) -> tuple[Optional[float], Optional[float]]:
@@ -354,7 +312,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
             times[entry.name].append(wall)
             last_run[entry.name] = (truth, result, metrics)
             if cfg.keep_run_artifacts:
-                _save_result(result, run_dir / entry.name)
+                save_result(result, run_dir / entry.name)
 
     report = BenchReport(metadata={
         "seeds": seeds,
@@ -385,7 +343,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         )
 
     _write_report_csv(report, out / "report.csv")
-    _write_report_md(report, out / "report.md", paper_scale=False)
+    write_report_md(report, out / "report.md")
     _write_plots(last_run, out / "plots")
     return report
 
@@ -411,10 +369,6 @@ def _write_report_csv(report: BenchReport, path: Path):
 
 
 def write_report_md(report: BenchReport, path, paper_scale: bool = False):
-    _write_report_md(report, Path(path), paper_scale)
-
-
-def _write_report_md(report: BenchReport, path: Path, paper_scale: bool):
     scale = 1e4 if paper_scale else 1.0
     note = " (RMSE columns scaled by 1e4)" if paper_scale else ""
     lines = [
@@ -444,7 +398,7 @@ def _write_report_md(report: BenchReport, path: Path, paper_scale: bool):
         lines += ["", f"Failed cells: {len(failed)}"]
         for f in failed:
             lines.append(f"- run {f['run']}, {f['algorithm']} (seed {f['seed']}): {f['error']}")
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _write_plots(last_run: dict, plots_dir: Path):

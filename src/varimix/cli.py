@@ -2,47 +2,33 @@
 
 Subcommands: synth, extract, prune, transform, unmix, bench. All outputs
 are deterministic given the configured seeds.
+
+``unmix`` runs a solver the way a bench roster entry does: its input is
+``--library`` or, for the matrix solvers, the class means of ``--m0``
+(else of ``--library``); ``--transform`` is applied to exactly that input
+by ``bench.transform_input``; the solver is called through
+``solvers.unmix`` and its outputs are written by ``io.save_result``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .bench import ALGORITHMS, bench_config_from_dict, run_bench, write_report_md
+from .bench import bench_config_from_dict, run_bench, transform_input, write_report_md
 from .extraction import BundleExtractionConfig, extract_bundles
-from .io import (
-    load_library,
-    resolve_image,
-    save_abundances,
-    save_endmember_field,
-    save_image,
-    save_library,
-    save_scene,
-)
+from .io import load_library, resolve_image, save_library, save_result, save_scene
 from .libops import (
-    SpectralTransform,
-    apply_transform,
     count_based_reduce,
     fda_transform,
     instability_weights,
     music_prune,
     select_stable_bands,
 )
-from .solvers import (
-    SolverOptions,
-    elmm_unmix,
-    fcls,
-    mesma,
-    plmm_unmix,
-    sparse_su_l0,
-    sparse_su_l1,
-)
+from .solvers import ALGORITHMS, SOLVERS, SolverOptions, unmix
 from .synth import scene_config_from_dict, synthesize_from_config
-from .types import SpectralImage
 
 
 def _cmd_synth(args) -> int:
@@ -91,79 +77,36 @@ def _cmd_transform(args) -> int:
     elif args.method == "weights":
         t = instability_weights(library)
     else:
-        t = fda_transform(library, args.dim if args.dim else library.n_classes - 1)
+        t = fda_transform(library, library.n_classes - 1 if args.dim is None else args.dim)
     t.to_json(args.out)
     print(f"{args.method} transform ({t.input_bands} -> {t.output_bands} bands) "
           f"written to {args.out}")
     return 0
 
 
-def _load_opts(path) -> SolverOptions:
-    if path is None:
-        return SolverOptions()
-    doc = json.loads(Path(path).read_text())
-    known = {f.name for f in dataclasses.fields(SolverOptions)}
-    return SolverOptions(**{k: v for k, v in doc.items() if k in known})
-
-
 def _cmd_unmix(args) -> int:
     image = resolve_image(args.image)
-    opts = _load_opts(args.opts)
-    library = load_library(args.library) if args.library else None
-    matrix = None
-    if args.m0:
-        matrix = load_library(args.m0).class_means().T
-    if args.transform:
-        t = SpectralTransform.from_json(args.transform)
-        base = library
-        if base is None:
-            from .types import SpectralLibrary
-
-            base = SpectralLibrary.from_matrix(matrix)
-        image, tlib = apply_transform(t, image, base)
-        if library is not None:
-            library = tlib
-        else:
-            matrix = tlib.class_means().T
-
-    algo = args.algo
-    if algo in ("fcls", "elmm", "plmm"):
-        if matrix is None:
-            if library is None:
-                print("error: --m0 or --library required", file=sys.stderr)
-                return 2
-            matrix = library.class_means().T
-        if algo == "fcls":
-            result = fcls(image, matrix, opts)
-        elif algo == "elmm":
-            result = elmm_unmix(image, matrix, opts)
-        else:
-            result = plmm_unmix(image, matrix, opts)
-    else:
-        if library is None:
-            print("error: --library required for library-based algorithms", file=sys.stderr)
+    opts = SolverOptions()
+    if args.opts is not None:
+        opts = SolverOptions.from_dict(json.loads(Path(args.opts).read_text()))
+    if SOLVERS[args.algo].kind == "matrix":
+        path = args.m0 or args.library
+        if not path:
+            print("error: --m0 or --library required", file=sys.stderr)
             return 2
-        if algo == "mesma":
-            result = mesma(image, library, opts, re_threshold=args.re_threshold)
-        elif algo == "sparse-l1":
-            result = sparse_su_l1(image, library, opts)
-        else:
-            result = sparse_su_l0(image, library, k=args.k or library.n_classes,
-                                  mode=args.l0_mode, opts=opts)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_abundances(result.abundances, out / "abundances.csv")
-    if result.raw_abundances is not None:
-        save_abundances(result.raw_abundances, out / "abundances_raw.csv")
-    n = result.per_pixel_re.shape[0]
-    save_image(SpectralImage(result.per_pixel_re.reshape(1, n, 1), name="re"), out / "re")
-    if result.endmembers is not None:
-        save_endmember_field(result.endmembers, out / "endmembers")
-    (out / "solver_log.json").write_text(
-        json.dumps(result.solver_log.to_dict(), default=str) + "\n"
-    )
-    print(f"{algo} finished: final cost {result.solver_log.final_cost:.6g}, "
+        source = load_library(path).class_means().T
+    elif not args.library:
+        print("error: --library required for library-based algorithms", file=sys.stderr)
+        return 2
+    else:
+        source = load_library(args.library)
+    if args.transform:
+        _, image, source = transform_input({"method": "path", "path": args.transform},
+                                           image, source)
+    result = unmix(args.algo, image, source, opts,
+                   re_threshold=args.re_threshold, k=args.k, mode=args.l0_mode)
+    out = save_result(result, args.out)
+    print(f"{args.algo} finished: final cost {result.solver_log.final_cost:.6g}, "
           f"results in {out}")
     return 0
 

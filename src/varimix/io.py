@@ -3,8 +3,8 @@
 Images are stored as a JSON header plus a raw little-endian float64
 payload, pixel-major (all L bands of pixel 0, then pixel 1, ...). The
 payload is written straight from the array's buffer, without a bytes
-copy; an endmember field is written the same way as a 1 x N image
-without being wrapped in a ``SpectralImage``.
+copy; an endmember field and a result's per-pixel error are written the
+same way as 1 x N images without being wrapped in a ``SpectralImage``.
 Libraries and abundance maps are CSV with 17-significant-digit floats so
 that save/load round trips are bit-exact. The whole table of a file is
 formatted by one ``%`` operation whose template repeats ``%.17g`` once
@@ -202,6 +202,25 @@ def load_endmember_field(path, n_bands: int) -> EndmemberField:
         raise FormatError(f"{path}: {total} values per pixel not divisible by L={n_bands}")
     p = total // n_bands
     return EndmemberField(img.pixels.reshape(img.n_pixels, n_bands, p))
+
+
+def save_result(result, out) -> Path:
+    """Write a solver result into directory ``out``: ``abundances.csv``,
+    ``abundances_raw.csv`` when the solver kept raw abundances, the
+    per-pixel RMS error as a 1 x N image ``re``, ``endmembers`` when the
+    result has a field, and ``solver_log.json``."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_abundances(result.abundances, out / "abundances.csv")
+    if result.raw_abundances is not None:
+        save_abundances(result.raw_abundances, out / "abundances_raw.csv")
+    re = result.per_pixel_re
+    _write_cube(out / "re", re.reshape(1, re.shape[0], 1), "re")
+    if result.endmembers is not None:
+        save_endmember_field(result.endmembers, out / "endmembers")
+    log = json.dumps(result.solver_log.to_dict(), default=str) + "\n"
+    _write_bytes(out / "solver_log.json", log.encode(), None)
+    return out
 
 
 def save_scene(truth: SceneTruth, out_dir) -> Path:

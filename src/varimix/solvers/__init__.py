@@ -1,3 +1,15 @@
+"""The six unmixing solvers and the one table that dispatches to them.
+
+Each solver takes the image and one input: library-based methods
+(MESMA, sparse L1/L0) a ``SpectralLibrary``, parametric ones (FCLS,
+ELMM, PLMM) an (L, P) reference matrix. ``SOLVERS`` maps each name to
+its callable, that input kind and the extras it accepts besides
+``SolverOptions``; ``unmix`` is the single call the CLI and the bench
+make.
+"""
+
+from typing import Callable, NamedTuple
+
 from .base import (
     QPCounts,
     SolverLog,
@@ -14,7 +26,36 @@ from .mesma import mesma
 from .plmm import plmm_unmix
 from .sparse import kkt_residual_l1, kkt_residual_simplex, sparse_su_l0, sparse_su_l1
 
+
+class Solver(NamedTuple):
+    fn: Callable
+    kind: str               # "matrix" or "library"
+    extras: tuple = ()      # keyword arguments accepted besides opts
+
+
+SOLVERS = {
+    "fcls": Solver(fcls, "matrix"),
+    "mesma": Solver(mesma, "library", ("re_threshold",)),
+    "sparse-l1": Solver(sparse_su_l1, "library"),
+    "sparse-l0": Solver(sparse_su_l0, "library", ("k", "mode")),
+    "elmm": Solver(elmm_unmix, "matrix"),
+    "plmm": Solver(plmm_unmix, "matrix"),
+}
+ALGORITHMS = tuple(SOLVERS)
+
+
+def unmix(name, image, source, opts, /, **extras) -> UnmixingResult:
+    """Run solver ``name`` on ``image`` with ``source`` (a library or an
+    (L, P) matrix, by the solver's kind). Extras the solver does not
+    accept are dropped, so callers may pass a mixed option dict."""
+    solver = SOLVERS[name]
+    kwargs = {k: v for k, v in extras.items() if k in solver.extras}
+    return solver.fn(image, source, opts=opts, **kwargs)
+
+
 __all__ = [
+    "ALGORITHMS",
+    "SOLVERS",
     "QPCounts",
     "SolverLog",
     "SolverOptions",
@@ -31,4 +72,5 @@ __all__ = [
     "sparse_su_l1",
     "kkt_residual_l1",
     "kkt_residual_simplex",
+    "unmix",
 ]

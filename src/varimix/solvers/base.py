@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -37,10 +37,9 @@ class SolverOptions:
     """Knobs shared by the unmixing solvers; unused fields are ignored.
 
     The least-squares kernel is exact and has no options of its own.
-    Option files drop unknown keys when read (``cli._load_opts``,
-    ``bench._solver_options``), so files that still carry the retired
-    splitting-solver keys ``rho``, ``inner_tol`` or ``inner_iters`` load
-    unchanged.
+    ``from_dict`` drops unknown keys, so option files and roster options
+    that still carry the retired splitting-solver keys ``rho``,
+    ``inner_tol`` or ``inner_iters``, or per-solver extras, load unchanged.
     """
 
     max_iters: int = 200            # outer iterations (alternating solvers)
@@ -59,6 +58,11 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive")
         if self.lambda_sparse < 0:
             raise ValueError("lambda_sparse must be nonnegative")
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SolverOptions":
+        known = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in doc.items() if k in known})
 
 
 @dataclass

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -208,13 +209,14 @@ def _greedy_supports(gram: np.ndarray, ys: np.ndarray, k: int, counts: QPCounts)
 def sparse_su_l0(
     image: SpectralImage,
     library: SpectralLibrary,
-    k: int,
+    k: Optional[int] = None,
     mode: str = "greedy",
     opts: SolverOptions = SolverOptions(),
     support_budget: int = L0_SUPPORT_BUDGET,
 ) -> UnmixingResult:
     """Support-limited unmixing: at most ``k`` active library columns per
-    pixel, with a simplex-constrained fit on the chosen support.
+    pixel (default: one per class), with a simplex-constrained fit on the
+    chosen support.
 
     ``greedy`` runs matching-pursuit-style forward selection for all
     pixels at once; ``exhaustive`` enumerates every support of size <= k
@@ -227,6 +229,7 @@ def sparse_su_l0(
     flat, _ = library.flatten()
     m = flat.T
     q = m.shape[1]
+    k = library.n_classes if k is None else int(k)
     if not (1 <= k <= q):
         raise ValueError(f"k must lie in [1, {q}]")
     if mode not in ("greedy", "exhaustive"):

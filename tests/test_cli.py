@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from varimix.bench import _solver_options
 from varimix.cli import main
 from varimix.io import load_abundances, load_library, save_library
 from varimix.solvers import SolverOptions
@@ -124,7 +123,7 @@ def test_opts_json_with_removed_kernel_keys(scene_dir):
     log = json.loads((out / "solver_log.json").read_text())
     assert 1 <= log["iterations"] <= 3
     assert log["flags"]["unsettled_rows"] == 0
-    assert _solver_options(old) == SolverOptions(max_iters=3)
+    assert SolverOptions.from_dict(old) == SolverOptions(max_iters=3)
 
 
 def test_music_prune_via_cli(scene_dir):

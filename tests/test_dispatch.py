@@ -1,0 +1,139 @@
+"""One dispatch path: ``varimix unmix`` and a bench roster entry resolve
+the solver input, apply a transform and write results the same way."""
+
+import json
+
+import numpy as np
+import pytest
+
+from varimix.cli import main
+from varimix.io import save_library, save_scene
+from varimix.solvers import ALGORITHMS, SolverOptions, fcls, sparse_su_l0, unmix
+from varimix.synth import synthetic_base_spectra, truth_variant_library
+
+from conftest import make_scene
+
+BANDS = 24
+
+# per solver: roster options, and the unmix flags carrying its extras
+SOLVER_ARGS = {
+    "fcls": ({}, []),
+    "mesma": ({"re_threshold": 0.01}, ["--re-threshold", "0.01"]),
+    "sparse-l1": ({"lambda_sparse": 0.002}, []),
+    "sparse-l0": ({"k": 2, "mode": "exhaustive"}, ["--k", "2", "--l0-mode", "exhaustive"]),
+    "elmm": ({"max_iters": 4}, []),
+    "plmm": ({"max_iters": 4, "gamma_plmm": 0.5}, []),
+}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """base.csv, a variant library lib.csv, a weights transform w.json
+    built from it, and a saved scene."""
+    save_library(synthetic_base_spectra(BANDS, 3, seed=7), tmp_path / "base.csv")
+    truth = make_scene(n_bands=BANDS, height=4, width=5, snr_db=30.0)
+    save_library(truth_variant_library(truth), tmp_path / "lib.csv")
+    save_scene(truth, tmp_path / "scene")
+    assert main(["transform", "--library", str(tmp_path / "lib.csv"), "--method", "weights",
+                 "--out", str(tmp_path / "w.json")]) == 0
+    return tmp_path
+
+
+def _bench_config(d, algo, options, transform):
+    return {
+        "scene": {
+            "name": "dispatch", "height": 6, "width": 7, "snr_db": 30.0, "seed": 5,
+            "base_library": str(d / "base.csv"),
+            "abundance": {"generator": "dirichlet", "alpha": [1, 1, 1],
+                          "pure_pixel_fraction": 0.1, "seed": None},
+            "variability": {"n_variants": 3, "seed": None, "class_modes": [
+                {"mode": "elmm_scaling", "scale_range": [0.85, 1.15]}] * 3},
+        },
+        "roster": [{"name": algo, "algo": algo, "library_source": "file",
+                    "library_path": str(d / "lib.csv"), "options": options}],
+        "transform": transform,
+        "output_dir": str(d / "bench"),
+    }
+
+
+@pytest.mark.parametrize("transform", [False, True], ids=["plain", "weights"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_cli_and_bench_write_the_same_bytes(inputs, algo, transform):
+    d = inputs
+    options, flags = SOLVER_ARGS[algo]
+    spec = {"method": "path", "path": str(d / "w.json")} if transform else None
+    (d / "bench.json").write_text(json.dumps(_bench_config(d, algo, options, spec)))
+    assert main(["bench", "--config", str(d / "bench.json")]) == 0
+    run = d / "bench" / "runs" / "0"
+
+    (d / "opts.json").write_text(json.dumps(options))
+    argv = ["unmix", "--image", str(run / "scene"), "--algo", algo,
+            "--library", str(d / "lib.csv"), "--opts", str(d / "opts.json"),
+            "--out", str(d / "cli"), *flags]
+    if transform:
+        argv += ["--transform", str(d / "w.json")]
+    assert main(argv) == 0
+
+    bench_dir, cli_dir = run / algo, d / "cli"
+    names = sorted(p.name for p in cli_dir.iterdir())
+    assert names == sorted(p.name for p in bench_dir.iterdir())
+    for name in ("abundances.csv", "abundances_raw.csv", "re.bin", "endmembers.bin"):
+        if name in names:
+            assert (cli_dir / name).read_bytes() == (bench_dir / name).read_bytes(), name
+    logs = [json.loads((p / "solver_log.json").read_text()) for p in (cli_dir, bench_dir)]
+    assert logs[0].keys() == logs[1].keys()
+    for key in logs[0].keys() - {"wall_time_s", "phases"}:
+        assert json.dumps(logs[0][key]) == json.dumps(logs[1][key]), key
+
+
+def test_transform_goes_to_m0_when_library_is_also_given(inputs):
+    d = inputs
+    argv = ["unmix", "--image", str(d / "scene"), "--algo", "fcls",
+            "--m0", str(d / "base.csv"), "--transform", str(d / "w.json")]
+    assert main(argv + ["--out", str(d / "m0")]) == 0
+    assert main(argv + ["--library", str(d / "lib.csv"), "--out", str(d / "both")]) == 0
+    for name in ("abundances.csv", "re.bin"):
+        assert (d / "m0" / name).read_bytes() == (d / "both" / name).read_bytes()
+
+
+@pytest.mark.parametrize("algo, extra, message", [
+    ("fcls", [], "error: --m0 or --library required"),
+    ("elmm", ["--transform", "w.json"], "error: --m0 or --library required"),
+    ("mesma", ["--m0", "base.csv"], "error: --library required for library-based algorithms"),
+    ("sparse-l0", ["--transform", "w.json"],
+     "error: --library required for library-based algorithms"),
+], ids=["fcls", "elmm-transform", "mesma-m0", "sparse-l0-transform"])
+def test_unmix_without_its_input_exits_2(inputs, capsys, algo, extra, message):
+    d = inputs
+    argv = ["unmix", "--image", str(d / "scene"), "--algo", algo, "--out", str(d / "out")]
+    argv += [a if a.startswith("--") else str(d / a) for a in extra]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (d / "out").exists()
+
+
+def test_explicit_zeros_are_passed_through(inputs):
+    d = inputs
+    with pytest.raises(ValueError, match="k must lie"):
+        main(["unmix", "--image", str(d / "scene"), "--algo", "sparse-l0",
+              "--library", str(d / "lib.csv"), "--k", "0", "--out", str(d / "out")])
+    with pytest.raises(ValueError, match="dim must lie"):
+        main(["transform", "--library", str(d / "lib.csv"), "--method", "fda",
+              "--dim", "0", "--out", str(d / "fda.json")])
+
+
+def test_sparse_l0_default_support_is_one_column_per_class():
+    truth = make_scene(n_bands=BANDS, height=3, width=4, snr_db=30.0)
+    library = truth_variant_library(truth)
+    default = sparse_su_l0(truth.image_noisy, library)
+    explicit = sparse_su_l0(truth.image_noisy, library, k=library.n_classes)
+    np.testing.assert_array_equal(default.abundances.data, explicit.abundances.data)
+
+
+def test_unmix_drops_extras_the_solver_does_not_take():
+    truth = make_scene(n_bands=BANDS, height=3, width=4)
+    matrix = truth.endmembers.class_means().T
+    opts = SolverOptions.from_dict({"max_iters": 3, "rho": 2.0})
+    got = unmix("fcls", truth.image_noisy, matrix, opts, k=0, re_threshold=0.1, mode="x")
+    want = fcls(truth.image_noisy, matrix, SolverOptions(max_iters=3))
+    np.testing.assert_array_equal(got.abundances.data, want.abundances.data)
