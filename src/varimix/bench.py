@@ -286,8 +286,10 @@ def _aggregate(values: list) -> tuple[Optional[float], Optional[float]]:
 def run_bench(cfg: BenchConfig) -> BenchReport:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scene_doc = json.dumps(cfg.scene.to_dict(), sort_keys=True)
-    digest = hashlib.sha256(scene_doc.encode()).hexdigest()
+    # the library enters by its bytes, so the digest names the scene, not its path
+    scene = {**cfg.scene.to_dict(),
+             "base_library": hashlib.sha256(Path(cfg.scene.base_library).read_bytes()).hexdigest()}
+    digest = hashlib.sha256(json.dumps(scene, sort_keys=True).encode()).hexdigest()
 
     cells: dict[str, list[dict]] = {r.name: [] for r in cfg.roster}
     times: dict[str, list[float]] = {r.name: [] for r in cfg.roster}

@@ -62,6 +62,9 @@ def _cmd_prune(args) -> int:
         pruned = count_based_reduce(
             library, args.angle_threshold, args.target, metric=args.coverage_metric
         )
+    elif not args.image:
+        print("error: --image required for --method music", file=sys.stderr)
+        return 2
     else:
         image = resolve_image(args.image)
         pruned = music_prune(library, image, args.subspace_dim, args.residual_threshold)

@@ -63,10 +63,11 @@ def extract_endmembers(
     image: SpectralImage,
     n_classes: int,
     seed: Optional[int] = None,
-    snr_db: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Select ``n_classes`` image pixels as extreme points of the data
-    simplex (seeded random direction draws).
+    simplex (seeded random direction draws). The data are projected
+    projectively onto their top P principal directions, or affinely onto
+    P - 1 when the SNR estimated from the image is below 15 + 10 log10 P dB.
 
     Returns (signatures, pixel indices) with signatures of shape (P, L);
     every returned signature is an actual image pixel. A degenerate
@@ -97,14 +98,12 @@ def extract_endmembers(
 
     corr = (y @ y.T) / n
     u_full, _, _ = np.linalg.svd(corr)
-    if snr_db is None:
-        ud = u_full[:, :p]
-        snr_db = _estimate_snr(y, y_mean, ud.T @ y0)
+    ud = u_full[:, :p]
+    snr_db = _estimate_snr(y, y_mean, ud.T @ y0)
     snr_threshold = 15.0 + 10.0 * np.log10(p)
 
     use_affine = snr_db < snr_threshold
     if not use_affine:
-        ud = u_full[:, :p]
         x = ud.T @ y
         u_dir = x.mean(axis=1)
         denom = x.T @ u_dir

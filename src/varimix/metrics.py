@@ -45,13 +45,12 @@ def pairwise_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(diff, summ)
 
 
-def sam_field(m_true: EndmemberField, m_hat: EndmemberField, per_pair: bool = False) -> float:
+def sam_field(m_true: EndmemberField, m_hat: EndmemberField) -> float:
     """Mean angle between matching per-pixel endmember columns.
 
-    By default the angle sum over all (pixel, class) pairs is divided by
-    L*P*N, which shrinks the score by the band count relative to a plain
-    per-pair mean; pass ``per_pair=True`` for the conventional mean angle
-    over the N*P pairs.
+    The angle sum over all (pixel, class) pairs is divided by L*P*N,
+    which shrinks the score by the band count relative to a plain
+    per-pair mean; the bench reports SAM_M on this scale.
     """
     if m_true.data.shape != m_hat.data.shape:
         raise DimensionError("endmember fields differ in shape")
@@ -66,6 +65,4 @@ def sam_field(m_true: EndmemberField, m_hat: EndmemberField, per_pair: bool = Fa
     summ = np.linalg.norm(u + v, axis=1)
     angles = 2.0 * np.arctan2(diff, summ)
     total = float(np.sum(angles))
-    if per_pair:
-        return total / (p * n)
     return total / (l * p * n)

@@ -54,11 +54,11 @@ def add_noise(image: SpectralImage, snr_db: float, seed: int) -> SpectralImage:
     if image.n_pixels == 0:
         raise ValueError("cannot add noise to an empty image")
     if math.isinf(snr_db) and snr_db > 0:
-        return SpectralImage(image.data, wavelengths=image.wavelengths, name=image.name)
+        return SpectralImage(image.data, name=image.name)
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite or +inf")
     signal_power = float(np.mean(image.data**2))
     sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     noisy = image.data + rng.normal(0.0, sigma, size=image.data.shape)
-    return SpectralImage(noisy, wavelengths=image.wavelengths, name=image.name)
+    return SpectralImage(noisy, name=image.name)

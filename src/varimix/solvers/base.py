@@ -39,7 +39,8 @@ class SolverOptions:
     The least-squares kernel is exact and has no options of its own.
     ``from_dict`` drops unknown keys, so option files and roster options
     that still carry the retired splitting-solver keys ``rho``,
-    ``inner_tol`` or ``inner_iters``, or per-solver extras, load unchanged.
+    ``inner_tol`` or ``inner_iters``, the retired ``seed`` (no solver
+    draws random numbers), or per-solver extras, load unchanged.
     """
 
     max_iters: int = 200            # outer iterations (alternating solvers)
@@ -48,7 +49,6 @@ class SolverOptions:
     lambda_m: float = 1.0           # endmember tie penalty (scaled model)
     lambda_psi: float = 0.1         # spatial smoothness of scaling factors
     gamma_plmm: float = 1.0         # perturbation Frobenius penalty
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:

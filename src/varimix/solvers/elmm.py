@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -68,17 +67,12 @@ def elmm_unmix(
     image: SpectralImage,
     ref_matrix: np.ndarray,
     opts: SolverOptions = SolverOptions(),
-    init_abundances: Optional[np.ndarray] = None,
-    init_psi: Optional[np.ndarray] = None,
-    init_endmembers: Optional[np.ndarray] = None,
-    class_names=None,
 ) -> UnmixingResult:
     """Unmix under the scaled-reference endmember model.
 
-    ``ref_matrix`` is the (L, P) reference. A dense ``init_endmembers``
-    field is used by the first abundance step and the initial cost only.
-    The emitted endmember field is clamped to be nonnegative; the solver
-    state is not.
+    ``ref_matrix`` is the (L, P) reference. The loop starts from FCLS
+    abundances on it with unit scalings, i.e. every M_n = M0. The emitted
+    endmember field is clamped to be nonnegative; the solver state is not.
     """
     start = time.perf_counter()
     y = image.pixels
@@ -89,14 +83,8 @@ def elmm_unmix(
         raise ValueError("ref_matrix has a zero column")
     n, p = y.shape[0], m0.shape[1]
     grid = (image.height, image.width, p)
-
-    if init_abundances is None:
-        with timed(core.phases, "qp"):
-            a0, _ = fcls_core(y, m0, core.counts)
-    else:
-        a0 = np.array(init_abundances, dtype=np.float64)
-    psi0 = np.ones((n, p)) if init_psi is None else np.array(init_psi, dtype=np.float64)
-    dense0 = None if init_endmembers is None else np.array(init_endmembers, dtype=np.float64)
+    with timed(core.phases, "qp"):
+        a0, _ = fcls_core(y, m0, core.counts)
 
     def step(s):
         new = core.step(s, s.psi)
@@ -108,10 +96,9 @@ def elmm_unmix(
 
     def cost(s):
         with timed(core.phases, "cost"):
-            tie = None if s.dense is None else s.dense - m0[None, :, :] * s.psi[:, None, :]
-            return core.cost(s, tie) + lam_psi * _grid_spatial(s.psi, *grid[:2])
+            return core.cost(s) + lam_psi * _grid_spatial(s.psi, *grid[:2])
 
-    state, log = monotone_loop(core.start(a0, psi0, dense0), step, cost,
+    state, log = monotone_loop(core.start(a0, np.ones((n, p))), step, cost,
                                opts.max_iters, opts.tol)
     core.finish(log, start, {"lambda_m": lam_m, "lambda_psi": lam_psi})
-    return core.result(state.a, core.field(state), log, class_names, {"psi": state.psi})
+    return core.result(state.a, core.field(state), log, {"psi": state.psi})

@@ -16,21 +16,20 @@ def fcls(
     image: SpectralImage,
     matrix: np.ndarray,
     opts: SolverOptions = SolverOptions(),
-    class_names=None,
 ) -> UnmixingResult:
     """Simplex-constrained inversion of the plain linear mixing model.
 
-    ``matrix`` is (L, P). The result carries no endmember field: the
-    baseline does not estimate per-pixel signatures.
+    ``matrix`` is (L, P). Under the sum-to-one constraint the abundances
+    are unique when [M; 1'] has rank P, so L = P - 1 bands can suffice;
+    below that rank a warning is raised. The result carries no endmember
+    field: the baseline does not estimate per-pixel signatures.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != image.n_bands:
         raise DimensionError("matrix must be (L, P) matching the image bands")
-    l, p = m.shape
-    if p > l:
-        warnings.warn(f"more classes ({p}) than bands ({l}); problem is underdetermined")
-    if np.linalg.matrix_rank(m) < p:
-        warnings.warn("endmember matrix is rank deficient")
+    p = m.shape[1]
+    if np.linalg.matrix_rank(np.vstack([m, np.ones(p)])) < p:
+        warnings.warn(f"[M; 1'] has rank below P = {p}: abundances are not unique")
     start = time.perf_counter()
     y = image.pixels
     counts = QPCounts()
@@ -46,7 +45,7 @@ def fcls(
         flags=counts.flags(),
     )
     return UnmixingResult(
-        abundances=AbundanceMap(a, sum_to_one=True, class_names=class_names),
+        abundances=AbundanceMap(a, sum_to_one=True),
         per_pixel_re=per_pixel_rms(y, recon),
         reconstruction=recon,
         solver_log=log,

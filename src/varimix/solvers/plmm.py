@@ -15,7 +15,6 @@ the result.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 
@@ -28,14 +27,11 @@ def plmm_unmix(
     image: SpectralImage,
     ref_matrix: np.ndarray,
     opts: SolverOptions = SolverOptions(),
-    init_abundances: Optional[np.ndarray] = None,
-    init_perturbation: Optional[np.ndarray] = None,
-    class_names=None,
 ) -> UnmixingResult:
     """Unmix under the additively perturbed endmember model.
 
-    A dense ``init_perturbation`` is used by the first abundance step and
-    the initial cost only. The emitted field M0 + dM_n is clamped to be
+    The loop starts from FCLS abundances on ``ref_matrix`` with a zero
+    perturbation. The emitted field M0 + dM_n is clamped to be
     nonnegative; ``extras["perturbation"]`` keeps the unclamped dM_n.
     """
     start = time.perf_counter()
@@ -44,22 +40,16 @@ def plmm_unmix(
     core = RankOneModel(y, ref_matrix, gamma)
     m0 = core.m0
     ones = np.ones((y.shape[0], m0.shape[1]))
-
-    if init_abundances is None:
-        with timed(core.phases, "qp"):
-            a0, _ = fcls_core(y, m0, core.counts)
-    else:
-        a0 = np.array(init_abundances, dtype=np.float64)
-    dm0 = None if init_perturbation is None else np.array(init_perturbation, dtype=np.float64)
+    with timed(core.phases, "qp"):
+        a0, _ = fcls_core(y, m0, core.counts)
 
     def cost(s):
         with timed(core.phases, "cost"):
-            return core.cost(s, dm0)
+            return core.cost(s)
 
-    initial = core.start(a0, ones, None if dm0 is None else m0[None, :, :] + dm0)
-    state, log = monotone_loop(initial, lambda s: core.step(s, ones), cost,
+    state, log = monotone_loop(core.start(a0, ones), lambda s: core.step(s, ones), cost,
                                opts.max_iters, opts.tol)
     core.finish(log, start, {"gamma": gamma})
 
-    dm = dm0 if state.dense is not None else core.direction(state)[:, :, None] * state.a[:, None, :]
-    return core.result(state.a, m0[None, :, :] + dm, log, class_names, {"perturbation": dm})
+    dm = core.direction(state)[:, :, None] * state.a[:, None, :]
+    return core.result(state.a, m0[None, :, :] + dm, log, {"perturbation": dm})

@@ -14,6 +14,10 @@ eps ||y||^2). The residual y_n - M_n a_n is lam u_n, so the fit is
 lam^2 ||u||^2 and the cost, like the Gram matrix and linear term, follows
 from the statistics; u and the (N, L, P) field are built once, from the
 pixels, for the result.
+
+Both solvers start from the plain linear-mixing solution: FCLS
+abundances on M0, unit scalings and u = 0 (``start``), so every M_n is
+M0 and the tie is zero.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, EndmemberField
-from .base import (QPCounts, SolverLog, UnmixingResult, _gram, fcls_gram, per_pixel_rms,
-                   reconstruct, timed)
+from .base import (QPCounts, SolverLog, UnmixingResult, fcls_gram, per_pixel_rms, reconstruct,
+                   timed)
 
 _RECOMPUTE = 1e-10
 
@@ -43,7 +47,6 @@ class RankOneState:
     uu: np.ndarray      # (N,) ||u_n||^2
     uy: np.ndarray      # (N,) u_n' y_n
     fit: Optional[np.ndarray] = None    # (N,) ||y_n - M_n a_n||^2
-    dense: Optional[np.ndarray] = None  # (N, L, P) dense initial field, used by the first step only
 
 
 class RankOneModel:
@@ -64,10 +67,10 @@ class RankOneModel:
         self.recomputed_rows = 0
         self.phases = {}
 
-    def start(self, a, psi, dense=None) -> RankOneState:
-        """State with field M0 diag(psi), or the given dense field."""
+    def start(self, a, psi) -> RankOneState:
+        """State with field M0 diag(psi)."""
         zero = np.zeros(psi.shape[0])
-        return RankOneState(a, psi, psi, np.zeros_like(psi), zero, zero, None, dense)
+        return RankOneState(a, psi, psi, np.zeros_like(psi), zero, zero)
 
     def update(self, a: np.ndarray, psi: np.ndarray) -> RankOneState:
         """Endmember step for abundances ``a`` and scalings ``psi``."""
@@ -99,19 +102,17 @@ class RankOneModel:
         """Abundance step against each pixel's current M_n, then the
         endmember step for scalings ``psi``."""
         with timed(self.phases, "qp"):
-            g, h = _gram(self.y, s.dense) if s.dense is not None else self.gram(s)
+            g, h = self.gram(s)
             a, _ = fcls_gram(g, h, self.counts)
         with timed(self.phases, "endmember"):
             return self.update(a, psi)
 
-    def cost(self, s: RankOneState, dense_tie: Optional[np.ndarray] = None) -> float:
-        """Fit plus ``lam`` times the tie ||M_n - M0 diag(psi_n)||_F^2: from the
-        pixels in a start state (tie zero, or ||dense_tie||^2 with a dense
-        field), else from the statistics and the column norms of M0."""
+    def cost(self, s: RankOneState) -> float:
+        """Fit plus ``lam`` times the tie ||M_n - M0 diag(psi_n)||_F^2: the fit
+        from the pixels in a start state (tie zero), else fit and tie from the
+        statistics and the column norms of M0."""
         if s.fit is None:
-            recon = (s.psi * s.a) @ self.m0.T if s.dense is None else reconstruct(s.dense, s.a)
-            tie = 0.0 if s.dense is None else np.sum(dense_tie**2)
-            return float(np.sum((self.y - recon) ** 2) + self.lam * tie)
+            return float(np.sum((self.y - (s.psi * s.a) @ self.m0.T) ** 2))
         d = s.psi_m - s.psi
         tie = (np.sum(d**2 * self.col_sq) + 2.0 * np.sum(d * s.a * s.w)
                + s.uu @ np.einsum("np,np->n", s.a, s.a))
@@ -126,8 +127,6 @@ class RankOneModel:
 
     def field(self, s: RankOneState) -> np.ndarray:
         """The (N, L, P) endmember field; a new array."""
-        if s.dense is not None:
-            return s.dense.copy()
         u = self.direction(s)
         f = np.empty(u.shape + (self.m0.shape[1],))
         for j in range(f.shape[2]):
@@ -142,10 +141,10 @@ class RankOneModel:
                      **log.flags}
         log.phases = self.phases
 
-    def result(self, a, emitted, log, class_names, extras) -> UnmixingResult:
+    def result(self, a, emitted, log, extras) -> UnmixingResult:
         """The solver's output; the field ``emitted`` is clamped in place."""
         np.clip(emitted, 0.0, None, out=emitted)
         recon = reconstruct(emitted, a)
-        return UnmixingResult(AbundanceMap(a, sum_to_one=True, class_names=class_names),
+        return UnmixingResult(AbundanceMap(a, sum_to_one=True),
                               per_pixel_rms(self.y, recon), recon, log,
                               EndmemberField(emitted), extras=extras)

@@ -328,7 +328,7 @@ def synthesize_scene(
 
     clean = mix_forward(endmembers, abundances, shape=(height, width), name=f"{name}_clean")
     noisy = add_noise(clean, snr_db, noise_seed)
-    noisy = SpectralImage(noisy.data, wavelengths=noisy.wavelengths, name=f"{name}_noisy")
+    noisy = SpectralImage(noisy.data, name=f"{name}_noisy")
     return SceneTruth(
         image_noisy=noisy,
         image_clean=clean,

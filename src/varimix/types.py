@@ -45,16 +45,14 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class SpectralImage:
-    """An H x W reflectance cube with L bands.
+    """An H x W reflectance cube with L bands, indexed by band number.
 
     Pixels are indexed row-major: pixel n is ``data[n // W, n % W]``.
-    Values are dimensionless reflectance, nominally in [0, 1.2]; slightly
-    negative values are tolerated (noise) but anything outside
-    [-0.1, 2.0] is counted as suspicious.
+    Values are dimensionless reflectance, nominally in [0, 1.2]; negative
+    values (noise, transformed images) are allowed, non-finite ones are not.
     """
 
     data: np.ndarray                    # (H, W, L) float64
-    wavelengths: Optional[np.ndarray] = None   # (L,) nanometers
     name: str = "image"
 
     def __post_init__(self):
@@ -62,11 +60,6 @@ class SpectralImage:
             raise DimensionError("SpectralImage.data must be (H, W, L)")
         _require_finite(self.data, "SpectralImage.data")
         object.__setattr__(self, "data", _freeze(self.data))
-        if self.wavelengths is not None:
-            wl = _freeze(self.wavelengths)
-            if wl.shape != (self.n_bands,):
-                raise DimensionError("wavelengths must have one entry per band")
-            object.__setattr__(self, "wavelengths", wl)
 
     @property
     def height(self) -> int:
@@ -88,11 +81,6 @@ class SpectralImage:
     def pixels(self) -> np.ndarray:
         """Row-major (N, L) view of the cube."""
         return self.data.reshape(self.n_pixels, self.n_bands)
-
-    @property
-    def n_suspicious(self) -> int:
-        """Count of values below -0.1 or above 2.0."""
-        return int(np.sum((self.data < -0.1) | (self.data > 2.0)))
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,23 @@ class TestRunBench:
         report = run_bench(cfg)
         assert report.rows["fcls"].rmse_a_mean < 1e-6
 
+    def test_scene_digest_follows_library_content_not_path(self, tmp_path):
+        def digest(work, base_seed=7):
+            work.mkdir(exist_ok=True)
+            save_library(synthetic_base_spectra(12, 3, seed=base_seed), work / "base.csv")
+            scene = SceneConfig(
+                height=3, width=4, base_library=str(work / "base.csv"),
+                abundance=AbundanceFieldConfig(generator="dirichlet", alpha=(1, 1, 1)),
+                variability=VariabilityConfig(class_modes=tuple(
+                    ClassVariability("none") for _ in range(3)), n_variants=1))
+            cfg = BenchConfig(scene=scene, roster=(RosterEntry("fcls", "fcls"),),
+                              output_dir=str(work / "out"), keep_run_artifacts=False)
+            return run_bench(cfg).metadata["scene_digest"]
+
+        first = digest(tmp_path / "a")
+        assert digest(tmp_path / "b") == first
+        assert digest(tmp_path / "a", base_seed=8) != first
+
     def test_report_files_and_structure(self, tmp_path):
         cfg = _tiny_bench_cfg(tmp_path)
         report = run_bench(cfg)

@@ -112,9 +112,10 @@ def test_unmix_with_opts_json_and_fda(scene_dir):
 
 def test_opts_json_with_removed_kernel_keys(scene_dir):
     # option files written before the exact QP kernel still carry the
-    # splitting solver's rho / inner_tol / inner_iters; unknown keys are
-    # dropped, on the command line and in bench configs alike
-    old = {"rho": 2.0, "inner_tol": 1e-6, "inner_iters": 50, "max_iters": 3}
+    # splitting solver's rho / inner_tol / inner_iters, and older ones a
+    # seed no solver read; unknown keys are dropped, on the command line
+    # and in bench configs alike
+    old = {"rho": 2.0, "inner_tol": 1e-6, "inner_iters": 50, "seed": 4, "max_iters": 3}
     (scene_dir / "old_opts.json").write_text(json.dumps(old))
     out = scene_dir / "elmm_out"
     assert main(["unmix", "--image", str(scene_dir / "scene"), "--algo", "elmm",
@@ -136,6 +137,15 @@ def test_music_prune_via_cli(scene_dir):
                  "--image", scene, "--subspace-dim", "3",
                  "--residual-threshold", "0.9", "--out", out]) == 0
     assert load_library(out).n_classes == 3
+
+
+def test_music_prune_without_image_exits_2(tmp_path, capsys):
+    save_library(synthetic_base_spectra(12, 3, seed=7), tmp_path / "lib.csv")
+    out = tmp_path / "music.csv"
+    assert main(["prune", "--library", str(tmp_path / "lib.csv"), "--method", "music",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --image required for --method music\n"
+    assert not out.exists()
 
 
 def test_bench_cli_and_exit_codes(tmp_path):

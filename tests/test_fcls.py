@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,21 @@ class TestFcls:
         m = rng.uniform(0.1, 1.0, size=(3, 5))
         with pytest.warns(UserWarning):
             fcls(_image(rng.uniform(0, 1, size=(4, 3))), m)
+
+    def test_one_class_more_than_bands_is_determined(self, rng):
+        # [M; 1'] has full rank P with L = P - 1: no warning, exact recovery
+        m = rng.uniform(0.1, 1.0, size=(2, 3))
+        a = rng.dirichlet(np.ones(3), size=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fcls(_image(a @ m.T), m)
+        assert np.max(np.abs(res.abundances.data - a)) <= 1e-12
+
+    def test_warns_on_duplicate_columns(self, rng):
+        m = rng.uniform(0.1, 1.0, size=(6, 3))
+        m[:, 2] = m[:, 0]
+        with pytest.warns(UserWarning, match="rank below P"):
+            fcls(_image(rng.uniform(0, 1, size=(4, 6))), m)
 
     def test_rejects_nonfinite(self, rng):
         m = rng.uniform(0.1, 1.0, size=(5, 2))

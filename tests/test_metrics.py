@@ -49,7 +49,6 @@ def test_sam_orthogonal_single_pair():
     t = EndmemberField(np.array([[[1.0], [0.0]]]))
     h = EndmemberField(np.array([[[0.0], [1.0]]]))
     assert sam_field(t, h) == pytest.approx(math.pi / 4, abs=1e-12)
-    assert sam_field(t, h, per_pair=True) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_sam_zero_norm_rejected():

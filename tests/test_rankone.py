@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import identity
 from scipy.sparse.linalg import spsolve
@@ -22,7 +22,6 @@ from scipy.sparse.linalg import spsolve
 from varimix.solvers import (
     SolverOptions,
     elmm_unmix,
-    fcls_core,
     kkt_residual_simplex,
     plmm_unmix,
 )
@@ -64,6 +63,16 @@ def _rel(x, ref):
     return np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-300)
 
 
+def _term_scale(y, m0, s, u):
+    """Gram matrix and linear term of |M0| diag(|psi_m|) + |u| |a|' and |y|:
+    element by element, the sum of the absolute values of the terms that
+    both the factored and the dense form add up. An entry such as
+    (M0 psi_m + u a)^2 can cancel far below its terms, and either form is
+    exact only to eps times them."""
+    return _gram(np.abs(y), _dense(np.abs(m0), replace(s, a=np.abs(s.a), psi_m=np.abs(s.psi_m)),
+                                   np.abs(u)))
+
+
 def _with_fit(y, m0, s, u):
     """State ``s`` with its per-pixel fit taken from the dense field."""
     fit = np.sum((y - np.einsum("nlp,np->nl", _dense(m0, s, u), s.a)) ** 2, axis=1)
@@ -102,12 +111,15 @@ case = given(
 
 @settings(max_examples=60, deadline=None)
 @case
+# field entry -7.2e-4 = 0.2447 - 0.2454, so g = 5.2e-7 from terms 0.0599 - 0.1201 + 0.0602
+@example(seed=45941, n=1, l=1, p=1, floor=False, zeros=False)
 def test_factored_gram_equals_dense(seed, n, l, p, floor, zeros):
     y, m0, s, u = _factored_case(seed, n, l, p, floor, zeros)
     g, h = RankOneModel(y, m0, 1.0).gram(s)
     g_ref, h_ref = _gram(y, _dense(m0, s, u))
-    assert _rel(g, g_ref) <= RTOL
-    assert _rel(h, h_ref) <= RTOL
+    g_scale, h_scale = _term_scale(y, m0, s, u)
+    assert np.all(np.abs(g - g_ref) <= RTOL * g_scale)
+    assert np.all(np.abs(h - h_ref) <= RTOL * h_scale)
     assert np.array_equal(g, g.transpose(0, 2, 1))
 
 
@@ -212,8 +224,7 @@ def test_every_abundance_step_meets_kkt(monkeypatch, module, unmix, opts):
     def loop(initial_state, step_fn, cost_fn, max_iters, tol):
         def step(s):
             new = step_fn(s)
-            dense = s.dense if s.dense is not None else _dense(m0, s, _u(y, m0, lam, s))
-            residuals.append(kkt_residual_simplex(y, dense, new.a))
+            residuals.append(kkt_residual_simplex(y, _dense(m0, s, _u(y, m0, lam, s)), new.a))
             return new
         return monotone_loop(initial_state, step, cost_fn, max_iters, tol)
 
@@ -222,31 +233,6 @@ def test_every_abundance_step_meets_kkt(monkeypatch, module, unmix, opts):
     assert len(residuals) >= res.solver_log.iterations >= 2
     for act, inact, scale in residuals:
         assert max(act, inact) <= KKT_RTOL * scale
-
-
-def test_dense_init_feeds_the_initial_cost_and_first_step():
-    image, m0 = _small_scene(5)
-    y = image.pixels
-    n, l = y.shape
-    p = m0.shape[1]
-    rng = np.random.default_rng(3)
-    dm0 = rng.normal(0.0, 0.02, size=(n, l, p))
-    psi0 = rng.uniform(0.9, 1.1, size=(n, p))
-    a0, _ = fcls_core(y, m0)
-    lap = grid_laplacian(image.height, image.width)
-
-    res = plmm_unmix(image, m0, SolverOptions(max_iters=1, gamma_plmm=0.5),
-                     init_perturbation=dm0)
-    assert res.solver_log.cost_history[0] == _plmm_cost(y, m0, 0.5, (a0, dm0))
-    assert res.solver_log.iterations == 1
-    assert np.array_equal(res.abundances.data, fcls_core(y, m0[None] + dm0)[0])
-
-    m_init = m0[None] * psi0[:, None, :] + dm0
-    opts = SolverOptions(max_iters=1, lambda_m=1.0, lambda_psi=0.5)
-    res = elmm_unmix(image, m0, opts, init_psi=psi0, init_endmembers=m_init)
-    assert res.solver_log.cost_history[0] == _elmm_cost(y, m0, lap, 1.0, 0.5, (a0, psi0, m_init))
-    assert res.solver_log.iterations == 1
-    assert np.array_equal(res.abundances.data, fcls_core(y, m_init)[0])
 
 
 def test_monotone_loop_stops_at_a_cost_rise():

@@ -28,15 +28,6 @@ def test_image_rejects_nan():
         SpectralImage(data)
 
 
-def test_image_suspicious_count():
-    data = np.full((1, 4, 2), 0.5)
-    data[0, 0, 0] = -0.2
-    data[0, 1, 1] = 2.5
-    data[0, 2, 0] = -0.05   # tolerated noise
-    img = SpectralImage(data)
-    assert img.n_suspicious == 2
-
-
 def test_image_immutable():
     img = SpectralImage(np.ones((1, 2, 3)))
     with pytest.raises(ValueError):
