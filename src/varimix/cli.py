@@ -41,15 +41,19 @@ def _cmd_synth(args) -> int:
 
 def _cmd_extract(args) -> int:
     image = resolve_image(args.image)
-    cfg = BundleExtractionConfig(
-        n_classes=args.classes,
-        num_runs=args.runs,
-        subset_size=args.subset,
-        with_replacement=not args.no_replacement,
-        cluster_metric=args.metric,
-        seed=args.seed,
-    )
-    library = extract_bundles(image, cfg)
+    try:
+        cfg = BundleExtractionConfig(
+            n_classes=args.classes,
+            num_runs=args.runs,
+            subset_size=args.subset,
+            with_replacement=not args.no_replacement,
+            cluster_metric=args.metric,
+            seed=args.seed,
+        )
+        library = extract_bundles(image, cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     save_library(library, args.out)
     print(f"library with {sum(library.sizes)} signatures in {library.n_classes} "
           f"classes written to {args.out}")

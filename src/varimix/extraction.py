@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .types import (
     DegenerateGeometryWarning,
@@ -46,17 +47,31 @@ class BundleExtractionConfig:
             raise ValueError(f"unknown cluster metric {self.cluster_metric!r}")
 
 
-def _estimate_snr(y, y_mean, projected):
-    p_y = float(np.sum(y**2)) / y.shape[1]
-    p_x = float(np.sum(projected**2)) / y.shape[1] + float(np.sum(y_mean**2))
+def _estimate_snr(corr, mean, projected):
+    """SNR in dB of pixels with scatter ``corr`` = Y'Y/N and mean
+    ``mean`` whose centred data project to the (N, P) ``projected``."""
+    n, p = projected.shape
+    p_y = float(np.trace(corr))
+    p_x = float(np.sum(projected**2)) / n + float(mean @ mean)
     denom = p_y - p_x
     if denom <= 0:
         return np.inf
-    p = projected.shape[0]
-    num = p_x - p / y.shape[0] * p_y
+    num = p_x - p / corr.shape[0] * p_y
     if num <= 0:
         return 0.0
     return 10.0 * np.log10(num / denom)
+
+
+def _top_eigenvectors(scatter: np.ndarray, k: int) -> np.ndarray:
+    """(L, k) eigenvectors of the symmetric ``scatter`` for its k largest
+    eigenvalues, in descending order of eigenvalue. Each is signed so that
+    its entry of largest magnitude is positive: the selections made from
+    them must not depend on the sign LAPACK happens to return."""
+    l = scatter.shape[0]
+    _, vecs = eigh(scatter, subset_by_index=[l - k, l - 1])
+    vecs = vecs[:, ::-1]
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)]
+    return vecs * np.sign(top)
 
 
 def extract_endmembers(
@@ -69,56 +84,65 @@ def extract_endmembers(
     projectively onto their top P principal directions, or affinely onto
     P - 1 when the SNR estimated from the image is below 15 + 10 log10 P dB.
 
+    Every direction is an eigenvector of an (L, L) scatter of the (N, L)
+    pixel matrix Y, from a partial symmetric eigendecomposition: the
+    projective subspace is the top P of Y'Y/N, the affine one (and the
+    single direction of P = 1) the top P - 1 of Y0'Y0/N for the
+    mean-removed Y0. So the cost is one O(N L^2) product per scatter plus
+    an O(L^2 P) eigensolve; no SVD of the pixel matrix is made. Each
+    eigenvector is signed so that its entry of largest magnitude is
+    positive, which fixes the selections for a given seed.
+
     Returns (signatures, pixel indices) with signatures of shape (P, L);
     every returned signature is an actual image pixel. A degenerate
-    geometry (data rank below P-1) raises a warning and returns a best
-    effort.
+    geometry (rank of Y0 projected on the top-P subspace below P - 1, at
+    the tolerance 1e-10 max(1, max|Y0|)) raises a warning and returns a
+    best effort. Raises ``DimensionError`` when P exceeds the pixel or
+    the band count.
     """
-    y = image.pixels.T.astype(np.float64)            # (L, N)
-    l, n = y.shape
+    pixels = image.pixels                              # (N, L)
+    n, l = pixels.shape
     p = n_classes
     if n < p:
         raise DimensionError(f"need at least {p} pixels, image has {n}")
+    if l < p:
+        raise DimensionError(f"need at least {p} bands, image has {l}")
     rng = np.random.default_rng(seed)
 
-    y_mean = y.mean(axis=1, keepdims=True)
-    y0 = y - y_mean
+    mean = pixels.mean(axis=0)
+    centred = pixels - mean
     if p == 1:
         # degenerate case: pixel with the largest loading on the first
         # principal direction of the mean-removed data
-        u, s, _ = np.linalg.svd(y0, full_matrices=False)
-        idx = np.array([int(np.argmax(np.abs(u[:, 0] @ y0)))])
-        return image.pixels[idx].copy(), idx
+        u = _top_eigenvectors(centred.T @ centred / n, 1)
+        idx = np.array([int(np.argmax(np.abs(centred @ u[:, 0])))])
+        return pixels[idx], idx
 
-    if np.linalg.matrix_rank(y0, tol=1e-10 * max(1.0, float(np.abs(y0).max()))) < p - 1:
+    corr = pixels.T @ pixels / n
+    ud = _top_eigenvectors(corr, p)
+    projected = centred @ ud                           # (N, P)
+    if np.linalg.matrix_rank(projected, tol=1e-10 * max(1.0, float(np.abs(centred).max()))) < p - 1:
         warnings.warn(
             "data simplex rank is below P-1; extraction is degenerate",
             DegenerateGeometryWarning,
         )
-
-    corr = (y @ y.T) / n
-    u_full, _, _ = np.linalg.svd(corr)
-    ud = u_full[:, :p]
-    snr_db = _estimate_snr(y, y_mean, ud.T @ y0)
+    snr_db = _estimate_snr(corr, mean, projected)
     snr_threshold = 15.0 + 10.0 * np.log10(p)
 
     use_affine = snr_db < snr_threshold
     if not use_affine:
-        x = ud.T @ y
-        u_dir = x.mean(axis=1)
-        denom = x.T @ u_dir
+        x = pixels @ ud
+        denom = x @ x.mean(axis=0)
         if np.min(np.abs(denom)) <= 1e-12 * max(1.0, float(np.abs(denom).max())):
             use_affine = True                       # projective scaling unsafe
         else:
-            work = x / denom[None, :]
+            work = x / denom[:, None]
     if use_affine:
-        cov = (y0 @ y0.T) / n
-        u_aff, _, _ = np.linalg.svd(cov)
-        x = u_aff[:, : p - 1].T @ y0
-        c = float(np.sqrt(np.max(np.sum(x**2, axis=0))))
+        x = centred @ _top_eigenvectors(centred.T @ centred / n, p - 1)
+        c = float(np.sqrt(np.max(np.sum(x**2, axis=1))))
         if c == 0.0:
             c = 1.0
-        work = np.vstack([x, np.full((1, n), c)])
+        work = np.hstack([x, np.full((n, 1), c)])
 
     indices = np.zeros(p, dtype=np.intp)
     basis = np.zeros((p, p))
@@ -131,10 +155,10 @@ def extract_endmembers(
             f = w
             norm = float(np.linalg.norm(f))
         f /= norm
-        v = (f.T @ work).ravel()
+        v = (work @ f).ravel()
         indices[i] = int(np.argmax(np.abs(v)))
-        basis[:, i] = work[:, indices[i]]
-    return image.pixels[indices].copy(), indices
+        basis[:, i] = work[indices[i]]
+    return pixels[indices], indices
 
 
 def _angle_normalize(x: np.ndarray) -> np.ndarray:
@@ -200,7 +224,9 @@ def extract_bundles(image: SpectralImage, cfg: BundleExtractionConfig) -> Spectr
     them into classes.
 
     Classes are named class_0, class_1, ... ordered by descending mean
-    signature norm so repeated runs are comparable.
+    signature norm so repeated runs are comparable. Raises ``ValueError``
+    when the pooled signatures hold fewer distinct spectra than classes
+    (e.g. a constant image), before any clustering is tried.
     """
     n = image.n_pixels
     if not cfg.with_replacement and cfg.subset_size > n:
@@ -222,6 +248,12 @@ def extract_bundles(image: SpectralImage, cfg: BundleExtractionConfig) -> Spectr
         sigs, _ = extract_endmembers(sub_img, cfg.n_classes, seed=int(run_seeds[stream]))
         pool.append(sigs)
     pooled = np.concatenate(pool, axis=0)
+    distinct = np.unique(pooled, axis=0).shape[0]
+    if distinct < cfg.n_classes:
+        raise ValueError(
+            f"the pooled signatures hold {distinct} distinct spectra, "
+            f"fewer than the {cfg.n_classes} classes requested"
+        )
 
     labels = None
     for attempt in range(10):

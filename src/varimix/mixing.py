@@ -51,14 +51,19 @@ def add_noise(image: SpectralImage, snr_db: float, seed: int) -> SpectralImage:
     NOISELESS sentinel) returns the input unchanged. Deterministic in
     ``seed``.
     """
+    return SpectralImage(_noisy(image, snr_db, seed), name=image.name)
+
+
+def _noisy(image: SpectralImage, snr_db: float, seed: int) -> np.ndarray:
+    """The data of ``add_noise(image, snr_db, seed)``, not yet wrapped in
+    an image (wrapping copies and scans the cube)."""
     if image.n_pixels == 0:
         raise ValueError("cannot add noise to an empty image")
     if math.isinf(snr_db) and snr_db > 0:
-        return SpectralImage(image.data, name=image.name)
+        return image.data
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite or +inf")
     signal_power = float(np.mean(image.data**2))
     sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
-    noisy = image.data + rng.normal(0.0, sigma, size=image.data.shape)
-    return SpectralImage(noisy, name=image.name)
+    return image.data + rng.normal(0.0, sigma, size=image.data.shape)

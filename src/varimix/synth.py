@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
-from .mixing import add_noise, mix_forward
+from .mixing import _noisy, mix_forward
 from .types import (
     AbundanceMap,
     DimensionError,
@@ -327,8 +327,7 @@ def synthesize_scene(
     endmembers = EndmemberField(np.ascontiguousarray(field.transpose(0, 2, 1)))
 
     clean = mix_forward(endmembers, abundances, shape=(height, width), name=f"{name}_clean")
-    noisy = add_noise(clean, snr_db, noise_seed)
-    noisy = SpectralImage(noisy.data, name=f"{name}_noisy")
+    noisy = SpectralImage(_noisy(clean, snr_db, noise_seed), name=f"{name}_noisy")
     return SceneTruth(
         image_noisy=noisy,
         image_clean=clean,

@@ -4,7 +4,8 @@ These deliberately avoid the package's solver code paths: the simplex QP
 enumerates active sets directly, the model search is a plain double loop,
 the sparse oracle is cyclic coordinate descent on the objective, the
 greedy L0 oracle is a per-pixel forward selection with scipy's NNLS, the
-MUSIC residuals come from a thin SVD of the pixel matrix, and the simplex
+MUSIC residuals come from a thin SVD of the pixel matrix, VCA takes its
+subspaces from SVDs rather than partial eigendecompositions, and the simplex
 projection backs a projected-gradient optimality check. The
 dense alternating references keep one (L, P) matrix per pixel, solve
 the endmember step as a batched ridge system and the scaling step on
@@ -196,6 +197,66 @@ def music_residual_oracle(signatures, pixels, k):
     norms = np.linalg.norm(shifted, axis=1)
     rest = np.linalg.norm(shifted - (shifted @ u) @ u.T, axis=1)
     return np.divide(rest, norms, out=np.zeros_like(norms), where=norms > 0)
+
+
+def vca_svd_oracle(pixels, p, seed):
+    """Pixel indices VCA selects from the (N, L) ``pixels``, computed the
+    SVD way: the projective subspace from a full SVD of the (L, L)
+    correlation matrix, the affine one from the covariance matrix, the
+    P = 1 direction from a thin SVD of the mean-removed (L, N) data. Each
+    singular vector is signed so that its entry of largest magnitude is
+    positive. Random directions are drawn as the package draws them."""
+
+    def signed(u):
+        top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        return u * np.sign(top)
+
+    y = pixels.T
+    l, n = y.shape
+    rng = np.random.default_rng(seed)
+    y_mean = y.mean(axis=1, keepdims=True)
+    y0 = y - y_mean
+    if p == 1:
+        u, _, _ = np.linalg.svd(y0, full_matrices=False)
+        return np.array([int(np.argmax(np.abs(u[:, 0] @ y0)))])
+
+    ud = signed(np.linalg.svd(y @ y.T / n)[0][:, :p])
+    x0 = ud.T @ y0
+    p_y = float(np.sum(y**2)) / n
+    p_x = float(np.sum(x0**2)) / n + float(np.sum(y_mean**2))
+    if p_y - p_x <= 0:
+        snr_db = np.inf
+    elif p_x - p / l * p_y <= 0:
+        snr_db = 0.0
+    else:
+        snr_db = 10.0 * np.log10((p_x - p / l * p_y) / (p_y - p_x))
+
+    use_affine = snr_db < 15.0 + 10.0 * np.log10(p)
+    if not use_affine:
+        x = ud.T @ y
+        denom = x.T @ x.mean(axis=1)
+        if np.min(np.abs(denom)) <= 1e-12 * max(1.0, float(np.abs(denom).max())):
+            use_affine = True
+        else:
+            work = x / denom[None, :]
+    if use_affine:
+        u_aff = signed(np.linalg.svd(y0 @ y0.T / n)[0][:, : p - 1])
+        x = u_aff.T @ y0
+        c = float(np.sqrt(np.max(np.sum(x**2, axis=0)))) or 1.0
+        work = np.vstack([x, np.full((1, n), c)])
+
+    indices = np.zeros(p, dtype=np.intp)
+    basis = np.zeros((p, p))
+    basis[-1, 0] = 1.0
+    for i in range(p):
+        w = rng.standard_normal((p, 1))
+        f = w - basis @ (np.linalg.pinv(basis) @ w)
+        if np.linalg.norm(f) < 1e-12:
+            f = w
+        f = f / np.linalg.norm(f)
+        indices[i] = int(np.argmax(np.abs(f.T @ work)))
+        basis[:, i] = work[:, indices[i]]
+    return indices
 
 
 def grid_laplacian(height: int, width: int):

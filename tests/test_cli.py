@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from varimix.cli import main
-from varimix.io import load_abundances, load_library, save_library
+from varimix.io import load_abundances, load_library, save_image, save_library
 from varimix.solvers import SolverOptions
 from varimix.synth import synthetic_base_spectra
+from varimix.types import DegenerateGeometryWarning, SpectralImage
 
 
 def _scene_config(tmp_path, height=12, width=12, bands=24):
@@ -145,6 +147,17 @@ def test_music_prune_without_image_exits_2(tmp_path, capsys):
     assert main(["prune", "--library", str(tmp_path / "lib.csv"), "--method", "music",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --image required for --method music\n"
+    assert not out.exists()
+
+
+def test_extract_from_constant_image_exits_2(tmp_path, capsys):
+    header = save_image(SpectralImage(np.full((10, 10, 20), 0.4)), tmp_path / "flat")
+    out = tmp_path / "lib.csv"
+    with pytest.warns(DegenerateGeometryWarning):
+        code = main(["extract", "--image", str(header), "--classes", "3", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: the pooled signatures hold 1 distinct spectra, "
+                                       "fewer than the 3 classes requested\n")
     assert not out.exists()
 
 

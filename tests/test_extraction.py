@@ -1,16 +1,25 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varimix.extraction import (
     BundleExtractionConfig,
+    _top_eigenvectors,
     cluster_signatures,
     extract_bundles,
     extract_endmembers,
 )
 from varimix.metrics import pairwise_angles
-from varimix.types import DegenerateGeometryWarning, SpectralImage
+from varimix.types import DegenerateGeometryWarning, DimensionError, SpectralImage
 
 from conftest import make_scene
+from oracles import vca_svd_oracle
 
 
 def _match_angles(extracted, truth):
@@ -64,6 +73,54 @@ class TestExtractEndmembers:
         img = SpectralImage(rng.uniform(0, 1, size=(1, 2, 5)))
         with pytest.raises(Exception):
             extract_endmembers(img, 3, seed=0)
+
+    def test_needs_enough_bands(self, rng):
+        img = SpectralImage(rng.uniform(0, 1, size=(1, 10, 2)))
+        with pytest.raises(DimensionError, match="need at least 3 bands, image has 2"):
+            extract_endmembers(img, 3, seed=0)
+
+    @given(seed=st.integers(0, 2**16), p=st.sampled_from([1, 2, 3]),
+           snr_db=st.sampled_from([10.0, 30.0]), n_bands=st.sampled_from([12, 40]))
+    @example(seed=0, p=3, snr_db=10.0, n_bands=40)      # affine path
+    @example(seed=0, p=3, snr_db=30.0, n_bands=40)      # projective path
+    @settings(max_examples=40, deadline=None)
+    def test_matches_svd_oracle(self, seed, p, snr_db, n_bands):
+        truth = make_scene(n_bands=n_bands, snr_db=snr_db, seed=seed, pure_fraction=0.05)
+        _, idx = extract_endmembers(truth.image_noisy, p, seed=seed)
+        assert np.array_equal(idx, vca_svd_oracle(truth.image_noisy.pixels, p, seed))
+
+    def test_subspace_projector_matches_svd(self):
+        pixels = make_scene(n_bands=40, snr_db=30.0, seed=9).image_noisy.pixels
+        u = _top_eigenvectors(pixels.T @ pixels / pixels.shape[0], 3)
+        ref = np.linalg.svd(pixels.T, full_matrices=False)[0][:, :3]
+        assert np.max(np.abs(u @ u.T - ref @ ref.T)) <= 1e-10
+        top = u[np.argmax(np.abs(u), axis=0), np.arange(3)]
+        assert np.all(top > 0)
+
+    @pytest.mark.parametrize("case, degenerate", [
+        ("constant", True),
+        ("rank-1 line", True),
+        ("scaled copies", True),
+        ("rank-2 simplex", False),
+        ("rank-2 simplex x1e6 + 1e3", False),
+    ])
+    def test_degenerate_geometry_warning(self, case, degenerate):
+        rng = np.random.default_rng(0)
+        s = rng.uniform(0.2, 0.8, size=(3, 12))
+        a = rng.uniform(size=(40, 1))
+        simplex = rng.dirichlet(np.ones(3), size=40) @ s
+        pixels = {
+            "constant": np.tile(s[0], (40, 1)),
+            "rank-1 line": a * s[0] + (1 - a) * s[1],
+            "scaled copies": (0.5 + a) * s[0],
+            "rank-2 simplex": simplex,
+            "rank-2 simplex x1e6 + 1e3": simplex * 1e6 + 1e3,
+        }[case]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            extract_endmembers(SpectralImage(pixels[None]), 3, seed=1)
+        fired = any(issubclass(w.category, DegenerateGeometryWarning) for w in caught)
+        assert fired == degenerate
 
 
 class TestClusterSignatures:
@@ -129,6 +186,39 @@ class TestExtractBundles:
         gen_labels = np.array(gen_labels)
         for j in range(3):
             assert len(set(labels[gen_labels == j].tolist())) == 1
+
+    def test_constant_image_names_both_counts(self):
+        img = SpectralImage(np.full((10, 10, 20), 0.4))
+        cfg = BundleExtractionConfig(n_classes=3, seed=0)
+        with pytest.warns(DegenerateGeometryWarning):
+            with pytest.raises(ValueError, match="hold 1 distinct spectra, fewer than the 3"):
+                extract_bundles(img, cfg)
+
+    def test_byte_identical_across_thread_counts(self):
+        script = """
+import hashlib
+from varimix.extraction import BundleExtractionConfig, extract_bundles
+from varimix.synth import (AbundanceFieldConfig, ClassVariability, VariabilityConfig,
+                           synthesize_scene, synthetic_base_spectra)
+modes = (ClassVariability("elmm_scaling", scale_range=(0.85, 1.15)),) * 3
+truth = synthesize_scene(synthetic_base_spectra(100, 3, seed=7),
+                         AbundanceFieldConfig(generator="dirichlet", alpha=(1.0,) * 3,
+                                              pure_pixel_fraction=0.05, seed=3),
+                         VariabilityConfig(class_modes=modes, n_variants=3, seed=11),
+                         snr_db=30.0, seed=5, height=30, width=30)
+lib = extract_bundles(truth.image_noisy,
+                      BundleExtractionConfig(n_classes=3, num_runs=3, subset_size=600, seed=2))
+print(hashlib.sha256(b"".join(c.signatures.tobytes() for c in lib.classes)).hexdigest())
+"""
+        digests = []
+        for threads in (1, 2):
+            env = dict(os.environ)
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = str(threads)
+            out = subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                                 capture_output=True, text=True)
+            digests.append(out.stdout)
+        assert digests[0] == digests[1]
 
     def test_determinism(self):
         truth = make_scene(snr_db=30.0, pure_fraction=0.05, seed=15)
