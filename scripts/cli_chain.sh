@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# The README's command-line chain on a tiny scene, through `python -m varimix`:
+# synth -> extract -> prune (count) -> transform (mask) -> unmix elmm -> unmix plmm.
+# Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
+# package from this checkout's src/ and exits nonzero on the first command
+# that fails.
+set -euo pipefail
+
+export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+work="${1:-cli_chain_out}"
+rm -rf "$work"
+mkdir -p "$work"
+cd "$work"
+
+python -c "from varimix.io import save_library; from varimix.synth import synthetic_base_spectra; \
+save_library(synthetic_base_spectra(24, 3, seed=7), 'base.csv')"
+cat > scene.json <<'JSON'
+{
+  "name": "chain", "height": 12, "width": 12, "snr_db": 30.0, "seed": 77,
+  "base_library": "base.csv",
+  "abundance": {"generator": "grf", "correlation_length": 4, "sharpness": 0.08,
+                "pure_pixel_fraction": 0.1},
+  "variability": {"n_variants": 3, "class_modes": [
+    {"mode": "hapke", "mu1_range": [0.7, 1.0], "mu2_range": [0.7, 1.0]},
+    {"mode": "atmospheric", "mu1_range": [0.5, 1.0]},
+    {"mode": "elmm_scaling", "scale_range": [0.85, 1.15]}]}
+}
+JSON
+
+python -m varimix synth --config scene.json --out scene_dir/
+python -m varimix extract --image scene_dir/ --classes 3 --runs 5 --subset 100 \
+    --seed 1 --out lib.csv
+python -m varimix prune --library lib.csv --method count --angle-threshold 0.05 \
+    --target 3 --out small.csv
+python -m varimix transform --library lib.csv --method mask --bands 12 --out t.json
+python -m varimix unmix --image scene_dir/ --algo elmm --m0 small.csv \
+    --transform t.json --out result_elmm/
+python -m varimix unmix --image scene_dir/ --algo plmm --m0 small.csv --out result_plmm/

@@ -29,6 +29,7 @@ from .libops import (
 )
 from .solvers import ALGORITHMS, SOLVERS, SolverOptions, unmix
 from .synth import scene_config_from_dict, synthesize_from_config
+from .types import FormatError
 
 
 def _cmd_synth(args) -> int:
@@ -198,7 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from .types import (
 
 _IMAGE_ORDER = "row-major band-interleaved-by-pixel"
 _FLOAT_FMT = "%.17g"
+_REFLECTANCE_FLOOR = -0.1
 
 
 def _header_path(path) -> Path:
@@ -122,9 +123,25 @@ def _write_csv(path, header: str, values: np.ndarray, labels=None,
     return p
 
 
+def _check_reflectance(values: np.ndarray, path):
+    """The rule a library file's values keep, checked by its writer and
+    its reader alike: finite reflectance, no value below
+    ``_REFLECTANCE_FLOOR``. Extracted bundles are raw image pixels, so a
+    little noise below zero is allowed."""
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: library values must be finite")
+    low = values.min(initial=np.inf)
+    if low < _REFLECTANCE_FLOOR:
+        raise FormatError(f"{path}: library value {low:.6g} is below the reflectance floor "
+                          f"{_REFLECTANCE_FLOOR:g}")
+
+
 def save_library(library: SpectralLibrary, path) -> Path:
+    """Write ``library`` as CSV; a library that ``load_library`` would
+    refuse is not written (``FormatError``)."""
     header = "class," + ",".join(f"b{i}" for i in range(library.n_bands))
     values, labels = library.flatten()
+    _check_reflectance(values, path)
     names = [library.class_names[k] for k in labels]
     return _write_csv(path, header, values, names)
 
@@ -146,10 +163,7 @@ def load_library(path) -> SpectralLibrary:
             sig = np.array([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise FormatError(f"{p}: non-numeric value in row for {name!r}") from exc
-        # extracted bundles are raw image pixels, so the noise floor of
-        # SpectralImage applies here too
-        if np.any(sig < -0.1) or not np.all(np.isfinite(sig)):
-            raise FormatError(f"{p}: library values must be finite reflectance (>= -0.1)")
+        _check_reflectance(sig, p)
         if name not in rows:
             rows[name] = []
             order.append(name)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .metrics import pairwise_angles
-from .types import DimensionError, LibraryClass, SpectralImage, SpectralLibrary
+from .types import DimensionError, FormatError, LibraryClass, SpectralImage, SpectralLibrary
 
 TRANSFORM_KINDS = ("mask", "weights", "dense")
 
@@ -95,13 +95,18 @@ class SpectralTransform:
 
     @staticmethod
     def from_json(path) -> "SpectralTransform":
-        doc = json.loads(Path(path).read_text())
-        off = doc.get("offset")
-        return SpectralTransform(
-            kind=doc["kind"],
-            weights=np.array(doc["weights"], dtype=np.float64),
-            offset=None if off is None else np.array(off, dtype=np.float64),
-        )
+        """Read a transform written by ``to_json``; a file that does not
+        hold a valid transform raises ``FormatError``."""
+        try:
+            doc = json.loads(Path(path).read_text())
+            off = doc.get("offset")
+            return SpectralTransform(
+                kind=doc["kind"],
+                weights=np.array(doc["weights"], dtype=np.float64),
+                offset=None if off is None else np.array(off, dtype=np.float64),
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise FormatError(f"{path}: not a valid transform file ({exc})") from exc
 
 
 def instability_index(library: SpectralLibrary) -> np.ndarray:

@@ -30,6 +30,7 @@ from ..types import AbundanceMap, EndmemberField
 
 _KKT_TOL = 1e-10            # pricing tolerance, relative to max(1, |h|_inf)
 _RIDGE = 1e-10              # relative ridge for a singular face system
+_START_SUM_TOL = 1e-12      # sum-to-one tolerance of a simplex start
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,11 @@ def _faces(passive):
     return zip((np.flatnonzero(passive[i]) for i in first), np.split(order, ends[:-1]))
 
 
-def _face_minimizer(gram, h, rows, cols, simplex, ridge=False):
+def _face_minimizer(gram, h, rows, cols, simplex, ridge=False, strict=False):
     """Minimizer on the face spanned by ``cols`` (dropping the sign
     constraints, keeping sum-to-one), for each of ``rows``. A singular
-    face system, from collinear or zero columns, gets a small ridge."""
+    face system, from collinear or zero columns, gets a small ridge, or
+    with ``strict`` raises ``LinAlgError``."""
     k = cols.size
     if k == 0:
         return np.zeros((rows.size, 0))
@@ -180,14 +182,37 @@ def _face_minimizer(gram, h, rows, cols, simplex, ridge=False):
         try:
             return solve(sub)[:, :k]
         except np.linalg.LinAlgError:
-            pass
+            if strict:
+                raise
     tr = np.trace(sub[:, :k, :k], axis1=1, axis2=2) / k
     sub = sub.copy()
     sub[:, :k, :k] += (_RIDGE * np.where(tr > 0, tr, 1.0))[:, None, None] * np.eye(k)
     return solve(sub)[:, :k]
 
 
-def _active_set(gram, h, simplex):
+def _feasible_start(start, shape, simplex):
+    """A float64 copy of ``start`` after checking that it is a feasible
+    kernel iterate: shape ``shape``, finite nonnegative entries, and
+    simplex rows summing to 1 within ``_START_SUM_TOL``."""
+    a = np.array(start, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"start has shape {a.shape}, expected {shape}")
+    if not (np.isfinite(a).all() and np.all(a >= 0.0)):
+        raise ValueError("start has a negative or non-finite entry")
+    if simplex and np.any(np.abs(a.sum(axis=1) - 1.0) > _START_SUM_TOL):
+        raise ValueError(f"start rows must sum to 1 within {_START_SUM_TOL:g}")
+    return a
+
+
+def _to_vertex(gram, h, rows, a, passive):
+    """Put ``rows``, zero so far, at their best simplex vertex; ``gram``
+    and ``h`` are those rows' own (or a shared ``gram``)."""
+    vertex = np.argmin(0.5 * np.diagonal(gram, axis1=-2, axis2=-1) - h, axis=1)
+    a[rows, vertex] = 1.0
+    passive[rows, vertex] = True
+
+
+def _active_set(gram, h, simplex, start=None):
     """Exact minimizer of 0.5 a'Ga - h'a per row over a >= 0, plus
     sum(a) = 1 when ``simplex``.
 
@@ -203,20 +228,40 @@ def _active_set(gram, h, simplex):
     vertex and NNLS rows at zero, so a column identical to a passive one
     prices at zero and never enters.
 
+    A feasible ``start`` (N, P) replaces the cold start: each row's
+    passive set is its start's support and it enters at the solving
+    phase, so round 1 solves the start face; a row whose start face holds
+    its minimizer settles after one solve and one pricing. A row that
+    ends on the face the cold start reaches solves the same sub-system
+    there, so with per-pixel matrices it gets the same bits. Faces met on
+    the way down from a start were not built column by column and can be
+    singular (duplicate, collinear or zero columns, more columns than
+    bands). Where rounding lets the solve pass, its answer is off the
+    face's minimizers along the near-null direction, so the Lawson-Hanson
+    step keeps the cost and drops a column of the degenerate set. Where
+    the solve fails, a ridged answer would leave an O(ridge^2) excess
+    cost, which is not exact for a pixel the face fits exactly, so the
+    face's rows restart cold instead. Either way a row settles only by
+    pricing at the minimizer of its final face.
+
     Returns (a, rounds, rows still open after ``_round_bound(P)`` rounds);
     open rows keep their current feasible iterate.
     """
     n, p = h.shape
     rows = np.arange(n)
-    a = np.zeros((n, p))
-    passive = np.zeros((n, p), dtype=bool)
-    if simplex:
-        vertex = np.argmin(0.5 * np.diagonal(gram, axis1=-2, axis2=-1) - h, axis=1)
-        a[rows, vertex] = 1.0
-        passive[rows, vertex] = True
+    if start is None:
+        a = np.zeros((n, p))
+        passive = np.zeros((n, p), dtype=bool)
+        if simplex:
+            _to_vertex(gram, h, rows, a, passive)
+        pricing, solving = rows, rows[:0]
+    else:
+        a = _feasible_start(start, h.shape, simplex)
+        passive = a > 0.0
+        pricing, solving = rows[:0], rows
+    descending = None if start is None else np.ones(n, dtype=bool)  # not yet priced
     tol = _KKT_TOL * np.maximum(1.0, np.abs(h).max(axis=1, initial=0.0))
     entering = np.full(n, -1)
-    pricing, solving = rows, rows[:0]
     rounds = 0
     while True:
         if pricing.size:
@@ -237,8 +282,18 @@ def _active_set(gram, h, simplex):
             return a, rounds, solving
         rounds += 1
         s = np.zeros((solving.size, p))
+        restart = []
         for cols, pos in _faces(passive[solving]):
-            s[np.ix_(pos, cols)] = _face_minimizer(gram, h, solving[pos], cols, simplex)
+            warm = None if descending is None else descending[solving[pos]]
+            try:
+                s[np.ix_(pos, cols)] = _face_minimizer(gram, h, solving[pos], cols, simplex,
+                                                       strict=warm is not None and warm.any())
+            except np.linalg.LinAlgError:
+                restart.append(pos[warm])
+                pos = pos[~warm]
+                if pos.size == 0:
+                    continue
+                s[np.ix_(pos, cols)] = _face_minimizer(gram, h, solving[pos], cols, simplex)
             # an entering column is positive at the minimizer of a regular
             # face; a nonpositive one marks a face singular up to rounding
             new = entering[solving[pos]]
@@ -246,10 +301,22 @@ def _active_set(gram, h, simplex):
             if bad.size:
                 s[np.ix_(bad, cols)] = _face_minimizer(gram, h, solving[bad], cols,
                                                        simplex, ridge=True)
+        if restart:
+            stay = np.ones(solving.size, dtype=bool)
+            stay[np.concatenate(restart)] = False
+            cold = solving[~stay]
+            a[cold] = 0.0
+            passive[cold] = False
+            if simplex:
+                _to_vertex(gram if gram.ndim == 2 else gram[cold], h[cold], cold, a, passive)
+            descending[cold] = False
+            solving, s = solving[stay], s[stay]
         entering[solving] = -1
         blocked = passive[solving] & (s <= 0.0)
         done = ~blocked.any(axis=1)
         a[solving[done]] = s[done]
+        if descending is not None:
+            descending[solving[done]] = False
         if not done.all():
             r, s, blocked = solving[~done], s[~done], blocked[~done]
             x = a[r]
@@ -262,6 +329,8 @@ def _active_set(gram, h, simplex):
             passive[r] = keep
             a[r] = np.where(keep, x, 0.0)
         pricing, solving = solving[done], solving[~done]
+        if restart:
+            pricing = np.concatenate([pricing, cold])
 
 
 def fcls_core(y: np.ndarray, m: np.ndarray, counts: Optional[QPCounts] = None):
@@ -275,10 +344,12 @@ def fcls_core(y: np.ndarray, m: np.ndarray, counts: Optional[QPCounts] = None):
     return fcls_gram(*_gram(y, m), counts)
 
 
-def fcls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):
+def fcls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None,
+              start: Optional[np.ndarray] = None):
     """``fcls_core`` in Gram form: ``gram`` is a shared (P, P) or
-    per-pixel (N, P, P) M'M and ``h`` the (N, P) M'y."""
-    a, rounds, open_rows = _active_set(gram, h, simplex=True)
+    per-pixel (N, P, P) M'M and ``h`` the (N, P) M'y. ``start``, a
+    feasible (N, P) iterate, replaces the kernel's cold start."""
+    a, rounds, open_rows = _active_set(gram, h, simplex=True, start=start)
     a /= a.sum(axis=1, keepdims=True)
     if counts is not None:
         counts.add(rounds, open_rows)

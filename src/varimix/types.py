@@ -17,7 +17,8 @@ class DimensionError(ValueError):
 
 
 class FormatError(ValueError):
-    """A file on disk does not match its declared format."""
+    """A file on disk does not match its declared format, or data to be
+    written would not."""
 
 
 class DegenerateSignatureError(ValueError):
@@ -87,9 +88,10 @@ class SpectralImage:
 class LibraryClass:
     """A named bundle of candidate signatures for one material.
 
-    Reflectance libraries are nonnegative; that is enforced when reading
-    and writing library files, not here, so spectrally transformed
-    libraries (which may go negative) stay representable in memory.
+    Library files hold reflectance, no value below -0.1; ``io`` checks
+    that when reading and writing them, not here, so spectrally
+    transformed libraries (which may go negative) stay representable in
+    memory.
     """
 
     name: str

@@ -161,6 +161,68 @@ def test_extract_from_constant_image_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _noisy_grf_scene(tmp_path):
+    """A 32x32, 100-band scene from the GRF / Hapke-atmospheric-scaling
+    family of the benchmark, at 12 dB: noisy enough that extracted pixels
+    go below the library files' reflectance floor."""
+    save_library(synthetic_base_spectra(100, 3, seed=123), tmp_path / "base.csv")
+    cfg = {
+        "name": "noisy", "height": 32, "width": 32, "snr_db": 12.0, "seed": 102,
+        "base_library": str(tmp_path / "base.csv"),
+        "abundance": {"generator": "grf", "correlation_length": 6, "sharpness": 0.08,
+                      "pure_pixel_fraction": 0.03},
+        "variability": {
+            "n_variants": 5,
+            "class_modes": [
+                {"mode": "hapke", "mu1_range": [0.6, 1.0], "mu2_range": [0.6, 1.0]},
+                {"mode": "atmospheric", "mu1_range": [0.4, 1.0]},
+                {"mode": "elmm_scaling", "scale_range": [0.75, 1.25]},
+            ],
+        },
+    }
+    (tmp_path / "scene.json").write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(tmp_path / "scene.json"),
+                 "--out", str(tmp_path / "scene")]) == 0
+    return tmp_path / "scene"
+
+
+def test_extract_writes_no_library_it_could_not_read(tmp_path, capsys):
+    # the extracted pixels hold values below -0.1, which load_library
+    # refuses; extract must say so instead of writing the file
+    scene = _noisy_grf_scene(tmp_path)
+    out = tmp_path / "lib.csv"
+    code = main(["extract", "--image", str(scene), "--classes", "3", "--runs", "5",
+                 "--subset", "500", "--seed", "9", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: library value -") and "reflectance floor -0.1" in err
+    assert not out.exists()
+
+
+def test_unreadable_input_files_exit_2(tmp_path, capsys):
+    lib = tmp_path / "bad.csv"
+    lib.write_text("class,b0,b1,b2\nveg,0.2,-0.5,0.3\nsoil,0.4,0.4,0.5\n")
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    image = save_image(SpectralImage(np.full((2, 2, 3), 0.3)), tmp_path / "img")
+    runs = [
+        ["prune", "--library", lib, "--method", "count", "--out", tmp_path / "p.csv"],
+        ["transform", "--library", lib, "--method", "weights", "--out", tmp_path / "t.json"],
+        ["unmix", "--image", image, "--algo", "fcls", "--m0", lib, "--out", tmp_path / "r1"],
+        ["unmix", "--image", image, "--algo", "mesma", "--library", lib,
+         "--out", tmp_path / "r2"],
+        ["unmix", "--image", bad_json, "--algo", "fcls", "--m0", lib, "--out", tmp_path / "r3"],
+    ]
+    for argv in runs:
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    save_library(synthetic_base_spectra(3, 2, seed=1), tmp_path / "good.csv")
+    assert main(["unmix", "--image", str(image), "--algo", "fcls", "--m0",
+                 str(tmp_path / "good.csv"), "--transform", str(bad_json),
+                 "--out", str(tmp_path / "r4")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad_json}: not a valid transform file")
+
+
 def test_bench_cli_and_exit_codes(tmp_path):
     cfg = _scene_config(tmp_path, height=8, width=8)
     bench = {

@@ -2,6 +2,9 @@
 the solver input, apply a transform and write results the same way."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,3 +140,43 @@ def test_unmix_drops_extras_the_solver_does_not_take():
     got = unmix("fcls", truth.image_noisy, matrix, opts, k=0, re_threshold=0.1, mode="x")
     want = fcls(truth.image_noisy, matrix, SolverOptions(max_iters=3))
     np.testing.assert_array_equal(got.abundances.data, want.abundances.data)
+
+
+def test_solvers_byte_identical_across_thread_counts():
+    # FCLS, MESMA, ELMM and PLMM give the same bytes with 1 and 2 BLAS
+    # threads; each count runs in its own process, since BLAS reads the
+    # thread count once
+    script = """
+import hashlib
+from varimix.extraction import BundleExtractionConfig, extract_bundles
+from varimix.solvers import SolverOptions, unmix
+from varimix.synth import (AbundanceFieldConfig, ClassVariability, VariabilityConfig,
+                           synthesize_scene, synthetic_base_spectra)
+modes = (ClassVariability("hapke", mu1_range=(0.6, 1.0), mu2_range=(0.6, 1.0)),
+         ClassVariability("atmospheric", mu1_range=(0.4, 1.0)),
+         ClassVariability("elmm_scaling", scale_range=(0.75, 1.25)))
+truth = synthesize_scene(synthetic_base_spectra(200, 3, seed=123),
+                         AbundanceFieldConfig(generator="grf", correlation_length=6,
+                                              sharpness=0.08, pure_pixel_fraction=0.03),
+                         VariabilityConfig(class_modes=modes, n_variants=5),
+                         snr_db=30.0, seed=4, height=48, width=48)
+image = truth.image_noisy
+lib = extract_bundles(image, BundleExtractionConfig(n_classes=3, num_runs=3, subset_size=300,
+                                                    seed=2))
+m0 = lib.class_means().T
+opts = SolverOptions(max_iters=5)
+for algo in ("fcls", "mesma", "elmm", "plmm"):
+    r = unmix(algo, image, lib if algo == "mesma" else m0, opts)
+    parts = [r.abundances.data] + ([r.endmembers.data] if r.endmembers is not None else [])
+    print(algo, hashlib.sha256(b"".join(x.tobytes() for x in parts)).hexdigest())
+"""
+    outputs = []
+    for threads in (1, 2):
+        env = dict(os.environ)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        out = subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                             capture_output=True, text=True)
+        outputs.append(out.stdout)
+    assert len(outputs[0].split()) == 8
+    assert outputs[0] == outputs[1]

@@ -83,6 +83,17 @@ def test_library_file_rejects_negative(tmp_path):
         load_library(tmp_path / "x.csv")
 
 
+def test_library_writer_keeps_the_reader_rule(tmp_path):
+    # what save_library writes, load_library reads: -0.1 is the floor of both
+    ok = SpectralLibrary.from_arrays(["veg"], [np.array([[0.2, -0.1, 0.3]])])
+    back = load_library(save_library(ok, tmp_path / "ok.csv"))
+    assert np.array_equal(back.classes[0].signatures, ok.classes[0].signatures)
+    low = SpectralLibrary.from_arrays(["veg"], [np.array([[0.2, -0.2, 0.3]])])
+    with pytest.raises(FormatError, match="library value -0.2 is below the reflectance floor"):
+        save_library(low, tmp_path / "low.csv")
+    assert not (tmp_path / "low.csv").exists()
+
+
 def test_abundances_round_trip(tmp_path, rng):
     a = AbundanceMap(rng.dirichlet(np.ones(4), size=13), class_names=("a", "b", "c", "d"))
     save_abundances(a, tmp_path / "a.csv")

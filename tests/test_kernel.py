@@ -10,7 +10,7 @@ what the solver logs report about the kernel.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varimix.solvers import (
@@ -131,6 +131,96 @@ def test_nnls_kernel_on_degenerate_inputs(kind, seed, n, l, p, per_pixel, scaled
         # proves optimality
         oracle_cost = cost(cd_l1_oracle(y[i], mi, lam))
         assert cost(a[i]) - oracle_cost <= _cost_tol(cost(a[i]), oracle_cost, y[i])
+
+
+STARTS = ("vertex", "interior", "degenerate")
+
+
+def _start(rng, how, kind, n, p):
+    """Feasible simplex starts (N, P): a vertex, a Dirichlet interior
+    point, or a point whose support holds the degenerate last column and
+    the columns it repeats (for ``wide``, every column)."""
+    if how == "vertex":
+        return np.eye(p)[rng.integers(0, p, size=n)]
+    support = np.arange(p)
+    if how == "degenerate" and kind in ("duplicate", "collinear", "zero", "constant"):
+        support = np.array([0, 1, p - 1]) if p > 2 else np.array([0, p - 1])
+    a = np.zeros((n, p))
+    a[:, support] = rng.dirichlet(np.ones(support.size), size=n)
+    return a
+
+
+@given(**problems, how=st.sampled_from(STARTS))
+@settings(max_examples=200, deadline=None)
+# singular start faces that fit some pixel exactly: a ridged solve would
+# leave an excess cost of order ridge^2 there
+@example(kind="wide", seed=3368061810, n=4, l=4, p=4, per_pixel=True, scaled=True,
+         how="interior")
+@example(kind="duplicate", seed=2210492399, n=2, l=3, p=5, per_pixel=True, scaled=True,
+         how="degenerate")
+def test_simplex_kernel_from_a_start(kind, seed, n, l, p, per_pixel, scaled, how):
+    # a warm start changes the path, not the minimizer: same oracle cost,
+    # KKT certificate and no unsettled rows as from the cold start
+    y, m = _problem(kind, seed, n, l, p, per_pixel, scaled)
+    gram, h = base._gram(y, m)
+    start = _start(np.random.default_rng(seed + 1), how, kind, n, gram.shape[-1])
+    counts = QPCounts()
+    a, rounds = base.fcls_gram(gram, h, counts, start=start)
+    assert counts.unsettled_rows == 0 and counts.rounds == rounds
+    assert np.all(a >= 0) and np.allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    act, inact, scale = kkt_residual_simplex(y, m, a)
+    assert max(act, inact) <= KKT_RTOL * scale
+    for i in range(n):
+        mi = _pixel_matrix(m, i)
+        _, oracle_cost = qp_fcls_oracle(y[i], mi)
+        cost = float(np.sum((y[i] - mi @ a[i]) ** 2))
+        assert abs(cost - oracle_cost) <= _cost_tol(cost, oracle_cost, y[i])
+
+
+@pytest.mark.parametrize("per_pixel", [False, True])
+def test_start_at_the_minimizer_settles_in_one_round(per_pixel):
+    # per-pixel faces are solved row by row, so the same face gives the
+    # same bits; a shared face is solved for a group of right-hand sides
+    # whose make-up depends on the path, which can move the last ulp
+    y, m = _problem("duplicate", 6, 30, 10, 4, per_pixel, False)
+    gram, h = base._gram(y, m)
+    a, _ = base.fcls_gram(gram, h)
+    warm, rounds = base.fcls_gram(gram, h, start=a)
+    assert rounds == 1
+    if per_pixel:
+        assert np.array_equal(warm, a)
+    else:
+        np.testing.assert_allclose(warm, a, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("start, match", [
+    (np.array([[1.5, -0.5, 0.0]]), "negative"),
+    (np.array([[0.5, np.nan, 0.5]]), "non-finite"),
+    (np.array([[0.5, 0.5, 1e-9]]), "sum to 1"),
+    (np.zeros((1, 3)), "sum to 1"),
+    (np.array([[1.0, 0.0]]), "shape"),
+    (np.full((2, 3), 1.0 / 3.0), "shape"),
+])
+def test_infeasible_start_is_rejected(start, match):
+    y, m = _problem("collinear", 3, 1, 6, 3, False, False)
+    with pytest.raises(ValueError, match=match):
+        base.fcls_gram(*base._gram(y, m), start=start)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_nnls_kernel_from_a_start(kind):
+    # the kernel takes a start in NNLS mode too: any nonnegative point
+    y, m = _problem(kind, 8, 20, 6, 4, True, False)
+    gram, h = base._gram(y, m, 1e-3)
+    start = np.random.default_rng(2).uniform(0.0, 2.0, size=h.shape)
+    start[::3] = 0.0
+    a, _, open_rows = base._active_set(gram, h, simplex=False, start=start)
+    assert open_rows.size == 0 and np.all(a >= 0)
+    for i in range(y.shape[0]):
+        act, inact, scale = kkt_residual_l1(y[i:i + 1], m[i], a[i:i + 1], 1e-3)
+        assert max(act, inact) <= KKT_RTOL * scale
+    with pytest.raises(ValueError, match="negative"):
+        base._active_set(gram, h, simplex=False, start=-start)
 
 
 @pytest.mark.parametrize("per_pixel", [False, True])
