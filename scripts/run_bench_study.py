@@ -3,14 +3,17 @@
 variability modes at 30 dB, 10 Monte Carlo repetitions.
 
 Writes everything under --out (default bench_out/): report.csv,
-report.md, plots/*.dat, and per-run artifact trees. Rerunning with the
-same arguments reproduces the CSVs byte for byte.
+report.md, per-run artifact trees, and bench_config.json, the full
+config, so `varimix bench --config <out>/bench_config.json` reruns the
+study. Rerunning with the same arguments reproduces the CSVs byte for
+byte.
 """
 
 import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from varimix.bench import BenchConfig, RosterEntry, run_bench, write_report_md
@@ -82,11 +85,7 @@ def main() -> int:
 
     out_dir = Path(args.out)
     cfg = build_config(out_dir, args.bands, args.runs, args.seed)
-    (out_dir / "bench_config.json").write_text(json.dumps({
-        "scene": cfg.scene.to_dict(),
-        "n_monte_carlo": cfg.n_monte_carlo,
-        "master_seed": cfg.master_seed,
-    }, indent=1))
+    (out_dir / "bench_config.json").write_text(json.dumps(asdict(cfg), indent=1))
 
     start = time.time()
     report = run_bench(cfg)

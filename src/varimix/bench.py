@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .extraction import BundleExtractionConfig, extract_bundles, extract_endmembers
-from .io import load_library, save_result, save_scene
+from .io import load_config, load_library, save_result, save_scene
 from .libops import (
     SpectralTransform,
     apply_transform,
@@ -89,7 +89,7 @@ class RosterEntry:
 @dataclass(frozen=True)
 class BenchConfig:
     scene: SceneConfig
-    roster: tuple
+    roster: tuple[RosterEntry, ...]
     extraction: Optional[BundleExtractionConfig] = None
     prune: Optional[dict] = None
     transform: Optional[dict] = None
@@ -286,8 +286,8 @@ def _aggregate(values: list) -> tuple[Optional[float], Optional[float]]:
 def run_bench(cfg: BenchConfig) -> BenchReport:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # the library enters by its bytes, so the digest names the scene, not its path
-    scene = {**cfg.scene.to_dict(),
+    # the digest names the scene: the library enters by its bytes, float fields as floats
+    scene = {**load_config(SceneConfig, cfg.scene.to_dict()).to_dict(),
              "base_library": hashlib.sha256(Path(cfg.scene.base_library).read_bytes()).hexdigest()}
     digest = hashlib.sha256(json.dumps(scene, sort_keys=True).encode()).hexdigest()
 
@@ -295,7 +295,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     times: dict[str, list[float]] = {r.name: [] for r in cfg.roster}
     failed: list[dict] = []
     seeds = [cfg.master_seed + k for k in range(cfg.n_monte_carlo)]
-    last_run: dict[str, tuple] = {}
 
     for k, run_seed in enumerate(seeds):
         truth = synthesize_from_config(cfg.scene, seed=run_seed)
@@ -312,7 +311,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                 continue
             cells[entry.name].append(metrics)
             times[entry.name].append(wall)
-            last_run[entry.name] = (truth, result, metrics)
             if cfg.keep_run_artifacts:
                 save_result(result, run_dir / entry.name)
 
@@ -346,7 +344,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
 
     _write_report_csv(report, out / "report.csv")
     write_report_md(report, out / "report.md")
-    _write_plots(last_run, out / "plots")
     return report
 
 
@@ -401,43 +398,3 @@ def write_report_md(report: BenchReport, path, paper_scale: bool = False):
         for f in failed:
             lines.append(f"- run {f['run']}, {f['algorithm']} (seed {f['seed']}): {f['error']}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_plots(last_run: dict, plots_dir: Path):
-    """Per-algorithm gnuplot series: truth vs estimated abundances of the
-    last completed run, one row per pixel."""
-    plots_dir.mkdir(parents=True, exist_ok=True)
-    for name, (truth, result, _metrics) in last_run.items():
-        a_true = truth.abundances.data
-        a_hat = result.abundances.data
-        p = a_true.shape[1]
-        header = "# pixel " + " ".join(f"true_{j}" for j in range(p)) \
-                 + " " + " ".join(f"est_{j}" for j in range(p))
-        rows = [header]
-        for n in range(a_true.shape[0]):
-            rows.append(
-                str(n) + " "
-                + " ".join(_CSV_FMT % v for v in a_true[n]) + " "
-                + " ".join(_CSV_FMT % v for v in a_hat[n])
-            )
-        (plots_dir / f"{name}.dat").write_text("\n".join(rows) + "\n")
-
-
-def bench_config_from_dict(doc: dict) -> BenchConfig:
-    from .synth import scene_config_from_dict
-
-    ext = None
-    if doc.get("extraction"):
-        ext = BundleExtractionConfig(**doc["extraction"])
-    roster = tuple(RosterEntry(**r) for r in doc["roster"])
-    return BenchConfig(
-        scene=scene_config_from_dict(doc["scene"]),
-        roster=roster,
-        extraction=ext,
-        prune=doc.get("prune"),
-        transform=doc.get("transform"),
-        n_monte_carlo=int(doc.get("n_monte_carlo", 1)),
-        master_seed=int(doc.get("master_seed", 0)),
-        output_dir=doc.get("output_dir", "bench_out"),
-        keep_run_artifacts=bool(doc.get("keep_run_artifacts", True)),
-    )

@@ -17,9 +17,9 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import bench_config_from_dict, run_bench, transform_input, write_report_md
+from .bench import BenchConfig, run_bench, transform_input, write_report_md
 from .extraction import BundleExtractionConfig, extract_bundles
-from .io import load_library, resolve_image, save_library, save_result, save_scene
+from .io import load_config, load_library, resolve_image, save_library, save_result, save_scene
 from .libops import (
     count_based_reduce,
     fda_transform,
@@ -28,12 +28,20 @@ from .libops import (
     select_stable_bands,
 )
 from .solvers import ALGORITHMS, SOLVERS, SolverOptions, unmix
-from .synth import scene_config_from_dict, synthesize_from_config
+from .synth import SceneConfig, synthesize_from_config
 from .types import FormatError
 
 
+def _read_config(cls, path):
+    """Load a JSON config file into ``cls``; errors name the file."""
+    try:
+        return load_config(cls, json.loads(Path(path).read_text()))
+    except (json.JSONDecodeError, FormatError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _cmd_synth(args) -> int:
-    cfg = scene_config_from_dict(json.loads(Path(args.config).read_text()))
+    cfg = _read_config(SceneConfig, args.config)
     truth = synthesize_from_config(cfg)
     save_scene(truth, args.out)
     print(f"scene written to {args.out}")
@@ -120,8 +128,7 @@ def _cmd_unmix(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    cfg = bench_config_from_dict(doc)
+    cfg = _read_config(BenchConfig, args.config)
     report = run_bench(cfg)
     if args.paper_scale:
         write_report_md(report, Path(cfg.output_dir) / "report.md", paper_scale=True)

@@ -15,9 +15,11 @@ SHA-256 of each file's bytes as it writes them, by file name.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import typing
 from pathlib import Path
 from typing import Optional
 
@@ -232,7 +234,7 @@ def save_result(result, out) -> Path:
     _write_cube(out / "re", re.reshape(1, re.shape[0], 1), "re")
     if result.endmembers is not None:
         save_endmember_field(result.endmembers, out / "endmembers")
-    log = json.dumps(result.solver_log.to_dict(), default=str) + "\n"
+    log = json.dumps(dataclasses.asdict(result.solver_log), default=str) + "\n"
     _write_bytes(out / "solver_log.json", log.encode(), None)
     return out
 
@@ -277,6 +279,45 @@ def load_scene(scene_dir) -> SceneTruth:
         snr_db=math.inf if snr is None else float(snr),
         seed=int(meta["seed"]),
     )
+
+
+def load_config(cls, doc, path: str = ""):
+    """Build the config dataclass ``cls`` from the parsed JSON ``doc`` by
+    its field annotations: nested dataclasses, ``Optional[X]`` and
+    ``tuple[X, ...]``; a float field takes an integer, a missing field its
+    default. An unknown or missing key, a value of the wrong JSON type, or
+    one the constructor refuses raises ``FormatError`` naming the key path
+    (``path`` is the path of ``doc`` itself)."""
+    where = path or "config"
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin is typing.Union:                          # Optional[X]
+        return None if doc is None else load_config(args[0], doc, path)
+    if origin is tuple:                                 # tuple[X, ...]
+        if not isinstance(doc, (list, tuple)):
+            raise FormatError(f"{where}: expected an array, got {type(doc).__name__}")
+        return tuple(load_config(args[0], v, f"{where}[{i}]") for i, v in enumerate(doc))
+    if not dataclasses.is_dataclass(cls):
+        if cls is float and type(doc) is int:
+            return float(doc)
+        if type(doc) is not cls:
+            raise FormatError(f"{where}: expected {cls.__name__}, got {type(doc).__name__}")
+        return doc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: expected an object, got {type(doc).__name__}")
+    prefix = path + "." if path else ""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(doc.keys() - fields.keys())
+    if unknown:
+        raise FormatError(f"{prefix}{unknown[0]}: unknown key")
+    for key, f in fields.items():
+        if key not in doc and f.default is f.default_factory is dataclasses.MISSING:
+            raise FormatError(f"{prefix}{key}: missing required key")
+    types = typing.get_type_hints(cls)
+    kwargs = {k: load_config(types[k], v, prefix + k) for k, v in doc.items()}
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def resolve_image(path) -> SpectralImage:

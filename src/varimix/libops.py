@@ -20,7 +20,7 @@ TRANSFORM_KINDS = ("mask", "weights", "dense")
 
 @dataclass(frozen=True)
 class SpectralTransform:
-    """An affine map W x + b applied to pixels and library signatures.
+    """A linear map W x applied to pixels and library signatures.
 
     ``mask`` keeps the bands with weight 1 (band selection), ``weights``
     scales bands in place, and ``dense`` applies a full d x L matrix.
@@ -28,7 +28,6 @@ class SpectralTransform:
 
     kind: str
     weights: np.ndarray
-    offset: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
@@ -49,12 +48,6 @@ class SpectralTransform:
         w = np.array(w, order="C")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        if self.offset is not None:
-            b = np.array(self.offset, dtype=np.float64)
-            if b.shape != (self.output_bands,):
-                raise DimensionError("offset length must match the output band count")
-            b.flags.writeable = False
-            object.__setattr__(self, "offset", b)
 
     @property
     def input_bands(self) -> int:
@@ -64,8 +57,6 @@ class SpectralTransform:
     def output_bands(self) -> int:
         if self.kind == "mask":
             return int(np.sum(self.weights))
-        if self.kind == "weights":
-            return self.weights.shape[0]
         return self.weights.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -74,37 +65,27 @@ class SpectralTransform:
         if x.shape[1] != self.input_bands:
             raise DimensionError("band count does not match the transform")
         if self.kind == "mask":
-            out = x[:, self.weights.astype(bool)]
-        elif self.kind == "weights":
-            out = x * self.weights[None, :]
-        else:
-            out = x @ self.weights.T
-        if self.offset is not None:
-            out = out + self.offset[None, :]
-        return out
+            return x[:, self.weights.astype(bool)]
+        if self.kind == "weights":
+            return x * self.weights[None, :]
+        return x @ self.weights.T
 
     def to_json(self, path) -> Path:
         p = Path(path)
-        doc = {
-            "kind": self.kind,
-            "weights": self.weights.tolist(),
-            "offset": None if self.offset is None else self.offset.tolist(),
-        }
-        p.write_text(json.dumps(doc) + "\n")
+        p.write_text(json.dumps({"kind": self.kind, "weights": self.weights.tolist()}) + "\n")
         return p
 
     @staticmethod
     def from_json(path) -> "SpectralTransform":
         """Read a transform written by ``to_json``; a file that does not
-        hold a valid transform raises ``FormatError``."""
+        hold a valid transform raises ``FormatError``. Files from older
+        versions carry ``"offset": null`` and load unchanged; any other
+        offset is refused."""
         try:
             doc = json.loads(Path(path).read_text())
-            off = doc.get("offset")
-            return SpectralTransform(
-                kind=doc["kind"],
-                weights=np.array(doc["weights"], dtype=np.float64),
-                offset=None if off is None else np.array(off, dtype=np.float64),
-            )
+            if doc.get("offset") is not None:
+                raise ValueError("transform offsets are not supported")
+            return SpectralTransform(doc["kind"], np.array(doc["weights"], dtype=np.float64))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise FormatError(f"{path}: not a valid transform file ({exc})") from exc
 

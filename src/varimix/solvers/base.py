@@ -76,17 +76,6 @@ class SolverLog:
     flags: dict = field(default_factory=dict)
     phases: dict = field(default_factory=dict)      # seconds per solver phase
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_cost": self.final_cost,
-            "converged": self.converged,
-            "wall_time_s": self.wall_time_s,
-            "cost_history": list(self.cost_history),
-            "flags": self.flags,
-            "phases": self.phases,
-        }
-
 
 @dataclass
 class UnmixingResult:

@@ -9,7 +9,7 @@ seeded and reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ VARIABILITY_MODES = ("hapke", "atmospheric", "elmm_scaling", "glmm_scaling", "no
 
 
 def _check_range(r, name, low_open=0.0, high=None) -> tuple[float, float]:
-    lo, hi = float(r[0]), float(r[1])
+    lo, hi = map(float, r)
     if not (lo <= hi):
         raise ValueError(f"{name} range is empty: {r}")
     if lo <= low_open:
@@ -51,12 +51,12 @@ class ClassVariability:
     """
 
     mode: str
-    mu1_range: tuple = (0.6, 1.0)
-    mu2_range: tuple = (0.6, 1.0)
+    mu1_range: tuple[float, ...] = (0.6, 1.0)
+    mu2_range: tuple[float, ...] = (0.6, 1.0)
     mu2: float = 1.0
     e_sun: float = 1.0
     e_sky: float = 0.2
-    scale_range: tuple = (0.8, 1.2)
+    scale_range: tuple[float, ...] = (0.8, 1.2)
     band_smoothing: float = 5.0
 
     def __post_init__(self):
@@ -79,7 +79,7 @@ class ClassVariability:
 
 @dataclass(frozen=True)
 class VariabilityConfig:
-    class_modes: tuple
+    class_modes: tuple[ClassVariability, ...]
     n_variants: int = 5
     seed: Optional[int] = None
 
@@ -95,9 +95,9 @@ class VariabilityConfig:
 @dataclass(frozen=True)
 class AbundanceFieldConfig:
     generator: str = "dirichlet"
-    alpha: Optional[tuple] = None          # dirichlet concentration, one per class
-    correlation_length: float = 8.0        # grf kernel std, pixels
-    sharpness: float = 0.05                # grf softmax temperature
+    alpha: Optional[tuple[float, ...]] = None   # dirichlet concentration, one per class
+    correlation_length: float = 8.0             # grf kernel std, pixels
+    sharpness: float = 0.05                     # grf softmax temperature
     pure_pixel_fraction: float = 0.0
     seed: Optional[int] = None
 
@@ -363,46 +363,7 @@ class SceneConfig:
     name: str = "scene"
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        doc = asdict(self)
-        doc["abundance"] = asdict(self.abundance)
-        doc["variability"] = {
-            "n_variants": self.variability.n_variants,
-            "seed": self.variability.seed,
-            "class_modes": [asdict(cm) for cm in self.variability.class_modes],
-        }
-        return doc
-
-
-def scene_config_from_dict(doc: dict) -> SceneConfig:
-    ab = AbundanceFieldConfig(**{
-        k: tuple(v) if k == "alpha" and v is not None else v
-        for k, v in doc["abundance"].items()
-    })
-    var_doc = doc["variability"]
-    modes = tuple(
-        ClassVariability(**{
-            k: tuple(v) if isinstance(v, list) else v for k, v in cm.items()
-        })
-        for cm in var_doc["class_modes"]
-    )
-    var = VariabilityConfig(
-        class_modes=modes,
-        n_variants=int(var_doc.get("n_variants", 5)),
-        seed=var_doc.get("seed"),
-    )
-    snr = doc.get("snr_db", 30.0)
-    return SceneConfig(
-        height=int(doc["height"]),
-        width=int(doc["width"]),
-        base_library=doc["base_library"],
-        abundance=ab,
-        variability=var,
-        snr_db=None if snr is None else float(snr),
-        seed=int(doc.get("seed", 0)),
-        name=doc.get("name", "scene"),
-    )
+        return asdict(self)
 
 
 def synthesize_from_config(

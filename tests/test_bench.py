@@ -7,12 +7,11 @@ from varimix.bench import (
     BenchConfig,
     RosterEntry,
     align_classes,
-    bench_config_from_dict,
     eval_result,
     run_bench,
 )
 from varimix.extraction import BundleExtractionConfig
-from varimix.io import save_library
+from varimix.io import load_config, save_library
 from varimix.solvers import SolverLog, UnmixingResult, fcls
 from varimix.synth import (
     AbundanceFieldConfig,
@@ -147,13 +146,40 @@ class TestRunBench:
         assert digest(tmp_path / "b") == first
         assert digest(tmp_path / "a", base_seed=8) != first
 
+    def test_scene_digest_same_for_integer_and_float_spelling(self, tmp_path):
+        save_library(synthetic_base_spectra(12, 3, seed=7), tmp_path / "base.csv")
+        scene = {"height": 6, "width": 5, "base_library": str(tmp_path / "base.csv"),
+                 "abundance": {"generator": "grf", "correlation_length": 3},
+                 "variability": {"n_variants": 2, "class_modes": [
+                     {"mode": "elmm_scaling"}, {"mode": "none"}, {"mode": "none"}]}}
+
+        def run(cfg):
+            report = run_bench(cfg)
+            return report.metadata["scene_digest"], (tmp_path / "out" / "report.csv").read_bytes()
+
+        def loaded(length):
+            doc = {"scene": {**scene, "abundance": {"generator": "grf",
+                                                    "correlation_length": length}},
+                   "roster": [{"name": "fcls", "algo": "fcls"}],
+                   "output_dir": str(tmp_path / "out"), "keep_run_artifacts": False}
+            return load_config(BenchConfig, json.loads(json.dumps(doc)))
+
+        built = BenchConfig(scene=SceneConfig(
+            6, 5, scene["base_library"], AbundanceFieldConfig("grf", correlation_length=3),
+            VariabilityConfig((ClassVariability("elmm_scaling"), ClassVariability("none"),
+                               ClassVariability("none")), n_variants=2)),
+            roster=(RosterEntry("fcls", "fcls"),), output_dir=str(tmp_path / "out"),
+            keep_run_artifacts=False)
+        assert built == loaded(3) == loaded(3.0)
+        assert run(loaded(3)) == run(loaded(3.0)) == run(built)
+
     def test_report_files_and_structure(self, tmp_path):
         cfg = _tiny_bench_cfg(tmp_path)
         report = run_bench(cfg)
         out = tmp_path / "out"
         assert (out / "report.csv").exists()
         assert (out / "report.md").exists()
-        assert (out / "plots" / "fcls.dat").exists()
+        assert not (out / "plots").exists()
         assert (out / "runs" / "0" / "scene" / "truth_meta.json").exists()
         assert (out / "runs" / "1" / "mesma-true" / "abundances.csv").exists()
         assert report.metadata["seeds"] == [100, 101]
@@ -195,6 +221,6 @@ class TestRunBench:
             "master_seed": 3,
             "output_dir": str(tmp_path / "out2"),
         }
-        parsed = bench_config_from_dict(json.loads(json.dumps(doc)))
+        parsed = load_config(BenchConfig, json.loads(json.dumps(doc)))
         report = run_bench(parsed)
         assert "fcls" in report.rows

@@ -221,6 +221,44 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
                  str(tmp_path / "good.csv"), "--transform", str(bad_json),
                  "--out", str(tmp_path / "r4")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad_json}: not a valid transform file")
+    offset = tmp_path / "offset.json"
+    offset.write_text(json.dumps({"kind": "weights", "weights": [1.0] * 3, "offset": [0.0] * 3}))
+    assert main(["unmix", "--image", str(image), "--algo", "fcls", "--m0",
+                 str(tmp_path / "good.csv"), "--transform", str(offset),
+                 "--out", str(tmp_path / "r5")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {offset}: not a valid transform file")
+
+
+def test_synth_config_without_abundance_exits_2(tmp_path, capsys):
+    cfg = _scene_config(tmp_path)
+    del cfg["abundance"]
+    (tmp_path / "scene.json").write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(tmp_path / "scene.json"),
+                 "--out", str(tmp_path / "scene")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'scene.json'}: abundance: missing required key\n"
+    assert not (tmp_path / "scene").exists()
+
+
+def test_synth_config_with_unknown_nested_key_exits_2(tmp_path, capsys):
+    cfg = _scene_config(tmp_path)
+    cfg["abundance"]["corr_len"] = 4
+    (tmp_path / "scene.json").write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(tmp_path / "scene.json"),
+                 "--out", str(tmp_path / "scene")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'scene.json'}: abundance.corr_len: unknown key\n"
+
+
+def test_bench_config_with_misspelled_key_exits_2(tmp_path, capsys):
+    bench = {"scene": _scene_config(tmp_path, height=8, width=8),
+             "roster": [{"name": "fcls", "algo": "fcls"}],
+             "n_montecarlo": 10, "output_dir": str(tmp_path / "bench")}
+    (tmp_path / "bench.json").write_text(json.dumps(bench))
+    assert main(["bench", "--config", str(tmp_path / "bench.json")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'bench.json'}: n_montecarlo: unknown key\n"
+    assert not (tmp_path / "bench").exists()
 
 
 def test_bench_cli_and_exit_codes(tmp_path):

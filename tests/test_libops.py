@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -411,3 +412,22 @@ def test_music_constant_image_with_inexact_mean_has_an_empty_subspace(rng):
     assert pruned.sizes == (1, 1)
     for kept, c in zip(pruned.classes, library.classes):
         assert np.array_equal(kept.signatures[0], c.signatures[0])
+
+
+class TestTransformFile:
+    def test_round_trip(self, tmp_path, rng):
+        for t in (SpectralTransform("mask", np.array([1.0, 0.0, 1.0, 1.0])),
+                  SpectralTransform("weights", rng.uniform(0.1, 2.0, size=4)),
+                  SpectralTransform("dense", rng.normal(size=(2, 4)))):
+            back = SpectralTransform.from_json(t.to_json(tmp_path / f"{t.kind}.json"))
+            assert back.kind == t.kind and np.array_equal(back.weights, t.weights)
+
+    def test_file_with_null_offset_loads_and_applies_unchanged(self, tmp_path, rng):
+        w = rng.normal(size=(2, 5))
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"kind": "dense", "weights": w.tolist(), "offset": None}) + "\n")
+        x = rng.uniform(0.1, 1.0, size=(7, 5))
+        t = SpectralTransform.from_json(path)
+        assert np.array_equal(t.apply(x), x @ w.T)
+        assert json.loads(t.to_json(tmp_path / "new.json").read_text()) == \
+            {"kind": "dense", "weights": w.tolist()}

@@ -10,6 +10,7 @@ KKT conditions against the dense matrix it was solved for; and
 ``monotone_loop`` must stop at a cost rise.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.sparse import identity
 from scipy.sparse.linalg import spsolve
 
+from varimix.io import save_result
 from varimix.solvers import (
     SolverOptions,
     elmm_unmix,
@@ -261,17 +263,19 @@ def test_monotone_loop_convergence_and_cap():
     assert zero.converged and zero.iterations == 0 and zero.flags["cap_hit"] == 0
 
 
-def test_logs_report_phases_and_loop_flags():
+def test_logs_report_phases_and_loop_flags(tmp_path):
     image, m0 = _small_scene(6)
-    e = elmm_unmix(image, m0, SolverOptions(max_iters=4)).solver_log
-    p = plmm_unmix(image, m0, SolverOptions(max_iters=4)).solver_log
-    assert set(e.phases) == {"qp", "endmember", "psi", "cost"}
-    assert set(p.phases) == {"qp", "endmember", "cost"}
-    for log in (e, p):
+    e = elmm_unmix(image, m0, SolverOptions(max_iters=4))
+    p = plmm_unmix(image, m0, SolverOptions(max_iters=4))
+    assert set(e.solver_log.phases) == {"qp", "endmember", "psi", "cost"}
+    assert set(p.solver_log.phases) == {"qp", "endmember", "cost"}
+    for name, result in (("elmm", e), ("plmm", p)):
+        log = result.solver_log
         assert all(v >= 0.0 for v in log.phases.values())
         assert log.flags["cost_rises"] == 0
         assert log.flags["cap_hit"] == int(log.iterations == 4 and not log.converged)
-        assert log.to_dict()["phases"] == log.phases
+        written = json.loads((save_result(result, tmp_path / name) / "solver_log.json").read_text())
+        assert written["phases"] == log.phases and written["flags"] == log.flags
 
 
 GRIDS = [(1, 1), (1, 9), (9, 1), (7, 5), (48, 48)]
