@@ -46,7 +46,6 @@ from .synth import SceneConfig, synthesize_from_config, truth_variant_library
 from .types import (
     BenchReport,
     DimensionError,
-    EndmemberField,
     MetricRow,
     SceneTruth,
     SpectralImage,
@@ -67,7 +66,8 @@ class RosterEntry:
     instead; ``truth-variants`` uses the scene's realized signatures;
     ``file`` reads a library CSV. ``options`` holds ``SolverOptions``
     fields and the solver's extras (``re_threshold`` for MESMA, ``k`` and
-    ``mode`` for sparse L0); other keys are ignored.
+    ``mode`` for sparse L0); it is checked by ``SolverOptions.from_dict``
+    when the entry is built, so an unknown key raises ``FormatError``.
     """
 
     name: str
@@ -84,6 +84,7 @@ class RosterEntry:
             raise ValueError(f"unknown library source {self.library_source!r}")
         if self.library_source == "file" and not self.library_path:
             raise ValueError("library_source 'file' needs library_path")
+        SolverOptions.from_dict(self.options)
 
 
 @dataclass(frozen=True)
@@ -186,25 +187,18 @@ def eval_result(
     any metric is computed. ``clean_pixels`` overrides the reconstruction
     target (used when the solver ran in a transformed band space).
     """
-    p = truth.abundances.n_classes
-    if result.abundances.n_classes != p:
+    if result.abundances.n_classes != truth.abundances.n_classes:
         raise DimensionError("class count mismatch between truth and result")
+    perm = None
     if class_means is not None:
         perm = align_classes(truth.endmembers.class_means(), np.asarray(class_means))
-    else:
-        perm = np.arange(p)
-    a_hat = result.abundances.data[:, perm]
-    row = {
-        "rmse_A": rmse(truth.abundances.data, a_hat),
-        "rmse_M": None,
-        "sam_M": None,
-    }
+    row = {"rmse_A": rmse(truth.abundances.data, result.abundances.data, perm),
+           "rmse_M": None, "sam_M": None}
     target = truth.image_clean.pixels if clean_pixels is None else clean_pixels
     row["rmse_Y"] = rmse(target, result.reconstruction)
     if result.endmembers is not None and clean_pixels is None:
-        aligned = EndmemberField(result.endmembers.data[:, :, perm])
-        row["rmse_M"] = rmse(truth.endmembers.data, aligned.data)
-        row["sam_M"] = sam_field(truth.endmembers, aligned)
+        row["rmse_M"] = rmse(truth.endmembers.data, result.endmembers.data, perm)
+        row["sam_M"] = sam_field(truth.endmembers, result.endmembers, perm)
     return row
 
 
@@ -329,16 +323,12 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                 n_failed=cfg.n_monte_carlo,
             )
             continue
-        a_mean, a_med = _aggregate([r["rmse_A"] for r in rows])
-        y_mean, y_med = _aggregate([r["rmse_Y"] for r in rows])
-        m_mean, m_med = _aggregate([r["rmse_M"] for r in rows])
-        s_mean, s_med = _aggregate([r["sam_M"] for r in rows])
+        stats = {}
+        for key in ("rmse_A", "rmse_Y", "rmse_M", "sam_M"):
+            col = key.lower()
+            stats[col + "_mean"], stats[col + "_median"] = _aggregate([r[key] for r in rows])
         report.rows[entry.name] = MetricRow(
-            rmse_a_mean=a_mean, rmse_a_median=a_med,
-            rmse_y_mean=y_mean, rmse_y_median=y_med,
-            rmse_m_mean=m_mean, rmse_m_median=m_med,
-            sam_m_mean=s_mean, sam_m_median=s_med,
-            runtime_mean=float(np.mean(times[entry.name])),
+            **stats, runtime_mean=float(np.mean(times[entry.name])),
             n_failed=cfg.n_monte_carlo - len(rows),
         )
 
@@ -356,14 +346,8 @@ def _write_report_csv(report: BenchReport, path: Path):
             "sam_m_mean", "sam_m_median", "rmse_y_mean", "rmse_y_median", "n_failed"]
     lines = [",".join(cols)]
     for name, row in report.rows.items():
-        lines.append(",".join([
-            name,
-            _fmt(row.rmse_a_mean), _fmt(row.rmse_a_median),
-            _fmt(row.rmse_m_mean), _fmt(row.rmse_m_median),
-            _fmt(row.sam_m_mean), _fmt(row.sam_m_median),
-            _fmt(row.rmse_y_mean), _fmt(row.rmse_y_median),
-            str(row.n_failed),
-        ]))
+        values = [_fmt(getattr(row, c)) for c in cols[1:-1]]
+        lines.append(",".join([name, *values, str(row.n_failed)]))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .bench import BenchConfig, run_bench, transform_input, write_report_md
@@ -32,16 +33,16 @@ from .synth import SceneConfig, synthesize_from_config
 from .types import FormatError
 
 
-def _read_config(cls, path):
-    """Load a JSON config file into ``cls``; errors name the file."""
+def _read_config(build, path):
+    """Build a config from a JSON file with ``build``; errors name the file."""
     try:
-        return load_config(cls, json.loads(Path(path).read_text()))
+        return build(json.loads(Path(path).read_text()))
     except (json.JSONDecodeError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def _cmd_synth(args) -> int:
-    cfg = _read_config(SceneConfig, args.config)
+    cfg = _read_config(partial(load_config, SceneConfig), args.config)
     truth = synthesize_from_config(cfg)
     save_scene(truth, args.out)
     print(f"scene written to {args.out}")
@@ -104,7 +105,7 @@ def _cmd_unmix(args) -> int:
     image = resolve_image(args.image)
     opts = SolverOptions()
     if args.opts is not None:
-        opts = SolverOptions.from_dict(json.loads(Path(args.opts).read_text()))
+        opts = _read_config(SolverOptions.from_dict, args.opts)
     if SOLVERS[args.algo].kind == "matrix":
         path = args.m0 or args.library
         if not path:
@@ -128,7 +129,7 @@ def _cmd_unmix(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _read_config(BenchConfig, args.config)
+    cfg = _read_config(partial(load_config, BenchConfig), args.config)
     report = run_bench(cfg)
     if args.paper_scale:
         write_report_md(report, Path(cfg.output_dir) / "report.md", paper_scale=True)
@@ -208,8 +209,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FormatError, FileNotFoundError) as exc:
+        msg = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -255,7 +255,6 @@ def extract_bundles(image: SpectralImage, cfg: BundleExtractionConfig) -> Spectr
             f"fewer than the {cfg.n_classes} classes requested"
         )
 
-    labels = None
     for attempt in range(10):
         try:
             labels = cluster_signatures(
@@ -264,7 +263,7 @@ def extract_bundles(image: SpectralImage, cfg: BundleExtractionConfig) -> Spectr
             break
         except RuntimeError:
             continue
-    if labels is None:
+    else:
         raise RuntimeError("bundle clustering failed after 10 retries")
 
     groups = [pooled[labels == j] for j in range(cfg.n_classes)]

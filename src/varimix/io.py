@@ -33,6 +33,7 @@ from .types import (
     SceneTruth,
     SpectralImage,
     SpectralLibrary,
+    _Adopt,
 )
 
 _IMAGE_ORDER = "row-major band-interleaved-by-pixel"
@@ -94,17 +95,16 @@ def load_image(path) -> SpectralImage:
     if meta["dtype"] != "f64" or meta["order"] != _IMAGE_ORDER:
         raise FormatError(f"unsupported dtype/order in {header}")
     h, w, l = int(meta["height"]), int(meta["width"]), int(meta["bands"])
-    raw = _payload_path(header).read_bytes()
-    expected = h * w * l * 8
-    if len(raw) != expected:
-        raise FormatError(
-            f"payload size {len(raw)} bytes does not match header "
-            f"({h}x{w}x{l} float64 = {expected} bytes)"
-        )
-    data = np.frombuffer(raw, dtype="<f8").reshape(h, w, l)
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"non-finite values in image payload {header}")
-    return SpectralImage(data, name=str(meta["name"]))
+    payload = _payload_path(header)
+    size, expected = payload.stat().st_size, h * w * l * 8
+    if size != expected:
+        raise FormatError(f"payload size {size} bytes does not match header "
+                          f"({h}x{w}x{l} float64 = {expected} bytes)")
+    data = np.fromfile(payload, dtype="<f8").reshape(h, w, l)
+    try:
+        return SpectralImage(_Adopt(data), name=str(meta["name"]))
+    except ValueError as exc:           # the image's finiteness check
+        raise FormatError(f"non-finite values in image payload {header}") from exc
 
 
 def _write_csv(path, header: str, values: np.ndarray, labels=None,
@@ -154,8 +154,7 @@ def load_library(path) -> SpectralLibrary:
     if not lines or not lines[0].startswith("class,"):
         raise FormatError(f"{p}: expected 'class,b0,...' header")
     n_bands = len(lines[0].split(",")) - 1
-    order: list[str] = []
-    rows: dict[str, list[np.ndarray]] = {}
+    rows: dict[str, list[np.ndarray]] = {}             # classes in order of appearance
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != n_bands + 1:
@@ -166,13 +165,10 @@ def load_library(path) -> SpectralLibrary:
         except ValueError as exc:
             raise FormatError(f"{p}: non-numeric value in row for {name!r}") from exc
         _check_reflectance(sig, p)
-        if name not in rows:
-            rows[name] = []
-            order.append(name)
-        rows[name].append(sig)
-    if not order:
+        rows.setdefault(name, []).append(sig)
+    if not rows:
         raise FormatError(f"{p}: library has no signatures")
-    return SpectralLibrary(tuple(LibraryClass(n, np.stack(rows[n])) for n in order))
+    return SpectralLibrary(tuple(LibraryClass(n, np.stack(s)) for n, s in rows.items()))
 
 
 def save_abundances(abundances: AbundanceMap, path, digests: Optional[dict] = None) -> Path:
@@ -217,7 +213,7 @@ def load_endmember_field(path, n_bands: int) -> EndmemberField:
     if total % n_bands != 0:
         raise FormatError(f"{path}: {total} values per pixel not divisible by L={n_bands}")
     p = total // n_bands
-    return EndmemberField(img.pixels.reshape(img.n_pixels, n_bands, p))
+    return EndmemberField(_Adopt(img.pixels.reshape(img.n_pixels, n_bands, p)))
 
 
 def save_result(result, out) -> Path:

@@ -13,7 +13,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .metrics import pairwise_angles
-from .types import DimensionError, FormatError, LibraryClass, SpectralImage, SpectralLibrary
+from .types import (DimensionError, FormatError, LibraryClass, SpectralImage, SpectralLibrary,
+                    _Adopt, _freeze)
 
 TRANSFORM_KINDS = ("mask", "weights", "dense")
 
@@ -45,9 +46,7 @@ class SpectralTransform:
                 raise DimensionError("dense transforms need a (d, L) matrix")
             if np.linalg.matrix_rank(w) < w.shape[0]:
                 raise ValueError("dense transform must have full row rank")
-        w = np.array(w, order="C")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _freeze(w))
 
     @property
     def input_bands(self) -> int:
@@ -163,8 +162,7 @@ def fda_transform(library: SpectralLibrary, dim: int) -> SpectralTransform:
     for c in library.classes:
         centered = c.signatures - c.signatures.mean(axis=0)
         s_within += centered.T @ centered
-    s_between = np.cov(means.T, bias=True)
-    s_between = np.atleast_2d(s_between)
+    s_between = np.atleast_2d(np.cov(means.T, bias=True))
     if np.linalg.norm(s_between) == 0:
         raise np.linalg.LinAlgError("identical class means: between-class scatter is zero")
     eps = 1e-8 * np.trace(s_within) / l
@@ -188,10 +186,8 @@ def apply_transform(
     if transform.kind == "mask" and transform.output_bands < library.n_classes:
         warnings.warn("mask keeps fewer bands than classes: underdetermined")
     pixels = transform.apply(image.pixels)
-    out_image = SpectralImage(
-        pixels.reshape(image.height, image.width, transform.output_bands),
-        name=image.name,
-    )
+    out_image = SpectralImage(_Adopt(pixels.reshape(image.height, image.width, -1)),
+                              name=image.name)
     classes = tuple(
         LibraryClass(c.name, transform.apply(c.signatures)) for c in library.classes
     )

@@ -4,22 +4,42 @@ Angles are evaluated as 2*atan2(||u - v||, ||u + v||) on unit vectors,
 which equals arccos of the normalized inner product but stays accurate
 near 0 and pi (a clamped arccos loses ~1e-8 rad to rounding there, which
 would break the scale-invariance contracts).
+
+``rmse`` and ``sam_field`` run over chunks of pixels, so their
+temporaries stay near ``_CHUNK_BYTES``; chunk sums are added exactly.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .types import DegenerateSignatureError, DimensionError, EndmemberField
 
 
-def rmse(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Root mean squared error over all elements, sqrt(||X - Xhat||_F^2 / N)."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
+_CHUNK_BYTES = 1 << 20      # scoring temporaries per chunk of pixels
+
+
+def _chunks(x: np.ndarray, x_hat: np.ndarray, perm, temps: int):
+    """Copies of matching row chunks of ``x`` and ``x_hat``, the last axis
+    of ``x_hat`` reordered by ``perm``; a chunk is sized so that ``temps``
+    arrays of its size fill ``_CHUNK_BYTES``."""
+    step = max(1, _CHUNK_BYTES // max(temps * x[:1].nbytes, 1))
+    cols = np.arange(x.shape[-1])
+    for i in range(0, len(x), step):
+        yield x[i:i + step][..., cols], x_hat[i:i + step][..., cols if perm is None else perm]
+
+
+def rmse(x: np.ndarray, x_hat: np.ndarray, perm=None) -> float:
+    """Root mean squared error over all elements, sqrt(||X - Xhat||_F^2 / N);
+    ``perm`` reorders the last axis of ``x_hat`` (a class alignment)."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x_hat = np.atleast_1d(np.asarray(x_hat, dtype=np.float64))
     if x.shape != x_hat.shape:
         raise DimensionError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    return float(np.sqrt(np.mean((x - x_hat) ** 2)))
+    sums = [np.sum(np.square(t - h)) for t, h in _chunks(x, x_hat, perm, 4)]
+    return float(np.sqrt(np.float64(math.fsum(sums)) / x.size))   # nan when empty
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -31,9 +51,7 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 
 def spectral_angle(a: np.ndarray, b: np.ndarray) -> float:
     """Angle in radians between two spectra; scale-invariant."""
-    u = _unit_rows(np.asarray(a, dtype=np.float64)[None, :])[0]
-    v = _unit_rows(np.asarray(b, dtype=np.float64)[None, :])[0]
-    return float(2.0 * np.arctan2(np.linalg.norm(u - v), np.linalg.norm(u + v)))
+    return float(pairwise_angles(a, b)[0, 0])
 
 
 def pairwise_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -45,8 +63,21 @@ def pairwise_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(diff, summ)
 
 
-def sam_field(m_true: EndmemberField, m_hat: EndmemberField) -> float:
-    """Mean angle between matching per-pixel endmember columns.
+def _column_norms(w: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("nlp,nlp->np", w, w))
+
+
+def _normalize_columns(w: np.ndarray):
+    """Scale each column of an (n, L, P) field chunk to unit norm, in place."""
+    norms = _column_norms(w)
+    if np.any(norms == 0.0):
+        raise DegenerateSignatureError("zero-norm endmember column")
+    w /= norms[:, None, :]
+
+
+def sam_field(m_true: EndmemberField, m_hat: EndmemberField, perm=None) -> float:
+    """Mean angle between matching per-pixel endmember columns; ``perm``
+    reorders the classes of ``m_hat`` (a class alignment).
 
     The angle sum over all (pixel, class) pairs is divided by L*P*N,
     which shrinks the score by the band count relative to a plain
@@ -55,14 +86,11 @@ def sam_field(m_true: EndmemberField, m_hat: EndmemberField) -> float:
     if m_true.data.shape != m_hat.data.shape:
         raise DimensionError("endmember fields differ in shape")
     n, l, p = m_true.data.shape
-    nt = np.linalg.norm(m_true.data, axis=1, keepdims=True)
-    nh = np.linalg.norm(m_hat.data, axis=1, keepdims=True)
-    if np.any(nt == 0.0) or np.any(nh == 0.0):
-        raise DegenerateSignatureError("zero-norm endmember column")
-    u = m_true.data / nt
-    v = m_hat.data / nh
-    diff = np.linalg.norm(u - v, axis=1)
-    summ = np.linalg.norm(u + v, axis=1)
-    angles = 2.0 * np.arctan2(diff, summ)
-    total = float(np.sum(angles))
-    return total / (l * p * n)
+    sums = []
+    for u, v in _chunks(m_true.data, m_hat.data, perm, 4):     # u, v, u - v, u + v
+        _normalize_columns(u)
+        _normalize_columns(v)
+        diff = _column_norms(u - v)
+        u += v
+        sums.append(np.sum(2.0 * np.arctan2(diff, _column_norms(u))))
+    return math.fsum(sums) / (l * p * n)

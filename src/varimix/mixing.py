@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .types import AbundanceMap, DimensionError, EndmemberField, SpectralImage
+from .types import AbundanceMap, DimensionError, EndmemberField, SpectralImage, _Adopt
 
 NOISELESS = math.inf
 
@@ -34,36 +34,31 @@ def mix_forward(
         raise DimensionError("abundances do not match the endmember field")
     if not abundances.sum_to_one:
         raise ValueError("mix_forward expects simplex abundances (sum_to_one set)")
-    if shape is None:
-        shape = (1, n)
-    h, w = shape
+    h, w = (1, n) if shape is None else shape
     if h * w != n:
         raise DimensionError("shape does not cover all pixels")
     pixels = np.einsum("nlp,np->nl", endmembers.data, abundances.data)
-    return SpectralImage(pixels.reshape(h, w, l), name=name)
+    return SpectralImage(_Adopt(pixels.reshape(h, w, l)), name=name)
 
 
-def add_noise(image: SpectralImage, snr_db: float, seed: int) -> SpectralImage:
+def add_noise(image: SpectralImage, snr_db: float, seed: int,
+              name: Optional[str] = None) -> SpectralImage:
     """Add white Gaussian noise calibrated to a target SNR in decibels.
 
     Signal power is the mean of squared clean values over all entries, so
     sigma^2 = mean(clean^2) / 10^(snr_db / 10). ``snr_db = math.inf`` (the
-    NOISELESS sentinel) returns the input unchanged. Deterministic in
-    ``seed``.
+    NOISELESS sentinel) returns the input's values unchanged. Deterministic
+    in ``seed``. The result is named ``name``, by default as the input.
     """
-    return SpectralImage(_noisy(image, snr_db, seed), name=image.name)
-
-
-def _noisy(image: SpectralImage, snr_db: float, seed: int) -> np.ndarray:
-    """The data of ``add_noise(image, snr_db, seed)``, not yet wrapped in
-    an image (wrapping copies and scans the cube)."""
     if image.n_pixels == 0:
         raise ValueError("cannot add noise to an empty image")
+    name = image.name if name is None else name
     if math.isinf(snr_db) and snr_db > 0:
-        return image.data
+        return SpectralImage(_Adopt(image.data), name=name)
     if not math.isfinite(snr_db):
         raise ValueError("snr_db must be finite or +inf")
     signal_power = float(np.mean(image.data**2))
     sigma = math.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
-    rng = np.random.default_rng(seed)
-    return image.data + rng.normal(0.0, sigma, size=image.data.shape)
+    noisy = np.random.default_rng(seed).normal(0.0, sigma, size=image.data.shape)
+    noisy += image.data                 # noise + clean: the same bits as clean + noise
+    return SpectralImage(_Adopt(noisy), name=name)

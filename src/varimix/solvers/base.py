@@ -21,16 +21,18 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from ..io import load_config
 from ..types import AbundanceMap, EndmemberField
 
 _KKT_TOL = 1e-10            # pricing tolerance, relative to max(1, |h|_inf)
 _RIDGE = 1e-10              # relative ridge for a singular face system
 _START_SUM_TOL = 1e-12      # sum-to-one tolerance of a simplex start
+_SKIPPED_KEYS = ("rho", "inner_tol", "inner_iters", "seed", "re_threshold", "k", "mode")
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,12 @@ class SolverOptions:
     """Knobs shared by the unmixing solvers; unused fields are ignored.
 
     The least-squares kernel is exact and has no options of its own.
-    ``from_dict`` drops unknown keys, so option files and roster options
-    that still carry the retired splitting-solver keys ``rho``,
-    ``inner_tol`` or ``inner_iters``, the retired ``seed`` (no solver
-    draws random numbers), or per-solver extras, load unchanged.
+    ``from_dict`` loads a dict by ``io.load_config``, so an unknown key or
+    a value of the wrong type raises ``FormatError``. It skips the retired
+    splitting-solver keys ``rho``, ``inner_tol`` and ``inner_iters``, the
+    retired ``seed`` (no solver draws random numbers), and the per-solver
+    extras ``re_threshold``, ``k`` and ``mode``, so option files and
+    roster options that carry them load.
     """
 
     max_iters: int = 200            # outer iterations (alternating solvers)
@@ -62,8 +66,9 @@ class SolverOptions:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SolverOptions":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in known})
+        if isinstance(doc, dict):
+            doc = {k: v for k, v in doc.items() if k not in _SKIPPED_KEYS}
+        return load_config(cls, doc)
 
 
 @dataclass

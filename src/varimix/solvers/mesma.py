@@ -12,7 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..types import AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage, SpectralLibrary
+from ..types import (AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage,
+                     SpectralLibrary, _Adopt)
 from .base import QPCounts, SolverOptions, SolverLog, UnmixingResult, per_pixel_rms, reconstruct
 from .search import distinct_rows, library_stats, subset_search
 
@@ -71,7 +72,7 @@ def mesma(
         fields[:, :, cls] = sigs[cls][best_model[:, cls]]
     # emitted field is clamped (transformed libraries can dip negative);
     # model selection above used the unclamped signatures
-    fields = np.clip(fields, 0.0, None)
+    np.clip(fields, 0.0, None, out=fields)
     recon = reconstruct(fields, best_a)
     cost = float(np.sum((y - recon) ** 2))
     log = SolverLog(
@@ -88,6 +89,6 @@ def mesma(
         per_pixel_re=per_pixel_rms(y, recon),
         reconstruction=recon,
         solver_log=log,
-        endmembers=EndmemberField(fields),
+        endmembers=EndmemberField(_Adopt(fields)),
         selected_model=best_model,
     )

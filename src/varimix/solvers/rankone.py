@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..types import AbundanceMap, DimensionError, EndmemberField
+from ..types import AbundanceMap, DimensionError, EndmemberField, _Adopt
 from .base import (QPCounts, SolverLog, UnmixingResult, fcls_gram, per_pixel_rms, reconstruct,
                    timed)
 
@@ -152,4 +152,4 @@ class RankOneModel:
         recon = reconstruct(emitted, a)
         return UnmixingResult(AbundanceMap(a, sum_to_one=True),
                               per_pixel_rms(self.y, recon), recon, log,
-                              EndmemberField(emitted), extras=extras)
+                              EndmemberField(_Adopt(emitted)), extras=extras)

@@ -33,6 +33,7 @@ from ..types import (
     EndmemberField,
     SpectralImage,
     SpectralLibrary,
+    _Adopt,
 )
 from .base import (
     _KKT_TOL,
@@ -161,7 +162,7 @@ def sparse_su_l1(
         per_pixel_re=per_pixel_rms(y, recon),
         reconstruction=recon,
         solver_log=log,
-        endmembers=EndmemberField(np.clip(proxy, 0.0, None)),
+        endmembers=EndmemberField(_Adopt(np.clip(proxy, 0.0, None, out=proxy))),
         raw_abundances=AbundanceMap(raw, sum_to_one=False, class_names=_column_names(library)),
     )
 
@@ -280,7 +281,7 @@ def sparse_su_l0(
         per_pixel_re=per_pixel_rms(y, recon),
         reconstruction=recon,
         solver_log=log,
-        endmembers=EndmemberField(np.clip(proxy, 0.0, None)),
+        endmembers=EndmemberField(_Adopt(np.clip(proxy, 0.0, None, out=proxy))),
         raw_abundances=AbundanceMap(raw, sum_to_one=True, class_names=_column_names(library)),
         extras={"support": raw > _MASS_TOL},
     )

@@ -15,15 +15,15 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
-from .mixing import _noisy, mix_forward
+from .mixing import add_noise, mix_forward
 from .types import (
     AbundanceMap,
     DimensionError,
     EndmemberField,
     LibraryClass,
     SceneTruth,
-    SpectralImage,
     SpectralLibrary,
+    _Adopt,
 )
 
 VARIABILITY_MODES = ("hapke", "atmospheric", "elmm_scaling", "glmm_scaling", "none")
@@ -247,19 +247,12 @@ def scaling_variants(
 def _class_variants(base: np.ndarray, cv: ClassVariability, k: int, rng) -> np.ndarray:
     if cv.mode == "none":
         return np.repeat(base[None, :], k, axis=0)
-    if cv.mode == "hapke":
-        out = np.empty((k, base.size))
-        for i in range(k):
-            mu1 = rng.uniform(*cv.mu1_range)
-            mu2 = rng.uniform(*cv.mu2_range)
-            out[i] = hapke_reflectance(base, mu1, mu2)
-        return out
+    if cv.mode == "hapke":              # per variant: mu1, then mu2
+        return np.stack([hapke_reflectance(base, rng.uniform(*cv.mu1_range),
+                                           rng.uniform(*cv.mu2_range)) for _ in range(k)])
     if cv.mode == "atmospheric":
-        out = np.empty((k, base.size))
-        for i in range(k):
-            mu1 = rng.uniform(*cv.mu1_range)
-            out[i] = atmospheric_reflectance(base, mu1, cv.mu2, cv.e_sun, cv.e_sky)
-        return out
+        return np.stack([atmospheric_reflectance(base, rng.uniform(*cv.mu1_range), cv.mu2,
+                                                 cv.e_sun, cv.e_sky) for _ in range(k)])
     sub_seed = int(rng.integers(0, 2**63 - 1))
     mode = "elmm" if cv.mode == "elmm_scaling" else "glmm"
     return scaling_variants(
@@ -301,9 +294,8 @@ def synthesize_scene(
     draw_seed, noise_seed = int(sub[2]), int(sub[3])
 
     var_rng = np.random.default_rng(var_seed)
-    variants = np.empty((p, k, l))
-    for j, (cls, cv) in enumerate(zip(base_library.classes, var_cfg.class_modes)):
-        variants[j] = _class_variants(cls.signatures[0], cv, k, var_rng)
+    variants = np.stack([_class_variants(cls.signatures[0], cv, k, var_rng)
+                         for cls, cv in zip(base_library.classes, var_cfg.class_modes)])
 
     if abund_cfg.generator == "dirichlet":
         alpha = abund_cfg.alpha if abund_cfg.alpha is not None else (1.0,) * p
@@ -318,16 +310,16 @@ def synthesize_scene(
             abund_cfg.correlation_length, abund_cfg.sharpness,
             abund_cfg.pure_pixel_fraction, ab_seed,
         )
-    abundances = AbundanceMap(
-        abundances.data, sum_to_one=True, class_names=base_library.class_names
-    )
+    abundances = AbundanceMap(abundances.data, class_names=base_library.class_names)
 
     draw = np.random.default_rng(draw_seed).integers(0, k, size=(n, p))
-    field = variants[np.arange(p)[None, :], draw, :]        # (N, P, L)
-    endmembers = EndmemberField(np.ascontiguousarray(field.transpose(0, 2, 1)))
+    field = np.empty((n, l, p))                     # filled in place, class by class
+    for j in range(p):
+        field[:, :, j] = variants[j][draw[:, j]]
+    endmembers = EndmemberField(_Adopt(field))
 
     clean = mix_forward(endmembers, abundances, shape=(height, width), name=f"{name}_clean")
-    noisy = SpectralImage(_noisy(clean, snr_db, noise_seed), name=f"{name}_noisy")
+    noisy = add_noise(clean, snr_db, noise_seed, name=f"{name}_noisy")
     return SceneTruth(
         image_noisy=noisy,
         image_clean=clean,

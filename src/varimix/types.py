@@ -1,7 +1,10 @@
 """Core data types shared by the whole toolkit.
 
-All containers are immutable after construction (arrays are copied and
-marked read-only), so they can be shared freely across threads.
+All containers are immutable after construction, so they can be shared
+freely across threads. The constructors copy a caller's array and mark
+the copy read-only; an array the toolkit has just built (synthesis,
+loading, solver results) comes wrapped in ``_Adopt`` and is checked the
+same way, then marked read-only in place instead of copied.
 """
 
 from __future__ import annotations
@@ -33,8 +36,21 @@ class DegenerateGeometryWarning(UserWarning):
     """The data simplex has lower rank than the requested endmember count."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, order="C")
+@dataclass(frozen=True)
+class _Adopt:
+    """A freshly built array that a container takes over without a copy.
+    Only for arrays that nothing else can write through: making an array
+    read-only does not protect other views of its memory."""
+
+    array: np.ndarray
+
+
+def _freeze(a) -> np.ndarray:
+    """Read-only C-ordered float64 data: an adopted array as is if it can be, else a copy."""
+    if isinstance(a, _Adopt):
+        out = np.asarray(a.array, dtype=np.float64, order="C")
+    else:
+        out = np.array(a, dtype=np.float64, order="C")
     out.flags.writeable = False
     return out
 
@@ -57,10 +73,10 @@ class SpectralImage:
     name: str = "image"
 
     def __post_init__(self):
+        object.__setattr__(self, "data", _freeze(self.data))
         if self.data.ndim != 3:
             raise DimensionError("SpectralImage.data must be (H, W, L)")
         _require_finite(self.data, "SpectralImage.data")
-        object.__setattr__(self, "data", _freeze(self.data))
 
     @property
     def height(self) -> int:
@@ -142,11 +158,8 @@ class SpectralLibrary:
 
     def flatten(self) -> tuple[np.ndarray, np.ndarray]:
         """Unstructured (total, L) matrix plus per-row class indices."""
-        mats = [c.signatures for c in self.classes]
-        idx = np.concatenate(
-            [np.full(c.size, p, dtype=np.intp) for p, c in enumerate(self.classes)]
-        )
-        return np.concatenate(mats, axis=0), idx
+        idx = np.repeat(np.arange(self.n_classes), self.sizes)
+        return np.concatenate([c.signatures for c in self.classes]), idx
 
     def class_means(self) -> np.ndarray:
         """(P, L) mean signature per class."""
@@ -231,12 +244,12 @@ class EndmemberField:
     data: np.ndarray                    # (N, L, P) float64, nonnegative
 
     def __post_init__(self):
+        object.__setattr__(self, "data", _freeze(self.data))
         if self.data.ndim != 3:
             raise DimensionError("EndmemberField.data must be (N, L, P)")
         _require_finite(self.data, "EndmemberField.data")
         if np.any(self.data < 0):
             raise ValueError("EndmemberField values must be nonnegative")
-        object.__setattr__(self, "data", _freeze(self.data))
 
     @property
     def n_pixels(self) -> int:
@@ -277,8 +290,9 @@ class SceneTruth:
             raise DimensionError("noisy/clean image shapes differ")
         if self.abundances.n_pixels != n or self.endmembers.data.shape != (n, l, p):
             raise DimensionError("SceneTruth member shapes are inconsistent")
-        mixed = np.einsum("nlp,np->nl", self.endmembers.data, self.abundances.data)
-        if np.max(np.abs(mixed - self.image_clean.pixels)) > _CLEAN_MIX_ATOL:
+        diff = np.einsum("nlp,np->nl", self.endmembers.data, self.abundances.data)
+        diff -= self.image_clean.pixels
+        if np.max(np.abs(diff, out=diff)) > _CLEAN_MIX_ATOL:
             raise ValueError("image_clean is not the exact mixture of the truth factors")
 
 

@@ -115,8 +115,8 @@ def test_unmix_with_opts_json_and_fda(scene_dir):
 def test_opts_json_with_removed_kernel_keys(scene_dir):
     # option files written before the exact QP kernel still carry the
     # splitting solver's rho / inner_tol / inner_iters, and older ones a
-    # seed no solver read; unknown keys are dropped, on the command line
-    # and in bench configs alike
+    # seed no solver read; these keys are skipped, on the command line and
+    # in bench configs alike
     old = {"rho": 2.0, "inner_tol": 1e-6, "inner_iters": 50, "seed": 4, "max_iters": 3}
     (scene_dir / "old_opts.json").write_text(json.dumps(old))
     out = scene_dir / "elmm_out"
@@ -127,6 +127,22 @@ def test_opts_json_with_removed_kernel_keys(scene_dir):
     assert 1 <= log["iterations"] <= 3
     assert log["flags"]["unsettled_rows"] == 0
     assert SolverOptions.from_dict(old) == SolverOptions(max_iters=3)
+
+
+def test_opts_json_with_misspelled_key_exits_2(scene_dir, capsys):
+    opts = scene_dir / "typo_opts.json"
+    opts.write_text(json.dumps({"lamda_sparse": 5.0, "max_iter": 3}))
+    out = scene_dir / "l1_out"
+    assert main(["unmix", "--image", str(scene_dir / "scene"), "--algo", "sparse-l1",
+                 "--library", str(scene_dir / "base.csv"), "--opts", str(opts),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {opts}: lamda_sparse: unknown key\n"
+    opts.write_text("[5.0, 3]")
+    assert main(["unmix", "--image", str(scene_dir / "scene"), "--algo", "sparse-l1",
+                 "--library", str(scene_dir / "base.csv"), "--opts", str(opts),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {opts}: config: expected an object, got list\n"
+    assert not out.exists()
 
 
 def test_music_prune_via_cli(scene_dir):
@@ -229,6 +245,31 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {offset}: not a valid transform file")
 
 
+def test_missing_input_files_exit_2(tmp_path, capsys):
+    # a missing input is refused like a malformed one: "error: <path>: ...", exit 2
+    cfg = _scene_config(tmp_path)
+    cfg["base_library"] = str(tmp_path / "no_base.csv")
+    (tmp_path / "scene.json").write_text(json.dumps(cfg))
+    bench = {"scene": cfg, "roster": [{"name": "fcls", "algo": "fcls"}],
+             "output_dir": str(tmp_path / "bench")}
+    (tmp_path / "bench.json").write_text(json.dumps(bench))
+    nope = tmp_path / "nope"
+    runs = [
+        (["synth", "--config", f"{nope}.json", "--out", tmp_path / "s1"], f"{nope}.json"),
+        (["synth", "--config", tmp_path / "scene.json", "--out", tmp_path / "s2"],
+         cfg["base_library"]),
+        (["prune", "--library", f"{nope}.csv", "--method", "count", "--out", tmp_path / "p.csv"],
+         f"{nope}.csv"),
+        (["unmix", "--image", nope, "--algo", "fcls", "--m0", f"{nope}.csv",
+          "--out", tmp_path / "r"], f"{nope}.json"),
+        (["bench", "--config", tmp_path / "bench.json"], cfg["base_library"]),
+    ]
+    for argv, path in runs:
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {path}: No such file or directory\n"
+    assert not (tmp_path / "s2").exists()
+
+
 def test_synth_config_without_abundance_exits_2(tmp_path, capsys):
     cfg = _scene_config(tmp_path)
     del cfg["abundance"]
@@ -258,6 +299,18 @@ def test_bench_config_with_misspelled_key_exits_2(tmp_path, capsys):
     assert main(["bench", "--config", str(tmp_path / "bench.json")]) == 2
     assert capsys.readouterr().err == \
         f"error: {tmp_path / 'bench.json'}: n_montecarlo: unknown key\n"
+    assert not (tmp_path / "bench").exists()
+
+
+def test_bench_roster_with_misspelled_option_exits_2_before_any_run(tmp_path, capsys):
+    bench = {"scene": _scene_config(tmp_path, height=8, width=8),
+             "roster": [{"name": "fcls", "algo": "fcls"},
+                        {"name": "elmm", "algo": "elmm", "options": {"max_iter": 5}}],
+             "output_dir": str(tmp_path / "bench")}
+    (tmp_path / "bench.json").write_text(json.dumps(bench))
+    assert main(["bench", "--config", str(tmp_path / "bench.json")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'bench.json'}: roster[1]: max_iter: unknown key\n"
     assert not (tmp_path / "bench").exists()
 
 

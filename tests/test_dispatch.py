@@ -9,10 +9,12 @@ import sys
 import numpy as np
 import pytest
 
+from varimix.bench import RosterEntry
 from varimix.cli import main
 from varimix.io import save_library, save_scene
 from varimix.solvers import ALGORITHMS, SolverOptions, fcls, sparse_su_l0, unmix
 from varimix.synth import synthetic_base_spectra, truth_variant_library
+from varimix.types import FormatError
 
 from conftest import make_scene
 
@@ -140,6 +142,23 @@ def test_unmix_drops_extras_the_solver_does_not_take():
     got = unmix("fcls", truth.image_noisy, matrix, opts, k=0, re_threshold=0.1, mode="x")
     want = fcls(truth.image_noisy, matrix, SolverOptions(max_iters=3))
     np.testing.assert_array_equal(got.abundances.data, want.abundances.data)
+
+
+def test_solver_options_refuse_unknown_keys():
+    with pytest.raises(FormatError, match="^lamda_sparse: unknown key$"):
+        SolverOptions.from_dict({"lamda_sparse": 5.0, "max_iter": 3})
+    with pytest.raises(FormatError, match="^max_iters: expected int, got float$"):
+        SolverOptions.from_dict({"max_iters": 2.5})
+    # retired keys and solver extras are skipped
+    kept = {"rho": 2.0, "inner_tol": 1e-6, "inner_iters": 50, "seed": 4,
+            "re_threshold": 0.1, "k": 2, "mode": "greedy", "lambda_sparse": 5.0}
+    assert SolverOptions.from_dict(kept) == SolverOptions(lambda_sparse=5.0)
+
+
+def test_roster_entry_checks_its_options_when_built():
+    with pytest.raises(FormatError, match="^lamda_m: unknown key$"):
+        RosterEntry("elmm", "elmm", options={"lamda_m": 2.0})
+    assert RosterEntry("l0", "sparse-l0", options={"k": 2, "mode": "exhaustive"}).options
 
 
 def test_solvers_byte_identical_across_thread_counts():

@@ -1,0 +1,103 @@
+"""Who owns the large arrays, and what building and scoring them costs.
+
+Scoring and synthesis make no field-sized temporaries (peaks measured
+with ``tracemalloc``, which sees numpy's buffers); the public
+constructors copy the caller's array; every array that synthesis,
+loading and the solvers hand out is read-only."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from varimix.bench import eval_result
+from varimix.io import (load_endmember_field, load_image, load_library, load_scene, save_library,
+                        save_scene)
+from varimix.solvers import ALGORITHMS, SOLVERS, SolverOptions, plmm_unmix, unmix
+from varimix.synth import (
+    AbundanceFieldConfig,
+    ClassVariability,
+    VariabilityConfig,
+    synthesize_scene,
+    synthetic_base_spectra,
+    truth_variant_library,
+)
+from varimix.types import EndmemberField, LibraryClass, SpectralImage
+
+from conftest import make_scene
+
+
+def _scene(height, width, bands=200):
+    """A scene of the benchmark's family: three classes, three variability
+    modes, a smooth abundance field, 30 dB."""
+    modes = (ClassVariability("hapke", mu1_range=(0.6, 1.0), mu2_range=(0.6, 1.0)),
+             ClassVariability("atmospheric", mu1_range=(0.4, 1.0)),
+             ClassVariability("elmm_scaling", scale_range=(0.75, 1.25)))
+    return synthesize_scene(synthetic_base_spectra(bands, 3, seed=123),
+                            AbundanceFieldConfig(generator="grf", correlation_length=6,
+                                                 sharpness=0.08, pure_pixel_fraction=0.03),
+                            VariabilityConfig(modes, n_variants=5), snr_db=30.0, seed=5,
+                            height=height, width=width)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the bytes it held allocated at once."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_result_peak_is_a_fraction_of_the_field():
+    truth = _scene(64, 64)
+    means = truth.endmembers.class_means()[[2, 0, 1]]      # the result's classes permuted
+    result = plmm_unmix(truth.image_noisy, means.T, SolverOptions(max_iters=2, gamma_plmm=0.1))
+    row, peak = _traced_peak(lambda: eval_result(truth, result, class_means=means))
+    assert row["sam_M"] > 0.0
+    assert peak < result.endmembers.data.nbytes / 3
+
+
+def test_synthesis_peak_is_its_outputs_plus_two_images():
+    truth, peak = _traced_peak(lambda: _scene(64, 64))
+    outputs = sum(a.nbytes for a in (truth.image_noisy.data, truth.image_clean.data,
+                                     truth.abundances.data, truth.endmembers.data))
+    assert peak < outputs + 2 * truth.image_clean.data.nbytes
+
+
+@pytest.mark.parametrize("build", [
+    lambda a: SpectralImage(a).data,
+    lambda a: EndmemberField(a).data,
+    lambda a: LibraryClass("c", a[0]).signatures,
+])
+def test_public_constructors_copy_the_callers_array(build):
+    a = np.full((2, 3, 4), 0.5)
+    kept = build(a)
+    a[...] = 0.9
+    assert np.all(kept == 0.5)
+    assert a.flags.writeable and not kept.flags.writeable
+
+
+def test_arrays_from_synthesis_loading_and_solvers_are_read_only(tmp_path):
+    truth = make_scene(snr_db=30.0, height=4, width=5)
+    save_scene(truth, tmp_path / "scene")
+    loaded = load_scene(tmp_path / "scene")
+    arrays = [load_image(tmp_path / "scene" / "image_noisy").data,
+              load_endmember_field(tmp_path / "scene" / "endmembers", 40).data]
+    for t in (truth, loaded):
+        arrays += [t.image_noisy.data, t.image_clean.data, t.abundances.data, t.endmembers.data]
+    library = truth_variant_library(truth)
+    matrix = truth.endmembers.class_means().T
+    for name in ALGORITHMS:
+        source = library if SOLVERS[name].kind == "library" else matrix
+        result = unmix(name, truth.image_noisy, source, SolverOptions(max_iters=3))
+        arrays += [r.data for r in (result.abundances, result.raw_abundances, result.endmembers)
+                   if r is not None]
+    save_library(library, tmp_path / "lib.csv")
+    arrays += [c.signatures for c in load_library(tmp_path / "lib.csv").classes]
+    assert len(arrays) == 26
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0

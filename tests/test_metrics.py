@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from varimix import metrics
 from varimix.metrics import rmse, sam_field, spectral_angle
 from varimix.types import DegenerateSignatureError, DimensionError, EndmemberField
 
@@ -76,3 +77,54 @@ def test_sam_independent_column_rescaling():
     m = np.abs(rng.normal(size=(5, 8, 3))) + 0.1
     scales = rng.uniform(0.5, 3.0, size=(5, 1, 3))
     assert sam_field(EndmemberField(m), EndmemberField(m * scales)) < 1e-12
+
+
+def _sam_unchunked(t, h):
+    # the whole-field formula: every temporary is field-sized
+    u = t / np.linalg.norm(t, axis=1, keepdims=True)
+    v = h / np.linalg.norm(h, axis=1, keepdims=True)
+    angles = 2.0 * np.arctan2(np.linalg.norm(u - v, axis=1), np.linalg.norm(u + v, axis=1))
+    return float(np.sum(angles)) / t.size
+
+
+def _rows_per_chunk(l, p):
+    return metrics._CHUNK_BYTES // (4 * l * p * 8)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chunked_scores_match_whole_field_formulas(monkeypatch, chunk_rows, seed):
+    n, l, p = 1234, 50, 3
+    if chunk_rows is not None:
+        monkeypatch.setattr(metrics, "_CHUNK_BYTES", 4 * l * p * 8 * chunk_rows)
+    assert n % _rows_per_chunk(l, p) != 0 and n > _rows_per_chunk(l, p)
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.05, 1.0, size=(n, l, p))
+    perm = np.array([2, 0, 1])
+    for h in (rng.uniform(0.05, 1.0, size=(n, l, p)),                  # unrelated
+              t[:, :, np.argsort(perm)] * rng.uniform(0.9, 1.1, size=(n, l, p))):  # close
+        want_sam = _sam_unchunked(t, h[:, :, perm])
+        got_sam = sam_field(EndmemberField(t), EndmemberField(h), perm)
+        assert abs(got_sam - want_sam) <= 1e-15 * want_sam
+        want_rmse = float(np.sqrt(np.mean((t - h[:, :, perm]) ** 2)))
+        got_rmse = rmse(t, h, perm)
+        assert abs(got_rmse - want_rmse) <= 1e-15 * want_rmse
+
+
+def test_identical_fields_score_exactly_zero_in_every_chunk(monkeypatch):
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", 4 * 6 * 3 * 8 * 4)   # 4 pixels per chunk
+    m = np.abs(np.random.default_rng(3).normal(size=(10, 6, 3))) + 0.1
+    perm = np.array([1, 2, 0])
+    shuffled = m[:, :, np.argsort(perm)]
+    assert sam_field(EndmemberField(m), EndmemberField(shuffled), perm) == 0.0
+    assert rmse(m, shuffled, perm) == 0.0
+
+
+def test_zero_column_in_last_partial_chunk_rejected(monkeypatch):
+    monkeypatch.setattr(metrics, "_CHUNK_BYTES", 4 * 6 * 3 * 8 * 4)   # chunks of 4, 4, 2
+    m = np.ones((10, 6, 3))
+    z = m.copy()
+    z[9, :, 1] = 0.0
+    for a, b in ((m, z), (z, m)):
+        with pytest.raises(DegenerateSignatureError):
+            sam_field(EndmemberField(a), EndmemberField(b))
