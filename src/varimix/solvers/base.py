@@ -31,7 +31,6 @@ from ..types import AbundanceMap, EndmemberField
 
 _KKT_TOL = 1e-10            # pricing tolerance, relative to max(1, |h|_inf)
 _RIDGE = 1e-10              # relative ridge for a singular face system
-_START_SUM_TOL = 1e-12      # sum-to-one tolerance of a simplex start
 _SKIPPED_KEYS = ("rho", "inner_tol", "inner_iters", "seed", "re_threshold", "k", "mode")
 
 
@@ -148,9 +147,11 @@ def _faces(passive):
 
 def _face_minimizer(gram, h, rows, cols, simplex, ridge=False, strict=False):
     """Minimizer on the face spanned by ``cols`` (dropping the sign
-    constraints, keeping sum-to-one), for each of ``rows``. A singular
-    face system, from collinear or zero columns, gets a small ridge, or
-    with ``strict`` raises ``LinAlgError``."""
+    constraints, keeping sum-to-one), for each of ``rows``. A row whose
+    face system is singular, from collinear or zero columns, gets a small
+    ridge, or with ``strict`` NaNs; ``ridge`` ridges every row. Singular
+    rows are found by a zero ``slogdet`` sign, the systems LAPACK's LU
+    rejects, so they do not change the other rows' bits."""
     k = cols.size
     if k == 0:
         return np.zeros((rows.size, 0))
@@ -167,96 +168,84 @@ def _face_minimizer(gram, h, rows, cols, simplex, ridge=False, strict=False):
         sub = border
         rhs = np.concatenate([rhs, np.ones((rows.size, 1))], axis=1)
 
-    def solve(a):
+    def solve(a, b):
         if a.shape[0] == 1:
-            return np.linalg.solve(a[0], rhs.T).T
-        return np.linalg.solve(a, rhs[..., None])[..., 0]
+            return np.linalg.solve(a[0], b.T).T
+        return np.linalg.solve(a, b[..., None])[..., 0]
 
+    bad = np.ones(rows.size, dtype=bool)
     if not ridge:
         try:
-            return solve(sub)[:, :k]
+            return solve(sub, rhs)[:, :k]
         except np.linalg.LinAlgError:
-            if strict:
-                raise
-    tr = np.trace(sub[:, :k, :k], axis1=1, axis2=2) / k
-    sub = sub.copy()
-    sub[:, :k, :k] += (_RIDGE * np.where(tr > 0, tr, 1.0))[:, None, None] * np.eye(k)
-    return solve(sub)[:, :k]
+            if sub.shape[0] > 1:
+                bad = np.linalg.slogdet(sub)[0] == 0
+    out = np.full((rows.size, k + simplex), np.nan)
+    if not bad.all():
+        out[~bad] = solve(sub[~bad], rhs[~bad])
+    if not strict:
+        sub = sub[bad] if sub.shape[0] > 1 else sub.copy()
+        tr = np.trace(sub[:, :k, :k], axis1=1, axis2=2) / k
+        sub[:, :k, :k] += (_RIDGE * np.where(tr > 0, tr, 1.0))[:, None, None] * np.eye(k)
+        out[bad] = solve(sub, rhs[bad])
+    return out[:, :k]
 
 
-def _feasible_start(start, shape, simplex):
-    """A float64 copy of ``start`` after checking that it is a feasible
-    kernel iterate: shape ``shape``, finite nonnegative entries, and
-    simplex rows summing to 1 within ``_START_SUM_TOL``."""
-    a = np.array(start, dtype=np.float64)
-    if a.shape != shape:
-        raise ValueError(f"start has shape {a.shape}, expected {shape}")
-    if not (np.isfinite(a).all() and np.all(a >= 0.0)):
-        raise ValueError("start has a negative or non-finite entry")
-    if simplex and np.any(np.abs(a.sum(axis=1) - 1.0) > _START_SUM_TOL):
-        raise ValueError(f"start rows must sum to 1 within {_START_SUM_TOL:g}")
-    return a
+def _twins(gram):
+    """Whether a shared (P, P) or each per-pixel (N, P, P) Gram matrix has
+    two columns equal to within the pricing tolerance,
+    |m_i - m_j|^2 <= _KKT_TOL (|m_i|^2 + |m_j|^2)."""
+    i, j = np.triu_indices(gram.shape[-1], 1)
+    d = np.diagonal(gram, axis1=-2, axis2=-1)
+    norms = d[..., i] + d[..., j]
+    return np.any(norms - 2.0 * gram[..., i, j] <= _KKT_TOL * norms, axis=-1)
 
 
-def _to_vertex(gram, h, rows, a, passive):
-    """Put ``rows``, zero so far, at their best simplex vertex; ``gram``
-    and ``h`` are those rows' own (or a shared ``gram``)."""
-    vertex = np.argmin(0.5 * np.diagonal(gram, axis1=-2, axis2=-1) - h, axis=1)
-    a[rows, vertex] = 1.0
-    passive[rows, vertex] = True
-
-
-def _active_set(gram, h, simplex, start=None):
+def _active_set(gram, h, simplex):
     """Exact minimizer of 0.5 a'Ga - h'a per row over a >= 0, plus
     sum(a) = 1 when ``simplex``.
 
     ``gram`` is shared (P, P) or per-pixel (N, P, P); ``h`` is (N, P).
-    Each row alternates two phases. Pricing: at the minimizer of its
-    passive face, the row is settled when no inactive column lowers the
-    cost (KKT holds to ``_KKT_TOL``); otherwise the most violating column
-    enters. Solving: the face minimizer of the enlarged set is accepted
-    when it is positive; otherwise the iterate moves toward it until the
-    first passive entry reaches zero, which is dropped (Lawson-Hanson),
-    and the smaller face is solved again. Each round solves the open rows
-    once per distinct passive set. Simplex rows start at their best
-    vertex and NNLS rows at zero, so a column identical to a passive one
-    prices at zero and never enters.
-
-    A feasible ``start`` (N, P) replaces the cold start: each row's
-    passive set is its start's support and it enters at the solving
-    phase, so round 1 solves the start face; a row whose start face holds
-    its minimizer settles after one solve and one pricing. A row that
-    ends on the face the cold start reaches solves the same sub-system
-    there, so with per-pixel matrices it gets the same bits. Faces met on
-    the way down from a start were not built column by column and can be
-    singular (duplicate, collinear or zero columns, more columns than
-    bands). Where rounding lets the solve pass, its answer is off the
-    face's minimizers along the near-null direction, so the Lawson-Hanson
-    step keeps the cost and drops a column of the degenerate set. Where
-    the solve fails, a ridged answer would leave an O(ridge^2) excess
-    cost, which is not exact for a pixel the face fits exactly, so the
-    face's rows restart cold instead. Either way a row settles only by
-    pricing at the minimizer of its final face.
+    Round 1 solves every row on the full face, in one solve with N
+    right-hand sides or one batched solve; a row whose minimizer there is
+    positive in every entry is settled, as no column is left to price.
+    The other rows start cold: simplex rows at their best vertex, NNLS
+    rows at zero. So does a row whose full-face system LU rejects
+    (duplicate, collinear or zero columns, more columns than bands), as a
+    ridged answer would leave an O(ridge^2) excess cost on a pixel the
+    face fits exactly, and a row with two equal columns (``_twins``),
+    whose minimizers there form a line. A cold row alternates two
+    phases. Pricing: at the minimizer of its passive face, the row is
+    settled when no inactive column lowers the cost (KKT holds to
+    ``_KKT_TOL``); otherwise the most violating column enters. Solving:
+    the face minimizer of the enlarged set is accepted when it is
+    positive; otherwise the iterate moves toward it until the first
+    passive entry reaches zero, which is dropped (Lawson-Hanson), and the
+    smaller face is solved again. Each round solves the open rows once
+    per distinct passive set. A column identical to a passive one prices
+    at zero and never enters.
 
     Returns (a, rounds, rows still open after ``_round_bound(P)`` rounds);
     open rows keep their current feasible iterate.
     """
     n, p = h.shape
-    rows = np.arange(n)
-    if start is None:
-        a = np.zeros((n, p))
-        passive = np.zeros((n, p), dtype=bool)
-        if simplex:
-            _to_vertex(gram, h, rows, a, passive)
-        pricing, solving = rows, rows[:0]
-    else:
-        a = _feasible_start(start, h.shape, simplex)
-        passive = a > 0.0
-        pricing, solving = rows[:0], rows
-    descending = None if start is None else np.ones(n, dtype=bool)  # not yet priced
+    a = np.zeros((n, p))
+    passive = np.zeros((n, p), dtype=bool)
+    settled = np.zeros(n, dtype=bool)
+    rounds = int(n > 0 and _round_bound(p) > 0)     # the full-face solve is round 1
+    if rounds:
+        s = _face_minimizer(gram, h, np.arange(n), np.arange(p), simplex, strict=True)
+        settled = np.all(s > 0.0, axis=1) & ~_twins(gram)
+        a[settled] = s[settled]
+    cold = np.flatnonzero(~settled)
+    if simplex:
+        diag = np.diagonal(gram if gram.ndim == 2 else gram[cold], axis1=-2, axis2=-1)
+        vertex = np.argmin(0.5 * diag - h[cold], axis=1)
+        a[cold, vertex] = 1.0
+        passive[cold, vertex] = True
     tol = _KKT_TOL * np.maximum(1.0, np.abs(h).max(axis=1, initial=0.0))
     entering = np.full(n, -1)
-    rounds = 0
+    pricing, solving = cold, cold[:0]
     while True:
         if pricing.size:
             pas = passive[pricing]
@@ -276,18 +265,8 @@ def _active_set(gram, h, simplex, start=None):
             return a, rounds, solving
         rounds += 1
         s = np.zeros((solving.size, p))
-        restart = []
         for cols, pos in _faces(passive[solving]):
-            warm = None if descending is None else descending[solving[pos]]
-            try:
-                s[np.ix_(pos, cols)] = _face_minimizer(gram, h, solving[pos], cols, simplex,
-                                                       strict=warm is not None and warm.any())
-            except np.linalg.LinAlgError:
-                restart.append(pos[warm])
-                pos = pos[~warm]
-                if pos.size == 0:
-                    continue
-                s[np.ix_(pos, cols)] = _face_minimizer(gram, h, solving[pos], cols, simplex)
+            s[np.ix_(pos, cols)] = _face_minimizer(gram, h, solving[pos], cols, simplex)
             # an entering column is positive at the minimizer of a regular
             # face; a nonpositive one marks a face singular up to rounding
             new = entering[solving[pos]]
@@ -295,22 +274,10 @@ def _active_set(gram, h, simplex, start=None):
             if bad.size:
                 s[np.ix_(bad, cols)] = _face_minimizer(gram, h, solving[bad], cols,
                                                        simplex, ridge=True)
-        if restart:
-            stay = np.ones(solving.size, dtype=bool)
-            stay[np.concatenate(restart)] = False
-            cold = solving[~stay]
-            a[cold] = 0.0
-            passive[cold] = False
-            if simplex:
-                _to_vertex(gram if gram.ndim == 2 else gram[cold], h[cold], cold, a, passive)
-            descending[cold] = False
-            solving, s = solving[stay], s[stay]
         entering[solving] = -1
         blocked = passive[solving] & (s <= 0.0)
         done = ~blocked.any(axis=1)
         a[solving[done]] = s[done]
-        if descending is not None:
-            descending[solving[done]] = False
         if not done.all():
             r, s, blocked = solving[~done], s[~done], blocked[~done]
             x = a[r]
@@ -323,8 +290,6 @@ def _active_set(gram, h, simplex, start=None):
             passive[r] = keep
             a[r] = np.where(keep, x, 0.0)
         pricing, solving = solving[done], solving[~done]
-        if restart:
-            pricing = np.concatenate([pricing, cold])
 
 
 def fcls_core(y: np.ndarray, m: np.ndarray, counts: Optional[QPCounts] = None):
@@ -338,12 +303,10 @@ def fcls_core(y: np.ndarray, m: np.ndarray, counts: Optional[QPCounts] = None):
     return fcls_gram(*_gram(y, m), counts)
 
 
-def fcls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None,
-              start: Optional[np.ndarray] = None):
+def fcls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):
     """``fcls_core`` in Gram form: ``gram`` is a shared (P, P) or
-    per-pixel (N, P, P) M'M and ``h`` the (N, P) M'y. ``start``, a
-    feasible (N, P) iterate, replaces the kernel's cold start."""
-    a, rounds, open_rows = _active_set(gram, h, simplex=True, start=start)
+    per-pixel (N, P, P) M'M and ``h`` the (N, P) M'y."""
+    a, rounds, open_rows = _active_set(gram, h, simplex=True)
     a /= a.sum(axis=1, keepdims=True)
     if counts is not None:
         counts.add(rounds, open_rows)

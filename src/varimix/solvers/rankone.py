@@ -17,11 +17,9 @@ pixels, for the result.
 
 Both solvers start from the plain linear-mixing solution: FCLS
 abundances on M0, unit scalings and u = 0 (``start``), so every M_n is
-M0 and the tie is zero. Each abundance step starts the kernel from the
-current abundances, whose support most pixels keep from one iteration
-to the next: the kernel then solves that face once and settles, where a
-cold start would climb vertex, edge, face. A pixel that ends on the same
-face gets the same bits either way, so only ``qp_rounds`` changes.
+M0 and the tie is zero. Each abundance step is one kernel call on the
+per-pixel Gram matrices, which settles most pixels in its first round,
+on the full face.
 """
 
 from __future__ import annotations
@@ -103,12 +101,11 @@ class RankOneModel:
         return g, s.psi_m * self.ym0 + s.a * s.uy[:, None]
 
     def step(self, s: RankOneState, psi: np.ndarray) -> RankOneState:
-        """Abundance step against each pixel's current M_n, started from
-        the current abundances, then the endmember step for scalings
-        ``psi``."""
+        """Abundance step against each pixel's current M_n, then the
+        endmember step for scalings ``psi``."""
         with timed(self.phases, "qp"):
             g, h = self.gram(s)
-            a, _ = fcls_gram(g, h, self.counts, start=s.a)
+            a, _ = fcls_gram(g, h, self.counts)
         with timed(self.phases, "endmember"):
             return self.update(a, psi)
 

@@ -162,9 +162,9 @@ def test_roster_entry_checks_its_options_when_built():
 
 
 def test_solvers_byte_identical_across_thread_counts():
-    # FCLS, MESMA, ELMM and PLMM give the same bytes with 1 and 2 BLAS
-    # threads; each count runs in its own process, since BLAS reads the
-    # thread count once
+    # FCLS, MESMA, sparse L1, greedy L0, ELMM and PLMM give the same bytes
+    # with 1 and 2 BLAS threads; each count runs in its own process, since
+    # BLAS reads the thread count once
     script = """
 import hashlib
 from varimix.extraction import BundleExtractionConfig, extract_bundles
@@ -184,8 +184,8 @@ lib = extract_bundles(image, BundleExtractionConfig(n_classes=3, num_runs=3, sub
                                                     seed=2))
 m0 = lib.class_means().T
 opts = SolverOptions(max_iters=5)
-for algo in ("fcls", "mesma", "elmm", "plmm"):
-    r = unmix(algo, image, lib if algo == "mesma" else m0, opts)
+for algo in ("fcls", "mesma", "sparse-l1", "sparse-l0", "elmm", "plmm"):
+    r = unmix(algo, image, m0 if algo in ("fcls", "elmm", "plmm") else lib, opts)
     parts = [r.abundances.data] + ([r.endmembers.data] if r.endmembers is not None else [])
     print(algo, hashlib.sha256(b"".join(x.tobytes() for x in parts)).hexdigest())
 """
@@ -197,5 +197,5 @@ for algo in ("fcls", "mesma", "elmm", "plmm"):
         out = subprocess.run([sys.executable, "-c", script], check=True, env=env,
                              capture_output=True, text=True)
         outputs.append(out.stdout)
-    assert len(outputs[0].split()) == 8
+    assert len(outputs[0].split()) == 12
     assert outputs[0] == outputs[1]

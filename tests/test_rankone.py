@@ -29,12 +29,9 @@ from varimix.solvers import (
 )
 from varimix.solvers import elmm as elmm_module
 from varimix.solvers import plmm as plmm_module
-from varimix.solvers import rankone as rankone_module
 from varimix.solvers.base import _gram, monotone_loop
 from varimix.solvers.elmm import _grid_solve, _grid_spatial
 from varimix.solvers.rankone import RankOneModel, RankOneState
-from varimix.synth import (AbundanceFieldConfig, ClassVariability, VariabilityConfig,
-                           synthesize_scene, synthetic_base_spectra)
 from varimix.types import SpectralImage
 
 from conftest import make_scene
@@ -337,36 +334,3 @@ def test_logs_report_recomputed_rows(unmix):
     noisy = SpectralImage(y[~exact].reshape(5, 6, -1))
     assert unmix(noisy, m0, SolverOptions(max_iters=3)).solver_log.flags["recomputed_rows"] == 0
 
-
-def _grf_scene():
-    """A small GRF scene with Hapke, atmospheric and scaling variability."""
-    modes = (ClassVariability("hapke", mu1_range=(0.6, 1.0), mu2_range=(0.6, 1.0)),
-             ClassVariability("atmospheric", mu1_range=(0.4, 1.0)),
-             ClassVariability("elmm_scaling", scale_range=(0.75, 1.25)))
-    return synthesize_scene(synthetic_base_spectra(40, 3, seed=123),
-                            AbundanceFieldConfig(generator="grf", correlation_length=4,
-                                                 sharpness=0.08, pure_pixel_fraction=0.03),
-                            VariabilityConfig(class_modes=modes, n_variants=5),
-                            snr_db=25.0, seed=21, height=20, width=24)
-
-
-@pytest.mark.parametrize("unmix, extra", [(elmm_unmix, "psi"), (plmm_unmix, "perturbation")])
-def test_warm_started_steps_give_the_cold_started_bytes(monkeypatch, unmix, extra):
-    # each abundance step starts the kernel from the previous abundances;
-    # a cold-started kernel must give the same bytes, in more rounds
-    truth = _grf_scene()
-    m0 = truth.endmembers.data.mean(axis=0)
-    opts = SolverOptions(max_iters=8, lambda_psi=0.5, gamma_plmm=0.1)
-    warm = unmix(truth.image_noisy, m0, opts)
-    cold_gram = rankone_module.fcls_gram
-    monkeypatch.setattr(rankone_module, "fcls_gram",
-                        lambda gram, h, counts=None, start=None: cold_gram(gram, h, counts))
-    cold = unmix(truth.image_noisy, m0, opts)
-    assert warm.solver_log.iterations == cold.solver_log.iterations >= 3
-    for field in ("abundances", "endmembers"):
-        assert getattr(warm, field).data.tobytes() == getattr(cold, field).data.tobytes()
-    assert warm.extras[extra].tobytes() == cold.extras[extra].tobytes()
-    assert warm.per_pixel_re.tobytes() == cold.per_pixel_re.tobytes()
-    assert warm.solver_log.cost_history == cold.solver_log.cost_history
-    assert warm.solver_log.flags["qp_rounds"] < cold.solver_log.flags["qp_rounds"]
-    assert {**warm.solver_log.flags, "qp_rounds": 0} == {**cold.solver_log.flags, "qp_rounds": 0}
