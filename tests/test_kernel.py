@@ -147,8 +147,55 @@ def _interior_problem(n, l, p, per_pixel, seed):
     return y + rng.normal(0.0, 1e-3, size=y.shape), m
 
 
+def _with_interior_rows(y, m, seed):
+    """The batch (y, m) followed by as many pixels near interior mixtures,
+    of the shared matrix or of fresh uniform per-pixel matrices."""
+    rng = np.random.default_rng(seed)
+    n, (l, p) = y.shape[0], m.shape[-2:]
+    a = rng.dirichlet(np.full(p, 5.0), size=n)
+    if m.ndim == 2:
+        yi = a @ m.T
+    else:
+        mi = rng.uniform(0.05, 1.0, size=(n, l, p))
+        yi, m = np.einsum("nlp,np->nl", mi, a), np.concatenate([m, mi])
+    return np.concatenate([y, yi + rng.normal(0.0, 1e-3, size=yi.shape)]), m
+
+
+def _full_face_start(gram, h, simplex):
+    """Full-face minimizer of every row and which rows settle on it."""
+    n, p = h.shape
+    s = base._face_minimizer(gram, h, np.arange(n), np.arange(p), simplex, strict=True)
+    return s, np.all(s > 0, axis=1) & ~base._twins(gram)
+
+
+@given(**problems)
+@settings(max_examples=100, deadline=None)
+def test_simplex_kernel_from_a_start(kind, seed, n, l, p, per_pixel, scaled):
+    # every row starts on the full face: the degenerate rows start cold,
+    # rows positive there keep the full-face bits, and all reach the
+    # oracle's cost, the KKT certificate and no unsettled rows
+    y, m = _with_interior_rows(*_problem(kind, seed, n, l, p, per_pixel, scaled), seed + 1)
+    gram, h = base._gram(y, m)
+    s, settled = _full_face_start(gram, h, True)
+    raw, _, _ = base._active_set(gram, h, simplex=True)
+    assert raw[settled].tobytes() == s[settled].tobytes()
+    counts = QPCounts()
+    a, rounds = base.fcls_gram(gram, h, counts)
+    assert counts.unsettled_rows == 0 and counts.rounds == rounds
+    assert np.all(a >= 0) and np.allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    act, inact, scale = kkt_residual_simplex(y, m, a)
+    assert max(act, inact) <= KKT_RTOL * scale
+    for i in range(y.shape[0]):
+        mi = _pixel_matrix(m, i)
+        _, oracle_cost = qp_fcls_oracle(y[i], mi)
+        cost = float(np.sum((y[i] - mi @ a[i]) ** 2))
+        assert abs(cost - oracle_cost) <= _cost_tol(cost, oracle_cost, y[i])
+
+
 @pytest.mark.parametrize("per_pixel", [False, True])
-def test_interior_rows_settle_on_the_full_face(per_pixel):
+def test_start_at_the_minimizer_settles_in_one_round(per_pixel):
+    # the kernel starts on the full face, which here holds every row's
+    # minimizer, so round 1 settles them all
     y, m = _interior_problem(40, 12, 4, per_pixel, 6)
     gram, h = base._gram(y, m)
     s = base._face_minimizer(gram, h, np.arange(40), np.arange(4), True, strict=True)
@@ -181,6 +228,24 @@ def test_singular_pixel_does_not_move_its_batch():
     x, oracle_cost = qp_fcls_oracle(y[0], m[0])
     cost = float(np.sum((y[0] - m[0] @ a[0]) ** 2))
     assert abs(cost - oracle_cost) <= _cost_tol(cost, oracle_cost, y[0])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_nnls_kernel_from_a_start(kind):
+    # NNLS rows start on the full face too: next to per-pixel rows with
+    # the degeneracy, which start at zero, the interior rows settle there
+    # (with more columns than bands, no row can), and every row reaches
+    # its KKT certificate
+    y, m = _with_interior_rows(*_problem(kind, 8, 20, 6, 4, True, False), 9)
+    gram, h = base._gram(y, m, 1e-3)
+    s, settled = _full_face_start(gram, h, False)
+    assert settled[20:].any() != (kind == "wide")
+    a, _, open_rows = base._active_set(gram, h, simplex=False)
+    assert open_rows.size == 0 and np.all(a >= 0)
+    assert a[settled].tobytes() == s[settled].tobytes()
+    for i in range(y.shape[0]):
+        act, inact, scale = kkt_residual_l1(y[i:i + 1], m[i], a[i:i + 1], 1e-3)
+        assert max(act, inact) <= KKT_RTOL * scale
 
 
 @pytest.mark.parametrize("per_pixel", [False, True])
