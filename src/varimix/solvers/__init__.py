@@ -17,8 +17,8 @@ from .base import (
     UnmixingResult,
     fcls_core,
     nnls_core,
-    per_pixel_rms,
     reconstruct,
+    residual_stats,
 )
 from .elmm import elmm_unmix
 from .fcls import fcls
@@ -63,8 +63,8 @@ __all__ = [
     "fcls",
     "fcls_core",
     "nnls_core",
-    "per_pixel_rms",
     "reconstruct",
+    "residual_stats",
     "elmm_unmix",
     "plmm_unmix",
     "mesma",

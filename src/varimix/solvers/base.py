@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from ..io import load_config
-from ..types import AbundanceMap, EndmemberField
+from ..types import AbundanceMap, EndmemberField, _all_finite
 
 _KKT_TOL = 1e-10            # pricing tolerance, relative to max(1, |h|_inf)
 _RIDGE = 1e-10              # relative ridge for a singular face system
@@ -95,9 +95,12 @@ class UnmixingResult:
     extras: dict = field(default_factory=dict)
 
 
-def per_pixel_rms(y: np.ndarray, reconstruction: np.ndarray) -> np.ndarray:
-    """Root mean square residual per pixel, ||y_n - yhat_n|| / sqrt(L)."""
-    return np.linalg.norm(y - reconstruction, axis=1) / np.sqrt(y.shape[1])
+def residual_stats(y: np.ndarray, reconstruction: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sum of squared residuals and root mean square residual per pixel,
+    ||y_n - yhat_n|| / sqrt(L), from one residual array squared in place."""
+    r = y - reconstruction
+    np.square(r, out=r)
+    return float(r.sum()), np.sqrt(r.sum(axis=1)) / np.sqrt(y.shape[1])
 
 
 def _round_bound(p: int) -> int:
@@ -127,7 +130,7 @@ def _gram(y, m, lam=0.0):
     (N, L, P) matrix."""
     y = np.asarray(y, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
-    if not (np.isfinite(y).all() and np.isfinite(m).all()):
+    if not (_all_finite(y) and _all_finite(m)):
         raise ValueError("non-finite solver inputs")
     if m.ndim == 2:
         return m.T @ m, y @ m - lam

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..types import AbundanceMap, DimensionError, SpectralImage
 from .base import (QPCounts, SolverOptions, SolverLog, UnmixingResult, fcls_core,
-                   per_pixel_rms, reconstruct)
+                   reconstruct, residual_stats)
 
 
 def fcls(
@@ -35,7 +35,7 @@ def fcls(
     counts = QPCounts()
     a, rounds = fcls_core(y, m, counts)
     recon = reconstruct(m, a)
-    cost = float(np.sum((y - recon) ** 2))
+    cost, re = residual_stats(y, recon)
     log = SolverLog(
         iterations=rounds,
         final_cost=cost,
@@ -46,7 +46,7 @@ def fcls(
     )
     return UnmixingResult(
         abundances=AbundanceMap(a, sum_to_one=True),
-        per_pixel_re=per_pixel_rms(y, recon),
+        per_pixel_re=re,
         reconstruction=recon,
         solver_log=log,
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..types import (AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage,
                      SpectralLibrary, _Adopt)
-from .base import QPCounts, SolverOptions, SolverLog, UnmixingResult, per_pixel_rms, reconstruct
+from .base import QPCounts, SolverOptions, SolverLog, UnmixingResult, reconstruct, residual_stats
 from .search import distinct_rows, library_stats, subset_search
 
 DEFAULT_MODEL_BUDGET = 10**6
@@ -67,14 +67,13 @@ def mesma(
     cols, best_a, models_tried = subset_search(gram, ys, yy, models, p, counts, stop, y, distinct)
     best_model = np.stack([keep[cls][cols[:, cls] - offsets[cls]] for cls in range(p)], axis=1)
 
-    fields = np.empty((n, l, p))
-    for cls in range(p):
-        fields[:, :, cls] = sigs[cls][best_model[:, cls]]
     # emitted field is clamped (transformed libraries can dip negative);
     # model selection above used the unclamped signatures
-    np.clip(fields, 0.0, None, out=fields)
+    fields = np.empty((n, l, p))
+    for cls in range(p):
+        fields[:, :, cls] = np.clip(sigs[cls], 0.0, None)[best_model[:, cls]]
     recon = reconstruct(fields, best_a)
-    cost = float(np.sum((y - recon) ** 2))
+    cost, re = residual_stats(y, recon)
     log = SolverLog(
         iterations=models_tried,
         final_cost=cost,
@@ -86,7 +85,7 @@ def mesma(
     )
     return UnmixingResult(
         abundances=AbundanceMap(best_a, sum_to_one=True, class_names=library.class_names),
-        per_pixel_re=per_pixel_rms(y, recon),
+        per_pixel_re=re,
         reconstruction=recon,
         solver_log=log,
         endmembers=EndmemberField(_Adopt(fields)),

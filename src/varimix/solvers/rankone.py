@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, EndmemberField, _Adopt
-from .base import (QPCounts, SolverLog, UnmixingResult, fcls_gram, per_pixel_rms, reconstruct,
+from .base import (QPCounts, SolverLog, UnmixingResult, fcls_gram, reconstruct, residual_stats,
                    timed)
 
 _RECOMPUTE = 1e-10
@@ -148,5 +148,5 @@ class RankOneModel:
         np.clip(emitted, 0.0, None, out=emitted)
         recon = reconstruct(emitted, a)
         return UnmixingResult(AbundanceMap(a, sum_to_one=True),
-                              per_pixel_rms(self.y, recon), recon, log,
+                              residual_stats(self.y, recon)[1], recon, log,
                               EndmemberField(_Adopt(emitted)), extras=extras)

@@ -44,7 +44,7 @@ from .base import (
     fcls_gram,
     nnls_core,
     nnls_gram,
-    per_pixel_rms,
+    residual_stats,
 )
 from .search import distinct_rows, library_stats, subset_search
 
@@ -159,7 +159,7 @@ def sparse_su_l1(
     )
     return UnmixingResult(
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
-        per_pixel_re=per_pixel_rms(y, recon),
+        per_pixel_re=residual_stats(y, recon)[1],
         reconstruction=recon,
         solver_log=log,
         endmembers=EndmemberField(_Adopt(np.clip(proxy, 0.0, None, out=proxy))),
@@ -278,7 +278,7 @@ def sparse_su_l0(
     )
     return UnmixingResult(
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
-        per_pixel_re=per_pixel_rms(y, recon),
+        per_pixel_re=residual_stats(y, recon)[1],
         reconstruction=recon,
         solver_log=log,
         endmembers=EndmemberField(_Adopt(np.clip(proxy, 0.0, None, out=proxy))),

@@ -4,7 +4,9 @@ All containers are immutable after construction, so they can be shared
 freely across threads. The constructors copy a caller's array and mark
 the copy read-only; an array the toolkit has just built (synthesis,
 loading, solver results) comes wrapped in ``_Adopt`` and is checked the
-same way, then marked read-only in place instead of copied.
+same way, then marked read-only in place instead of copied. The checks
+read each array by whole-array reductions (``min``, ``max``, ``sum``)
+and build no boolean array of its size.
 """
 
 from __future__ import annotations
@@ -55,8 +57,16 @@ def _freeze(a) -> np.ndarray:
     return out
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether ``a`` holds no NaN and no infinity. NaN propagates through
+    ``min`` and ``max``, so their two passes decide it without a boolean
+    temporary the size of ``a``."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+    """Raise ``ValueError`` naming ``what`` unless ``_all_finite(a)``."""
+    if not _all_finite(a):
         raise ValueError(f"{what} contains NaN/Inf values")
 
 
@@ -203,7 +213,7 @@ class AbundanceMap:
         if a.ndim != 2:
             raise DimensionError("AbundanceMap.data must be (N, P)")
         _require_finite(a, "AbundanceMap.data")
-        if np.any(a < _NEG_CLAMP):
+        if a.min(initial=0.0) < _NEG_CLAMP:
             raise ValueError(f"abundance below {_NEG_CLAMP} (not clampable noise)")
         np.clip(a, 0.0, None, out=a)
         if self.sum_to_one:
@@ -247,8 +257,10 @@ class EndmemberField:
         object.__setattr__(self, "data", _freeze(self.data))
         if self.data.ndim != 3:
             raise DimensionError("EndmemberField.data must be (N, L, P)")
-        _require_finite(self.data, "EndmemberField.data")
-        if np.any(self.data < 0):
+        lo, hi = self.data.min(initial=0.0), self.data.max(initial=0.0)    # NaN propagates
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("EndmemberField.data contains NaN/Inf values")
+        if lo < 0:
             raise ValueError("EndmemberField values must be nonnegative")
 
     @property
@@ -292,7 +304,7 @@ class SceneTruth:
             raise DimensionError("SceneTruth member shapes are inconsistent")
         diff = np.einsum("nlp,np->nl", self.endmembers.data, self.abundances.data)
         diff -= self.image_clean.pixels
-        if np.max(np.abs(diff, out=diff)) > _CLEAN_MIX_ATOL:
+        if max(diff.max(), -diff.min()) > _CLEAN_MIX_ATOL:
             raise ValueError("image_clean is not the exact mixture of the truth factors")
 
 

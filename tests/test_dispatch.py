@@ -163,6 +163,7 @@ def test_roster_entry_checks_its_options_when_built():
 
 def test_solvers_byte_identical_across_thread_counts():
     # FCLS, MESMA, sparse L1, greedy L0, ELMM and PLMM give the same bytes
+    # (abundances, per-pixel RE, reconstruction, field) and final cost
     # with 1 and 2 BLAS threads; each count runs in its own process, since
     # BLAS reads the thread count once
     script = """
@@ -186,8 +187,10 @@ m0 = lib.class_means().T
 opts = SolverOptions(max_iters=5)
 for algo in ("fcls", "mesma", "sparse-l1", "sparse-l0", "elmm", "plmm"):
     r = unmix(algo, image, m0 if algo in ("fcls", "elmm", "plmm") else lib, opts)
-    parts = [r.abundances.data] + ([r.endmembers.data] if r.endmembers is not None else [])
-    print(algo, hashlib.sha256(b"".join(x.tobytes() for x in parts)).hexdigest())
+    parts = [r.abundances.data, r.per_pixel_re, r.reconstruction]
+    parts += [r.endmembers.data] if r.endmembers is not None else []
+    print(algo, hashlib.sha256(b"".join(x.tobytes() for x in parts)).hexdigest(),
+          repr(r.solver_log.final_cost))
 """
     outputs = []
     for threads in (1, 2):
@@ -197,5 +200,5 @@ for algo in ("fcls", "mesma", "sparse-l1", "sparse-l0", "elmm", "plmm"):
         out = subprocess.run([sys.executable, "-c", script], check=True, env=env,
                              capture_output=True, text=True)
         outputs.append(out.stdout)
-    assert len(outputs[0].split()) == 12
+    assert len(outputs[0].split()) == 18
     assert outputs[0] == outputs[1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from varimix.solvers import SolverOptions, fcls, fcls_core
+from varimix.solvers import SolverOptions, fcls, fcls_core, residual_stats
 from varimix.types import SpectralImage
 
 from oracles import project_simplex, qp_fcls_oracle
@@ -134,3 +134,12 @@ class TestFcls:
         re = np.linalg.norm(y - recon, axis=1) / np.sqrt(10)
         assert np.max(np.abs(re - res.per_pixel_re)) < 1e-12
         assert res.solver_log.final_cost >= 0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1), (37, 200), (200, 3)])
+def test_residual_stats_match_the_two_pass_formulas_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    y, recon = rng.normal(size=shape), rng.normal(size=shape)
+    cost, rms = residual_stats(y, recon)
+    assert cost == float(np.sum((y - recon) ** 2))
+    assert rms.tobytes() == (np.linalg.norm(y - recon, axis=1) / np.sqrt(shape[1])).tobytes()

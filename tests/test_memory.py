@@ -1,6 +1,7 @@
 """Who owns the large arrays, and what building and scoring them costs.
 
-Scoring and synthesis make no field-sized temporaries (peaks measured
+Scoring and synthesis make no field-sized temporaries, and FCLS and MESMA
+no (N, L) ones besides their outputs and one residual (peaks measured
 with ``tracemalloc``, which sees numpy's buffers); the public
 constructors copy the caller's array; every array that synthesis,
 loading and the solvers hand out is read-only."""
@@ -64,6 +65,17 @@ def test_synthesis_peak_is_its_outputs_plus_two_images():
     outputs = sum(a.nbytes for a in (truth.image_noisy.data, truth.image_clean.data,
                                      truth.abundances.data, truth.endmembers.data))
     assert peak < outputs + 2 * truth.image_clean.data.nbytes
+
+
+@pytest.mark.parametrize("name", ["fcls", "mesma"])
+def test_fcls_and_mesma_peaks_hold_one_residual_image(name):
+    # the reconstruction and one residual, squared in place, are the only
+    # (N, L) arrays besides the image; MESMA adds its emitted field
+    truth = _scene(64, 64)
+    source = truth_variant_library(truth) if name == "mesma" else truth.endmembers.class_means().T
+    result, peak = _traced_peak(lambda: unmix(name, truth.image_noisy, source, SolverOptions()))
+    field = 0 if result.endmembers is None else result.endmembers.data.nbytes
+    assert peak < field + 2.5 * truth.image_noisy.data.nbytes
 
 
 @pytest.mark.parametrize("build", [

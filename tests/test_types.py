@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from varimix.solvers import fcls_core
 from varimix.types import (
     AbundanceMap,
     DimensionError,
@@ -80,6 +81,57 @@ def test_abundance_rejects_bad_row_sum():
 def test_endmember_field_nonnegative():
     with pytest.raises(ValueError):
         EndmemberField(-np.ones((2, 3, 2)))
+
+
+def _poisoned(shape, value, where):
+    a = np.full(shape, 0.5)
+    a.reshape(-1)[{"first": 0, "middle": a.size // 2, "last": -1}[where]] = value
+    return a
+
+
+_FINITE_CHECKS = {
+    "image": ((2, 3, 4), SpectralImage, "SpectralImage.data contains NaN/Inf values"),
+    "library": ((3, 4), lambda a: LibraryClass("c", a),
+                "signatures of class 'c' contains NaN/Inf values"),
+    "abundance": ((4, 3), lambda a: AbundanceMap(a, sum_to_one=False),
+                  "AbundanceMap.data contains NaN/Inf values"),
+    "field": ((2, 3, 4), EndmemberField, "EndmemberField.data contains NaN/Inf values"),
+    "fcls_core y": ((3, 4), lambda a: fcls_core(a, np.eye(4, 2)), "non-finite solver inputs"),
+    "fcls_core m": ((4, 2), lambda a: fcls_core(np.ones((3, 4)), a), "non-finite solver inputs"),
+    "fcls_core field": ((3, 4, 2), lambda a: fcls_core(np.ones((3, 4)), a),
+                        "non-finite solver inputs"),
+}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("check", list(_FINITE_CHECKS))
+def test_every_non_finite_entry_is_rejected(check, value, where):
+    shape, build, message = _FINITE_CHECKS[check]
+    with pytest.raises(ValueError) as info:
+        build(_poisoned(shape, value, where))
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("check", ["image", "library", "abundance", "field", "fcls_core y"])
+def test_zero_size_arrays_pass_the_finite_checks(check):
+    shape, build, _ = _FINITE_CHECKS[check]
+    build(np.empty((shape[0], 0) if check == "library" else (0,) + shape[1:]))
+
+
+def test_endmember_field_sign_check_is_exact_and_comes_after_the_finite_check():
+    field = np.full((2, 3, 4), 0.5)
+    field[1, 2, 3] = -0.0
+    assert EndmemberField(field).data[1, 2, 3] == 0.0
+    field[1, 2, 3] = -1e-300
+    with pytest.raises(ValueError, match="^EndmemberField values must be nonnegative$"):
+        EndmemberField(field)
+    for nan_at in [(0, 0, 0), (1, 2, 3)]:
+        both = np.full((2, 3, 4), 0.5)
+        both[0, 1, 2] = -1.0
+        both[nan_at] = np.nan
+        with pytest.raises(ValueError, match="^EndmemberField.data contains NaN/Inf values$"):
+            EndmemberField(both)
 
 
 def test_scene_truth_consistency_check():
