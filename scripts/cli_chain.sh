@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The README's command-line chain on a tiny scene, through `python -m varimix`:
-# synth -> extract -> prune (count) -> transform (mask) -> unmix elmm -> unmix plmm.
+# synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix elmm,
+# plmm and mesma.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -32,7 +33,12 @@ python -m varimix extract --image scene_dir/ --classes 3 --runs 5 --subset 100 \
     --seed 1 --out lib.csv
 python -m varimix prune --library lib.csv --method count --angle-threshold 0.05 \
     --target 3 --out small.csv
+python -m varimix prune --library lib.csv --method music --image scene_dir/ \
+    --residual-threshold 0.5 --out pruned.csv
 python -m varimix transform --library lib.csv --method mask --bands 12 --out t.json
+python -m varimix transform --library pruned.csv --method fda --out fda.json
 python -m varimix unmix --image scene_dir/ --algo elmm --m0 small.csv \
     --transform t.json --out result_elmm/
 python -m varimix unmix --image scene_dir/ --algo plmm --m0 small.csv --out result_plmm/
+python -m varimix unmix --image scene_dir/ --algo mesma --library pruned.csv \
+    --transform fda.json --out result_mesma/

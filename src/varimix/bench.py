@@ -31,15 +31,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .extraction import BundleExtractionConfig, extract_bundles, extract_endmembers
 from .io import load_config, load_library, save_result, save_scene
-from .libops import (
-    SpectralTransform,
-    apply_transform,
-    count_based_reduce,
-    fda_transform,
-    instability_weights,
-    music_prune,
-    select_stable_bands,
-)
+from .libops import apply_transform, build_transform, check_spec, prune
 from .metrics import pairwise_angles, rmse, sam_field
 from .solvers import ALGORITHMS, SOLVERS, SolverOptions, UnmixingResult, unmix
 from .synth import SceneConfig, synthesize_from_config, truth_variant_library
@@ -109,25 +101,13 @@ class BenchConfig:
         object.__setattr__(self, "roster", roster)
         if self.n_monte_carlo < 1:
             raise ValueError("n_monte_carlo must be >= 1")
+        for block in ("prune", "transform"):
+            if getattr(self, block):
+                check_spec(block, getattr(self, block))
 
 
 def _sub_seed(run_seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([run_seed, stream]).generate_state(1)[0])
-
-
-def build_transform(spec: dict, library: SpectralLibrary) -> SpectralTransform:
-    method = spec.get("method")
-    if method == "path":
-        return SpectralTransform.from_json(spec["path"])
-    if method == "mask":
-        return select_stable_bands(
-            library, k=spec.get("k"), threshold=spec.get("threshold")
-        )
-    if method == "weights":
-        return instability_weights(library)
-    if method == "fda":
-        return fda_transform(library, int(spec.get("dim", library.n_classes - 1)))
-    raise ValueError(f"unknown transform method {method!r}")
 
 
 def transform_input(spec: dict, image: SpectralImage, source):
@@ -140,25 +120,6 @@ def transform_input(spec: dict, image: SpectralImage, source):
     t = build_transform(spec, base)
     image, tlib = apply_transform(t, image, base)
     return t, image, (tlib.class_means().T if matrix else tlib)
-
-
-def apply_prune(spec: dict, library: SpectralLibrary, image: SpectralImage) -> SpectralLibrary:
-    method = spec.get("method")
-    if method == "count":
-        return count_based_reduce(
-            library,
-            angle_threshold=float(spec.get("angle_threshold", 0.05)),
-            target_per_class=int(spec.get("target_per_class", 5)),
-            metric=spec.get("metric", "sam"),
-        )
-    if method == "music":
-        return music_prune(
-            library,
-            image,
-            subspace_dim=int(spec.get("subspace_dim", library.n_classes)),
-            residual_threshold=float(spec.get("residual_threshold", 0.5)),
-        )
-    raise ValueError(f"unknown prune method {method!r}")
 
 
 def align_classes(truth_means: np.ndarray, candidate_means: np.ndarray) -> np.ndarray:
@@ -229,7 +190,7 @@ class _RunLibraries:
             else:
                 lib = load_library(entry.library_path)
             if self.cfg.prune:
-                lib = apply_prune(self.cfg.prune, lib, self.truth.image_noisy)
+                lib = prune(self.cfg.prune, lib, self.truth.image_noisy)
             self._bundles[key] = lib
         return self._bundles[key]
 

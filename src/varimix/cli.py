@@ -8,6 +8,8 @@ are deterministic given the configured seeds.
 (else of ``--library``); ``--transform`` is applied to exactly that input
 by ``bench.transform_input``; the solver is called through
 ``solvers.unmix`` and its outputs are written by ``io.save_result``.
+``prune`` and ``transform`` turn their flags into a bench config spec and
+call ``libops.prune`` / ``libops.build_transform``, as the bench does.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from pathlib import Path
 from .bench import BenchConfig, run_bench, transform_input, write_report_md
 from .extraction import BundleExtractionConfig, extract_bundles
 from .io import load_config, load_library, resolve_image, save_library, save_result, save_scene
-from .libops import (
-    count_based_reduce,
-    fda_transform,
-    instability_weights,
-    music_prune,
-    select_stable_bands,
-)
+from .libops import METHODS, build_transform, prune
 from .solvers import ALGORITHMS, SOLVERS, SolverOptions, unmix
 from .synth import SceneConfig, synthesize_from_config
 from .types import FormatError
@@ -70,31 +66,27 @@ def _cmd_extract(args) -> int:
     return 0
 
 
+def _spec(block: str, args) -> dict:
+    """The bench config's ``block`` spec for the method's flags given."""
+    keys = METHODS[block][args.method]
+    return {"method": args.method,
+            **{k: getattr(args, k) for k in keys if getattr(args, k) is not None}}
+
+
 def _cmd_prune(args) -> int:
     library = load_library(args.library)
-    if args.method == "count":
-        pruned = count_based_reduce(
-            library, args.angle_threshold, args.target, metric=args.coverage_metric
-        )
-    elif not args.image:
+    if args.method == "music" and not args.image:
         print("error: --image required for --method music", file=sys.stderr)
         return 2
-    else:
-        image = resolve_image(args.image)
-        pruned = music_prune(library, image, args.subspace_dim, args.residual_threshold)
+    image = resolve_image(args.image) if args.method == "music" else None
+    pruned = prune(_spec("prune", args), library, image)
     save_library(pruned, args.out)
     print(f"kept {sum(pruned.sizes)} of {sum(library.sizes)} signatures -> {args.out}")
     return 0
 
 
 def _cmd_transform(args) -> int:
-    library = load_library(args.library)
-    if args.method == "mask":
-        t = select_stable_bands(library, k=args.bands, threshold=args.threshold)
-    elif args.method == "weights":
-        t = instability_weights(library)
-    else:
-        t = fda_transform(library, library.n_classes - 1 if args.dim is None else args.dim)
+    t = build_transform(_spec("transform", args), load_library(args.library))
     t.to_json(args.out)
     print(f"{args.method} transform ({t.input_bands} -> {t.output_bands} bands) "
           f"written to {args.out}")
@@ -163,22 +155,24 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, help="output library CSV")
     s.set_defaults(func=_cmd_extract)
 
+    # prune/transform flags are the bench config's keys; defaults in libops.METHODS
     s = sub.add_parser("prune", help="reduce or prune a spectral library")
     s.add_argument("--library", required=True)
-    s.add_argument("--method", choices=("count", "music"), required=True)
-    s.add_argument("--angle-threshold", type=float, default=0.05)
-    s.add_argument("--target", type=int, default=5)
-    s.add_argument("--coverage-metric", choices=("sam", "sqerr"), default="sam")
+    s.add_argument("--method", choices=tuple(METHODS["prune"]), required=True)
+    s.add_argument("--angle-threshold", type=float)
+    s.add_argument("--target", type=int, dest="target_per_class")
+    s.add_argument("--coverage-metric", choices=("sam", "sqerr"), dest="metric")
     s.add_argument("--image", help="image for the subspace method")
-    s.add_argument("--subspace-dim", type=int, default=3)
-    s.add_argument("--residual-threshold", type=float, default=0.5)
+    s.add_argument("--subspace-dim", type=int, help="default: the library's class count")
+    s.add_argument("--residual-threshold", type=float)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_prune)
 
     s = sub.add_parser("transform", help="build a spectral transform from a library")
     s.add_argument("--library", required=True)
-    s.add_argument("--method", choices=("mask", "weights", "fda"), required=True)
-    s.add_argument("--bands", type=int, help="bands to keep (mask)")
+    s.add_argument("--method", choices=[m for m in METHODS["transform"] if m != "path"],
+                   required=True)
+    s.add_argument("--bands", type=int, dest="k", help="bands to keep (mask)")
     s.add_argument("--threshold", type=float, help="instability threshold (mask)")
     s.add_argument("--dim", type=int, help="output dimension (fda)")
     s.add_argument("--out", required=True, help="output transform JSON")

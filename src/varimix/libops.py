@@ -121,15 +121,12 @@ def select_stable_bands(
     if k is not None:
         if not (1 <= k <= l):
             raise ValueError(f"k must lie in [1, {l}]")
-        if k < library.n_classes:
-            warnings.warn("fewer bands than classes: least squares is underdetermined")
         order = np.lexsort((np.arange(l), index))
         mask[order[:k]] = 1.0
     else:
-        keep = index < threshold
-        if keep.sum() < library.n_classes:
-            warnings.warn("fewer bands than classes: least squares is underdetermined")
-        mask[keep] = 1.0
+        mask[index < threshold] = 1.0
+    if mask.sum() < library.n_classes:
+        warnings.warn("fewer bands than classes: least squares is underdetermined")
     return SpectralTransform("mask", mask)
 
 
@@ -283,3 +280,52 @@ def music_prune(
             keep[int(np.argmin(residual))] = True
         classes.append(LibraryClass(c.name, c.signatures[keep]))
     return SpectralLibrary(tuple(classes))
+
+
+# Keys and defaults of each method, by spec block: the one list for the CLI
+# flags, the bench config check and the dispatch below. None means no value
+# (mask) or one taken from the library (music's class count, fda's P - 1).
+METHODS = {
+    "prune": {"count": {"angle_threshold": 0.05, "target_per_class": 5, "metric": "sam"},
+              "music": {"subspace_dim": None, "residual_threshold": 0.5}},
+    "transform": {"mask": {"k": None, "threshold": None}, "weights": {}, "fda": {"dim": None},
+                  "path": {"path": None}},
+}
+
+
+def check_spec(block: str, spec: dict) -> dict:
+    """The ``block`` spec with every key of its method, defaults filled
+    in. An unknown method or key raises ``ValueError`` naming it."""
+    methods = METHODS[block]
+    method = spec.get("method")
+    if method not in methods:
+        raise ValueError(f"{block}: method: unknown method {method!r}")
+    unknown = sorted(spec.keys() - {"method", *methods[method]})
+    if unknown:
+        raise ValueError(f"{block}: {unknown[0]}: unknown key")
+    return {**methods[method], **spec}
+
+
+def prune(spec: dict, library: SpectralLibrary, image: Optional[SpectralImage]) -> SpectralLibrary:
+    """Reduce ``library`` by a prune spec, ``{"method": "count" | "music",
+    ...}`` with the keys of ``METHODS["prune"]``; music needs ``image``."""
+    s = check_spec("prune", spec)
+    if s["method"] == "count":
+        return count_based_reduce(library, float(s["angle_threshold"]),
+                                  int(s["target_per_class"]), metric=s["metric"])
+    dim = library.n_classes if s["subspace_dim"] is None else s["subspace_dim"]
+    return music_prune(library, image, int(dim), float(s["residual_threshold"]))
+
+
+def build_transform(spec: dict, library: SpectralLibrary) -> SpectralTransform:
+    """The transform a spec describes, ``{"method": "mask" | "weights" |
+    "fda" | "path", ...}`` with the keys of ``METHODS["transform"]``."""
+    s = check_spec("transform", spec)
+    if s["method"] == "path":
+        return SpectralTransform.from_json(s["path"])
+    if s["method"] == "mask":
+        return select_stable_bands(library, k=s["k"], threshold=s["threshold"])
+    if s["method"] == "weights":
+        return instability_weights(library)
+    dim = library.n_classes - 1 if s["dim"] is None else s["dim"]
+    return fda_transform(library, int(dim))

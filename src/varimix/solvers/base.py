@@ -124,6 +124,12 @@ class QPCounts:
     def flags(self) -> dict:
         return {"qp_rounds": self.rounds, "unsettled_rows": self.unsettled_rows}
 
+    def log(self, start: float, iterations: int, cost: float, flags=()) -> SolverLog:
+        """The log of a one-pass solver timed from ``start``: converged when
+        no kernel row is left unsettled, ``flags`` followed by the counts."""
+        return SolverLog(iterations, cost, self.unsettled_rows == 0,
+                         time.perf_counter() - start, (cost,), dict(flags, **self.flags()))
+
 
 def _gram(y, m, lam=0.0):
     """Gram matrix and linear term for a shared (L, P) or per-pixel

@@ -8,8 +8,7 @@ import warnings
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, SpectralImage
-from .base import (QPCounts, SolverOptions, SolverLog, UnmixingResult, fcls_core,
-                   reconstruct, residual_stats)
+from .base import QPCounts, SolverOptions, UnmixingResult, fcls_core, reconstruct, residual_stats
 
 
 def fcls(
@@ -36,17 +35,5 @@ def fcls(
     a, rounds = fcls_core(y, m, counts)
     recon = reconstruct(m, a)
     cost, re = residual_stats(y, recon)
-    log = SolverLog(
-        iterations=rounds,
-        final_cost=cost,
-        converged=counts.unsettled_rows == 0,
-        wall_time_s=time.perf_counter() - start,
-        cost_history=(cost,),
-        flags=counts.flags(),
-    )
-    return UnmixingResult(
-        abundances=AbundanceMap(a, sum_to_one=True),
-        per_pixel_re=re,
-        reconstruction=recon,
-        solver_log=log,
-    )
+    return UnmixingResult(AbundanceMap(a, sum_to_one=True), re, recon,
+                          counts.log(start, rounds, cost))

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..types import (AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage,
                      SpectralLibrary, _Adopt)
-from .base import QPCounts, SolverOptions, SolverLog, UnmixingResult, reconstruct, residual_stats
+from .base import QPCounts, SolverOptions, UnmixingResult, reconstruct, residual_stats
 from .search import distinct_rows, library_stats, subset_search
 
 DEFAULT_MODEL_BUDGET = 10**6
@@ -74,15 +74,9 @@ def mesma(
         fields[:, :, cls] = np.clip(sigs[cls], 0.0, None)[best_model[:, cls]]
     recon = reconstruct(fields, best_a)
     cost, re = residual_stats(y, recon)
-    log = SolverLog(
-        iterations=models_tried,
-        final_cost=cost,
-        converged=counts.unsettled_rows == 0,
-        wall_time_s=time.perf_counter() - start,
-        cost_history=(cost,),
-        flags={"models_enumerated": models_tried, "early_stop": re_threshold is not None,
-               "duplicates": sum(sizes) - sum(k.size for k in keep), **counts.flags()},
-    )
+    log = counts.log(start, models_tried, cost, {
+        "models_enumerated": models_tried, "early_stop": re_threshold is not None,
+        "duplicates": sum(sizes) - sum(k.size for k in keep)})
     return UnmixingResult(
         abundances=AbundanceMap(best_a, sum_to_one=True, class_names=library.class_names),
         per_pixel_re=re,

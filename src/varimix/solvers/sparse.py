@@ -38,7 +38,6 @@ from ..types import (
 from .base import (
     _KKT_TOL,
     QPCounts,
-    SolverLog,
     SolverOptions,
     UnmixingResult,
     fcls_gram,
@@ -149,14 +148,7 @@ def sparse_su_l1(
     collapsed, proxy, n_uniform = _collapse_and_proxy(raw, library)
     recon = np.einsum("nlp,np->nl", proxy, collapsed)
     cost = float(0.5 * np.sum((y - raw @ m.T) ** 2) + lam * raw.sum())
-    log = SolverLog(
-        iterations=rounds,
-        final_cost=cost,
-        converged=counts.unsettled_rows == 0,
-        wall_time_s=time.perf_counter() - start,
-        cost_history=(cost,),
-        flags={"uniform_rows": n_uniform, "lambda": lam, **counts.flags()},
-    )
+    log = counts.log(start, rounds, cost, {"uniform_rows": n_uniform, "lambda": lam})
     return UnmixingResult(
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
         per_pixel_re=residual_stats(y, recon)[1],
@@ -267,15 +259,8 @@ def sparse_su_l0(
     collapsed, proxy, n_uniform = _collapse_and_proxy(raw, library)
     recon = np.einsum("nlp,np->nl", proxy, collapsed)
     cost = float(np.sum((y - raw @ m.T) ** 2))
-    log = SolverLog(
-        iterations=1,
-        final_cost=cost,
-        converged=counts.unsettled_rows == 0,
-        wall_time_s=time.perf_counter() - start,
-        cost_history=(cost,),
-        flags={"mode": mode, "k": k, "uniform_rows": n_uniform, "duplicates": q - keep.size,
-               **counts.flags()},
-    )
+    log = counts.log(start, 1, cost, {"mode": mode, "k": k, "uniform_rows": n_uniform,
+                                      "duplicates": q - keep.size})
     return UnmixingResult(
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
         per_pixel_re=residual_stats(y, recon)[1],

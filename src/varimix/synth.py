@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
+from .io import load_library
 from .mixing import add_noise, mix_forward
 from .types import (
     AbundanceMap,
@@ -358,20 +359,12 @@ class SceneConfig:
         return asdict(self)
 
 
-def synthesize_from_config(
-    cfg: SceneConfig,
-    seed: Optional[int] = None,
-    base_library: Optional[SpectralLibrary] = None,
-) -> SceneTruth:
+def synthesize_from_config(cfg: SceneConfig, seed: Optional[int] = None) -> SceneTruth:
     """Run synthesis from a scene config; ``seed`` overrides the config
     seed (used by the Monte Carlo bench)."""
-    if base_library is None:
-        from .io import load_library
-
-        base_library = load_library(cfg.base_library)
     snr = math.inf if cfg.snr_db is None else cfg.snr_db
     return synthesize_scene(
-        base_library,
+        load_library(cfg.base_library),
         cfg.abundance,
         cfg.variability,
         snr_db=snr,

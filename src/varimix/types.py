@@ -180,12 +180,11 @@ class SpectralLibrary:
         return SpectralLibrary(tuple(LibraryClass(n, s) for n, s in zip(names, signatures)))
 
     @staticmethod
-    def from_matrix(matrix: np.ndarray, names: Optional[Sequence[str]] = None) -> "SpectralLibrary":
-        """Single-signature classes from the columns of an (L, P) matrix."""
+    def from_matrix(matrix: np.ndarray) -> "SpectralLibrary":
+        """Single-signature classes ``class_<p>`` from the columns of an (L, P) matrix."""
         m = np.asarray(matrix, dtype=np.float64)
-        if names is None:
-            names = [f"class_{p}" for p in range(m.shape[1])]
-        return SpectralLibrary.from_arrays(names, [m[:, p][None, :] for p in range(m.shape[1])])
+        return SpectralLibrary(tuple(LibraryClass(f"class_{p}", m[:, p][None, :])
+                                     for p in range(m.shape[1])))
 
 
 # Rows whose sum is closer to 1 than this are left untouched so that

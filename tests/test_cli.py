@@ -314,6 +314,24 @@ def test_bench_roster_with_misspelled_option_exits_2_before_any_run(tmp_path, ca
     assert not (tmp_path / "bench").exists()
 
 
+@pytest.mark.parametrize("block, spec, message", [
+    ("prune", {"method": "count", "target": 1}, "prune: target: unknown key"),
+    ("prune", {"method": "Count"}, "prune: method: unknown method 'Count'"),
+    ("transform", {"method": "fda", "dims": 1}, "transform: dims: unknown key"),
+    ("transform", {"method": "mask", "bands": 4}, "transform: bands: unknown key"),
+    ("transform", {"method": "pca"}, "transform: method: unknown method 'pca'"),
+], ids=["prune-key", "prune-method", "fda-key", "mask-key", "transform-method"])
+def test_bench_prune_or_transform_with_unknown_key_exits_2_before_any_run(
+        tmp_path, capsys, block, spec, message):
+    bench = {"scene": _scene_config(tmp_path, height=8, width=8),
+             "roster": [{"name": "fcls", "algo": "fcls"}],
+             block: spec, "output_dir": str(tmp_path / "bench")}
+    (tmp_path / "bench.json").write_text(json.dumps(bench))
+    assert main(["bench", "--config", str(tmp_path / "bench.json")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'bench.json'}: config: {message}\n"
+    assert not (tmp_path / "bench").exists()
+
+
 def test_bench_cli_and_exit_codes(tmp_path):
     cfg = _scene_config(tmp_path, height=8, width=8)
     bench = {

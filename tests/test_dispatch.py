@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from varimix.bench import RosterEntry
+from varimix.bench import BenchConfig, RosterEntry
 from varimix.cli import main
-from varimix.io import save_library, save_scene
+from varimix.io import load_config, load_library, resolve_image, save_library, save_scene
+from varimix.libops import build_transform, prune
 from varimix.solvers import ALGORITHMS, SolverOptions, fcls, sparse_su_l0, unmix
 from varimix.synth import synthetic_base_spectra, truth_variant_library
 from varimix.types import FormatError
@@ -202,3 +203,53 @@ for algo in ("fcls", "mesma", "sparse-l1", "sparse-l0", "elmm", "plmm"):
         outputs.append(out.stdout)
     assert len(outputs[0].split()) == 18
     assert outputs[0] == outputs[1]
+
+
+# (block, CLI flags, the bench config's spec with the same keys)
+CONDITIONING = {
+    "count-sam": ("prune", ["--method", "count", "--angle-threshold", "0.02", "--target", "2"],
+                  {"method": "count", "angle_threshold": 0.02, "target_per_class": 2}),
+    "count-sqerr": ("prune", ["--method", "count", "--coverage-metric", "sqerr",
+                              "--angle-threshold", "0.03"],
+                    {"method": "count", "metric": "sqerr", "angle_threshold": 0.03}),
+    "music": ("prune", ["--method", "music", "--subspace-dim", "2", "--residual-threshold", "0.1"],
+              {"method": "music", "subspace_dim": 2, "residual_threshold": 0.1}),
+    "mask-k": ("transform", ["--method", "mask", "--bands", "10"], {"method": "mask", "k": 10}),
+    "mask-threshold": ("transform", ["--method", "mask", "--threshold", "0.02"],
+                       {"method": "mask", "threshold": 0.02}),
+    "weights": ("transform", ["--method", "weights"], {"method": "weights"}),
+    "fda": ("transform", ["--method", "fda", "--dim", "1"], {"method": "fda", "dim": 1}),
+}
+
+
+@pytest.mark.parametrize("case", CONDITIONING)
+def test_cli_flags_and_bench_spec_write_the_same_bytes(inputs, case):
+    d = inputs
+    block, flags, spec = CONDITIONING[case]
+    doc = {**_bench_config(d, "fcls", {}, None), block: spec}
+    cfg = load_config(BenchConfig, json.loads(json.dumps(doc)))
+    library = load_library(d / "lib.csv")
+    argv = [block, "--library", str(d / "lib.csv"), *flags, "--out", str(d / "cli_out")]
+    if block == "prune":
+        argv += ["--image", str(d / "scene")]
+        save_library(prune(cfg.prune, library, resolve_image(d / "scene")), d / "bench_out")
+    else:
+        build_transform(cfg.transform, library).to_json(d / "bench_out")
+    assert main(argv) == 0
+    assert (d / "cli_out").read_bytes() == (d / "bench_out").read_bytes()
+
+
+def test_music_subspace_dim_defaults_to_the_class_count(tmp_path):
+    truth = make_scene(n_bands=BANDS, n_classes=4, height=4, width=5)
+    save_scene(truth, tmp_path / "scene")
+    save_library(truth_variant_library(truth), tmp_path / "lib.csv")
+    argv = ["prune", "--library", str(tmp_path / "lib.csv"), "--method", "music",
+            "--image", str(tmp_path / "scene"), "--residual-threshold", "0.15"]
+    out = {}
+    for dim in (None, "4", "3"):
+        path = tmp_path / f"music_{dim}.csv"
+        assert main(argv + ([] if dim is None else ["--subspace-dim", dim])
+                    + ["--out", str(path)]) == 0
+        out[dim] = path.read_bytes()
+    assert out[None] == out["4"]
+    assert out[None] != out["3"]            # dimension 3 prunes this library differently
