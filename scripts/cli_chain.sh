@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The README's command-line chain on a tiny scene, through `python -m varimix`:
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix elmm,
-# plmm and mesma.
+# plmm, mesma and sparse-l1.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -42,3 +42,4 @@ python -m varimix unmix --image scene_dir/ --algo elmm --m0 small.csv \
 python -m varimix unmix --image scene_dir/ --algo plmm --m0 small.csv --out result_plmm/
 python -m varimix unmix --image scene_dir/ --algo mesma --library pruned.csv \
     --transform fda.json --out result_mesma/
+python -m varimix unmix --image scene_dir/ --algo sparse-l1 --library lib.csv --out result_l1/

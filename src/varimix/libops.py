@@ -142,7 +142,8 @@ def instability_weights(library: SpectralLibrary) -> SpectralTransform:
 
 def fda_transform(library: SpectralLibrary, dim: int) -> SpectralTransform:
     """Discriminant transform: rows are the top generalized eigenvectors
-    of (between-class scatter, within-class scatter).
+    of (between-class scatter, within-class scatter), each scaled to unit
+    norm, so transformed spectra keep the scale of the input.
 
     The within-class scatter is the class-size-weighted sum of the
     population covariances, ridge-loaded with eps = 1e-8 tr(S_w)/L before
@@ -167,6 +168,7 @@ def fda_transform(library: SpectralLibrary, dim: int) -> SpectralTransform:
         eps = 1e-12 * max(1.0, np.trace(s_between) / l)
     vals, vecs = eigh(s_between, s_within + eps * np.eye(l))
     w = vecs[:, ::-1][:, :dim].T                        # top-dim rows
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
     return SpectralTransform("dense", w)
 
 

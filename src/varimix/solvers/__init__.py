@@ -16,7 +16,6 @@ from .base import (
     SolverOptions,
     UnmixingResult,
     fcls_core,
-    nnls_core,
     reconstruct,
     residual_stats,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "UnmixingResult",
     "fcls",
     "fcls_core",
-    "nnls_core",
     "reconstruct",
     "residual_stats",
     "elmm_unmix",

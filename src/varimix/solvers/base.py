@@ -8,11 +8,11 @@ form, with G = M'M and h = M'y per pixel:
 
 (the L1-penalized problem is the NNLS one with h = M'y - lam). One exact
 kernel, ``_active_set``, solves both: a primal active-set method with the
-Lawson-Hanson step, batched over pixels by grouping rows that share a
-passive set (combinatorial NNLS). ``fcls_core`` and ``nnls_core`` wrap it
-for a shared (L, P) or per-pixel (N, L, P) endmember matrix;
-``fcls_gram`` and ``nnls_gram`` take G and h directly, for solvers that
-build them in factored form or from library statistics.
+Lawson-Hanson step, batched over pixels: each round stacks the face
+systems of all open rows and solves those of one size together.
+``fcls_core`` wraps it for a shared (L, P) or per-pixel (N, L, P)
+endmember matrix; ``fcls_gram`` and ``nnls_gram`` take G and h directly,
+for solvers that build them in factored form or from library statistics.
 ``monotone_loop`` drives the alternating solvers and ``timed`` fills
 their per-phase timings.
 """
@@ -143,32 +143,22 @@ def _gram(y, m, lam=0.0):
     return np.einsum("nlp,nlq->npq", m, m), np.einsum("nlp,nl->np", m, y) - lam
 
 
-def _faces(passive):
-    """(columns, row positions) for each distinct passive set. Rows are
-    keyed on their bit-packed passive set, one void scalar per row."""
-    keys = np.packbits(passive, axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    ends = np.cumsum(np.bincount(inverse, minlength=first.size))
-    return zip((np.flatnonzero(passive[i]) for i in first), np.split(order, ends[:-1]))
-
-
 def _face_minimizer(gram, h, rows, cols, simplex, ridge=False, strict=False):
-    """Minimizer on the face spanned by ``cols`` (dropping the sign
-    constraints, keeping sum-to-one), for each of ``rows``. A row whose
-    face system is singular, from collinear or zero columns, gets a small
-    ridge, or with ``strict`` NaNs; ``ridge`` ridges every row. Singular
-    rows are found by a zero ``slogdet`` sign, the systems LAPACK's LU
-    rejects, so they do not change the other rows' bits."""
-    k = cols.size
+    """Minimizer on a face (dropping the sign constraints, keeping
+    sum-to-one) for each of ``rows``. ``cols`` is one (k,) face for all
+    rows, solved with R right-hand sides for a shared Gram, or an (R, k)
+    face per row; either way the systems go to one stacked solve. A row
+    whose face system is singular, from collinear or zero columns, gets a
+    small ridge, or with ``strict`` NaNs; ``ridge`` ridges every row.
+    Singular rows are found by a zero ``slogdet`` sign, the systems
+    LAPACK's LU rejects, so they do not change the other rows' bits."""
+    k = cols.shape[-1]
     if k == 0:
         return np.zeros((rows.size, 0))
-    if gram.ndim == 2:
-        sub = gram[np.ix_(cols, cols)][None]
-    else:
-        sub = gram[rows[:, None, None], cols[:, None], cols[None, :]]
-    rhs = h[np.ix_(rows, cols)]
+    c = np.atleast_2d(cols)
+    face = (c[:, :, None], c[:, None, :])
+    sub = gram[face] if gram.ndim == 2 else gram[(rows[:, None, None],) + face]
+    rhs = h[rows[:, None], c]
     if simplex:                     # bordered system [G -1; 1' 0][s; nu] = [h; 1]
         border = np.zeros((sub.shape[0], k + 1, k + 1))
         border[:, :k, :k] = sub
@@ -198,6 +188,26 @@ def _face_minimizer(gram, h, rows, cols, simplex, ridge=False, strict=False):
         sub[:, :k, :k] += (_RIDGE * np.where(tr > 0, tr, 1.0))[:, None, None] * np.eye(k)
         out[bad] = solve(sub, rhs[bad])
     return out[:, :k]
+
+
+def _solve_faces(gram, h, rows, passive, entering, simplex):
+    """(R, P) minimizers of ``rows`` on their ``passive`` faces, zero off
+    the face, in one stacked solve per face size. An ``entering`` column
+    (-1: none) is positive at the minimizer of a regular face; a row
+    where it is not has a face singular up to rounding and is solved
+    again with the ridge."""
+    s = np.zeros(passive.shape)
+    sizes = passive.sum(axis=1)
+    for k in np.unique(sizes):
+        pos = np.flatnonzero(sizes == k)
+        cols = np.nonzero(passive[pos])[1].reshape(pos.size, k)
+        s[pos[:, None], cols] = _face_minimizer(gram, h, rows[pos], cols, simplex)
+        new = entering[pos]
+        bad = (new >= 0) & (s[pos, np.maximum(new, 0)] <= 0.0)
+        if bad.any():
+            s[pos[bad, None], cols[bad]] = _face_minimizer(gram, h, rows[pos[bad]], cols[bad],
+                                                           simplex, ridge=True)
+    return s
 
 
 def _twins(gram):
@@ -230,9 +240,10 @@ def _active_set(gram, h, simplex):
     the face minimizer of the enlarged set is accepted when it is
     positive; otherwise the iterate moves toward it until the first
     passive entry reaches zero, which is dropped (Lawson-Hanson), and the
-    smaller face is solved again. Each round solves the open rows once
-    per distinct passive set. A column identical to a passive one prices
-    at zero and never enters.
+    smaller face is solved again. Each round gathers the open rows'
+    face systems and makes one stacked solve per face size
+    (``_solve_faces``), so a row's bits do not depend on the other rows.
+    A column identical to a passive one prices at zero and never enters.
 
     Returns (a, rounds, rows still open after ``_round_bound(P)`` rounds);
     open rows keep their current feasible iterate.
@@ -273,16 +284,7 @@ def _active_set(gram, h, simplex):
         if solving.size == 0 or rounds == _round_bound(p):
             return a, rounds, solving
         rounds += 1
-        s = np.zeros((solving.size, p))
-        for cols, pos in _faces(passive[solving]):
-            s[np.ix_(pos, cols)] = _face_minimizer(gram, h, solving[pos], cols, simplex)
-            # an entering column is positive at the minimizer of a regular
-            # face; a nonpositive one marks a face singular up to rounding
-            new = entering[solving[pos]]
-            bad = pos[(new >= 0) & (s[pos, np.maximum(new, 0)] <= 0.0)]
-            if bad.size:
-                s[np.ix_(bad, cols)] = _face_minimizer(gram, h, solving[bad], cols,
-                                                       simplex, ridge=True)
+        s = _solve_faces(gram, h, solving, passive[solving], entering[solving], simplex)
         entering[solving] = -1
         blocked = passive[solving] & (s <= 0.0)
         done = ~blocked.any(axis=1)
@@ -329,24 +331,13 @@ def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("nlp,np->nl", m, a)
 
 
-def nnls_core(
-    y: np.ndarray,
-    m: np.ndarray,
-    lam: float = 0.0,
-    counts: Optional[QPCounts] = None,
-) -> tuple[np.ndarray, int]:
+def nnls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):
     """Nonnegative least squares with a linear sparsity term,
 
         min 0.5 ||y - M a||^2 + lam * sum(a)   s.t.  a >= 0
 
-    for all pixels, with the same shapes, return value and ``counts`` as
-    ``fcls_core``.
-    """
-    return nnls_gram(*_gram(y, m, lam), counts)
-
-
-def nnls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):
-    """``nnls_core`` in Gram form, with ``h`` = M'y - lam."""
+    for all pixels, in Gram form with ``h`` = M'y - lam; shapes, return
+    value and ``counts`` as in ``fcls_gram``."""
     a, rounds, open_rows = _active_set(gram, h, simplex=False)
     if counts is not None:
         counts.add(rounds, open_rows)

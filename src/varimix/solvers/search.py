@@ -1,4 +1,5 @@
-"""Library search in Gram space, shared by MESMA and L0-exhaustive.
+"""Library search in Gram space, shared by MESMA and L0-exhaustive;
+sparse L1 and greedy L0 use its statistics too.
 
 Every subset's simplex fit needs only S S', Y S' and ||y||^2 (S holds
 the signatures as rows), computed once per call: its problem is a

@@ -9,9 +9,9 @@ linear). The L0 variant limits the support size instead, either greedily
 or by exhaustive support enumeration; the exhaustive mode doubles as the
 oracle for the greedy one.
 
-Both L0 modes search the library's distinct signatures in Gram space
-(``search``): exact duplicates collapse to their first occurrence, which
-gets the raw mass, and the exhaustive mode's residuals, read from the
+L1 and both L0 modes work on the library's distinct signatures in Gram
+space (``search``): exact duplicates collapse to their first occurrence,
+which gets the raw mass, and the exhaustive mode's residuals, read from the
 statistics, are precise to about 1e-8 ||y|| on the RMS error. The greedy
 mode is orthogonal matching pursuit batched over pixels (Batch-OMP,
 Rubinstein, Zibulevsky & Elad 2008) with nonnegative refits.
@@ -41,7 +41,6 @@ from .base import (
     SolverOptions,
     UnmixingResult,
     fcls_gram,
-    nnls_core,
     nnls_gram,
     residual_stats,
 )
@@ -129,7 +128,9 @@ def sparse_su_l1(
 ) -> UnmixingResult:
     """Nonnegative L1-penalized regression on the flattened library.
 
-    Raw column abundances are kept without the sum-to-one flag; the
+    Copies of a signature are solved once, and the first occurrence gets
+    the raw mass (``duplicates`` counts the copies). Raw column
+    abundances are kept without the sum-to-one flag; the
     class-collapsed map sums each class and normalizes rows with
     nonnegligible mass (empty rows turn uniform and are counted in the
     solver log). The emitted endmembers are the within-class
@@ -140,15 +141,20 @@ def sparse_su_l1(
         raise DimensionError("library band count does not match the image")
     start = time.perf_counter()
     flat, _ = library.flatten()
-    m = flat.T                                   # (L, Q)
     y = image.pixels
     lam = opts.lambda_sparse
+    keep = distinct_rows(flat)                  # original column per distinct one
+    distinct = flat[keep]
+    gram, ys, _ = library_stats(y, distinct)
     counts = QPCounts()
-    raw, rounds = nnls_core(y, m, lam, counts)
+    a, rounds = nnls_gram(gram, ys - lam, counts)
+    raw = np.zeros((y.shape[0], flat.shape[0]))
+    raw[:, keep] = a
     collapsed, proxy, n_uniform = _collapse_and_proxy(raw, library)
     recon = np.einsum("nlp,np->nl", proxy, collapsed)
-    cost = float(0.5 * np.sum((y - raw @ m.T) ** 2) + lam * raw.sum())
-    log = counts.log(start, rounds, cost, {"uniform_rows": n_uniform, "lambda": lam})
+    cost = float(0.5 * np.sum((y - a @ distinct) ** 2) + lam * a.sum())
+    log = counts.log(start, rounds, cost, {"uniform_rows": n_uniform, "lambda": lam,
+                                           "duplicates": flat.shape[0] - keep.size})
     return UnmixingResult(
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
         per_pixel_re=residual_stats(y, recon)[1],

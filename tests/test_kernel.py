@@ -23,7 +23,6 @@ from varimix.solvers import (
     kkt_residual_l1,
     kkt_residual_simplex,
     mesma,
-    nnls_core,
     plmm_unmix,
     sparse_su_l0,
     sparse_su_l1,
@@ -119,7 +118,7 @@ def test_simplex_kernel_on_degenerate_inputs(kind, seed, n, l, p, per_pixel, sca
 def test_nnls_kernel_on_degenerate_inputs(kind, seed, n, l, p, per_pixel, scaled, lam):
     y, m = _problem(kind, seed, n, l, p, per_pixel, scaled)
     counts = QPCounts()
-    a, _ = nnls_core(y, m, lam, counts)
+    a, _ = base.nnls_gram(*base._gram(y, m, lam), counts)
     assert counts.unsettled_rows == 0
     assert np.all(a >= 0)
     for i in range(n):
@@ -230,6 +229,65 @@ def test_singular_pixel_does_not_move_its_batch():
     assert abs(cost - oracle_cost) <= _cost_tol(cost, oracle_cost, y[0])
 
 
+def _singular_face_batch(seed, n=8):
+    """Per-pixel NNLS rows, lam = 1/4, in 3 bands with 4 columns. Row 0 is
+    exact in binary: columns 0, 1 and 2 enter it in rounds 2 to 4, and
+    its face {0, 1, 2} is singular (m_2 = 3/4 (m_0 + m_1)), so LU rejects
+    that system exactly. The other rows are random."""
+    rng = np.random.default_rng(seed)
+    m0 = np.zeros((3, 4))
+    m0[0, 0] = m0[1, 1] = 1.0
+    m0[:2, 2] = 0.75
+    m = np.concatenate([m0[None], rng.uniform(0.05, 1.0, size=(n - 1, 3, 4))])
+    y = np.concatenate([[[4.0, 1.0, 0.0]], rng.uniform(0.0, 1.0, size=(n - 1, 3))])
+    return y, m
+
+
+@pytest.mark.parametrize("simplex", [True, False])
+def test_stacked_face_solve_keeps_each_rows_bits(simplex, monkeypatch):
+    # each round solves the faces of all open rows, one stacked solve per
+    # face size. In the simplex batch (collinear columns) one round holds
+    # faces of several sizes; in the NNLS batch row 0's singular face
+    # shares its stack with other rows, so LU rejects the whole stack and
+    # only row 0 may take the ridge. Every row gets the bytes it gets
+    # alone, and all reach the oracle or the KKT certificate with no
+    # unsettled rows
+    if simplex:
+        lam, (y, m) = 0.0, _problem("collinear", 5, 8, 8, 5, True, False)
+    else:
+        lam, (y, m) = 0.25, _singular_face_batch(10)
+    gram, h = base._gram(y, m, lam)
+    kernel = base.fcls_gram if simplex else base.nnls_gram
+    stacks = []
+    solve_faces = base._solve_faces
+
+    def spy(gram, h, rows, passive, entering, simplex):
+        stacks.append((rows, passive.sum(axis=1)))
+        return solve_faces(gram, h, rows, passive, entering, simplex)
+
+    monkeypatch.setattr(base, "_solve_faces", spy)
+    counts = QPCounts()
+    a, _ = kernel(gram, h, counts)
+    monkeypatch.undo()
+    assert counts.unsettled_rows == 0
+    assert any(np.unique(sizes).size > 1 for _, sizes in stacks)
+    if not simplex:
+        assert np.linalg.slogdet(gram[0, :3, :3])[0] == 0
+        assert any(np.all(sizes[rows == 0] == 3) and np.sum(sizes == 3) > 1
+                   for rows, sizes in stacks if 0 in rows)
+    for i in range(y.shape[0]):
+        alone, _ = kernel(gram[i:i + 1], h[i:i + 1])
+        assert a[i].tobytes() == alone[0].tobytes()
+        if simplex:
+            act, inact, scale = kkt_residual_simplex(y[i:i + 1], m[i], a[i:i + 1])
+            _, oracle_cost = qp_fcls_oracle(y[i], m[i])
+            cost = float(np.sum((y[i] - m[i] @ a[i]) ** 2))
+            assert abs(cost - oracle_cost) <= _cost_tol(cost, oracle_cost, y[i])
+        else:
+            act, inact, scale = kkt_residual_l1(y[i:i + 1], m[i], a[i:i + 1], lam)
+        assert max(act, inact) <= KKT_RTOL * scale
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_nnls_kernel_from_a_start(kind):
     # NNLS rows start on the full face too: next to per-pixel rows with
@@ -254,7 +312,7 @@ def test_duplicate_column_never_enters(per_pixel):
     y, m = _problem("duplicate", 5, 40, 12, 4, per_pixel, False)
     a, _ = fcls_core(y, m)
     assert not np.any((a[:, 0] > 0) & (a[:, -1] > 0))
-    raw, _ = nnls_core(y, m, 1e-3)
+    raw, _ = base.nnls_gram(*base._gram(y, m, 1e-3))
     assert not np.any((raw[:, 0] > 0) & (raw[:, -1] > 0))
 
 
@@ -266,7 +324,7 @@ def test_nnls_dependent_entering_column(per_pixel):
     lam = 1e-3
     y, m = _problem("wide", 4, 40, 4, 4, per_pixel, False)
     counts = QPCounts()
-    a, _ = nnls_core(y, m, lam, counts)
+    a, _ = base.nnls_gram(*base._gram(y, m, lam), counts)
     assert counts.unsettled_rows == 0
     for i in range(y.shape[0]):
         act, inact, scale = kkt_residual_l1(y[i:i + 1], _pixel_matrix(m, i), a[i:i + 1], lam)

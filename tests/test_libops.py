@@ -124,6 +124,16 @@ class TestFda:
         assert np.ptp(z1) < 1e-8 and np.ptp(z2) < 1e-8      # zero within-spread
         assert abs(z1[0, 0] - z2[0, 0]) > 1e-6              # separated means
 
+    @pytest.mark.parametrize("spread", [0.0, 0.03])
+    def test_rows_have_unit_norm(self, rng, spread):
+        # scaled to the within-class scatter, rows reach norms of order
+        # 1/spread (and the 1e-12 floor's inverse root at zero spread)
+        means = rng.uniform(0.2, 1.0, size=(3, 10))
+        lib = SpectralLibrary.from_arrays(
+            ["a", "b", "c"], [m + rng.normal(0, spread, size=(30, 10)) for m in means])
+        w = fda_transform(lib, 2).weights
+        np.testing.assert_allclose(np.linalg.norm(w, axis=1), 1.0, rtol=0, atol=1e-12)
+
     def test_identical_means_rank_error(self, rng):
         c = rng.uniform(0.1, 1.0, size=(5, 8))
         lib = SpectralLibrary.from_arrays(["a", "b"], [c, c.copy()])

@@ -83,6 +83,28 @@ class TestSparseL1:
         assert np.max(np.abs(res.abundances.data.sum(axis=1) - 1)) < 1e-9
         assert res.endmembers is not None
 
+    def test_duplicate_signatures_collapse_to_first_occurrence(self, rng):
+        # copies of a signature leave the fit unchanged: the raw mass goes
+        # to the first occurrence, and the result is the distinct library's
+        lib = _library(rng)
+        copies = [[0, 1, 2, 0, 1], [0, 0, 1, 2], [0, 1, 1]]
+        dup = SpectralLibrary.from_arrays(
+            lib.class_names, [c.signatures[i] for c, i in zip(lib.classes, copies)])
+        later = np.array([0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1], dtype=bool)
+        m, _ = dup.flatten()
+        y = rng.dirichlet(np.ones(12), size=40) @ m + rng.normal(0, 0.02, size=(40, 24))
+        lam = 0.01
+        opts = SolverOptions(lambda_sparse=lam)
+        res = sparse_su_l1(_image(y), dup, opts)
+        ref = sparse_su_l1(_image(y), lib, opts)
+        raw = res.raw_abundances.data
+        assert res.solver_log.flags["duplicates"] == 4
+        assert raw[:, ~later].any(axis=0).all() and not raw[:, later].any()
+        np.testing.assert_allclose(res.abundances.data, ref.abundances.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.reconstruction, ref.reconstruction, rtol=0, atol=1e-12)
+        act, inact, scale = kkt_residual_l1(y, m.T, raw, lam)
+        assert max(act, inact) <= 1e-9 * scale
+
 
 class TestSparseL0:
     def test_full_support_equals_fcls(self, rng):
