@@ -15,7 +15,7 @@ at once in the DCT-II basis, where the grid Laplacian is diagonal.
 
 The loop runs on the per-pixel statistics of ``rankone``: O(N P)
 memory, no pass over the (N, L) image per iteration. The endmember
-field is built once, for the result.
+field is built once, in chunks of pixels, by ``RankOneModel.result``.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ def elmm_unmix(
     ``ref_matrix`` is the (L, P) reference. The loop starts from FCLS
     abundances on it with unit scalings, i.e. every M_n = M0. The emitted
     endmember field is clamped to be nonnegative; the solver state is not.
+    ``extras["psi"]`` holds the scalings; the log times the whole call.
     """
     start = time.perf_counter()
     y = image.pixels
@@ -100,5 +101,5 @@ def elmm_unmix(
 
     state, log = monotone_loop(core.start(a0, np.ones((n, p))), step, cost,
                                opts.max_iters, opts.tol)
-    core.finish(log, start, {"lambda_m": lam_m, "lambda_psi": lam_psi})
-    return core.result(state.a, core.field(state), log, {"psi": state.psi})
+    return core.result(state, log, start, {"lambda_m": lam_m, "lambda_psi": lam_psi},
+                       {"psi": state.psi})

@@ -8,8 +8,8 @@ with simplex abundances. The perturbation step has the rank-one closed
 form dM_n = u_n a_n^T with u_n = r_n / (gamma + ||a_n||^2) and r_n the
 reference-model residual, so the loop runs on the per-pixel statistics
 of ``rankone`` (scalings fixed at one): O(N P) memory, no pass over the
-(N, L) image per iteration. The perturbation field is built once, for
-the result.
+(N, L) image per iteration. The field M0 + dM_n is built once, in chunks
+of pixels, by ``RankOneModel.result``; dM is not kept.
 """
 
 from __future__ import annotations
@@ -32,16 +32,15 @@ def plmm_unmix(
 
     The loop starts from FCLS abundances on ``ref_matrix`` with a zero
     perturbation. The emitted field M0 + dM_n is clamped to be
-    nonnegative; ``extras["perturbation"]`` keeps the unclamped dM_n.
+    nonnegative; the result has no extras, and the log times the whole call.
     """
     start = time.perf_counter()
     y = image.pixels
     gamma = opts.gamma_plmm
     core = RankOneModel(y, ref_matrix, gamma)
-    m0 = core.m0
-    ones = np.ones((y.shape[0], m0.shape[1]))
+    ones = np.ones((y.shape[0], core.m0.shape[1]))
     with timed(core.phases, "qp"):
-        a0, _ = fcls_core(y, m0, core.counts)
+        a0, _ = fcls_core(y, core.m0, core.counts)
 
     def cost(s):
         with timed(core.phases, "cost"):
@@ -49,7 +48,4 @@ def plmm_unmix(
 
     state, log = monotone_loop(core.start(a0, ones), lambda s: core.step(s, ones), cost,
                                opts.max_iters, opts.tol)
-    core.finish(log, start, {"gamma": gamma})
-
-    dm = core.direction(state)[:, :, None] * state.a[:, None, :]
-    return core.result(state.a, m0[None, :, :] + dm, log, {"perturbation": dm})
+    return core.result(state, log, start, {"gamma": gamma}, {})

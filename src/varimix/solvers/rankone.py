@@ -12,8 +12,9 @@ w = M0'u = (Y M0 - b G0) / c, u'y = (||y||^2 - b'M0'y) / c and ||u||^2 =
 put it within ``_RECOMPUTE`` ||y||^2 of zero (they cancel to about
 eps ||y||^2). The residual y_n - M_n a_n is lam u_n, so the fit is
 lam^2 ||u||^2 and the cost, like the Gram matrix and linear term, follows
-from the statistics; u and the (N, L, P) field are built once, from the
-pixels, for the result.
+from the statistics. u is taken from the pixels only by ``result``, which
+writes the clamped (N, L, P) field, the reconstruction and the per-pixel
+error one chunk of pixels at a time, inside the solver's log.
 
 Both solvers start from the plain linear-mixing solution: FCLS
 abundances on M0, unit scalings and u = 0 (``start``), so every M_n is
@@ -31,10 +32,10 @@ from typing import Optional
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, EndmemberField, _Adopt
-from .base import (QPCounts, SolverLog, UnmixingResult, fcls_gram, reconstruct, residual_stats,
-                   timed)
+from .base import QPCounts, SolverLog, UnmixingResult, fcls_gram, residual_stats, timed
 
 _RECOMPUTE = 1e-10
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -120,33 +121,35 @@ class RankOneModel:
                + s.uu @ np.einsum("np,np->n", s.a, s.a))
         return float(np.sum(s.fit) + self.lam * tie)
 
-    def direction(self, s: RankOneState) -> np.ndarray:
-        """u (N, L), from the pixels."""
-        if s.fit is None:
-            return np.zeros_like(self.y)
-        c = self.lam + np.einsum("np,np->n", s.a, s.a)
-        return (self.y - (s.psi_m * s.a) @ self.m0.T) / c[:, None]
-
-    def field(self, s: RankOneState) -> np.ndarray:
-        """The (N, L, P) endmember field; a new array."""
-        u = self.direction(s)
-        f = np.empty(u.shape + (self.m0.shape[1],))
-        for j in range(f.shape[2]):
-            f[:, :, j] = np.outer(s.psi_m[:, j], self.m0[:, j]) + u * s.a[:, j, None]
-        return f
-
-    def finish(self, log: SolverLog, start: float, flags: dict):
-        """Complete the loop's log: kernel outcome, wall time, phases."""
+    def result(self, s: RankOneState, log: SolverLog, start: float, flags: dict,
+               extras: dict) -> UnmixingResult:
+        """The solver's output, built per ``_CHUNK_ROWS`` pixels in phase
+        ``result``: u (zero in a start state), the field psi_m_j m0_j + u a_j
+        written and clamped in the emitted array, reconstruction and
+        ``per_pixel_re``. Then the log is completed, timed from ``start``."""
+        with timed(self.phases, "result"):
+            (n, l), p = self.y.shape, self.m0.shape[1]
+            field, recon, re = np.empty((n, l, p)), np.empty((n, l)), np.empty(n)
+            c = self.lam + np.einsum("np,np->n", s.a, s.a)
+            for lo in range(0, n, _CHUNK_ROWS):
+                hi = min(lo + _CHUNK_ROWS, n)
+                y, a, f = self.y[lo:hi], s.a[lo:hi], field[lo:hi]
+                if s.fit is None:
+                    u = np.zeros_like(y)
+                else:       # a one-row product goes to gemv, which rounds unlike gemm
+                    k = min(lo, max(hi - 2, 0))
+                    u = (y - ((s.psi_m[k:hi] * s.a[k:hi]) @ self.m0.T)[lo - k:]) / c[lo:hi, None]
+                for j in range(p):
+                    np.multiply(s.psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
+                    f[:, :, j] += u * a[:, j, None]
+                np.clip(f, 0.0, None, out=f)
+                np.einsum("nlp,np->nl", f, a, out=recon[lo:hi])
+                re[lo:hi] = residual_stats(y, recon[lo:hi])[1]
+            out = UnmixingResult(AbundanceMap(s.a, sum_to_one=True), re, recon, log,
+                                 EndmemberField(_Adopt(field)), extras=extras)
         log.converged = log.converged and self.counts.unsettled_rows == 0
         log.wall_time_s = time.perf_counter() - start
         log.flags = {**flags, **self.counts.flags(), "recomputed_rows": self.recomputed_rows,
                      **log.flags}
         log.phases = self.phases
-
-    def result(self, a, emitted, log, extras) -> UnmixingResult:
-        """The solver's output; the field ``emitted`` is clamped in place."""
-        np.clip(emitted, 0.0, None, out=emitted)
-        recon = reconstruct(emitted, a)
-        return UnmixingResult(AbundanceMap(a, sum_to_one=True),
-                              residual_stats(self.y, recon)[1], recon, log,
-                              EndmemberField(_Adopt(emitted)), extras=extras)
+        return out

@@ -81,7 +81,7 @@ class TestPlmm:
         h, w = 5, 8
         m0, a, y = _lmm_data(rng, h, w)
         res = plmm_unmix(_grid_image(y, h, w), m0, SolverOptions(max_iters=20))
-        assert np.max(np.abs(res.extras["perturbation"])) < 1e-8
+        assert np.max(np.abs(res.endmembers.data - m0)) < 1e-8
         a_ref, _ = fcls_core(y, m0)
         assert np.max(np.abs(res.abundances.data - a_ref)) < 1e-8
         assert res.solver_log.converged

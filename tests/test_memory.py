@@ -1,7 +1,8 @@
 """Who owns the large arrays, and what building and scoring them costs.
 
-Scoring and synthesis make no field-sized temporaries, and FCLS and MESMA
-no (N, L) ones besides their outputs and one residual (peaks measured
+Scoring and synthesis make no field-sized temporaries, FCLS and MESMA
+no (N, L) ones besides their outputs and one residual, and ELMM and PLMM
+no large ones besides their field and reconstruction (peaks measured
 with ``tracemalloc``, which sees numpy's buffers); the public
 constructors copy the caller's array; every array that synthesis,
 loading and the solvers hand out is read-only."""
@@ -76,6 +77,17 @@ def test_fcls_and_mesma_peaks_hold_one_residual_image(name):
     result, peak = _traced_peak(lambda: unmix(name, truth.image_noisy, source, SolverOptions()))
     field = 0 if result.endmembers is None else result.endmembers.data.nbytes
     assert peak < field + 2.5 * truth.image_noisy.data.nbytes
+
+
+@pytest.mark.parametrize("name", ["elmm", "plmm"])
+def test_elmm_and_plmm_peaks_hold_the_field_and_two_images(name):
+    # the field is written in pixel chunks into the emitted array, and the
+    # reconstruction is the one other (N, L) array the result keeps
+    truth = _scene(64, 64)
+    result, peak = _traced_peak(lambda: unmix(name, truth.image_noisy,
+                                              truth.endmembers.class_means().T,
+                                              SolverOptions(max_iters=10)))
+    assert peak < result.endmembers.data.nbytes + 2 * truth.image_noisy.data.nbytes
 
 
 @pytest.mark.parametrize("build", [

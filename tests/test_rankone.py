@@ -11,6 +11,7 @@ KKT conditions against the dense matrix it was solved for; and
 """
 
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,8 @@ from varimix.solvers import (
 )
 from varimix.solvers import elmm as elmm_module
 from varimix.solvers import plmm as plmm_module
-from varimix.solvers.base import _gram, monotone_loop
+from varimix.solvers import rankone
+from varimix.solvers.base import SolverLog, _gram, monotone_loop, residual_stats
 from varimix.solvers.elmm import _grid_solve, _grid_spatial
 from varimix.solvers.rankone import RankOneModel, RankOneState
 from varimix.types import SpectralImage
@@ -54,7 +56,7 @@ def _u(y, m0, lam, s):
     state, else the endmember step's (y - M0 (psi_m * a)) / (lam + ||a||^2)."""
     if s.fit is None:
         return np.zeros_like(y)
-    return (y - (s.psi_m * s.a) @ m0.T) / (lam + np.sum(s.a**2, axis=1))[:, None]
+    return (y - (s.psi_m * s.a) @ m0.T) / (lam + np.einsum("np,np->n", s.a, s.a))[:, None]
 
 
 def _dense(m0, s, u):
@@ -171,13 +173,18 @@ def test_endmember_step_statistics_equal_the_pixel_ones(seed, n, l, p, floor, ze
 @case
 def test_field_is_the_broadcast_field_bit_for_bit(seed, n, l, p, floor, zeros):
     y, m0, s, _ = _factored_case(seed, n, l, p, floor, zeros)
+    # a result's abundances are on the simplex: an all-zero row becomes a vertex
+    a = s.a.copy()
+    a[a.sum(axis=1) == 0, 0] = 1.0
+    a /= a.sum(axis=1, keepdims=True)
     model = RankOneModel(y, m0, 0.7)
-    start = model.start(s.a, s.psi_m)
-    assert np.array_equal(model.field(start), m0[None] * s.psi_m[:, None, :] + 0.0)
-    new = model.update(s.a, s.psi_m)
-    u = model.direction(new)
-    assert _rel(u, _u(y, m0, 0.7, new)) <= RTOL
-    assert np.array_equal(model.field(new), _dense(m0, new, u))
+    for state in (model.start(a, s.psi_m), model.update(a, s.psi_m)):
+        res = model.result(state, SolverLog(), time.perf_counter(), {}, {})
+        field = np.clip(_dense(m0, state, _u(y, m0, 0.7, state)), 0.0, None)
+        assert np.array_equal(res.endmembers.data, field)
+        recon = np.einsum("nlp,np->nl", field, res.abundances.data)
+        assert np.array_equal(res.reconstruction, recon)
+        assert np.array_equal(res.per_pixel_re, residual_stats(y, recon)[1])
 
 
 def _small_scene(seed):
@@ -209,7 +216,8 @@ def test_plmm_matches_dense_reference(seed):
                                           opts.max_iters, opts.tol)
     assert res.solver_log.iterations == len(history) - 1
     assert np.max(np.abs(res.abundances.data - a)) <= REF_TOL
-    assert np.max(np.abs(res.extras["perturbation"] - dm)) <= REF_TOL
+    assert np.max(np.abs(res.endmembers.data - np.clip(m0 + dm, 0.0, None))) <= REF_TOL
+    assert "perturbation" not in res.extras
     assert _rel(np.array(res.solver_log.cost_history), np.array(history)) <= REF_TOL
 
 
@@ -264,8 +272,8 @@ def test_logs_report_phases_and_loop_flags(tmp_path):
     image, m0 = _small_scene(6)
     e = elmm_unmix(image, m0, SolverOptions(max_iters=4))
     p = plmm_unmix(image, m0, SolverOptions(max_iters=4))
-    assert set(e.solver_log.phases) == {"qp", "endmember", "psi", "cost"}
-    assert set(p.solver_log.phases) == {"qp", "endmember", "cost"}
+    assert set(e.solver_log.phases) == {"qp", "endmember", "psi", "cost", "result"}
+    assert set(p.solver_log.phases) == {"qp", "endmember", "cost", "result"}
     for name, result in (("elmm", e), ("plmm", p)):
         log = result.solver_log
         assert all(v >= 0.0 for v in log.phases.values())
@@ -273,6 +281,34 @@ def test_logs_report_phases_and_loop_flags(tmp_path):
         assert log.flags["cap_hit"] == int(log.iterations == 4 and not log.converged)
         written = json.loads((save_result(result, tmp_path / name) / "solver_log.json").read_text())
         assert written["phases"] == log.phases and written["flags"] == log.flags
+
+
+@pytest.mark.parametrize("unmix", [elmm_unmix, plmm_unmix])
+def test_wall_time_covers_every_phase(tmp_path, unmix):
+    image, m0 = _small_scene(7)
+    result = unmix(image, m0, SolverOptions(max_iters=4))
+    log = result.solver_log
+    assert "result" in log.phases
+    assert log.wall_time_s >= sum(log.phases.values())
+    written = json.loads((save_result(result, tmp_path) / "solver_log.json").read_text())
+    assert written["wall_time_s"] == log.wall_time_s and written["phases"] == log.phases
+
+
+@pytest.mark.parametrize("unmix", [elmm_unmix, plmm_unmix])
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch, unmix):
+    truth = make_scene(n_bands=20, height=15, width=20, snr_db=25.0, seed=8)
+    image, m0 = truth.image_noisy, truth.endmembers.class_means().T
+    n = image.pixels.shape[0]
+    assert n % 7 and n > rankone._CHUNK_ROWS     # the default size leaves a partial chunk
+    outputs = []
+    for rows in (rankone._CHUNK_ROWS, 1, 7, n + 5):
+        monkeypatch.setattr(rankone, "_CHUNK_ROWS", rows)
+        res = unmix(image, m0, SolverOptions(max_iters=4))
+        outputs.append([res.abundances.data, res.endmembers.data, res.reconstruction,
+                        res.per_pixel_re])
+    for other in outputs[1:]:
+        for x, ref in zip(other, outputs[0]):
+            assert x.tobytes() == ref.tobytes()
 
 
 GRIDS = [(1, 1), (1, 9), (9, 1), (7, 5), (48, 48)]
