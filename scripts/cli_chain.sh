@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The README's command-line chain on a tiny scene, through `python -m varimix`:
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix elmm,
-# plmm, mesma and sparse-l1.
+# plmm, mesma, sparse-l1 and greedy sparse-l0.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -43,3 +43,5 @@ python -m varimix unmix --image scene_dir/ --algo plmm --m0 small.csv --out resu
 python -m varimix unmix --image scene_dir/ --algo mesma --library pruned.csv \
     --transform fda.json --out result_mesma/
 python -m varimix unmix --image scene_dir/ --algo sparse-l1 --library lib.csv --out result_l1/
+python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 3 \
+    --out result_l0/

@@ -31,6 +31,9 @@ from ..types import AbundanceMap, EndmemberField, _all_finite
 
 _KKT_TOL = 1e-10            # pricing tolerance, relative to max(1, |h|_inf)
 _RIDGE = 1e-10              # relative ridge for a singular face system
+# rank test of the full face: columns m_i, m_j with |m_i - m_j|^2 <= _KKT_TOL (|m_i|^2 + |m_j|^2)
+# meet at an angle whose sin^2, a bound on the later one's relative pivot, is below 2 _KKT_TOL
+_PIVOT_TOL = 2.0 * _KKT_TOL
 _SKIPPED_KEYS = ("rho", "inner_tol", "inner_iters", "seed", "re_threshold", "k", "mode")
 
 
@@ -143,33 +146,34 @@ def _gram(y, m, lam=0.0):
     return np.einsum("nlp,nlq->npq", m, m), np.einsum("nlp,nl->np", m, y) - lam
 
 
-def _face_minimizer(gram, h, rows, cols, simplex, ridge=False, strict=False):
+def _border(sub, rhs):
+    """The bordered simplex systems [G -1; 1' 0][s; nu] = [h; 1] of a (k, k)
+    or (R, k, k) face Gram ``sub`` and (R, k) linear terms ``rhs``."""
+    r, k = rhs.shape
+    border = np.zeros(sub.shape[:-2] + (k + 1, k + 1))
+    border[..., :k, :k] = sub
+    border[..., :k, k] = -1.0
+    border[..., k, :k] = 1.0
+    return border, np.concatenate([rhs, np.ones((r, 1))], axis=1)
+
+
+def _face_minimizer(gram, h, rows, cols, simplex, ridge=False):
     """Minimizer on a face (dropping the sign constraints, keeping
-    sum-to-one) for each of ``rows``. ``cols`` is one (k,) face for all
-    rows, solved with R right-hand sides for a shared Gram, or an (R, k)
-    face per row; either way the systems go to one stacked solve. A row
-    whose face system is singular, from collinear or zero columns, gets a
-    small ridge, or with ``strict`` NaNs; ``ridge`` ridges every row.
-    Singular rows are found by a zero ``slogdet`` sign, the systems
+    sum-to-one) for each of ``rows``, whose (R, k) faces ``cols`` go to
+    one stacked solve. A row whose face system is singular, from
+    collinear or zero columns, gets a small ridge; ``ridge`` ridges every
+    row. Singular rows are found by a zero ``slogdet`` sign, the systems
     LAPACK's LU rejects, so they do not change the other rows' bits."""
-    k = cols.shape[-1]
+    k = cols.shape[1]
     if k == 0:
         return np.zeros((rows.size, 0))
-    c = np.atleast_2d(cols)
-    face = (c[:, :, None], c[:, None, :])
+    face = (cols[:, :, None], cols[:, None, :])
     sub = gram[face] if gram.ndim == 2 else gram[(rows[:, None, None],) + face]
-    rhs = h[rows[:, None], c]
-    if simplex:                     # bordered system [G -1; 1' 0][s; nu] = [h; 1]
-        border = np.zeros((sub.shape[0], k + 1, k + 1))
-        border[:, :k, :k] = sub
-        border[:, :k, k] = -1.0
-        border[:, k, :k] = 1.0
-        sub = border
-        rhs = np.concatenate([rhs, np.ones((rows.size, 1))], axis=1)
+    rhs = h[rows[:, None], cols]
+    if simplex:
+        sub, rhs = _border(sub, rhs)
 
     def solve(a, b):
-        if a.shape[0] == 1:
-            return np.linalg.solve(a[0], b.T).T
         return np.linalg.solve(a, b[..., None])[..., 0]
 
     bad = np.ones(rows.size, dtype=bool)
@@ -177,16 +181,14 @@ def _face_minimizer(gram, h, rows, cols, simplex, ridge=False, strict=False):
         try:
             return solve(sub, rhs)[:, :k]
         except np.linalg.LinAlgError:
-            if sub.shape[0] > 1:
-                bad = np.linalg.slogdet(sub)[0] == 0
-    out = np.full((rows.size, k + simplex), np.nan)
+            bad = np.linalg.slogdet(sub)[0] == 0
+    out = np.empty((rows.size, k + simplex))
     if not bad.all():
         out[~bad] = solve(sub[~bad], rhs[~bad])
-    if not strict:
-        sub = sub[bad] if sub.shape[0] > 1 else sub.copy()
-        tr = np.trace(sub[:, :k, :k], axis1=1, axis2=2) / k
-        sub[:, :k, :k] += (_RIDGE * np.where(tr > 0, tr, 1.0))[:, None, None] * np.eye(k)
-        out[bad] = solve(sub, rhs[bad])
+    sub = sub[bad]
+    tr = np.trace(sub[:, :k, :k], axis1=1, axis2=2) / k
+    sub[:, :k, :k] += (_RIDGE * np.where(tr > 0, tr, 1.0))[:, None, None] * np.eye(k)
+    out[bad] = solve(sub, rhs[bad])
     return out[:, :k]
 
 
@@ -210,14 +212,62 @@ def _solve_faces(gram, h, rows, passive, entering, simplex):
     return s
 
 
-def _twins(gram):
-    """Whether a shared (P, P) or each per-pixel (N, P, P) Gram matrix has
-    two columns equal to within the pricing tolerance,
-    |m_i - m_j|^2 <= _KKT_TOL (|m_i|^2 + |m_j|^2)."""
-    i, j = np.triu_indices(gram.shape[-1], 1)
-    d = np.diagonal(gram, axis1=-2, axis2=-1)
-    norms = d[..., i] + d[..., j]
-    return np.any(norms - 2.0 * gram[..., i, j] <= _KKT_TOL * norms, axis=-1)
+def _full_face(gram, h, simplex):
+    """(N, P) minimizers of every row on the full face, NaN on the rows
+    whose Gram fails the rank test: some pivot d_j of its Cholesky
+    factorization, the squared distance of column j to the span of the
+    columns before it, is at most ``_PIVOT_TOL`` G_jj.
+
+    A shared Gram is tested by one LAPACK Cholesky and, when it passes,
+    solved with N right-hand sides (the bordered system when
+    ``simplex``). Per-pixel Grams are factored column by column across
+    all rows at once, with elementwise operations on (N,) columns, so the
+    number of numpy calls grows with P^2, not with N, and each row's bits
+    do not depend on the other rows. G [x t] = [h 1] follows by
+    substitution: the NNLS minimizer is x, the simplex one x + nu t with
+    nu = (1 - 1'x) / 1't."""
+    n, p = h.shape
+    if gram.ndim == 2:
+        try:
+            pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+        except np.linalg.LinAlgError:
+            pivots = np.zeros(p)
+        if not np.all(pivots > _PIVOT_TOL * np.diagonal(gram)):
+            return np.full((n, p), np.nan)
+        sub, rhs = _border(gram, h) if simplex else (gram, h)
+        return np.linalg.solve(sub, rhs.T).T[:, :p]
+    g = gram.transpose(1, 2, 0)                  # (P, P, N) view: G_ij is an (N,) column
+    low = np.empty((p, p, n))
+    singular = np.zeros(n, dtype=bool)
+    unit = np.zeros((p, 1))
+    unit[0] = 1.0
+    for j in range(p):
+        col = g[j:, j].copy()                    # Schur complement column j, pivot first
+        for k in range(j):
+            col -= low[j:, k] * low[j, k]
+        singular |= col[0] <= _PIVOT_TOL * g[j, j]
+        col = np.where(singular, unit[:p - j], col)     # a singular row factors on as I
+        low[j, j] = np.sqrt(col[0])
+        low[j + 1:, j] = col[1:] / low[j, j]
+    z = np.empty((p, 1 + simplex, n))           # right-hand sides h and 1, then solutions
+    z[:, 0] = h.T
+    if simplex:
+        z[:, 1] = 1.0
+    for k in range(p):                           # L z = b
+        z[k] /= low[k, k]
+        z[k + 1:] -= low[k + 1:, k, None] * z[k]
+    for k in reversed(range(p)):                 # L' w = z
+        z[k] /= low[k, k]
+        z[:k] -= low[k, :k, None] * z[k]
+    x = z[:, 0]
+    if simplex:
+        total = z[0].copy()                      # 1'x and 1't, summed in column order
+        for k in range(1, p):
+            total += z[k]
+        x += ((1.0 - total[0]) / total[1]) * z[:, 1]
+    s = x.T.copy()
+    s[singular] = np.nan
+    return s
 
 
 def _active_set(gram, h, simplex):
@@ -225,25 +275,25 @@ def _active_set(gram, h, simplex):
     sum(a) = 1 when ``simplex``.
 
     ``gram`` is shared (P, P) or per-pixel (N, P, P); ``h`` is (N, P).
-    Round 1 solves every row on the full face, in one solve with N
-    right-hand sides or one batched solve; a row whose minimizer there is
-    positive in every entry is settled, as no column is left to price.
-    The other rows start cold: simplex rows at their best vertex, NNLS
-    rows at zero. So does a row whose full-face system LU rejects
-    (duplicate, collinear or zero columns, more columns than bands), as a
-    ridged answer would leave an O(ridge^2) excess cost on a pixel the
-    face fits exactly, and a row with two equal columns (``_twins``),
-    whose minimizers there form a line. A cold row alternates two
-    phases. Pricing: at the minimizer of its passive face, the row is
-    settled when no inactive column lowers the cost (KKT holds to
-    ``_KKT_TOL``); otherwise the most violating column enters. Solving:
-    the face minimizer of the enlarged set is accepted when it is
-    positive; otherwise the iterate moves toward it until the first
-    passive entry reaches zero, which is dropped (Lawson-Hanson), and the
-    smaller face is solved again. Each round gathers the open rows'
-    face systems and makes one stacked solve per face size
-    (``_solve_faces``), so a row's bits do not depend on the other rows.
-    A column identical to a passive one prices at zero and never enters.
+    Round 1 solves every row on the full face (``_full_face``); a row
+    whose minimizer there is positive in every entry is settled, as no
+    column is left to price. The other rows start cold: simplex rows at
+    their best vertex, NNLS rows at zero. So does a row whose Gram fails
+    the rank test (duplicate, near-duplicate, collinear or zero columns,
+    more columns than bands): its full-face minimizer need not be unique,
+    and settling there could share abundance among dependent columns,
+    while a ridged answer would leave an O(ridge^2) excess cost on a pixel
+    the face fits exactly. A cold row alternates two phases. Pricing: at the
+    minimizer of its passive face, the row is settled when no inactive
+    column lowers the cost (KKT holds to ``_KKT_TOL``); otherwise the
+    most violating column enters. Solving: the face minimizer of the
+    enlarged set is accepted when it is positive; otherwise the iterate
+    moves toward it until the first passive entry reaches zero, which is
+    dropped (Lawson-Hanson), and the smaller face is solved again. Each
+    round gathers the open rows' face systems and makes one stacked solve
+    per face size (``_solve_faces``), so a row's bits do not depend on the
+    other rows. A column identical to a passive one prices at zero and
+    never enters.
 
     Returns (a, rounds, rows still open after ``_round_bound(P)`` rounds);
     open rows keep their current feasible iterate.
@@ -254,16 +304,18 @@ def _active_set(gram, h, simplex):
     settled = np.zeros(n, dtype=bool)
     rounds = int(n > 0 and _round_bound(p) > 0)     # the full-face solve is round 1
     if rounds:
-        s = _face_minimizer(gram, h, np.arange(n), np.arange(p), simplex, strict=True)
-        settled = np.all(s > 0.0, axis=1) & ~_twins(gram)
+        s = _full_face(gram, h, simplex)
+        settled = np.all(s > 0.0, axis=1)
         a[settled] = s[settled]
     cold = np.flatnonzero(~settled)
+    h_cold = h[cold]
     if simplex:
-        diag = np.diagonal(gram if gram.ndim == 2 else gram[cold], axis1=-2, axis2=-1)
-        vertex = np.argmin(0.5 * diag - h[cold], axis=1)
+        diag = np.diagonal(gram, axis1=-2, axis2=-1)
+        vertex = np.argmin(0.5 * (diag if gram.ndim == 2 else diag[cold]) - h_cold, axis=1)
         a[cold, vertex] = 1.0
         passive[cold, vertex] = True
-    tol = _KKT_TOL * np.maximum(1.0, np.abs(h).max(axis=1, initial=0.0))
+    tol = np.empty(n)
+    tol[cold] = _KKT_TOL * np.maximum(1.0, np.abs(h_cold).max(axis=1, initial=0.0))
     entering = np.full(n, -1)
     pricing, solving = cold, cold[:0]
     while True:

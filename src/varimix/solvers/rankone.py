@@ -84,22 +84,40 @@ class RankOneModel:
         rr = self.yy - 2.0 * bh + np.einsum("np,np->n", bg, b)    # ||y - M0 b||^2
         rows = np.flatnonzero(rr <= _RECOMPUTE * self.yy)
         if rows.size:
-            r = self.y[rows] - b[rows] @ self.m0.T
+            r = self.y[rows] - self._fitted(b[rows])
             rr[rows] = np.einsum("nl,nl->n", r, r)
             self.recomputed_rows += rows.size
         uu = rr / c**2
         return RankOneState(a, psi, psi, (self.ym0 - bg) / c[:, None], uu, (self.yy - bh) / c,
                             self.lam**2 * uu)
 
+    def _fitted(self, b: np.ndarray) -> np.ndarray:
+        """M0 b_n for each row of ``b``. numpy sends a one-row product to
+        gemv, which rounds otherwise than gemm, so a lone row is multiplied
+        twice over: a row's bits do not depend on how many share its product."""
+        if b.shape[0] == 1:
+            return (np.repeat(b, 2, axis=0) @ self.m0.T)[:1]
+        return b @ self.m0.T
+
     def gram(self, s: RankOneState):
         """Per-pixel M_n'M_n (N, P, P) and M_n'y_n (N, P):
-        G = D G0 D + D w a' + a w' D + ||u||^2 a a',  h = psi_m * (M0'y) + a (u'y)."""
-        dw = s.psi_m * s.w
-        cross = dw[:, :, None] * s.a[:, None, :]
-        g = (s.psi_m[:, :, None] * s.psi_m[:, None, :]) * self.g0
-        g += cross + cross.transpose(0, 2, 1)
-        g += s.uu[:, None, None] * (s.a[:, :, None] * s.a[:, None, :])
-        return g, s.psi_m * self.ym0 + s.a * s.uy[:, None]
+        G = D G0 D + D w a' + a w' D + ||u||^2 a a',  h = psi_m * (M0'y) + a (u'y).
+        G is filled entry by entry, each an (N,) row of a (P, P, N) array,
+        and returned as that array's (N, P, P) view; the kernel factors it
+        column by column across the pixels."""
+        psi, a = np.ascontiguousarray(s.psi_m.T), np.ascontiguousarray(s.a.T)
+        dw = np.ascontiguousarray((s.psi_m * s.w).T)
+        p = a.shape[0]
+        g = np.empty((p, p, a.shape[1]))
+        for i in range(p):
+            for j in range(i, p):
+                e = g[i, j]
+                np.multiply(psi[i], psi[j], out=e)
+                e *= self.g0[i, j]
+                e += dw[i] * a[j] + a[i] * dw[j]
+                e += s.uu * (a[i] * a[j])
+                g[j, i] = e
+        return g.transpose(2, 0, 1), s.psi_m * self.ym0 + s.a * s.uy[:, None]
 
     def step(self, s: RankOneState, psi: np.ndarray) -> RankOneState:
         """Abundance step against each pixel's current M_n, then the
@@ -136,9 +154,8 @@ class RankOneModel:
                 y, a, f = self.y[lo:hi], s.a[lo:hi], field[lo:hi]
                 if s.fit is None:
                     u = np.zeros_like(y)
-                else:       # a one-row product goes to gemv, which rounds unlike gemm
-                    k = min(lo, max(hi - 2, 0))
-                    u = (y - ((s.psi_m[k:hi] * s.a[k:hi]) @ self.m0.T)[lo - k:]) / c[lo:hi, None]
+                else:
+                    u = (y - self._fitted(s.psi_m[lo:hi] * a)) / c[lo:hi, None]
                 for j in range(p):
                     np.multiply(s.psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
                     f[:, :, j] += u * a[:, j, None]

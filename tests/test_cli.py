@@ -371,8 +371,9 @@ def _run_pipeline_subprocess(workdir, threads):
     )
     subprocess.run([sys.executable, "-c", script], check=True, env=env,
                    capture_output=True)
-    return (workdir / "bench" / "report.csv").read_bytes(), \
-           (workdir / "bench" / "runs" / "0" / "fcls" / "abundances.csv").read_bytes()
+    return {name: (workdir / "bench" / name).read_bytes() for name in
+            ("report.csv", "runs/0/fcls/abundances.csv", "runs/0/elmm/abundances.csv",
+             "runs/0/elmm/endmembers.bin")}
 
 
 def test_cli_byte_determinism_across_thread_counts(tmp_path):
@@ -386,10 +387,10 @@ def test_cli_byte_determinism_across_thread_counts(tmp_path):
         "output_dir": str(tmp_path / "bench"),
     }
     (tmp_path / "bench.json").write_text(json.dumps(bench))
-    report1, ab1 = _run_pipeline_subprocess(tmp_path, threads=1)
-    report4, ab4 = _run_pipeline_subprocess(tmp_path, threads=4)
-    assert report1 == report4
-    assert ab1 == ab4
+    one = _run_pipeline_subprocess(tmp_path, threads=1)
+    four = _run_pipeline_subprocess(tmp_path, threads=4)
+    for name in one:
+        assert one[name] == four[name], name
 
 
 def test_music_chain_byte_determinism_across_thread_counts(tmp_path):

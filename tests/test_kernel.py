@@ -162,9 +162,8 @@ def _with_interior_rows(y, m, seed):
 
 def _full_face_start(gram, h, simplex):
     """Full-face minimizer of every row and which rows settle on it."""
-    n, p = h.shape
-    s = base._face_minimizer(gram, h, np.arange(n), np.arange(p), simplex, strict=True)
-    return s, np.all(s > 0, axis=1) & ~base._twins(gram)
+    s = base._full_face(gram, h, simplex)
+    return s, np.all(s > 0, axis=1)
 
 
 @given(**problems)
@@ -197,8 +196,7 @@ def test_start_at_the_minimizer_settles_in_one_round(per_pixel):
     # minimizer, so round 1 settles them all
     y, m = _interior_problem(40, 12, 4, per_pixel, 6)
     gram, h = base._gram(y, m)
-    s = base._face_minimizer(gram, h, np.arange(40), np.arange(4), True, strict=True)
-    assert np.all(s > 0)
+    assert np.all(base._full_face(gram, h, True) > 0)
     counts = QPCounts()
     a, rounds = fcls_core(y, m, counts)
     assert rounds == 1 and counts.unsettled_rows == 0
@@ -211,13 +209,13 @@ def test_start_at_the_minimizer_settles_in_one_round(per_pixel):
 
 
 def test_singular_pixel_does_not_move_its_batch():
-    # row 0's per-pixel system has a duplicate column, so the stacked
-    # full-face solve fails; row 1 must still settle there, with the bits
+    # row 0's per-pixel system has a duplicate column, so it fails the
+    # rank test; row 1 must still settle on the full face, with the bits
     # it gets alone, and row 0 must still reach its exact minimizer
     y, m = _interior_problem(2, 6, 3, True, 11)
     m[0, :, -1] = m[0, :, 0]
     gram, h = base._gram(y, m)
-    s = base._face_minimizer(gram, h, np.arange(2), np.arange(3), True, strict=True)
+    s = base._full_face(gram, h, True)
     assert np.isnan(s[0]).all() and np.all(s[1] > 0)
     counts = QPCounts()
     a, rounds = base.fcls_gram(gram, h, counts)
@@ -314,6 +312,23 @@ def test_duplicate_column_never_enters(per_pixel):
     assert not np.any((a[:, 0] > 0) & (a[:, -1] > 0))
     raw, _ = base.nnls_gram(*base._gram(y, m, 1e-3))
     assert not np.any((raw[:, 0] > 0) & (raw[:, -1] > 0))
+
+
+@pytest.mark.parametrize("per_pixel", [False, True])
+def test_collinear_columns_never_all_enter(per_pixel):
+    # the last column is a convex combination of the first two, so their
+    # full face is singular even where LU passes it by rounding; the rank
+    # test starts such rows cold, and pricing keeps at most two of the
+    # three, at the oracle's cost
+    for seed in range(300):
+        y, m = _problem("collinear", seed, 4, 8, 4, per_pixel, False)
+        a, _ = fcls_core(y, m)
+        assert not np.any(np.all(a[:, [0, 1, 3]] > 0, axis=1))
+        for i in range(y.shape[0]):
+            mi = _pixel_matrix(m, i)
+            _, oracle_cost = qp_fcls_oracle(y[i], mi)
+            cost = float(np.sum((y[i] - mi @ a[i]) ** 2))
+            assert abs(cost - oracle_cost) <= _cost_tol(cost, oracle_cost, y[i])
 
 
 @pytest.mark.parametrize("per_pixel", [False, True])
