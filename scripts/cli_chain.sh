@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The README's command-line chain on a tiny scene, through `python -m varimix`:
-# synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix elmm,
-# plmm, mesma, sparse-l1 and greedy sparse-l0.
+# synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
+# elmm, plmm, mesma, sparse-l1 and greedy sparse-l0.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -37,6 +37,7 @@ python -m varimix prune --library lib.csv --method music --image scene_dir/ \
     --residual-threshold 0.5 --out pruned.csv
 python -m varimix transform --library lib.csv --method mask --bands 12 --out t.json
 python -m varimix transform --library pruned.csv --method fda --out fda.json
+python -m varimix unmix --image scene_dir/ --algo fcls --m0 small.csv --out result_fcls/
 python -m varimix unmix --image scene_dir/ --algo elmm --m0 small.csv \
     --transform t.json --out result_elmm/
 python -m varimix unmix --image scene_dir/ --algo plmm --m0 small.csv --out result_plmm/

@@ -377,10 +377,13 @@ def fcls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None
 
 
 def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Fitted pixels for shared (L, P) or per-pixel (N, L, P) matrices."""
+    """Fitted pixels for shared (L, P) or per-pixel (N, L, P) matrices.
+    Per-pixel matrices take one stacked product, which numpy runs as one
+    BLAS matrix-vector product per pixel, so a row's bits depend neither
+    on how many rows share the call nor on the BLAS thread count."""
     if m.ndim == 2:
         return a @ m.T
-    return np.einsum("nlp,np->nl", m, a)
+    return np.matmul(m, a[:, :, None])[:, :, 0]
 
 
 def nnls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):

@@ -13,9 +13,10 @@ step the closed-form rank-one update M_n = M0 diag(psi_n) + u_n a_n',
 and the scaling step one grid system per class, solved for all classes
 at once in the DCT-II basis, where the grid Laplacian is diagonal.
 
-The loop runs on the per-pixel statistics of ``rankone``: O(N P)
-memory, no pass over the (N, L) image per iteration. The endmember
-field is built once, in chunks of pixels, by ``RankOneModel.result``.
+The loop runs on the per-pixel statistics of ``rankone``, from its FCLS
+start on them to the last cost: O(N P) memory, and the (N, L) image is
+read only for rows the model fits to rounding. The endmember field is
+built once, in chunks of pixels, by ``RankOneModel.result``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from ..types import SpectralImage
-from .base import SolverOptions, UnmixingResult, fcls_core, monotone_loop, timed
+from .base import SolverOptions, UnmixingResult, fcls_gram, monotone_loop, timed
 from .rankone import RankOneModel
 
 _PSI_FLOOR = 1e-6
@@ -46,21 +47,27 @@ def _grid_solve(rhs: np.ndarray, diag: np.ndarray, lam_psi: float) -> np.ndarray
     return idctn(coef, axes=(0, 1), norm="ortho")
 
 
-def _grid_spatial(psi: np.ndarray, height: int, width: int) -> float:
-    """sum_j psi_j' L psi_j for (N, P) scalings on the H x W grid; L psi is
-    the 4-neighbor stencil summed in increasing neighbor index, which
-    rounds as a sparse product with L does."""
-    g = psi.reshape(height, width, -1)
-    deg = np.zeros((height, width, 1))
+def _grid_degrees(height: int, width: int) -> np.ndarray:
+    """Neighbor count of each node of the H x W 4-neighbor grid."""
+    deg = np.zeros((height, width))
     for near in (deg[1:], deg[:-1], deg[:, 1:], deg[:, :-1]):
         near += 1.0
+    return deg
+
+
+def _grid_spatial(psi: np.ndarray, deg: np.ndarray) -> float:
+    """sum_j psi_j' L psi_j for (N, P) scalings on the grid with node
+    degrees ``deg`` (``_grid_degrees``); L psi is the 4-neighbor stencil
+    summed in increasing neighbor index, which rounds as a sparse product
+    with L does. The stencil runs on one contiguous (H, W) plane per class."""
+    g = psi.T.reshape(-1, *deg.shape)
     lg = np.zeros_like(g)
-    lg[1:] -= g[:-1]
     lg[:, 1:] -= g[:, :-1]
+    lg[:, :, 1:] -= g[:, :, :-1]
     lg += deg * g
+    lg[:, :, :-1] -= g[:, :, 1:]
     lg[:, :-1] -= g[:, 1:]
-    lg[:-1] -= g[1:]
-    return sum(float(psi[:, j] @ lg[:, :, j].ravel()) for j in range(psi.shape[1]))
+    return sum(float(psi[:, j] @ lg[j].ravel()) for j in range(psi.shape[1]))
 
 
 def elmm_unmix(
@@ -70,25 +77,26 @@ def elmm_unmix(
 ) -> UnmixingResult:
     """Unmix under the scaled-reference endmember model.
 
-    ``ref_matrix`` is the (L, P) reference. The loop starts from FCLS
-    abundances on it with unit scalings, i.e. every M_n = M0. The emitted
-    endmember field is clamped to be nonnegative; the solver state is not.
+    ``ref_matrix`` is the (L, P) reference, finite and with no zero
+    column (else ``ValueError``). The loop starts from FCLS abundances on
+    it with unit scalings, i.e. every M_n = M0. The emitted endmember
+    field is clamped to be nonnegative; the solver state is not.
     ``extras["psi"]`` holds the scalings; the log times the whole call.
     """
     start = time.perf_counter()
     y = image.pixels
     lam_m, lam_psi = opts.lambda_m, opts.lambda_psi
     core = RankOneModel(y, ref_matrix, lam_m)
-    m0 = core.m0
     if np.any(core.col_sq == 0):
         raise ValueError("ref_matrix has a zero column")
-    n, p = y.shape[0], m0.shape[1]
+    n, p = y.shape[0], core.m0.shape[1]
     grid = (image.height, image.width, p)
+    deg = _grid_degrees(image.height, image.width)
     with timed(core.phases, "qp"):
-        a0, _ = fcls_core(y, m0, core.counts)
+        a0, _ = fcls_gram(core.g0, core.ym0, core.counts)
 
     def step(s):
-        new = core.step(s, s.psi)
+        new = core.step(s)
         with timed(core.phases, "psi"):
             rhs = lam_m * (s.psi * core.col_sq + new.a * new.w)
             psi = _grid_solve(rhs.reshape(grid), lam_m * core.col_sq, lam_psi).reshape(n, p)
@@ -97,7 +105,7 @@ def elmm_unmix(
 
     def cost(s):
         with timed(core.phases, "cost"):
-            return core.cost(s) + lam_psi * _grid_spatial(s.psi, *grid[:2])
+            return core.cost(s) + lam_psi * _grid_spatial(s.psi, deg)
 
     state, log = monotone_loop(core.start(a0, np.ones((n, p))), step, cost,
                                opts.max_iters, opts.tol)

@@ -31,16 +31,17 @@ def mesma(
     constrained least squares for each, and keep the per-pixel model with
     the smallest reconstruction error.
 
-    Ties are broken toward the lexicographically smallest index tuple;
-    a later copy of a signature is never tried, so a tie between copies
-    goes to the first one. With ``re_threshold`` set, a pixel is frozen
-    at the first enumerated model whose RMS residual is at most the
-    threshold (early stop), tested on the residual computed from the
-    pixel wherever the search statistics (precise to about 1e-8 ||y||)
-    put it near the threshold; pixels that never hit the threshold keep
-    their best model. ``models_enumerated`` counts the distinct models
-    solved and ``duplicates`` the signatures collapsed; the budget
-    applies to the library as given.
+    Ties, fits whose squared residuals differ by at most 1e-13 ||y||^2
+    (about the rounding of the search statistics), are broken toward the
+    lexicographically smallest index tuple; a later copy of a signature
+    is never tried, so a tie between copies goes to the first one. With
+    ``re_threshold`` set, a pixel is frozen at the first enumerated model
+    whose RMS residual is at most the threshold (early stop), tested on
+    the residual computed from the pixel wherever the search statistics
+    (precise to about 1e-8 ||y||) put it near the threshold; pixels that
+    never hit the threshold keep their best model. ``models_enumerated``
+    counts the distinct models solved and ``duplicates`` the signatures
+    collapsed; the budget applies to the library as given.
     """
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")

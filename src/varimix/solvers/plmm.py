@@ -7,8 +7,9 @@ Block coordinate descent on
 with simplex abundances. The perturbation step has the rank-one closed
 form dM_n = u_n a_n^T with u_n = r_n / (gamma + ||a_n||^2) and r_n the
 reference-model residual, so the loop runs on the per-pixel statistics
-of ``rankone`` (scalings fixed at one): O(N P) memory, no pass over the
-(N, L) image per iteration. The field M0 + dM_n is built once, in chunks
+of ``rankone`` (scalings fixed at one), from its FCLS start on them to
+the last cost: O(N P) memory, and the (N, L) image is read only for rows
+the model fits to rounding. The field M0 + dM_n is built once, in chunks
 of pixels, by ``RankOneModel.result``; dM is not kept.
 """
 
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from ..types import SpectralImage
-from .base import SolverOptions, UnmixingResult, fcls_core, monotone_loop, timed
+from .base import SolverOptions, UnmixingResult, fcls_gram, monotone_loop, timed
 from .rankone import RankOneModel
 
 
@@ -30,22 +31,22 @@ def plmm_unmix(
 ) -> UnmixingResult:
     """Unmix under the additively perturbed endmember model.
 
-    The loop starts from FCLS abundances on ``ref_matrix`` with a zero
-    perturbation. The emitted field M0 + dM_n is clamped to be
-    nonnegative; the result has no extras, and the log times the whole call.
+    The loop starts from FCLS abundances on ``ref_matrix``, which must be
+    finite (else ``ValueError``), with a zero perturbation. The emitted
+    field M0 + dM_n is clamped to be nonnegative; the result has no
+    extras, and the log times the whole call.
     """
     start = time.perf_counter()
     y = image.pixels
     gamma = opts.gamma_plmm
     core = RankOneModel(y, ref_matrix, gamma)
-    ones = np.ones((y.shape[0], core.m0.shape[1]))
     with timed(core.phases, "qp"):
-        a0, _ = fcls_core(y, core.m0, core.counts)
+        a0, _ = fcls_gram(core.g0, core.ym0, core.counts)
 
     def cost(s):
         with timed(core.phases, "cost"):
             return core.cost(s)
 
-    state, log = monotone_loop(core.start(a0, ones), lambda s: core.step(s, ones), cost,
+    state, log = monotone_loop(core.start(a0, np.ones_like(a0)), core.step, cost,
                                opts.max_iters, opts.tol)
     return core.result(state, log, start, {"gamma": gamma}, {})

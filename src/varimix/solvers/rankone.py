@@ -12,27 +12,31 @@ w = M0'u = (Y M0 - b G0) / c, u'y = (||y||^2 - b'M0'y) / c and ||u||^2 =
 put it within ``_RECOMPUTE`` ||y||^2 of zero (they cancel to about
 eps ||y||^2). The residual y_n - M_n a_n is lam u_n, so the fit is
 lam^2 ||u||^2 and the cost, like the Gram matrix and linear term, follows
-from the statistics. u is taken from the pixels only by ``result``, which
-writes the clamped (N, L, P) field, the reconstruction and the per-pixel
-error one chunk of pixels at a time, inside the solver's log.
+from the statistics.
 
 Both solvers start from the plain linear-mixing solution: FCLS
-abundances on M0, unit scalings and u = 0 (``start``), so every M_n is
-M0 and the tie is zero. Each abundance step is one kernel call on the
-per-pixel Gram matrices, which settles most pixels in its first round,
-on the full face.
+abundances on M0, solved from G0 and Y M0, unit scalings and u = 0
+(``start``), so every M_n is M0, the tie is zero and the fit
+||y - M0 b||^2 comes from the statistics by the same rule. Each
+abundance step is one kernel call on the per-pixel Gram matrices, which
+settles most pixels in its first round, on the full face.
+
+The image is thus read only by ``__init__``, for the rows fitted to
+within ``_RECOMPUTE``, and by ``result``, which takes u from the pixels
+and writes the clamped (N, L, P) field, its reconstruction and the
+per-pixel error one chunk of pixels at a time, inside the solver's log.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ..types import AbundanceMap, DimensionError, EndmemberField, _Adopt
-from .base import QPCounts, SolverLog, UnmixingResult, fcls_gram, residual_stats, timed
+from ..types import AbundanceMap, DimensionError, EndmemberField, _Adopt, _all_finite
+from .base import (QPCounts, SolverLog, UnmixingResult, fcls_gram, reconstruct, residual_stats,
+                   timed)
 
 _RECOMPUTE = 1e-10
 _CHUNK_ROWS = 256
@@ -41,7 +45,7 @@ _CHUNK_ROWS = 256
 @dataclass(frozen=True)
 class RankOneState:
     """Per-pixel factors of M_n = M0 diag(psi_m_n) + u_n a_n', u_n kept as
-    statistics; ``fit`` is None in a start state, whose u is zero."""
+    statistics; ``start`` marks a start state, whose u is zero."""
 
     a: np.ndarray       # (N, P) abundances (and the field's rank-one factor)
     psi: np.ndarray     # (N, P) scaling factors (ones for PLMM)
@@ -49,7 +53,8 @@ class RankOneState:
     w: np.ndarray       # (N, P) M0' u_n
     uu: np.ndarray      # (N,) ||u_n||^2
     uy: np.ndarray      # (N,) u_n' y_n
-    fit: Optional[np.ndarray] = None    # (N,) ||y_n - M_n a_n||^2
+    fit: np.ndarray     # (N,) ||y_n - M_n a_n||^2
+    start: bool = False
 
 
 class RankOneModel:
@@ -61,6 +66,8 @@ class RankOneModel:
         m0 = np.asarray(ref_matrix, dtype=np.float64)
         if m0.ndim != 2 or m0.shape[0] != y.shape[1]:
             raise DimensionError("ref_matrix must be (L, P) matching the image")
+        if not _all_finite(m0):
+            raise ValueError("non-finite solver inputs")
         self.y, self.m0, self.lam = y, m0, lam
         self.g0 = m0.T @ m0
         self.ym0 = y @ m0
@@ -71,25 +78,36 @@ class RankOneModel:
         self.phases = {}
 
     def start(self, a, psi) -> RankOneState:
-        """State with field M0 diag(psi)."""
+        """State with field M0 diag(psi) and abundances ``a``; its fit comes
+        from the statistics by the rule of ``update`` and, like that step,
+        is timed as ``endmember``."""
+        with timed(self.phases, "endmember"):
+            fit = self._residual(psi * a)[2]
         zero = np.zeros(psi.shape[0])
-        return RankOneState(a, psi, psi, np.zeros_like(psi), zero, zero)
+        return RankOneState(a, psi, psi, np.zeros_like(psi), zero, zero, fit, start=True)
 
     def update(self, a: np.ndarray, psi: np.ndarray) -> RankOneState:
         """Endmember step for abundances ``a`` and scalings ``psi``."""
         b = psi * a
         c = self.lam + np.einsum("np,np->n", a, a)
+        bg, bh, rr = self._residual(b)
+        uu = rr / c**2
+        return RankOneState(a, psi, psi, (self.ym0 - bg) / c[:, None], uu, (self.yy - bh) / c,
+                            self.lam**2 * uu)
+
+    def _residual(self, b: np.ndarray):
+        """b G0, b'M0'y and ||y - M0 b||^2 per pixel, from the statistics;
+        rows within ``_RECOMPUTE`` ||y||^2 of zero take the last from the
+        pixel and are counted in ``recomputed_rows``."""
         bg = b @ self.g0
         bh = np.einsum("np,np->n", b, self.ym0)
-        rr = self.yy - 2.0 * bh + np.einsum("np,np->n", bg, b)    # ||y - M0 b||^2
+        rr = self.yy - 2.0 * bh + np.einsum("np,np->n", bg, b)
         rows = np.flatnonzero(rr <= _RECOMPUTE * self.yy)
         if rows.size:
             r = self.y[rows] - self._fitted(b[rows])
             rr[rows] = np.einsum("nl,nl->n", r, r)
             self.recomputed_rows += rows.size
-        uu = rr / c**2
-        return RankOneState(a, psi, psi, (self.ym0 - bg) / c[:, None], uu, (self.yy - bh) / c,
-                            self.lam**2 * uu)
+        return bg, bh, rr
 
     def _fitted(self, b: np.ndarray) -> np.ndarray:
         """M0 b_n for each row of ``b``. numpy sends a one-row product to
@@ -119,21 +137,18 @@ class RankOneModel:
                 g[j, i] = e
         return g.transpose(2, 0, 1), s.psi_m * self.ym0 + s.a * s.uy[:, None]
 
-    def step(self, s: RankOneState, psi: np.ndarray) -> RankOneState:
+    def step(self, s: RankOneState) -> RankOneState:
         """Abundance step against each pixel's current M_n, then the
-        endmember step for scalings ``psi``."""
+        endmember step at the state's scalings."""
         with timed(self.phases, "qp"):
             g, h = self.gram(s)
             a, _ = fcls_gram(g, h, self.counts)
         with timed(self.phases, "endmember"):
-            return self.update(a, psi)
+            return self.update(a, s.psi)
 
     def cost(self, s: RankOneState) -> float:
-        """Fit plus ``lam`` times the tie ||M_n - M0 diag(psi_n)||_F^2: the fit
-        from the pixels in a start state (tie zero), else fit and tie from the
-        statistics and the column norms of M0."""
-        if s.fit is None:
-            return float(np.sum((self.y - (s.psi * s.a) @ self.m0.T) ** 2))
+        """Fit plus ``lam`` times the tie ||M_n - M0 diag(psi_n)||_F^2, both
+        from the statistics and the column norms of M0."""
         d = s.psi_m - s.psi
         tie = (np.sum(d**2 * self.col_sq) + 2.0 * np.sum(d * s.a * s.w)
                + s.uu @ np.einsum("np,np->n", s.a, s.a))
@@ -143,8 +158,9 @@ class RankOneModel:
                extras: dict) -> UnmixingResult:
         """The solver's output, built per ``_CHUNK_ROWS`` pixels in phase
         ``result``: u (zero in a start state), the field psi_m_j m0_j + u a_j
-        written and clamped in the emitted array, reconstruction and
-        ``per_pixel_re``. Then the log is completed, timed from ``start``."""
+        written and clamped in the emitted array, its reconstruction by
+        ``reconstruct`` and ``per_pixel_re``. Then the log is completed, timed
+        from ``start``."""
         with timed(self.phases, "result"):
             (n, l), p = self.y.shape, self.m0.shape[1]
             field, recon, re = np.empty((n, l, p)), np.empty((n, l)), np.empty(n)
@@ -152,7 +168,7 @@ class RankOneModel:
             for lo in range(0, n, _CHUNK_ROWS):
                 hi = min(lo + _CHUNK_ROWS, n)
                 y, a, f = self.y[lo:hi], s.a[lo:hi], field[lo:hi]
-                if s.fit is None:
+                if s.start:
                     u = np.zeros_like(y)
                 else:
                     u = (y - self._fitted(s.psi_m[lo:hi] * a)) / c[lo:hi, None]
@@ -160,7 +176,7 @@ class RankOneModel:
                     np.multiply(s.psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
                     f[:, :, j] += u * a[:, j, None]
                 np.clip(f, 0.0, None, out=f)
-                np.einsum("nlp,np->nl", f, a, out=recon[lo:hi])
+                recon[lo:hi] = reconstruct(f, a)
                 re[lo:hi] = residual_stats(y, recon[lo:hi])[1]
             out = UnmixingResult(AbundanceMap(s.a, sum_to_one=True), re, recon, log,
                                  EndmemberField(_Adopt(field)), extras=extras)

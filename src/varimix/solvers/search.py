@@ -6,11 +6,14 @@ the signatures as rows), computed once per call: its problem is a
 (P, P) block of S S' with P columns of Y S', and its squared residual
 is r^2 = ||y||^2 - 2 a'h + a'Ga, with no per-subset work over bands.
 r^2 cancels at about machine epsilon times ||y||^2, so an RMS error read
-from it is exact to roughly 1e-8 ||y||; an early-stop test near its
-threshold is therefore made on the residual recomputed from the pixel.
-Exact duplicate signatures are dropped first (``distinct_rows``): a copy
-fits no better than its first occurrence, so ties go to the smallest
-original index exactly.
+from it is exact to roughly 1e-8 ||y||. Two fits whose r^2 differ by no
+more than ``_R2_TIE`` ||y||^2 are a tie, which the earlier subset wins:
+rounding never picks between exact fits (with fewer bands than classes,
+every model fits an interior pixel exactly). An early-stop test within
+``_R2_SLACK`` ||y||^2 of its threshold is made on the residual
+recomputed from the pixel. Exact duplicate signatures are dropped first (``distinct_rows``):
+a copy fits no better than its first occurrence, so ties go to the
+smallest original index exactly.
 """
 
 from __future__ import annotations
@@ -21,8 +24,12 @@ import numpy as np
 
 from .base import QPCounts, _gram, fcls_gram
 
-# r^2 from the statistics is trusted to this fraction of ||y||^2
+# r^2 from the statistics is trusted to this fraction of ||y||^2 by the
+# early stop, which then recomputes it from the pixel
 _R2_SLACK = 1e-10
+# r^2 from the statistics rounds to a few eps ||y||^2: fits closer than
+# this fraction of ||y||^2 are a tie
+_R2_TIE = 1e-13
 
 
 def distinct_rows(signatures: np.ndarray) -> np.ndarray:
@@ -53,14 +60,15 @@ def subset_search(
 ):
     """Best simplex fit per pixel over column subsets, in enumeration order.
 
-    ``subsets`` yields column tuples into the statistics; a pixel's best
-    subset changes only on a strict decrease of r^2, so earlier subsets
-    win ties. With ``stop_r2`` a pixel stops at the first subset with
-    r^2 <= stop_r2 and keeps it; later subsets are solved for open pixels
-    only, and the search ends once none is open. The stop needs the
-    pixels ``y`` and the ``signatures`` the statistics came from: where
-    r^2 lies within rounding of ``stop_r2``, the residual is recomputed
-    from them.
+    ``subsets`` yields column tuples into the statistics; a later subset
+    replaces a pixel's kept one only if it lowers r^2 by more than
+    ``_R2_TIE`` ||y||^2, so earlier subsets win ties and the kept r^2 is
+    within that of the smallest. With ``stop_r2`` a pixel stops at the
+    first subset with r^2 <= stop_r2 and keeps it; later subsets are
+    solved for open pixels only, and the search ends once none is open.
+    The stop needs the pixels ``y`` and the ``signatures`` the statistics
+    came from: where r^2 lies within rounding of ``stop_r2``, the
+    residual is recomputed from them.
 
     Returns (columns, abundances, subsets solved): (N, ``width``) arrays
     of each pixel's best subset and its abundances, padded with column
@@ -81,7 +89,7 @@ def subset_search(
         h = ys[np.ix_(rows, cols)]
         a, _ = fcls_gram(g, h, counts)
         r2 = yy[rows] - 2.0 * np.einsum("np,np->n", a, h) + np.einsum("np,np->n", a @ g, a)
-        better = r2 < best_r2[rows]
+        better = r2 < best_r2[rows] - _R2_TIE * yy[rows]
         if stop_r2 is not None:
             hit = r2 <= stop_r2 + _R2_SLACK * yy[rows]
             near = np.flatnonzero(hit)

@@ -42,6 +42,7 @@ from .base import (
     UnmixingResult,
     fcls_gram,
     nnls_gram,
+    reconstruct,
     residual_stats,
 )
 from .search import distinct_rows, library_stats, subset_search
@@ -151,7 +152,7 @@ def sparse_su_l1(
     raw = np.zeros((y.shape[0], flat.shape[0]))
     raw[:, keep] = a
     collapsed, proxy, n_uniform = _collapse_and_proxy(raw, library)
-    recon = np.einsum("nlp,np->nl", proxy, collapsed)
+    recon = reconstruct(proxy, collapsed)
     cost = float(0.5 * np.sum((y - a @ distinct) ** 2) + lam * a.sum())
     log = counts.log(start, rounds, cost, {"uniform_rows": n_uniform, "lambda": lam,
                                            "duplicates": flat.shape[0] - keep.size})
@@ -219,9 +220,10 @@ def sparse_su_l0(
 
     ``greedy`` runs matching-pursuit-style forward selection for all
     pixels at once; ``exhaustive`` enumerates every support of size <= k
-    (sizes ascending, lexicographic within a size, strict-improvement
-    updates, so smaller supports win ties). Both search the distinct
-    signatures; the budget applies to the library as given.
+    (sizes ascending, lexicographic within a size; a later support must
+    lower the squared residual by more than 1e-13 ||y||^2, so smaller
+    supports win ties). Both search the distinct signatures; the budget
+    applies to the library as given.
     """
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")
@@ -263,7 +265,7 @@ def sparse_su_l0(
     raw[r, keep[cols[r, slot]]] = a[r, slot]
 
     collapsed, proxy, n_uniform = _collapse_and_proxy(raw, library)
-    recon = np.einsum("nlp,np->nl", proxy, collapsed)
+    recon = reconstruct(proxy, collapsed)
     cost = float(np.sum((y - raw @ m.T) ** 2))
     log = counts.log(start, 1, cost, {"mode": mode, "k": k, "uniform_rows": n_uniform,
                                       "duplicates": q - keep.size})

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from varimix.solvers import QPCounts, kkt_residual_simplex, mesma, sparse_su_l0
-from varimix.solvers.search import distinct_rows
+from varimix.solvers.search import distinct_rows, library_stats, subset_search
 from varimix.solvers.sparse import _greedy_supports
 from varimix.types import SpectralImage, SpectralLibrary
 
@@ -151,6 +151,36 @@ def test_mesma_early_stop_below_the_statistics_floor(rng):
         assert tuple(res.selected_model[i]) == combo
         assert np.max(np.abs(res.abundances.data[i] - a)) < 1e-8
     assert res.solver_log.flags["models_enumerated"] == 3
+
+
+def _planar_library(rng, per_class=3):
+    """Three classes in two bands, class c's signatures scattered around
+    vertex c of a large triangle, and pixels near its centroid, inside
+    every model's triangle: every model fits every pixel exactly."""
+    vertices = np.array([[0.1, 0.1], [0.9, 0.1], [0.5, 0.9]])
+    sigs = [v + rng.uniform(-0.03, 0.03, size=(per_class, 2)) for v in vertices]
+    y = vertices.mean(axis=0) + rng.uniform(-0.05, 0.05, size=(60, 2))
+    return SpectralLibrary.from_arrays(["c0", "c1", "c2"], sigs), y
+
+
+def test_first_exact_model_wins_with_fewer_bands_than_classes(rng):
+    """Exact fits are a tie whatever their rounding: the first model in
+    enumeration order is kept, also when the search statistics move by
+    one ulp."""
+    lib, y = _planar_library(rng)
+    res = mesma(_image(y), lib)
+    assert np.all(res.selected_model == 0)
+    assert np.max(res.per_pixel_re) < 1e-12
+
+    flat, _ = lib.flatten()
+    gram, ys, yy = library_stats(y, flat)
+    models = list(itertools.product(range(0, 3), range(3, 6), range(6, 9)))
+    for g, h in ((gram, ys), (np.nextafter(gram, np.inf), ys), (gram, np.nextafter(ys, -np.inf)),
+                 (np.nextafter(gram, -np.inf), np.nextafter(ys, np.inf))):
+        cols, a, solved = subset_search(g, h, yy, models, 3)
+        assert solved == 27
+        assert np.all(cols == [0, 3, 6])
+        assert np.max(np.abs(a - res.abundances.data)) < 1e-12
 
 
 def _assert_kkt_on_support(y, m, a):

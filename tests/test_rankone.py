@@ -25,14 +25,16 @@ from varimix.io import save_result
 from varimix.solvers import (
     SolverOptions,
     elmm_unmix,
+    fcls_core,
     kkt_residual_simplex,
     plmm_unmix,
+    reconstruct,
 )
 from varimix.solvers import elmm as elmm_module
 from varimix.solvers import plmm as plmm_module
 from varimix.solvers import rankone
 from varimix.solvers.base import SolverLog, _gram, monotone_loop, residual_stats
-from varimix.solvers.elmm import _grid_solve, _grid_spatial
+from varimix.solvers.elmm import _grid_degrees, _grid_solve, _grid_spatial
 from varimix.solvers.rankone import RankOneModel, RankOneState
 from varimix.types import SpectralImage
 
@@ -55,7 +57,7 @@ def _u(y, m0, lam, s):
     """The state's rank-one direction from the pixels: zero for a start
     state, else the endmember step's (y - M0 (psi_m * a)) / (lam + ||a||^2),
     its product taken by gemm even for one row (the rows twice over)."""
-    if s.fit is None:
+    if s.start:
         return np.zeros_like(y)
     b = np.concatenate([s.psi_m * s.a] * 2)
     return (y - (b @ m0.T)[:y.shape[0]]) / (lam + np.einsum("np,np->n", s.a, s.a))[:, None]
@@ -101,7 +103,7 @@ def _factored_case(seed, n, l, p, floor, zeros):
         a[rng.random((n, p)) < 0.5] = 0.0
         a[0] = 0.0
     u = rng.normal(0.0, 0.3, size=(n, l))
-    s = RankOneState(a, psi, psi_m, u @ m0, np.sum(u**2, axis=1), np.sum(u * y, axis=1))
+    s = RankOneState(a, psi, psi_m, u @ m0, np.sum(u**2, axis=1), np.sum(u * y, axis=1), None)
     return y, m0, _with_fit(y, m0, s, u), u
 
 
@@ -173,6 +175,61 @@ def test_endmember_step_statistics_equal_the_pixel_ones(seed, n, l, p, floor, ze
 
 @settings(max_examples=60, deadline=None)
 @case
+def test_start_cost_from_the_statistics_equals_the_pixel_cost(seed, n, l, p, floor, zeros):
+    y, m0, s, _ = _factored_case(seed, n, l, p, floor, zeros)
+    model = RankOneModel(y, m0, 0.7)
+    start = model.start(s.a, s.psi)
+    b = s.psi * s.a
+    fit = np.sum((y - b @ m0.T) ** 2, axis=1)
+    # the statistics cancel to the rounding of ||y|| + ||M0 b||
+    scale = (np.linalg.norm(y, axis=1) + np.linalg.norm(b @ m0.T, axis=1)) ** 2
+    assert np.all(np.abs(start.fit - fit) <= RTOL * scale)
+    assert abs(model.cost(start) - np.sum(fit)) <= RTOL * np.sum(scale)
+
+
+@pytest.mark.parametrize("unmix", [elmm_unmix, plmm_unmix])
+def test_exact_data_stop_at_the_start(unmix):
+    rng = np.random.default_rng(5)
+    m0 = rng.uniform(0.05, 1.0, size=(30, 3))
+    a = rng.dirichlet(np.ones(3), size=40)
+    res = unmix(SpectralImage((a @ m0.T).reshape(5, 8, -1)), m0, SolverOptions(max_iters=10))
+    log = res.solver_log
+    assert log.iterations == 0 and log.converged
+    assert log.cost_history[0] <= 1e-24         # monotone_loop's zero-cost floor
+    # every start row is fitted to rounding, so its fit is taken from the pixel
+    assert log.flags["recomputed_rows"] == 40
+    assert np.max(np.abs(res.abundances.data - a)) <= 1e-12
+
+
+@pytest.mark.parametrize("module, unmix", [(elmm_module, elmm_unmix), (plmm_module, plmm_unmix)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_start_abundances_are_fcls_on_the_reference_bit_for_bit(monkeypatch, module, unmix,
+                                                                 seed):
+    truth = make_scene(n_bands=100, height=12, width=16, snr_db=30.0, seed=seed)
+    image, m0 = truth.image_noisy, truth.endmembers.class_means().T
+    starts = []
+
+    def loop(initial_state, *args):
+        starts.append(initial_state)
+        return monotone_loop(initial_state, *args)
+
+    monkeypatch.setattr(module, "monotone_loop", loop)
+    unmix(image, m0, SolverOptions(max_iters=2))
+    assert starts[0].a.tobytes() == fcls_core(image.pixels, m0)[0].tobytes()
+
+
+@pytest.mark.parametrize("unmix", [elmm_unmix, plmm_unmix])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_reference_is_refused(unmix, bad):
+    image, m0 = _small_scene(3)
+    m0 = m0.copy()
+    m0[4, 1] = bad
+    with pytest.raises(ValueError, match="^non-finite solver inputs$"):
+        unmix(image, m0, SolverOptions(max_iters=2))
+
+
+@settings(max_examples=60, deadline=None)
+@case
 @example(seed=0, n=1, l=3, p=3, floor=False, zeros=False)      # a one-row product
 def test_field_is_the_broadcast_field_bit_for_bit(seed, n, l, p, floor, zeros):
     y, m0, s, _ = _factored_case(seed, n, l, p, floor, zeros)
@@ -185,7 +242,7 @@ def test_field_is_the_broadcast_field_bit_for_bit(seed, n, l, p, floor, zeros):
         res = model.result(state, SolverLog(), time.perf_counter(), {}, {})
         field = np.clip(_dense(m0, state, _u(y, m0, 0.7, state)), 0.0, None)
         assert np.array_equal(res.endmembers.data, field)
-        recon = np.einsum("nlp,np->nl", field, res.abundances.data)
+        recon = reconstruct(field, res.abundances.data)
         assert np.array_equal(res.reconstruction, recon)
         assert np.array_equal(res.per_pixel_re, residual_stats(y, recon)[1])
 
@@ -336,7 +393,7 @@ def test_grid_spatial_equals_laplacian_quadratic_form(height, width):
     rng = np.random.default_rng(height * 100 + width)
     psi = rng.uniform(0.5, 1.5, size=(height * width, 3))
     ref = _spatial(grid_laplacian(height, width), psi)
-    assert abs(_grid_spatial(psi, height, width) - ref) <= RTOL * ref
+    assert abs(_grid_spatial(psi, _grid_degrees(height, width)) - ref) <= RTOL * ref
 
 
 def _partly_exact(seed, n=40, l=30, p=3):
