@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The README's command-line chain on a tiny scene, through `python -m varimix`:
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
-# elmm, plmm, mesma, sparse-l1 and greedy sparse-l0.
+# elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
+# and greedy and exhaustive sparse-l0.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -43,6 +44,10 @@ python -m varimix unmix --image scene_dir/ --algo elmm --m0 small.csv \
 python -m varimix unmix --image scene_dir/ --algo plmm --m0 small.csv --out result_plmm/
 python -m varimix unmix --image scene_dir/ --algo mesma --library pruned.csv \
     --transform fda.json --out result_mesma/
+python -m varimix unmix --image scene_dir/ --algo mesma --library pruned.csv \
+    --re-threshold 0.01 --out result_mesma_stop/
 python -m varimix unmix --image scene_dir/ --algo sparse-l1 --library lib.csv --out result_l1/
 python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 3 \
     --out result_l0/
+python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 2 \
+    --l0-mode exhaustive --out result_l0x/

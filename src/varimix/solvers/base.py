@@ -12,7 +12,9 @@ Lawson-Hanson step, batched over pixels: each round stacks the face
 systems of all open rows and solves those of one size together.
 ``fcls_core`` wraps it for a shared (L, P) or per-pixel (N, L, P)
 endmember matrix; ``fcls_gram`` and ``nnls_gram`` take G and h directly,
-for solvers that build them in factored form or from library statistics.
+for solvers that build them in factored form or from library statistics,
+and also take a stack of shared Grams, each with its own rows, in one
+call.
 ``monotone_loop`` drives the alternating solvers and ``timed`` fills
 their per-phase timings.
 """
@@ -147,22 +149,23 @@ def _gram(y, m, lam=0.0):
 
 
 def _border(sub, rhs):
-    """The bordered simplex systems [G -1; 1' 0][s; nu] = [h; 1] of a (k, k)
-    or (R, k, k) face Gram ``sub`` and (R, k) linear terms ``rhs``."""
-    r, k = rhs.shape
+    """The bordered simplex systems [G -1; 1' 0][s; nu] = [h; 1] of face
+    Grams ``sub`` (..., k, k) and linear terms ``rhs`` (..., R, k)."""
+    k = rhs.shape[-1]
     border = np.zeros(sub.shape[:-2] + (k + 1, k + 1))
     border[..., :k, :k] = sub
     border[..., :k, k] = -1.0
     border[..., k, :k] = 1.0
-    return border, np.concatenate([rhs, np.ones((r, 1))], axis=1)
+    return border, np.concatenate([rhs, np.ones(rhs.shape[:-1] + (1,))], axis=-1)
 
 
 def _face_minimizer(gram, h, rows, cols, simplex, ridge=False):
     """Minimizer on a face (dropping the sign constraints, keeping
-    sum-to-one) for each of ``rows``, whose (R, k) faces ``cols`` go to
-    one stacked solve. A row whose face system is singular, from
-    collinear or zero columns, gets a small ridge; ``ridge`` ridges every
-    row. Singular rows are found by a zero ``slogdet`` sign, the systems
+    sum-to-one) for each of ``rows``, of a shared (P, P) Gram or of
+    per-row (C, P, P) Grams, whose (R, k) faces ``cols`` go to one
+    stacked solve. A row whose face system is singular, from collinear or
+    zero columns, gets a small ridge; ``ridge`` ridges every row.
+    Singular rows are found by a zero ``slogdet`` sign, the systems
     LAPACK's LU rejects, so they do not change the other rows' bits."""
     k = cols.shape[1]
     if k == 0:
@@ -212,30 +215,52 @@ def _solve_faces(gram, h, rows, passive, entering, simplex):
     return s
 
 
+def _cholesky_pivots(gram):
+    """Squared pivots of the Cholesky factor of a (P, P) Gram or of each
+    in an (M, P, P) stack, zero for a Gram that LAPACK rejects. A stack
+    with one such Gram is factored again one Gram at a time."""
+    try:
+        return np.diagonal(np.linalg.cholesky(gram), axis1=-2, axis2=-1) ** 2
+    except np.linalg.LinAlgError:
+        if gram.ndim == 2:
+            return np.zeros(gram.shape[0])
+        return np.stack([_cholesky_pivots(g) for g in gram])
+
+
 def _full_face(gram, h, simplex):
-    """(N, P) minimizers of every row on the full face, NaN on the rows
-    whose Gram fails the rank test: some pivot d_j of its Cholesky
+    """Minimizers of every row on the full face, NaN on the rows whose
+    Gram fails the rank test: some pivot d_j of its Cholesky
     factorization, the squared distance of column j to the span of the
     columns before it, is at most ``_PIVOT_TOL`` G_jj.
 
-    A shared Gram is tested by one LAPACK Cholesky and, when it passes,
-    solved with N right-hand sides (the bordered system when
-    ``simplex``). Per-pixel Grams are factored column by column across
-    all rows at once, with elementwise operations on (N,) columns, so the
+    ``gram`` is a stack of M shared (P, P) Grams with their rows' (M, N, P)
+    linear terms ``h`` (a lone (P, P) Gram with (N, P) is the stack
+    M = 1), or per-pixel (N, P, P) Grams with (N, P). A stack is tested
+    by one batched LAPACK Cholesky, and the Grams that pass are solved in
+    one batched solve, each once with its N right-hand sides (the
+    bordered system when ``simplex``). One right-hand side takes another
+    LAPACK path than several, which rounds otherwise, so a lone row is
+    solved twice over: a row's bits do not depend on how many rows share
+    its Gram. Per-pixel Grams are factored column by column across all
+    rows at once, with elementwise operations on (N,) columns, so the
     number of numpy calls grows with P^2, not with N, and each row's bits
     do not depend on the other rows. G [x t] = [h 1] follows by
     substitution: the NNLS minimizer is x, the simplex one x + nu t with
     nu = (1 - 1'x) / 1't."""
-    n, p = h.shape
+    n, p = h.shape[-2:]
     if gram.ndim == 2:
-        try:
-            pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
-        except np.linalg.LinAlgError:
-            pivots = np.zeros(p)
-        if not np.all(pivots > _PIVOT_TOL * np.diagonal(gram)):
-            return np.full((n, p), np.nan)
+        return _full_face(gram[None], h[None], simplex)[0]
+    if gram.ndim == h.ndim:
+        ok = np.all(_cholesky_pivots(gram) > _PIVOT_TOL * np.diagonal(gram, axis1=1, axis2=2),
+                    axis=1)
+        if not ok.all():
+            s = np.full(h.shape, np.nan)
+            if ok.any():
+                s[ok] = _full_face(gram[ok], h[ok], simplex)
+            return s
         sub, rhs = _border(gram, h) if simplex else (gram, h)
-        return np.linalg.solve(sub, rhs.T).T[:, :p]
+        rhs = np.repeat(rhs, 2, axis=1) if n == 1 else rhs
+        return np.linalg.solve(sub, rhs.swapaxes(1, 2))[:, :p, :n].swapaxes(1, 2)
     g = gram.transpose(1, 2, 0)                  # (P, P, N) view: G_ij is an (N,) column
     low = np.empty((p, p, n))
     singular = np.zeros(n, dtype=bool)
@@ -265,7 +290,7 @@ def _full_face(gram, h, simplex):
         for k in range(1, p):
             total += z[k]
         x += ((1.0 - total[0]) / total[1]) * z[:, 1]
-    s = x.T.copy()
+    s = x.T
     s[singular] = np.nan
     return s
 
@@ -274,50 +299,87 @@ def _active_set(gram, h, simplex):
     """Exact minimizer of 0.5 a'Ga - h'a per row over a >= 0, plus
     sum(a) = 1 when ``simplex``.
 
-    ``gram`` is shared (P, P) or per-pixel (N, P, P); ``h`` is (N, P).
-    Round 1 solves every row on the full face (``_full_face``); a row
-    whose minimizer there is positive in every entry is settled, as no
-    column is left to price. The other rows start cold: simplex rows at
-    their best vertex, NNLS rows at zero. So does a row whose Gram fails
-    the rank test (duplicate, near-duplicate, collinear or zero columns,
-    more columns than bands): its full-face minimizer need not be unique,
-    and settling there could share abundance among dependent columns,
-    while a ridged answer would leave an O(ridge^2) excess cost on a pixel
-    the face fits exactly. A cold row alternates two phases. Pricing: at the
-    minimizer of its passive face, the row is settled when no inactive
-    column lowers the cost (KKT holds to ``_KKT_TOL``); otherwise the
-    most violating column enters. Solving: the face minimizer of the
-    enlarged set is accepted when it is positive; otherwise the iterate
-    moves toward it until the first passive entry reaches zero, which is
-    dropped (Lawson-Hanson), and the smaller face is solved again. Each
-    round gathers the open rows' face systems and makes one stacked solve
-    per face size (``_solve_faces``), so a row's bits do not depend on the
-    other rows. A column identical to a passive one prices at zero and
-    never enters.
+    ``gram`` is a stack of M shared (P, P) Grams, each with its own rows'
+    linear terms, ``h`` (M, N, P); a lone (P, P) Gram with (N, P) is the
+    stack M = 1. Or ``gram`` is per-pixel (N, P, P) with ``h`` (N, P).
+    Round 1 solves every row on the full face (``_full_face``), factoring
+    each Gram once; a row whose minimizer there is positive in every entry
+    is settled, as no column is left to price. The other rows go cold:
+    their linear terms and tolerances, and their own Grams from a stack of
+    several or from per-pixel Grams, are gathered once into compact
+    per-row arrays. A lone shared Gram is not copied per row: its cold
+    rows are priced by one matrix product with it. A cold row whose Gram
+    passed the rank test starts round 2 on the face of its round-1
+    minimizer's positive entries, if the minimizer of that face is
+    positive; otherwise it starts at its best vertex (simplex) or at zero
+    (NNLS). So does a row whose Gram fails the rank test (duplicate,
+    near-duplicate, collinear or zero columns, more columns than bands):
+    its full-face minimizer need not be unique, and settling there could
+    share abundance among dependent columns, while a ridged answer would
+    leave an O(ridge^2) excess cost on a pixel the face fits exactly. A
+    cold row alternates two phases. Pricing: at the minimizer of its
+    passive face, the row is settled when no inactive column lowers the
+    cost (KKT holds to ``_KKT_TOL``); otherwise the most violating column
+    enters. Solving: the face minimizer of the enlarged set is accepted
+    when it is positive; otherwise the iterate moves toward it until the
+    first passive entry reaches zero, which is dropped (Lawson-Hanson),
+    and the smaller face is solved again. Each round gathers the open
+    rows' face systems and makes one stacked solve per face size
+    (``_solve_faces``), so a row's bits do not depend on the other rows. A
+    column identical to a passive one prices at zero and never enters.
 
-    Returns (a, rounds, rows still open after ``_round_bound(P)`` rounds);
-    open rows keep their current feasible iterate.
+    Returns (a shaped as ``h``, rounds, flat indices of the rows still
+    open after ``_round_bound(P)`` rounds); open rows keep their current
+    feasible iterate.
     """
-    n, p = h.shape
-    a = np.zeros((n, p))
-    passive = np.zeros((n, p), dtype=bool)
-    settled = np.zeros(n, dtype=bool)
-    rounds = int(n > 0 and _round_bound(p) > 0)     # the full-face solve is round 1
-    if rounds:
-        s = _full_face(gram, h, simplex)
-        settled = np.all(s > 0.0, axis=1)
-        a[settled] = s[settled]
-    cold = np.flatnonzero(~settled)
-    h_cold = h[cold]
+    if gram.ndim == 2:
+        a, rounds, open_rows = _active_set(gram[None], h[None], simplex)
+        return a[0], rounds, open_rows
+    p = h.shape[-1]
+    rounds = int(h.size > 0 and _round_bound(p) > 0)     # the full-face solve is round 1
+    s = _full_face(gram, h, simplex) if rounds else np.full(h.shape, np.nan)
+    cold = np.flatnonzero(~np.all(s > 0.0, axis=-1))
+    a = np.ascontiguousarray(s).reshape(-1, p)
+    if cold.size == 0:
+        return a.reshape(h.shape), rounds, cold
+    if gram.ndim > h.ndim:
+        grams = gram[cold]
+    else:
+        grams = gram[0] if gram.shape[0] == 1 else gram[cold // h.shape[1]]
+    a[cold], rounds, open_rows = _climb(grams, h.reshape(-1, p)[cold], a[cold], simplex, rounds)
+    return a.reshape(h.shape), rounds, cold[open_rows]
+
+
+def _climb(gram, h, s, simplex, rounds):
+    """``_active_set`` from round 2 on for the cold rows' (C, P) linear
+    terms, with their shared (P, P) Gram or their own (C, P, P) Grams,
+    given their round-1 minimizers ``s`` (NaN: the rank test failed) and
+    the rounds taken so far. A shared Gram's rows are priced by one
+    matrix product, other rows by a product per row; the two can round
+    otherwise, which can change the entering column only between prices
+    equal to rounding. Returns (a, rounds, rows still open)."""
+    c, p = h.shape
+    a = np.zeros((c, p))
+    passive = s > 0.0
+    # the face start; a simplex face of one column is its own minimizer's vertex
+    start = np.flatnonzero(passive.sum(axis=1) > simplex)
+    if start.size and rounds < _round_bound(p):
+        rounds += 1
+        x = _solve_faces(gram, h, start, passive[start], np.full(start.size, -1), simplex)
+        ok = np.all((x > 0.0) == passive[start], axis=1)
+        a[start[ok]] = x[ok]
+        start = start[~ok]
+    passive[start] = False
     if simplex:
+        rest = np.flatnonzero(~passive.any(axis=1))
         diag = np.diagonal(gram, axis1=-2, axis2=-1)
-        vertex = np.argmin(0.5 * (diag if gram.ndim == 2 else diag[cold]) - h_cold, axis=1)
-        a[cold, vertex] = 1.0
-        passive[cold, vertex] = True
-    tol = np.empty(n)
-    tol[cold] = _KKT_TOL * np.maximum(1.0, np.abs(h_cold).max(axis=1, initial=0.0))
-    entering = np.full(n, -1)
-    pricing, solving = cold, cold[:0]
+        vertex = np.argmin(0.5 * (diag if gram.ndim == 2 else diag[rest]) - h[rest], axis=1)
+        passive[rest, vertex] = True
+        one = passive.sum(axis=1) == 1
+        a[one] = passive[one]
+    tol = _KKT_TOL * np.maximum(1.0, np.abs(h).max(axis=1, initial=0.0))
+    entering = np.full(c, -1)
+    pricing, solving = np.arange(c), np.arange(0)
     while True:
         if pricing.size:
             pas = passive[pricing]
@@ -368,9 +430,13 @@ def fcls_core(y: np.ndarray, m: np.ndarray, counts: Optional[QPCounts] = None):
 
 def fcls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):
     """``fcls_core`` in Gram form: ``gram`` is a shared (P, P) or
-    per-pixel (N, P, P) M'M and ``h`` the (N, P) M'y."""
+    per-pixel (N, P, P) M'M and ``h`` the (N, P) M'y. A stack of M shared
+    Grams (M, P, P) with (M, N, P) linear terms, each solved for its own
+    rows, is one call: each Gram is factored once, and every row gets the
+    bits that a call on its Gram alone gives it, barring prices equal to
+    rounding (``_climb``)."""
     a, rounds, open_rows = _active_set(gram, h, simplex=True)
-    a /= a.sum(axis=1, keepdims=True)
+    a /= a.sum(axis=-1, keepdims=True)
     if counts is not None:
         counts.add(rounds, open_rows)
     return a, rounds
@@ -384,6 +450,15 @@ def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     if m.ndim == 2:
         return a @ m.T
     return np.matmul(m, a[:, :, None])[:, :, 0]
+
+
+def _row_product(b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """b @ m for a 2-D ``m``. numpy sends a one-row product to gemv, which
+    rounds otherwise than gemm, so a lone row is multiplied twice over: a
+    row's bits do not depend on how many rows share its product."""
+    if b.shape[0] == 1:
+        return (np.repeat(b, 2, axis=0) @ m)[:1]
+    return b @ m
 
 
 def nnls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):

@@ -1,6 +1,7 @@
 """Per-pixel exhaustive search over library model combinations, in Gram
 space over each class's distinct signatures (``search``): each model is
-one shared-Gram kernel call on a (P, P) block of the statistics.
+a (P, P) block of the statistics, and runs of models go to the kernel
+as one stack of shared Grams per call.
 """
 
 from __future__ import annotations
@@ -40,8 +41,12 @@ def mesma(
     the residual computed from the pixel wherever the search statistics
     (precise to about 1e-8 ||y||) put it near the threshold; pixels that
     never hit the threshold keep their best model. ``models_enumerated``
-    counts the distinct models solved and ``duplicates`` the signatures
-    collapsed; the budget applies to the library as given.
+    counts the distinct models a search of one model at a time solves
+    (models are solved in blocks, for the pixels open at a block's start,
+    with the same selections; with ``re_threshold`` the blocks start at
+    one model and double), ``qp_rounds`` the kernel rounds of the block
+    calls, and ``duplicates`` the signatures collapsed; the budget
+    applies to the library as given.
     """
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")

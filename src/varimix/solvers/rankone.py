@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, EndmemberField, _Adopt, _all_finite
-from .base import (QPCounts, SolverLog, UnmixingResult, fcls_gram, reconstruct, residual_stats,
-                   timed)
+from .base import (QPCounts, SolverLog, UnmixingResult, _row_product, fcls_gram, reconstruct,
+                   residual_stats, timed)
 
 _RECOMPUTE = 1e-10
 _CHUNK_ROWS = 256
@@ -104,18 +104,10 @@ class RankOneModel:
         rr = self.yy - 2.0 * bh + np.einsum("np,np->n", bg, b)
         rows = np.flatnonzero(rr <= _RECOMPUTE * self.yy)
         if rows.size:
-            r = self.y[rows] - self._fitted(b[rows])
+            r = self.y[rows] - _row_product(b[rows], self.m0.T)
             rr[rows] = np.einsum("nl,nl->n", r, r)
             self.recomputed_rows += rows.size
         return bg, bh, rr
-
-    def _fitted(self, b: np.ndarray) -> np.ndarray:
-        """M0 b_n for each row of ``b``. numpy sends a one-row product to
-        gemv, which rounds otherwise than gemm, so a lone row is multiplied
-        twice over: a row's bits do not depend on how many share its product."""
-        if b.shape[0] == 1:
-            return (np.repeat(b, 2, axis=0) @ self.m0.T)[:1]
-        return b @ self.m0.T
 
     def gram(self, s: RankOneState):
         """Per-pixel M_n'M_n (N, P, P) and M_n'y_n (N, P):
@@ -171,7 +163,7 @@ class RankOneModel:
                 if s.start:
                     u = np.zeros_like(y)
                 else:
-                    u = (y - self._fitted(s.psi_m[lo:hi] * a)) / c[lo:hi, None]
+                    u = (y - _row_product(s.psi_m[lo:hi] * a, self.m0.T)) / c[lo:hi, None]
                 for j in range(p):
                     np.multiply(s.psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
                     f[:, :, j] += u * a[:, j, None]

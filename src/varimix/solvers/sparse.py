@@ -222,8 +222,9 @@ def sparse_su_l0(
     pixels at once; ``exhaustive`` enumerates every support of size <= k
     (sizes ascending, lexicographic within a size; a later support must
     lower the squared residual by more than 1e-13 ||y||^2, so smaller
-    supports win ties). Both search the distinct signatures; the budget
-    applies to the library as given.
+    supports win ties; supports of one size go to the kernel in blocks,
+    one stacked call each). Both search the distinct signatures; the
+    budget applies to the library as given.
     """
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")

@@ -346,6 +346,144 @@ def test_nnls_dependent_entering_column(per_pixel):
         assert max(act, inact) <= KKT_RTOL * scale
 
 
+def _stack(kind, seed, m=4, n=6, l=6, p=4):
+    """M shared matrices with the degeneracy (M, L, P), each with N of its
+    own pixels (M, N, L), half of them near interior mixtures."""
+    mats, ys = [], []
+    for i in range(m):
+        y, mat = _with_interior_rows(*_problem(kind, seed + i, n // 2, l, p, False, False),
+                                     seed + 100 + i)
+        mats.append(mat)
+        ys.append(y)
+    return np.stack(ys), np.stack(mats)
+
+
+def _stack_gram(y, m, lam=0.0):
+    """Grams (M, P, P) and linear terms (M, N, P) of a stack."""
+    return (np.einsum("mlp,mlq->mpq", m, m),
+            np.einsum("mnl,mlp->mnp", y, m) - lam)
+
+
+@pytest.mark.parametrize("simplex", [True, False])
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_grams_give_each_row_its_own_bits(kind, simplex):
+    # one call on a stack of shared Grams: every row gets the bytes of a
+    # call on its Gram alone, and of a call on that row alone
+    y, m = _stack(kind, 30)
+    gram, h = _stack_gram(y, m, 0.0 if simplex else 1e-3)
+    kernel = base.fcls_gram if simplex else base.nnls_gram
+    counts = QPCounts()
+    a, _ = kernel(gram, h, counts)
+    assert a.shape == h.shape and counts.unsettled_rows == 0
+    for g_i, h_i, a_i in zip(gram, h, a):
+        assert kernel(g_i, h_i)[0].tobytes() == a_i.tobytes()
+        for j in range(h_i.shape[0]):
+            assert kernel(g_i, h_i[j:j + 1])[0].tobytes() == a_i[j:j + 1].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "zero"])
+def test_stacked_gram_that_fails_the_rank_test_moves_no_other(kind):
+    # Gram 1 of the stack has a duplicate (or zero) column: its rows fail
+    # the rank test and start cold, and reach the oracle; the rows of the
+    # other Grams keep the bits of calls on their Grams alone
+    y, m = _stack(kind, 40)
+    m[[0, 2, 3], :, -1] = np.random.default_rng(4).uniform(0.05, 1.0, size=(3, m.shape[1]))
+    gram, h = _stack_gram(y, m)
+    s = base._full_face(gram, h, True)
+    assert np.isnan(s[1]).all() and not np.isnan(s[[0, 2, 3]]).any()
+    counts = QPCounts()
+    a, _ = base.fcls_gram(gram, h, counts)
+    assert counts.unsettled_rows == 0
+    for i in (0, 2, 3):
+        assert base.fcls_gram(gram[i], h[i])[0].tobytes() == a[i].tobytes()
+    for j in range(y.shape[1]):
+        _, oracle_cost = qp_fcls_oracle(y[1, j], m[1])
+        cost = float(np.sum((y[1, j] - m[1] @ a[1, j]) ** 2))
+        assert abs(cost - oracle_cost) <= _cost_tol(cost, oracle_cost, y[1, j])
+
+
+def _off_face_rows(n, l, p, per_pixel, seed):
+    """Pixels y = M a with orthonormal columns and a = (b, -0.2), b > 0
+    summing to 1.2: the full-face minimizer is a, so every row starts
+    cold, and the minimizers on the face of its positive entries (b, and
+    b - 0.2/(P - 1) under the simplex constraint) are positive and
+    optimal."""
+    rng = np.random.default_rng(seed)
+    m = np.linalg.qr(rng.normal(size=(n if per_pixel else 1, l, p)))[0]
+    m = m if per_pixel else m[0]
+    b = 1.2 * rng.dirichlet(np.full(p - 1, 20.0), size=n)
+    a = np.concatenate([b, np.full((n, 1), -0.2)], axis=1)
+    y = np.einsum("nlp,np->nl", m, a) if per_pixel else a @ m.T
+    return y, m
+
+
+@pytest.mark.parametrize("simplex", [True, False])
+@pytest.mark.parametrize("per_pixel", [False, True])
+def test_cold_rows_start_on_their_positive_face(per_pixel, simplex):
+    # round 2 starts each cold row on the face of its round-1 minimizer's
+    # positive entries, which here holds its minimizer: every row settles
+    # in 2 rounds (a start at a vertex or at zero takes P - 1 or P more)
+    y, m = _off_face_rows(12, 8, 4, per_pixel, 3)
+    gram, h = base._gram(y, m)
+    assert np.all(base._full_face(gram, h, simplex)[:, -1] < 0)
+    counts = QPCounts()
+    a, rounds = (base.fcls_gram if simplex else base.nnls_gram)(gram, h, counts)
+    assert rounds == 2 and counts.unsettled_rows == 0
+    assert np.all(a[:, -1] == 0) and np.all(a[:, :-1] > 0)
+    for i in range(y.shape[0]):
+        mi = _pixel_matrix(m, i)
+        if simplex:
+            _, oracle_cost = qp_fcls_oracle(y[i], mi)
+            cost = float(np.sum((y[i] - mi @ a[i]) ** 2))
+            assert abs(cost - oracle_cost) <= _cost_tol(cost, oracle_cost, y[i])
+        else:
+            act, inact, scale = kkt_residual_l1(y[i:i + 1], mi, a[i:i + 1], 0.0)
+            assert max(act, inact) <= KKT_RTOL * scale
+
+
+def _face_start_fails(gram, h, simplex):
+    """Rows whose round-1 minimizer passes the rank test, has a
+    nonpositive entry, and whose positive face has a minimizer with a
+    nonpositive entry: the face start does not apply to them."""
+    s = base._full_face(gram, h, simplex)
+    face = s > 0
+    rows = np.flatnonzero(~np.isnan(s).any(axis=1) & ~face.all(axis=1)
+                          & (face.sum(axis=1) > simplex))
+    if gram.ndim == 2:
+        gram = np.broadcast_to(gram, (h.shape[0],) + gram.shape)
+    x = base._solve_faces(gram, h, rows, face[rows], np.full(rows.size, -1), simplex)
+    return rows[np.any(face[rows] & (x <= 0), axis=1)]
+
+
+@pytest.mark.parametrize("simplex", [True, False])
+@pytest.mark.parametrize("per_pixel", [False, True])
+def test_cold_row_whose_positive_face_fails_starts_at_its_vertex(per_pixel, simplex):
+    # correlated columns: for some rows, dropping the negative entries
+    # of the full-face minimizer makes another entry nonpositive; those
+    # rows start at their best vertex (at zero for NNLS), as the rows
+    # failing the rank test do, and still reach the oracle
+    lam = 0.0 if simplex else 1e-2
+    rng = np.random.default_rng(21)
+    base_m = rng.uniform(0.05, 1.0, size=(6, 4))
+    base_m[:, 1] = base_m[:, 0] + rng.normal(0.0, 0.05, size=6)
+    m = base_m + (rng.normal(0.0, 0.02, size=(200, 6, 4)) if per_pixel else 0.0)
+    y = rng.dirichlet(np.ones(4), size=200) @ base_m.T + rng.normal(0.0, 0.05, size=(200, 6))
+    gram, h = base._gram(y, m, lam)
+    assert _face_start_fails(gram, h, simplex).size > 0
+    counts = QPCounts()
+    a, _ = (base.fcls_gram if simplex else base.nnls_gram)(gram, h, counts)
+    assert counts.unsettled_rows == 0
+    for i in _face_start_fails(gram, h, simplex):
+        mi = _pixel_matrix(m, i)
+        if simplex:
+            _, oracle_cost = qp_fcls_oracle(y[i], mi)
+            cost = float(np.sum((y[i] - mi @ a[i]) ** 2))
+            assert abs(cost - oracle_cost) <= _cost_tol(cost, oracle_cost, y[i])
+        else:
+            act, inact, scale = kkt_residual_l1(y[i:i + 1], mi, a[i:i + 1], lam)
+            assert max(act, inact) <= KKT_RTOL * scale
+
+
 def _library_case(rng):
     lib = SpectralLibrary.from_arrays(
         ["a", "b", "c"], [rng.uniform(0.05, 1.0, size=(2, 20)) for _ in range(3)])

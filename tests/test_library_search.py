@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
-from varimix.solvers import QPCounts, kkt_residual_simplex, mesma, sparse_su_l0
+from varimix.solvers import QPCounts, kkt_residual_simplex, mesma, search, sparse_su_l0
+from varimix.solvers.base import fcls_gram
 from varimix.solvers.search import distinct_rows, library_stats, subset_search
 from varimix.solvers.sparse import _greedy_supports
 from varimix.types import SpectralImage, SpectralLibrary
@@ -153,6 +154,110 @@ def test_mesma_early_stop_below_the_statistics_floor(rng):
     assert res.solver_log.flags["models_enumerated"] == 3
 
 
+def test_early_stop_recompute_does_not_depend_on_the_batch():
+    """Near the threshold the residual is recomputed from the pixel by a
+    product whose rows keep their bits alone (numpy sends a one-row
+    product to gemv, which rounds otherwise than gemm): a pixel whose
+    model-0 residual lies between the two roundings, with the threshold
+    at the gemm one, freezes at model 0 alone as alongside copies."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        s = rng.uniform(0.05, 1.0, size=(4, 30))
+        y = np.array([0.3, 0.7]) @ s[2:] + rng.normal(0.0, 0.01, size=30)   # model (2, 3) fits best
+        y = np.repeat(y[None], 3, axis=0)
+        gram, ys, yy = library_stats(y, s)
+        a = fcls_gram(gram[:2, :2], ys[:, :2])[0][:1]
+        batch, alone = (float(np.einsum("nl,nl->n", r, r)[0])
+                        for r in (y[:1] - (np.repeat(a, 2, axis=0) @ s[:2])[:1], y[:1] - a @ s[:2]))
+        if alone > batch:
+            break
+    assert alone > batch
+    for copies in (1, 3):
+        cols, _, solved = subset_search(gram, ys[:copies], yy[:copies], [(0, 1), (2, 3)], 2,
+                                        stop_r2=batch, y=y[:copies], signatures=s)
+        assert np.all(cols == [0, 1]) and solved == 1
+
+
+def _search_one_at_a_time(monkeypatch, *args, **kwargs):
+    """``subset_search`` with one subset per kernel call."""
+    with monkeypatch.context() as m:
+        m.setattr(search, "_BLOCK_PAIRS", 1)
+        return subset_search(*args, **kwargs)
+
+
+def _assert_same_search(one, blocked):
+    (cols1, a1, solved1), (cols2, a2, solved2) = one, blocked
+    assert solved1 == solved2
+    assert np.array_equal(cols1, cols2) and a1.tobytes() == a2.tobytes()
+
+
+def test_blocked_search_stops_where_one_at_a_time_does(rng, monkeypatch):
+    """A threshold every pixel meets: the last open pixel freezes inside
+    a block, and the search counts the subsets a search of one subset per
+    kernel call solves, with the same columns and abundance bytes."""
+    lib = SpectralLibrary.from_arrays(
+        ["c0", "c1", "c2"], [rng.uniform(0.05, 1.0, size=(3, 12)) for _ in range(3)])
+    y = rng.uniform(0.2, 0.8, size=(40, 12))
+    flat, _ = lib.flatten()
+    stats = library_stats(y, flat)
+    models = list(itertools.product(range(0, 3), range(3, 6), range(6, 9)))
+    r2 = np.array([[qp_fcls_oracle(yi, flat[list(mod)].T)[1] for mod in models] for yi in y])
+    stop = 1.0001 * float(np.max(np.min(r2[:, :20], axis=1)))
+    blocked = subset_search(*stats, models, 3, stop_r2=stop, y=y, signatures=flat)
+    _assert_same_search(_search_one_at_a_time(monkeypatch, *stats, models, 3, stop_r2=stop,
+                                              y=y, signatures=flat), blocked)
+    first_hit = np.argmax(r2 <= stop, axis=1)
+    assert blocked[2] == first_hit.max() + 1 < len(models)
+    res = mesma(_image(y), lib, re_threshold=float(np.sqrt(stop / 12)))
+    assert res.solver_log.flags["models_enumerated"] == blocked[2]
+    assert res.solver_log.flags["qp_rounds"] < blocked[2]
+
+
+def test_early_stop_blocks_start_at_one_subset_and_double(rng, monkeypatch):
+    """With a threshold the blocks hold 1, 2, 4, ... subsets: pixels that
+    all stop at the first subset cost one subset's kernel call, and a
+    threshold no pixel meets gives the selections of the search without
+    one."""
+    flat = rng.uniform(0.05, 1.0, size=(9, 12))
+    y = rng.uniform(0.2, 0.8, size=(40, 12))
+    stats = library_stats(y, flat)
+    models = list(itertools.product(range(0, 3), range(3, 6), range(6, 9)))
+    stacks = []
+
+    def spy(g, h, counts=None):
+        stacks.append(g.shape[0])
+        return fcls_gram(g, h, counts)
+
+    monkeypatch.setattr(search, "fcls_gram", spy)
+    cols, _, solved = subset_search(*stats, models, 3, stop_r2=1e6, y=y, signatures=flat)
+    assert stacks == [1] and solved == 1 and np.all(cols == [0, 3, 6])
+    stacks.clear()
+    stopped = subset_search(*stats, models, 3, stop_r2=0.0, y=y, signatures=flat)
+    assert stacks == [1, 2, 4, 8, 12]
+    _assert_same_search(subset_search(*stats, models, 3), stopped)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_blocked_exhaustive_l0_mixes_support_sizes(rng, monkeypatch, k):
+    """Exhaustive L0 enumerates supports of sizes 1 to k; blocks never mix
+    sizes, and the results are those of one support per kernel call."""
+    lib = _duplicated_library(rng)
+    y = _pixels(rng, lib)
+    blocked = sparse_su_l0(_image(y), lib, k=k, mode="exhaustive")
+    with monkeypatch.context() as m:
+        m.setattr(search, "_BLOCK_PAIRS", 1)
+        one = sparse_su_l0(_image(y), lib, k=k, mode="exhaustive")
+    assert blocked.raw_abundances.data.tobytes() == one.raw_abundances.data.tobytes()
+    assert blocked.abundances.data.tobytes() == one.abundances.data.tobytes()
+    flat, _ = lib.flatten()
+    q = distinct_rows(flat).size
+    supports = list(itertools.chain.from_iterable(
+        itertools.combinations(range(q), i) for i in range(1, k + 1)))
+    stats = library_stats(y, flat[distinct_rows(flat)])
+    _assert_same_search(_search_one_at_a_time(monkeypatch, *stats, supports, k),
+                        subset_search(*stats, supports, k))
+
+
 def _planar_library(rng, per_class=3):
     """Three classes in two bands, class c's signatures scattered around
     vertex c of a large triangle, and pixels near its centroid, inside
@@ -163,7 +268,7 @@ def _planar_library(rng, per_class=3):
     return SpectralLibrary.from_arrays(["c0", "c1", "c2"], sigs), y
 
 
-def test_first_exact_model_wins_with_fewer_bands_than_classes(rng):
+def test_first_exact_model_wins_with_fewer_bands_than_classes(rng, monkeypatch):
     """Exact fits are a tie whatever their rounding: the first model in
     enumeration order is kept, also when the search statistics move by
     one ulp."""
@@ -181,6 +286,8 @@ def test_first_exact_model_wins_with_fewer_bands_than_classes(rng):
         assert solved == 27
         assert np.all(cols == [0, 3, 6])
         assert np.max(np.abs(a - res.abundances.data)) < 1e-12
+        _assert_same_search(_search_one_at_a_time(monkeypatch, g, h, yy, models, 3),
+                            (cols, a, solved))
 
 
 def _assert_kkt_on_support(y, m, a):

@@ -24,7 +24,7 @@ from varimix.synth import (
     synthetic_base_spectra,
     truth_variant_library,
 )
-from varimix.types import EndmemberField, LibraryClass, SpectralImage
+from varimix.types import EndmemberField, LibraryClass, SpectralImage, SpectralLibrary
 
 from conftest import make_scene
 
@@ -125,3 +125,19 @@ def test_arrays_from_synthesis_loading_and_solvers_are_read_only(tmp_path):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
+
+
+def test_sparse_l1_makes_no_gram_per_pixel():
+    # 48 distinct signatures in 8 bands: the library Gram fails the rank
+    # test, so every pixel starts cold, and the cold rows share that one
+    # (Q, Q) Gram; a per-pixel copy of it would be an (N, Q, Q) array
+    rng = np.random.default_rng(7)
+    n, q, l = 2000, 48, 8
+    sigs = rng.uniform(0.05, 1.0, size=(q, l))
+    lib = SpectralLibrary.from_arrays([f"c{i}" for i in range(4)],
+                                      [sigs[i::4] for i in range(4)])
+    y = rng.dirichlet(np.ones(q), size=n) @ sigs + rng.normal(0.0, 0.01, size=(n, l))
+    image = SpectralImage(y.reshape(40, 50, l))
+    result, peak = _traced_peak(lambda: unmix("sparse-l1", image, lib, SolverOptions()))
+    assert result.solver_log.flags["unsettled_rows"] == 0
+    assert peak < n * q * q * 8 / 2
