@@ -18,7 +18,7 @@ python -c "from varimix.io import save_library; from varimix.synth import synthe
 save_library(synthetic_base_spectra(24, 3, seed=7), 'base.csv')"
 cat > scene.json <<'JSON'
 {
-  "name": "chain", "height": 12, "width": 12, "snr_db": 30.0, "seed": 77,
+  "name": "chain", "height": 16, "width": 17, "snr_db": 30.0, "seed": 77,
   "base_library": "base.csv",
   "abundance": {"generator": "grf", "correlation_length": 4, "sharpness": 0.08,
                 "pure_pixel_fraction": 0.1},

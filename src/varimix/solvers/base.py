@@ -16,11 +16,13 @@ for solvers that build them in factored form or from library statistics,
 and also take a stack of shared Grams, each with its own rows, in one
 call.
 ``monotone_loop`` drives the alternating solvers and ``timed`` fills
-their per-phase timings.
+their per-phase timings. ``_chunked_result`` builds the endmember field,
+reconstruction and per-pixel error of every solver that emits a field.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -36,6 +38,7 @@ _RIDGE = 1e-10              # relative ridge for a singular face system
 # rank test of the full face: columns m_i, m_j with |m_i - m_j|^2 <= _KKT_TOL (|m_i|^2 + |m_j|^2)
 # meet at an angle whose sin^2, a bound on the later one's relative pivot, is below 2 _KKT_TOL
 _PIVOT_TOL = 2.0 * _KKT_TOL
+_CHUNK_ROWS = 256          # pixels per chunk of an emitted endmember field
 _SKIPPED_KEYS = ("rho", "inner_tol", "inner_iters", "seed", "re_threshold", "k", "mode")
 
 
@@ -144,7 +147,7 @@ def _gram(y, m, lam=0.0):
     if not (_all_finite(y) and _all_finite(m)):
         raise ValueError("non-finite solver inputs")
     if m.ndim == 2:
-        return m.T @ m, y @ m - lam
+        return m.T @ m, _row_product(y, m) - lam
     return np.einsum("nlp,nlq->npq", m, m), np.einsum("nlp,nl->np", m, y) - lam
 
 
@@ -446,10 +449,31 @@ def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Fitted pixels for shared (L, P) or per-pixel (N, L, P) matrices.
     Per-pixel matrices take one stacked product, which numpy runs as one
     BLAS matrix-vector product per pixel, so a row's bits depend neither
-    on how many rows share the call nor on the BLAS thread count."""
+    on how many rows share the call nor on the BLAS thread count; a
+    shared matrix takes ``_row_product``."""
     if m.ndim == 2:
-        return a @ m.T
+        return _row_product(a, m.T)
     return np.matmul(m, a[:, :, None])[:, :, 0]
+
+
+def _chunked_result(y: np.ndarray, a: np.ndarray, fill):
+    """The (N, L, P) endmember field of emitted abundances ``a``, its
+    reconstruction, the summed squared residual (exactly rounded sum of
+    the chunk sums) and ``per_pixel_re``, built ``_CHUNK_ROWS`` pixels at
+    a time: ``fill(lo, hi, out)`` writes the field of pixels lo:hi into
+    ``out``, a view of the returned array, so the call holds O(chunk)
+    temporaries besides its outputs. A pixel's bits do not depend on the
+    chunk size when ``fill``'s products keep each row's bits."""
+    (n, l), p = y.shape, a.shape[1]
+    field, recon, re = np.empty((n, l, p)), np.empty((n, l)), np.empty(n)
+    sums = []
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        fill(lo, hi, field[lo:hi])
+        recon[lo:hi] = reconstruct(field[lo:hi], a[lo:hi])
+        total, re[lo:hi] = residual_stats(y[lo:hi], recon[lo:hi])
+        sums.append(total)
+    return field, recon, re, math.fsum(sums)
 
 
 def _row_product(b: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ at once in the DCT-II basis, where the grid Laplacian is diagonal.
 The loop runs on the per-pixel statistics of ``rankone``, from its FCLS
 start on them to the last cost: O(N P) memory, and the (N, L) image is
 read only for rows the model fits to rounding. The endmember field is
-built once, in chunks of pixels, by ``RankOneModel.result``.
+built once, in chunks of pixels, by ``base._chunked_result``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Per-pixel exhaustive search over library model combinations, in Gram
 space over each class's distinct signatures (``search``): each model is
 a (P, P) block of the statistics, and runs of models go to the kernel
-as one stack of shared Grams per call.
+as one stack of shared Grams per call. The emitted field gathers each
+pixel's selected signatures, clamped, through ``base._chunked_result``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from ..types import (AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage,
                      SpectralLibrary, _Adopt)
-from .base import QPCounts, SolverOptions, UnmixingResult, reconstruct, residual_stats
+from .base import QPCounts, SolverOptions, UnmixingResult, _chunked_result
 from .search import distinct_rows, library_stats, subset_search
 
 DEFAULT_MODEL_BUDGET = 10**6
@@ -59,7 +60,7 @@ def mesma(
         )
     start = time.perf_counter()
     y = image.pixels
-    n, l = y.shape
+    l = y.shape[1]
     p = library.n_classes
     sigs = [c.signatures for c in library.classes]
 
@@ -75,11 +76,13 @@ def mesma(
 
     # emitted field is clamped (transformed libraries can dip negative);
     # model selection above used the unclamped signatures
-    fields = np.empty((n, l, p))
-    for cls in range(p):
-        fields[:, :, cls] = np.clip(sigs[cls], 0.0, None)[best_model[:, cls]]
-    recon = reconstruct(fields, best_a)
-    cost, re = residual_stats(y, recon)
+    clamped = [np.clip(s, 0.0, None) for s in sigs]
+
+    def fill(lo, hi, f):
+        for cls in range(p):
+            f[:, :, cls] = clamped[cls][best_model[lo:hi, cls]]
+
+    fields, recon, re, cost = _chunked_result(y, best_a, fill)
     log = counts.log(start, models_tried, cost, {
         "models_enumerated": models_tried, "early_stop": re_threshold is not None,
         "duplicates": sum(sizes) - sum(k.size for k in keep)})

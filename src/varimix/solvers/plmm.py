@@ -10,7 +10,7 @@ reference-model residual, so the loop runs on the per-pixel statistics
 of ``rankone`` (scalings fixed at one), from its FCLS start on them to
 the last cost: O(N P) memory, and the (N, L) image is read only for rows
 the model fits to rounding. The field M0 + dM_n is built once, in chunks
-of pixels, by ``RankOneModel.result``; dM is not kept.
+of pixels, by ``base._chunked_result``; dM is not kept.
 """
 
 from __future__ import annotations

@@ -23,8 +23,10 @@ settles most pixels in its first round, on the full face.
 
 The image is thus read only by ``__init__``, for the rows fitted to
 within ``_RECOMPUTE``, and by ``result``, which takes u from the pixels
-and writes the clamped (N, L, P) field, its reconstruction and the
-per-pixel error one chunk of pixels at a time, inside the solver's log.
+and writes the clamped (N, L, P) field through ``base._chunked_result``,
+inside the solver's log. Products of pixel rows with M0 or G0 are taken
+by ``_row_product``, so a lone pixel's PLMM result has the bits that
+pixel gets in a larger image.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, EndmemberField, _Adopt, _all_finite
-from .base import (QPCounts, SolverLog, UnmixingResult, _row_product, fcls_gram, reconstruct,
-                   residual_stats, timed)
+from .base import (QPCounts, SolverLog, UnmixingResult, _chunked_result, _row_product, fcls_gram,
+                   timed)
 
 _RECOMPUTE = 1e-10
-_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class RankOneModel:
             raise ValueError("non-finite solver inputs")
         self.y, self.m0, self.lam = y, m0, lam
         self.g0 = m0.T @ m0
-        self.ym0 = y @ m0
+        self.ym0 = _row_product(y, m0)
         self.yy = np.einsum("nl,nl->n", y, y)
         self.col_sq = np.sum(m0**2, axis=0)
         self.counts = QPCounts()
@@ -99,7 +100,7 @@ class RankOneModel:
         """b G0, b'M0'y and ||y - M0 b||^2 per pixel, from the statistics;
         rows within ``_RECOMPUTE`` ||y||^2 of zero take the last from the
         pixel and are counted in ``recomputed_rows``."""
-        bg = b @ self.g0
+        bg = _row_product(b, self.g0)
         bh = np.einsum("np,np->n", b, self.ym0)
         rr = self.yy - 2.0 * bh + np.einsum("np,np->n", bg, b)
         rows = np.flatnonzero(rr <= _RECOMPUTE * self.yy)
@@ -148,28 +149,25 @@ class RankOneModel:
 
     def result(self, s: RankOneState, log: SolverLog, start: float, flags: dict,
                extras: dict) -> UnmixingResult:
-        """The solver's output, built per ``_CHUNK_ROWS`` pixels in phase
-        ``result``: u (zero in a start state), the field psi_m_j m0_j + u a_j
-        written and clamped in the emitted array, its reconstruction by
-        ``reconstruct`` and ``per_pixel_re``. Then the log is completed, timed
-        from ``start``."""
+        """The solver's output, built by ``_chunked_result`` in phase
+        ``result``: per chunk, u (zero in a start state) from the pixels and
+        the field psi_m_j m0_j + u a_j, clamped. Then the log is completed,
+        timed from ``start``."""
         with timed(self.phases, "result"):
-            (n, l), p = self.y.shape, self.m0.shape[1]
-            field, recon, re = np.empty((n, l, p)), np.empty((n, l)), np.empty(n)
             c = self.lam + np.einsum("np,np->n", s.a, s.a)
-            for lo in range(0, n, _CHUNK_ROWS):
-                hi = min(lo + _CHUNK_ROWS, n)
-                y, a, f = self.y[lo:hi], s.a[lo:hi], field[lo:hi]
+
+            def fill(lo, hi, f):
+                y, a = self.y[lo:hi], s.a[lo:hi]
                 if s.start:
                     u = np.zeros_like(y)
                 else:
                     u = (y - _row_product(s.psi_m[lo:hi] * a, self.m0.T)) / c[lo:hi, None]
-                for j in range(p):
+                for j in range(a.shape[1]):
                     np.multiply(s.psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
                     f[:, :, j] += u * a[:, j, None]
                 np.clip(f, 0.0, None, out=f)
-                recon[lo:hi] = reconstruct(f, a)
-                re[lo:hi] = residual_stats(y, recon[lo:hi])[1]
+
+            field, recon, re, _ = _chunked_result(self.y, s.a, fill)
             out = UnmixingResult(AbundanceMap(s.a, sum_to_one=True), re, recon, log,
                                  EndmemberField(_Adopt(field)), extras=extras)
         log.converged = log.converged and self.counts.unsettled_rows == 0

@@ -14,7 +14,10 @@ space (``search``): exact duplicates collapse to their first occurrence,
 which gets the raw mass, and the exhaustive mode's residuals, read from the
 statistics, are precise to about 1e-8 ||y|| on the RMS error. The greedy
 mode is orthogonal matching pursuit batched over pixels (Batch-OMP,
-Rubinstein, Zibulevsky & Elad 2008) with nonnegative refits.
+Rubinstein, Zibulevsky & Elad 2008) with nonnegative refits. Both emit
+each class's abundance-weighted mean signature per pixel, built in
+chunks of pixels by ``base._chunked_result``; the reconstruction takes
+that field unclamped, the emitted field is clamped.
 """
 
 from __future__ import annotations
@@ -26,62 +29,49 @@ from typing import Optional
 
 import numpy as np
 
-from ..types import (
-    AbundanceMap,
-    BudgetError,
-    DimensionError,
-    EndmemberField,
-    SpectralImage,
-    SpectralLibrary,
-    _Adopt,
-)
-from .base import (
-    _KKT_TOL,
-    QPCounts,
-    SolverOptions,
-    UnmixingResult,
-    fcls_gram,
-    nnls_gram,
-    reconstruct,
-    residual_stats,
-)
+from ..types import (AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage,
+                     SpectralLibrary, _Adopt)
+from .base import (_KKT_TOL, QPCounts, SolverOptions, UnmixingResult, _chunked_result,
+                   _row_product, fcls_gram, nnls_gram)
 from .search import distinct_rows, library_stats, subset_search
 
 _MASS_TOL = 1e-9
 L0_SUPPORT_BUDGET = 10**4
 
 
-def _column_names(library: SpectralLibrary) -> tuple:
-    names = []
-    for cls in library.classes:
-        names.extend(f"{cls.name}:{i}" for i in range(cls.size))
-    return tuple(names)
+def _class_result(y, raw, library, make_log, raw_sum_to_one, **extras) -> UnmixingResult:
+    """The result of raw library abundances, columns named class:index:
+    each class's mass, normalized over the classes (rows with no mass
+    become uniform, and ``make_log`` gets their count to build the log),
+    and the field of each class's abundance-weighted mean signature (the
+    class mean where it has no mass), built by ``_chunked_result``. The
+    reconstruction is taken from that unclamped field, clamped after."""
+    bounds = np.cumsum([0, *library.sizes])
+    classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    mass = np.stack([raw[:, cols].sum(axis=1) for cols in classes], axis=1)
+    total = mass.sum(axis=1, keepdims=True)
+    collapsed = np.divide(mass, total, out=np.full_like(mass, 1.0 / library.n_classes),
+                          where=total > _MASS_TOL)
+    means = [cls.signatures.mean(axis=0) for cls in library.classes]
 
+    def fill(lo, hi, f):
+        for j, (cols, cls) in enumerate(zip(classes, library.classes)):
+            safe = mass[lo:hi, j, None] > _MASS_TOL
+            np.divide(_row_product(raw[lo:hi, cols], cls.signatures), mass[lo:hi, j, None],
+                      out=f[:, :, j], where=safe)
+            np.copyto(f[:, :, j], means[j], where=~safe)
 
-def _collapse_and_proxy(raw: np.ndarray, library: SpectralLibrary):
-    """Class-collapsed abundances plus the per-pixel weighted-mean
-    endmember proxy. Rows with no mass become uniform (flagged)."""
-    n = raw.shape[0]
-    p = library.n_classes
-    l = library.n_bands
-    collapsed = np.empty((n, p))
-    proxy = np.empty((n, l, p))
-    offset = 0
-    for j, cls in enumerate(library.classes):
-        cols = slice(offset, offset + cls.size)
-        offset += cls.size
-        mass = raw[:, cols].sum(axis=1)
-        collapsed[:, j] = mass
-        weighted = raw[:, cols] @ cls.signatures            # (N, L)
-        safe = mass > _MASS_TOL
-        proxy[safe, :, j] = weighted[safe] / mass[safe, None]
-        proxy[~safe, :, j] = cls.signatures.mean(axis=0)
-    total = collapsed.sum(axis=1)
-    empty = total <= _MASS_TOL
-    out = np.empty_like(collapsed)
-    out[~empty] = collapsed[~empty] / total[~empty, None]
-    out[empty] = 1.0 / p
-    return out, proxy, int(empty.sum())
+    field, recon, re, _ = _chunked_result(y, collapsed, fill)
+    names = tuple(f"{cls.name}:{i}" for cls in library.classes for i in range(cls.size))
+    return UnmixingResult(
+        abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
+        per_pixel_re=re,
+        reconstruction=recon,
+        solver_log=make_log(int(np.sum(total <= _MASS_TOL))),
+        endmembers=EndmemberField(_Adopt(np.clip(field, 0.0, None, out=field))),
+        raw_abundances=AbundanceMap(raw, sum_to_one=raw_sum_to_one, class_names=names),
+        extras=extras,
+    )
 
 
 def kkt_residual_l1(y: np.ndarray, m: np.ndarray, a: np.ndarray, lam: float):
@@ -151,19 +141,9 @@ def sparse_su_l1(
     a, rounds = nnls_gram(gram, ys - lam, counts)
     raw = np.zeros((y.shape[0], flat.shape[0]))
     raw[:, keep] = a
-    collapsed, proxy, n_uniform = _collapse_and_proxy(raw, library)
-    recon = reconstruct(proxy, collapsed)
     cost = float(0.5 * np.sum((y - a @ distinct) ** 2) + lam * a.sum())
-    log = counts.log(start, rounds, cost, {"uniform_rows": n_uniform, "lambda": lam,
-                                           "duplicates": flat.shape[0] - keep.size})
-    return UnmixingResult(
-        abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
-        per_pixel_re=residual_stats(y, recon)[1],
-        reconstruction=recon,
-        solver_log=log,
-        endmembers=EndmemberField(_Adopt(np.clip(proxy, 0.0, None, out=proxy))),
-        raw_abundances=AbundanceMap(raw, sum_to_one=False, class_names=_column_names(library)),
-    )
+    return _class_result(y, raw, library, lambda uniform: counts.log(start, rounds, cost, {
+        "uniform_rows": uniform, "lambda": lam, "duplicates": flat.shape[0] - keep.size}), False)
 
 
 def _greedy_supports(gram: np.ndarray, ys: np.ndarray, k: int, counts: QPCounts):
@@ -265,17 +245,7 @@ def sparse_su_l0(
     r, slot = np.nonzero(cols >= 0)
     raw[r, keep[cols[r, slot]]] = a[r, slot]
 
-    collapsed, proxy, n_uniform = _collapse_and_proxy(raw, library)
-    recon = reconstruct(proxy, collapsed)
     cost = float(np.sum((y - raw @ m.T) ** 2))
-    log = counts.log(start, 1, cost, {"mode": mode, "k": k, "uniform_rows": n_uniform,
-                                      "duplicates": q - keep.size})
-    return UnmixingResult(
-        abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
-        per_pixel_re=residual_stats(y, recon)[1],
-        reconstruction=recon,
-        solver_log=log,
-        endmembers=EndmemberField(_Adopt(np.clip(proxy, 0.0, None, out=proxy))),
-        raw_abundances=AbundanceMap(raw, sum_to_one=True, class_names=_column_names(library)),
-        extras={"support": raw > _MASS_TOL},
-    )
+    return _class_result(y, raw, library, lambda uniform: counts.log(start, 1, cost, {
+        "mode": mode, "k": k, "uniform_rows": uniform, "duplicates": q - keep.size}), True,
+        support=raw > _MASS_TOL)

@@ -1,8 +1,8 @@
 """Who owns the large arrays, and what building and scoring them costs.
 
-Scoring and synthesis make no field-sized temporaries, FCLS and MESMA
-no (N, L) ones besides their outputs and one residual, and ELMM and PLMM
-no large ones besides their field and reconstruction (peaks measured
+Scoring and synthesis make no field-sized temporaries, FCLS no (N, L)
+ones besides its output and one residual, and the solvers that emit a
+field no large ones besides it and their reconstruction (peaks measured
 with ``tracemalloc``, which sees numpy's buffers); the public
 constructors copy the caller's array; every array that synthesis,
 loading and the solvers hand out is read-only."""
@@ -68,24 +68,23 @@ def test_synthesis_peak_is_its_outputs_plus_two_images():
     assert peak < outputs + 2 * truth.image_clean.data.nbytes
 
 
-@pytest.mark.parametrize("name", ["fcls", "mesma"])
-def test_fcls_and_mesma_peaks_hold_one_residual_image(name):
+def test_fcls_peak_holds_one_residual_image():
     # the reconstruction and one residual, squared in place, are the only
-    # (N, L) arrays besides the image; MESMA adds its emitted field
+    # (N, L) arrays besides the image
     truth = _scene(64, 64)
-    source = truth_variant_library(truth) if name == "mesma" else truth.endmembers.class_means().T
-    result, peak = _traced_peak(lambda: unmix(name, truth.image_noisy, source, SolverOptions()))
-    field = 0 if result.endmembers is None else result.endmembers.data.nbytes
-    assert peak < field + 2.5 * truth.image_noisy.data.nbytes
+    result, peak = _traced_peak(lambda: unmix("fcls", truth.image_noisy,
+                                              truth.endmembers.class_means().T, SolverOptions()))
+    assert peak < 2.5 * truth.image_noisy.data.nbytes
 
 
-@pytest.mark.parametrize("name", ["elmm", "plmm"])
-def test_elmm_and_plmm_peaks_hold_the_field_and_two_images(name):
+@pytest.mark.parametrize("name", ["elmm", "plmm", "mesma", "sparse-l1", "sparse-l0"])
+def test_field_peaks_hold_the_field_and_two_images(name):
     # the field is written in pixel chunks into the emitted array, and the
     # reconstruction is the one other (N, L) array the result keeps
     truth = _scene(64, 64)
-    result, peak = _traced_peak(lambda: unmix(name, truth.image_noisy,
-                                              truth.endmembers.class_means().T,
+    source = (truth_variant_library(truth) if SOLVERS[name].kind == "library"
+              else truth.endmembers.class_means().T)
+    result, peak = _traced_peak(lambda: unmix(name, truth.image_noisy, source,
                                               SolverOptions(max_iters=10)))
     assert peak < result.endmembers.data.nbytes + 2 * truth.image_noisy.data.nbytes
 

@@ -6,8 +6,10 @@ rows the statistics cannot resolve must be recomputed from the pixel;
 the DCT scaling step and the stencil smoothness term must equal their
 sparse-Laplacian forms; the solvers must follow the dense alternating
 references in ``tests/oracles.py``; every abundance step must meet its
-KKT conditions against the dense matrix it was solved for; and
-``monotone_loop`` must stop at a cost rise.
+KKT conditions against the dense matrix it was solved for;
+``monotone_loop`` must stop at a cost rise; and the results of every
+solver that emits a field, these two and the library solvers, must not
+depend on the size of the pixel chunks the field is built in.
 """
 
 import json
@@ -27,15 +29,19 @@ from varimix.solvers import (
     elmm_unmix,
     fcls_core,
     kkt_residual_simplex,
+    mesma,
     plmm_unmix,
     reconstruct,
+    sparse_su_l0,
+    sparse_su_l1,
 )
+from varimix.solvers import base
 from varimix.solvers import elmm as elmm_module
 from varimix.solvers import plmm as plmm_module
-from varimix.solvers import rankone
 from varimix.solvers.base import SolverLog, _gram, monotone_loop, residual_stats
 from varimix.solvers.elmm import _grid_degrees, _grid_solve, _grid_spatial
 from varimix.solvers.rankone import RankOneModel, RankOneState
+from varimix.synth import truth_variant_library
 from varimix.types import SpectralImage
 
 from conftest import make_scene
@@ -354,17 +360,19 @@ def test_wall_time_covers_every_phase(tmp_path, unmix):
     assert written["wall_time_s"] == log.wall_time_s and written["phases"] == log.phases
 
 
-@pytest.mark.parametrize("unmix", [elmm_unmix, plmm_unmix])
+@pytest.mark.parametrize("unmix", [elmm_unmix, plmm_unmix, mesma, sparse_su_l1, sparse_su_l0])
 def test_results_do_not_depend_on_the_chunk_size(monkeypatch, unmix):
     # seed 1: with one-row chunks, pixel 0's product would round otherwise
     truth = make_scene(n_bands=20, height=15, width=20, snr_db=25.0, seed=1)
-    image, m0 = truth.image_noisy, truth.endmembers.class_means().T
+    image = truth.image_noisy
+    source = (truth.endmembers.class_means().T if unmix in (elmm_unmix, plmm_unmix)
+              else truth_variant_library(truth))
     n = image.pixels.shape[0]
-    assert n % 7 and n > rankone._CHUNK_ROWS     # the default size leaves a partial chunk
+    assert n % 7 and n > base._CHUNK_ROWS       # the default size leaves a partial chunk
     outputs = []
-    for rows in (rankone._CHUNK_ROWS, 1, 7, n + 5):
-        monkeypatch.setattr(rankone, "_CHUNK_ROWS", rows)
-        res = unmix(image, m0, SolverOptions(max_iters=4))
+    for rows in (base._CHUNK_ROWS, 1, 7, n + 5):
+        monkeypatch.setattr(base, "_CHUNK_ROWS", rows)
+        res = unmix(image, source, opts=SolverOptions(max_iters=4))
         outputs.append([res.abundances.data, res.endmembers.data, res.reconstruction,
                         res.per_pixel_re])
     for other in outputs[1:]:

@@ -1,6 +1,7 @@
 """Per-pixel reconstructions: one stacked product whose rows keep their
 bits whatever batch they are computed in and whatever the BLAS thread
-count, within rounding of the summed products."""
+count, within rounding of the summed products; and a one-pixel image,
+solved alone, gets the bits that pixel gets in a larger image."""
 
 import os
 import subprocess
@@ -9,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from varimix.solvers import reconstruct
+from varimix.solvers import SOLVERS, SolverOptions, reconstruct, unmix
+from varimix.types import SpectralImage, SpectralLibrary
 
 EPS = np.finfo(np.float64).eps
 
@@ -60,3 +62,21 @@ for n, l, p in ((300, 200, 3), (40, 5000, 3), (6, 40000, 4)):
         outputs.append(out.stdout)
     assert len(outputs[0].split()) == 6
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["fcls", "mesma", "sparse-l1", "sparse-l0", "plmm"])
+def test_a_lone_pixel_gets_the_bits_it_gets_among_copies(name):
+    # numpy sends a one-row matrix product to gemv, which rounds otherwise
+    # than gemm, so every shared-matrix product a solver takes must not have
+    # one row; ELMM is left out, as its scaling step couples the pixels
+    rng = np.random.default_rng(2024)
+    for _ in range(10):
+        sigs = rng.uniform(0.05, 1.0, size=(9, 20))
+        library = SpectralLibrary.from_arrays(["a", "b", "c"], [sigs[0:3], sigs[3:6], sigs[6:9]])
+        source = library if SOLVERS[name].kind == "library" else sigs[[0, 3, 6]].T
+        y = rng.dirichlet(np.ones(9)) @ sigs + rng.normal(0.0, 0.01, size=20)
+        alone, copies = (unmix(name, SpectralImage(np.tile(y, (1, c, 1))), source,
+                               SolverOptions(max_iters=5)) for c in (1, 3))
+        for out in (lambda r: r.abundances.data, lambda r: r.reconstruction,
+                    lambda r: r.per_pixel_re):
+            assert all(out(alone)[0].tobytes() == row.tobytes() for row in out(copies))
