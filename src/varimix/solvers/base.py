@@ -15,8 +15,8 @@ endmember matrix; ``fcls_gram`` and ``nnls_gram`` take G and h directly,
 for solvers that build them in factored form or from library statistics,
 and also take a stack of shared Grams, each with its own rows, in one
 call.
-``monotone_loop`` drives the alternating solvers and ``timed`` fills
-their per-phase timings. ``_chunked_result`` builds the endmember field,
+``monotone_loop`` drives the alternating solvers, ``QPCounts`` records a
+solver call and builds its log, and ``_chunked_result`` builds the field,
 reconstruction and per-pixel error of every solver that emits a field.
 """
 
@@ -120,23 +120,31 @@ def _round_bound(p: int) -> int:
 
 @dataclass
 class QPCounts:
-    """Kernel work and outcome, summed over the calls it is passed to."""
+    """One solver call's kernel rounds and unsettled rows, summed over its
+    kernel calls, and seconds per phase: the kernel calls add theirs to
+    ``qp`` (a Gram build is outside), ``_chunked_result`` to ``result``,
+    a solver its own by ``timed``; phases never nest."""
 
     rounds: int = 0
     unsettled_rows: int = 0
+    phases: dict = field(default_factory=dict)
 
-    def add(self, rounds: int, open_rows: np.ndarray):
+    def add(self, rounds: int, open_rows: np.ndarray, start: float):
         self.rounds += rounds
         self.unsettled_rows += int(open_rows.size)
+        self.phases["qp"] = self.phases.get("qp", 0.0) + time.perf_counter() - start
 
     def flags(self) -> dict:
         return {"qp_rounds": self.rounds, "unsettled_rows": self.unsettled_rows}
 
-    def log(self, start: float, iterations: int, cost: float, flags=()) -> SolverLog:
-        """The log of a one-pass solver timed from ``start``: converged when
-        no kernel row is left unsettled, ``flags`` followed by the counts."""
-        return SolverLog(iterations, cost, self.unsettled_rows == 0,
-                         time.perf_counter() - start, (cost,), dict(flags, **self.flags()))
+    def log(self, start: float, iterations: int, cost: float, flags=(), history=None,
+            converged=True) -> SolverLog:
+        """Every solver's log, timed from ``start``: ``flags`` then the counts,
+        ``history`` (default: ``cost`` alone), and converged when
+        ``converged`` holds and no kernel row is left unsettled."""
+        return SolverLog(iterations, cost, converged and self.unsettled_rows == 0,
+                         time.perf_counter() - start, (cost,) if history is None else history,
+                         dict(flags, **self.flags()), self.phases)
 
 
 def _gram(y, m, lam=0.0):
@@ -425,8 +433,8 @@ def fcls_core(y: np.ndarray, m: np.ndarray, counts: Optional[QPCounts] = None):
     min ||y - M a||^2 s.t. a >= 0, sum(a) = 1.
 
     ``y`` is (N, L); ``m`` a shared (L, P) or per-pixel (N, L, P) matrix.
-    Returns (abundances, kernel rounds); ``counts`` accumulates the rounds
-    and the unsettled rows.
+    Returns (abundances, kernel rounds); ``counts`` accumulates the rounds,
+    the unsettled rows and the kernel's seconds.
     """
     return fcls_gram(*_gram(y, m), counts)
 
@@ -438,10 +446,11 @@ def fcls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None
     rows, is one call: each Gram is factored once, and every row gets the
     bits that a call on its Gram alone gives it, barring prices equal to
     rounding (``_climb``)."""
+    start = time.perf_counter()
     a, rounds, open_rows = _active_set(gram, h, simplex=True)
     a /= a.sum(axis=-1, keepdims=True)
     if counts is not None:
-        counts.add(rounds, open_rows)
+        counts.add(rounds, open_rows, start)
     return a, rounds
 
 
@@ -456,23 +465,25 @@ def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.matmul(m, a[:, :, None])[:, :, 0]
 
 
-def _chunked_result(y: np.ndarray, a: np.ndarray, fill):
+def _chunked_result(y: np.ndarray, a: np.ndarray, fill, counts: QPCounts):
     """The (N, L, P) endmember field of emitted abundances ``a``, its
     reconstruction, the summed squared residual (exactly rounded sum of
     the chunk sums) and ``per_pixel_re``, built ``_CHUNK_ROWS`` pixels at
-    a time: ``fill(lo, hi, out)`` writes the field of pixels lo:hi into
-    ``out``, a view of the returned array, so the call holds O(chunk)
-    temporaries besides its outputs. A pixel's bits do not depend on the
-    chunk size when ``fill``'s products keep each row's bits."""
+    a time, timed as ``counts``' phase ``result``: ``fill(lo, hi, out)``
+    writes the field of pixels lo:hi into ``out``, a view of the returned
+    array, so the call holds O(chunk) temporaries besides its outputs. A
+    pixel's bits do not depend on the chunk size when ``fill``'s products
+    keep each row's bits."""
     (n, l), p = y.shape, a.shape[1]
     field, recon, re = np.empty((n, l, p)), np.empty((n, l)), np.empty(n)
     sums = []
-    for lo in range(0, n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n)
-        fill(lo, hi, field[lo:hi])
-        recon[lo:hi] = reconstruct(field[lo:hi], a[lo:hi])
-        total, re[lo:hi] = residual_stats(y[lo:hi], recon[lo:hi])
-        sums.append(total)
+    with timed(counts.phases, "result"):
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            fill(lo, hi, field[lo:hi])
+            recon[lo:hi] = reconstruct(field[lo:hi], a[lo:hi])
+            total, re[lo:hi] = residual_stats(y[lo:hi], recon[lo:hi])
+            sums.append(total)
     return field, recon, re, math.fsum(sums)
 
 
@@ -492,9 +503,10 @@ def nnls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None
 
     for all pixels, in Gram form with ``h`` = M'y - lam; shapes, return
     value and ``counts`` as in ``fcls_gram``."""
+    start = time.perf_counter()
     a, rounds, open_rows = _active_set(gram, h, simplex=False)
     if counts is not None:
-        counts.add(rounds, open_rows)
+        counts.add(rounds, open_rows, start)
     return a, rounds
 
 
@@ -543,11 +555,5 @@ def monotone_loop(initial_state, step_fn, cost_fn, max_iters, tol):
         if rel < tol or c <= _ZERO_COST_FLOOR:
             converged = True
             break
-    log = SolverLog(
-        iterations=len(history) - 1,
-        final_cost=c,
-        converged=converged,
-        cost_history=tuple(history),
-        flags={"cost_rises": rises, "cap_hit": int(not (converged or rises))},
-    )
-    return state, log
+    return state, SolverLog(len(history) - 1, c, converged, cost_history=tuple(history),
+                            flags={"cost_rises": rises, "cap_hit": int(not (converged or rises))})

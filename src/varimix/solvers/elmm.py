@@ -92,19 +92,18 @@ def elmm_unmix(
     n, p = y.shape[0], core.m0.shape[1]
     grid = (image.height, image.width, p)
     deg = _grid_degrees(image.height, image.width)
-    with timed(core.phases, "qp"):
-        a0, _ = fcls_gram(core.g0, core.ym0, core.counts)
+    a0, _ = fcls_gram(core.g0, core.ym0, core.counts)
 
     def step(s):
         new = core.step(s)
-        with timed(core.phases, "psi"):
+        with timed(core.counts.phases, "psi"):
             rhs = lam_m * (s.psi * core.col_sq + new.a * new.w)
             psi = _grid_solve(rhs.reshape(grid), lam_m * core.col_sq, lam_psi).reshape(n, p)
             np.clip(psi, _PSI_FLOOR, None, out=psi)
         return replace(new, psi=psi)
 
     def cost(s):
-        with timed(core.phases, "cost"):
+        with timed(core.counts.phases, "cost"):
             return core.cost(s) + lam_psi * _grid_spatial(s.psi, deg)
 
     state, log = monotone_loop(core.start(a0, np.ones((n, p))), step, cost,

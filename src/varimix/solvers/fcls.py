@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, SpectralImage
-from .base import QPCounts, SolverOptions, UnmixingResult, fcls_core, reconstruct, residual_stats
+from .base import (QPCounts, SolverOptions, UnmixingResult, fcls_core, reconstruct, residual_stats,
+                   timed)
 
 
 def fcls(
@@ -33,7 +34,8 @@ def fcls(
     y = image.pixels
     counts = QPCounts()
     a, rounds = fcls_core(y, m, counts)
-    recon = reconstruct(m, a)
-    cost, re = residual_stats(y, recon)
+    with timed(counts.phases, "result"):
+        recon = reconstruct(m, a)
+        cost, re = residual_stats(y, recon)
     return UnmixingResult(AbundanceMap(a, sum_to_one=True), re, recon,
                           counts.log(start, rounds, cost))

@@ -82,7 +82,7 @@ def mesma(
         for cls in range(p):
             f[:, :, cls] = clamped[cls][best_model[lo:hi, cls]]
 
-    fields, recon, re, cost = _chunked_result(y, best_a, fill)
+    fields, recon, re, cost = _chunked_result(y, best_a, fill, counts)
     log = counts.log(start, models_tried, cost, {
         "models_enumerated": models_tried, "early_stop": re_threshold is not None,
         "duplicates": sum(sizes) - sum(k.size for k in keep)})

@@ -40,11 +40,10 @@ def plmm_unmix(
     y = image.pixels
     gamma = opts.gamma_plmm
     core = RankOneModel(y, ref_matrix, gamma)
-    with timed(core.phases, "qp"):
-        a0, _ = fcls_gram(core.g0, core.ym0, core.counts)
+    a0, _ = fcls_gram(core.g0, core.ym0, core.counts)
 
     def cost(s):
-        with timed(core.phases, "cost"):
+        with timed(core.counts.phases, "cost"):
             return core.cost(s)
 
     state, log = monotone_loop(core.start(a0, np.ones_like(a0)), core.step, cost,

@@ -24,14 +24,13 @@ settles most pixels in its first round, on the full face.
 The image is thus read only by ``__init__``, for the rows fitted to
 within ``_RECOMPUTE``, and by ``result``, which takes u from the pixels
 and writes the clamped (N, L, P) field through ``base._chunked_result``,
-inside the solver's log. Products of pixel rows with M0 or G0 are taken
+within the solver's wall time. Products of pixel rows with M0 or G0 are taken
 by ``_row_product``, so a lone pixel's PLMM result has the bits that
 pixel gets in a larger image.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +59,8 @@ class RankOneState:
 
 class RankOneModel:
     """Factored algebra of sum_n ||y_n - M_n a_n||^2 + lam ||M_n - M0 diag(psi_n)||_F^2,
-    with the kernel counts, recomputed rows and per-phase seconds of one
-    solver call."""
+    with the record (kernel counts and phase seconds) and recomputed rows
+    of one solver call."""
 
     def __init__(self, y: np.ndarray, ref_matrix, lam: float):
         m0 = np.asarray(ref_matrix, dtype=np.float64)
@@ -76,13 +75,12 @@ class RankOneModel:
         self.col_sq = np.sum(m0**2, axis=0)
         self.counts = QPCounts()
         self.recomputed_rows = 0
-        self.phases = {}
 
     def start(self, a, psi) -> RankOneState:
         """State with field M0 diag(psi) and abundances ``a``; its fit comes
         from the statistics by the rule of ``update`` and, like that step,
         is timed as ``endmember``."""
-        with timed(self.phases, "endmember"):
+        with timed(self.counts.phases, "endmember"):
             fit = self._residual(psi * a)[2]
         zero = np.zeros(psi.shape[0])
         return RankOneState(a, psi, psi, np.zeros_like(psi), zero, zero, fit, start=True)
@@ -133,10 +131,8 @@ class RankOneModel:
     def step(self, s: RankOneState) -> RankOneState:
         """Abundance step against each pixel's current M_n, then the
         endmember step at the state's scalings."""
-        with timed(self.phases, "qp"):
-            g, h = self.gram(s)
-            a, _ = fcls_gram(g, h, self.counts)
-        with timed(self.phases, "endmember"):
+        a, _ = fcls_gram(*self.gram(s), self.counts)
+        with timed(self.counts.phases, "endmember"):
             return self.update(a, s.psi)
 
     def cost(self, s: RankOneState) -> float:
@@ -147,32 +143,28 @@ class RankOneModel:
                + s.uu @ np.einsum("np,np->n", s.a, s.a))
         return float(np.sum(s.fit) + self.lam * tie)
 
-    def result(self, s: RankOneState, log: SolverLog, start: float, flags: dict,
+    def result(self, s: RankOneState, loop: SolverLog, start: float, flags: dict,
                extras: dict) -> UnmixingResult:
-        """The solver's output, built by ``_chunked_result`` in phase
-        ``result``: per chunk, u (zero in a start state) from the pixels and
-        the field psi_m_j m0_j + u a_j, clamped. Then the log is completed,
-        timed from ``start``."""
-        with timed(self.phases, "result"):
-            c = self.lam + np.einsum("np,np->n", s.a, s.a)
+        """The solver's output, built by ``_chunked_result``: per chunk, u
+        (zero in a start state) from the pixels and the field psi_m_j m0_j +
+        u a_j, clamped. Its log, timed from ``start``, is ``QPCounts.log``
+        of the ``loop``'s outcome, after ``flags`` and the recomputed rows."""
+        c = self.lam + np.einsum("np,np->n", s.a, s.a)
 
-            def fill(lo, hi, f):
-                y, a = self.y[lo:hi], s.a[lo:hi]
-                if s.start:
-                    u = np.zeros_like(y)
-                else:
-                    u = (y - _row_product(s.psi_m[lo:hi] * a, self.m0.T)) / c[lo:hi, None]
-                for j in range(a.shape[1]):
-                    np.multiply(s.psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
-                    f[:, :, j] += u * a[:, j, None]
-                np.clip(f, 0.0, None, out=f)
+        def fill(lo, hi, f):
+            y, a = self.y[lo:hi], s.a[lo:hi]
+            if s.start:
+                u = np.zeros_like(y)
+            else:
+                u = (y - _row_product(s.psi_m[lo:hi] * a, self.m0.T)) / c[lo:hi, None]
+            for j in range(a.shape[1]):
+                np.multiply(s.psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
+                f[:, :, j] += u * a[:, j, None]
+            np.clip(f, 0.0, None, out=f)
 
-            field, recon, re, _ = _chunked_result(self.y, s.a, fill)
-            out = UnmixingResult(AbundanceMap(s.a, sum_to_one=True), re, recon, log,
-                                 EndmemberField(_Adopt(field)), extras=extras)
-        log.converged = log.converged and self.counts.unsettled_rows == 0
-        log.wall_time_s = time.perf_counter() - start
-        log.flags = {**flags, **self.counts.flags(), "recomputed_rows": self.recomputed_rows,
-                     **log.flags}
-        log.phases = self.phases
-        return out
+        field, recon, re, _ = _chunked_result(self.y, s.a, fill, self.counts)
+        log = self.counts.log(start, loop.iterations, loop.final_cost,
+                              {**flags, "recomputed_rows": self.recomputed_rows, **loop.flags},
+                              loop.cost_history, loop.converged)
+        return UnmixingResult(AbundanceMap(s.a, sum_to_one=True), re, recon, log,
+                              EndmemberField(_Adopt(field)), extras=extras)

@@ -39,13 +39,15 @@ _MASS_TOL = 1e-9
 L0_SUPPORT_BUDGET = 10**4
 
 
-def _class_result(y, raw, library, make_log, raw_sum_to_one, **extras) -> UnmixingResult:
+def _class_result(y, raw, library, counts, start, iterations, flags, cost=None,
+                  raw_sum_to_one=False) -> UnmixingResult:
     """The result of raw library abundances, columns named class:index:
     each class's mass, normalized over the classes (rows with no mass
-    become uniform, and ``make_log`` gets their count to build the log),
-    and the field of each class's abundance-weighted mean signature (the
-    class mean where it has no mass), built by ``_chunked_result``. The
-    reconstruction is taken from that unclamped field, clamped after."""
+    become uniform, counted before ``flags`` in the log), and the field of
+    each class's abundance-weighted mean signature (the class mean where
+    it has no mass), built by ``_chunked_result``. The reconstruction is
+    taken from that unclamped field, clamped after; its summed squared
+    residual is the logged cost when ``cost`` is None."""
     bounds = np.cumsum([0, *library.sizes])
     classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     mass = np.stack([raw[:, cols].sum(axis=1) for cols in classes], axis=1)
@@ -61,16 +63,16 @@ def _class_result(y, raw, library, make_log, raw_sum_to_one, **extras) -> Unmixi
                       out=f[:, :, j], where=safe)
             np.copyto(f[:, :, j], means[j], where=~safe)
 
-    field, recon, re, _ = _chunked_result(y, collapsed, fill)
+    field, recon, re, fit = _chunked_result(y, collapsed, fill, counts)
     names = tuple(f"{cls.name}:{i}" for cls in library.classes for i in range(cls.size))
     return UnmixingResult(
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
         per_pixel_re=re,
         reconstruction=recon,
-        solver_log=make_log(int(np.sum(total <= _MASS_TOL))),
+        solver_log=counts.log(start, iterations, fit if cost is None else cost,
+                              {"uniform_rows": int(np.sum(total <= _MASS_TOL)), **flags}),
         endmembers=EndmemberField(_Adopt(np.clip(field, 0.0, None, out=field))),
         raw_abundances=AbundanceMap(raw, sum_to_one=raw_sum_to_one, class_names=names),
-        extras=extras,
     )
 
 
@@ -136,14 +138,15 @@ def sparse_su_l1(
     lam = opts.lambda_sparse
     keep = distinct_rows(flat)                  # original column per distinct one
     distinct = flat[keep]
-    gram, ys, _ = library_stats(y, distinct)
+    gram, ys, yy = library_stats(y, distinct)
     counts = QPCounts()
     a, rounds = nnls_gram(gram, ys - lam, counts)
     raw = np.zeros((y.shape[0], flat.shape[0]))
     raw[:, keep] = a
-    cost = float(0.5 * np.sum((y - a @ distinct) ** 2) + lam * a.sum())
-    return _class_result(y, raw, library, lambda uniform: counts.log(start, rounds, cost, {
-        "uniform_rows": uniform, "lambda": lam, "duplicates": flat.shape[0] - keep.size}), False)
+    r2 = yy + np.einsum("np,np->n", _row_product(a, gram) - 2.0 * ys, a)   # from the statistics
+    cost = float(0.5 * np.maximum(r2, 0.0).sum() + lam * a.sum())
+    return _class_result(y, raw, library, counts, start, rounds,
+                         {"lambda": lam, "duplicates": flat.shape[0] - keep.size}, cost=cost)
 
 
 def _greedy_supports(gram: np.ndarray, ys: np.ndarray, k: int, counts: QPCounts):
@@ -209,8 +212,7 @@ def sparse_su_l0(
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")
     flat, _ = library.flatten()
-    m = flat.T
-    q = m.shape[1]
+    q = flat.shape[0]
     k = library.n_classes if k is None else int(k)
     if not (1 <= k <= q):
         raise ValueError(f"k must lie in [1, {q}]")
@@ -244,8 +246,5 @@ def sparse_su_l0(
     raw = np.zeros((n, q))
     r, slot = np.nonzero(cols >= 0)
     raw[r, keep[cols[r, slot]]] = a[r, slot]
-
-    cost = float(np.sum((y - raw @ m.T) ** 2))
-    return _class_result(y, raw, library, lambda uniform: counts.log(start, 1, cost, {
-        "mode": mode, "k": k, "uniform_rows": uniform, "duplicates": q - keep.size}), True,
-        support=raw > _MASS_TOL)
+    return _class_result(y, raw, library, counts, start, 1,
+                         {"mode": mode, "k": k, "duplicates": q - keep.size}, raw_sum_to_one=True)

@@ -42,3 +42,16 @@ def make_scene(
     )
     return synthesize_scene(base, ab, var, snr_db=snr_db, seed=seed,
                             height=height, width=width)
+
+
+def bench_scene(height, width, bands=200, seed=5):
+    """A scene of the benchmark's family: three classes, three variability
+    modes, a smooth abundance field, 30 dB."""
+    modes = (ClassVariability("hapke", mu1_range=(0.6, 1.0), mu2_range=(0.6, 1.0)),
+             ClassVariability("atmospheric", mu1_range=(0.4, 1.0)),
+             ClassVariability("elmm_scaling", scale_range=(0.75, 1.25)))
+    return synthesize_scene(synthetic_base_spectra(bands, 3, seed=123),
+                            AbundanceFieldConfig(generator="grf", correlation_length=6,
+                                                 sharpness=0.08, pure_pixel_fraction=0.03),
+                            VariabilityConfig(modes, n_variants=5), snr_db=30.0, seed=seed,
+                            height=height, width=width)

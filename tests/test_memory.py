@@ -16,30 +16,10 @@ from varimix.bench import eval_result
 from varimix.io import (load_endmember_field, load_image, load_library, load_scene, save_library,
                         save_scene)
 from varimix.solvers import ALGORITHMS, SOLVERS, SolverOptions, plmm_unmix, unmix
-from varimix.synth import (
-    AbundanceFieldConfig,
-    ClassVariability,
-    VariabilityConfig,
-    synthesize_scene,
-    synthetic_base_spectra,
-    truth_variant_library,
-)
+from varimix.synth import truth_variant_library
 from varimix.types import EndmemberField, LibraryClass, SpectralImage, SpectralLibrary
 
-from conftest import make_scene
-
-
-def _scene(height, width, bands=200):
-    """A scene of the benchmark's family: three classes, three variability
-    modes, a smooth abundance field, 30 dB."""
-    modes = (ClassVariability("hapke", mu1_range=(0.6, 1.0), mu2_range=(0.6, 1.0)),
-             ClassVariability("atmospheric", mu1_range=(0.4, 1.0)),
-             ClassVariability("elmm_scaling", scale_range=(0.75, 1.25)))
-    return synthesize_scene(synthetic_base_spectra(bands, 3, seed=123),
-                            AbundanceFieldConfig(generator="grf", correlation_length=6,
-                                                 sharpness=0.08, pure_pixel_fraction=0.03),
-                            VariabilityConfig(modes, n_variants=5), snr_db=30.0, seed=5,
-                            height=height, width=width)
+from conftest import bench_scene, make_scene
 
 
 def _traced_peak(fn):
@@ -53,7 +33,7 @@ def _traced_peak(fn):
 
 
 def test_eval_result_peak_is_a_fraction_of_the_field():
-    truth = _scene(64, 64)
+    truth = bench_scene(64, 64)
     means = truth.endmembers.class_means()[[2, 0, 1]]      # the result's classes permuted
     result = plmm_unmix(truth.image_noisy, means.T, SolverOptions(max_iters=2, gamma_plmm=0.1))
     row, peak = _traced_peak(lambda: eval_result(truth, result, class_means=means))
@@ -62,7 +42,7 @@ def test_eval_result_peak_is_a_fraction_of_the_field():
 
 
 def test_synthesis_peak_is_its_outputs_plus_two_images():
-    truth, peak = _traced_peak(lambda: _scene(64, 64))
+    truth, peak = _traced_peak(lambda: bench_scene(64, 64))
     outputs = sum(a.nbytes for a in (truth.image_noisy.data, truth.image_clean.data,
                                      truth.abundances.data, truth.endmembers.data))
     assert peak < outputs + 2 * truth.image_clean.data.nbytes
@@ -71,7 +51,7 @@ def test_synthesis_peak_is_its_outputs_plus_two_images():
 def test_fcls_peak_holds_one_residual_image():
     # the reconstruction and one residual, squared in place, are the only
     # (N, L) arrays besides the image
-    truth = _scene(64, 64)
+    truth = bench_scene(64, 64)
     result, peak = _traced_peak(lambda: unmix("fcls", truth.image_noisy,
                                               truth.endmembers.class_means().T, SolverOptions()))
     assert peak < 2.5 * truth.image_noisy.data.nbytes
@@ -81,7 +61,7 @@ def test_fcls_peak_holds_one_residual_image():
 def test_field_peaks_hold_the_field_and_two_images(name):
     # the field is written in pixel chunks into the emitted array, and the
     # reconstruction is the one other (N, L) array the result keeps
-    truth = _scene(64, 64)
+    truth = bench_scene(64, 64)
     source = (truth_variant_library(truth) if SOLVERS[name].kind == "library"
               else truth.endmembers.class_means().T)
     result, peak = _traced_peak(lambda: unmix(name, truth.image_noisy, source,

@@ -7,9 +7,11 @@ the DCT scaling step and the stencil smoothness term must equal their
 sparse-Laplacian forms; the solvers must follow the dense alternating
 references in ``tests/oracles.py``; every abundance step must meet its
 KKT conditions against the dense matrix it was solved for;
-``monotone_loop`` must stop at a cost rise; and the results of every
-solver that emits a field, these two and the library solvers, must not
-depend on the size of the pixel chunks the field is built in.
+``monotone_loop`` must stop at a cost rise; every solver's log must time
+its kernel calls and result assembly, within its wall time; and the
+results of every solver that emits a field, these two and the library
+solvers, must not depend on the size of the pixel chunks the field is
+built in.
 """
 
 import json
@@ -25,8 +27,10 @@ from scipy.sparse.linalg import spsolve
 
 from varimix.io import save_result
 from varimix.solvers import (
+    SOLVERS,
     SolverOptions,
     elmm_unmix,
+    fcls,
     fcls_core,
     kkt_residual_simplex,
     mesma,
@@ -34,6 +38,7 @@ from varimix.solvers import (
     reconstruct,
     sparse_su_l0,
     sparse_su_l1,
+    unmix,
 )
 from varimix.solvers import base
 from varimix.solvers import elmm as elmm_module
@@ -334,45 +339,58 @@ def test_monotone_loop_convergence_and_cap():
     assert zero.converged and zero.iterations == 0 and zero.flags["cap_hit"] == 0
 
 
+SOLVER_FNS = [fcls, mesma, sparse_su_l1, sparse_su_l0, elmm_unmix, plmm_unmix]
+
+
+def _unmix_small(solver, seed):
+    """(name, result) of ``solver`` called through ``unmix`` on a small
+    scene: matrix solvers on the class means, library solvers on the
+    realized variants."""
+    truth = make_scene(n_bands=20, height=5, width=6, snr_db=25.0, seed=seed)
+    name = next(k for k, s in SOLVERS.items() if s.fn is solver)
+    source = (truth.endmembers.class_means().T if SOLVERS[name].kind == "matrix"
+              else truth_variant_library(truth))
+    return name, unmix(name, truth.image_noisy, source, SolverOptions(max_iters=4))
+
+
 def test_logs_report_phases_and_loop_flags(tmp_path):
-    image, m0 = _small_scene(6)
-    e = elmm_unmix(image, m0, SolverOptions(max_iters=4))
-    p = plmm_unmix(image, m0, SolverOptions(max_iters=4))
-    assert set(e.solver_log.phases) == {"qp", "endmember", "psi", "cost", "result"}
-    assert set(p.solver_log.phases) == {"qp", "endmember", "cost", "result"}
-    for name, result in (("elmm", e), ("plmm", p)):
+    loop_phases = {"elmm": {"endmember", "psi", "cost"}, "plmm": {"endmember", "cost"}}
+    for solver in SOLVER_FNS:
+        name, result = _unmix_small(solver, 6)
         log = result.solver_log
+        assert set(log.phases) == {"qp", "result"} | loop_phases.get(name, set()), name
         assert all(v >= 0.0 for v in log.phases.values())
-        assert log.flags["cost_rises"] == 0
-        assert log.flags["cap_hit"] == int(log.iterations == 4 and not log.converged)
+        if name in loop_phases:
+            assert log.flags["cost_rises"] == 0
+            assert log.flags["cap_hit"] == int(log.iterations == 4 and not log.converged)
         written = json.loads((save_result(result, tmp_path / name) / "solver_log.json").read_text())
         assert written["phases"] == log.phases and written["flags"] == log.flags
 
 
-@pytest.mark.parametrize("unmix", [elmm_unmix, plmm_unmix])
-def test_wall_time_covers_every_phase(tmp_path, unmix):
-    image, m0 = _small_scene(7)
-    result = unmix(image, m0, SolverOptions(max_iters=4))
+@pytest.mark.parametrize("solver", SOLVER_FNS)
+def test_wall_time_covers_every_phase(tmp_path, solver):
+    _, result = _unmix_small(solver, 7)
     log = result.solver_log
-    assert "result" in log.phases
+    assert {"qp", "result"} <= log.phases.keys()
+    assert all(v >= 0.0 for v in log.phases.values())
     assert log.wall_time_s >= sum(log.phases.values())
     written = json.loads((save_result(result, tmp_path) / "solver_log.json").read_text())
     assert written["wall_time_s"] == log.wall_time_s and written["phases"] == log.phases
 
 
-@pytest.mark.parametrize("unmix", [elmm_unmix, plmm_unmix, mesma, sparse_su_l1, sparse_su_l0])
-def test_results_do_not_depend_on_the_chunk_size(monkeypatch, unmix):
+@pytest.mark.parametrize("solver", [elmm_unmix, plmm_unmix, mesma, sparse_su_l1, sparse_su_l0])
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch, solver):
     # seed 1: with one-row chunks, pixel 0's product would round otherwise
     truth = make_scene(n_bands=20, height=15, width=20, snr_db=25.0, seed=1)
     image = truth.image_noisy
-    source = (truth.endmembers.class_means().T if unmix in (elmm_unmix, plmm_unmix)
+    source = (truth.endmembers.class_means().T if solver in (elmm_unmix, plmm_unmix)
               else truth_variant_library(truth))
     n = image.pixels.shape[0]
     assert n % 7 and n > base._CHUNK_ROWS       # the default size leaves a partial chunk
     outputs = []
     for rows in (base._CHUNK_ROWS, 1, 7, n + 5):
         monkeypatch.setattr(base, "_CHUNK_ROWS", rows)
-        res = unmix(image, source, opts=SolverOptions(max_iters=4))
+        res = solver(image, source, opts=SolverOptions(max_iters=4))
         outputs.append([res.abundances.data, res.endmembers.data, res.reconstruction,
                         res.per_pixel_re])
     for other in outputs[1:]:

@@ -9,8 +9,10 @@ from varimix.solvers import (
     sparse_su_l0,
     sparse_su_l1,
 )
+from varimix.synth import truth_variant_library
 from varimix.types import BudgetError, SpectralImage, SpectralLibrary
 
+from conftest import bench_scene, make_scene
 from oracles import cd_l1_oracle
 
 
@@ -149,3 +151,33 @@ class TestSparseL0:
             sparse_su_l0(_image(rng.uniform(0, 1, (2, 24))), lib, k=0)
         with pytest.raises(ValueError):
             sparse_su_l0(_image(rng.uniform(0, 1, (2, 24))), lib, k=99)
+
+
+def test_logged_costs_are_the_objectives_at_the_pixels():
+    """L1 logs its objective from the library statistics, L0 the summed
+    squared residual of its result; both must equal the objective
+    computed from the pixels."""
+    truth = bench_scene(24, 24, bands=100)
+    image, lib = truth.image_noisy, truth_variant_library(truth)
+    y, d = image.pixels, lib.flatten()[0]
+    lam = 1e-3
+    l1 = sparse_su_l1(image, lib, SolverOptions(lambda_sparse=lam))
+    a = l1.raw_abundances.data
+    ref = 0.5 * np.sum((y - a @ d) ** 2) + lam * a.sum()
+    assert abs(l1.solver_log.final_cost - ref) <= 1e-12 * ref
+    for mode, k in (("greedy", 3), ("exhaustive", 2)):
+        l0 = sparse_su_l0(image, lib, k=k, mode=mode)
+        ref = np.sum((y - l0.raw_abundances.data @ d) ** 2)
+        assert abs(l0.solver_log.final_cost - ref) <= 1e-12 * ref, mode
+
+
+def test_logged_costs_are_nonnegative_on_an_exact_fit():
+    # noiseless, one variant per class: the library fits every pixel
+    # exactly, and L1's squared residuals from the statistics sum below
+    # zero unless each is clamped
+    truth = make_scene(n_bands=30, n_variants=1)
+    image, lib = truth.image_noisy, truth_variant_library(truth)
+    scale = np.sum(image.pixels ** 2)
+    for res in (sparse_su_l1(image, lib, SolverOptions(lambda_sparse=0.0)),
+                sparse_su_l0(image, lib, k=3, mode="exhaustive")):
+        assert 0.0 <= res.solver_log.final_cost <= 1e-12 * scale
