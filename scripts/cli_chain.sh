@@ -2,7 +2,8 @@
 # The README's command-line chain on a tiny scene, through `python -m varimix`:
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
-# and greedy and exhaustive sparse-l0.
+# and greedy and exhaustive sparse-l0; then checks that a refused value (sparse-l0
+# with --k 0) ends in one `error:` line on stderr, exit code 2 and no output.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -51,3 +52,12 @@ python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --
     --out result_l0/
 python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 2 \
     --l0-mode exhaustive --out result_l0x/
+
+status=0
+err="$(python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 0 \
+    --out refused/ 2>&1 >/dev/null)" || status=$?
+if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 || "$err" != "error: k must lie"* \
+      || -e refused ]]; then
+    echo "cli_chain: --k 0 was not refused as expected (exit $status): $err" >&2
+    exit 1
+fi

@@ -26,7 +26,7 @@ from .io import load_config, load_library, resolve_image, save_library, save_res
 from .libops import METHODS, build_transform, prune
 from .solvers import ALGORITHMS, SOLVERS, SolverOptions, unmix
 from .synth import SceneConfig, synthesize_from_config
-from .types import FormatError
+from .types import BudgetError, FormatError
 
 
 def _read_config(build, path):
@@ -47,19 +47,15 @@ def _cmd_synth(args) -> int:
 
 def _cmd_extract(args) -> int:
     image = resolve_image(args.image)
-    try:
-        cfg = BundleExtractionConfig(
-            n_classes=args.classes,
-            num_runs=args.runs,
-            subset_size=args.subset,
-            with_replacement=not args.no_replacement,
-            cluster_metric=args.metric,
-            seed=args.seed,
-        )
-        library = extract_bundles(image, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = BundleExtractionConfig(
+        n_classes=args.classes,
+        num_runs=args.runs,
+        subset_size=args.subset,
+        with_replacement=not args.no_replacement,
+        cluster_metric=args.metric,
+        seed=args.seed,
+    )
+    library = extract_bundles(image, cfg)
     save_library(library, args.out)
     print(f"library with {sum(library.sizes)} signatures in {library.n_classes} "
           f"classes written to {args.out}")
@@ -200,10 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run a command; a refused value (``ValueError``, ``BudgetError``) or a
+    missing input file ends it with ``error: ...`` and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError) as exc:
+    except (ValueError, BudgetError, FileNotFoundError) as exc:
         msg = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2

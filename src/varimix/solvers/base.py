@@ -120,14 +120,16 @@ def _round_bound(p: int) -> int:
 
 @dataclass
 class QPCounts:
-    """One solver call's kernel rounds and unsettled rows, summed over its
-    kernel calls, and seconds per phase: the kernel calls add theirs to
-    ``qp`` (a Gram build is outside), ``_chunked_result`` to ``result``,
-    a solver its own by ``timed``; phases never nest."""
+    """One solver call's record, made first in the call: ``start`` is when
+    it began; kernel rounds and unsettled rows summed over its kernel
+    calls; seconds per phase: the kernel calls add theirs to ``qp`` (a
+    Gram build is outside), ``_chunked_result`` to ``result``, a solver
+    its own by ``timed``; phases never nest."""
 
     rounds: int = 0
     unsettled_rows: int = 0
     phases: dict = field(default_factory=dict)
+    start: float = field(default_factory=time.perf_counter)
 
     def add(self, rounds: int, open_rows: np.ndarray, start: float):
         self.rounds += rounds
@@ -137,13 +139,13 @@ class QPCounts:
     def flags(self) -> dict:
         return {"qp_rounds": self.rounds, "unsettled_rows": self.unsettled_rows}
 
-    def log(self, start: float, iterations: int, cost: float, flags=(), history=None,
+    def log(self, iterations: int, cost: float, flags=(), history=None,
             converged=True) -> SolverLog:
-        """Every solver's log, timed from ``start``: ``flags`` then the counts,
-        ``history`` (default: ``cost`` alone), and converged when
+        """Every solver's log, timed from ``start`` to now: ``flags`` then
+        the counts, ``history`` (default: ``cost`` alone), and converged when
         ``converged`` holds and no kernel row is left unsettled."""
         return SolverLog(iterations, cost, converged and self.unsettled_rows == 0,
-                         time.perf_counter() - start, (cost,) if history is None else history,
+                         time.perf_counter() - self.start, (cost,) if history is None else history,
                          dict(flags, **self.flags()), self.phases)
 
 

@@ -11,7 +11,8 @@ with simplex abundances and positive scalings (clamped at 1e-6). The
 abundance step is a per-pixel constrained least squares, the endmember
 step the closed-form rank-one update M_n = M0 diag(psi_n) + u_n a_n',
 and the scaling step one grid system per class, solved for all classes
-at once in the DCT-II basis, where the grid Laplacian is diagonal.
+at once in the DCT-II basis, where the grid Laplacian is diagonal. The
+cost takes the smoothness term from the neighbor differences themselves.
 
 The loop runs on the per-pixel statistics of ``rankone``, from its FCLS
 start on them to the last cost: O(N P) memory, and the (N, L) image is
@@ -21,7 +22,6 @@ built once, in chunks of pixels, by ``base._chunked_result``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -47,27 +47,11 @@ def _grid_solve(rhs: np.ndarray, diag: np.ndarray, lam_psi: float) -> np.ndarray
     return idctn(coef, axes=(0, 1), norm="ortho")
 
 
-def _grid_degrees(height: int, width: int) -> np.ndarray:
-    """Neighbor count of each node of the H x W 4-neighbor grid."""
-    deg = np.zeros((height, width))
-    for near in (deg[1:], deg[:-1], deg[:, 1:], deg[:, :-1]):
-        near += 1.0
-    return deg
-
-
-def _grid_spatial(psi: np.ndarray, deg: np.ndarray) -> float:
-    """sum_j psi_j' L psi_j for (N, P) scalings on the grid with node
-    degrees ``deg`` (``_grid_degrees``); L psi is the 4-neighbor stencil
-    summed in increasing neighbor index, which rounds as a sparse product
-    with L does. The stencil runs on one contiguous (H, W) plane per class."""
-    g = psi.T.reshape(-1, *deg.shape)
-    lg = np.zeros_like(g)
-    lg[:, 1:] -= g[:, :-1]
-    lg[:, :, 1:] -= g[:, :, :-1]
-    lg += deg * g
-    lg[:, :, :-1] -= g[:, :, 1:]
-    lg[:, :-1] -= g[:, 1:]
-    return sum(float(psi[:, j] @ lg[j].ravel()) for j in range(psi.shape[1]))
+def _grid_spatial(psi: np.ndarray, height: int, width: int) -> float:
+    """sum over 4-neighbor pairs of ||psi_n - psi_n'||^2 for (N, P) scalings
+    on the H x W grid, from the differences along both grid axes."""
+    g = psi.reshape(height, width, -1)
+    return float(np.sum(np.diff(g, axis=0) ** 2) + np.sum(np.diff(g, axis=1) ** 2))
 
 
 def elmm_unmix(
@@ -83,7 +67,6 @@ def elmm_unmix(
     field is clamped to be nonnegative; the solver state is not.
     ``extras["psi"]`` holds the scalings; the log times the whole call.
     """
-    start = time.perf_counter()
     y = image.pixels
     lam_m, lam_psi = opts.lambda_m, opts.lambda_psi
     core = RankOneModel(y, ref_matrix, lam_m)
@@ -91,7 +74,6 @@ def elmm_unmix(
         raise ValueError("ref_matrix has a zero column")
     n, p = y.shape[0], core.m0.shape[1]
     grid = (image.height, image.width, p)
-    deg = _grid_degrees(image.height, image.width)
     a0, _ = fcls_gram(core.g0, core.ym0, core.counts)
 
     def step(s):
@@ -104,9 +86,9 @@ def elmm_unmix(
 
     def cost(s):
         with timed(core.counts.phases, "cost"):
-            return core.cost(s) + lam_psi * _grid_spatial(s.psi, deg)
+            return core.cost(s) + lam_psi * _grid_spatial(s.psi, image.height, image.width)
 
     state, log = monotone_loop(core.start(a0, np.ones((n, p))), step, cost,
                                opts.max_iters, opts.tol)
-    return core.result(state, log, start, {"lambda_m": lam_m, "lambda_psi": lam_psi},
+    return core.result(state, log, {"lambda_m": lam_m, "lambda_psi": lam_psi},
                        {"psi": state.psi})

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 import warnings
 
 import numpy as np
@@ -24,18 +23,17 @@ def fcls(
     below that rank a warning is raised. The result carries no endmember
     field: the baseline does not estimate per-pixel signatures.
     """
+    counts = QPCounts()
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != image.n_bands:
         raise DimensionError("matrix must be (L, P) matching the image bands")
     p = m.shape[1]
     if np.linalg.matrix_rank(np.vstack([m, np.ones(p)])) < p:
         warnings.warn(f"[M; 1'] has rank below P = {p}: abundances are not unique")
-    start = time.perf_counter()
     y = image.pixels
-    counts = QPCounts()
     a, rounds = fcls_core(y, m, counts)
     with timed(counts.phases, "result"):
         recon = reconstruct(m, a)
         cost, re = residual_stats(y, recon)
     return UnmixingResult(AbundanceMap(a, sum_to_one=True), re, recon,
-                          counts.log(start, rounds, cost))
+                          counts.log(rounds, cost))

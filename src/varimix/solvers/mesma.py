@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from typing import Optional
 
 import numpy as np
@@ -37,7 +36,8 @@ def mesma(
     (about the rounding of the search statistics), are broken toward the
     lexicographically smallest index tuple; a later copy of a signature
     is never tried, so a tie between copies goes to the first one. With
-    ``re_threshold`` set, a pixel is frozen at the first enumerated model
+    ``re_threshold`` set (>= 0; a negative or NaN one raises
+    ``ValueError``), a pixel is frozen at the first enumerated model
     whose RMS residual is at most the threshold (early stop), tested on
     the residual computed from the pixel wherever the search statistics
     (precise to about 1e-8 ||y||) put it near the threshold; pixels that
@@ -49,8 +49,11 @@ def mesma(
     calls, and ``duplicates`` the signatures collapsed; the budget
     applies to the library as given.
     """
+    counts = QPCounts()
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")
+    if re_threshold is not None and not re_threshold >= 0:
+        raise ValueError("re_threshold must be >= 0")
     sizes = library.sizes
     n_models = math.prod(sizes)
     if n_models > model_budget:
@@ -58,7 +61,6 @@ def mesma(
             f"{n_models} model combinations exceed the budget of {model_budget}; "
             "prune the library first"
         )
-    start = time.perf_counter()
     y = image.pixels
     l = y.shape[1]
     p = library.n_classes
@@ -69,7 +71,6 @@ def mesma(
     distinct = np.concatenate([s[k] for s, k in zip(sigs, keep)])
     gram, ys, yy = library_stats(y, distinct)
     models = (offsets + np.array(pos) for pos in itertools.product(*(range(k.size) for k in keep)))
-    counts = QPCounts()
     stop = None if re_threshold is None else re_threshold**2 * l
     cols, best_a, models_tried = subset_search(gram, ys, yy, models, p, counts, stop, y, distinct)
     best_model = np.stack([keep[cls][cols[:, cls] - offsets[cls]] for cls in range(p)], axis=1)
@@ -83,7 +84,7 @@ def mesma(
             f[:, :, cls] = clamped[cls][best_model[lo:hi, cls]]
 
     fields, recon, re, cost = _chunked_result(y, best_a, fill, counts)
-    log = counts.log(start, models_tried, cost, {
+    log = counts.log(models_tried, cost, {
         "models_enumerated": models_tried, "early_stop": re_threshold is not None,
         "duplicates": sum(sizes) - sum(k.size for k in keep)})
     return UnmixingResult(

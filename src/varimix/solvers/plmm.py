@@ -15,8 +15,6 @@ of pixels, by ``base._chunked_result``; dM is not kept.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..types import SpectralImage
@@ -36,7 +34,6 @@ def plmm_unmix(
     field M0 + dM_n is clamped to be nonnegative; the result has no
     extras, and the log times the whole call.
     """
-    start = time.perf_counter()
     y = image.pixels
     gamma = opts.gamma_plmm
     core = RankOneModel(y, ref_matrix, gamma)
@@ -48,4 +45,4 @@ def plmm_unmix(
 
     state, log = monotone_loop(core.start(a0, np.ones_like(a0)), core.step, cost,
                                opts.max_iters, opts.tol)
-    return core.result(state, log, start, {"gamma": gamma}, {})
+    return core.result(state, log, {"gamma": gamma}, {})

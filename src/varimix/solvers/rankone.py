@@ -59,10 +59,11 @@ class RankOneState:
 
 class RankOneModel:
     """Factored algebra of sum_n ||y_n - M_n a_n||^2 + lam ||M_n - M0 diag(psi_n)||_F^2,
-    with the record (kernel counts and phase seconds) and recomputed rows
-    of one solver call."""
+    with the record (``QPCounts``, made first, so its clock starts with
+    the model) and recomputed rows of one solver call."""
 
     def __init__(self, y: np.ndarray, ref_matrix, lam: float):
+        self.counts = QPCounts()
         m0 = np.asarray(ref_matrix, dtype=np.float64)
         if m0.ndim != 2 or m0.shape[0] != y.shape[1]:
             raise DimensionError("ref_matrix must be (L, P) matching the image")
@@ -73,7 +74,6 @@ class RankOneModel:
         self.ym0 = _row_product(y, m0)
         self.yy = np.einsum("nl,nl->n", y, y)
         self.col_sq = np.sum(m0**2, axis=0)
-        self.counts = QPCounts()
         self.recomputed_rows = 0
 
     def start(self, a, psi) -> RankOneState:
@@ -143,12 +143,12 @@ class RankOneModel:
                + s.uu @ np.einsum("np,np->n", s.a, s.a))
         return float(np.sum(s.fit) + self.lam * tie)
 
-    def result(self, s: RankOneState, loop: SolverLog, start: float, flags: dict,
+    def result(self, s: RankOneState, loop: SolverLog, flags: dict,
                extras: dict) -> UnmixingResult:
         """The solver's output, built by ``_chunked_result``: per chunk, u
         (zero in a start state) from the pixels and the field psi_m_j m0_j +
-        u a_j, clamped. Its log, timed from ``start``, is ``QPCounts.log``
-        of the ``loop``'s outcome, after ``flags`` and the recomputed rows."""
+        u a_j, clamped. Its log is ``QPCounts.log`` of the ``loop``'s outcome,
+        after ``flags`` and the recomputed rows, timed from the model's making."""
         c = self.lam + np.einsum("np,np->n", s.a, s.a)
 
         def fill(lo, hi, f):
@@ -163,7 +163,7 @@ class RankOneModel:
             np.clip(f, 0.0, None, out=f)
 
         field, recon, re, _ = _chunked_result(self.y, s.a, fill, self.counts)
-        log = self.counts.log(start, loop.iterations, loop.final_cost,
+        log = self.counts.log(loop.iterations, loop.final_cost,
                               {**flags, "recomputed_rows": self.recomputed_rows, **loop.flags},
                               loop.cost_history, loop.converged)
         return UnmixingResult(AbundanceMap(s.a, sum_to_one=True), re, recon, log,

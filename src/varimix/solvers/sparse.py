@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from typing import Optional
 
 import numpy as np
@@ -39,7 +38,7 @@ _MASS_TOL = 1e-9
 L0_SUPPORT_BUDGET = 10**4
 
 
-def _class_result(y, raw, library, counts, start, iterations, flags, cost=None,
+def _class_result(y, raw, library, counts, iterations, flags, cost=None,
                   raw_sum_to_one=False) -> UnmixingResult:
     """The result of raw library abundances, columns named class:index:
     each class's mass, normalized over the classes (rows with no mass
@@ -47,7 +46,8 @@ def _class_result(y, raw, library, counts, start, iterations, flags, cost=None,
     each class's abundance-weighted mean signature (the class mean where
     it has no mass), built by ``_chunked_result``. The reconstruction is
     taken from that unclamped field, clamped after; its summed squared
-    residual is the logged cost when ``cost`` is None."""
+    residual is the logged cost when ``cost`` is None. The log is timed
+    from ``counts.start``."""
     bounds = np.cumsum([0, *library.sizes])
     classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     mass = np.stack([raw[:, cols].sum(axis=1) for cols in classes], axis=1)
@@ -69,7 +69,7 @@ def _class_result(y, raw, library, counts, start, iterations, flags, cost=None,
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
         per_pixel_re=re,
         reconstruction=recon,
-        solver_log=counts.log(start, iterations, fit if cost is None else cost,
+        solver_log=counts.log(iterations, fit if cost is None else cost,
                               {"uniform_rows": int(np.sum(total <= _MASS_TOL)), **flags}),
         endmembers=EndmemberField(_Adopt(np.clip(field, 0.0, None, out=field))),
         raw_abundances=AbundanceMap(raw, sum_to_one=raw_sum_to_one, class_names=names),
@@ -130,22 +130,21 @@ def sparse_su_l1(
     abundance-weighted mean signatures, and the reconstruction is taken
     from that collapsed model.
     """
+    counts = QPCounts()
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")
-    start = time.perf_counter()
     flat, _ = library.flatten()
     y = image.pixels
     lam = opts.lambda_sparse
     keep = distinct_rows(flat)                  # original column per distinct one
     distinct = flat[keep]
     gram, ys, yy = library_stats(y, distinct)
-    counts = QPCounts()
     a, rounds = nnls_gram(gram, ys - lam, counts)
     raw = np.zeros((y.shape[0], flat.shape[0]))
     raw[:, keep] = a
     r2 = yy + np.einsum("np,np->n", _row_product(a, gram) - 2.0 * ys, a)   # from the statistics
     cost = float(0.5 * np.maximum(r2, 0.0).sum() + lam * a.sum())
-    return _class_result(y, raw, library, counts, start, rounds,
+    return _class_result(y, raw, library, counts, rounds,
                          {"lambda": lam, "duplicates": flat.shape[0] - keep.size}, cost=cost)
 
 
@@ -209,6 +208,7 @@ def sparse_su_l0(
     one stacked call each). Both search the distinct signatures; the
     budget applies to the library as given.
     """
+    counts = QPCounts()
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")
     flat, _ = library.flatten()
@@ -224,13 +224,11 @@ def sparse_su_l0(
             raise BudgetError(
                 f"{n_supports} supports exceed the enumeration budget of {support_budget}"
             )
-    start = time.perf_counter()
     y = image.pixels
     n = y.shape[0]
     keep = distinct_rows(flat)                  # original column per distinct one
     gram, ys, yy = library_stats(y, flat[keep])
     width = min(k, keep.size)
-    counts = QPCounts()
     if mode == "greedy":
         cols = _greedy_supports(gram, ys, k, counts)
         sizes = (cols >= 0).sum(axis=1)
@@ -246,5 +244,5 @@ def sparse_su_l0(
     raw = np.zeros((n, q))
     r, slot = np.nonzero(cols >= 0)
     raw[r, keep[cols[r, slot]]] = a[r, slot]
-    return _class_result(y, raw, library, counts, start, 1,
+    return _class_result(y, raw, library, counts, 1,
                          {"mode": mode, "k": k, "duplicates": q - keep.size}, raw_sum_to_one=True)

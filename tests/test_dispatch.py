@@ -15,7 +15,7 @@ from varimix.io import load_config, load_library, resolve_image, save_library, s
 from varimix.libops import build_transform, prune
 from varimix.solvers import ALGORITHMS, SolverOptions, fcls, sparse_su_l0, unmix
 from varimix.synth import synthetic_base_spectra, truth_variant_library
-from varimix.types import FormatError
+from varimix.types import FormatError, LibraryClass, SpectralLibrary
 
 from conftest import make_scene
 
@@ -118,14 +118,42 @@ def test_unmix_without_its_input_exits_2(inputs, capsys, algo, extra, message):
     assert not (d / "out").exists()
 
 
-def test_explicit_zeros_are_passed_through(inputs):
+def _refused(argv, out, capsys):
+    """``main`` on ``argv`` with ``--out out`` exits 2 with one ``error:``
+    line and writes no ``out``; returns that line."""
+    assert main([str(a) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not out.exists()
+    return err
+
+
+def test_explicit_zeros_are_passed_through(inputs, capsys):
+    # the solver's or the method's own message shows the zero reached it
     d = inputs
-    with pytest.raises(ValueError, match="k must lie"):
-        main(["unmix", "--image", str(d / "scene"), "--algo", "sparse-l0",
-              "--library", str(d / "lib.csv"), "--k", "0", "--out", str(d / "out")])
-    with pytest.raises(ValueError, match="dim must lie"):
-        main(["transform", "--library", str(d / "lib.csv"), "--method", "fda",
-              "--dim", "0", "--out", str(d / "fda.json")])
+    lib = ["--library", d / "lib.csv"]
+    assert _refused(["unmix", "--image", d / "scene", "--algo", "sparse-l0", *lib, "--k", "0"],
+                    d / "out", capsys).startswith("error: k must lie in [1, ")
+    assert _refused(["transform", *lib, "--method", "fda", "--dim", "0"],
+                    d / "fda.json", capsys).startswith("error: dim must lie in [1, ")
+    assert _refused(["prune", *lib, "--method", "music", "--image", d / "scene",
+                     "--subspace-dim", "0"], d / "pruned.csv", capsys).startswith(
+        "error: subspace_dim must lie in [1, ")
+
+
+def test_refused_values_exit_2(inputs, capsys):
+    d = inputs
+    big = SpectralLibrary(tuple(LibraryClass(c.name, np.repeat(c.signatures[:1], 120, axis=0))
+                                for c in load_library(d / "lib.csv").classes))
+    save_library(big, d / "big.csv")
+    unmix_argv = ["unmix", "--image", d / "scene", "--algo"]
+    assert _refused(unmix_argv + ["mesma", "--library", d / "big.csv"], d / "out", capsys) == (
+        "error: 1728000 model combinations exceed the budget of 1000000; "
+        "prune the library first\n")
+    assert _refused(unmix_argv + ["mesma", "--library", d / "lib.csv", "--re-threshold", "-0.03"],
+                    d / "out", capsys) == "error: re_threshold must be >= 0\n"
+    assert _refused(unmix_argv + ["sparse-l0", "--library", d / "lib.csv", "--k", "999"],
+                    d / "out", capsys).startswith("error: k must lie in [1, ")
 
 
 def test_sparse_l0_default_support_is_one_column_per_class():

@@ -101,6 +101,17 @@ def test_early_stop_freezes_first_hit(rng):
     assert res_early.solver_log.flags["early_stop"]
 
 
+@pytest.mark.parametrize("threshold", [-0.03, float("nan")])
+def test_re_threshold_must_be_nonnegative(rng, threshold):
+    # the early stop compares against re_threshold**2 * L: a negative threshold
+    # would act as its absolute value, and a NaN one would never stop
+    lib = _two_class_library(rng)
+    img = _image(rng.uniform(0, 1, size=(3, 20)))
+    with pytest.raises(ValueError, match="^re_threshold must be >= 0$"):
+        mesma(img, lib, re_threshold=threshold)
+    assert mesma(img, lib, re_threshold=0.0).solver_log.flags["early_stop"]
+
+
 def test_band_mismatch_rejected(rng):
     lib = _two_class_library(rng)
     with pytest.raises(Exception):

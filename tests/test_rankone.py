@@ -15,7 +15,7 @@ built in.
 """
 
 import json
-import time
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +44,7 @@ from varimix.solvers import base
 from varimix.solvers import elmm as elmm_module
 from varimix.solvers import plmm as plmm_module
 from varimix.solvers.base import SolverLog, _gram, monotone_loop, residual_stats
-from varimix.solvers.elmm import _grid_degrees, _grid_solve, _grid_spatial
+from varimix.solvers.elmm import _grid_solve, _grid_spatial
 from varimix.solvers.rankone import RankOneModel, RankOneState
 from varimix.synth import truth_variant_library
 from varimix.types import SpectralImage
@@ -250,7 +250,7 @@ def test_field_is_the_broadcast_field_bit_for_bit(seed, n, l, p, floor, zeros):
     a /= a.sum(axis=1, keepdims=True)
     model = RankOneModel(y, m0, 0.7)
     for state in (model.start(a, s.psi_m), model.update(a, s.psi_m)):
-        res = model.result(state, SolverLog(), time.perf_counter(), {}, {})
+        res = model.result(state, SolverLog(), {}, {})
         field = np.clip(_dense(m0, state, _u(y, m0, 0.7, state)), 0.0, None)
         assert np.array_equal(res.endmembers.data, field)
         recon = reconstruct(field, res.abundances.data)
@@ -419,7 +419,18 @@ def test_grid_spatial_equals_laplacian_quadratic_form(height, width):
     rng = np.random.default_rng(height * 100 + width)
     psi = rng.uniform(0.5, 1.5, size=(height * width, 3))
     ref = _spatial(grid_laplacian(height, width), psi)
-    assert abs(_grid_spatial(psi, _grid_degrees(height, width)) - ref) <= RTOL * ref
+    assert abs(_grid_spatial(psi, height, width) - ref) <= RTOL * ref
+
+
+def test_grid_spatial_is_accurate_where_the_quadratic_form_cancels():
+    # psi' L psi subtracts terms of size |psi|^2 to leave a sum of size s^2 |psi|^2,
+    # losing about 1e-16 / s^2 relative; differences of neighbors that close are exact
+    height, width = 12, 9
+    psi = 1.0 + 1e-6 * np.random.default_rng(3).normal(size=(height * width, 3))
+    idx = np.arange(height * width).reshape(height, width)
+    pairs = [*zip(idx[:, :-1].ravel(), idx[:, 1:].ravel()), *zip(idx[:-1].ravel(), idx[1:].ravel())]
+    ref = math.fsum((psi[i, j] - psi[k, j]) ** 2 for i, k in pairs for j in range(3))
+    assert abs(_grid_spatial(psi, height, width) - ref) <= RTOL * ref
 
 
 def _partly_exact(seed, n=40, l=30, p=3):
