@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -57,9 +56,9 @@ class RosterEntry:
     gives matrix algorithms the class means of the pooled library
     instead; ``truth-variants`` uses the scene's realized signatures;
     ``file`` reads a library CSV. ``options`` holds ``SolverOptions``
-    fields and the solver's extras (``re_threshold`` for MESMA, ``k`` and
-    ``mode`` for sparse L0); it is checked by ``SolverOptions.from_dict``
-    when the entry is built, so an unknown key raises ``FormatError``.
+    fields and the solver's ``SOLVERS[algo].extras``; the entry splits it
+    when built into ``opts``, loaded by ``io.load_config``, and ``extras``,
+    checked by ``SOLVERS[algo].check``, so a bad key or value is refused.
     """
 
     name: str
@@ -76,7 +75,12 @@ class RosterEntry:
             raise ValueError(f"unknown library source {self.library_source!r}")
         if self.library_source == "file" and not self.library_path:
             raise ValueError("library_source 'file' needs library_path")
-        SolverOptions.from_dict(self.options)
+        solver = SOLVERS[self.algo]
+        extras = {k: v for k, v in self.options.items() if k in solver.extras}
+        solver.check(**extras)
+        object.__setattr__(self, "extras", extras)
+        object.__setattr__(self, "opts", load_config(
+            SolverOptions, {k: v for k, v in self.options.items() if k not in extras}))
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,6 @@ class _RunLibraries:
 
 
 def _run_entry(entry: RosterEntry, cfg: BenchConfig, truth: SceneTruth, libs: _RunLibraries):
-    opts = SolverOptions.from_dict(entry.options)
     image = truth.image_noisy
     clean_pixels = None
     if SOLVERS[entry.algo].kind == "matrix":
@@ -224,11 +227,8 @@ def _run_entry(entry: RosterEntry, cfg: BenchConfig, truth: SceneTruth, libs: _R
         t, image, source = transform_input(cfg.transform, image, source)
         clean_pixels = t.apply(truth.image_clean.pixels)
 
-    start = time.perf_counter()
-    result = unmix(entry.algo, image, source, opts, **entry.options)
-    wall = time.perf_counter() - start
-    metrics = eval_result(truth, result, class_means=class_means, clean_pixels=clean_pixels)
-    return result, metrics, wall
+    result = unmix(entry.algo, image, source, entry.opts, **entry.extras)
+    return result, eval_result(truth, result, class_means=class_means, clean_pixels=clean_pixels)
 
 
 def _aggregate(values: list) -> tuple[Optional[float], Optional[float]]:
@@ -247,7 +247,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     digest = hashlib.sha256(json.dumps(scene, sort_keys=True).encode()).hexdigest()
 
     cells: dict[str, list[dict]] = {r.name: [] for r in cfg.roster}
-    times: dict[str, list[float]] = {r.name: [] for r in cfg.roster}
     failed: list[dict] = []
     seeds = [cfg.master_seed + k for k in range(cfg.n_monte_carlo)]
 
@@ -259,13 +258,12 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         libs = _RunLibraries(cfg, truth, run_seed)
         for entry in cfg.roster:
             try:
-                result, metrics, wall = _run_entry(entry, cfg, truth, libs)
+                result, metrics = _run_entry(entry, cfg, truth, libs)
             except Exception as exc:   # continue the bench, mark the cell
                 failed.append({"run": k, "algorithm": entry.name,
                                "seed": run_seed, "error": f"{type(exc).__name__}: {exc}"})
                 continue
-            cells[entry.name].append(metrics)
-            times[entry.name].append(wall)
+            cells[entry.name].append({**metrics, "runtime": result.solver_log.wall_time_s})
             if cfg.keep_run_artifacts:
                 save_result(result, run_dir / entry.name)
 
@@ -289,7 +287,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
             col = key.lower()
             stats[col + "_mean"], stats[col + "_median"] = _aggregate([r[key] for r in rows])
         report.rows[entry.name] = MetricRow(
-            **stats, runtime_mean=float(np.mean(times[entry.name])),
+            **stats, runtime_mean=float(np.mean([r["runtime"] for r in rows])),
             n_failed=cfg.n_monte_carlo - len(rows),
         )
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from .bench import BenchConfig, run_bench, transform_input, write_report_md
@@ -29,16 +28,16 @@ from .synth import SceneConfig, synthesize_from_config
 from .types import BudgetError, FormatError
 
 
-def _read_config(build, path):
-    """Build a config from a JSON file with ``build``; errors name the file."""
+def _read_config(cls, path):
+    """Load config class ``cls`` from a JSON file; errors name the file."""
     try:
-        return build(json.loads(Path(path).read_text()))
+        return load_config(cls, json.loads(Path(path).read_text()))
     except (json.JSONDecodeError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def _cmd_synth(args) -> int:
-    cfg = _read_config(partial(load_config, SceneConfig), args.config)
+    cfg = _read_config(SceneConfig, args.config)
     truth = synthesize_from_config(cfg)
     save_scene(truth, args.out)
     print(f"scene written to {args.out}")
@@ -91,9 +90,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_unmix(args) -> int:
     image = resolve_image(args.image)
-    opts = SolverOptions()
-    if args.opts is not None:
-        opts = _read_config(SolverOptions.from_dict, args.opts)
+    opts = SolverOptions() if args.opts is None else _read_config(SolverOptions, args.opts)
     if SOLVERS[args.algo].kind == "matrix":
         path = args.m0 or args.library
         if not path:
@@ -108,8 +105,8 @@ def _cmd_unmix(args) -> int:
     if args.transform:
         _, image, source = transform_input({"method": "path", "path": args.transform},
                                            image, source)
-    result = unmix(args.algo, image, source, opts,
-                   re_threshold=args.re_threshold, k=args.k, mode=args.l0_mode)
+    extras = {k: getattr(args, k) for k in SOLVERS[args.algo].extras}
+    result = unmix(args.algo, image, source, opts, **extras)
     out = save_result(result, args.out)
     print(f"{args.algo} finished: final cost {result.solver_log.final_cost:.6g}, "
           f"results in {out}")
@@ -117,7 +114,7 @@ def _cmd_unmix(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _read_config(partial(load_config, BenchConfig), args.config)
+    cfg = _read_config(BenchConfig, args.config)
     report = run_bench(cfg)
     if args.paper_scale:
         write_report_md(report, Path(cfg.output_dir) / "report.md", paper_scale=True)
@@ -183,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--transform", help="transform JSON from 'varimix transform'")
     s.add_argument("--re-threshold", type=float, help="mesma early-stop threshold")
     s.add_argument("--k", type=int, help="sparse-l0 support size")
-    s.add_argument("--l0-mode", choices=("greedy", "exhaustive"), default="greedy")
+    s.add_argument("--l0-mode", choices=("greedy", "exhaustive"), default="greedy", dest="mode")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(func=_cmd_unmix)
 
@@ -196,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run a command; a refused value (``ValueError``, ``BudgetError``) or a
-    missing input file ends it with ``error: ...`` and exit code 2."""
+    """Run a command; a refused value (``ValueError``, ``BudgetError``) or
+    path (``OSError``) ends it with ``error: ...`` and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BudgetError, FileNotFoundError) as exc:
-        msg = f"{exc.filename}: {exc.strerror}" if isinstance(exc, OSError) else exc
+    except (ValueError, BudgetError, OSError) as exc:
+        msg = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
 

@@ -3,11 +3,12 @@
 Each solver takes the image and one input: library-based methods
 (MESMA, sparse L1/L0) a ``SpectralLibrary``, parametric ones (FCLS,
 ELMM, PLMM) an (L, P) reference matrix. ``SOLVERS`` maps each name to
-its callable, that input kind and the extras it accepts besides
-``SolverOptions``; ``unmix`` is the single call the CLI and the bench
-make.
+its callable, that input kind and the data-free check of its extras,
+whose parameters name them; ``unmix`` is the single call the CLI and
+the bench make.
 """
 
+import inspect
 from typing import Callable, NamedTuple
 
 from .base import (
@@ -21,22 +22,27 @@ from .base import (
 )
 from .elmm import elmm_unmix
 from .fcls import fcls
-from .mesma import mesma
+from .mesma import check_mesma, mesma
 from .plmm import plmm_unmix
-from .sparse import kkt_residual_l1, kkt_residual_simplex, sparse_su_l0, sparse_su_l1
+from .sparse import check_l0, kkt_residual_l1, kkt_residual_simplex, sparse_su_l0, sparse_su_l1
 
 
 class Solver(NamedTuple):
     fn: Callable
-    kind: str               # "matrix" or "library"
-    extras: tuple = ()      # keyword arguments accepted besides opts
+    kind: str                       # "matrix" or "library"
+    check: Callable = lambda: None  # raises ValueError for a refused extra
+
+    @property
+    def extras(self) -> tuple:
+        """The keyword arguments the solver takes besides opts."""
+        return tuple(inspect.signature(self.check).parameters)
 
 
 SOLVERS = {
     "fcls": Solver(fcls, "matrix"),
-    "mesma": Solver(mesma, "library", ("re_threshold",)),
+    "mesma": Solver(mesma, "library", check_mesma),
     "sparse-l1": Solver(sparse_su_l1, "library"),
-    "sparse-l0": Solver(sparse_su_l0, "library", ("k", "mode")),
+    "sparse-l0": Solver(sparse_su_l0, "library", check_l0),
     "elmm": Solver(elmm_unmix, "matrix"),
     "plmm": Solver(plmm_unmix, "matrix"),
 }
@@ -45,11 +51,8 @@ ALGORITHMS = tuple(SOLVERS)
 
 def unmix(name, image, source, opts, /, **extras) -> UnmixingResult:
     """Run solver ``name`` on ``image`` with ``source`` (a library or an
-    (L, P) matrix, by the solver's kind). Extras the solver does not
-    accept are dropped, so callers may pass a mixed option dict."""
-    solver = SOLVERS[name]
-    kwargs = {k: v for k, v in extras.items() if k in solver.extras}
-    return solver.fn(image, source, opts=opts, **kwargs)
+    (L, P) matrix, by the solver's kind) and its ``extras``."""
+    return SOLVERS[name].fn(image, source, opts=opts, **extras)
 
 
 __all__ = [

@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..io import load_config
 from ..types import AbundanceMap, EndmemberField, _all_finite
 
 _KKT_TOL = 1e-10            # pricing tolerance, relative to max(1, |h|_inf)
@@ -39,20 +38,16 @@ _RIDGE = 1e-10              # relative ridge for a singular face system
 # meet at an angle whose sin^2, a bound on the later one's relative pivot, is below 2 _KKT_TOL
 _PIVOT_TOL = 2.0 * _KKT_TOL
 _CHUNK_ROWS = 256          # pixels per chunk of an emitted endmember field
-_SKIPPED_KEYS = ("rho", "inner_tol", "inner_iters", "seed", "re_threshold", "k", "mode")
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs shared by the unmixing solvers; unused fields are ignored.
 
-    The least-squares kernel is exact and has no options of its own.
-    ``from_dict`` loads a dict by ``io.load_config``, so an unknown key or
-    a value of the wrong type raises ``FormatError``. It skips the retired
-    splitting-solver keys ``rho``, ``inner_tol`` and ``inner_iters``, the
-    retired ``seed`` (no solver draws random numbers), and the per-solver
-    extras ``re_threshold``, ``k`` and ``mode``, so option files and
-    roster options that carry them load.
+    The least-squares kernel is exact and has no options of its own; a
+    solver's own keyword arguments, its extras, are declared in
+    ``solvers.SOLVERS``. Option files load by ``io.load_config``, so an
+    unknown key or a value of the wrong type raises ``FormatError``.
     """
 
     max_iters: int = 200            # outer iterations (alternating solvers)
@@ -70,12 +65,6 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive")
         if self.lambda_sparse < 0:
             raise ValueError("lambda_sparse must be nonnegative")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SolverOptions":
-        if isinstance(doc, dict):
-            doc = {k: v for k, v in doc.items() if k not in _SKIPPED_KEYS}
-        return load_config(cls, doc)
 
 
 @dataclass
@@ -537,8 +526,8 @@ def monotone_loop(initial_state, step_fn, cost_fn, max_iters, tol):
     the floating-point floor count as zero, so exact-data fixtures stop
     at the initialization.
 
-    Returns (state, SolverLog) with the iterations, costs and flags
-    filled in.
+    Returns (state, cost history, converged, flags); ``QPCounts.log``
+    makes the log.
     """
     state = initial_state
     c = cost_fn(state)
@@ -557,5 +546,5 @@ def monotone_loop(initial_state, step_fn, cost_fn, max_iters, tol):
         if rel < tol or c <= _ZERO_COST_FLOOR:
             converged = True
             break
-    return state, SolverLog(len(history) - 1, c, converged, cost_history=tuple(history),
-                            flags={"cost_rises": rises, "cap_hit": int(not (converged or rises))})
+    return state, tuple(history), converged, {"cost_rises": rises,
+                                              "cap_hit": int(not (converged or rises))}

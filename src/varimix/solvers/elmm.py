@@ -88,7 +88,7 @@ def elmm_unmix(
         with timed(core.counts.phases, "cost"):
             return core.cost(s) + lam_psi * _grid_spatial(s.psi, image.height, image.width)
 
-    state, log = monotone_loop(core.start(a0, np.ones((n, p))), step, cost,
-                               opts.max_iters, opts.tol)
-    return core.result(state, log, {"lambda_m": lam_m, "lambda_psi": lam_psi},
+    state, *loop = monotone_loop(core.start(a0, np.ones((n, p))), step, cost,
+                                 opts.max_iters, opts.tol)
+    return core.result(state, loop, {"lambda_m": lam_m, "lambda_psi": lam_psi},
                        {"psi": state.psi})

@@ -18,7 +18,13 @@ from ..types import (AbundanceMap, BudgetError, DimensionError, EndmemberField, 
 from .base import QPCounts, SolverOptions, UnmixingResult, _chunked_result
 from .search import distinct_rows, library_stats, subset_search
 
-DEFAULT_MODEL_BUDGET = 10**6
+MODEL_BUDGET = 10**6
+
+
+def check_mesma(re_threshold: Optional[float] = None):
+    """MESMA's extras, checked before any data: ``re_threshold`` is None or >= 0."""
+    if re_threshold is not None and not re_threshold >= 0:
+        raise ValueError("re_threshold must be >= 0")
 
 
 def mesma(
@@ -26,7 +32,6 @@ def mesma(
     library: SpectralLibrary,
     opts: SolverOptions = SolverOptions(),
     re_threshold: Optional[float] = None,
-    model_budget: int = DEFAULT_MODEL_BUDGET,
 ) -> UnmixingResult:
     """Enumerate every one-signature-per-class endmember matrix, solve the
     constrained least squares for each, and keep the per-pixel model with
@@ -36,31 +41,28 @@ def mesma(
     (about the rounding of the search statistics), are broken toward the
     lexicographically smallest index tuple; a later copy of a signature
     is never tried, so a tie between copies goes to the first one. With
-    ``re_threshold`` set (>= 0; a negative or NaN one raises
-    ``ValueError``), a pixel is frozen at the first enumerated model
-    whose RMS residual is at most the threshold (early stop), tested on
-    the residual computed from the pixel wherever the search statistics
-    (precise to about 1e-8 ||y||) put it near the threshold; pixels that
-    never hit the threshold keep their best model. ``models_enumerated``
-    counts the distinct models a search of one model at a time solves
-    (models are solved in blocks, for the pixels open at a block's start,
-    with the same selections; with ``re_threshold`` the blocks start at
-    one model and double), ``qp_rounds`` the kernel rounds of the block
-    calls, and ``duplicates`` the signatures collapsed; the budget
-    applies to the library as given.
+    ``re_threshold`` set (checked by ``check_mesma``), a pixel is frozen
+    at the first enumerated model whose RMS residual is at most the
+    threshold (early stop), tested on the residual computed from the pixel
+    wherever the search statistics (precise to about 1e-8 ||y||) put it
+    near the threshold; pixels that never hit the threshold keep their
+    best model. ``models_enumerated`` counts the distinct models a search
+    of one model at a time solves (models are solved in blocks, for the
+    pixels open at a block's start, with the same selections; with
+    ``re_threshold`` the blocks start at one model and double),
+    ``qp_rounds`` the kernel rounds of the block calls, and ``duplicates``
+    the signatures collapsed; ``MODEL_BUDGET`` applies to the library as
+    given.
     """
     counts = QPCounts()
+    check_mesma(re_threshold)
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")
-    if re_threshold is not None and not re_threshold >= 0:
-        raise ValueError("re_threshold must be >= 0")
     sizes = library.sizes
     n_models = math.prod(sizes)
-    if n_models > model_budget:
-        raise BudgetError(
-            f"{n_models} model combinations exceed the budget of {model_budget}; "
-            "prune the library first"
-        )
+    if n_models > MODEL_BUDGET:
+        raise BudgetError(f"{n_models} model combinations exceed the budget of "
+                          f"{MODEL_BUDGET}; prune the library first")
     y = image.pixels
     l = y.shape[1]
     p = library.n_classes

@@ -43,6 +43,6 @@ def plmm_unmix(
         with timed(core.counts.phases, "cost"):
             return core.cost(s)
 
-    state, log = monotone_loop(core.start(a0, np.ones_like(a0)), core.step, cost,
-                               opts.max_iters, opts.tol)
-    return core.result(state, log, {"gamma": gamma}, {})
+    state, *loop = monotone_loop(core.start(a0, np.ones_like(a0)), core.step, cost,
+                                 opts.max_iters, opts.tol)
+    return core.result(state, loop, {"gamma": gamma}, {})

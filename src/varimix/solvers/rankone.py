@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, EndmemberField, _Adopt, _all_finite
-from .base import (QPCounts, SolverLog, UnmixingResult, _chunked_result, _row_product, fcls_gram,
-                   timed)
+from .base import QPCounts, UnmixingResult, _chunked_result, _row_product, fcls_gram, timed
 
 _RECOMPUTE = 1e-10
 
@@ -143,12 +142,13 @@ class RankOneModel:
                + s.uu @ np.einsum("np,np->n", s.a, s.a))
         return float(np.sum(s.fit) + self.lam * tie)
 
-    def result(self, s: RankOneState, loop: SolverLog, flags: dict,
+    def result(self, s: RankOneState, loop: tuple, flags: dict,
                extras: dict) -> UnmixingResult:
         """The solver's output, built by ``_chunked_result``: per chunk, u
         (zero in a start state) from the pixels and the field psi_m_j m0_j +
-        u a_j, clamped. Its log is ``QPCounts.log`` of the ``loop``'s outcome,
-        after ``flags`` and the recomputed rows, timed from the model's making."""
+        u a_j, clamped. Its log is ``QPCounts.log`` of ``loop``, the cost
+        history, converged and flags ``monotone_loop`` returns, after ``flags``
+        and the recomputed rows, timed from the model's making."""
         c = self.lam + np.einsum("np,np->n", s.a, s.a)
 
         def fill(lo, hi, f):
@@ -163,8 +163,9 @@ class RankOneModel:
             np.clip(f, 0.0, None, out=f)
 
         field, recon, re, _ = _chunked_result(self.y, s.a, fill, self.counts)
-        log = self.counts.log(loop.iterations, loop.final_cost,
-                              {**flags, "recomputed_rows": self.recomputed_rows, **loop.flags},
-                              loop.cost_history, loop.converged)
+        history, converged, loop_flags = loop
+        log = self.counts.log(len(history) - 1, history[-1],
+                              {**flags, "recomputed_rows": self.recomputed_rows, **loop_flags},
+                              history, converged)
         return UnmixingResult(AbundanceMap(s.a, sum_to_one=True), re, recon, log,
                               EndmemberField(_Adopt(field)), extras=extras)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -188,13 +189,23 @@ def _greedy_supports(gram: np.ndarray, ys: np.ndarray, k: int, counts: QPCounts)
     return sel
 
 
+def check_l0(k: Optional[int] = None, mode: str = "greedy"):
+    """Sparse L0's extras, checked before any data: ``k`` is None or an
+    integer >= 1 (not a bool), ``mode`` greedy or exhaustive."""
+    if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k is not None and k < 1:
+        raise ValueError("k must lie in [1, the library's signature count]")
+    if mode not in ("greedy", "exhaustive"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def sparse_su_l0(
     image: SpectralImage,
     library: SpectralLibrary,
     k: Optional[int] = None,
     mode: str = "greedy",
     opts: SolverOptions = SolverOptions(),
-    support_budget: int = L0_SUPPORT_BUDGET,
 ) -> UnmixingResult:
     """Support-limited unmixing: at most ``k`` active library columns per
     pixel (default: one per class), with a simplex-constrained fit on the
@@ -205,25 +216,23 @@ def sparse_su_l0(
     (sizes ascending, lexicographic within a size; a later support must
     lower the squared residual by more than 1e-13 ||y||^2, so smaller
     supports win ties; supports of one size go to the kernel in blocks,
-    one stacked call each). Both search the distinct signatures; the
-    budget applies to the library as given.
+    one stacked call each). Both search the distinct signatures;
+    ``L0_SUPPORT_BUDGET`` applies to the library as given.
     """
     counts = QPCounts()
+    check_l0(k, mode)
     if library.n_bands != image.n_bands:
         raise DimensionError("library band count does not match the image")
     flat, _ = library.flatten()
     q = flat.shape[0]
     k = library.n_classes if k is None else int(k)
-    if not (1 <= k <= q):
+    if k > q:
         raise ValueError(f"k must lie in [1, {q}]")
-    if mode not in ("greedy", "exhaustive"):
-        raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive":
         n_supports = sum(math.comb(q, j) for j in range(1, k + 1))
-        if n_supports > support_budget:
-            raise BudgetError(
-                f"{n_supports} supports exceed the enumeration budget of {support_budget}"
-            )
+        if n_supports > L0_SUPPORT_BUDGET:
+            raise BudgetError(f"{n_supports} supports exceed the enumeration budget of "
+                              f"{L0_SUPPORT_BUDGET}")
     y = image.pixels
     n = y.shape[0]
     keep = distinct_rows(flat)                  # original column per distinct one

@@ -8,7 +8,6 @@ import pytest
 
 from varimix.cli import main
 from varimix.io import load_abundances, load_library, save_image, save_library
-from varimix.solvers import SolverOptions
 from varimix.synth import synthetic_base_spectra
 from varimix.types import DegenerateGeometryWarning, SpectralImage
 
@@ -112,21 +111,17 @@ def test_unmix_with_opts_json_and_fda(scene_dir):
     assert load_abundances(scene_dir / "mesma_fda" / "abundances.csv").n_classes == 3
 
 
-def test_opts_json_with_removed_kernel_keys(scene_dir):
-    # option files written before the exact QP kernel still carry the
-    # splitting solver's rho / inner_tol / inner_iters, and older ones a
-    # seed no solver read; these keys are skipped, on the command line and
-    # in bench configs alike
-    old = {"rho": 2.0, "inner_tol": 1e-6, "inner_iters": 50, "seed": 4, "max_iters": 3}
-    (scene_dir / "old_opts.json").write_text(json.dumps(old))
-    out = scene_dir / "elmm_out"
-    assert main(["unmix", "--image", str(scene_dir / "scene"), "--algo", "elmm",
-                 "--m0", str(scene_dir / "base.csv"),
-                 "--opts", str(scene_dir / "old_opts.json"), "--out", str(out)]) == 0
-    log = json.loads((out / "solver_log.json").read_text())
-    assert 1 <= log["iterations"] <= 3
-    assert log["flags"]["unsettled_rows"] == 0
-    assert SolverOptions.from_dict(old) == SolverOptions(max_iters=3)
+def test_opts_json_with_removed_kernel_keys(scene_dir, capsys):
+    # the splitting solver's rho / inner_tol / inner_iters and the seed no
+    # solver read went with them: an option file that carries one is refused
+    opts, out = scene_dir / "old_opts.json", scene_dir / "elmm_out"
+    for key, value in [("rho", 2.0), ("inner_tol", 1e-6), ("inner_iters", 50), ("seed", 4)]:
+        opts.write_text(json.dumps({key: value, "max_iters": 3}))
+        assert main(["unmix", "--image", str(scene_dir / "scene"), "--algo", "elmm",
+                     "--m0", str(scene_dir / "base.csv"), "--opts", str(opts),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {opts}: {key}: unknown key\n"
+        assert not out.exists()
 
 
 def test_opts_json_with_misspelled_key_exits_2(scene_dir, capsys):
@@ -270,6 +265,25 @@ def test_missing_input_files_exit_2(tmp_path, capsys):
     assert not (tmp_path / "s2").exists()
 
 
+def test_refused_paths_exit_2(scene_dir, capsys):
+    # a directory where a file is read, a file where a directory is made
+    d = scene_dir
+    (d / "opts_dir").mkdir()
+    (d / "taken").write_text("")
+    unmix = ["unmix", "--image", d / "scene", "--algo", "fcls"]
+    runs = [
+        (unmix + ["--m0", d / "scene", "--out", d / "r1"], d / "scene", "Is a directory"),
+        (unmix + ["--m0", d / "base.csv", "--opts", d / "opts_dir", "--out", d / "r2"],
+         d / "opts_dir", "Is a directory"),
+        (unmix + ["--m0", d / "base.csv", "--out", d / "taken"], d / "taken", "File exists"),
+    ]
+    for argv, path, reason in runs:
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+    assert not (d / "r1").exists() and not (d / "r2").exists()
+    assert (d / "taken").read_text() == ""
+
+
 def test_synth_config_without_abundance_exits_2(tmp_path, capsys):
     cfg = _scene_config(tmp_path)
     del cfg["abundance"]
@@ -311,6 +325,28 @@ def test_bench_roster_with_misspelled_option_exits_2_before_any_run(tmp_path, ca
     assert main(["bench", "--config", str(tmp_path / "bench.json")]) == 2
     assert capsys.readouterr().err == \
         f"error: {tmp_path / 'bench.json'}: roster[1]: max_iter: unknown key\n"
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("algo, options, message", [
+    ("mesma", {"re_threshold": -0.03}, "re_threshold must be >= 0"),
+    ("mesma", {"re_threshold": float("nan")}, "re_threshold must be >= 0"),
+    ("sparse-l0", {"k": 2.5}, "k must be an integer, got 2.5"),
+    ("fcls", {"k": 2}, "k: unknown key"),
+    ("elmm", {"rho": 2.0}, "rho: unknown key"),
+], ids=["mesma-negative", "mesma-nan", "l0-fractional-k", "fcls-k", "elmm-rho"])
+def test_bench_roster_with_refused_option_exits_2_before_any_run(
+        tmp_path, capsys, algo, options, message):
+    # an extra is checked by its own solver's check, and only that solver
+    # takes it; a retired option is not an option
+    bench = {"scene": _scene_config(tmp_path, height=8, width=8),
+             "roster": [{"name": algo, "algo": algo, "library_source": "truth-variants",
+                         "options": options}],
+             "output_dir": str(tmp_path / "bench")}
+    (tmp_path / "bench.json").write_text(json.dumps(bench))
+    assert main(["bench", "--config", str(tmp_path / "bench.json")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'bench.json'}: roster[0]: {message}\n"
     assert not (tmp_path / "bench").exists()
 
 

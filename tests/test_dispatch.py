@@ -1,6 +1,7 @@
 """One dispatch path: ``varimix unmix`` and a bench roster entry resolve
 the solver input, apply a transform and write results the same way."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from varimix.bench import BenchConfig, RosterEntry
 from varimix.cli import main
 from varimix.io import load_config, load_library, resolve_image, save_library, save_scene
 from varimix.libops import build_transform, prune
-from varimix.solvers import ALGORITHMS, SolverOptions, fcls, sparse_su_l0, unmix
+from varimix.solvers import ALGORITHMS, SOLVERS, SolverOptions, sparse_su_l0
 from varimix.synth import synthetic_base_spectra, truth_variant_library
 from varimix.types import FormatError, LibraryClass, SpectralLibrary
 
@@ -21,7 +22,8 @@ from conftest import make_scene
 
 BANDS = 24
 
-# per solver: roster options, and the unmix flags carrying its extras
+# per solver: roster options, and the unmix flags carrying its extras; the
+# --opts file holds the options that are not extras
 SOLVER_ARGS = {
     "fcls": ({}, []),
     "mesma": ({"re_threshold": 0.01}, ["--re-threshold", "0.01"]),
@@ -72,7 +74,9 @@ def test_cli_and_bench_write_the_same_bytes(inputs, algo, transform):
     assert main(["bench", "--config", str(d / "bench.json")]) == 0
     run = d / "bench" / "runs" / "0"
 
-    (d / "opts.json").write_text(json.dumps(options))
+    extras = SOLVERS[algo].extras
+    (d / "opts.json").write_text(json.dumps({k: v for k, v in options.items()
+                                             if k not in extras}))
     argv = ["unmix", "--image", str(run / "scene"), "--algo", algo,
             "--library", str(d / "lib.csv"), "--opts", str(d / "opts.json"),
             "--out", str(d / "cli"), *flags]
@@ -164,30 +168,50 @@ def test_sparse_l0_default_support_is_one_column_per_class():
     np.testing.assert_array_equal(default.abundances.data, explicit.abundances.data)
 
 
-def test_unmix_drops_extras_the_solver_does_not_take():
-    truth = make_scene(n_bands=BANDS, height=3, width=4)
-    matrix = truth.endmembers.class_means().T
-    opts = SolverOptions.from_dict({"max_iters": 3, "rho": 2.0})
-    got = unmix("fcls", truth.image_noisy, matrix, opts, k=0, re_threshold=0.1, mode="x")
-    want = fcls(truth.image_noisy, matrix, SolverOptions(max_iters=3))
-    np.testing.assert_array_equal(got.abundances.data, want.abundances.data)
+def test_unmix_ignores_the_flags_of_other_solvers(inputs):
+    # --k and --re-threshold are the extras of sparse L0 and MESMA: FCLS
+    # is not given them, so its outputs are plain FCLS's bytes
+    d = inputs
+    argv = ["unmix", "--image", str(d / "scene"), "--algo", "fcls", "--m0", str(d / "base.csv")]
+    assert main(argv + ["--out", str(d / "plain")]) == 0
+    assert main(argv + ["--k", "0", "--re-threshold", "0.1", "--out", str(d / "flags")]) == 0
+    for name in ("abundances.csv", "re.bin"):
+        assert (d / "flags" / name).read_bytes() == (d / "plain" / name).read_bytes()
 
 
 def test_solver_options_refuse_unknown_keys():
     with pytest.raises(FormatError, match="^lamda_sparse: unknown key$"):
-        SolverOptions.from_dict({"lamda_sparse": 5.0, "max_iter": 3})
+        load_config(SolverOptions, {"lamda_sparse": 5.0, "max_iter": 3})
     with pytest.raises(FormatError, match="^max_iters: expected int, got float$"):
-        SolverOptions.from_dict({"max_iters": 2.5})
-    # retired keys and solver extras are skipped
-    kept = {"rho": 2.0, "inner_tol": 1e-6, "inner_iters": 50, "seed": 4,
-            "re_threshold": 0.1, "k": 2, "mode": "greedy", "lambda_sparse": 5.0}
-    assert SolverOptions.from_dict(kept) == SolverOptions(lambda_sparse=5.0)
+        load_config(SolverOptions, {"max_iters": 2.5})
+    # the retired splitting-solver keys, the retired seed and the solver
+    # extras are not options
+    for key, value in [("rho", 2.0), ("inner_tol", 1e-6), ("inner_iters", 50), ("seed", 4),
+                       ("re_threshold", 0.1), ("k", 2), ("mode", "greedy")]:
+        with pytest.raises(FormatError, match=f"^{key}: unknown key$"):
+            load_config(SolverOptions, {key: value, "lambda_sparse": 5.0})
 
 
 def test_roster_entry_checks_its_options_when_built():
     with pytest.raises(FormatError, match="^lamda_m: unknown key$"):
         RosterEntry("elmm", "elmm", options={"lamda_m": 2.0})
-    assert RosterEntry("l0", "sparse-l0", options={"k": 2, "mode": "exhaustive"}).options
+    entry = RosterEntry("l0", "sparse-l0", options={"k": 2, "mode": "exhaustive", "tol": 1e-5})
+    assert entry.extras == {"k": 2, "mode": "exhaustive"}
+    assert entry.opts == SolverOptions(tol=1e-5)
+    with pytest.raises(FormatError, match="^k: unknown key$"):
+        RosterEntry("fcls", "fcls", options={"k": 2})
+    with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+        RosterEntry("l0", "sparse-l0", options={"k": 2.5})
+    with pytest.raises(ValueError, match="^unknown mode 'exact'$"):
+        RosterEntry("l0", "sparse-l0", options={"mode": "exact"})
+
+
+def test_solver_extras_are_the_parameters_of_their_check():
+    assert {name: s.extras for name, s in SOLVERS.items() if s.extras} == {
+        "mesma": ("re_threshold",), "sparse-l0": ("k", "mode")}
+    # a solver takes each of its extras as a keyword
+    for s in SOLVERS.values():
+        assert set(s.extras) <= set(inspect.signature(s.fn).parameters)
 
 
 def test_solvers_byte_identical_across_thread_counts():

@@ -83,9 +83,12 @@ def test_exhaustive_dominates_single_models(rng):
 
 
 def test_budget_error(rng):
-    lib = _two_class_library(rng)
-    with pytest.raises(BudgetError, match="prune"):
-        mesma(_image(rng.uniform(0, 1, size=(3, 20))), lib, model_budget=3)
+    # 101**3 models exceed the budget of 10**6; it is checked before any work
+    lib = SpectralLibrary.from_arrays(
+        ["c1", "c2", "c3"], [rng.uniform(0.05, 1.0, size=(101, 20)) for _ in range(3)])
+    with pytest.raises(BudgetError, match="^1030301 model combinations exceed the budget of "
+                                          "1000000; prune"):
+        mesma(_image(rng.uniform(0, 1, size=(3, 20))), lib)
 
 
 def test_early_stop_freezes_first_hit(rng):

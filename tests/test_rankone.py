@@ -43,7 +43,7 @@ from varimix.solvers import (
 from varimix.solvers import base
 from varimix.solvers import elmm as elmm_module
 from varimix.solvers import plmm as plmm_module
-from varimix.solvers.base import SolverLog, _gram, monotone_loop, residual_stats
+from varimix.solvers.base import _gram, monotone_loop, residual_stats
 from varimix.solvers.elmm import _grid_solve, _grid_spatial
 from varimix.solvers.rankone import RankOneModel, RankOneState
 from varimix.synth import truth_variant_library
@@ -250,7 +250,7 @@ def test_field_is_the_broadcast_field_bit_for_bit(seed, n, l, p, floor, zeros):
     a /= a.sum(axis=1, keepdims=True)
     model = RankOneModel(y, m0, 0.7)
     for state in (model.start(a, s.psi_m), model.update(a, s.psi_m)):
-        res = model.result(state, SolverLog(), {}, {})
+        res = model.result(state, ((0.0,), True, {}), {}, {})
         field = np.clip(_dense(m0, state, _u(y, m0, 0.7, state)), 0.0, None)
         assert np.array_equal(res.endmembers.data, field)
         recon = reconstruct(field, res.abundances.data)
@@ -318,25 +318,46 @@ def test_every_abundance_step_meets_kkt(monkeypatch, module, unmix, opts):
 
 def test_monotone_loop_stops_at_a_cost_rise():
     steps = iter([9.0, 8.0, 13.0, 1.0])
-    state, log = monotone_loop(10.0, lambda s: next(steps), lambda s: s, 10, 1e-9)
+    state, history, converged, flags = monotone_loop(10.0, lambda s: next(steps),
+                                                     lambda s: s, 10, 1e-9)
     assert state == 8.0
-    assert log.cost_history == (10.0, 9.0, 8.0)
-    assert np.all(np.diff(log.cost_history) <= 0)
-    assert not log.converged
-    assert log.flags == {"cost_rises": 1, "cap_hit": 0}
-    assert log.iterations == 2 and log.final_cost == 8.0
+    assert history == (10.0, 9.0, 8.0)
+    assert not converged
+    assert flags == {"cost_rises": 1, "cap_hit": 0}
 
 
 def test_monotone_loop_convergence_and_cap():
-    _, capped = monotone_loop(1.0, lambda s: 0.5 * s, lambda s: s, 3, 1e-9)
-    assert not capped.converged and capped.iterations == 3
-    _, done = monotone_loop(1.0, lambda s: s * (1 - 1e-12), lambda s: s, 3, 1e-9)
-    assert done.converged and done.iterations == 1
+    _, capped, converged, flags = monotone_loop(1.0, lambda s: 0.5 * s, lambda s: s, 3, 1e-9)
     # the halving cost never meets the stopping rule: only the cap ends it
-    assert capped.flags == {"cost_rises": 0, "cap_hit": 1}
-    assert done.flags == {"cost_rises": 0, "cap_hit": 0}
-    _, zero = monotone_loop(0.0, lambda s: s, lambda s: s, 3, 1e-9)
-    assert zero.converged and zero.iterations == 0 and zero.flags["cap_hit"] == 0
+    assert not converged and len(capped) == 4
+    assert flags == {"cost_rises": 0, "cap_hit": 1}
+    _, done, converged, flags = monotone_loop(1.0, lambda s: s * (1 - 1e-12), lambda s: s, 3,
+                                              1e-9)
+    assert converged and len(done) == 2
+    assert flags == {"cost_rises": 0, "cap_hit": 0}
+    _, zero, converged, flags = monotone_loop(0.0, lambda s: s, lambda s: s, 3, 1e-9)
+    assert converged and zero == (0.0,) and flags["cap_hit"] == 0
+
+
+@pytest.mark.parametrize("solver", [elmm_unmix, plmm_unmix])
+def test_log_is_the_loop_outcome(monkeypatch, solver):
+    # QPCounts.log makes the alternating solvers' log from monotone_loop's
+    # history, converged and flags
+    module = elmm_module if solver is elmm_unmix else plmm_module
+    outcomes = []
+
+    def loop(*args):
+        outcomes.append(monotone_loop(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(module, "monotone_loop", loop)
+    image, m0 = _small_scene(6)
+    log = solver(image, m0, SolverOptions(max_iters=3)).solver_log
+    _, history, converged, flags = outcomes[0]
+    assert log.cost_history == history and log.final_cost == history[-1]
+    assert log.iterations == len(history) - 1
+    assert log.converged == (converged and log.flags["unsettled_rows"] == 0)
+    assert flags.items() <= log.flags.items()
 
 
 SOLVER_FNS = [fcls, mesma, sparse_su_l1, sparse_su_l0, elmm_unmix, plmm_unmix]

@@ -140,10 +140,12 @@ class TestSparseL0:
         assert np.all(exact.per_pixel_re <= greedy.per_pixel_re + 1e-10)
 
     def test_support_budget(self, rng):
-        lib = _library(rng)
-        with pytest.raises(BudgetError):
-            sparse_su_l0(_image(rng.uniform(0, 1, (2, 24))), lib, k=8,
-                         mode="exhaustive", support_budget=10)
+        # 40 + 780 + 9880 supports of size <= 3 exceed the budget of 10**4;
+        # it is checked before any work
+        lib = _library(rng, sizes=(14, 13, 13))
+        with pytest.raises(BudgetError, match="^10700 supports exceed the enumeration budget "
+                                              "of 10000$"):
+            sparse_su_l0(_image(rng.uniform(0, 1, (2, 24))), lib, k=3, mode="exhaustive")
 
     def test_k_validation(self, rng):
         lib = _library(rng)
@@ -151,6 +153,14 @@ class TestSparseL0:
             sparse_su_l0(_image(rng.uniform(0, 1, (2, 24))), lib, k=0)
         with pytest.raises(ValueError):
             sparse_su_l0(_image(rng.uniform(0, 1, (2, 24))), lib, k=99)
+
+    @pytest.mark.parametrize("k", [2.7, 2.0, True, "2"])
+    def test_non_integer_k_is_refused_before_any_work(self, rng, k):
+        # a k that is not an integer is not truncated; the band mismatch
+        # shows that the check comes first
+        lib = _library(rng)
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            sparse_su_l0(_image(rng.uniform(0, 1, (2, 5))), lib, k=k)
 
 
 def test_logged_costs_are_the_objectives_at_the_pixels():
