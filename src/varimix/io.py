@@ -195,8 +195,7 @@ def load_abundances(path, sum_to_one: bool = True) -> AbundanceMap:
     return AbundanceMap(data, sum_to_one=sum_to_one, class_names=names)
 
 
-def save_endmember_field(field: EndmemberField, path, name: str = "endmembers",
-                         digests: Optional[dict] = None) -> Path:
+def save_endmember_field(field: EndmemberField, path, digests: Optional[dict] = None) -> Path:
     """Store an endmember field as a 1 x N image with L*P bands.
 
     Per pixel the L x P matrix is flattened in C order (class index
@@ -204,7 +203,7 @@ def save_endmember_field(field: EndmemberField, path, name: str = "endmembers",
     field is already frozen and checked, so its buffer is written as is.
     """
     n, l, p = field.data.shape
-    return _write_cube(path, field.data.reshape(1, n, l * p), name, digests)
+    return _write_cube(path, field.data.reshape(1, n, l * p), "endmembers", digests)
 
 
 def load_endmember_field(path, n_bands: int) -> EndmemberField:

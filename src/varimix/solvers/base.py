@@ -30,14 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..types import AbundanceMap, EndmemberField, _all_finite
+from ..types import _CHUNK_ROWS, AbundanceMap, EndmemberField, _all_finite
 
 _KKT_TOL = 1e-10            # pricing tolerance, relative to max(1, |h|_inf)
 _RIDGE = 1e-10              # relative ridge for a singular face system
 # rank test of the full face: columns m_i, m_j with |m_i - m_j|^2 <= _KKT_TOL (|m_i|^2 + |m_j|^2)
 # meet at an angle whose sin^2, a bound on the later one's relative pivot, is below 2 _KKT_TOL
 _PIVOT_TOL = 2.0 * _KKT_TOL
-_CHUNK_ROWS = 256          # pixels per chunk of an emitted endmember field
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ class QPCounts:
                          dict(flags, **self.flags()), self.phases)
 
 
-def _gram(y, m, lam=0.0):
+def _gram(y, m):
     """Gram matrix and linear term for a shared (L, P) or per-pixel
     (N, L, P) matrix."""
     y = np.asarray(y, dtype=np.float64)
@@ -146,8 +145,8 @@ def _gram(y, m, lam=0.0):
     if not (_all_finite(y) and _all_finite(m)):
         raise ValueError("non-finite solver inputs")
     if m.ndim == 2:
-        return m.T @ m, _row_product(y, m) - lam
-    return np.einsum("nlp,nlq->npq", m, m), np.einsum("nlp,nl->np", m, y) - lam
+        return m.T @ m, _row_product(y, m)
+    return np.einsum("nlp,nlq->npq", m, m), np.einsum("nlp,nl->np", m, y)
 
 
 def _border(sub, rhs):

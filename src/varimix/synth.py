@@ -30,12 +30,12 @@ from .types import (
 VARIABILITY_MODES = ("hapke", "atmospheric", "elmm_scaling", "glmm_scaling", "none")
 
 
-def _check_range(r, name, low_open=0.0, high=None) -> tuple[float, float]:
+def _check_range(r, name, high=None) -> tuple[float, float]:
     lo, hi = map(float, r)
     if not (lo <= hi):
         raise ValueError(f"{name} range is empty: {r}")
-    if lo <= low_open:
-        raise ValueError(f"{name} range must stay above {low_open}")
+    if lo <= 0.0:
+        raise ValueError(f"{name} range must stay above 0.0")
     if high is not None and hi > high:
         raise ValueError(f"{name} range must stay within (0, {high}]")
     return lo, hi
@@ -278,7 +278,8 @@ def synthesize_scene(
     albedo, the other modes as reflectance). Each pixel then draws one
     variant per class uniformly to form its endmember matrix, abundances
     come from the configured field generator, and the clean mixture gets
-    white Gaussian noise at ``snr_db``.
+    white Gaussian noise at ``snr_db``. The field is copied from a table
+    of the variant combinations that occur, one matrix per pixel.
     """
     p = base_library.n_classes
     if len(var_cfg.class_modes) != p:
@@ -314,10 +315,14 @@ def synthesize_scene(
     abundances = AbundanceMap(abundances.data, class_names=base_library.class_names)
 
     draw = np.random.default_rng(draw_seed).integers(0, k, size=(n, p))
-    field = np.empty((n, l, p))                     # filled in place, class by class
+    which = np.zeros(n, dtype=np.intp)      # combination index, class by class: < C <= N
     for j in range(p):
-        field[:, :, j] = variants[j][draw[:, j]]
-    endmembers = EndmemberField(_Adopt(field))
+        _, first, which = np.unique(which * k + draw[:, j], return_index=True,
+                                    return_inverse=True)
+    table = np.empty((first.size, l, p))    # one (L, P) matrix per combination
+    for j in range(p):
+        table[:, :, j] = variants[j][draw[first, j]]
+    endmembers = EndmemberField(_Adopt(table[which]))
 
     clean = mix_forward(endmembers, abundances, shape=(height, width), name=f"{name}_clean")
     noisy = add_noise(clean, snr_db, noise_seed, name=f"{name}_noisy")

@@ -280,11 +280,14 @@ class EndmemberField:
 
 
 _CLEAN_MIX_ATOL = 1e-9
+_CHUNK_ROWS = 256           # pixels per block of a per-pixel product over a field
 
 
 @dataclass(frozen=True)
 class SceneTruth:
-    """Ground truth bundle for one synthetic scene."""
+    """Ground truth bundle for one synthetic scene. ``image_clean`` must be
+    the mixture of the field and abundances to ``_CLEAN_MIX_ATOL``,
+    checked ``_CHUNK_ROWS`` pixels at a time."""
 
     image_noisy: SpectralImage
     image_clean: SpectralImage
@@ -301,10 +304,12 @@ class SceneTruth:
             raise DimensionError("noisy/clean image shapes differ")
         if self.abundances.n_pixels != n or self.endmembers.data.shape != (n, l, p):
             raise DimensionError("SceneTruth member shapes are inconsistent")
-        diff = np.einsum("nlp,np->nl", self.endmembers.data, self.abundances.data)
-        diff -= self.image_clean.pixels
-        if max(diff.max(), -diff.min()) > _CLEAN_MIX_ATOL:
-            raise ValueError("image_clean is not the exact mixture of the truth factors")
+        m, a, y = self.endmembers.data, self.abundances.data, self.image_clean.pixels
+        for lo in range(0, n, _CHUNK_ROWS):
+            diff = np.matmul(m[lo:lo + _CHUNK_ROWS], a[lo:lo + _CHUNK_ROWS, :, None])[:, :, 0]
+            diff -= y[lo:lo + _CHUNK_ROWS]
+            if max(diff.max(initial=0.0), -diff.min(initial=0.0)) > _CLEAN_MIX_ATOL:
+                raise ValueError("image_clean is not the exact mixture of the truth factors")
 
 
 @dataclass

@@ -194,8 +194,9 @@ def test_single_column_library_bytes(tmp_path):
 
 def test_endmember_field_written_as_image(tmp_path, rng):
     field = EndmemberField(rng.uniform(0.0, 1.0, size=(6, 5, 3)))
-    header = save_endmember_field(field, tmp_path / "field", name="em")
-    ref = save_image(SpectralImage(field.data.reshape(1, 6, 15), name="em"), tmp_path / "ref")
+    header = save_endmember_field(field, tmp_path / "field")
+    ref = save_image(SpectralImage(field.data.reshape(1, 6, 15), name="endmembers"),
+                     tmp_path / "ref")
     assert header.read_bytes() == ref.read_bytes()
     assert header.with_suffix(".bin").read_bytes() == ref.with_suffix(".bin").read_bytes()
     assert _same_bits(load_endmember_field(header, 5).data, field.data)

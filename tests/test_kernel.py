@@ -54,6 +54,12 @@ def _matrix(rng, kind, l, p, scaled):
     return m
 
 
+def _l1_gram(y, m, lam):
+    """Gram matrix and linear term h - lam of the l1-penalized problem."""
+    gram, h = base._gram(y, m)
+    return gram, h - lam
+
+
 def _problem(kind, seed, n, l, p, per_pixel, scaled):
     """Pixels (N, L') and a shared or per-pixel matrix with the degeneracy."""
     rng = np.random.default_rng(seed)
@@ -118,7 +124,7 @@ def test_simplex_kernel_on_degenerate_inputs(kind, seed, n, l, p, per_pixel, sca
 def test_nnls_kernel_on_degenerate_inputs(kind, seed, n, l, p, per_pixel, scaled, lam):
     y, m = _problem(kind, seed, n, l, p, per_pixel, scaled)
     counts = QPCounts()
-    a, _ = base.nnls_gram(*base._gram(y, m, lam), counts)
+    a, _ = base.nnls_gram(*_l1_gram(y, m, lam), counts)
     assert counts.unsettled_rows == 0
     assert np.all(a >= 0)
     for i in range(n):
@@ -254,7 +260,7 @@ def test_stacked_face_solve_keeps_each_rows_bits(simplex, monkeypatch):
         lam, (y, m) = 0.0, _problem("collinear", 5, 8, 8, 5, True, False)
     else:
         lam, (y, m) = 0.25, _singular_face_batch(10)
-    gram, h = base._gram(y, m, lam)
+    gram, h = _l1_gram(y, m, lam)
     kernel = base.fcls_gram if simplex else base.nnls_gram
     stacks = []
     solve_faces = base._solve_faces
@@ -293,7 +299,7 @@ def test_nnls_kernel_from_a_start(kind):
     # (with more columns than bands, no row can), and every row reaches
     # its KKT certificate
     y, m = _with_interior_rows(*_problem(kind, 8, 20, 6, 4, True, False), 9)
-    gram, h = base._gram(y, m, 1e-3)
+    gram, h = _l1_gram(y, m, 1e-3)
     s, settled = _full_face_start(gram, h, False)
     assert settled[20:].any() != (kind == "wide")
     a, _, open_rows = base._active_set(gram, h, simplex=False)
@@ -310,7 +316,7 @@ def test_duplicate_column_never_enters(per_pixel):
     y, m = _problem("duplicate", 5, 40, 12, 4, per_pixel, False)
     a, _ = fcls_core(y, m)
     assert not np.any((a[:, 0] > 0) & (a[:, -1] > 0))
-    raw, _ = base.nnls_gram(*base._gram(y, m, 1e-3))
+    raw, _ = base.nnls_gram(*_l1_gram(y, m, 1e-3))
     assert not np.any((raw[:, 0] > 0) & (raw[:, -1] > 0))
 
 
@@ -339,7 +345,7 @@ def test_nnls_dependent_entering_column(per_pixel):
     lam = 1e-3
     y, m = _problem("wide", 4, 40, 4, 4, per_pixel, False)
     counts = QPCounts()
-    a, _ = base.nnls_gram(*base._gram(y, m, lam), counts)
+    a, _ = base.nnls_gram(*_l1_gram(y, m, lam), counts)
     assert counts.unsettled_rows == 0
     for i in range(y.shape[0]):
         act, inact, scale = kkt_residual_l1(y[i:i + 1], _pixel_matrix(m, i), a[i:i + 1], lam)
@@ -468,7 +474,7 @@ def test_cold_row_whose_positive_face_fails_starts_at_its_vertex(per_pixel, simp
     base_m[:, 1] = base_m[:, 0] + rng.normal(0.0, 0.05, size=6)
     m = base_m + (rng.normal(0.0, 0.02, size=(200, 6, 4)) if per_pixel else 0.0)
     y = rng.dirichlet(np.ones(4), size=200) @ base_m.T + rng.normal(0.0, 0.05, size=(200, 6))
-    gram, h = base._gram(y, m, lam)
+    gram, h = _l1_gram(y, m, lam)
     assert _face_start_fails(gram, h, simplex).size > 0
     counts = QPCounts()
     a, _ = (base.fcls_gram if simplex else base.nnls_gram)(gram, h, counts)

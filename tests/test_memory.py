@@ -1,6 +1,7 @@
 """Who owns the large arrays, and what building and scoring them costs.
 
-Scoring and synthesis make no field-sized temporaries, FCLS no (N, L)
+Scoring and synthesis make no field-sized temporaries, synthesis and
+loading a scene no (N, L) ones besides their outputs, FCLS no (N, L)
 ones besides its output and one residual, and the solvers that emit a
 field no large ones besides it and their reconstruction (peaks measured
 with ``tracemalloc``, which sees numpy's buffers); the public
@@ -32,6 +33,12 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def _outputs(truth):
+    """Bytes of a scene truth's four arrays."""
+    return sum(a.nbytes for a in (truth.image_noisy.data, truth.image_clean.data,
+                                  truth.abundances.data, truth.endmembers.data))
+
+
 def test_eval_result_peak_is_a_fraction_of_the_field():
     truth = bench_scene(64, 64)
     means = truth.endmembers.class_means()[[2, 0, 1]]      # the result's classes permuted
@@ -43,9 +50,20 @@ def test_eval_result_peak_is_a_fraction_of_the_field():
 
 def test_synthesis_peak_is_its_outputs_plus_two_images():
     truth, peak = _traced_peak(lambda: bench_scene(64, 64))
-    outputs = sum(a.nbytes for a in (truth.image_noisy.data, truth.image_clean.data,
-                                     truth.abundances.data, truth.endmembers.data))
-    assert peak < outputs + 2 * truth.image_clean.data.nbytes
+    assert peak < _outputs(truth) + 2 * truth.image_clean.data.nbytes
+
+
+def test_synthesis_peak_is_its_outputs_plus_half_an_image():
+    # the field is copied from a table of the variant combinations that
+    # occur, and the truth's mixture is checked in pixel blocks
+    truth, peak = _traced_peak(lambda: bench_scene(64, 64))
+    assert peak < _outputs(truth) + 0.5 * truth.image_clean.data.nbytes
+
+
+def test_load_scene_peak_is_its_outputs_plus_half_an_image(tmp_path):
+    save_scene(bench_scene(64, 64), tmp_path / "scene")
+    truth, peak = _traced_peak(lambda: load_scene(tmp_path / "scene"))
+    assert peak < _outputs(truth) + 0.5 * truth.image_clean.data.nbytes
 
 
 def test_fcls_peak_holds_one_residual_image():

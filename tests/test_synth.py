@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +10,11 @@ from hypothesis import strategies as st
 
 from varimix.metrics import spectral_angle
 from varimix.synth import (
+    VARIABILITY_MODES,
     AbundanceFieldConfig,
     ClassVariability,
     VariabilityConfig,
+    _class_variants,
     atmospheric_reflectance,
     hapke_reflectance,
     sample_abundances_dirichlet,
@@ -162,6 +167,53 @@ class TestSynthesizeScene:
         truth = make_scene(snr_db=float("inf"), modes=modes)
         first = truth.endmembers.data[0]
         assert np.max(np.abs(truth.endmembers.data - first[None])) == 0.0
+
+    @pytest.mark.parametrize("generator, p, k, height, width", [
+        ("grf", 1, 5, 17, 19),
+        ("grf", 2, 1, 17, 19),
+        ("dirichlet", 2, 5, 16, 16),
+        ("dirichlet", 3, 5, 17, 19),
+        ("grf", 3, 1, 9, 11),
+        ("dirichlet", 5, 5, 20, 13),
+        ("grf", 5, 5, 17, 19),
+        ("dirichlet", 30, 5, 4, 4),         # K^P > 2^63
+    ])
+    def test_field_is_each_pixels_drawn_variants(self, generator, p, k, height, width):
+        # the field holds, byte for byte, variant draw[n, j] of class j at
+        # pixel n, with variants and draw rebuilt from the scene seed
+        base = synthetic_base_spectra(12, p, seed=4)
+        modes = tuple(ClassVariability(VARIABILITY_MODES[j % 5]) for j in range(p))
+        var = VariabilityConfig(modes, n_variants=k)
+        ab = AbundanceFieldConfig(generator=generator, correlation_length=3.0)
+        truth = synthesize_scene(base, ab, var, snr_db=30.0, seed=8, height=height, width=width)
+        sub = np.random.SeedSequence(8).generate_state(4)
+        var_rng = np.random.default_rng(int(sub[0]))
+        variants = [_class_variants(c.signatures[0], cv, k, var_rng)
+                    for c, cv in zip(base.classes, modes)]
+        draw = np.random.default_rng(int(sub[2])).integers(0, k, size=(height * width, p))
+        ref = np.stack([variants[j][draw[:, j]] for j in range(p)], axis=2)
+        assert truth.endmembers.data.tobytes() == ref.tobytes()
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        script = """
+import hashlib
+import sys
+sys.path.insert(0, sys.argv[1])
+from conftest import bench_scene
+truth = bench_scene(23, 29, bands=60)
+print(hashlib.sha256(b"".join(a.tobytes() for a in (
+    truth.image_noisy.data, truth.image_clean.data, truth.abundances.data,
+    truth.endmembers.data))).hexdigest())
+"""
+        digests = []
+        for threads in (1, 2):
+            env = dict(os.environ)
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = str(threads)
+            out = subprocess.run([sys.executable, "-c", script, os.path.dirname(__file__)],
+                                 check=True, env=env, capture_output=True, text=True)
+            digests.append(out.stdout)
+        assert digests[0] == digests[1] and len(digests[0]) == 65
 
     def test_bit_reproducible(self):
         a = make_scene(snr_db=30.0, seed=77)

@@ -157,3 +157,34 @@ def test_scene_truth_consistency_check():
             snr_db=float("inf"),
             seed=0,
         )
+
+
+def _truth(m, a, clean):
+    image = SpectralImage(clean.reshape(1, *clean.shape))
+    return SceneTruth(image_noisy=image, image_clean=image, abundances=AbundanceMap(a),
+                      endmembers=EndmemberField(m), snr_db=float("inf"), seed=0)
+
+
+def test_scene_truth_with_no_pixels_is_consistent():
+    truth = _truth(np.empty((0, 3, 2)), np.empty((0, 2)), np.empty((0, 3)))
+    assert truth.image_clean.n_pixels == 0
+
+
+@pytest.mark.parametrize("pixel", [0, 299])
+def test_scene_truth_check_at_block_edges(pixel):
+    # 300 pixels are checked in two blocks, the last one partial; an entry
+    # off by more than the tolerance is found in either block
+    n, l, p = 300, 3, 2
+    rng = np.random.default_rng(1)
+    m = rng.uniform(0.05, 1.0, size=(n, l, p))
+    a = rng.dirichlet(np.ones(p), size=n)
+    clean = np.einsum("nlp,np->nl", m, a)
+    _truth(m, a, clean)
+    for off in (2e-9, -2e-9):
+        bad = clean.copy()
+        bad[pixel, 1] += off
+        with pytest.raises(ValueError, match="^image_clean is not the exact mixture"):
+            _truth(m, a, bad)
+    near = clean.copy()
+    near[pixel, 1] += 5e-10
+    _truth(m, a, near)
