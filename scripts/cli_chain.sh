@@ -3,8 +3,9 @@
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
 # and greedy and exhaustive sparse-l0; then checks that a refused value (sparse-l0
-# with --k 0) and a retired option (an --opts file with `rho`) each end in one
-# `error:` line on stderr, exit code 2 and no output.
+# with --k 0), a retired option (an --opts file with `rho`) and a missing input
+# (prune --method music without --image) each end in one `error:` line on
+# stderr, exit code 2 and no output.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -70,5 +71,15 @@ err="$(python -m varimix unmix --image scene_dir/ --algo elmm --m0 small.csv \
 if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 \
       || "$err" != "error: retired_opts.json: rho: unknown key" || -e refused ]]; then
     echo "cli_chain: --opts with rho was not refused as expected (exit $status): $err" >&2
+    exit 1
+fi
+
+status=0
+err="$(python -m varimix prune --library lib.csv --method music --out refused.csv \
+    2>&1 >/dev/null)" || status=$?
+if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 \
+      || "$err" != "error: --image required for --method music" || -e refused.csv ]]; then
+    echo "cli_chain: prune --method music without --image was not refused as expected" \
+        "(exit $status): $err" >&2
     exit 1
 fi

@@ -20,7 +20,7 @@ from .types import (
     SpectralImage,
     SpectralLibrary,
 )
-from .metrics import pairwise_angles, rmse, sam_field, spectral_angle
+from .metrics import field_scores, pairwise_angles, rmse, spectral_angle
 from .mixing import NOISELESS, add_noise, mix_forward
 
 __version__ = "0.1.0"

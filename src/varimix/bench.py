@@ -31,7 +31,7 @@ from scipy.optimize import linear_sum_assignment
 from .extraction import BundleExtractionConfig, extract_bundles, extract_endmembers
 from .io import load_config, load_library, save_result, save_scene
 from .libops import apply_transform, build_transform, check_spec, prune
-from .metrics import pairwise_angles, rmse, sam_field
+from .metrics import field_scores, pairwise_angles, rmse
 from .solvers import ALGORITHMS, SOLVERS, SolverOptions, UnmixingResult, unmix
 from .synth import SceneConfig, synthesize_from_config, truth_variant_library
 from .types import (
@@ -162,8 +162,7 @@ def eval_result(
     target = truth.image_clean.pixels if clean_pixels is None else clean_pixels
     row["rmse_Y"] = rmse(target, result.reconstruction)
     if result.endmembers is not None and clean_pixels is None:
-        row["rmse_M"] = rmse(truth.endmembers.data, result.endmembers.data, perm)
-        row["sam_M"] = sam_field(truth.endmembers, result.endmembers, perm)
+        row["rmse_M"], row["sam_M"] = field_scores(truth.endmembers, result.endmembers, perm)
     return row
 
 

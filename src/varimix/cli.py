@@ -71,8 +71,7 @@ def _spec(block: str, args) -> dict:
 def _cmd_prune(args) -> int:
     library = load_library(args.library)
     if args.method == "music" and not args.image:
-        print("error: --image required for --method music", file=sys.stderr)
-        return 2
+        raise ValueError("--image required for --method music")
     image = resolve_image(args.image) if args.method == "music" else None
     pruned = prune(_spec("prune", args), library, image)
     save_library(pruned, args.out)
@@ -91,17 +90,12 @@ def _cmd_transform(args) -> int:
 def _cmd_unmix(args) -> int:
     image = resolve_image(args.image)
     opts = SolverOptions() if args.opts is None else _read_config(SolverOptions, args.opts)
-    if SOLVERS[args.algo].kind == "matrix":
-        path = args.m0 or args.library
-        if not path:
-            print("error: --m0 or --library required", file=sys.stderr)
-            return 2
-        source = load_library(path).class_means().T
-    elif not args.library:
-        print("error: --library required for library-based algorithms", file=sys.stderr)
-        return 2
-    else:
-        source = load_library(args.library)
+    matrix = SOLVERS[args.algo].kind == "matrix"
+    path = (args.m0 or args.library) if matrix else args.library
+    if not path:
+        raise ValueError("--m0 or --library required" if matrix
+                         else "--library required for library-based algorithms")
+    source = load_library(path).class_means().T if matrix else load_library(path)
     if args.transform:
         _, image, source = transform_input({"method": "path", "path": args.transform},
                                            image, source)

@@ -138,12 +138,21 @@ def _check_reflectance(values: np.ndarray, path):
                           f"{_REFLECTANCE_FLOOR:g}")
 
 
+def _check_names(names, path):
+    """Refuse a class name that the CSV readers would split: one holding a
+    comma or a line break (anything ``str.splitlines`` splits on)."""
+    for name in names:
+        if "," in name or "".join(name.splitlines()) != name:
+            raise FormatError(f"{path}: class name {name!r} holds a comma or a line break")
+
+
 def save_library(library: SpectralLibrary, path) -> Path:
     """Write ``library`` as CSV; a library that ``load_library`` would
-    refuse is not written (``FormatError``)."""
+    refuse or split (values, class names) is not written (``FormatError``)."""
     header = "class," + ",".join(f"b{i}" for i in range(library.n_bands))
     values, labels = library.flatten()
     _check_reflectance(values, path)
+    _check_names(library.class_names, path)
     names = [library.class_names[k] for k in labels]
     return _write_csv(path, header, values, names)
 
@@ -172,8 +181,9 @@ def load_library(path) -> SpectralLibrary:
 
 
 def save_abundances(abundances: AbundanceMap, path, digests: Optional[dict] = None) -> Path:
-    return _write_csv(path, ",".join(abundances.names_or_default()), abundances.data,
-                      digests=digests)
+    names = abundances.names_or_default()
+    _check_names(names, path)
+    return _write_csv(path, ",".join(names), abundances.data, digests=digests)
 
 
 def load_abundances(path, sum_to_one: bool = True) -> AbundanceMap:

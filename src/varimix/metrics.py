@@ -5,8 +5,9 @@ which equals arccos of the normalized inner product but stays accurate
 near 0 and pi (a clamped arccos loses ~1e-8 rad to rounding there, which
 would break the scale-invariance contracts).
 
-``rmse`` and ``sam_field`` run over chunks of pixels, so their
-temporaries stay near ``_CHUNK_BYTES``; chunk sums are added exactly.
+``rmse`` and ``field_scores`` (RMSE_M and SAM_M from one walk over a
+field pair) run over chunks of pixels, so their temporaries stay near
+``_CHUNK_BYTES``; chunk sums are added exactly.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .types import DegenerateSignatureError, DimensionError, EndmemberField
 _CHUNK_BYTES = 1 << 20      # scoring temporaries per chunk of pixels
 
 
-def _chunks(x: np.ndarray, x_hat: np.ndarray, perm, temps: int):
+def _chunks(x: np.ndarray, x_hat: np.ndarray, perm):
     """Copies of matching row chunks of ``x`` and ``x_hat``, the last axis
-    of ``x_hat`` reordered by ``perm``; a chunk is sized so that ``temps``
-    arrays of its size fill ``_CHUNK_BYTES``."""
-    step = max(1, _CHUNK_BYTES // max(temps * x[:1].nbytes, 1))
+    of ``x_hat`` reordered by ``perm``; a chunk is sized so that the four
+    arrays a scorer holds of its size fill ``_CHUNK_BYTES``."""
+    step = max(1, _CHUNK_BYTES // max(4 * x[:1].nbytes, 1))
     cols = np.arange(x.shape[-1])
     for i in range(0, len(x), step):
         yield x[i:i + step][..., cols], x_hat[i:i + step][..., cols if perm is None else perm]
@@ -38,7 +39,7 @@ def rmse(x: np.ndarray, x_hat: np.ndarray, perm=None) -> float:
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=np.float64))
     if x.shape != x_hat.shape:
         raise DimensionError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    sums = [np.sum(np.square(t - h)) for t, h in _chunks(x, x_hat, perm, 4)]
+    sums = [np.sum(np.square(t - h)) for t, h in _chunks(x, x_hat, perm)]
     return float(np.sqrt(np.float64(math.fsum(sums)) / x.size))   # nan when empty
 
 
@@ -75,22 +76,22 @@ def _normalize_columns(w: np.ndarray):
     w /= norms[:, None, :]
 
 
-def sam_field(m_true: EndmemberField, m_hat: EndmemberField, perm=None) -> float:
-    """Mean angle between matching per-pixel endmember columns; ``perm``
-    reorders the classes of ``m_hat`` (a class alignment).
-
-    The angle sum over all (pixel, class) pairs is divided by L*P*N,
-    which shrinks the score by the band count relative to a plain
+def field_scores(m_true: EndmemberField, m_hat: EndmemberField, perm=None) -> tuple:
+    """(RMSE_M, SAM_M) from one walk over the field pair; ``perm`` reorders
+    the classes of ``m_hat`` (a class alignment). RMSE_M is ``rmse`` of the
+    arrays. SAM_M divides the angle sum over all (pixel, class) column pairs
+    by L*P*N, which shrinks the score by the band count relative to a plain
     per-pair mean; the bench reports SAM_M on this scale.
     """
     if m_true.data.shape != m_hat.data.shape:
         raise DimensionError("endmember fields differ in shape")
-    n, l, p = m_true.data.shape
-    sums = []
-    for u, v in _chunks(m_true.data, m_hat.data, perm, 4):     # u, v, u - v, u + v
+    size = m_true.data.size
+    squares, angles = [], []
+    for u, v in _chunks(m_true.data, m_hat.data, perm):       # u, v, u - v, u + v
+        squares.append(np.sum(np.square(u - v)))
         _normalize_columns(u)
         _normalize_columns(v)
         diff = _column_norms(u - v)
         u += v
-        sums.append(np.sum(2.0 * np.arctan2(diff, _column_norms(u))))
-    return math.fsum(sums) / (l * p * n)
+        angles.append(np.sum(2.0 * np.arctan2(diff, _column_norms(u))))
+    return float(np.sqrt(np.float64(math.fsum(squares)) / size)), math.fsum(angles) / size

@@ -17,6 +17,7 @@ from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
 from .io import load_library
 from .mixing import add_noise, mix_forward
+from .solvers.search import distinct_rows
 from .types import (
     AbundanceMap,
     DimensionError,
@@ -337,12 +338,16 @@ def synthesize_scene(
 
 
 def truth_variant_library(truth: SceneTruth) -> SpectralLibrary:
-    """Recover the distinct per-class variants realized in a scene."""
+    """Recover the distinct per-class variants realized in a scene, as
+    ``np.unique(..., axis=0)`` of a class's rows, sorting only its
+    byte-distinct ones (``distinct_rows``). Rows differing only in a zero's
+    sign may come out with either sign, equal in value; synthesized variants
+    all scale one base value, so a zero keeps its sign and the bytes hold."""
     names = truth.abundances.names_or_default()
     classes = []
     for p, cname in enumerate(names):
-        sigs = np.unique(truth.endmembers.data[:, :, p], axis=0)
-        classes.append(LibraryClass(cname, sigs))
+        sigs = truth.endmembers.data[:, :, p]
+        classes.append(LibraryClass(cname, np.unique(sigs[distinct_rows(sigs)], axis=0)))
     return SpectralLibrary(tuple(classes))
 
 

@@ -262,18 +262,6 @@ class EndmemberField:
         if lo < 0:
             raise ValueError("EndmemberField values must be nonnegative")
 
-    @property
-    def n_pixels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_bands(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.data.shape[2]
-
     def class_means(self) -> np.ndarray:
         """(P, L) mean realized signature per class."""
         return self.data.mean(axis=0).T

@@ -94,6 +94,26 @@ def test_library_writer_keeps_the_reader_rule(tmp_path):
     assert not (tmp_path / "low.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["p,q", "a\nb", "a\r\nb", "a\x85b", "a\u2028b", "tail\n"])
+def test_csv_writers_refuse_names_their_readers_would_split(tmp_path, rng, bad):
+    lib = SpectralLibrary.from_arrays(["veg", bad], [rng.uniform(0, 1, size=(2, 3))] * 2)
+    with pytest.raises(FormatError, match="holds a comma or a line break"):
+        save_library(lib, tmp_path / "lib.csv")
+    a = AbundanceMap(rng.dirichlet(np.ones(3), size=4), class_names=("veg", bad, "dirt"))
+    with pytest.raises(FormatError, match="holds a comma or a line break"):
+        save_abundances(a, tmp_path / "a.csv")
+    assert not (tmp_path / "lib.csv").exists() and not (tmp_path / "a.csv").exists()
+
+
+def test_empty_and_spaced_names_round_trip(tmp_path, rng):
+    names = ("", "bare soil", " x ")
+    lib = SpectralLibrary.from_arrays(names, [rng.uniform(0, 1, size=(2, 3))] * 3)
+    assert load_library(save_library(lib, tmp_path / "lib.csv")).class_names == names
+    a = AbundanceMap(rng.dirichlet(np.ones(3), size=4), class_names=names)
+    back = load_abundances(save_abundances(a, tmp_path / "a.csv"))
+    assert back.class_names == names and np.array_equal(back.data, a.data)
+
+
 def test_abundances_round_trip(tmp_path, rng):
     a = AbundanceMap(rng.dirichlet(np.ones(4), size=13), class_names=("a", "b", "c", "d"))
     save_abundances(a, tmp_path / "a.csv")

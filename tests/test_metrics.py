@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from varimix import metrics
-from varimix.metrics import rmse, sam_field, spectral_angle
+from varimix.metrics import field_scores, rmse, spectral_angle
 from varimix.types import DegenerateSignatureError, DimensionError, EndmemberField
 
 
@@ -41,7 +41,7 @@ def test_sam_scaling_invariance():
     m = np.abs(rng.normal(size=(4, 6, 3))) + 0.1
     f1 = EndmemberField(m)
     f2 = EndmemberField(2.0 * m)
-    assert sam_field(f1, f2) == pytest.approx(0.0, abs=1e-12)
+    assert field_scores(f1, f2)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sam_orthogonal_single_pair():
@@ -49,14 +49,14 @@ def test_sam_orthogonal_single_pair():
     # score divides by L*P*N = 2
     t = EndmemberField(np.array([[[1.0], [0.0]]]))
     h = EndmemberField(np.array([[[0.0], [1.0]]]))
-    assert sam_field(t, h) == pytest.approx(math.pi / 4, abs=1e-12)
+    assert field_scores(t, h)[1] == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_sam_zero_norm_rejected():
     t = EndmemberField(np.ones((1, 3, 1)))
     z = EndmemberField(np.zeros((1, 3, 1)))
     with pytest.raises(DegenerateSignatureError):
-        sam_field(t, z)
+        field_scores(t, z)
 
 
 @given(
@@ -76,7 +76,7 @@ def test_sam_independent_column_rescaling():
     rng = np.random.default_rng(2)
     m = np.abs(rng.normal(size=(5, 8, 3))) + 0.1
     scales = rng.uniform(0.5, 3.0, size=(5, 1, 3))
-    assert sam_field(EndmemberField(m), EndmemberField(m * scales)) < 1e-12
+    assert field_scores(EndmemberField(m), EndmemberField(m * scales))[1] < 1e-12
 
 
 def _sam_unchunked(t, h):
@@ -104,11 +104,11 @@ def test_chunked_scores_match_whole_field_formulas(monkeypatch, chunk_rows, seed
     for h in (rng.uniform(0.05, 1.0, size=(n, l, p)),                  # unrelated
               t[:, :, np.argsort(perm)] * rng.uniform(0.9, 1.1, size=(n, l, p))):  # close
         want_sam = _sam_unchunked(t, h[:, :, perm])
-        got_sam = sam_field(EndmemberField(t), EndmemberField(h), perm)
+        got_rmse, got_sam = field_scores(EndmemberField(t), EndmemberField(h), perm)
         assert abs(got_sam - want_sam) <= 1e-15 * want_sam
         want_rmse = float(np.sqrt(np.mean((t - h[:, :, perm]) ** 2)))
-        got_rmse = rmse(t, h, perm)
         assert abs(got_rmse - want_rmse) <= 1e-15 * want_rmse
+        assert got_rmse == rmse(t, h, perm)
 
 
 def test_identical_fields_score_exactly_zero_in_every_chunk(monkeypatch):
@@ -116,7 +116,7 @@ def test_identical_fields_score_exactly_zero_in_every_chunk(monkeypatch):
     m = np.abs(np.random.default_rng(3).normal(size=(10, 6, 3))) + 0.1
     perm = np.array([1, 2, 0])
     shuffled = m[:, :, np.argsort(perm)]
-    assert sam_field(EndmemberField(m), EndmemberField(shuffled), perm) == 0.0
+    assert field_scores(EndmemberField(m), EndmemberField(shuffled), perm) == (0.0, 0.0)
     assert rmse(m, shuffled, perm) == 0.0
 
 
@@ -127,4 +127,4 @@ def test_zero_column_in_last_partial_chunk_rejected(monkeypatch):
     z[9, :, 1] = 0.0
     for a, b in ((m, z), (z, m)):
         with pytest.raises(DegenerateSignatureError):
-            sam_field(EndmemberField(a), EndmemberField(b))
+            field_scores(EndmemberField(a), EndmemberField(b))

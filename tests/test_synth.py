@@ -22,7 +22,9 @@ from varimix.synth import (
     scaling_variants,
     synthesize_scene,
     synthetic_base_spectra,
+    truth_variant_library,
 )
+from varimix.types import AbundanceMap, EndmemberField, SceneTruth, SpectralImage
 
 from conftest import make_scene
 
@@ -193,6 +195,38 @@ class TestSynthesizeScene:
         draw = np.random.default_rng(int(sub[2])).integers(0, k, size=(height * width, p))
         ref = np.stack([variants[j][draw[:, j]] for j in range(p)], axis=2)
         assert truth.endmembers.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 3, 30])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_truth_variant_library_is_each_classes_unique_rows(self, p, k):
+        # sorting only a class's distinct rows gives np.unique's bytes
+        base = synthetic_base_spectra(12, p, seed=4)
+        modes = tuple(ClassVariability(VARIABILITY_MODES[j % 5]) for j in range(p))
+        ab = AbundanceFieldConfig(generator="grf", correlation_length=3.0)
+        truth = synthesize_scene(base, ab, VariabilityConfig(modes, k),
+                                 snr_db=30.0, seed=8, height=9, width=11)
+        lib = truth_variant_library(truth)
+        assert lib.class_names == base.class_names
+        for j, cls in enumerate(lib.classes):
+            want = np.unique(truth.endmembers.data[:, :, j], axis=0)
+            assert cls.signatures.shape == want.shape
+            assert cls.signatures.tobytes() == want.tobytes()
+
+    def test_truth_variant_library_with_signed_zero_twins(self):
+        # class 0 holds (0, .5) and (-0, .5), distinct bytes but equal values:
+        # the library has np.unique's rows in value and in count
+        col0 = [[-0.0, 0.5], [0.2, 0.1], [0.0, 0.5], [0.2, 0.1], [-0.0, 0.5]]
+        m = np.stack([np.array(col0), np.full((5, 2), 0.3)], axis=2)      # (N, L, P)
+        a = np.array([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75], [0.0, 1.0], [0.5, 0.5]])
+        image = SpectralImage(np.einsum("nlp,np->nl", m, a)[None])
+        truth = SceneTruth(image_noisy=image, image_clean=image, abundances=AbundanceMap(a),
+                           endmembers=EndmemberField(m), snr_db=math.inf, seed=0)
+        lib = truth_variant_library(truth)
+        for j, cls in enumerate(lib.classes):
+            want = np.unique(m[:, :, j], axis=0)
+            assert cls.signatures.shape == want.shape
+            assert np.array_equal(cls.signatures, want)
+        assert lib.sizes == (2, 1)
 
     def test_bytes_do_not_depend_on_the_blas_thread_count(self):
         script = """
