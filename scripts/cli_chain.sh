@@ -3,9 +3,9 @@
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
 # and greedy and exhaustive sparse-l0; then checks that a refused value (sparse-l0
-# with --k 0), a retired option (an --opts file with `rho`) and a missing input
-# (prune --method music without --image) each end in one `error:` line on
-# stderr, exit code 2 and no output.
+# with --k 0), a retired option (an --opts file with `rho`), a missing input
+# (prune --method music without --image) and an image payload holding a NaN
+# each end in one `error:` line on stderr, exit code 2 and no output.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -81,5 +81,19 @@ if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 \
       || "$err" != "error: --image required for --method music" || -e refused.csv ]]; then
     echo "cli_chain: prune --method music without --image was not refused as expected" \
         "(exit $status): $err" >&2
+    exit 1
+fi
+
+# the same bytes on every run, so two runs' directories still compare equal
+python -c "import numpy as np; from varimix.io import save_image; \
+from varimix.types import SpectralImage; \
+save_image(SpectralImage(np.full((2, 3, 24), 0.5)), 'nan_image.json'); \
+payload = np.memmap('nan_image.bin', dtype='<f8', mode='r+'); payload[7] = np.nan; payload.flush()"
+status=0
+err="$(python -m varimix unmix --image nan_image.json --algo fcls --m0 small.csv \
+    --out refused/ 2>&1 >/dev/null)" || status=$?
+if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 \
+      || "$err" != "error: non-finite values in image payload nan_image.json" || -e refused ]]; then
+    echo "cli_chain: an image holding a NaN was not refused as expected (exit $status): $err" >&2
     exit 1
 fi

@@ -10,11 +10,14 @@ by ``bench.transform_input``; the solver is called through
 ``solvers.unmix`` and its outputs are written by ``io.save_result``.
 ``prune`` and ``transform`` turn their flags into a bench config spec and
 call ``libops.prune`` / ``libops.build_transform``, as the bench does.
+The parser is built once per process (``build_parser`` is cached) for
+in-process callers of ``main``; parsing leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -119,6 +122,7 @@ def _cmd_bench(args) -> int:
     return 0 if not failed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="varimix",
                                 description="spectral unmixing under endmember variability")

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh
 
+from .solvers.search import distinct_rows
 from .types import (
     DegenerateGeometryWarning,
     DimensionError,
@@ -100,7 +101,11 @@ def extract_endmembers(
     best effort. Raises ``DimensionError`` when P exceeds the pixel or
     the band count.
     """
-    pixels = image.pixels                              # (N, L)
+    return _vca(image.pixels, n_classes, seed)
+
+
+def _vca(pixels: np.ndarray, n_classes: int, seed: Optional[int]):
+    """``extract_endmembers`` on the (N, L) pixel matrix ``pixels``."""
     n, l = pixels.shape
     p = n_classes
     if n < p:
@@ -238,17 +243,13 @@ def extract_bundles(image: SpectralImage, cfg: BundleExtractionConfig) -> Spectr
     pool = []
     for r in range(cfg.num_runs):
         subset = rng.choice(n, size=cfg.subset_size, replace=cfg.with_replacement)
-        sub_img = SpectralImage(
-            image.pixels[subset].reshape(1, subset.size, image.n_bands),
-            name=f"{image.name}_subset{r}",
-        )
         # stream 0 draws the subsets and stream 10 seeds the clustering,
         # so runs take streams 1-9, 11, 12, ...
         stream = r + 1 if r < 9 else r + 2
-        sigs, _ = extract_endmembers(sub_img, cfg.n_classes, seed=int(run_seeds[stream]))
+        sigs, _ = _vca(image.pixels[subset], cfg.n_classes, seed=int(run_seeds[stream]))
         pool.append(sigs)
     pooled = np.concatenate(pool, axis=0)
-    distinct = np.unique(pooled, axis=0).shape[0]
+    distinct = distinct_rows(pooled + 0.0).size         # + 0.0: -0.0 and 0.0 are one value
     if distinct < cfg.n_classes:
         raise ValueError(
             f"the pooled signatures hold {distinct} distinct spectra, "

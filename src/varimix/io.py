@@ -148,11 +148,14 @@ def _check_names(names, path):
 
 def save_library(library: SpectralLibrary, path) -> Path:
     """Write ``library`` as CSV; a library that ``load_library`` would
-    refuse or split (values, class names) is not written (``FormatError``)."""
+    refuse, split or merge (values, class names) is not written
+    (``FormatError``)."""
     header = "class," + ",".join(f"b{i}" for i in range(library.n_bands))
     values, labels = library.flatten()
     _check_reflectance(values, path)
     _check_names(library.class_names, path)
+    if len(set(library.class_names)) < library.n_classes:       # the reader would merge them
+        raise FormatError(f"{path}: class names must be distinct")
     names = [library.class_names[k] for k in labels]
     return _write_csv(path, header, values, names)
 
@@ -188,11 +191,11 @@ def save_abundances(abundances: AbundanceMap, path, digests: Optional[dict] = No
 
 def load_abundances(path, sum_to_one: bool = True) -> AbundanceMap:
     p = Path(path)
-    lines = [ln for ln in p.read_text().splitlines() if ln.strip()]
+    lines = p.read_text().splitlines()
     if not lines:
         raise FormatError(f"{p}: empty abundance file")
-    names = tuple(lines[0].split(","))
-    rows = [ln.split(",") for ln in lines[1:]]
+    names = tuple(lines[0].split(","))          # verbatim: one class may be named ""
+    rows = [ln.split(",") for ln in lines[1:] if ln.strip()]
     for i, row in enumerate(rows, start=1):
         if len(row) != len(names):
             raise FormatError(f"{p}: row {i} has {len(row)} values, header has {len(names)}")

@@ -16,8 +16,9 @@ for solvers that build them in factored form or from library statistics,
 and also take a stack of shared Grams, each with its own rows, in one
 call.
 ``monotone_loop`` drives the alternating solvers, ``QPCounts`` records a
-solver call and builds its log, and ``_chunked_result`` builds the field,
-reconstruction and per-pixel error of every solver that emits a field.
+solver call and builds its log, and ``_chunked_result`` builds every
+solver's reconstruction and per-pixel error, and the field of those that
+emit one, a block of pixels at a time.
 """
 
 from __future__ import annotations
@@ -463,15 +464,19 @@ def _chunked_result(y: np.ndarray, a: np.ndarray, fill, counts: QPCounts):
     writes the field of pixels lo:hi into ``out``, a view of the returned
     array, so the call holds O(chunk) temporaries besides its outputs. A
     pixel's bits do not depend on the chunk size when ``fill``'s products
-    keep each row's bits."""
+    keep each row's bits. ``fill`` may instead be a shared (L, P) matrix
+    (FCLS): then no field is built, and None is returned in its place."""
     (n, l), p = y.shape, a.shape[1]
-    field, recon, re = np.empty((n, l, p)), np.empty((n, l)), np.empty(n)
+    shared = isinstance(fill, np.ndarray)
+    field = None if shared else np.empty((n, l, p))
+    recon, re = np.empty((n, l)), np.empty(n)
     sums = []
     with timed(counts.phases, "result"):
         for lo in range(0, n, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n)
-            fill(lo, hi, field[lo:hi])
-            recon[lo:hi] = reconstruct(field[lo:hi], a[lo:hi])
+            if not shared:
+                fill(lo, hi, field[lo:hi])
+            recon[lo:hi] = reconstruct(fill if shared else field[lo:hi], a[lo:hi])
             total, re[lo:hi] = residual_stats(y[lo:hi], recon[lo:hi])
             sums.append(total)
     return field, recon, re, math.fsum(sums)

@@ -7,8 +7,7 @@ import warnings
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, SpectralImage
-from .base import (QPCounts, SolverOptions, UnmixingResult, fcls_core, reconstruct, residual_stats,
-                   timed)
+from .base import QPCounts, SolverOptions, UnmixingResult, _chunked_result, fcls_core
 
 
 def fcls(
@@ -21,7 +20,8 @@ def fcls(
     ``matrix`` is (L, P). Under the sum-to-one constraint the abundances
     are unique when [M; 1'] has rank P, so L = P - 1 bands can suffice;
     below that rank a warning is raised. The result carries no endmember
-    field: the baseline does not estimate per-pixel signatures.
+    field: the baseline does not estimate per-pixel signatures. Its result
+    is built by ``_chunked_result``, so it holds no whole-image residual.
     """
     counts = QPCounts()
     m = np.asarray(matrix, dtype=np.float64)
@@ -32,8 +32,6 @@ def fcls(
         warnings.warn(f"[M; 1'] has rank below P = {p}: abundances are not unique")
     y = image.pixels
     a, rounds = fcls_core(y, m, counts)
-    with timed(counts.phases, "result"):
-        recon = reconstruct(m, a)
-        cost, re = residual_stats(y, recon)
+    _, recon, re, cost = _chunked_result(y, a, m, counts)
     return UnmixingResult(AbundanceMap(a, sum_to_one=True), re, recon,
                           counts.log(rounds, cost))

@@ -5,8 +5,8 @@ freely across threads. The constructors copy a caller's array and mark
 the copy read-only; an array the toolkit has just built (synthesis,
 loading, solver results) comes wrapped in ``_Adopt`` and is checked the
 same way, then marked read-only in place instead of copied. The checks
-read each array by whole-array reductions (``min``, ``max``, ``sum``)
-and build no boolean array of its size.
+read each array by whole-array reductions, finiteness by one ``sum``
+(``_all_finite``), and build no boolean array of its size.
 """
 
 from __future__ import annotations
@@ -58,10 +58,13 @@ def _freeze(a) -> np.ndarray:
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether ``a`` holds no NaN and no infinity. NaN propagates through
-    ``min`` and ``max``, so their two passes decide it without a boolean
-    temporary the size of ``a``."""
-    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+    """Whether ``a`` holds no NaN and no infinity. A NaN or an infinity
+    makes ``sum`` non-finite, so a finite sum decides it in one pass; a
+    non-finite one, which finite values also give by overflow (no warning
+    then), is decided by ``min`` and ``max``, through which NaN propagates."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()                 # 0.0 for an empty array
+    return bool(np.isfinite(total) or (np.isfinite(a.min()) and np.isfinite(a.max())))
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from varimix.cli import main
+from varimix.cli import build_parser, main
 from varimix.io import load_abundances, load_library, save_image, save_library
 from varimix.synth import synthetic_base_spectra
 from varimix.types import DegenerateGeometryWarning, SpectralImage
@@ -138,6 +138,21 @@ def test_opts_json_with_misspelled_key_exits_2(scene_dir, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {opts}: config: expected an object, got list\n"
     assert not out.exists()
+
+
+def test_a_refused_call_leaves_the_next_call_in_the_process_unchanged(scene_dir, capsys):
+    # the parser is built once per process and reused by every main call
+    build_parser.cache_clear()
+    unmix = ["unmix", "--image", str(scene_dir / "scene"), "--algo", "sparse-l0",
+             "--library", str(scene_dir / "base.csv"), "--out"]
+    assert main(unmix + [str(scene_dir / "alone")]) == 0
+    assert main(unmix[:-1] + ["--k", "0", "--out", str(scene_dir / "refused")]) == 2
+    assert capsys.readouterr().err.startswith("error: k must lie")
+    assert main(unmix + [str(scene_dir / "after")]) == 0
+    assert not (scene_dir / "refused").exists()
+    alone, after = ({f.name: f.read_bytes() for f in (scene_dir / d).iterdir()
+                     if f.name != "solver_log.json"} for d in ("alone", "after"))
+    assert alone and alone == after
 
 
 def test_music_prune_via_cli(scene_dir):

@@ -194,6 +194,16 @@ class TestExtractBundles:
             with pytest.raises(ValueError, match="hold 1 distinct spectra, fewer than the 3"):
                 extract_bundles(img, cfg)
 
+    def test_signed_zero_twins_count_as_one_spectrum(self):
+        # every pixel has the same value; band 0 holds 0.0 or -0.0
+        data = np.full((10, 10, 20), 0.4)
+        data[..., 0] = 0.0
+        data[1::2, :, 0] = -0.0
+        cfg = BundleExtractionConfig(n_classes=3, seed=0)
+        with pytest.warns(DegenerateGeometryWarning):
+            with pytest.raises(ValueError, match="hold 1 distinct spectra, fewer than the 3"):
+                extract_bundles(SpectralImage(data), cfg)
+
     def test_byte_identical_across_thread_counts(self):
         script = """
 import hashlib
@@ -242,16 +252,17 @@ print(hashlib.sha256(b"".join(c.signatures.tobytes() for c in lib.classes)).hexd
         import varimix.extraction as ext
 
         runs, clusters = [], []
+        real_vca = ext._vca
 
-        def vca(image, n_classes, seed=None):
+        def vca(pixels, n_classes, seed=None):
             runs.append(seed)
-            return extract_endmembers(image, n_classes, seed=seed)
+            return real_vca(pixels, n_classes, seed=seed)
 
         def cluster(signatures, n_classes, metric="spectral_angle", seed=None):
             clusters.append(seed)
             return cluster_signatures(signatures, n_classes, metric, seed=seed)
 
-        monkeypatch.setattr(ext, "extract_endmembers", vca)
+        monkeypatch.setattr(ext, "_vca", vca)
         monkeypatch.setattr(ext, "cluster_signatures", cluster)
         truth = make_scene(snr_db=30.0, pure_fraction=0.05, seed=17)
         cfg = BundleExtractionConfig(n_classes=3, num_runs=num_runs, subset_size=60, seed=4)

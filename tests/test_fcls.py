@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from varimix.solvers import SolverOptions, fcls, fcls_core, residual_stats
+from varimix.solvers import SolverOptions, fcls, fcls_core, reconstruct, residual_stats
 from varimix.types import SpectralImage
 
 from oracles import project_simplex, qp_fcls_oracle
@@ -143,3 +144,19 @@ def test_residual_stats_match_the_two_pass_formulas_bit_for_bit(shape):
     cost, rms = residual_stats(y, recon)
     assert cost == float(np.sum((y - recon) ** 2))
     assert rms.tobytes() == (np.linalg.norm(y - recon, axis=1) / np.sqrt(shape[1])).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+def test_chunked_result_matches_the_whole_image_bit_for_bit(n):
+    # FCLS builds its result 256 pixels at a time; each row keeps the bits
+    # of the whole-image reconstruction and residual
+    rng = np.random.default_rng(n)
+    m = rng.uniform(0.05, 1.0, size=(40, 3))
+    y = rng.dirichlet(np.ones(3), size=n) @ m.T + rng.normal(0.0, 0.01, size=(n, 40))
+    res = fcls(_image(y), m)
+    recon = reconstruct(m, res.abundances.data)
+    _, re = residual_stats(y, recon)
+    assert res.reconstruction.tobytes() == recon.tobytes()
+    assert res.per_pixel_re.tobytes() == re.tobytes()
+    exact = math.fsum(((y - recon) ** 2).ravel())
+    assert res.solver_log.final_cost == pytest.approx(exact, rel=1e-12, abs=0.0)

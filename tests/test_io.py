@@ -114,6 +114,22 @@ def test_empty_and_spaced_names_round_trip(tmp_path, rng):
     assert back.class_names == names and np.array_equal(back.data, a.data)
 
 
+@pytest.mark.parametrize("name", ["", "  "])
+def test_one_blank_class_name_round_trips(tmp_path, rng, name):
+    # its header line is blank, and the reader takes it as the header
+    a = AbundanceMap(np.ones((3, 1)), class_names=(name,))
+    back = load_abundances(save_abundances(a, tmp_path / "a.csv"))
+    assert back.class_names == (name,) and np.array_equal(back.data, a.data)
+
+
+def test_library_writer_refuses_duplicate_class_names(tmp_path, rng):
+    # the reader would merge the two classes into one
+    lib = SpectralLibrary.from_arrays(["a", "a"], [rng.uniform(0, 1, size=(k, 3)) for k in (1, 2)])
+    with pytest.raises(FormatError, match="class names must be distinct"):
+        save_library(lib, tmp_path / "lib.csv")
+    assert not (tmp_path / "lib.csv").exists()
+
+
 def test_abundances_round_trip(tmp_path, rng):
     a = AbundanceMap(rng.dirichlet(np.ones(4), size=13), class_names=("a", "b", "c", "d"))
     save_abundances(a, tmp_path / "a.csv")

@@ -1,9 +1,9 @@
 """Who owns the large arrays, and what building and scoring them costs.
 
 Scoring and synthesis make no field-sized temporaries, synthesis and
-loading a scene no (N, L) ones besides their outputs, FCLS no (N, L)
-ones besides its output and one residual, and the solvers that emit a
-field no large ones besides it and their reconstruction (peaks measured
+loading a scene no (N, L) ones besides their outputs, FCLS none
+besides its reconstruction, and the solvers that emit a field no large
+ones besides it and their reconstruction (peaks measured
 with ``tracemalloc``, which sees numpy's buffers); the public
 constructors copy the caller's array; every array that synthesis,
 loading and the solvers hand out is read-only."""
@@ -73,6 +73,15 @@ def test_fcls_peak_holds_one_residual_image():
     result, peak = _traced_peak(lambda: unmix("fcls", truth.image_noisy,
                                               truth.endmembers.class_means().T, SolverOptions()))
     assert peak < 2.5 * truth.image_noisy.data.nbytes
+
+
+def test_fcls_peak_holds_its_reconstruction_and_a_residual_chunk():
+    # the residuals are built 256 pixels at a time, so the reconstruction
+    # is the one (N, L) array FCLS holds
+    truth = bench_scene(64, 64)
+    result, peak = _traced_peak(lambda: unmix("fcls", truth.image_noisy,
+                                              truth.endmembers.class_means().T, SolverOptions()))
+    assert peak < 1.25 * truth.image_noisy.data.nbytes
 
 
 @pytest.mark.parametrize("name", ["elmm", "plmm", "mesma", "sparse-l1", "sparse-l0"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from varimix.types import (
     SceneTruth,
     SpectralImage,
     SpectralLibrary,
+    _all_finite,
 )
 
 
@@ -111,6 +114,26 @@ def test_every_non_finite_entry_is_rejected(check, value, where):
     with pytest.raises(ValueError) as info:
         build(_poisoned(shape, value, where))
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("values, finite", [
+    ([1e308, 1e308], True),             # the sum overflows, the values are finite
+    ([], True),
+    ([0.5, np.nan], False),
+    ([np.inf, 0.5], False),
+    ([0.5, -np.inf], False),
+    ([np.inf, -np.inf], False),         # the sum is NaN
+])
+def test_all_finite_takes_the_exact_check_when_the_sum_is_not_finite(values, finite):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _all_finite(np.array(values)) is finite
+
+
+@pytest.mark.parametrize("check", ["image", "library", "abundance", "field"])
+def test_values_whose_sum_overflows_pass_the_finite_checks(check):
+    shape, build, _ = _FINITE_CHECKS[check]
+    build(np.full(shape, 1e308))
 
 
 @pytest.mark.parametrize("check", ["image", "library", "abundance", "field", "fcls_core y"])
