@@ -3,7 +3,8 @@
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
 # and greedy and exhaustive sparse-l0; then checks that a refused value (sparse-l0
-# with --k 0), a retired option (an --opts file with `rho`), a missing input
+# with --k 0), flags of other solvers (fcls with --k and --re-threshold), a
+# retired option (an --opts file with `rho`), a missing input
 # (prune --method music without --image) and an image payload holding a NaN
 # each end in one `error:` line on stderr, exit code 2 and no output.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
@@ -61,6 +62,16 @@ err="$(python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib
 if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 || "$err" != "error: k must lie"* \
       || -e refused ]]; then
     echo "cli_chain: --k 0 was not refused as expected (exit $status): $err" >&2
+    exit 1
+fi
+
+status=0
+err="$(python -m varimix unmix --image scene_dir/ --algo fcls --m0 small.csv --k 0 \
+    --re-threshold -5 --out refused/ 2>&1 >/dev/null)" || status=$?
+if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 \
+      || "$err" != "error: --re-threshold does not apply to --algo fcls" || -e refused ]]; then
+    echo "cli_chain: fcls with sparse-l0/mesma flags was not refused as expected" \
+        "(exit $status): $err" >&2
     exit 1
 fi
 

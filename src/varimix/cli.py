@@ -5,9 +5,9 @@ are deterministic given the configured seeds.
 
 ``unmix`` runs a solver the way a bench roster entry does: its input is
 ``--library`` or, for the matrix solvers, the class means of ``--m0``
-(else of ``--library``); ``--transform`` is applied to exactly that input
-by ``bench.transform_input``; the solver is called through
-``solvers.unmix`` and its outputs are written by ``io.save_result``.
+(else of ``--library``), transformed by ``bench.transform_input`` with
+``--transform``; ``solvers.unmix`` gets the extras flags given (another
+solver's are refused), and ``io.save_result`` writes the outputs.
 ``prune`` and ``transform`` turn their flags into a bench config spec and
 call ``libops.prune`` / ``libops.build_transform``, as the bench does.
 The parser is built once per process (``build_parser`` is cached) for
@@ -91,6 +91,10 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_unmix(args) -> int:
+    takes = SOLVERS[args.algo].extras
+    for flag, key in (("--re-threshold", "re_threshold"), ("--k", "k"), ("--l0-mode", "mode")):
+        if key not in takes and getattr(args, key) is not None:
+            raise ValueError(f"{flag} does not apply to --algo {args.algo}")
     image = resolve_image(args.image)
     opts = SolverOptions() if args.opts is None else _read_config(SolverOptions, args.opts)
     matrix = SOLVERS[args.algo].kind == "matrix"
@@ -102,7 +106,7 @@ def _cmd_unmix(args) -> int:
     if args.transform:
         _, image, source = transform_input({"method": "path", "path": args.transform},
                                            image, source)
-    extras = {k: getattr(args, k) for k in SOLVERS[args.algo].extras}
+    extras = {k: getattr(args, k) for k in takes if getattr(args, k) is not None}
     result = unmix(args.algo, image, source, opts, **extras)
     out = save_result(result, args.out)
     print(f"{args.algo} finished: final cost {result.solver_log.final_cost:.6g}, "
@@ -178,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--transform", help="transform JSON from 'varimix transform'")
     s.add_argument("--re-threshold", type=float, help="mesma early-stop threshold")
     s.add_argument("--k", type=int, help="sparse-l0 support size")
-    s.add_argument("--l0-mode", choices=("greedy", "exhaustive"), default="greedy", dest="mode")
+    s.add_argument("--l0-mode", choices=("greedy", "exhaustive"), dest="mode")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(func=_cmd_unmix)
 

@@ -241,12 +241,14 @@ def extract_bundles(image: SpectralImage, cfg: BundleExtractionConfig) -> Spectr
     rng = np.random.default_rng(int(run_seeds[0]))
 
     pool = []
+    pixels = np.empty((cfg.subset_size, image.n_bands))     # every run's subset, in turn
     for r in range(cfg.num_runs):
         subset = rng.choice(n, size=cfg.subset_size, replace=cfg.with_replacement)
+        np.take(image.pixels, subset, axis=0, out=pixels, mode="clip")     # "raise" buffers
         # stream 0 draws the subsets and stream 10 seeds the clustering,
         # so runs take streams 1-9, 11, 12, ...
         stream = r + 1 if r < 9 else r + 2
-        sigs, _ = _vca(image.pixels[subset], cfg.n_classes, seed=int(run_seeds[stream]))
+        sigs, _ = _vca(pixels, cfg.n_classes, seed=int(run_seeds[stream]))
         pool.append(sigs)
     pooled = np.concatenate(pool, axis=0)
     distinct = distinct_rows(pooled + 0.0).size         # + 0.0: -0.0 and 0.0 are one value

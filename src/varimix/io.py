@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .types import (
+    _CHUNK_ROWS,
     AbundanceMap,
     EndmemberField,
     FormatError,
@@ -50,37 +51,35 @@ def _payload_path(header: Path) -> Path:
     return header.with_suffix(".bin")
 
 
-def _write_bytes(path: Path, data, digests: Optional[dict]):
-    """Write bytes or a contiguous buffer, recording its digest if asked."""
+def _write_bytes(path: Path, blocks, digests: Optional[dict]):
+    """Write bytes or contiguous buffers in turn, recording their digest if asked."""
+    digest = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write(data)
+        for block in blocks:
+            f.write(block)
+            if digests is not None:
+                digest.update(block)
     if digests is not None:
-        digests[path.name] = hashlib.sha256(data).hexdigest()
+        digests[path.name] = digest.hexdigest()
 
 
-def _write_cube(path, data: np.ndarray, name: str, digests: Optional[dict] = None) -> Path:
+def _write_cube(path, shape, blocks, name: str, digests: Optional[dict] = None) -> Path:
     """Write an (H, W, L) array as header (``<path>.json``) and payload
-    (``<path>.bin``); the payload comes from ``data``'s own buffer."""
+    (``<path>.bin``), the buffers of ``blocks``, its consecutive parts."""
     header = _header_path(path)
     header.parent.mkdir(parents=True, exist_ok=True)
-    h, w, l = data.shape
-    meta = {
-        "name": name,
-        "height": h,
-        "width": w,
-        "bands": l,
-        "dtype": "f64",
-        "order": _IMAGE_ORDER,
-    }
-    _write_bytes(header, (json.dumps(meta, indent=1) + "\n").encode(), digests)
-    payload = memoryview(np.ascontiguousarray(data, dtype="<f8"))
-    _write_bytes(_payload_path(header), payload, digests)
+    h, w, l = shape
+    meta = {"name": name, "height": h, "width": w, "bands": l, "dtype": "f64",
+            "order": _IMAGE_ORDER}
+    _write_bytes(header, [(json.dumps(meta, indent=1) + "\n").encode()], digests)
+    _write_bytes(_payload_path(header),
+                 (memoryview(np.ascontiguousarray(b, dtype="<f8")) for b in blocks), digests)
     return header
 
 
 def save_image(image: SpectralImage, path, digests: Optional[dict] = None) -> Path:
     """Write header (``<path>.json``) and payload (``<path>.bin``)."""
-    return _write_cube(path, image.data, image.name, digests)
+    return _write_cube(path, image.data.shape, [image.data], image.name, digests)
 
 
 def load_image(path) -> SpectralImage:
@@ -121,7 +120,7 @@ def _write_csv(path, header: str, values: np.ndarray, labels=None,
     else:
         rows = [label.replace("%", "%%") + "," + row for label in labels]
     template = "\n".join([header.replace("%", "%%")] + rows) + "\n"
-    _write_bytes(p, (template % tuple(values.ravel().tolist())).encode(), digests)
+    _write_bytes(p, [(template % tuple(values.ravel().tolist())).encode()], digests)
     return p
 
 
@@ -213,10 +212,12 @@ def save_endmember_field(field: EndmemberField, path, digests: Optional[dict] = 
 
     Per pixel the L x P matrix is flattened in C order (class index
     fastest); the loader needs the band count to split them again. The
-    field is already frozen and checked, so its buffer is written as is.
+    field is written ``_CHUNK_ROWS`` pixels at a time from its ``rows``,
+    so a factored field is never built whole.
     """
-    n, l, p = field.data.shape
-    return _write_cube(path, field.data.reshape(1, n, l * p), "endmembers", digests)
+    n, l, p = field.shape
+    rows = (field.rows(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS))
+    return _write_cube(path, (1, n, l * p), rows, "endmembers", digests)
 
 
 def load_endmember_field(path, n_bands: int) -> EndmemberField:
@@ -238,12 +239,11 @@ def save_result(result, out) -> Path:
     save_abundances(result.abundances, out / "abundances.csv")
     if result.raw_abundances is not None:
         save_abundances(result.raw_abundances, out / "abundances_raw.csv")
-    re = result.per_pixel_re
-    _write_cube(out / "re", re.reshape(1, re.shape[0], 1), "re")
+    _write_cube(out / "re", (1, len(result.per_pixel_re), 1), [result.per_pixel_re], "re")
     if result.endmembers is not None:
         save_endmember_field(result.endmembers, out / "endmembers")
     log = json.dumps(dataclasses.asdict(result.solver_log), default=str) + "\n"
-    _write_bytes(out / "solver_log.json", log.encode(), None)
+    _write_bytes(out / "solver_log.json", [log.encode()], None)
     return out
 
 

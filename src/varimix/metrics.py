@@ -22,14 +22,15 @@ from .types import DegenerateSignatureError, DimensionError, EndmemberField
 _CHUNK_BYTES = 1 << 20      # scoring temporaries per chunk of pixels
 
 
-def _chunks(x: np.ndarray, x_hat: np.ndarray, perm):
-    """Copies of matching row chunks of ``x`` and ``x_hat``, the last axis
-    of ``x_hat`` reordered by ``perm``; a chunk is sized so that the four
-    arrays a scorer holds of its size fill ``_CHUNK_BYTES``."""
-    step = max(1, _CHUNK_BYTES // max(4 * x[:1].nbytes, 1))
-    cols = np.arange(x.shape[-1])
-    for i in range(0, len(x), step):
-        yield x[i:i + step][..., cols], x_hat[i:i + step][..., cols if perm is None else perm]
+def _chunks(shape, rows, hat, perm):
+    """Copies of matching row chunks lo:hi, ``rows(lo, hi)`` and ``hat(lo,
+    hi)``, of two arrays of ``shape``, the last axis of the second reordered
+    by ``perm``; a chunk is sized so that the four arrays a scorer holds of
+    its size fill ``_CHUNK_BYTES``."""
+    step = max(1, _CHUNK_BYTES // (32 * math.prod(shape[1:]) or 1))
+    cols = np.arange(shape[-1])
+    for i in range(0, shape[0], step):
+        yield rows(i, i + step)[..., cols], hat(i, i + step)[..., cols if perm is None else perm]
 
 
 def rmse(x: np.ndarray, x_hat: np.ndarray, perm=None) -> float:
@@ -39,7 +40,8 @@ def rmse(x: np.ndarray, x_hat: np.ndarray, perm=None) -> float:
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=np.float64))
     if x.shape != x_hat.shape:
         raise DimensionError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    sums = [np.sum(np.square(t - h)) for t, h in _chunks(x, x_hat, perm)]
+    sums = [np.sum(np.square(np.subtract(t, h, out=t), out=t)) for t, h in _chunks(
+        x.shape, lambda lo, hi: x[lo:hi], lambda lo, hi: x_hat[lo:hi], perm)]
     return float(np.sqrt(np.float64(math.fsum(sums)) / x.size))   # nan when empty
 
 
@@ -81,17 +83,19 @@ def field_scores(m_true: EndmemberField, m_hat: EndmemberField, perm=None) -> tu
     the classes of ``m_hat`` (a class alignment). RMSE_M is ``rmse`` of the
     arrays. SAM_M divides the angle sum over all (pixel, class) column pairs
     by L*P*N, which shrinks the score by the band count relative to a plain
-    per-pair mean; the bench reports SAM_M on this scale.
+    per-pair mean; the bench reports SAM_M on this scale. Fields are read
+    by ``rows``, a chunk at a time.
     """
-    if m_true.data.shape != m_hat.data.shape:
+    if m_true.shape != m_hat.shape:
         raise DimensionError("endmember fields differ in shape")
-    size = m_true.data.size
+    size = math.prod(m_true.shape)
     squares, angles = [], []
-    for u, v in _chunks(m_true.data, m_hat.data, perm):       # u, v, u - v, u + v
-        squares.append(np.sum(np.square(u - v)))
+    for u, v in _chunks(m_true.shape, m_true.rows, m_hat.rows, perm):     # u, v, u - v, u + v
+        d = np.subtract(u, v)
+        squares.append(np.sum(np.square(d, out=d)))
         _normalize_columns(u)
         _normalize_columns(v)
-        diff = _column_norms(u - v)
+        diff = _column_norms(np.subtract(u, v, out=d))
         u += v
         angles.append(np.sum(2.0 * np.arctan2(diff, _column_norms(u))))
     return float(np.sqrt(np.float64(math.fsum(squares)) / size)), math.fsum(angles) / size

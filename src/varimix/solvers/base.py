@@ -17,8 +17,9 @@ and also take a stack of shared Grams, each with its own rows, in one
 call.
 ``monotone_loop`` drives the alternating solvers, ``QPCounts`` records a
 solver call and builds its log, and ``_chunked_result`` builds every
-solver's reconstruction and per-pixel error, and the field of those that
-emit one, a block of pixels at a time.
+solver's reconstruction and per-pixel error a block of pixels at a time;
+a solver that emits an endmember field hands the same ``fill`` to a
+factored ``EndmemberField``, which builds the field's rows when read.
 """
 
 from __future__ import annotations
@@ -457,29 +458,28 @@ def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _chunked_result(y: np.ndarray, a: np.ndarray, fill, counts: QPCounts):
-    """The (N, L, P) endmember field of emitted abundances ``a``, its
-    reconstruction, the summed squared residual (exactly rounded sum of
-    the chunk sums) and ``per_pixel_re``, built ``_CHUNK_ROWS`` pixels at
-    a time, timed as ``counts``' phase ``result``: ``fill(lo, hi, out)``
-    writes the field of pixels lo:hi into ``out``, a view of the returned
-    array, so the call holds O(chunk) temporaries besides its outputs. A
-    pixel's bits do not depend on the chunk size when ``fill``'s products
-    keep each row's bits. ``fill`` may instead be a shared (L, P) matrix
-    (FCLS): then no field is built, and None is returned in its place."""
+    """The reconstruction of emitted abundances ``a``, the summed squared
+    residual (exactly rounded sum of the chunk sums) and ``per_pixel_re``,
+    built ``_CHUNK_ROWS`` pixels at a time and timed as ``counts``' phase
+    ``result``: ``fill(lo, hi, out)`` writes the endmember field of pixels
+    lo:hi into ``out``, one reused chunk buffer, so the call holds
+    O(chunk) temporaries besides its outputs and keeps no field. A pixel's
+    bits do not depend on the chunk size when ``fill``'s products keep
+    each row's bits. ``fill`` may instead be a shared (L, P) matrix (FCLS)."""
     (n, l), p = y.shape, a.shape[1]
     shared = isinstance(fill, np.ndarray)
-    field = None if shared else np.empty((n, l, p))
+    chunk = None if shared else np.empty((min(n, _CHUNK_ROWS), l, p))
     recon, re = np.empty((n, l)), np.empty(n)
     sums = []
     with timed(counts.phases, "result"):
         for lo in range(0, n, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n)
             if not shared:
-                fill(lo, hi, field[lo:hi])
-            recon[lo:hi] = reconstruct(fill if shared else field[lo:hi], a[lo:hi])
+                fill(lo, hi, chunk[:hi - lo])
+            recon[lo:hi] = reconstruct(fill if shared else chunk[:hi - lo], a[lo:hi])
             total, re[lo:hi] = residual_stats(y[lo:hi], recon[lo:hi])
             sums.append(total)
-    return field, recon, re, math.fsum(sums)
+    return recon, re, math.fsum(sums)
 
 
 def _row_product(b: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ cost takes the smoothness term from the neighbor differences themselves.
 The loop runs on the per-pixel statistics of ``rankone``, from its FCLS
 start on them to the last cost: O(N P) memory, and the (N, L) image is
 read only for rows the model fits to rounding. The endmember field is
-built once, in chunks of pixels, by ``base._chunked_result``.
+emitted as its factors, built in chunks of pixels when read.
 """
 
 from __future__ import annotations

@@ -32,6 +32,6 @@ def fcls(
         warnings.warn(f"[M; 1'] has rank below P = {p}: abundances are not unique")
     y = image.pixels
     a, rounds = fcls_core(y, m, counts)
-    _, recon, re, cost = _chunked_result(y, a, m, counts)
+    recon, re, cost = _chunked_result(y, a, m, counts)
     return UnmixingResult(AbundanceMap(a, sum_to_one=True), re, recon,
                           counts.log(rounds, cost))

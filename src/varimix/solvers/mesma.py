@@ -1,8 +1,8 @@
 """Per-pixel exhaustive search over library model combinations, in Gram
 space over each class's distinct signatures (``search``): each model is
 a (P, P) block of the statistics, and runs of models go to the kernel
-as one stack of shared Grams per call. The emitted field gathers each
-pixel's selected signatures, clamped, through ``base._chunked_result``.
+as one stack of shared Grams per call. The emitted field keeps a table of
+the selected models' clamped matrices and each pixel's row in it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..types import (AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage,
-                     SpectralLibrary, _Adopt)
+                     SpectralLibrary)
 from .base import QPCounts, SolverOptions, UnmixingResult, _chunked_result
 from .search import distinct_rows, library_stats, subset_search
 
@@ -77,15 +77,15 @@ def mesma(
     cols, best_a, models_tried = subset_search(gram, ys, yy, models, p, counts, stop, y, distinct)
     best_model = np.stack([keep[cls][cols[:, cls] - offsets[cls]] for cls in range(p)], axis=1)
 
-    # emitted field is clamped (transformed libraries can dip negative);
-    # model selection above used the unclamped signatures
-    clamped = [np.clip(s, 0.0, None) for s in sigs]
+    # a clamped (L, P) matrix per selected model (index tuples in mixed radix)
+    _, first, which = np.unique(np.ravel_multi_index(best_model.T, sizes), return_index=True,
+                                return_inverse=True)
+    table = np.stack([s[best_model[first, j]] for j, s in enumerate(sigs)], axis=2).clip(0.0)
 
     def fill(lo, hi, f):
-        for cls in range(p):
-            f[:, :, cls] = clamped[cls][best_model[lo:hi, cls]]
+        np.take(table, which[lo:hi], axis=0, out=f, mode="clip")     # "raise" buffers
 
-    fields, recon, re, cost = _chunked_result(y, best_a, fill, counts)
+    recon, re, cost = _chunked_result(y, best_a, fill, counts)
     log = counts.log(models_tried, cost, {
         "models_enumerated": models_tried, "early_stop": re_threshold is not None,
         "duplicates": sum(sizes) - sum(k.size for k in keep)})
@@ -94,6 +94,6 @@ def mesma(
         per_pixel_re=re,
         reconstruction=recon,
         solver_log=log,
-        endmembers=EndmemberField(_Adopt(fields)),
+        endmembers=EndmemberField.factored((y.shape[0], l, p), fill),
         selected_model=best_model,
     )

@@ -9,8 +9,8 @@ form dM_n = u_n a_n^T with u_n = r_n / (gamma + ||a_n||^2) and r_n the
 reference-model residual, so the loop runs on the per-pixel statistics
 of ``rankone`` (scalings fixed at one), from its FCLS start on them to
 the last cost: O(N P) memory, and the (N, L) image is read only for rows
-the model fits to rounding. The field M0 + dM_n is built once, in chunks
-of pixels, by ``base._chunked_result``; dM is not kept.
+the model fits to rounding. The field M0 + dM_n is emitted as its
+factors and built in chunks of pixels when read; dM is not kept.
 """
 
 from __future__ import annotations

@@ -22,11 +22,11 @@ abundance step is one kernel call on the per-pixel Gram matrices, which
 settles most pixels in its first round, on the full face.
 
 The image is thus read only by ``__init__``, for the rows fitted to
-within ``_RECOMPUTE``, and by ``result``, which takes u from the pixels
-and writes the clamped (N, L, P) field through ``base._chunked_result``,
-within the solver's wall time. Products of pixel rows with M0 or G0 are taken
-by ``_row_product``, so a lone pixel's PLMM result has the bits that
-pixel gets in a larger image.
+within ``_RECOMPUTE``, and by the field's ``fill`` (``result``), which
+takes u from the pixels, for the reconstruction and for each read of
+the emitted field. Products of pixel rows with M0 or G0 are taken by
+``_row_product``, so a lone pixel's PLMM result has the bits that pixel
+gets in a larger image.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..types import AbundanceMap, DimensionError, EndmemberField, _Adopt, _all_finite
+from ..types import AbundanceMap, DimensionError, EndmemberField, _all_finite, _freeze
 from .base import QPCounts, UnmixingResult, _chunked_result, _row_product, fcls_gram, timed
 
 _RECOMPUTE = 1e-10
@@ -63,7 +63,7 @@ class RankOneModel:
 
     def __init__(self, y: np.ndarray, ref_matrix, lam: float):
         self.counts = QPCounts()
-        m0 = np.asarray(ref_matrix, dtype=np.float64)
+        m0 = np.array(ref_matrix, dtype=np.float64)     # private: the result's field reads it
         if m0.ndim != 2 or m0.shape[0] != y.shape[1]:
             raise DimensionError("ref_matrix must be (L, P) matching the image")
         if not _all_finite(m0):
@@ -128,9 +128,11 @@ class RankOneModel:
         return g.transpose(2, 0, 1), s.psi_m * self.ym0 + s.a * s.uy[:, None]
 
     def step(self, s: RankOneState) -> RankOneState:
-        """Abundance step against each pixel's current M_n, then the
-        endmember step at the state's scalings."""
-        a, _ = fcls_gram(*self.gram(s), self.counts)
+        """Abundance step against each pixel's current M_n, its Gram build
+        timed as ``gram``, then the endmember step at the state's scalings."""
+        with timed(self.counts.phases, "gram"):
+            gram, h = self.gram(s)
+        a, _ = fcls_gram(gram, h, self.counts)
         with timed(self.counts.phases, "endmember"):
             return self.update(a, s.psi)
 
@@ -144,28 +146,31 @@ class RankOneModel:
 
     def result(self, s: RankOneState, loop: tuple, flags: dict,
                extras: dict) -> UnmixingResult:
-        """The solver's output, built by ``_chunked_result``: per chunk, u
-        (zero in a start state) from the pixels and the field psi_m_j m0_j +
-        u a_j, clamped. Its log is ``QPCounts.log`` of ``loop``, the cost
+        """The solver's output: the field as factors, whose fill writes a chunk's
+        psi_m_j m0_j + u a_j, clamped, u (zero in a start state) from the pixels
+        (a, psi_m: read-only copies), and its reconstruction by
+        ``_chunked_result``. Its log is ``QPCounts.log`` of ``loop``, the cost
         history, converged and flags ``monotone_loop`` returns, after ``flags``
         and the recomputed rows, timed from the model's making."""
-        c = self.lam + np.einsum("np,np->n", s.a, s.a)
+        a, psi_m, start = _freeze(s.a), _freeze(s.psi_m), s.start
+        c = self.lam + np.einsum("np,np->n", a, a)
 
         def fill(lo, hi, f):
-            y, a = self.y[lo:hi], s.a[lo:hi]
-            if s.start:
+            y = self.y[lo:hi]
+            if start:
                 u = np.zeros_like(y)
             else:
-                u = (y - _row_product(s.psi_m[lo:hi] * a, self.m0.T)) / c[lo:hi, None]
+                u = (y - _row_product(psi_m[lo:hi] * a[lo:hi], self.m0.T)) / c[lo:hi, None]
             for j in range(a.shape[1]):
-                np.multiply(s.psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
-                f[:, :, j] += u * a[:, j, None]
+                np.multiply(psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
+                f[:, :, j] += u * a[lo:hi, j, None]
             np.clip(f, 0.0, None, out=f)
 
-        field, recon, re, _ = _chunked_result(self.y, s.a, fill, self.counts)
+        recon, re, _ = _chunked_result(self.y, a, fill, self.counts)
         history, converged, loop_flags = loop
         log = self.counts.log(len(history) - 1, history[-1],
                               {**flags, "recomputed_rows": self.recomputed_rows, **loop_flags},
                               history, converged)
-        return UnmixingResult(AbundanceMap(s.a, sum_to_one=True), re, recon, log,
-                              EndmemberField(_Adopt(field)), extras=extras)
+        field = EndmemberField.factored(recon.shape + a.shape[1:], fill)
+        return UnmixingResult(AbundanceMap(a, sum_to_one=True), re, recon, log, field,
+                              extras=extras)

@@ -15,9 +15,10 @@ which gets the raw mass, and the exhaustive mode's residuals, read from the
 statistics, are precise to about 1e-8 ||y|| on the RMS error. The greedy
 mode is orthogonal matching pursuit batched over pixels (Batch-OMP,
 Rubinstein, Zibulevsky & Elad 2008) with nonnegative refits. Both emit
-each class's abundance-weighted mean signature per pixel, built in
-chunks of pixels by ``base._chunked_result``; the reconstruction takes
-that field unclamped, the emitted field is clamped.
+each class's abundance-weighted mean signature per pixel, as factors
+built in chunks of pixels when read; the reconstruction
+(``base._chunked_result``) takes that field unclamped, the emitted
+field is clamped.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from ..types import (AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage,
-                     SpectralLibrary, _Adopt)
+                     SpectralLibrary)
 from .base import (_KKT_TOL, QPCounts, SolverOptions, UnmixingResult, _chunked_result,
                    _row_product, fcls_gram, nnls_gram)
 from .search import distinct_rows, library_stats, subset_search
@@ -45,10 +46,10 @@ def _class_result(y, raw, library, counts, iterations, flags, cost=None,
     each class's mass, normalized over the classes (rows with no mass
     become uniform, counted before ``flags`` in the log), and the field of
     each class's abundance-weighted mean signature (the class mean where
-    it has no mass), built by ``_chunked_result``. The reconstruction is
-    taken from that unclamped field, clamped after; its summed squared
-    residual is the logged cost when ``cost`` is None. The log is timed
-    from ``counts.start``."""
+    it has no mass), clamped, kept as factors that read ``raw`` (the
+    caller's own). The reconstruction, by ``_chunked_result``, is taken from
+    the unclamped field; its summed squared residual is the logged cost
+    when ``cost`` is None. The log is timed from ``counts.start``."""
     bounds = np.cumsum([0, *library.sizes])
     classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     mass = np.stack([raw[:, cols].sum(axis=1) for cols in classes], axis=1)
@@ -57,14 +58,16 @@ def _class_result(y, raw, library, counts, iterations, flags, cost=None,
                           where=total > _MASS_TOL)
     means = [cls.signatures.mean(axis=0) for cls in library.classes]
 
-    def fill(lo, hi, f):
+    def fill(lo, hi, f, clip=True):
         for j, (cols, cls) in enumerate(zip(classes, library.classes)):
             safe = mass[lo:hi, j, None] > _MASS_TOL
             np.divide(_row_product(raw[lo:hi, cols], cls.signatures), mass[lo:hi, j, None],
                       out=f[:, :, j], where=safe)
             np.copyto(f[:, :, j], means[j], where=~safe)
+        if clip:
+            np.clip(f, 0.0, None, out=f)
 
-    field, recon, re, fit = _chunked_result(y, collapsed, fill, counts)
+    recon, re, fit = _chunked_result(y, collapsed, lambda lo, hi, f: fill(lo, hi, f, False), counts)
     names = tuple(f"{cls.name}:{i}" for cls in library.classes for i in range(cls.size))
     return UnmixingResult(
         abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
@@ -72,7 +75,7 @@ def _class_result(y, raw, library, counts, iterations, flags, cost=None,
         reconstruction=recon,
         solver_log=counts.log(iterations, fit if cost is None else cost,
                               {"uniform_rows": int(np.sum(total <= _MASS_TOL)), **flags}),
-        endmembers=EndmemberField(_Adopt(np.clip(field, 0.0, None, out=field))),
+        endmembers=EndmemberField.factored(y.shape + (library.n_classes,), fill),
         raw_abundances=AbundanceMap(raw, sum_to_one=raw_sum_to_one, class_names=names),
     )
 

@@ -1,12 +1,13 @@
 """Core data types shared by the whole toolkit.
 
 All containers are immutable after construction, so they can be shared
-freely across threads. The constructors copy a caller's array and mark
-the copy read-only; an array the toolkit has just built (synthesis,
-loading, solver results) comes wrapped in ``_Adopt`` and is checked the
-same way, then marked read-only in place instead of copied. The checks
-read each array by whole-array reductions, finiteness by one ``sum``
-(``_all_finite``), and build no boolean array of its size.
+freely across threads (a factored field fills a buffer per read). The
+constructors copy a caller's array and mark the copy read-only; an array
+the toolkit has just built (synthesis, loading, solver results) comes
+wrapped in ``_Adopt``, is checked the same way and is marked read-only in
+place instead of copied. The checks read each array by whole-array
+reductions, finiteness by one ``sum`` (``_all_finite``), and build no
+boolean array of its size.
 """
 
 from __future__ import annotations
@@ -248,22 +249,42 @@ class AbundanceMap:
         return tuple(f"class_{p}" for p in range(self.n_classes))
 
 
-@dataclass(frozen=True)
 class EndmemberField:
-    """Per-pixel L x P endmember matrices; column p of pixel n is the
-    realized signature of class p at that pixel."""
+    """Per-pixel L x P endmember matrices, finite and nonnegative (column p of
+    pixel n: class p's signature there). Dense, or ``factored``: a solver's
+    ``fill(lo, hi, out)`` writing pixels lo:hi from private, unchanging arrays.
+    ``rows(lo, hi)`` is a view or a checked buffer of the call's own; ``data``
+    is built on first access (racing threads build the same bytes) and kept."""
 
-    data: np.ndarray                    # (N, L, P) float64, nonnegative
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _freeze(self.data))
-        if self.data.ndim != 3:
+    def __init__(self, data):
+        self._data, self._fill = _freeze(data), None
+        if self._data.ndim != 3:
             raise DimensionError("EndmemberField.data must be (N, L, P)")
-        lo, hi = self.data.min(initial=0.0), self.data.max(initial=0.0)    # NaN propagates
+        lo, hi = self._data.min(initial=0.0), self._data.max(initial=0.0)    # NaN propagates
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("EndmemberField.data contains NaN/Inf values")
         if lo < 0:
             raise ValueError("EndmemberField values must be nonnegative")
+        self.shape = self._data.shape
+
+    @classmethod
+    def factored(cls, shape: tuple, fill) -> "EndmemberField":
+        field = cls.__new__(cls)
+        field._data, field._fill, field.shape = None, fill, tuple(shape)
+        return field
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        if self._data is not None:
+            return self._data[lo:hi]
+        out = np.empty((min(hi, self.shape[0]) - lo,) + self.shape[1:])
+        self._fill(lo, lo + len(out), out)
+        return EndmemberField(_Adopt(out))._data        # checked, read-only
+
+    @property
+    def data(self) -> np.ndarray:        # (N, L, P) float64, read-only
+        if self._data is None:
+            self._data = self.rows(0, self.shape[0])
+        return self._data
 
     def class_means(self) -> np.ndarray:
         """(P, L) mean realized signature per class."""
@@ -293,7 +314,7 @@ class SceneTruth:
         p = self.abundances.n_classes
         if self.image_noisy.data.shape != self.image_clean.data.shape:
             raise DimensionError("noisy/clean image shapes differ")
-        if self.abundances.n_pixels != n or self.endmembers.data.shape != (n, l, p):
+        if self.abundances.n_pixels != n or self.endmembers.shape != (n, l, p):
             raise DimensionError("SceneTruth member shapes are inconsistent")
         m, a, y = self.endmembers.data, self.abundances.data, self.image_clean.pixels
         for lo in range(0, n, _CHUNK_ROWS):

@@ -155,6 +155,40 @@ def test_a_refused_call_leaves_the_next_call_in_the_process_unchanged(scene_dir,
     assert alone and alone == after
 
 
+def test_unmix_refuses_the_flags_of_other_solvers(scene_dir, capsys):
+    # --re-threshold, --k and --l0-mode are the extras of MESMA and sparse
+    # L0; given to a solver that does not take them, they are refused
+    # before any work, whatever their value
+    d = scene_dir
+    fcls = ["unmix", "--image", str(d / "scene"), "--algo", "fcls", "--m0", str(d / "base.csv")]
+    mesma = ["unmix", "--image", str(d / "scene"), "--algo", "mesma",
+             "--library", str(d / "base.csv")]
+    runs = [
+        (fcls + ["--k", "0", "--re-threshold", "-5"], "--re-threshold", "fcls"),
+        (fcls + ["--k", "3"], "--k", "fcls"),
+        (fcls + ["--l0-mode", "greedy"], "--l0-mode", "fcls"),
+        (mesma + ["--k", "2"], "--k", "mesma"),
+        (["unmix", "--image", str(d / "scene"), "--algo", "sparse-l0", "--library",
+          str(d / "base.csv"), "--re-threshold", "0.1"], "--re-threshold", "sparse-l0"),
+    ]
+    for argv, flag, algo in runs:
+        assert main(argv + ["--out", str(d / "refused")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} does not apply to --algo {algo}\n"
+        assert captured.out == ""
+        assert not (d / "refused").exists()
+    # the flags a solver takes still reach it, and omitted ones take its defaults
+    l0 = ["unmix", "--image", str(d / "scene"), "--algo", "sparse-l0",
+          "--library", str(d / "base.csv")]
+    assert main(l0 + ["--out", str(d / "default")]) == 0
+    assert main(l0 + ["--l0-mode", "greedy", "--out", str(d / "greedy")]) == 0
+    assert main(mesma + ["--re-threshold", "0.01", "--out", str(d / "stop")]) == 0
+    for name in ("abundances.csv", "abundances_raw.csv", "re.bin", "endmembers.bin"):
+        assert (d / "default" / name).read_bytes() == (d / "greedy" / name).read_bytes()
+    logs = [json.loads((d / o / "solver_log.json").read_text()) for o in ("default", "stop")]
+    assert logs[0]["flags"]["mode"] == "greedy" and logs[1]["flags"]["early_stop"]
+
+
 def test_music_prune_via_cli(scene_dir):
     scene = str(scene_dir / "scene")
     lib = str(scene_dir / "lib.csv")

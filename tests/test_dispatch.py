@@ -168,17 +168,6 @@ def test_sparse_l0_default_support_is_one_column_per_class():
     np.testing.assert_array_equal(default.abundances.data, explicit.abundances.data)
 
 
-def test_unmix_ignores_the_flags_of_other_solvers(inputs):
-    # --k and --re-threshold are the extras of sparse L0 and MESMA: FCLS
-    # is not given them, so its outputs are plain FCLS's bytes
-    d = inputs
-    argv = ["unmix", "--image", str(d / "scene"), "--algo", "fcls", "--m0", str(d / "base.csv")]
-    assert main(argv + ["--out", str(d / "plain")]) == 0
-    assert main(argv + ["--k", "0", "--re-threshold", "0.1", "--out", str(d / "flags")]) == 0
-    for name in ("abundances.csv", "re.bin"):
-        assert (d / "flags" / name).read_bytes() == (d / "plain" / name).read_bytes()
-
-
 def test_solver_options_refuse_unknown_keys():
     with pytest.raises(FormatError, match="^lamda_sparse: unknown key$"):
         load_config(SolverOptions, {"lamda_sparse": 5.0, "max_iter": 3})

@@ -1,0 +1,111 @@
+"""Endmember fields kept as a solver's factors: any window of rows has the
+bytes of the whole array, scoring and saving read rows without building
+the whole field, and nothing the caller holds can change the field
+after the call."""
+
+import numpy as np
+import pytest
+
+from varimix.bench import eval_result
+from varimix.io import load_endmember_field, save_result
+from varimix.solvers import SOLVERS, SolverOptions, unmix
+from varimix.synth import truth_variant_library
+from varimix.types import EndmemberField, SpectralLibrary
+
+from conftest import bench_scene
+
+FIELD_SOLVERS = ["elmm", "plmm", "mesma", "sparse-l1", "sparse-l0"]
+OPTS = SolverOptions(max_iters=5)
+
+
+def _source(name, truth):
+    if SOLVERS[name].kind == "library":
+        return truth_variant_library(truth)
+    return truth.endmembers.class_means().T
+
+
+@pytest.fixture(scope="module")
+def truth():
+    # 600 pixels: the default 256-pixel chunks leave a partial one
+    return bench_scene(20, 30)
+
+
+@pytest.mark.parametrize("name", FIELD_SOLVERS)
+def test_rows_of_every_window_are_the_bytes_of_data(truth, name):
+    field = unmix(name, truth.image_noisy, _source(name, truth), OPTS).endmembers
+    n = field.shape[0]
+    walks = {}
+    for window in (1, 54, 256, 257):        # 54: the scorer's chunk at 200 bands, 3 classes
+        walks[window] = np.concatenate([field.rows(lo, lo + window)
+                                        for lo in range(0, n, window)])
+    assert field._data is None
+    data = field.data
+    assert data.shape == field.shape == (n, 200, 3) and not data.flags.writeable
+    for window, walked in walks.items():
+        assert walked.tobytes() == data.tobytes(), window
+    assert field.data is data                   # built once, then kept
+
+
+def test_rows_of_a_dense_field_are_views():
+    data = np.random.default_rng(0).uniform(0.0, 1.0, size=(5, 4, 2))
+    field = EndmemberField(data)
+    rows = field.rows(1, 3)
+    assert np.shares_memory(rows, field.data) and not rows.flags.writeable
+    assert rows.tobytes() == data[1:3].tobytes()
+    assert field.rows(4, 9).shape == (1, 4, 2)
+
+
+@pytest.mark.parametrize("bad, message", [(-1e-3, "^EndmemberField values must be nonnegative$"),
+                                          (np.nan, "^EndmemberField.data contains NaN/Inf values$")])
+def test_factored_rows_are_checked(bad, message):
+    def fill(lo, hi, out):
+        out[...] = 0.5
+        if lo <= 3 < hi:
+            out[3 - lo, 0, 0] = bad
+
+    field = EndmemberField.factored((6, 2, 2), fill)
+    assert field.rows(0, 3).shape == (3, 2, 2)
+    with pytest.raises(ValueError, match=message):
+        field.rows(2, 5)
+    with pytest.raises(ValueError, match=message):
+        field.data
+
+
+@pytest.mark.parametrize("name", FIELD_SOLVERS)
+def test_scoring_and_saving_leave_the_field_unbuilt(truth, tmp_path, name):
+    result = unmix(name, truth.image_noisy, _source(name, truth), OPTS)
+    means = truth.endmembers.class_means()
+    row = eval_result(truth, result, class_means=means)
+    save_result(result, tmp_path)
+    assert result.endmembers._data is None
+    assert (tmp_path / "endmembers.bin").read_bytes() == result.endmembers.data.tobytes()
+    again = unmix(name, truth.image_noisy, _source(name, truth), OPTS)
+    again.endmembers.data                       # the same scores from the dense field
+    assert eval_result(truth, again, class_means=means) == row
+    loaded = load_endmember_field(tmp_path / "endmembers", 200)
+    assert loaded.data.tobytes() == again.endmembers.data.tobytes()
+
+
+@pytest.mark.parametrize("name", ["elmm", "plmm"])
+def test_the_field_does_not_follow_the_callers_reference_matrix(truth, name):
+    m0 = np.array(truth.endmembers.class_means().T, order="F")     # as writable as a caller's
+    expected = unmix(name, truth.image_noisy, m0.copy(order="F"), OPTS).endmembers.data
+    result = unmix(name, truth.image_noisy, m0, OPTS)
+    m0[...] = 7.0
+    for extra in result.extras.values():        # ELMM's psi
+        extra[...] = 3.0
+    assert result.endmembers.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", ["mesma", "sparse-l1", "sparse-l0"])
+def test_the_field_does_not_follow_the_callers_library_arrays(truth, name):
+    lib = truth_variant_library(truth)
+    arrays = [np.array(c.signatures) for c in lib.classes]
+    mine = SpectralLibrary.from_arrays(lib.class_names, arrays)
+    expected = unmix(name, truth.image_noisy, lib, OPTS).endmembers.data
+    result = unmix(name, truth.image_noisy, mine, OPTS)
+    for a in arrays:
+        a[...] = 9.0
+    if result.selected_model is not None:        # MESMA's
+        result.selected_model[...] = 0
+    assert result.endmembers.data.tobytes() == expected.tobytes()

@@ -27,6 +27,7 @@ from scipy.sparse.linalg import spsolve
 
 from varimix.io import save_result
 from varimix.solvers import (
+    ALGORITHMS,
     SOLVERS,
     SolverOptions,
     elmm_unmix,
@@ -49,7 +50,7 @@ from varimix.solvers.rankone import RankOneModel, RankOneState
 from varimix.synth import truth_variant_library
 from varimix.types import SpectralImage
 
-from conftest import make_scene
+from conftest import bench_scene, make_scene
 from oracles import (
     _elmm_cost,
     _plmm_cost,
@@ -375,7 +376,8 @@ def _unmix_small(solver, seed):
 
 
 def test_logs_report_phases_and_loop_flags(tmp_path):
-    loop_phases = {"elmm": {"endmember", "psi", "cost"}, "plmm": {"endmember", "cost"}}
+    loop_phases = {"elmm": {"gram", "endmember", "psi", "cost"},
+                   "plmm": {"gram", "endmember", "cost"}}
     for solver in SOLVER_FNS:
         name, result = _unmix_small(solver, 6)
         log = result.solver_log
@@ -397,6 +399,19 @@ def test_wall_time_covers_every_phase(tmp_path, solver):
     assert log.wall_time_s >= sum(log.phases.values())
     written = json.loads((save_result(result, tmp_path) / "solver_log.json").read_text())
     assert written["wall_time_s"] == log.wall_time_s and written["phases"] == log.phases
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_phases_on_a_bench_scene_add_up_to_at_most_the_wall_time(name):
+    # the per-pixel Gram build of ELMM and PLMM is its own phase, outside qp
+    truth = bench_scene(24, 24, bands=100)
+    source = (truth.endmembers.class_means().T if SOLVERS[name].kind == "matrix"
+              else truth_variant_library(truth))
+    log = unmix(name, truth.image_noisy, source, SolverOptions(max_iters=5)).solver_log
+    loop = {"elmm": {"gram", "endmember", "psi", "cost"}, "plmm": {"gram", "endmember", "cost"}}
+    assert set(log.phases) == {"qp", "result"} | loop.get(name, set())
+    assert all(v >= 0.0 for v in log.phases.values())
+    assert sum(log.phases.values()) <= log.wall_time_s
 
 
 @pytest.mark.parametrize("solver", [elmm_unmix, plmm_unmix, mesma, sparse_su_l1, sparse_su_l0])
