@@ -4,8 +4,9 @@
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
 # and greedy and exhaustive sparse-l0; then checks that a refused value (sparse-l0
 # with --k 0), flags of other solvers (fcls with --k and --re-threshold), a
-# retired option (an --opts file with `rho`), a missing input
-# (prune --method music without --image) and an image payload holding a NaN
+# missing input (unmix without --library, prune --method music without
+# --image), a retired option (an --opts file with `rho`) and an image payload
+# holding a NaN
 # each end in one `error:` line on stderr, exit code 2 and no output.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
@@ -42,10 +43,10 @@ python -m varimix prune --library lib.csv --method music --image scene_dir/ \
     --residual-threshold 0.5 --out pruned.csv
 python -m varimix transform --library lib.csv --method mask --bands 12 --out t.json
 python -m varimix transform --library pruned.csv --method fda --out fda.json
-python -m varimix unmix --image scene_dir/ --algo fcls --m0 small.csv --out result_fcls/
-python -m varimix unmix --image scene_dir/ --algo elmm --m0 small.csv \
+python -m varimix unmix --image scene_dir/ --algo fcls --library small.csv --out result_fcls/
+python -m varimix unmix --image scene_dir/ --algo elmm --library small.csv \
     --transform t.json --out result_elmm/
-python -m varimix unmix --image scene_dir/ --algo plmm --m0 small.csv --out result_plmm/
+python -m varimix unmix --image scene_dir/ --algo plmm --library small.csv --out result_plmm/
 python -m varimix unmix --image scene_dir/ --algo mesma --library pruned.csv \
     --transform fda.json --out result_mesma/
 python -m varimix unmix --image scene_dir/ --algo mesma --library pruned.csv \
@@ -56,55 +57,40 @@ python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --
 python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 2 \
     --l0-mode exhaustive --out result_l0x/
 
-status=0
-err="$(python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 0 \
-    --out refused/ 2>&1 >/dev/null)" || status=$?
-if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 || "$err" != "error: k must lie"* \
-      || -e refused ]]; then
-    echo "cli_chain: --k 0 was not refused as expected (exit $status): $err" >&2
-    exit 1
-fi
+# refused EXPECTED ABSENT COMMAND...: COMMAND must exit with code 2, print one
+# stderr line that matches EXPECTED (an exact message or a glob) and leave ABSENT
+# unmade
+refused() {
+    local expected="$1" absent="$2" status=0 err
+    shift 2
+    err="$("$@" 2>&1 >/dev/null)" || status=$?
+    if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 || "$err" != $expected \
+          || -e "$absent" ]]; then
+        echo "cli_chain: '$*' was not refused as expected (exit $status): $err" >&2
+        exit 1
+    fi
+}
 
-status=0
-err="$(python -m varimix unmix --image scene_dir/ --algo fcls --m0 small.csv --k 0 \
-    --re-threshold -5 --out refused/ 2>&1 >/dev/null)" || status=$?
-if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 \
-      || "$err" != "error: --re-threshold does not apply to --algo fcls" || -e refused ]]; then
-    echo "cli_chain: fcls with sparse-l0/mesma flags was not refused as expected" \
-        "(exit $status): $err" >&2
-    exit 1
-fi
-
-status=0
+refused 'error: k must lie*' refused \
+    python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 0 \
+    --out refused/
+refused 'error: --re-threshold does not apply to --algo fcls' refused \
+    python -m varimix unmix --image scene_dir/ --algo fcls --library small.csv --k 0 \
+    --re-threshold -5 --out refused/
+refused 'error: --library required' refused \
+    python -m varimix unmix --image scene_dir/ --algo plmm --out refused/
 printf '{"rho": 2.0}\n' > retired_opts.json
-err="$(python -m varimix unmix --image scene_dir/ --algo elmm --m0 small.csv \
-    --opts retired_opts.json --out refused/ 2>&1 >/dev/null)" || status=$?
-if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 \
-      || "$err" != "error: retired_opts.json: rho: unknown key" || -e refused ]]; then
-    echo "cli_chain: --opts with rho was not refused as expected (exit $status): $err" >&2
-    exit 1
-fi
-
-status=0
-err="$(python -m varimix prune --library lib.csv --method music --out refused.csv \
-    2>&1 >/dev/null)" || status=$?
-if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 \
-      || "$err" != "error: --image required for --method music" || -e refused.csv ]]; then
-    echo "cli_chain: prune --method music without --image was not refused as expected" \
-        "(exit $status): $err" >&2
-    exit 1
-fi
+refused 'error: retired_opts.json: rho: unknown key' refused \
+    python -m varimix unmix --image scene_dir/ --algo elmm --library small.csv \
+    --opts retired_opts.json --out refused/
+refused 'error: --image required for --method music' refused.csv \
+    python -m varimix prune --library lib.csv --method music --out refused.csv
 
 # the same bytes on every run, so two runs' directories still compare equal
 python -c "import numpy as np; from varimix.io import save_image; \
 from varimix.types import SpectralImage; \
 save_image(SpectralImage(np.full((2, 3, 24), 0.5)), 'nan_image.json'); \
 payload = np.memmap('nan_image.bin', dtype='<f8', mode='r+'); payload[7] = np.nan; payload.flush()"
-status=0
-err="$(python -m varimix unmix --image nan_image.json --algo fcls --m0 small.csv \
-    --out refused/ 2>&1 >/dev/null)" || status=$?
-if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 \
-      || "$err" != "error: non-finite values in image payload nan_image.json" || -e refused ]]; then
-    echo "cli_chain: an image holding a NaN was not refused as expected (exit $status): $err" >&2
-    exit 1
-fi
+refused 'error: non-finite values in image payload nan_image.json' refused \
+    python -m varimix unmix --image nan_image.json --algo fcls --library small.csv \
+    --out refused/

@@ -3,11 +3,11 @@
 Subcommands: synth, extract, prune, transform, unmix, bench. All outputs
 are deterministic given the configured seeds.
 
-``unmix`` runs a solver the way a bench roster entry does: its input is
-``--library`` or, for the matrix solvers, the class means of ``--m0``
-(else of ``--library``), transformed by ``bench.transform_input`` with
-``--transform``; ``solvers.unmix`` gets the extras flags given (another
-solver's are refused), and ``io.save_result`` writes the outputs.
+``unmix`` runs a solver the way a bench roster entry does: its one input
+is ``--library`` (the matrix solvers take its class means), transformed
+by ``bench.transform_input`` with ``--transform``; ``solvers.unmix``
+gets the extras flags given (another solver's are refused), and
+``io.save_result`` writes the outputs.
 ``prune`` and ``transform`` turn their flags into a bench config spec and
 call ``libops.prune`` / ``libops.build_transform``, as the bench does.
 The parser is built once per process (``build_parser`` is cached) for
@@ -97,12 +97,11 @@ def _cmd_unmix(args) -> int:
             raise ValueError(f"{flag} does not apply to --algo {args.algo}")
     image = resolve_image(args.image)
     opts = SolverOptions() if args.opts is None else _read_config(SolverOptions, args.opts)
-    matrix = SOLVERS[args.algo].kind == "matrix"
-    path = (args.m0 or args.library) if matrix else args.library
-    if not path:
-        raise ValueError("--m0 or --library required" if matrix
-                         else "--library required for library-based algorithms")
-    source = load_library(path).class_means().T if matrix else load_library(path)
+    if not args.library:
+        raise ValueError("--library required")
+    source = load_library(args.library)
+    if SOLVERS[args.algo].kind == "matrix":
+        source = source.class_means().T
     if args.transform:
         _, image, source = transform_input({"method": "path", "path": args.transform},
                                            image, source)
@@ -176,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("unmix", help="run an unmixing algorithm")
     s.add_argument("--image", required=True)
     s.add_argument("--algo", choices=ALGORITHMS, required=True)
-    s.add_argument("--library", help="library CSV (mesma / sparse)")
-    s.add_argument("--m0", help="reference matrix as a library CSV (fcls / elmm / plmm)")
+    s.add_argument("--library", help="library CSV; fcls / elmm / plmm take its class means")
     s.add_argument("--opts", help="solver options JSON")
     s.add_argument("--transform", help="transform JSON from 'varimix transform'")
     s.add_argument("--re-threshold", type=float, help="mesma early-stop threshold")

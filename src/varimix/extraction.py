@@ -126,7 +126,8 @@ def _vca(pixels: np.ndarray, n_classes: int, seed: Optional[int]):
     corr = pixels.T @ pixels / n
     ud = _top_eigenvectors(corr, p)
     projected = centred @ ud                           # (N, P)
-    if np.linalg.matrix_rank(projected, tol=1e-10 * max(1.0, float(np.abs(centred).max()))) < p - 1:
+    scale = max(1.0, float(max(centred.max(), -centred.min())))      # max |centred|
+    if np.linalg.matrix_rank(projected, tol=1e-10 * scale) < p - 1:
         warnings.warn(
             "data simplex rank is below P-1; extraction is degenerate",
             DegenerateGeometryWarning,

@@ -40,6 +40,8 @@ def rmse(x: np.ndarray, x_hat: np.ndarray, perm=None) -> float:
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=np.float64))
     if x.shape != x_hat.shape:
         raise DimensionError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
+    if x.ndim == 1:                     # scored as one column, chunked by rows
+        x, x_hat = x[:, None], x_hat[:, None]
     sums = [np.sum(np.square(np.subtract(t, h, out=t), out=t)) for t, h in _chunks(
         x.shape, lambda lo, hi: x[lo:hi], lambda lo, hi: x_hat[lo:hi], perm)]
     return float(np.sqrt(np.float64(math.fsum(sums)) / x.size))   # nan when empty

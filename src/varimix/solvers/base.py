@@ -14,7 +14,7 @@ systems of all open rows and solves those of one size together.
 endmember matrix; ``fcls_gram`` and ``nnls_gram`` take G and h directly,
 for solvers that build them in factored form or from library statistics,
 and also take a stack of shared Grams, each with its own rows, in one
-call.
+call; both run ``_kernel``, which books each call in the caller's ``QPCounts``.
 ``monotone_loop`` drives the alternating solvers, ``QPCounts`` records a
 solver call and builds its log, and ``_chunked_result`` builds every
 solver's reconstruction and per-pixel error a block of pixels at a time;
@@ -237,10 +237,9 @@ def _full_face(gram, h, simplex):
     columns before it, is at most ``_PIVOT_TOL`` G_jj.
 
     ``gram`` is a stack of M shared (P, P) Grams with their rows' (M, N, P)
-    linear terms ``h`` (a lone (P, P) Gram with (N, P) is the stack
-    M = 1), or per-pixel (N, P, P) Grams with (N, P). A stack is tested
-    by one batched LAPACK Cholesky, and the Grams that pass are solved in
-    one batched solve, each once with its N right-hand sides (the
+    linear terms ``h``, or per-pixel (N, P, P) Grams with (N, P). A stack
+    is tested by one batched LAPACK Cholesky, and the Grams that pass are
+    solved in one batched solve, each once with its N right-hand sides (the
     bordered system when ``simplex``). One right-hand side takes another
     LAPACK path than several, which rounds otherwise, so a lone row is
     solved twice over: a row's bits do not depend on how many rows share
@@ -251,8 +250,6 @@ def _full_face(gram, h, simplex):
     substitution: the NNLS minimizer is x, the simplex one x + nu t with
     nu = (1 - 1'x) / 1't."""
     n, p = h.shape[-2:]
-    if gram.ndim == 2:
-        return _full_face(gram[None], h[None], simplex)[0]
     if gram.ndim == h.ndim:
         ok = np.all(_cholesky_pivots(gram) > _PIVOT_TOL * np.diagonal(gram, axis1=1, axis2=2),
                     axis=1)
@@ -303,14 +300,14 @@ def _active_set(gram, h, simplex):
     sum(a) = 1 when ``simplex``.
 
     ``gram`` is a stack of M shared (P, P) Grams, each with its own rows'
-    linear terms, ``h`` (M, N, P); a lone (P, P) Gram with (N, P) is the
-    stack M = 1. Or ``gram`` is per-pixel (N, P, P) with ``h`` (N, P).
+    linear terms, ``h`` (M, N, P), or per-pixel (N, P, P) with ``h`` (N, P);
+    ``_kernel`` runs a lone (P, P) Gram as the stack M = 1.
     Round 1 solves every row on the full face (``_full_face``), factoring
     each Gram once; a row whose minimizer there is positive in every entry
     is settled, as no column is left to price. The other rows go cold:
     their linear terms and tolerances, and their own Grams from a stack of
     several or from per-pixel Grams, are gathered once into compact
-    per-row arrays. A lone shared Gram is not copied per row: its cold
+    per-row arrays. A stack of one Gram is not copied per row: its cold
     rows are priced by one matrix product with it. A cold row whose Gram
     passed the rank test starts round 2 on the face of its round-1
     minimizer's positive entries, if the minimizer of that face is
@@ -335,9 +332,6 @@ def _active_set(gram, h, simplex):
     open after ``_round_bound(P)`` rounds); open rows keep their current
     feasible iterate.
     """
-    if gram.ndim == 2:
-        a, rounds, open_rows = _active_set(gram[None], h[None], simplex)
-        return a[0], rounds, open_rows
     p = h.shape[-1]
     rounds = int(h.size > 0 and _round_bound(p) > 0)     # the full-face solve is round 1
     s = _full_face(gram, h, simplex) if rounds else np.full(h.shape, np.nan)
@@ -420,7 +414,7 @@ def _climb(gram, h, s, simplex, rounds):
         pricing, solving = solving[done], solving[~done]
 
 
-def fcls_core(y: np.ndarray, m: np.ndarray, counts: Optional[QPCounts] = None):
+def fcls_core(y: np.ndarray, m: np.ndarray, counts: QPCounts):
     """Simplex-constrained least squares for all pixels,
     min ||y - M a||^2 s.t. a >= 0, sum(a) = 1.
 
@@ -431,19 +425,29 @@ def fcls_core(y: np.ndarray, m: np.ndarray, counts: Optional[QPCounts] = None):
     return fcls_gram(*_gram(y, m), counts)
 
 
-def fcls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):
+def _kernel(gram, h, counts, simplex):
+    """The one body of ``fcls_gram`` and ``nnls_gram``: a lone (P, P) Gram
+    with its (N, P) linear terms runs as the stack M = 1, simplex rows are
+    normalised, and ``counts`` books the call."""
+    start = time.perf_counter()
+    lone = gram.ndim == 2
+    if lone:
+        gram, h = gram[None], h[None]
+    a, rounds, open_rows = _active_set(gram, h, simplex)
+    if simplex:
+        a /= a.sum(axis=-1, keepdims=True)
+    counts.add(rounds, open_rows, start)
+    return (a[0] if lone else a), rounds
+
+
+def fcls_gram(gram: np.ndarray, h: np.ndarray, counts: QPCounts):
     """``fcls_core`` in Gram form: ``gram`` is a shared (P, P) or
     per-pixel (N, P, P) M'M and ``h`` the (N, P) M'y. A stack of M shared
     Grams (M, P, P) with (M, N, P) linear terms, each solved for its own
     rows, is one call: each Gram is factored once, and every row gets the
     bits that a call on its Gram alone gives it, barring prices equal to
     rounding (``_climb``)."""
-    start = time.perf_counter()
-    a, rounds, open_rows = _active_set(gram, h, simplex=True)
-    a /= a.sum(axis=-1, keepdims=True)
-    if counts is not None:
-        counts.add(rounds, open_rows, start)
-    return a, rounds
+    return _kernel(gram, h, counts, simplex=True)
 
 
 def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -491,18 +495,14 @@ def _row_product(b: np.ndarray, m: np.ndarray) -> np.ndarray:
     return b @ m
 
 
-def nnls_gram(gram: np.ndarray, h: np.ndarray, counts: Optional[QPCounts] = None):
+def nnls_gram(gram: np.ndarray, h: np.ndarray, counts: QPCounts):
     """Nonnegative least squares with a linear sparsity term,
 
         min 0.5 ||y - M a||^2 + lam * sum(a)   s.t.  a >= 0
 
     for all pixels, in Gram form with ``h`` = M'y - lam; shapes, return
     value and ``counts`` as in ``fcls_gram``."""
-    start = time.perf_counter()
-    a, rounds, open_rows = _active_set(gram, h, simplex=False)
-    if counts is not None:
-        counts.add(rounds, open_rows, start)
-    return a, rounds
+    return _kernel(gram, h, counts, simplex=False)
 
 
 _ZERO_COST_FLOOR = 1e-24

@@ -13,8 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..types import (AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage,
-                     SpectralLibrary)
+from ..types import AbundanceMap, BudgetError, EndmemberField, SpectralImage, SpectralLibrary
 from .base import QPCounts, SolverOptions, UnmixingResult, _chunked_result
 from .search import distinct_rows, library_stats, subset_search
 
@@ -56,8 +55,6 @@ def mesma(
     """
     counts = QPCounts()
     check_mesma(re_threshold)
-    if library.n_bands != image.n_bands:
-        raise DimensionError("library band count does not match the image")
     sizes = library.sizes
     n_models = math.prod(sizes)
     if n_models > MODEL_BUDGET:

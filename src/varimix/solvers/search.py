@@ -24,6 +24,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from ..types import DimensionError
 from .base import QPCounts, _gram, _row_product, fcls_gram
 
 # r^2 from the statistics is trusted to this fraction of ||y||^2 by the
@@ -48,7 +49,10 @@ def distinct_rows(signatures: np.ndarray) -> np.ndarray:
 
 
 def library_stats(y: np.ndarray, signatures: np.ndarray):
-    """(S S', Y S', ||y||^2) for signatures S as rows and pixels Y."""
+    """(S S', Y S', ||y||^2) for signatures S as rows and pixels Y, after
+    the library solvers' one band check."""
+    if signatures.shape[1] != y.shape[1]:
+        raise DimensionError("library band count does not match the image")
     gram, ys = _gram(y, signatures.T)
     return gram, ys, np.einsum("nl,nl->n", y, y)
 
@@ -59,22 +63,22 @@ def subset_search(
     yy: np.ndarray,
     subsets: Iterable,
     width: int,
-    counts: Optional[QPCounts] = None,
+    counts: QPCounts,
     stop_r2: Optional[float] = None,
     y: Optional[np.ndarray] = None,
     signatures: Optional[np.ndarray] = None,
 ):
     """Best simplex fit per pixel over column subsets, in enumeration order.
 
-    ``subsets`` yields column tuples into the statistics; a later subset
-    replaces a pixel's kept one only if it lowers r^2 by more than
-    ``_R2_TIE`` ||y||^2, so earlier subsets win ties and the kept r^2 is
-    within that of the smallest. With ``stop_r2`` a pixel stops at the
-    first subset with r^2 <= stop_r2 and keeps it; later subsets are
-    solved for open pixels only, and the search ends once none is open.
-    The stop needs the pixels ``y`` and the ``signatures`` the statistics
-    came from: where r^2 lies within rounding of ``stop_r2``, the
-    residual is recomputed from them.
+    ``subsets`` yields column tuples into the statistics, and ``counts``
+    books every kernel call; a later subset replaces a pixel's kept one
+    only if it lowers r^2 by more than ``_R2_TIE`` ||y||^2, so earlier
+    subsets win ties and the kept r^2 is within that of the smallest.
+    With ``stop_r2`` a pixel stops at the first subset with r^2 <= stop_r2
+    and keeps it; later subsets are solved for open pixels only, and the
+    search ends once none is open. The stop needs the pixels ``y`` and the
+    ``signatures`` the statistics came from: where r^2 lies within
+    rounding of ``stop_r2``, the residual is recomputed from them.
 
     Consecutive subsets of one size go to the kernel in blocks, one call
     per block on the stack of their Grams, for the pixels open when the

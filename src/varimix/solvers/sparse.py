@@ -30,8 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..types import (AbundanceMap, BudgetError, DimensionError, EndmemberField, SpectralImage,
-                     SpectralLibrary)
+from ..types import AbundanceMap, BudgetError, EndmemberField, SpectralImage, SpectralLibrary
 from .base import (_KKT_TOL, QPCounts, SolverOptions, UnmixingResult, _chunked_result,
                    _row_product, fcls_gram, nnls_gram)
 from .search import distinct_rows, library_stats, subset_search
@@ -135,8 +134,6 @@ def sparse_su_l1(
     from that collapsed model.
     """
     counts = QPCounts()
-    if library.n_bands != image.n_bands:
-        raise DimensionError("library band count does not match the image")
     flat, _ = library.flatten()
     y = image.pixels
     lam = opts.lambda_sparse
@@ -224,8 +221,6 @@ def sparse_su_l0(
     """
     counts = QPCounts()
     check_l0(k, mode)
-    if library.n_bands != image.n_bands:
-        raise DimensionError("library band count does not match the image")
     flat, _ = library.flatten()
     q = flat.shape[0]
     k = library.n_classes if k is None else int(k)

@@ -257,7 +257,7 @@ class EndmemberField:
     is built on first access (racing threads build the same bytes) and kept."""
 
     def __init__(self, data):
-        self._data, self._fill = _freeze(data), None
+        self._data, self._fill, self._means = _freeze(data), None, None
         if self._data.ndim != 3:
             raise DimensionError("EndmemberField.data must be (N, L, P)")
         lo, hi = self._data.min(initial=0.0), self._data.max(initial=0.0)    # NaN propagates
@@ -270,7 +270,7 @@ class EndmemberField:
     @classmethod
     def factored(cls, shape: tuple, fill) -> "EndmemberField":
         field = cls.__new__(cls)
-        field._data, field._fill, field.shape = None, fill, tuple(shape)
+        field._data, field._fill, field._means, field.shape = None, fill, None, tuple(shape)
         return field
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
@@ -287,8 +287,10 @@ class EndmemberField:
         return self._data
 
     def class_means(self) -> np.ndarray:
-        """(P, L) mean realized signature per class."""
-        return self.data.mean(axis=0).T
+        """(P, L) mean realized signature per class, computed once, read-only."""
+        if self._means is None:
+            self._means = _freeze(self.data.mean(axis=0)).T
+        return self._means
 
 
 _CLEAN_MIX_ATOL = 1e-9

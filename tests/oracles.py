@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import nnls as scipy_nnls
 from scipy.sparse import coo_matrix, diags
 
-from varimix.solvers import fcls_core
+from varimix.solvers import QPCounts, fcls_core
 
 
 def project_simplex(v):
@@ -331,7 +331,7 @@ def elmm_dense_reference(y, m0, lap, lam_m, lam_psi, max_iters, tol, psi_floor=1
 
     def step(state):
         a, psi, m = state
-        a_new, _ = fcls_core(y, m)
+        a_new, _ = fcls_core(y, m, QPCounts())
         rhs = np.einsum("nl,np->npl", y, a_new) + lam_m * (m0[None] * psi[:, None, :]).transpose(0, 2, 1)
         sys = np.einsum("np,nq->npq", a_new, a_new) + lam_m * np.eye(p)
         m_new = np.linalg.solve(sys, rhs).transpose(0, 2, 1)
@@ -341,7 +341,7 @@ def elmm_dense_reference(y, m0, lap, lam_m, lam_psi, max_iters, tol, psi_floor=1
             psi_new[:, j] = np.linalg.solve(op, lam_m * (m_new[:, :, j] @ m0[:, j]))
         return a_new, np.maximum(psi_new, psi_floor), m_new
 
-    a0, _ = fcls_core(y, m0)
+    a0, _ = fcls_core(y, m0, QPCounts())
     init = (a0, np.ones((n, p)), np.repeat(m0[None], n, axis=0))
     (a, psi, m), history = _dense_loop(cost, step, init, max_iters, tol)
     return a, psi, m, history
@@ -362,12 +362,12 @@ def plmm_dense_reference(y, m0, gamma, max_iters, tol):
 
     def step(state):
         a, dm = state
-        a_new, _ = fcls_core(y, m0[None] + dm)
+        a_new, _ = fcls_core(y, m0[None] + dm, QPCounts())
         # min_dM ||y - (M0 + dM) a||^2 + gamma ||dM||^2, row by row of dM
         rhs = np.einsum("nl,np->npl", y - a_new @ m0.T, a_new)
         sys = np.einsum("np,nq->npq", a_new, a_new) + gamma * np.eye(p)
         return a_new, np.linalg.solve(sys, rhs).transpose(0, 2, 1)
 
-    a0, _ = fcls_core(y, m0)
+    a0, _ = fcls_core(y, m0, QPCounts())
     (a, dm), history = _dense_loop(cost, step, (a0, np.zeros((n, l, p))), max_iters, tol)
     return a, dm, history

@@ -83,7 +83,7 @@ def test_extract_prune_transform_unmix_pipeline(scene_dir):
 
     out2 = str(scene_dir / "fcls_out")
     assert main(["unmix", "--image", scene, "--algo", "fcls",
-                 "--m0", pruned, "--transform", tjson, "--out", out2]) == 0
+                 "--library", pruned, "--transform", tjson, "--out", out2]) == 0
     assert load_abundances(scene_dir / "fcls_out" / "abundances.csv").n_classes == 3
 
 
@@ -118,7 +118,7 @@ def test_opts_json_with_removed_kernel_keys(scene_dir, capsys):
     for key, value in [("rho", 2.0), ("inner_tol", 1e-6), ("inner_iters", 50), ("seed", 4)]:
         opts.write_text(json.dumps({key: value, "max_iters": 3}))
         assert main(["unmix", "--image", str(scene_dir / "scene"), "--algo", "elmm",
-                     "--m0", str(scene_dir / "base.csv"), "--opts", str(opts),
+                     "--library", str(scene_dir / "base.csv"), "--opts", str(opts),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {opts}: {key}: unknown key\n"
         assert not out.exists()
@@ -160,7 +160,8 @@ def test_unmix_refuses_the_flags_of_other_solvers(scene_dir, capsys):
     # L0; given to a solver that does not take them, they are refused
     # before any work, whatever their value
     d = scene_dir
-    fcls = ["unmix", "--image", str(d / "scene"), "--algo", "fcls", "--m0", str(d / "base.csv")]
+    fcls = ["unmix", "--image", str(d / "scene"), "--algo", "fcls",
+            "--library", str(d / "base.csv")]
     mesma = ["unmix", "--image", str(d / "scene"), "--algo", "mesma",
              "--library", str(d / "base.csv")]
     runs = [
@@ -268,22 +269,23 @@ def test_unreadable_input_files_exit_2(tmp_path, capsys):
     runs = [
         ["prune", "--library", lib, "--method", "count", "--out", tmp_path / "p.csv"],
         ["transform", "--library", lib, "--method", "weights", "--out", tmp_path / "t.json"],
-        ["unmix", "--image", image, "--algo", "fcls", "--m0", lib, "--out", tmp_path / "r1"],
+        ["unmix", "--image", image, "--algo", "fcls", "--library", lib, "--out", tmp_path / "r1"],
         ["unmix", "--image", image, "--algo", "mesma", "--library", lib,
          "--out", tmp_path / "r2"],
-        ["unmix", "--image", bad_json, "--algo", "fcls", "--m0", lib, "--out", tmp_path / "r3"],
+        ["unmix", "--image", bad_json, "--algo", "fcls", "--library", lib,
+         "--out", tmp_path / "r3"],
     ]
     for argv in runs:
         assert main([str(a) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
     save_library(synthetic_base_spectra(3, 2, seed=1), tmp_path / "good.csv")
-    assert main(["unmix", "--image", str(image), "--algo", "fcls", "--m0",
+    assert main(["unmix", "--image", str(image), "--algo", "fcls", "--library",
                  str(tmp_path / "good.csv"), "--transform", str(bad_json),
                  "--out", str(tmp_path / "r4")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad_json}: not a valid transform file")
     offset = tmp_path / "offset.json"
     offset.write_text(json.dumps({"kind": "weights", "weights": [1.0] * 3, "offset": [0.0] * 3}))
-    assert main(["unmix", "--image", str(image), "--algo", "fcls", "--m0",
+    assert main(["unmix", "--image", str(image), "--algo", "fcls", "--library",
                  str(tmp_path / "good.csv"), "--transform", str(offset),
                  "--out", str(tmp_path / "r5")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {offset}: not a valid transform file")
@@ -304,7 +306,7 @@ def test_missing_input_files_exit_2(tmp_path, capsys):
          cfg["base_library"]),
         (["prune", "--library", f"{nope}.csv", "--method", "count", "--out", tmp_path / "p.csv"],
          f"{nope}.csv"),
-        (["unmix", "--image", nope, "--algo", "fcls", "--m0", f"{nope}.csv",
+        (["unmix", "--image", nope, "--algo", "fcls", "--library", f"{nope}.csv",
           "--out", tmp_path / "r"], f"{nope}.json"),
         (["bench", "--config", tmp_path / "bench.json"], cfg["base_library"]),
     ]
@@ -321,10 +323,10 @@ def test_refused_paths_exit_2(scene_dir, capsys):
     (d / "taken").write_text("")
     unmix = ["unmix", "--image", d / "scene", "--algo", "fcls"]
     runs = [
-        (unmix + ["--m0", d / "scene", "--out", d / "r1"], d / "scene", "Is a directory"),
-        (unmix + ["--m0", d / "base.csv", "--opts", d / "opts_dir", "--out", d / "r2"],
+        (unmix + ["--library", d / "scene", "--out", d / "r1"], d / "scene", "Is a directory"),
+        (unmix + ["--library", d / "base.csv", "--opts", d / "opts_dir", "--out", d / "r2"],
          d / "opts_dir", "Is a directory"),
-        (unmix + ["--m0", d / "base.csv", "--out", d / "taken"], d / "taken", "File exists"),
+        (unmix + ["--library", d / "base.csv", "--out", d / "taken"], d / "taken", "File exists"),
     ]
     for argv, path, reason in runs:
         assert main([str(a) for a in argv]) == 2

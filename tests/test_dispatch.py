@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from varimix.bench import BenchConfig, RosterEntry
+from varimix.bench import BenchConfig, RosterEntry, transform_input
 from varimix.cli import main
-from varimix.io import load_config, load_library, resolve_image, save_library, save_scene
+from varimix.io import (load_config, load_library, resolve_image, save_library, save_result,
+                        save_scene)
 from varimix.libops import build_transform, prune
-from varimix.solvers import ALGORITHMS, SOLVERS, SolverOptions, sparse_su_l0
+from varimix.solvers import ALGORITHMS, SOLVERS, SolverOptions, sparse_su_l0, unmix
 from varimix.synth import synthetic_base_spectra, truth_variant_library
 from varimix.types import FormatError, LibraryClass, SpectralLibrary
 
@@ -96,29 +97,41 @@ def test_cli_and_bench_write_the_same_bytes(inputs, algo, transform):
         assert json.dumps(logs[0][key]) == json.dumps(logs[1][key]), key
 
 
-def test_transform_goes_to_m0_when_library_is_also_given(inputs):
+def test_unmix_takes_one_source_flag(inputs, capsys):
+    # --library is unmix's one source flag: --m0 is no option, and a matrix
+    # solver takes the library's class means, through the transform
     d = inputs
+    with pytest.raises(SystemExit) as help_exit:
+        main(["unmix", "--help"])
+    assert help_exit.value.code == 0 and "--m0" not in capsys.readouterr().out
     argv = ["unmix", "--image", str(d / "scene"), "--algo", "fcls",
-            "--m0", str(d / "base.csv"), "--transform", str(d / "w.json")]
-    assert main(argv + ["--out", str(d / "m0")]) == 0
-    assert main(argv + ["--library", str(d / "lib.csv"), "--out", str(d / "both")]) == 0
+            "--transform", str(d / "w.json")]
+    with pytest.raises(SystemExit) as m0_exit:
+        main(argv + ["--m0", str(d / "base.csv"), "--out", str(d / "m0")])
+    assert m0_exit.value.code == 2 and not (d / "m0").exists()
+    assert main(argv + ["--library", str(d / "base.csv"), "--out", str(d / "cli")]) == 0
+    _, image, m = transform_input({"method": "path", "path": str(d / "w.json")},
+                                  resolve_image(d / "scene"),
+                                  load_library(d / "base.csv").class_means().T)
+    save_result(unmix("fcls", image, m, SolverOptions()), d / "api")
     for name in ("abundances.csv", "re.bin"):
-        assert (d / "m0" / name).read_bytes() == (d / "both" / name).read_bytes()
+        assert (d / "cli" / name).read_bytes() == (d / "api" / name).read_bytes()
 
 
-@pytest.mark.parametrize("algo, extra, message", [
-    ("fcls", [], "error: --m0 or --library required"),
-    ("elmm", ["--transform", "w.json"], "error: --m0 or --library required"),
-    ("mesma", ["--m0", "base.csv"], "error: --library required for library-based algorithms"),
-    ("sparse-l0", ["--transform", "w.json"],
-     "error: --library required for library-based algorithms"),
-], ids=["fcls", "elmm-transform", "mesma-m0", "sparse-l0-transform"])
-def test_unmix_without_its_input_exits_2(inputs, capsys, algo, extra, message):
+@pytest.mark.parametrize("algo, extra", [
+    ("fcls", []),
+    ("elmm", ["--transform", "w.json"]),
+    ("plmm", []),
+    ("mesma", []),
+    ("sparse-l1", []),
+    ("sparse-l0", ["--transform", "w.json"]),
+], ids=["fcls", "elmm-transform", "plmm", "mesma", "sparse-l1", "sparse-l0-transform"])
+def test_unmix_without_its_input_exits_2(inputs, capsys, algo, extra):
     d = inputs
     argv = ["unmix", "--image", str(d / "scene"), "--algo", algo, "--out", str(d / "out")]
     argv += [a if a.startswith("--") else str(d / a) for a in extra]
     assert main(argv) == 2
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == "error: --library required\n"
     assert not (d / "out").exists()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varimix.solvers import SolverOptions, elmm_unmix, fcls, fcls_core, plmm_unmix
+from varimix.solvers import QPCounts, SolverOptions, elmm_unmix, fcls, fcls_core, plmm_unmix
 from varimix.types import SpectralImage
 
 from conftest import make_scene
@@ -82,7 +82,7 @@ class TestPlmm:
         m0, a, y = _lmm_data(rng, h, w)
         res = plmm_unmix(_grid_image(y, h, w), m0, SolverOptions(max_iters=20))
         assert np.max(np.abs(res.endmembers.data - m0)) < 1e-8
-        a_ref, _ = fcls_core(y, m0)
+        a_ref, _ = fcls_core(y, m0, QPCounts())
         assert np.max(np.abs(res.abundances.data - a_ref)) < 1e-8
         assert res.solver_log.converged
 

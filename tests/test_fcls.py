@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from varimix.solvers import SolverOptions, fcls, fcls_core, reconstruct, residual_stats
+from varimix.solvers import (QPCounts, SolverOptions, fcls, fcls_core, reconstruct,
+                              residual_stats)
 from varimix.types import SpectralImage
 
 from oracles import project_simplex, qp_fcls_oracle
@@ -79,15 +80,15 @@ class TestFcls:
     def test_joint_rescaling_invariance(self, rng):
         m = rng.uniform(0.05, 1.0, size=(20, 3))
         y = rng.uniform(0, 1, size=(10, 20))
-        a1, _ = fcls_core(y, m)
-        a2, _ = fcls_core(3.7 * y, 3.7 * m)
+        a1, _ = fcls_core(y, m, QPCounts())
+        a2, _ = fcls_core(3.7 * y, 3.7 * m, QPCounts())
         assert np.max(np.abs(a1 - a2)) < 1e-10
 
     def test_kkt_residual(self, rng):
         # fixed-point residual of the projected solution
         m = rng.uniform(0.05, 1.0, size=(30, 4))
         y = rng.uniform(0, 1, size=(50, 30))
-        a, _ = fcls_core(y, m)
+        a, _ = fcls_core(y, m, QPCounts())
         grad = 2 * (a @ (m.T @ m) - y @ m)
         step = 1.0 / np.linalg.norm(2 * m.T @ m, 2)
         fp = project_simplex(a - step * grad)
@@ -118,13 +119,13 @@ class TestFcls:
         y = rng.uniform(0, 1, size=(3, 5))
         y[0, 0] = np.nan
         with pytest.raises(ValueError):
-            fcls_core(y, m)
+            fcls_core(y, m, QPCounts())
 
     def test_batched_matches_shared(self, rng):
         m = rng.uniform(0.05, 1.0, size=(12, 3))
         y = rng.uniform(0, 1, size=(25, 12))
-        a1, _ = fcls_core(y, m)
-        a2, _ = fcls_core(y, np.repeat(m[None], 25, axis=0))
+        a1, _ = fcls_core(y, m, QPCounts())
+        a2, _ = fcls_core(y, np.repeat(m[None], 25, axis=0), QPCounts())
         assert np.max(np.abs(a1 - a2)) < 1e-9
 
     def test_solver_log_and_re(self, rng):

@@ -71,6 +71,13 @@ def test_factored_rows_are_checked(bad, message):
         field.data
 
 
+def test_class_means_are_computed_once_and_kept_read_only(truth):
+    field = unmix("mesma", truth.image_noisy, _source("mesma", truth), OPTS).endmembers
+    means = field.class_means()
+    assert field.class_means() is means and not means.flags.writeable
+    assert means.tobytes() == field.data.mean(axis=0).T.tobytes()
+
+
 @pytest.mark.parametrize("name", FIELD_SOLVERS)
 def test_scoring_and_saving_leave_the_field_unbuilt(truth, tmp_path, name):
     result = unmix(name, truth.image_noisy, _source(name, truth), OPTS)

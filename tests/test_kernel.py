@@ -166,9 +166,15 @@ def _with_interior_rows(y, m, seed):
     return np.concatenate([y, yi + rng.normal(0.0, 1e-3, size=yi.shape)]), m
 
 
+def _stacked(gram, h):
+    """The kernel internals' operands: a shared (P, P) Gram with its (N, P)
+    linear terms as the stack of one Gram; per-pixel Grams as they are."""
+    return (gram[None], h[None]) if gram.ndim == 2 else (gram, h)
+
+
 def _full_face_start(gram, h, simplex):
     """Full-face minimizer of every row and which rows settle on it."""
-    s = base._full_face(gram, h, simplex)
+    s = base._full_face(*_stacked(gram, h), simplex).reshape(h.shape)
     return s, np.all(s > 0, axis=1)
 
 
@@ -181,7 +187,7 @@ def test_simplex_kernel_from_a_start(kind, seed, n, l, p, per_pixel, scaled):
     y, m = _with_interior_rows(*_problem(kind, seed, n, l, p, per_pixel, scaled), seed + 1)
     gram, h = base._gram(y, m)
     s, settled = _full_face_start(gram, h, True)
-    raw, _, _ = base._active_set(gram, h, simplex=True)
+    raw = base._active_set(*_stacked(gram, h), simplex=True)[0].reshape(h.shape)
     assert raw[settled].tobytes() == s[settled].tobytes()
     counts = QPCounts()
     a, rounds = base.fcls_gram(gram, h, counts)
@@ -202,7 +208,7 @@ def test_start_at_the_minimizer_settles_in_one_round(per_pixel):
     # minimizer, so round 1 settles them all
     y, m = _interior_problem(40, 12, 4, per_pixel, 6)
     gram, h = base._gram(y, m)
-    assert np.all(base._full_face(gram, h, True) > 0)
+    assert np.all(base._full_face(*_stacked(gram, h), True) > 0)
     counts = QPCounts()
     a, rounds = fcls_core(y, m, counts)
     assert rounds == 1 and counts.unsettled_rows == 0
@@ -225,7 +231,7 @@ def test_singular_pixel_does_not_move_its_batch():
     assert np.isnan(s[0]).all() and np.all(s[1] > 0)
     counts = QPCounts()
     a, rounds = base.fcls_gram(gram, h, counts)
-    alone, alone_rounds = base.fcls_gram(gram[1:], h[1:])
+    alone, alone_rounds = base.fcls_gram(gram[1:], h[1:], QPCounts())
     assert alone_rounds == 1 and a[1].tobytes() == alone[0].tobytes()
     assert counts.unsettled_rows == 0
     x, oracle_cost = qp_fcls_oracle(y[0], m[0])
@@ -280,7 +286,7 @@ def test_stacked_face_solve_keeps_each_rows_bits(simplex, monkeypatch):
         assert any(np.all(sizes[rows == 0] == 3) and np.sum(sizes == 3) > 1
                    for rows, sizes in stacks if 0 in rows)
     for i in range(y.shape[0]):
-        alone, _ = kernel(gram[i:i + 1], h[i:i + 1])
+        alone, _ = kernel(gram[i:i + 1], h[i:i + 1], QPCounts())
         assert a[i].tobytes() == alone[0].tobytes()
         if simplex:
             act, inact, scale = kkt_residual_simplex(y[i:i + 1], m[i], a[i:i + 1])
@@ -314,9 +320,9 @@ def test_nnls_kernel_from_a_start(kind):
 def test_duplicate_column_never_enters(per_pixel):
     # the twin of a passive column prices at exactly zero
     y, m = _problem("duplicate", 5, 40, 12, 4, per_pixel, False)
-    a, _ = fcls_core(y, m)
+    a, _ = fcls_core(y, m, QPCounts())
     assert not np.any((a[:, 0] > 0) & (a[:, -1] > 0))
-    raw, _ = base.nnls_gram(*_l1_gram(y, m, 1e-3))
+    raw, _ = base.nnls_gram(*_l1_gram(y, m, 1e-3), QPCounts())
     assert not np.any((raw[:, 0] > 0) & (raw[:, -1] > 0))
 
 
@@ -328,7 +334,7 @@ def test_collinear_columns_never_all_enter(per_pixel):
     # three, at the oracle's cost
     for seed in range(300):
         y, m = _problem("collinear", seed, 4, 8, 4, per_pixel, False)
-        a, _ = fcls_core(y, m)
+        a, _ = fcls_core(y, m, QPCounts())
         assert not np.any(np.all(a[:, [0, 1, 3]] > 0, axis=1))
         for i in range(y.shape[0]):
             mi = _pixel_matrix(m, i)
@@ -382,9 +388,9 @@ def test_stacked_grams_give_each_row_its_own_bits(kind, simplex):
     a, _ = kernel(gram, h, counts)
     assert a.shape == h.shape and counts.unsettled_rows == 0
     for g_i, h_i, a_i in zip(gram, h, a):
-        assert kernel(g_i, h_i)[0].tobytes() == a_i.tobytes()
+        assert kernel(g_i, h_i, QPCounts())[0].tobytes() == a_i.tobytes()
         for j in range(h_i.shape[0]):
-            assert kernel(g_i, h_i[j:j + 1])[0].tobytes() == a_i[j:j + 1].tobytes()
+            assert kernel(g_i, h_i[j:j + 1], QPCounts())[0].tobytes() == a_i[j:j + 1].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["duplicate", "zero"])
@@ -401,7 +407,7 @@ def test_stacked_gram_that_fails_the_rank_test_moves_no_other(kind):
     a, _ = base.fcls_gram(gram, h, counts)
     assert counts.unsettled_rows == 0
     for i in (0, 2, 3):
-        assert base.fcls_gram(gram[i], h[i])[0].tobytes() == a[i].tobytes()
+        assert base.fcls_gram(gram[i], h[i], QPCounts())[0].tobytes() == a[i].tobytes()
     for j in range(y.shape[1]):
         _, oracle_cost = qp_fcls_oracle(y[1, j], m[1])
         cost = float(np.sum((y[1, j] - m[1] @ a[1, j]) ** 2))
@@ -431,7 +437,7 @@ def test_cold_rows_start_on_their_positive_face(per_pixel, simplex):
     # in 2 rounds (a start at a vertex or at zero takes P - 1 or P more)
     y, m = _off_face_rows(12, 8, 4, per_pixel, 3)
     gram, h = base._gram(y, m)
-    assert np.all(base._full_face(gram, h, simplex)[:, -1] < 0)
+    assert np.all(base._full_face(*_stacked(gram, h), simplex)[..., -1] < 0)
     counts = QPCounts()
     a, rounds = (base.fcls_gram if simplex else base.nnls_gram)(gram, h, counts)
     assert rounds == 2 and counts.unsettled_rows == 0
@@ -451,7 +457,7 @@ def _face_start_fails(gram, h, simplex):
     """Rows whose round-1 minimizer passes the rank test, has a
     nonpositive entry, and whose positive face has a minimizer with a
     nonpositive entry: the face start does not apply to them."""
-    s = base._full_face(gram, h, simplex)
+    s = base._full_face(*_stacked(gram, h), simplex).reshape(h.shape)
     face = s > 0
     rows = np.flatnonzero(~np.isnan(s).any(axis=1) & ~face.all(axis=1)
                           & (face.sum(axis=1) > simplex))

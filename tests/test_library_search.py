@@ -11,11 +11,12 @@ import itertools
 import numpy as np
 import pytest
 
-from varimix.solvers import QPCounts, kkt_residual_simplex, mesma, search, sparse_su_l0
+from varimix.solvers import (QPCounts, SolverOptions, kkt_residual_simplex, mesma, search,
+                             sparse_su_l0, sparse_su_l1)
 from varimix.solvers.base import fcls_gram
 from varimix.solvers.search import distinct_rows, library_stats, subset_search
 from varimix.solvers.sparse import _greedy_supports
-from varimix.types import SpectralImage, SpectralLibrary
+from varimix.types import DimensionError, SpectralImage, SpectralLibrary
 
 from oracles import greedy_l0_oracle, mesma_oracle, qp_fcls_oracle
 
@@ -52,6 +53,15 @@ def test_distinct_rows_are_first_occurrences(rng):
     s = base[rng.integers(0, 6, size=30)]
     assert np.array_equal(distinct_rows(s), np.sort(np.unique(s, axis=0, return_index=True)[1]))
     assert distinct_rows(np.zeros((0, 8))).size == 0
+
+
+@pytest.mark.parametrize("solver", [mesma, sparse_su_l1, sparse_su_l0])
+def test_library_of_other_bands_is_refused(rng, solver):
+    """The library solvers share one band check, in ``library_stats``."""
+    lib = _duplicated_library(rng)
+    y = rng.uniform(0.0, 1.0, size=(4, lib.n_bands + 1))
+    with pytest.raises(DimensionError, match="^library band count does not match the image$"):
+        solver(_image(y), lib, opts=SolverOptions())
 
 
 def test_mesma_duplicates_select_first_occurrence(rng):
@@ -166,7 +176,7 @@ def test_early_stop_recompute_does_not_depend_on_the_batch():
         y = np.array([0.3, 0.7]) @ s[2:] + rng.normal(0.0, 0.01, size=30)   # model (2, 3) fits best
         y = np.repeat(y[None], 3, axis=0)
         gram, ys, yy = library_stats(y, s)
-        a = fcls_gram(gram[:2, :2], ys[:, :2])[0][:1]
+        a = fcls_gram(gram[:2, :2], ys[:, :2], QPCounts())[0][:1]
         batch, alone = (float(np.einsum("nl,nl->n", r, r)[0])
                         for r in (y[:1] - (np.repeat(a, 2, axis=0) @ s[:2])[:1], y[:1] - a @ s[:2]))
         if alone > batch:
@@ -174,7 +184,7 @@ def test_early_stop_recompute_does_not_depend_on_the_batch():
     assert alone > batch
     for copies in (1, 3):
         cols, _, solved = subset_search(gram, ys[:copies], yy[:copies], [(0, 1), (2, 3)], 2,
-                                        stop_r2=batch, y=y[:copies], signatures=s)
+                                        QPCounts(), stop_r2=batch, y=y[:copies], signatures=s)
         assert np.all(cols == [0, 1]) and solved == 1
 
 
@@ -203,9 +213,9 @@ def test_blocked_search_stops_where_one_at_a_time_does(rng, monkeypatch):
     models = list(itertools.product(range(0, 3), range(3, 6), range(6, 9)))
     r2 = np.array([[qp_fcls_oracle(yi, flat[list(mod)].T)[1] for mod in models] for yi in y])
     stop = 1.0001 * float(np.max(np.min(r2[:, :20], axis=1)))
-    blocked = subset_search(*stats, models, 3, stop_r2=stop, y=y, signatures=flat)
-    _assert_same_search(_search_one_at_a_time(monkeypatch, *stats, models, 3, stop_r2=stop,
-                                              y=y, signatures=flat), blocked)
+    blocked = subset_search(*stats, models, 3, QPCounts(), stop_r2=stop, y=y, signatures=flat)
+    _assert_same_search(_search_one_at_a_time(monkeypatch, *stats, models, 3, QPCounts(),
+                                              stop_r2=stop, y=y, signatures=flat), blocked)
     first_hit = np.argmax(r2 <= stop, axis=1)
     assert blocked[2] == first_hit.max() + 1 < len(models)
     res = mesma(_image(y), lib, re_threshold=float(np.sqrt(stop / 12)))
@@ -224,17 +234,18 @@ def test_early_stop_blocks_start_at_one_subset_and_double(rng, monkeypatch):
     models = list(itertools.product(range(0, 3), range(3, 6), range(6, 9)))
     stacks = []
 
-    def spy(g, h, counts=None):
+    def spy(g, h, counts):
         stacks.append(g.shape[0])
         return fcls_gram(g, h, counts)
 
     monkeypatch.setattr(search, "fcls_gram", spy)
-    cols, _, solved = subset_search(*stats, models, 3, stop_r2=1e6, y=y, signatures=flat)
+    cols, _, solved = subset_search(*stats, models, 3, QPCounts(), stop_r2=1e6, y=y,
+                                    signatures=flat)
     assert stacks == [1] and solved == 1 and np.all(cols == [0, 3, 6])
     stacks.clear()
-    stopped = subset_search(*stats, models, 3, stop_r2=0.0, y=y, signatures=flat)
+    stopped = subset_search(*stats, models, 3, QPCounts(), stop_r2=0.0, y=y, signatures=flat)
     assert stacks == [1, 2, 4, 8, 12]
-    _assert_same_search(subset_search(*stats, models, 3), stopped)
+    _assert_same_search(subset_search(*stats, models, 3, QPCounts()), stopped)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -254,8 +265,8 @@ def test_blocked_exhaustive_l0_mixes_support_sizes(rng, monkeypatch, k):
     supports = list(itertools.chain.from_iterable(
         itertools.combinations(range(q), i) for i in range(1, k + 1)))
     stats = library_stats(y, flat[distinct_rows(flat)])
-    _assert_same_search(_search_one_at_a_time(monkeypatch, *stats, supports, k),
-                        subset_search(*stats, supports, k))
+    _assert_same_search(_search_one_at_a_time(monkeypatch, *stats, supports, k, QPCounts()),
+                        subset_search(*stats, supports, k, QPCounts()))
 
 
 def _planar_library(rng, per_class=3):
@@ -282,11 +293,11 @@ def test_first_exact_model_wins_with_fewer_bands_than_classes(rng, monkeypatch):
     models = list(itertools.product(range(0, 3), range(3, 6), range(6, 9)))
     for g, h in ((gram, ys), (np.nextafter(gram, np.inf), ys), (gram, np.nextafter(ys, -np.inf)),
                  (np.nextafter(gram, -np.inf), np.nextafter(ys, np.inf))):
-        cols, a, solved = subset_search(g, h, yy, models, 3)
+        cols, a, solved = subset_search(g, h, yy, models, 3, QPCounts())
         assert solved == 27
         assert np.all(cols == [0, 3, 6])
         assert np.max(np.abs(a - res.abundances.data)) < 1e-12
-        _assert_same_search(_search_one_at_a_time(monkeypatch, g, h, yy, models, 3),
+        _assert_same_search(_search_one_at_a_time(monkeypatch, g, h, yy, models, 3, QPCounts()),
                             (cols, a, solved))
 
 

@@ -22,6 +22,13 @@ def test_rmse_hand_value():
     assert rmse(x, y) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_rmse_scores_a_vector_as_one_column():
+    # a 1-D input longer than one chunk of rows is walked as an (N, 1) column
+    x = np.random.default_rng(3).normal(size=40000)
+    assert rmse(np.ones(40000), np.zeros(40000)) == 1.0
+    assert rmse(x, -x) == rmse(x[:, None], -x[:, None])
+
+
 def test_rmse_shape_mismatch():
     with pytest.raises(DimensionError):
         rmse(np.zeros(3), np.zeros(4))

@@ -29,6 +29,7 @@ from varimix.io import save_result
 from varimix.solvers import (
     ALGORITHMS,
     SOLVERS,
+    QPCounts,
     SolverOptions,
     elmm_unmix,
     fcls,
@@ -227,7 +228,7 @@ def test_start_abundances_are_fcls_on_the_reference_bit_for_bit(monkeypatch, mod
 
     monkeypatch.setattr(module, "monotone_loop", loop)
     unmix(image, m0, SolverOptions(max_iters=2))
-    assert starts[0].a.tobytes() == fcls_core(image.pixels, m0)[0].tobytes()
+    assert starts[0].a.tobytes() == fcls_core(image.pixels, m0, QPCounts())[0].tobytes()
 
 
 @pytest.mark.parametrize("unmix", [elmm_unmix, plmm_unmix])

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from varimix.solvers import fcls_core
+from varimix.solvers import QPCounts, fcls_core
 from varimix.types import (
     AbundanceMap,
     DimensionError,
@@ -99,9 +99,11 @@ _FINITE_CHECKS = {
     "abundance": ((4, 3), lambda a: AbundanceMap(a, sum_to_one=False),
                   "AbundanceMap.data contains NaN/Inf values"),
     "field": ((2, 3, 4), EndmemberField, "EndmemberField.data contains NaN/Inf values"),
-    "fcls_core y": ((3, 4), lambda a: fcls_core(a, np.eye(4, 2)), "non-finite solver inputs"),
-    "fcls_core m": ((4, 2), lambda a: fcls_core(np.ones((3, 4)), a), "non-finite solver inputs"),
-    "fcls_core field": ((3, 4, 2), lambda a: fcls_core(np.ones((3, 4)), a),
+    "fcls_core y": ((3, 4), lambda a: fcls_core(a, np.eye(4, 2), QPCounts()),
+                    "non-finite solver inputs"),
+    "fcls_core m": ((4, 2), lambda a: fcls_core(np.ones((3, 4)), a, QPCounts()),
+                    "non-finite solver inputs"),
+    "fcls_core field": ((3, 4, 2), lambda a: fcls_core(np.ones((3, 4)), a, QPCounts()),
                         "non-finite solver inputs"),
 }
 
