@@ -3,11 +3,12 @@
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
 # and greedy and exhaustive sparse-l0; then checks that a refused value (sparse-l0
-# with --k 0), flags of other solvers (fcls with --k and --re-threshold), a
-# missing input (unmix without --library, prune --method music without
-# --image), a retired option (an --opts file with `rho`) and an image payload
-# holding a NaN
-# each end in one `error:` line on stderr, exit code 2 and no output.
+# with --k 0), flags of other solvers (fcls with --k and --re-threshold) or
+# methods (prune --method count with --subspace-dim, transform --method weights
+# with --bands), a missing input (unmix without --library, prune --method music
+# without --image), a retired option (an --opts file with `rho`) and an image
+# payload holding a NaN each end in one `error:` line on stderr, exit code 2 and
+# no output.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -85,6 +86,11 @@ refused 'error: retired_opts.json: rho: unknown key' refused \
     --opts retired_opts.json --out refused/
 refused 'error: --image required for --method music' refused.csv \
     python -m varimix prune --library lib.csv --method music --out refused.csv
+refused 'error: --subspace-dim does not apply to --method count' refused.csv \
+    python -m varimix prune --library lib.csv --method count --subspace-dim 0 \
+    --residual-threshold -1 --out refused.csv
+refused 'error: --bands does not apply to --method weights' refused.json \
+    python -m varimix transform --library lib.csv --method weights --bands 0 --out refused.json
 
 # the same bytes on every run, so two runs' directories still compare equal
 python -c "import numpy as np; from varimix.io import save_image; \

@@ -5,11 +5,12 @@ libraries, run every roster algorithm, align classes, score against the
 scene truth, and keep all artifacts. Seeds are derived as
 ``master_seed + run_index`` so any failed cell can be reproduced alone.
 
-A roster entry runs the way ``varimix unmix`` does: the solver's input
-(library or reference matrix, by its kind in ``solvers.SOLVERS``) goes
-through ``transform_input`` and ``solvers.unmix``, and each run directory
-is written by ``io.save_result``, so it holds the same files as an
-``unmix`` output directory.
+A roster entry runs the way ``varimix unmix`` does: its library goes
+through ``run_solver``, which builds the configured transform from that
+library, applies it to the image and the library and calls
+``solvers.unmix`` (the matrix solvers take the transformed library's
+class means), and each run directory is written by ``io.save_result``,
+so it holds the same files as an ``unmix`` output directory.
 
 Wall times are reported in the markdown table and the JSON logs only:
 the CSV outputs contain nothing nondeterministic, so reruns with the
@@ -50,15 +51,16 @@ _CSV_FMT = "%.17g"
 class RosterEntry:
     """One benchmark row.
 
-    ``library_source`` controls the solver inputs per run: ``extracted``
-    gives bundle algorithms the pooled-subset library and matrix
-    algorithms a single extracted endmember set; ``extracted-bundles``
-    gives matrix algorithms the class means of the pooled library
-    instead; ``truth-variants`` uses the scene's realized signatures;
-    ``file`` reads a library CSV. ``options`` holds ``SolverOptions``
-    fields and the solver's ``SOLVERS[algo].extras``; the entry splits it
-    when built into ``opts``, loaded by ``io.load_config``, and ``extras``,
-    checked by ``SOLVERS[algo].check``, so a bad key or value is refused.
+    ``library_source`` names each run's library: ``extracted`` is the
+    pooled-subset bundle library, or for matrix algorithms one VCA
+    endmember per class; ``extracted-bundles`` the bundle library for
+    both; ``truth-variants`` the scene's realized signatures; ``file``
+    the CSV at ``library_path``, which only this source takes. The
+    transform is built from that library. ``options`` holds
+    ``SolverOptions`` fields and the solver's ``SOLVERS[algo].extras``;
+    the entry splits it when built into ``opts``, loaded by
+    ``io.load_config``, and ``extras``, checked by
+    ``SOLVERS[algo].check``, so a bad key or value is refused.
     """
 
     name: str
@@ -73,8 +75,8 @@ class RosterEntry:
         if self.library_source not in ("extracted", "extracted-bundles",
                                        "truth-variants", "file"):
             raise ValueError(f"unknown library source {self.library_source!r}")
-        if self.library_source == "file" and not self.library_path:
-            raise ValueError("library_source 'file' needs library_path")
+        if (self.library_source == "file") != bool(self.library_path):
+            raise ValueError("library_path goes with library_source 'file', and only with it")
         solver = SOLVERS[self.algo]
         extras = {k: v for k, v in self.options.items() if k in solver.extras}
         solver.check(**extras)
@@ -114,16 +116,19 @@ def _sub_seed(run_seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([run_seed, stream]).generate_state(1)[0])
 
 
-def transform_input(spec: dict, image: SpectralImage, source):
-    """Build the transform ``spec`` describes from a solver input (a
-    library, or an (L, P) matrix taken as one signature per class) and
-    apply it to the image and to exactly that input. Returns the
-    transform, the image and the input."""
-    matrix = not isinstance(source, SpectralLibrary)
-    base = SpectralLibrary.from_matrix(source) if matrix else source
-    t = build_transform(spec, base)
-    image, tlib = apply_transform(t, image, base)
-    return t, image, (tlib.class_means().T if matrix else tlib)
+def run_solver(algo: str, image: SpectralImage, library: SpectralLibrary,
+               transform: Optional[dict], opts: SolverOptions, extras: dict):
+    """Run solver ``algo`` on ``image`` with ``library``, the one way in for
+    ``varimix unmix`` and a bench roster entry. A ``transform`` spec is
+    built from ``library`` and applied to the image and the library; the
+    matrix solvers then take the library's class means. Returns the
+    result and the transform (``None`` without a spec)."""
+    t = None
+    if transform:
+        t = build_transform(transform, library)
+        image, library = apply_transform(t, image, library)
+    source = library.class_means().T if SOLVERS[algo].kind == "matrix" else library
+    return unmix(algo, image, source, opts, **extras), t
 
 
 def align_classes(truth_means: np.ndarray, candidate_means: np.ndarray) -> np.ndarray:
@@ -147,10 +152,11 @@ def eval_result(
     """Metric row for one algorithm on one scene.
 
     ``class_means`` (P, L) are the per-class mean signatures of the
-    library/matrix the solver consumed; when given, classes are aligned
-    to the truth by Hungarian assignment on mean-signature angles before
-    any metric is computed. ``clean_pixels`` overrides the reconstruction
-    target (used when the solver ran in a transformed band space).
+    library the solver was given, before any transform; when given,
+    classes are aligned to the truth by Hungarian assignment on
+    mean-signature angles before any metric is computed.
+    ``clean_pixels`` overrides the reconstruction target (used when the
+    solver ran in a transformed band space).
     """
     if result.abundances.n_classes != truth.abundances.n_classes:
         raise DimensionError("class count mismatch between truth and result")
@@ -173,61 +179,43 @@ class _RunLibraries:
         self.cfg = cfg
         self.truth = truth
         self.run_seed = run_seed
-        self._bundles: dict[str, SpectralLibrary] = {}
-        self._matrices: dict[str, np.ndarray] = {}
+        self._cache: dict[tuple, SpectralLibrary] = {}
 
-    def bundle(self, entry: RosterEntry) -> SpectralLibrary:
+    def library(self, entry: RosterEntry) -> SpectralLibrary:
+        """The entry's library: VCA endmembers, one signature per class,
+        for a matrix solver's ``extracted`` source; else the bundle,
+        truth or file library, pruned by the config."""
         source = entry.library_source
-        if source == "extracted-bundles":
-            source = "extracted"
-        key = source + (entry.library_path or "")
-        if key not in self._bundles:
-            if source == "extracted":
-                ext = self.cfg.extraction or BundleExtractionConfig(
-                    n_classes=self.truth.abundances.n_classes
-                )
-                ext = dataclasses.replace(ext, seed=_sub_seed(self.run_seed, 1))
-                lib = extract_bundles(self.truth.image_noisy, ext)
+        if source.startswith("extracted"):
+            matrix = SOLVERS[entry.algo].kind == "matrix"
+            source = "vca" if source == "extracted" and matrix else "bundles"
+        key = (source, entry.library_path)
+        if key not in self._cache:
+            image, n_classes = self.truth.image_noisy, self.truth.abundances.n_classes
+            if source == "vca":
+                sigs, _ = extract_endmembers(image, n_classes, seed=_sub_seed(self.run_seed, 2))
+                lib = SpectralLibrary.from_matrix(sigs.T)
+            elif source == "bundles":
+                ext = self.cfg.extraction or BundleExtractionConfig(n_classes=n_classes)
+                lib = extract_bundles(image, dataclasses.replace(
+                    ext, seed=_sub_seed(self.run_seed, 1)))
             elif source == "truth-variants":
                 lib = truth_variant_library(self.truth)
             else:
                 lib = load_library(entry.library_path)
-            if self.cfg.prune:
-                lib = prune(self.cfg.prune, lib, self.truth.image_noisy)
-            self._bundles[key] = lib
-        return self._bundles[key]
-
-    def matrix(self, entry: RosterEntry) -> np.ndarray:
-        """(L, P) reference matrix for the single-matrix algorithms."""
-        key = entry.library_source + (entry.library_path or "")
-        if key not in self._matrices:
-            if entry.library_source == "extracted":
-                sigs, _ = extract_endmembers(
-                    self.truth.image_noisy,
-                    self.truth.abundances.n_classes,
-                    seed=_sub_seed(self.run_seed, 2),
-                )
-                self._matrices[key] = sigs.T
-            else:
-                self._matrices[key] = self.bundle(entry).class_means().T
-        return self._matrices[key]
+            if self.cfg.prune and source != "vca":
+                lib = prune(self.cfg.prune, lib, image)
+            self._cache[key] = lib
+        return self._cache[key]
 
 
 def _run_entry(entry: RosterEntry, cfg: BenchConfig, truth: SceneTruth, libs: _RunLibraries):
-    image = truth.image_noisy
-    clean_pixels = None
-    if SOLVERS[entry.algo].kind == "matrix":
-        source = libs.matrix(entry)
-        class_means = source.T
-    else:
-        source = libs.bundle(entry)
-        class_means = source.class_means()
-    if cfg.transform:
-        t, image, source = transform_input(cfg.transform, image, source)
-        clean_pixels = t.apply(truth.image_clean.pixels)
-
-    result = unmix(entry.algo, image, source, entry.opts, **entry.extras)
-    return result, eval_result(truth, result, class_means=class_means, clean_pixels=clean_pixels)
+    library = libs.library(entry)
+    result, t = run_solver(entry.algo, truth.image_noisy, library, cfg.transform,
+                           entry.opts, entry.extras)
+    clean_pixels = None if t is None else t.apply(truth.image_clean.pixels)
+    return result, eval_result(truth, result, class_means=library.class_means(),
+                               clean_pixels=clean_pixels)
 
 
 def _aggregate(values: list) -> tuple[Optional[float], Optional[float]]:

@@ -3,13 +3,15 @@
 Subcommands: synth, extract, prune, transform, unmix, bench. All outputs
 are deterministic given the configured seeds.
 
-``unmix`` runs a solver the way a bench roster entry does: its one input
-is ``--library`` (the matrix solvers take its class means), transformed
-by ``bench.transform_input`` with ``--transform``; ``solvers.unmix``
-gets the extras flags given (another solver's are refused), and
-``io.save_result`` writes the outputs.
+``unmix`` runs a solver through ``bench.run_solver``, as a bench roster
+entry does: its one input is ``--library``, which ``--transform`` maps
+with the image (the matrix solvers take the mapped library's class
+means); the solver gets the extras flags given, and ``io.save_result``
+writes the outputs.
 ``prune`` and ``transform`` turn their flags into a bench config spec and
 call ``libops.prune`` / ``libops.build_transform``, as the bench does.
+A flag that only other solvers or methods take is refused, by one rule
+for all three commands.
 The parser is built once per process (``build_parser`` is cached) for
 in-process callers of ``main``; parsing leaves it unchanged.
 """
@@ -22,11 +24,11 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import BenchConfig, run_bench, transform_input, write_report_md
+from .bench import BenchConfig, run_bench, run_solver, write_report_md
 from .extraction import BundleExtractionConfig, extract_bundles
 from .io import load_config, load_library, resolve_image, save_library, save_result, save_scene
 from .libops import METHODS, build_transform, prune
-from .solvers import ALGORITHMS, SOLVERS, SolverOptions, unmix
+from .solvers import ALGORITHMS, SOLVERS, SolverOptions
 from .synth import SceneConfig, synthesize_from_config
 from .types import BudgetError, FormatError
 
@@ -64,19 +66,31 @@ def _cmd_extract(args) -> int:
     return 0
 
 
+def _refuse_other_flags(args, choice: str, takes):
+    """Refuse each flag in ``args.specific`` (the arguments only some
+    methods or solvers take) that was given and whose dest is not in
+    ``takes``, the keys the value of ``--choice`` takes."""
+    for a in args.specific:
+        if a.dest not in takes and getattr(args, a.dest) is not None:
+            raise ValueError(f"{a.option_strings[0]} does not apply to --{choice} "
+                             f"{getattr(args, choice)}")
+
+
 def _spec(block: str, args) -> dict:
-    """The bench config's ``block`` spec for the method's flags given."""
+    """The bench config's ``block`` spec for the method's flags given; the
+    flags of its other methods are refused (``--image`` is music's)."""
     keys = METHODS[block][args.method]
+    _refuse_other_flags(args, "method", {*keys, "image"} if args.method == "music" else keys)
     return {"method": args.method,
             **{k: getattr(args, k) for k in keys if getattr(args, k) is not None}}
 
 
 def _cmd_prune(args) -> int:
-    library = load_library(args.library)
+    spec = _spec("prune", args)
     if args.method == "music" and not args.image:
         raise ValueError("--image required for --method music")
-    image = resolve_image(args.image) if args.method == "music" else None
-    pruned = prune(_spec("prune", args), library, image)
+    library = load_library(args.library)
+    pruned = prune(spec, library, resolve_image(args.image) if args.image else None)
     save_library(pruned, args.out)
     print(f"kept {sum(pruned.sizes)} of {sum(library.sizes)} signatures -> {args.out}")
     return 0
@@ -92,21 +106,14 @@ def _cmd_transform(args) -> int:
 
 def _cmd_unmix(args) -> int:
     takes = SOLVERS[args.algo].extras
-    for flag, key in (("--re-threshold", "re_threshold"), ("--k", "k"), ("--l0-mode", "mode")):
-        if key not in takes and getattr(args, key) is not None:
-            raise ValueError(f"{flag} does not apply to --algo {args.algo}")
+    _refuse_other_flags(args, "algo", takes)
     image = resolve_image(args.image)
     opts = SolverOptions() if args.opts is None else _read_config(SolverOptions, args.opts)
     if not args.library:
         raise ValueError("--library required")
-    source = load_library(args.library)
-    if SOLVERS[args.algo].kind == "matrix":
-        source = source.class_means().T
-    if args.transform:
-        _, image, source = transform_input({"method": "path", "path": args.transform},
-                                           image, source)
+    spec = {"method": "path", "path": args.transform} if args.transform else None
     extras = {k: getattr(args, k) for k in takes if getattr(args, k) is not None}
-    result = unmix(args.algo, image, source, opts, **extras)
+    result, _ = run_solver(args.algo, image, load_library(args.library), spec, opts, extras)
     out = save_result(result, args.out)
     print(f"{args.algo} finished: final cost {result.solver_log.final_cost:.6g}, "
           f"results in {out}")
@@ -153,24 +160,24 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("prune", help="reduce or prune a spectral library")
     s.add_argument("--library", required=True)
     s.add_argument("--method", choices=tuple(METHODS["prune"]), required=True)
-    s.add_argument("--angle-threshold", type=float)
-    s.add_argument("--target", type=int, dest="target_per_class")
-    s.add_argument("--coverage-metric", choices=("sam", "sqerr"), dest="metric")
-    s.add_argument("--image", help="image for the subspace method")
-    s.add_argument("--subspace-dim", type=int, help="default: the library's class count")
-    s.add_argument("--residual-threshold", type=float)
+    s.set_defaults(func=_cmd_prune, specific=(
+        s.add_argument("--angle-threshold", type=float),
+        s.add_argument("--target", type=int, dest="target_per_class"),
+        s.add_argument("--coverage-metric", choices=("sam", "sqerr"), dest="metric"),
+        s.add_argument("--image", help="image for the subspace method"),
+        s.add_argument("--subspace-dim", type=int, help="default: the library's class count"),
+        s.add_argument("--residual-threshold", type=float)))
     s.add_argument("--out", required=True)
-    s.set_defaults(func=_cmd_prune)
 
     s = sub.add_parser("transform", help="build a spectral transform from a library")
     s.add_argument("--library", required=True)
     s.add_argument("--method", choices=[m for m in METHODS["transform"] if m != "path"],
                    required=True)
-    s.add_argument("--bands", type=int, dest="k", help="bands to keep (mask)")
-    s.add_argument("--threshold", type=float, help="instability threshold (mask)")
-    s.add_argument("--dim", type=int, help="output dimension (fda)")
+    s.set_defaults(func=_cmd_transform, specific=(
+        s.add_argument("--bands", type=int, dest="k", help="bands to keep (mask)"),
+        s.add_argument("--threshold", type=float, help="instability threshold (mask)"),
+        s.add_argument("--dim", type=int, help="output dimension (fda)")))
     s.add_argument("--out", required=True, help="output transform JSON")
-    s.set_defaults(func=_cmd_transform)
 
     s = sub.add_parser("unmix", help="run an unmixing algorithm")
     s.add_argument("--image", required=True)
@@ -178,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--library", help="library CSV; fcls / elmm / plmm take its class means")
     s.add_argument("--opts", help="solver options JSON")
     s.add_argument("--transform", help="transform JSON from 'varimix transform'")
-    s.add_argument("--re-threshold", type=float, help="mesma early-stop threshold")
-    s.add_argument("--k", type=int, help="sparse-l0 support size")
-    s.add_argument("--l0-mode", choices=("greedy", "exhaustive"), dest="mode")
+    s.set_defaults(func=_cmd_unmix, specific=(
+        s.add_argument("--re-threshold", type=float, help="mesma early-stop threshold"),
+        s.add_argument("--k", type=int, help="sparse-l0 support size"),
+        s.add_argument("--l0-mode", choices=("greedy", "exhaustive"), dest="mode")))
     s.add_argument("--out", required=True, help="output directory")
-    s.set_defaults(func=_cmd_unmix)
 
     s = sub.add_parser("bench", help="run a Monte Carlo benchmark")
     s.add_argument("--config", required=True, help="bench config JSON")

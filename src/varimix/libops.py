@@ -92,9 +92,13 @@ class SpectralTransform:
 def instability_index(library: SpectralLibrary) -> np.ndarray:
     """Per-band ratio of mean within-class variance to the variance of the
     class means (population variances). Bands where the class means agree
-    exactly get a +inf sentinel."""
+    exactly get a +inf sentinel. A library of one signature per class has
+    no within-class spread to judge a band by: every finite index is 0,
+    and a warning says so."""
     if library.n_classes < 2:
         raise ValueError("instability index needs at least two classes")
+    if max(library.sizes) < 2:
+        warnings.warn("one signature per class: no within-class spread, every band scores 0")
     means = library.class_means()                       # (P, L)
     within = np.stack([c.signatures.var(axis=0) for c in library.classes])
     intra = within.mean(axis=0)

@@ -6,15 +6,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from varimix.bench import BenchConfig, RosterEntry, transform_input
+from varimix.bench import BenchConfig, RosterEntry
 from varimix.cli import main
 from varimix.io import (load_config, load_library, resolve_image, save_library, save_result,
                         save_scene)
-from varimix.libops import build_transform, prune
+from varimix.libops import SpectralTransform, apply_transform, build_transform, prune
 from varimix.solvers import ALGORITHMS, SOLVERS, SolverOptions, sparse_su_l0, unmix
 from varimix.synth import synthetic_base_spectra, truth_variant_library
 from varimix.types import FormatError, LibraryClass, SpectralLibrary
@@ -97,9 +98,31 @@ def test_cli_and_bench_write_the_same_bytes(inputs, algo, transform):
         assert json.dumps(logs[0][key]) == json.dumps(logs[1][key]), key
 
 
+def test_cli_and_bench_write_the_same_bytes_through_a_built_mask(inputs):
+    # the bench builds a matrix solver's mask from its library, as
+    # 'varimix transform' does, not from the library's class means
+    d = inputs
+    doc = _bench_config(d, "fcls", {}, {"method": "mask", "k": 10})
+    doc["roster"].append({**doc["roster"][0], "name": "elmm", "algo": "elmm",
+                          "options": {"max_iters": 4}})
+    (d / "bench.json").write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(d / "bench.json")]) == 0
+    assert main(["transform", "--library", str(d / "lib.csv"), "--method", "mask",
+                 "--bands", "10", "--out", str(d / "mask.json")]) == 0
+    (d / "opts.json").write_text(json.dumps({"max_iters": 4}))
+    run = d / "bench" / "runs" / "0"
+    for algo in ("fcls", "elmm"):
+        argv = ["unmix", "--image", str(run / "scene"), "--algo", algo,
+                "--library", str(d / "lib.csv"), "--transform", str(d / "mask.json"),
+                "--out", str(d / algo)]
+        assert main(argv + (["--opts", str(d / "opts.json")] if algo == "elmm" else [])) == 0
+        for name in ("abundances.csv", "re.bin"):
+            assert (d / algo / name).read_bytes() == (run / algo / name).read_bytes(), name
+
+
 def test_unmix_takes_one_source_flag(inputs, capsys):
     # --library is unmix's one source flag: --m0 is no option, and a matrix
-    # solver takes the library's class means, through the transform
+    # solver takes the class means of the transformed library
     d = inputs
     with pytest.raises(SystemExit) as help_exit:
         main(["unmix", "--help"])
@@ -110,10 +133,9 @@ def test_unmix_takes_one_source_flag(inputs, capsys):
         main(argv + ["--m0", str(d / "base.csv"), "--out", str(d / "m0")])
     assert m0_exit.value.code == 2 and not (d / "m0").exists()
     assert main(argv + ["--library", str(d / "base.csv"), "--out", str(d / "cli")]) == 0
-    _, image, m = transform_input({"method": "path", "path": str(d / "w.json")},
-                                  resolve_image(d / "scene"),
-                                  load_library(d / "base.csv").class_means().T)
-    save_result(unmix("fcls", image, m, SolverOptions()), d / "api")
+    image, library = apply_transform(SpectralTransform.from_json(d / "w.json"),
+                                     resolve_image(d / "scene"), load_library(d / "base.csv"))
+    save_result(unmix("fcls", image, library.class_means().T, SolverOptions()), d / "api")
     for name in ("abundances.csv", "re.bin"):
         assert (d / "cli" / name).read_bytes() == (d / "api" / name).read_bytes()
 
@@ -143,6 +165,57 @@ def _refused(argv, out, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert not out.exists()
     return err
+
+
+def test_prune_and_transform_refuse_the_flags_of_other_methods(inputs, capsys):
+    # one rule for unmix, prune and transform: a flag only another method
+    # takes is refused before any input is read, whatever its value
+    d = inputs
+    lib = ["--library", d / "lib.csv"]
+    runs = [
+        (["prune", *lib, "--method", "count", "--subspace-dim", "0",
+          "--residual-threshold", "-1"], d / "pruned.csv", "--subspace-dim", "count"),
+        (["prune", *lib, "--method", "count", "--image", d / "no_such_dir"], d / "pruned.csv",
+         "--image", "count"),
+        (["prune", *lib, "--method", "music", "--image", d / "scene", "--target", "2"],
+         d / "pruned.csv", "--target", "music"),
+        (["transform", *lib, "--method", "weights", "--bands", "0", "--dim", "0"],
+         d / "t.json", "--bands", "weights"),
+        (["transform", *lib, "--method", "mask", "--bands", "4", "--dim", "1"], d / "t.json",
+         "--dim", "mask"),
+        (["transform", *lib, "--method", "fda", "--threshold", "0.1"], d / "t.json",
+         "--threshold", "fda"),
+    ]
+    for argv, out, flag, method in runs:
+        err = _refused(argv, out, capsys)
+        assert err == f"error: {flag} does not apply to --method {method}\n"
+
+
+def test_roster_entry_takes_a_library_path_only_from_a_file_source():
+    for source in ("extracted", "extracted-bundles", "truth-variants"):
+        with pytest.raises(ValueError, match="^library_path goes with library_source 'file'"):
+            RosterEntry("x", "mesma", library_source=source, library_path="nope.csv")
+    with pytest.raises(ValueError, match="^library_path goes with library_source 'file'"):
+        RosterEntry("x", "mesma", library_source="file")
+    assert RosterEntry("x", "mesma", library_source="file", library_path="lib.csv")
+
+
+def test_band_selection_warns_on_a_library_of_one_signature_per_class(inputs):
+    # one signature per class has no within-class spread: every band scores
+    # 0, so mask keeps the first bands and weights are all ones, with a warning
+    d = inputs
+    for flags, kept in ((["--bands", "10"], 10), ([], BANDS)):
+        method = "mask" if flags else "weights"
+        with pytest.warns(UserWarning, match="^one signature per class"):
+            assert main(["transform", "--library", str(d / "base.csv"), "--method", method,
+                         *flags, "--out", str(d / "t.json")]) == 0
+        weights = SpectralTransform.from_json(d / "t.json").weights
+        np.testing.assert_array_equal(weights, np.arange(BANDS) < kept)
+    # a library with spread is judged by it, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["transform", "--library", str(d / "lib.csv"), "--method", "weights",
+                     "--out", str(d / "t.json")]) == 0
 
 
 def test_explicit_zeros_are_passed_through(inputs, capsys):
@@ -285,7 +358,7 @@ def test_cli_flags_and_bench_spec_write_the_same_bytes(inputs, case):
     library = load_library(d / "lib.csv")
     argv = [block, "--library", str(d / "lib.csv"), *flags, "--out", str(d / "cli_out")]
     if block == "prune":
-        argv += ["--image", str(d / "scene")]
+        argv += ["--image", str(d / "scene")] if case == "music" else []
         save_library(prune(cfg.prune, library, resolve_image(d / "scene")), d / "bench_out")
     else:
         build_transform(cfg.transform, library).to_json(d / "bench_out")

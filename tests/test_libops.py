@@ -60,6 +60,12 @@ class TestInstabilityIndex:
         assert np.isinf(idx[0])
         assert np.isfinite(idx[1])
 
+    def test_one_signature_per_class_warns(self):
+        # no within-class spread: every band scores 0
+        lib = SpectralLibrary.from_matrix(np.random.rand(4, 3))
+        with pytest.warns(UserWarning, match="^one signature per class"):
+            assert np.all(instability_index(lib) == 0.0)
+
     def test_single_class_rejected(self):
         lib = SpectralLibrary.from_arrays(["a"], [np.random.rand(3, 4)])
         with pytest.raises(ValueError):
