@@ -3,12 +3,12 @@
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
 # and greedy and exhaustive sparse-l0; then checks that a refused value (sparse-l0
-# with --k 0), flags of other solvers (fcls with --k and --re-threshold) or
-# methods (prune --method count with --subspace-dim, transform --method weights
-# with --bands), a missing input (unmix without --library, prune --method music
-# without --image), a retired option (an --opts file with `rho`) and an image
-# payload holding a NaN each end in one `error:` line on stderr, exit code 2 and
-# no output.
+# with --k 0, also with an image that does not exist), flags of other solvers
+# (fcls with --k and --re-threshold, or with --opts) or methods (prune --method
+# count with --subspace-dim, transform --method weights with --bands), a missing
+# input (unmix without --library, prune --method music without --image), a
+# retired option (an --opts file with `rho`) and an image payload holding a NaN
+# each end in one `error:` line on stderr, exit code 2 and no output.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -75,6 +75,10 @@ refused() {
 refused 'error: k must lie*' refused \
     python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 0 \
     --out refused/
+# refused before the image is read
+refused 'error: k must lie*' refused \
+    python -m varimix unmix --image no_such_scene/ --algo sparse-l0 --library lib.csv --k 0 \
+    --out refused/
 refused 'error: --re-threshold does not apply to --algo fcls' refused \
     python -m varimix unmix --image scene_dir/ --algo fcls --library small.csv --k 0 \
     --re-threshold -5 --out refused/
@@ -83,6 +87,9 @@ refused 'error: --library required' refused \
 printf '{"rho": 2.0}\n' > retired_opts.json
 refused 'error: retired_opts.json: rho: unknown key' refused \
     python -m varimix unmix --image scene_dir/ --algo elmm --library small.csv \
+    --opts retired_opts.json --out refused/
+refused 'error: --opts does not apply to --algo fcls' refused \
+    python -m varimix unmix --image scene_dir/ --algo fcls --library small.csv \
     --opts retired_opts.json --out refused/
 refused 'error: --image required for --method music' refused.csv \
     python -m varimix prune --library lib.csv --method music --out refused.csv

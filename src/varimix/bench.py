@@ -38,6 +38,7 @@ from .synth import SceneConfig, synthesize_from_config, truth_variant_library
 from .types import (
     BenchReport,
     DimensionError,
+    FormatError,
     MetricRow,
     SceneTruth,
     SpectralImage,
@@ -56,11 +57,11 @@ class RosterEntry:
     endmember per class; ``extracted-bundles`` the bundle library for
     both; ``truth-variants`` the scene's realized signatures; ``file``
     the CSV at ``library_path``, which only this source takes. The
-    transform is built from that library. ``options`` holds
-    ``SolverOptions`` fields and the solver's ``SOLVERS[algo].extras``;
-    the entry splits it when built into ``opts``, loaded by
-    ``io.load_config``, and ``extras``, checked by
-    ``SOLVERS[algo].check``, so a bad key or value is refused.
+    transform is built from that library. ``options`` holds the solver's
+    ``SOLVERS[algo].params``, an ``opts`` as its ``SolverOptions`` fields;
+    the entry loads it (``io.load_config``) or checks it (``check``) into
+    ``params`` when built, so a key the solver does not read, or a bad
+    value, is refused.
     """
 
     name: str
@@ -78,11 +79,15 @@ class RosterEntry:
         if (self.library_source == "file") != bool(self.library_path):
             raise ValueError("library_path goes with library_source 'file', and only with it")
         solver = SOLVERS[self.algo]
-        extras = {k: v for k, v in self.options.items() if k in solver.extras}
-        solver.check(**extras)
-        object.__setattr__(self, "extras", extras)
-        object.__setattr__(self, "opts", load_config(
-            SolverOptions, {k: v for k, v in self.options.items() if k not in extras}))
+        if "opts" in solver.params:
+            params = {"opts": load_config(SolverOptions, self.options)}
+        else:
+            unknown = sorted(self.options.keys() - set(solver.params))
+            if unknown:
+                raise FormatError(f"{unknown[0]}: unknown key")
+            solver.check(**self.options)
+            params = dict(self.options)
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -117,18 +122,18 @@ def _sub_seed(run_seed: int, stream: int) -> int:
 
 
 def run_solver(algo: str, image: SpectralImage, library: SpectralLibrary,
-               transform: Optional[dict], opts: SolverOptions, extras: dict):
-    """Run solver ``algo`` on ``image`` with ``library``, the one way in for
-    ``varimix unmix`` and a bench roster entry. A ``transform`` spec is
-    built from ``library`` and applied to the image and the library; the
-    matrix solvers then take the library's class means. Returns the
-    result and the transform (``None`` without a spec)."""
+               transform: Optional[dict], params: dict):
+    """Run solver ``algo`` on ``image`` with ``library`` and ``params``, the
+    one way in for ``varimix unmix`` and a bench roster entry. A
+    ``transform`` spec is built from ``library`` and applied to the image
+    and the library; the matrix solvers then take the library's class
+    means. Returns the result and the transform (``None`` without a spec)."""
     t = None
     if transform:
         t = build_transform(transform, library)
         image, library = apply_transform(t, image, library)
     source = library.class_means().T if SOLVERS[algo].kind == "matrix" else library
-    return unmix(algo, image, source, opts, **extras), t
+    return unmix(algo, image, source, **params), t
 
 
 def align_classes(truth_means: np.ndarray, candidate_means: np.ndarray) -> np.ndarray:
@@ -211,8 +216,7 @@ class _RunLibraries:
 
 def _run_entry(entry: RosterEntry, cfg: BenchConfig, truth: SceneTruth, libs: _RunLibraries):
     library = libs.library(entry)
-    result, t = run_solver(entry.algo, truth.image_noisy, library, cfg.transform,
-                           entry.opts, entry.extras)
+    result, t = run_solver(entry.algo, truth.image_noisy, library, cfg.transform, entry.params)
     clean_pixels = None if t is None else t.apply(truth.image_clean.pixels)
     return result, eval_result(truth, result, class_means=library.class_means(),
                                clean_pixels=clean_pixels)

@@ -6,8 +6,10 @@ are deterministic given the configured seeds.
 ``unmix`` runs a solver through ``bench.run_solver``, as a bench roster
 entry does: its one input is ``--library``, which ``--transform`` maps
 with the image (the matrix solvers take the mapped library's class
-means); the solver gets the extras flags given, and ``io.save_result``
-writes the outputs.
+means); the solver gets the flags given that name its parameters
+(``--opts``: its ``opts`` file), checked before any input is read, and
+``io.save_result`` writes the outputs. ``extract``'s flags given are
+``BundleExtractionConfig`` fields.
 ``prune`` and ``transform`` turn their flags into a bench config spec and
 call ``libops.prune`` / ``libops.build_transform``, as the bench does.
 A flag that only other solvers or methods take is refused, by one rule
@@ -22,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import BenchConfig, run_bench, run_solver, write_report_md
@@ -50,16 +53,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    image = resolve_image(args.image)
-    cfg = BundleExtractionConfig(
-        n_classes=args.classes,
-        num_runs=args.runs,
-        subset_size=args.subset,
-        with_replacement=not args.no_replacement,
-        cluster_metric=args.metric,
-        seed=args.seed,
-    )
-    library = extract_bundles(image, cfg)
+    # the flags given, by the config's field names; the rest take its defaults
+    cfg = BundleExtractionConfig(**{f.name: getattr(args, f.name) for f in fields(
+        BundleExtractionConfig) if getattr(args, f.name) is not None})
+    library = extract_bundles(resolve_image(args.image), cfg)
     save_library(library, args.out)
     print(f"library with {sum(library.sizes)} signatures in {library.n_classes} "
           f"classes written to {args.out}")
@@ -105,15 +102,18 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_unmix(args) -> int:
-    takes = SOLVERS[args.algo].extras
-    _refuse_other_flags(args, "algo", takes)
-    image = resolve_image(args.image)
-    opts = SolverOptions() if args.opts is None else _read_config(SolverOptions, args.opts)
+    solver = SOLVERS[args.algo]
+    _refuse_other_flags(args, "algo", solver.params)
+    params = {k: getattr(args, k) for k in solver.params if getattr(args, k) is not None}
+    if "opts" in params:
+        params["opts"] = _read_config(SolverOptions, params["opts"])
+    else:
+        solver.check(**params)
     if not args.library:
         raise ValueError("--library required")
     spec = {"method": "path", "path": args.transform} if args.transform else None
-    extras = {k: getattr(args, k) for k in takes if getattr(args, k) is not None}
-    result, _ = run_solver(args.algo, image, load_library(args.library), spec, opts, extras)
+    result, _ = run_solver(args.algo, resolve_image(args.image), load_library(args.library),
+                           spec, params)
     out = save_result(result, args.out)
     print(f"{args.algo} finished: final cost {result.solver_log.final_cost:.6g}, "
           f"results in {out}")
@@ -145,14 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("extract", help="extract a spectral library from an image")
     s.add_argument("--image", required=True, help="image header path or scene directory")
-    s.add_argument("--classes", type=int, required=True)
-    s.add_argument("--runs", type=int, default=5)
-    s.add_argument("--subset", type=int, default=500)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--metric", choices=("spectral_angle", "euclidean"),
-                   default="spectral_angle")
-    s.add_argument("--no-replacement", action="store_true",
-                   help="sample subsets without replacement")
+    s.add_argument("--classes", type=int, required=True, dest="n_classes")
+    s.add_argument("--runs", type=int, dest="num_runs")
+    s.add_argument("--subset", type=int, dest="subset_size")
+    s.add_argument("--seed", type=int, default=0, help="default: 0, so that a run is seeded")
+    s.add_argument("--metric", choices=("spectral_angle", "euclidean"), dest="cluster_metric")
+    s.add_argument("--no-replacement", action="store_false", dest="with_replacement",
+                   default=None, help="sample subsets without replacement")
     s.add_argument("--out", required=True, help="output library CSV")
     s.set_defaults(func=_cmd_extract)
 
@@ -183,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--image", required=True)
     s.add_argument("--algo", choices=ALGORITHMS, required=True)
     s.add_argument("--library", help="library CSV; fcls / elmm / plmm take its class means")
-    s.add_argument("--opts", help="solver options JSON")
     s.add_argument("--transform", help="transform JSON from 'varimix transform'")
     s.set_defaults(func=_cmd_unmix, specific=(
+        s.add_argument("--opts", help="sparse-l1 / elmm / plmm options JSON"),
         s.add_argument("--re-threshold", type=float, help="mesma early-stop threshold"),
         s.add_argument("--k", type=int, help="sparse-l0 support size"),
         s.add_argument("--l0-mode", choices=("greedy", "exhaustive"), dest="mode")))

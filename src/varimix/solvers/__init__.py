@@ -2,10 +2,10 @@
 
 Each solver takes the image and one input: library-based methods
 (MESMA, sparse L1/L0) a ``SpectralLibrary``, parametric ones (FCLS,
-ELMM, PLMM) an (L, P) reference matrix. ``SOLVERS`` maps each name to
-its callable, that input kind and the data-free check of its extras,
-whose parameters name them; ``unmix`` is the single call the CLI and
-the bench make.
+ELMM, PLMM) an (L, P) reference matrix. Its signature declares every
+other parameter it reads: ``SOLVERS`` maps each name to its callable,
+that input kind and the data-free check of those parameters' values;
+``unmix`` is the single call the CLI and the bench make.
 """
 
 import inspect
@@ -30,12 +30,13 @@ from .sparse import check_l0, kkt_residual_l1, kkt_residual_simplex, sparse_su_l
 class Solver(NamedTuple):
     fn: Callable
     kind: str                       # "matrix" or "library"
-    check: Callable = lambda: None  # raises ValueError for a refused extra
+    check: Callable = lambda: None  # raises ValueError for a refused value
 
     @property
-    def extras(self) -> tuple:
-        """The keyword arguments the solver takes besides opts."""
-        return tuple(inspect.signature(self.check).parameters)
+    def params(self) -> tuple:
+        """The parameters the solver takes after the image and its input,
+        read from its signature; ``check`` takes some of them."""
+        return tuple(inspect.signature(self.fn).parameters)[2:]
 
 
 SOLVERS = {
@@ -49,10 +50,10 @@ SOLVERS = {
 ALGORITHMS = tuple(SOLVERS)
 
 
-def unmix(name, image, source, opts, /, **extras) -> UnmixingResult:
+def unmix(name, image, source, /, **params) -> UnmixingResult:
     """Run solver ``name`` on ``image`` with ``source`` (a library or an
-    (L, P) matrix, by the solver's kind) and its ``extras``."""
-    return SOLVERS[name].fn(image, source, opts=opts, **extras)
+    (L, P) matrix, by the solver's kind) and ``params``, some of its own."""
+    return SOLVERS[name].fn(image, source, **params)
 
 
 __all__ = [

@@ -43,11 +43,11 @@ _PIVOT_TOL = 2.0 * _KKT_TOL
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs shared by the unmixing solvers; unused fields are ignored.
-
-    The least-squares kernel is exact and has no options of its own; a
-    solver's own keyword arguments, its extras, are declared in
-    ``solvers.SOLVERS``. Option files load by ``io.load_config``, so an
+    """The ``opts`` of sparse L1 (``lambda_sparse``), ELMM (``max_iters``,
+    ``tol``, ``lambda_m``, ``lambda_psi``) and PLMM (``max_iters``, ``tol``,
+    ``gamma_plmm``), the only solvers that take one. The record stays, and
+    each of them takes all of it, because ``perfbench/workloads.py`` passes
+    it to them by position. Option files load by ``io.load_config``: an
     unknown key or a value of the wrong type raises ``FormatError``.
     """
 

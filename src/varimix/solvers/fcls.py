@@ -7,14 +7,10 @@ import warnings
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, SpectralImage
-from .base import QPCounts, SolverOptions, UnmixingResult, _chunked_result, fcls_core
+from .base import QPCounts, UnmixingResult, _chunked_result, fcls_core
 
 
-def fcls(
-    image: SpectralImage,
-    matrix: np.ndarray,
-    opts: SolverOptions = SolverOptions(),
-) -> UnmixingResult:
+def fcls(image: SpectralImage, matrix: np.ndarray) -> UnmixingResult:
     """Simplex-constrained inversion of the plain linear mixing model.
 
     ``matrix`` is (L, P). Under the sum-to-one constraint the abundances

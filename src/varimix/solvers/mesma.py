@@ -14,14 +14,14 @@ from typing import Optional
 import numpy as np
 
 from ..types import AbundanceMap, BudgetError, EndmemberField, SpectralImage, SpectralLibrary
-from .base import QPCounts, SolverOptions, UnmixingResult, _chunked_result
+from .base import QPCounts, UnmixingResult, _chunked_result
 from .search import distinct_rows, library_stats, subset_search
 
 MODEL_BUDGET = 10**6
 
 
 def check_mesma(re_threshold: Optional[float] = None):
-    """MESMA's extras, checked before any data: ``re_threshold`` is None or >= 0."""
+    """MESMA's parameter value, checked before any data: ``re_threshold`` is None or >= 0."""
     if re_threshold is not None and not re_threshold >= 0:
         raise ValueError("re_threshold must be >= 0")
 
@@ -29,7 +29,6 @@ def check_mesma(re_threshold: Optional[float] = None):
 def mesma(
     image: SpectralImage,
     library: SpectralLibrary,
-    opts: SolverOptions = SolverOptions(),
     re_threshold: Optional[float] = None,
 ) -> UnmixingResult:
     """Enumerate every one-signature-per-class endmember matrix, solve the

@@ -190,8 +190,8 @@ def _greedy_supports(gram: np.ndarray, ys: np.ndarray, k: int, counts: QPCounts)
 
 
 def check_l0(k: Optional[int] = None, mode: str = "greedy"):
-    """Sparse L0's extras, checked before any data: ``k`` is None or an
-    integer >= 1 (not a bool), ``mode`` greedy or exhaustive."""
+    """Sparse L0's parameter values, checked before any data: ``k`` is None
+    or an integer >= 1 (not a bool), ``mode`` greedy or exhaustive."""
     if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral)):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k is not None and k < 1:
@@ -205,7 +205,6 @@ def sparse_su_l0(
     library: SpectralLibrary,
     k: Optional[int] = None,
     mode: str = "greedy",
-    opts: SolverOptions = SolverOptions(),
 ) -> UnmixingResult:
     """Support-limited unmixing: at most ``k`` active library columns per
     pixel (default: one per class), with a simplex-constrained fit on the

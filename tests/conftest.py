@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from varimix.solvers import SOLVERS, SolverOptions
 from varimix.synth import (
     AbundanceFieldConfig,
     ClassVariability,
@@ -55,3 +56,9 @@ def bench_scene(height, width, bands=200, seed=5):
                                                  sharpness=0.08, pure_pixel_fraction=0.03),
                             VariabilityConfig(modes, n_variants=5), snr_db=30.0, seed=seed,
                             height=height, width=width)
+
+
+def solver_params(name, **options):
+    """``unmix`` keywords for solver ``name``: ``options`` as its opts if it
+    reads ``SolverOptions``, none otherwise."""
+    return {"opts": SolverOptions(**options)} if "opts" in SOLVERS[name].params else {}

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from varimix.cli import build_parser, main
-from varimix.io import load_abundances, load_library, save_image, save_library
+from varimix.extraction import BundleExtractionConfig, extract_bundles
+from varimix.io import load_abundances, load_library, resolve_image, save_image, save_library
 from varimix.synth import synthetic_base_spectra
 from varimix.types import DegenerateGeometryWarning, SpectralImage
 
@@ -156,21 +157,28 @@ def test_a_refused_call_leaves_the_next_call_in_the_process_unchanged(scene_dir,
 
 
 def test_unmix_refuses_the_flags_of_other_solvers(scene_dir, capsys):
-    # --re-threshold, --k and --l0-mode are the extras of MESMA and sparse
-    # L0; given to a solver that does not take them, they are refused
-    # before any work, whatever their value
+    # --re-threshold is MESMA's parameter, --k and --l0-mode sparse L0's and
+    # --opts the SolverOptions file of sparse L1, ELMM and PLMM; given to a
+    # solver that does not take them, they are refused before any work,
+    # whatever their value
     d = scene_dir
+    (d / "opts.json").write_text(json.dumps({"max_iters": 1}))
+    opts = ["--opts", str(d / "opts.json")]
     fcls = ["unmix", "--image", str(d / "scene"), "--algo", "fcls",
             "--library", str(d / "base.csv")]
     mesma = ["unmix", "--image", str(d / "scene"), "--algo", "mesma",
              "--library", str(d / "base.csv")]
+    l0 = ["unmix", "--image", str(d / "scene"), "--algo", "sparse-l0",
+          "--library", str(d / "base.csv")]
     runs = [
         (fcls + ["--k", "0", "--re-threshold", "-5"], "--re-threshold", "fcls"),
         (fcls + ["--k", "3"], "--k", "fcls"),
         (fcls + ["--l0-mode", "greedy"], "--l0-mode", "fcls"),
         (mesma + ["--k", "2"], "--k", "mesma"),
-        (["unmix", "--image", str(d / "scene"), "--algo", "sparse-l0", "--library",
-          str(d / "base.csv"), "--re-threshold", "0.1"], "--re-threshold", "sparse-l0"),
+        (l0 + ["--re-threshold", "0.1"], "--re-threshold", "sparse-l0"),
+        (fcls + opts, "--opts", "fcls"),
+        (mesma + opts, "--opts", "mesma"),
+        (l0 + ["--k", "2"] + opts, "--opts", "sparse-l0"),
     ]
     for argv, flag, algo in runs:
         assert main(argv + ["--out", str(d / "refused")]) == 2
@@ -179,8 +187,6 @@ def test_unmix_refuses_the_flags_of_other_solvers(scene_dir, capsys):
         assert captured.out == ""
         assert not (d / "refused").exists()
     # the flags a solver takes still reach it, and omitted ones take its defaults
-    l0 = ["unmix", "--image", str(d / "scene"), "--algo", "sparse-l0",
-          "--library", str(d / "base.csv")]
     assert main(l0 + ["--out", str(d / "default")]) == 0
     assert main(l0 + ["--l0-mode", "greedy", "--out", str(d / "greedy")]) == 0
     assert main(mesma + ["--re-threshold", "0.01", "--out", str(d / "stop")]) == 0
@@ -220,6 +226,33 @@ def test_extract_from_constant_image_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: the pooled signatures hold 1 distinct spectra, "
                                        "fewer than the 3 classes requested\n")
     assert not out.exists()
+
+
+def test_extract_passes_the_config_the_flags_given(scene_dir, capsys):
+    # a flag not given takes the config's default, but the seed is 0
+    scene, out = scene_dir / "scene", scene_dir / "lib.csv"
+    image = resolve_image(scene)
+    runs = [
+        ([], BundleExtractionConfig(n_classes=3, seed=0)),
+        (["--runs", "3", "--subset", "100", "--no-replacement", "--metric", "euclidean",
+          "--seed", "4"],
+         BundleExtractionConfig(n_classes=3, num_runs=3, subset_size=100, with_replacement=False,
+                                cluster_metric="euclidean", seed=4)),
+    ]
+    for flags, cfg in runs:
+        assert main(["extract", "--image", str(scene), "--classes", "3", *flags,
+                     "--out", str(out)]) == 0
+        save_library(extract_bundles(image, cfg), scene_dir / "api.csv")
+        assert out.read_bytes() == (scene_dir / "api.csv").read_bytes()
+    # with replacement a subset may hold more than the 144 pixels, without it not
+    argv = ["extract", "--image", str(scene), "--classes", "3", "--subset", "145",
+            "--out", str(scene_dir / "sampled.csv")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv[:-1] + [str(scene_dir / "refused2.csv"), "--no-replacement"]) == 2
+    assert capsys.readouterr().err == (
+        "error: subset_size exceeds the pixel count for sampling without replacement\n")
+    assert not (scene_dir / "refused2.csv").exists()
 
 
 def _noisy_grf_scene(tmp_path):
@@ -324,8 +357,8 @@ def test_refused_paths_exit_2(scene_dir, capsys):
     unmix = ["unmix", "--image", d / "scene", "--algo", "fcls"]
     runs = [
         (unmix + ["--library", d / "scene", "--out", d / "r1"], d / "scene", "Is a directory"),
-        (unmix + ["--library", d / "base.csv", "--opts", d / "opts_dir", "--out", d / "r2"],
-         d / "opts_dir", "Is a directory"),
+        (["unmix", "--image", d / "scene", "--algo", "elmm", "--library", d / "base.csv",
+          "--opts", d / "opts_dir", "--out", d / "r2"], d / "opts_dir", "Is a directory"),
         (unmix + ["--library", d / "base.csv", "--out", d / "taken"], d / "taken", "File exists"),
     ]
     for argv, path, reason in runs:
@@ -385,11 +418,15 @@ def test_bench_roster_with_misspelled_option_exits_2_before_any_run(tmp_path, ca
     ("sparse-l0", {"k": 2.5}, "k must be an integer, got 2.5"),
     ("fcls", {"k": 2}, "k: unknown key"),
     ("elmm", {"rho": 2.0}, "rho: unknown key"),
-], ids=["mesma-negative", "mesma-nan", "l0-fractional-k", "fcls-k", "elmm-rho"])
+    ("fcls", {"tol": 1e-3}, "tol: unknown key"),
+    ("mesma", {"tol": 1e-3}, "tol: unknown key"),
+    ("sparse-l0", {"lambda_sparse": 9.0, "k": 2}, "lambda_sparse: unknown key"),
+], ids=["mesma-negative", "mesma-nan", "l0-fractional-k", "fcls-k", "elmm-rho", "fcls-tol",
+        "mesma-tol", "l0-lambda-sparse"])
 def test_bench_roster_with_refused_option_exits_2_before_any_run(
         tmp_path, capsys, algo, options, message):
-    # an extra is checked by its own solver's check, and only that solver
-    # takes it; a retired option is not an option
+    # a value is checked by its own solver's check, and only a solver that
+    # reads a key takes it; a retired option is not an option
     bench = {"scene": _scene_config(tmp_path, height=8, width=8),
              "roster": [{"name": algo, "algo": algo, "library_source": "truth-variants",
                          "options": options}],

@@ -1,6 +1,7 @@
 """One dispatch path: ``varimix unmix`` and a bench roster entry resolve
 the solver input, apply a transform and write results the same way."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -24,8 +25,8 @@ from conftest import make_scene
 
 BANDS = 24
 
-# per solver: roster options, and the unmix flags carrying its extras; the
-# --opts file holds the options that are not extras
+# per solver: roster options, and the unmix flags carrying them; a solver
+# that reads SolverOptions takes them from an --opts file instead
 SOLVER_ARGS = {
     "fcls": ({}, []),
     "mesma": ({"re_threshold": 0.01}, ["--re-threshold", "0.01"]),
@@ -76,12 +77,11 @@ def test_cli_and_bench_write_the_same_bytes(inputs, algo, transform):
     assert main(["bench", "--config", str(d / "bench.json")]) == 0
     run = d / "bench" / "runs" / "0"
 
-    extras = SOLVERS[algo].extras
-    (d / "opts.json").write_text(json.dumps({k: v for k, v in options.items()
-                                             if k not in extras}))
     argv = ["unmix", "--image", str(run / "scene"), "--algo", algo,
-            "--library", str(d / "lib.csv"), "--opts", str(d / "opts.json"),
-            "--out", str(d / "cli"), *flags]
+            "--library", str(d / "lib.csv"), "--out", str(d / "cli"), *flags]
+    if "opts" in SOLVERS[algo].params:
+        (d / "opts.json").write_text(json.dumps(options))
+        argv += ["--opts", str(d / "opts.json")]
     if transform:
         argv += ["--transform", str(d / "w.json")]
     assert main(argv) == 0
@@ -135,7 +135,7 @@ def test_unmix_takes_one_source_flag(inputs, capsys):
     assert main(argv + ["--library", str(d / "base.csv"), "--out", str(d / "cli")]) == 0
     image, library = apply_transform(SpectralTransform.from_json(d / "w.json"),
                                      resolve_image(d / "scene"), load_library(d / "base.csv"))
-    save_result(unmix("fcls", image, library.class_means().T, SolverOptions()), d / "api")
+    save_result(unmix("fcls", image, library.class_means().T), d / "api")
     for name in ("abundances.csv", "re.bin"):
         assert (d / "cli" / name).read_bytes() == (d / "api" / name).read_bytes()
 
@@ -231,6 +231,26 @@ def test_explicit_zeros_are_passed_through(inputs, capsys):
         "error: subspace_dim must lie in [1, ")
 
 
+def test_unmix_refuses_its_flags_before_reading_the_image(inputs, capsys):
+    # a refused value, a bad --opts file or a missing --library is reported
+    # before the image is read, so a missing image does not hide it
+    d = inputs
+    opts = d / "opts.json"
+    opts.write_text(json.dumps({"rho": 2.0}))
+    unmix = ["unmix", "--image", d / "no_such_scene", "--algo"]
+    lib = ["--library", d / "lib.csv"]
+    runs = [
+        (["sparse-l0", *lib, "--k", "0"], "error: k must lie in [1, "),
+        (["mesma", *lib, "--re-threshold", "-1"], "error: re_threshold must be >= 0\n"),
+        (["elmm", *lib, "--opts", opts], f"error: {opts}: rho: unknown key\n"),
+        (["plmm"], "error: --library required\n"),
+    ]
+    for argv, message in runs:
+        assert _refused(unmix + argv, d / "out", capsys).startswith(message)
+    assert _refused(unmix + ["fcls", *lib], d / "out", capsys) == (
+        f"error: {d / 'no_such_scene'}.json: No such file or directory\n")
+
+
 def test_refused_values_exit_2(inputs, capsys):
     d = inputs
     big = SpectralLibrary(tuple(LibraryClass(c.name, np.repeat(c.signatures[:1], 120, axis=0))
@@ -259,8 +279,8 @@ def test_solver_options_refuse_unknown_keys():
         load_config(SolverOptions, {"lamda_sparse": 5.0, "max_iter": 3})
     with pytest.raises(FormatError, match="^max_iters: expected int, got float$"):
         load_config(SolverOptions, {"max_iters": 2.5})
-    # the retired splitting-solver keys, the retired seed and the solver
-    # extras are not options
+    # the retired splitting-solver keys, the retired seed and the
+    # parameters of MESMA and sparse L0 are not options
     for key, value in [("rho", 2.0), ("inner_tol", 1e-6), ("inner_iters", 50), ("seed", 4),
                        ("re_threshold", 0.1), ("k", 2), ("mode", "greedy")]:
         with pytest.raises(FormatError, match=f"^{key}: unknown key$"):
@@ -270,23 +290,40 @@ def test_solver_options_refuse_unknown_keys():
 def test_roster_entry_checks_its_options_when_built():
     with pytest.raises(FormatError, match="^lamda_m: unknown key$"):
         RosterEntry("elmm", "elmm", options={"lamda_m": 2.0})
-    entry = RosterEntry("l0", "sparse-l0", options={"k": 2, "mode": "exhaustive", "tol": 1e-5})
-    assert entry.extras == {"k": 2, "mode": "exhaustive"}
-    assert entry.opts == SolverOptions(tol=1e-5)
-    with pytest.raises(FormatError, match="^k: unknown key$"):
-        RosterEntry("fcls", "fcls", options={"k": 2})
+    entry = RosterEntry("l0", "sparse-l0", options={"k": 2, "mode": "exhaustive"})
+    assert entry.params == {"k": 2, "mode": "exhaustive"}
+    entry = RosterEntry("elmm", "elmm", options={"tol": 1e-5})
+    assert entry.params == {"opts": SolverOptions(tol=1e-5)}
+    assert RosterEntry("fcls", "fcls").params == {}
+    # a key of a parameter the solver does not take; FCLS, MESMA and sparse
+    # L0 take no SolverOptions field
+    for algo, options, key in [
+            ("fcls", {"k": 2}, "k"),
+            ("fcls", {"gamma_plmm": 0.1, "lambda_m": 3.0, "max_iters": 1}, "gamma_plmm"),
+            ("mesma", {"re_threshold": 0.01, "tol": 1e-3}, "tol"),
+            ("sparse-l0", {"lambda_sparse": 9.0, "k": 2}, "lambda_sparse"),
+            ("sparse-l0", {"k": 2, "max_iters": 3}, "max_iters"),
+            ("elmm", {"re_threshold": 0.01}, "re_threshold")]:
+        with pytest.raises(FormatError, match=f"^{key}: unknown key$"):
+            RosterEntry("x", algo, options=options)
     with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
         RosterEntry("l0", "sparse-l0", options={"k": 2.5})
     with pytest.raises(ValueError, match="^unknown mode 'exact'$"):
         RosterEntry("l0", "sparse-l0", options={"mode": "exact"})
 
 
-def test_solver_extras_are_the_parameters_of_their_check():
-    assert {name: s.extras for name, s in SOLVERS.items() if s.extras} == {
-        "mesma": ("re_threshold",), "sparse-l0": ("k", "mode")}
-    # a solver takes each of its extras as a keyword
+def test_solver_params_are_the_keywords_of_its_signature():
+    assert {name: s.params for name, s in SOLVERS.items()} == {
+        "fcls": (), "mesma": ("re_threshold",), "sparse-l1": ("opts",),
+        "sparse-l0": ("k", "mode"), "elmm": ("opts",), "plmm": ("opts",)}
     for s in SOLVERS.values():
-        assert set(s.extras) <= set(inspect.signature(s.fn).parameters)
+        after_input = list(inspect.signature(s.fn).parameters.values())[2:]
+        assert all(p.default is not p.empty for p in after_input)
+        # the check takes some of them, by name
+        assert set(inspect.signature(s.check).parameters) <= set(s.params)
+    # the keys a roster entry takes: a SolverOptions field stands for opts
+    fields = len(dataclasses.fields(SolverOptions))
+    assert sum(fields if p == "opts" else 1 for s in SOLVERS.values() for p in s.params) == 21
 
 
 def test_solvers_byte_identical_across_thread_counts():
@@ -297,7 +334,7 @@ def test_solvers_byte_identical_across_thread_counts():
     script = """
 import hashlib
 from varimix.extraction import BundleExtractionConfig, extract_bundles
-from varimix.solvers import SolverOptions, unmix
+from varimix.solvers import SOLVERS, SolverOptions, unmix
 from varimix.synth import (AbundanceFieldConfig, ClassVariability, VariabilityConfig,
                            synthesize_scene, synthetic_base_spectra)
 modes = (ClassVariability("hapke", mu1_range=(0.6, 1.0), mu2_range=(0.6, 1.0)),
@@ -314,7 +351,8 @@ lib = extract_bundles(image, BundleExtractionConfig(n_classes=3, num_runs=3, sub
 m0 = lib.class_means().T
 opts = SolverOptions(max_iters=5)
 for algo in ("fcls", "mesma", "sparse-l1", "sparse-l0", "elmm", "plmm"):
-    r = unmix(algo, image, m0 if algo in ("fcls", "elmm", "plmm") else lib, opts)
+    r = unmix(algo, image, m0 if algo in ("fcls", "elmm", "plmm") else lib,
+              **({"opts": opts} if "opts" in SOLVERS[algo].params else {}))
     parts = [r.abundances.data, r.per_pixel_re, r.reconstruction]
     parts += [r.endmembers.data] if r.endmembers is not None else []
     print(algo, hashlib.sha256(b"".join(x.tobytes() for x in parts)).hexdigest(),

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from varimix.solvers import (QPCounts, SolverOptions, fcls, fcls_core, reconstruct,
-                              residual_stats)
+from varimix.solvers import QPCounts, fcls, fcls_core, reconstruct, residual_stats
 from varimix.types import SpectralImage
 
 from oracles import project_simplex, qp_fcls_oracle
@@ -131,7 +130,7 @@ class TestFcls:
     def test_solver_log_and_re(self, rng):
         m = rng.uniform(0.05, 1.0, size=(10, 3))
         y = rng.uniform(0, 1, size=(8, 10))
-        res = fcls(_image(y), m, SolverOptions())
+        res = fcls(_image(y), m)
         recon = res.abundances.data @ m.T
         re = np.linalg.norm(y - recon, axis=1) / np.sqrt(10)
         assert np.max(np.abs(re - res.per_pixel_re)) < 1e-12

@@ -8,14 +8,17 @@ import pytest
 
 from varimix.bench import eval_result
 from varimix.io import load_endmember_field, save_result
-from varimix.solvers import SOLVERS, SolverOptions, unmix
+from varimix.solvers import SOLVERS, unmix
 from varimix.synth import truth_variant_library
 from varimix.types import EndmemberField, SpectralLibrary
 
-from conftest import bench_scene
+from conftest import bench_scene, solver_params
 
 FIELD_SOLVERS = ["elmm", "plmm", "mesma", "sparse-l1", "sparse-l0"]
-OPTS = SolverOptions(max_iters=5)
+
+
+def _unmix(name, image, source):
+    return unmix(name, image, source, **solver_params(name, max_iters=5))
 
 
 def _source(name, truth):
@@ -32,7 +35,7 @@ def truth():
 
 @pytest.mark.parametrize("name", FIELD_SOLVERS)
 def test_rows_of_every_window_are_the_bytes_of_data(truth, name):
-    field = unmix(name, truth.image_noisy, _source(name, truth), OPTS).endmembers
+    field = _unmix(name, truth.image_noisy, _source(name, truth)).endmembers
     n = field.shape[0]
     walks = {}
     for window in (1, 54, 256, 257):        # 54: the scorer's chunk at 200 bands, 3 classes
@@ -72,7 +75,7 @@ def test_factored_rows_are_checked(bad, message):
 
 
 def test_class_means_are_computed_once_and_kept_read_only(truth):
-    field = unmix("mesma", truth.image_noisy, _source("mesma", truth), OPTS).endmembers
+    field = _unmix("mesma", truth.image_noisy, _source("mesma", truth)).endmembers
     means = field.class_means()
     assert field.class_means() is means and not means.flags.writeable
     assert means.tobytes() == field.data.mean(axis=0).T.tobytes()
@@ -80,13 +83,13 @@ def test_class_means_are_computed_once_and_kept_read_only(truth):
 
 @pytest.mark.parametrize("name", FIELD_SOLVERS)
 def test_scoring_and_saving_leave_the_field_unbuilt(truth, tmp_path, name):
-    result = unmix(name, truth.image_noisy, _source(name, truth), OPTS)
+    result = _unmix(name, truth.image_noisy, _source(name, truth))
     means = truth.endmembers.class_means()
     row = eval_result(truth, result, class_means=means)
     save_result(result, tmp_path)
     assert result.endmembers._data is None
     assert (tmp_path / "endmembers.bin").read_bytes() == result.endmembers.data.tobytes()
-    again = unmix(name, truth.image_noisy, _source(name, truth), OPTS)
+    again = _unmix(name, truth.image_noisy, _source(name, truth))
     again.endmembers.data                       # the same scores from the dense field
     assert eval_result(truth, again, class_means=means) == row
     loaded = load_endmember_field(tmp_path / "endmembers", 200)
@@ -96,8 +99,8 @@ def test_scoring_and_saving_leave_the_field_unbuilt(truth, tmp_path, name):
 @pytest.mark.parametrize("name", ["elmm", "plmm"])
 def test_the_field_does_not_follow_the_callers_reference_matrix(truth, name):
     m0 = np.array(truth.endmembers.class_means().T, order="F")     # as writable as a caller's
-    expected = unmix(name, truth.image_noisy, m0.copy(order="F"), OPTS).endmembers.data
-    result = unmix(name, truth.image_noisy, m0, OPTS)
+    expected = _unmix(name, truth.image_noisy, m0.copy(order="F")).endmembers.data
+    result = _unmix(name, truth.image_noisy, m0)
     m0[...] = 7.0
     for extra in result.extras.values():        # ELMM's psi
         extra[...] = 3.0
@@ -109,8 +112,8 @@ def test_the_field_does_not_follow_the_callers_library_arrays(truth, name):
     lib = truth_variant_library(truth)
     arrays = [np.array(c.signatures) for c in lib.classes]
     mine = SpectralLibrary.from_arrays(lib.class_names, arrays)
-    expected = unmix(name, truth.image_noisy, lib, OPTS).endmembers.data
-    result = unmix(name, truth.image_noisy, mine, OPTS)
+    expected = _unmix(name, truth.image_noisy, lib).endmembers.data
+    result = _unmix(name, truth.image_noisy, mine)
     for a in arrays:
         a[...] = 9.0
     if result.selected_model is not None:        # MESMA's

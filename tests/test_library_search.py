@@ -11,8 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
-from varimix.solvers import (QPCounts, SolverOptions, kkt_residual_simplex, mesma, search,
-                             sparse_su_l0, sparse_su_l1)
+from varimix.solvers import (QPCounts, kkt_residual_simplex, mesma, search, sparse_su_l0,
+                             sparse_su_l1)
 from varimix.solvers.base import fcls_gram
 from varimix.solvers.search import distinct_rows, library_stats, subset_search
 from varimix.solvers.sparse import _greedy_supports
@@ -61,7 +61,7 @@ def test_library_of_other_bands_is_refused(rng, solver):
     lib = _duplicated_library(rng)
     y = rng.uniform(0.0, 1.0, size=(4, lib.n_bands + 1))
     with pytest.raises(DimensionError, match="^library band count does not match the image$"):
-        solver(_image(y), lib, opts=SolverOptions())
+        solver(_image(y), lib)
 
 
 def test_mesma_duplicates_select_first_occurrence(rng):

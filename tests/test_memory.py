@@ -20,7 +20,7 @@ from varimix.solvers import ALGORITHMS, SOLVERS, SolverOptions, plmm_unmix, unmi
 from varimix.synth import truth_variant_library
 from varimix.types import EndmemberField, LibraryClass, SpectralImage, SpectralLibrary
 
-from conftest import bench_scene, make_scene
+from conftest import bench_scene, make_scene, solver_params
 
 
 def _traced_peak(fn):
@@ -71,7 +71,7 @@ def test_fcls_peak_holds_one_residual_image():
     # (N, L) arrays besides the image
     truth = bench_scene(64, 64)
     result, peak = _traced_peak(lambda: unmix("fcls", truth.image_noisy,
-                                              truth.endmembers.class_means().T, SolverOptions()))
+                                              truth.endmembers.class_means().T))
     assert peak < 2.5 * truth.image_noisy.data.nbytes
 
 
@@ -80,7 +80,7 @@ def test_fcls_peak_holds_its_reconstruction_and_a_residual_chunk():
     # is the one (N, L) array FCLS holds
     truth = bench_scene(64, 64)
     result, peak = _traced_peak(lambda: unmix("fcls", truth.image_noisy,
-                                              truth.endmembers.class_means().T, SolverOptions()))
+                                              truth.endmembers.class_means().T))
     assert peak < 1.25 * truth.image_noisy.data.nbytes
 
 
@@ -92,7 +92,7 @@ def test_field_peaks_hold_the_field_and_two_images(name):
     source = (truth_variant_library(truth) if SOLVERS[name].kind == "library"
               else truth.endmembers.class_means().T)
     result, peak = _traced_peak(lambda: unmix(name, truth.image_noisy, source,
-                                              SolverOptions(max_iters=10)))
+                                              **solver_params(name, max_iters=10)))
     assert peak < result.endmembers.data.nbytes + 2 * truth.image_noisy.data.nbytes
 
 
@@ -104,7 +104,7 @@ def test_field_peaks_hold_the_reconstruction_and_one_image(name):
     source = (truth_variant_library(truth) if SOLVERS[name].kind == "library"
               else truth.endmembers.class_means().T)
     result, peak = _traced_peak(lambda: unmix(name, truth.image_noisy, source,
-                                              SolverOptions(max_iters=10)))
+                                              **solver_params(name, max_iters=10)))
     assert peak < result.reconstruction.nbytes + truth.image_noisy.data.nbytes
 
 
@@ -133,7 +133,7 @@ def test_arrays_from_synthesis_loading_and_solvers_are_read_only(tmp_path):
     matrix = truth.endmembers.class_means().T
     for name in ALGORITHMS:
         source = library if SOLVERS[name].kind == "library" else matrix
-        result = unmix(name, truth.image_noisy, source, SolverOptions(max_iters=3))
+        result = unmix(name, truth.image_noisy, source, **solver_params(name, max_iters=3))
         arrays += [r.data for r in (result.abundances, result.raw_abundances, result.endmembers)
                    if r is not None]
     save_library(library, tmp_path / "lib.csv")
@@ -156,6 +156,6 @@ def test_sparse_l1_makes_no_gram_per_pixel():
                                       [sigs[i::4] for i in range(4)])
     y = rng.dirichlet(np.ones(q), size=n) @ sigs + rng.normal(0.0, 0.01, size=(n, l))
     image = SpectralImage(y.reshape(40, 50, l))
-    result, peak = _traced_peak(lambda: unmix("sparse-l1", image, lib, SolverOptions()))
+    result, peak = _traced_peak(lambda: unmix("sparse-l1", image, lib))
     assert result.solver_log.flags["unsettled_rows"] == 0
     assert peak < n * q * q * 8 / 2

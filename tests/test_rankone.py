@@ -51,7 +51,7 @@ from varimix.solvers.rankone import RankOneModel, RankOneState
 from varimix.synth import truth_variant_library
 from varimix.types import SpectralImage
 
-from conftest import bench_scene, make_scene
+from conftest import bench_scene, make_scene, solver_params
 from oracles import (
     _elmm_cost,
     _plmm_cost,
@@ -373,7 +373,7 @@ def _unmix_small(solver, seed):
     name = next(k for k, s in SOLVERS.items() if s.fn is solver)
     source = (truth.endmembers.class_means().T if SOLVERS[name].kind == "matrix"
               else truth_variant_library(truth))
-    return name, unmix(name, truth.image_noisy, source, SolverOptions(max_iters=4))
+    return name, unmix(name, truth.image_noisy, source, **solver_params(name, max_iters=4))
 
 
 def test_logs_report_phases_and_loop_flags(tmp_path):
@@ -408,7 +408,7 @@ def test_phases_on_a_bench_scene_add_up_to_at_most_the_wall_time(name):
     truth = bench_scene(24, 24, bands=100)
     source = (truth.endmembers.class_means().T if SOLVERS[name].kind == "matrix"
               else truth_variant_library(truth))
-    log = unmix(name, truth.image_noisy, source, SolverOptions(max_iters=5)).solver_log
+    log = unmix(name, truth.image_noisy, source, **solver_params(name, max_iters=5)).solver_log
     loop = {"elmm": {"gram", "endmember", "psi", "cost"}, "plmm": {"gram", "endmember", "cost"}}
     assert set(log.phases) == {"qp", "result"} | loop.get(name, set())
     assert all(v >= 0.0 for v in log.phases.values())
@@ -420,14 +420,15 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch, solver):
     # seed 1: with one-row chunks, pixel 0's product would round otherwise
     truth = make_scene(n_bands=20, height=15, width=20, snr_db=25.0, seed=1)
     image = truth.image_noisy
-    source = (truth.endmembers.class_means().T if solver in (elmm_unmix, plmm_unmix)
-              else truth_variant_library(truth))
+    alternating = solver in (elmm_unmix, plmm_unmix)
+    source = truth.endmembers.class_means().T if alternating else truth_variant_library(truth)
+    params = {"opts": SolverOptions(max_iters=4)} if alternating else {}
     n = image.pixels.shape[0]
     assert n % 7 and n > base._CHUNK_ROWS       # the default size leaves a partial chunk
     outputs = []
     for rows in (base._CHUNK_ROWS, 1, 7, n + 5):
         monkeypatch.setattr(base, "_CHUNK_ROWS", rows)
-        res = solver(image, source, opts=SolverOptions(max_iters=4))
+        res = solver(image, source, **params)
         outputs.append([res.abundances.data, res.endmembers.data, res.reconstruction,
                         res.per_pixel_re])
     for other in outputs[1:]:

@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from varimix.solvers import SOLVERS, SolverOptions, reconstruct, unmix
+from varimix.solvers import SOLVERS, reconstruct, unmix
 from varimix.types import SpectralImage, SpectralLibrary
+
+from conftest import solver_params
 
 EPS = np.finfo(np.float64).eps
 
@@ -76,7 +78,7 @@ def test_a_lone_pixel_gets_the_bits_it_gets_among_copies(name):
         source = library if SOLVERS[name].kind == "library" else sigs[[0, 3, 6]].T
         y = rng.dirichlet(np.ones(9)) @ sigs + rng.normal(0.0, 0.01, size=20)
         alone, copies = (unmix(name, SpectralImage(np.tile(y, (1, c, 1))), source,
-                               SolverOptions(max_iters=5)) for c in (1, 3))
+                               **solver_params(name, max_iters=5)) for c in (1, 3))
         for out in (lambda r: r.abundances.data, lambda r: r.reconstruction,
                     lambda r: r.per_pixel_re):
             assert all(out(alone)[0].tobytes() == row.tobytes() for row in out(copies))
