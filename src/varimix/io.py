@@ -9,8 +9,8 @@ Libraries and abundance maps are CSV with 17-significant-digit floats so
 that save/load round trips are bit-exact. The whole table of a file is
 formatted by one ``%`` operation whose template repeats ``%.17g`` once
 per value, which gives the same bytes as formatting value by value.
-Text is written as UTF-8. A writer given ``digests`` records there the
-SHA-256 of each file's bytes as it writes them, by file name.
+Text is written as UTF-8. A writer given ``digests`` records there the SHA-256
+of each file's bytes by file name, hashed on the background worker as written.
 """
 
 from __future__ import annotations
@@ -25,17 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .types import (
-    _CHUNK_ROWS,
-    AbundanceMap,
-    EndmemberField,
-    FormatError,
-    LibraryClass,
-    SceneTruth,
-    SpectralImage,
-    SpectralLibrary,
-    _Adopt,
-)
+from . import background
+from .types import (AbundanceMap, EndmemberField, FormatError, LibraryClass, SceneTruth,
+                    SpectralImage, SpectralLibrary, _Adopt)
 
 _IMAGE_ORDER = "row-major band-interleaved-by-pixel"
 _FLOAT_FMT = "%.17g"
@@ -52,15 +44,15 @@ def _payload_path(header: Path) -> Path:
 
 
 def _write_bytes(path: Path, blocks, digests: Optional[dict]):
-    """Write bytes or contiguous buffers in turn, recording their digest if asked."""
+    """Write bytes or contiguous buffers in turn, each hashed into ``digests`` as it is written."""
     digest = hashlib.sha256()
     with open(path, "wb") as f:
         for block in blocks:
-            f.write(block)
             if digests is not None:
-                digest.update(block)
-    if digests is not None:
-        digests[path.name] = digest.hexdigest()
+                background.submit(digest.update, block)
+            f.write(block)
+        if digests is not None:
+            background.submit(lambda: digests.__setitem__(path.name, digest.hexdigest()))
 
 
 def _write_cube(path, shape, blocks, name: str, digests: Optional[dict] = None) -> Path:
@@ -212,12 +204,11 @@ def save_endmember_field(field: EndmemberField, path, digests: Optional[dict] = 
 
     Per pixel the L x P matrix is flattened in C order (class index
     fastest); the loader needs the band count to split them again. The
-    field is written ``_CHUNK_ROWS`` pixels at a time from its ``rows``,
-    so a factored field is never built whole.
+    field is written from its ``blocks``: a dense field in one buffer, a
+    factored one ``_CHUNK_ROWS`` pixels at a time, never built whole.
     """
     n, l, p = field.shape
-    rows = (field.rows(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS))
-    return _write_cube(path, (1, n, l * p), rows, "endmembers", digests)
+    return _write_cube(path, (1, n, l * p), field.blocks(), "endmembers", digests)
 
 
 def load_endmember_field(path, n_bands: int) -> EndmemberField:
@@ -248,23 +239,22 @@ def save_result(result, out) -> Path:
 
 
 def save_scene(truth: SceneTruth, out_dir) -> Path:
-    """Write the five SceneTruth artifacts plus truth_meta.json."""
+    """Write the four SceneTruth artifacts, the largest first, then truth_meta.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    digests = {}
-    save_image(truth.image_noisy, out / "image_noisy", digests)
-    save_image(truth.image_clean, out / "image_clean", digests)
-    save_abundances(truth.abundances, out / "abundances.csv", digests)
-    save_endmember_field(truth.endmembers, out / "endmembers", digests=digests)
-    meta = {
-        "seed": int(truth.seed),
-        "snr_db": None if math.isinf(truth.snr_db) else float(truth.snr_db),
-        "height": truth.image_clean.height,
-        "width": truth.image_clean.width,
-        "bands": truth.image_clean.n_bands,
-        "classes": truth.abundances.n_classes,
-        "digests": digests,
-    }
+    digests = dict.fromkeys(["image_noisy.json", "image_noisy.bin", "image_clean.json",
+                             "image_clean.bin", "abundances.csv", "endmembers.json",
+                             "endmembers.bin"])                 # the order truth_meta.json keeps
+    with background.overlap():
+        save_endmember_field(truth.endmembers, out / "endmembers", digests=digests)
+        save_image(truth.image_noisy, out / "image_noisy", digests)
+        save_image(truth.image_clean, out / "image_clean", digests)
+        save_abundances(truth.abundances, out / "abundances.csv", digests)
+    img = truth.image_clean
+    meta = {"seed": int(truth.seed),
+            "snr_db": None if math.isinf(truth.snr_db) else float(truth.snr_db),
+            "height": img.height, "width": img.width, "bands": img.n_bands,
+            "classes": truth.abundances.n_classes, "digests": digests}
     (out / "truth_meta.json").write_text(json.dumps(meta, indent=1) + "\n")
     return out
 

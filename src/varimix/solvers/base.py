@@ -526,9 +526,9 @@ def monotone_loop(initial_state, step_fn, cost_fn, max_iters, tol):
     taken: the loop ends at the previous state, unconverged, and the rise
     is counted in ``flags["cost_rises"]``. ``converged`` means the
     relative cost change fell below ``tol``; ``flags["cap_hit"]`` is 1
-    when the loop took ``max_iters`` steps and neither ended it. Costs at
-    the floating-point floor count as zero, so exact-data fixtures stop
-    at the initialization.
+    when the loop took ``max_iters`` steps and neither ended it; ``flags["last_rel_change"]``
+    is the relative cost change of the last step taken (None if none was). Costs at the
+    floating-point floor count as zero, so exact-data fixtures stop at the initialization.
 
     Returns (state, cost history, converged, flags); ``QPCounts.log``
     makes the log.
@@ -537,7 +537,7 @@ def monotone_loop(initial_state, step_fn, cost_fn, max_iters, tol):
     c = cost_fn(state)
     history = [c]
     converged = c <= _ZERO_COST_FLOOR
-    rises = 0
+    rises, rel = 0, None
     for _ in range(0 if converged else max_iters):
         cand = step_fn(state)
         c_new = cost_fn(cand)
@@ -551,4 +551,5 @@ def monotone_loop(initial_state, step_fn, cost_fn, max_iters, tol):
             converged = True
             break
     return state, tuple(history), converged, {"cost_rises": rises,
-                                              "cap_hit": int(not (converged or rises))}
+                                              "cap_hit": int(not (converged or rises)),
+                                              "last_rel_change": rel}

@@ -15,18 +15,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
+from . import background
 from .io import load_library
-from .mixing import add_noise, mix_forward
+from .mixing import _add_scaled, _noisy, mix_forward
 from .solvers.search import distinct_rows
-from .types import (
-    AbundanceMap,
-    DimensionError,
-    EndmemberField,
-    LibraryClass,
-    SceneTruth,
-    SpectralLibrary,
-    _Adopt,
-)
+from .types import (AbundanceMap, DimensionError, EndmemberField, LibraryClass, SceneTruth,
+                    SpectralLibrary, _Adopt)
 
 VARIABILITY_MODES = ("hapke", "atmospheric", "elmm_scaling", "glmm_scaling", "none")
 
@@ -287,6 +281,8 @@ def synthesize_scene(
         raise DimensionError("one variability mode required per class")
     if any(c.size != 1 for c in base_library.classes):
         raise ValueError("base library must hold exactly one signature per class")
+    if height < 1 or width < 1:
+        raise ValueError(f"height and width must be >= 1, got {height} x {width}")
     n = height * width
     l = base_library.n_bands
     k = var_cfg.n_variants
@@ -296,45 +292,39 @@ def synthesize_scene(
     ab_seed = abund_cfg.seed if abund_cfg.seed is not None else int(sub[1])
     draw_seed, noise_seed = int(sub[2]), int(sub[3])
 
-    var_rng = np.random.default_rng(var_seed)
-    variants = np.stack([_class_variants(cls.signatures[0], cv, k, var_rng)
-                         for cls, cv in zip(base_library.classes, var_cfg.class_modes)])
+    noise = np.empty((height, width, l)) if _noisy(snr_db) else None
+    with background.overlap():      # the noise draw runs while the clean mixture is built
+        if noise is not None:
+            background.submit(np.random.default_rng(noise_seed).standard_normal, out=noise)
+        var_rng = np.random.default_rng(var_seed)
+        variants = np.stack([_class_variants(cls.signatures[0], cv, k, var_rng)
+                             for cls, cv in zip(base_library.classes, var_cfg.class_modes)])
 
-    if abund_cfg.generator == "dirichlet":
-        alpha = abund_cfg.alpha if abund_cfg.alpha is not None else (1.0,) * p
-        if len(alpha) != p:
-            raise DimensionError("dirichlet alpha length must equal the class count")
-        abundances = sample_abundances_dirichlet(
-            n, alpha, abund_cfg.pure_pixel_fraction, ab_seed
-        )
-    else:
-        abundances = sample_abundances_grf(
-            height, width, p,
-            abund_cfg.correlation_length, abund_cfg.sharpness,
-            abund_cfg.pure_pixel_fraction, ab_seed,
-        )
-    abundances = AbundanceMap(abundances.data, class_names=base_library.class_names)
+        if abund_cfg.generator == "dirichlet":
+            alpha = abund_cfg.alpha if abund_cfg.alpha is not None else (1.0,) * p
+            if len(alpha) != p:
+                raise DimensionError("dirichlet alpha length must equal the class count")
+            abundances = sample_abundances_dirichlet(n, alpha, abund_cfg.pure_pixel_fraction,
+                                                     ab_seed)
+        else:
+            abundances = sample_abundances_grf(height, width, p, abund_cfg.correlation_length,
+                                               abund_cfg.sharpness,
+                                               abund_cfg.pure_pixel_fraction, ab_seed)
+        abundances = AbundanceMap(abundances.data, class_names=base_library.class_names)
 
-    draw = np.random.default_rng(draw_seed).integers(0, k, size=(n, p))
-    which = np.zeros(n, dtype=np.intp)      # combination index, class by class: < C <= N
-    for j in range(p):
-        _, first, which = np.unique(which * k + draw[:, j], return_index=True,
-                                    return_inverse=True)
-    table = np.empty((first.size, l, p))    # one (L, P) matrix per combination
-    for j in range(p):
-        table[:, :, j] = variants[j][draw[first, j]]
-    endmembers = EndmemberField(_Adopt(table[which]))
-
-    clean = mix_forward(endmembers, abundances, shape=(height, width), name=f"{name}_clean")
-    noisy = add_noise(clean, snr_db, noise_seed, name=f"{name}_noisy")
-    return SceneTruth(
-        image_noisy=noisy,
-        image_clean=clean,
-        abundances=abundances,
-        endmembers=endmembers,
-        snr_db=snr_db,
-        seed=seed,
-    )
+        draw = np.random.default_rng(draw_seed).integers(0, k, size=(n, p))
+        which = np.zeros(n, dtype=np.intp)  # combination index, class by class: < C <= N
+        for j in range(p):
+            _, first, which = np.unique(which * k + draw[:, j], return_index=True,
+                                        return_inverse=True)
+        table = np.empty((first.size, l, p))    # one (L, P) matrix per combination
+        for j in range(p):
+            table[:, :, j] = variants[j][draw[first, j]]
+        endmembers = EndmemberField(_Adopt(table[which]))
+        clean = mix_forward(endmembers, abundances, shape=(height, width), name=f"{name}_clean")
+    return SceneTruth(image_noisy=_add_scaled(clean, snr_db, noise, f"{name}_noisy"),
+                      image_clean=clean, abundances=abundances, endmembers=endmembers,
+                      snr_db=snr_db, seed=seed)
 
 
 def truth_variant_library(truth: SceneTruth) -> SpectralLibrary:

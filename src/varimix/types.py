@@ -280,6 +280,11 @@ class EndmemberField:
         self._fill(lo, lo + len(out), out)
         return EndmemberField(_Adopt(out))._data        # checked, read-only
 
+    def blocks(self):
+        """The field in one buffer when dense, else in ``rows`` of ``_CHUNK_ROWS`` pixels."""
+        step = _CHUNK_ROWS if self._data is None else max(self.shape[0], 1)
+        return (self.rows(lo, lo + step) for lo in range(0, self.shape[0], step))
+
     @property
     def data(self) -> np.ndarray:        # (N, L, P) float64, read-only
         if self._data is None:

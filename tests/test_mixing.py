@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from varimix.mixing import NOISELESS, add_noise, mix_forward
+from varimix.mixing import NOISELESS, _sum_squares, add_noise, mix_forward
 from varimix.types import AbundanceMap, DimensionError, EndmemberField, SpectralImage
 
 
@@ -66,6 +66,30 @@ def test_noise_determinism(rng):
     c = add_noise(img, 20.0, seed=100)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 5), (7, 9, 33), (7, 97, 193), (64, 64, 41)])
+def test_noise_is_the_generators_normal_draw(rng, shape):
+    for snr, seed in ((30.0, 3), (-5.0, 4), (12.0, 5), (60.0, 6)):
+        img = SpectralImage(rng.uniform(0, 1, size=shape))
+        sigma = math.sqrt(float(np.mean(img.data**2)) / 10.0 ** (snr / 10.0))
+        expected = img.data + np.random.default_rng(seed).normal(0.0, sigma, shape)
+        assert add_noise(img, snr, seed).data.tobytes() == expected.tobytes()
+
+
+def test_sum_of_squares_in_parts_is_the_whole_arrays_sum(rng):
+    # numpy's pairwise sum, split where numpy splits it: the bits of np.mean(x**2)
+    for n in (1, 9, 65536, 65537, 131047, 131285, 300001, 1_000_003):
+        for _ in range(3):
+            v = rng.uniform(0, 1, size=n)
+            assert _sum_squares(v) == np.add.reduce(v**2)
+
+
+def test_noise_on_a_signed_zero_image_is_the_generators_draw():
+    # sigma is 0: normal(0, 0) draws +0.0, so every -0.0 comes out as +0.0
+    img = SpectralImage(np.full((3, 4, 5), -0.0))
+    expected = img.data + np.random.default_rng(2).normal(0.0, 0.0, img.data.shape)
+    assert add_noise(img, 30.0, 2).data.tobytes() == expected.tobytes()
 
 
 def test_empirical_snr_at_30db(rng):

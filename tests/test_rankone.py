@@ -325,20 +325,31 @@ def test_monotone_loop_stops_at_a_cost_rise():
     assert state == 8.0
     assert history == (10.0, 9.0, 8.0)
     assert not converged
-    assert flags == {"cost_rises": 1, "cap_hit": 0}
+    assert flags == {"cost_rises": 1, "cap_hit": 0, "last_rel_change": (9.0 - 8.0) / 9.0}
 
 
 def test_monotone_loop_convergence_and_cap():
     _, capped, converged, flags = monotone_loop(1.0, lambda s: 0.5 * s, lambda s: s, 3, 1e-9)
     # the halving cost never meets the stopping rule: only the cap ends it
     assert not converged and len(capped) == 4
-    assert flags == {"cost_rises": 0, "cap_hit": 1}
+    assert flags == {"cost_rises": 0, "cap_hit": 1, "last_rel_change": 0.5}
     _, done, converged, flags = monotone_loop(1.0, lambda s: s * (1 - 1e-12), lambda s: s, 3,
                                               1e-9)
     assert converged and len(done) == 2
-    assert flags == {"cost_rises": 0, "cap_hit": 0}
+    assert flags == {"cost_rises": 0, "cap_hit": 0, "last_rel_change": 1.0 - done[1]}
     _, zero, converged, flags = monotone_loop(0.0, lambda s: s, lambda s: s, 3, 1e-9)
     assert converged and zero == (0.0,) and flags["cap_hit"] == 0
+    assert flags["last_rel_change"] is None
+
+
+@pytest.mark.parametrize("solver", [elmm_unmix, plmm_unmix])
+def test_last_rel_change_is_the_last_step_of_the_history(solver):
+    # a capped run ends at a step whose change is still above the rule's tol
+    image, m0 = _small_scene(6)
+    log = solver(image, m0, SolverOptions(max_iters=2, tol=1e-15)).solver_log
+    before, last = log.cost_history[-2:]
+    assert log.flags["cap_hit"] == 1 and log.iterations == 2
+    assert log.flags["last_rel_change"] == (before - last) / before >= 1e-15
 
 
 @pytest.mark.parametrize("solver", [elmm_unmix, plmm_unmix])

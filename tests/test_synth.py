@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varimix import synth as synth_module
 from varimix.metrics import spectral_angle
 from varimix.synth import (
     VARIABILITY_MODES,
@@ -273,6 +274,31 @@ print(hashlib.sha256(b"".join(a.tobytes() for a in (
         noise = truth.image_noisy.data - truth.image_clean.data
         snr = 10 * math.log10(np.sum(truth.image_clean.data**2) / np.sum(noise**2))
         assert abs(snr - 30.0) < 0.3
+
+    @pytest.mark.parametrize("seed, height, width, snr", [
+        (0, 1, 1, 25.0), (7, 5, 6, -3.0), (11, 20, 23, 30.0)])
+    def test_noisy_image_is_clean_plus_the_noise_seeds_draw(self, seed, height, width, snr):
+        truth = make_scene(height=height, width=width, snr_db=snr, seed=seed)
+        clean = truth.image_clean.data
+        sigma = math.sqrt(float(np.mean(clean**2)) / 10.0 ** (snr / 10.0))
+        noise_seed = np.random.SeedSequence(seed).generate_state(4)[3]
+        draw = np.random.default_rng(noise_seed).normal(0.0, sigma, clean.shape)
+        assert truth.image_noisy.data.tobytes() == (clean + draw).tobytes()
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_bad_snr_is_refused_before_any_work(self, monkeypatch, snr):
+        def sampler(*args, **kwargs):
+            raise AssertionError("sampled before the input was checked")
+
+        monkeypatch.setattr(synth_module, "_class_variants", sampler)
+        monkeypatch.setattr(synth_module, "sample_abundances_dirichlet", sampler)
+        with pytest.raises(ValueError, match="snr_db must be finite or"):
+            make_scene(height=1, width=5, snr_db=snr)
+
+    @pytest.mark.parametrize("height, width", [(0, 5), (4, 0), (0, 0)])
+    def test_empty_grid_is_refused_by_name(self, height, width):
+        with pytest.raises(ValueError, match="height and width must be >= 1"):
+            make_scene(height=height, width=width, snr_db=math.inf)
 
     def test_abundance_rows_simplex(self):
         truth = make_scene()
