@@ -2,13 +2,15 @@
 # The README's command-line chain on a tiny scene, through `python -m varimix`:
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
-# and greedy and exhaustive sparse-l0; then checks that a refused value (sparse-l0
-# with --k 0, also with an image that does not exist), flags of other solvers
-# (fcls with --k and --re-threshold, or with --opts) or methods (prune --method
-# count with --subspace-dim, transform --method weights with --bands), a missing
-# input (unmix without --library, prune --method music without --image), a
-# retired option (an --opts file with `rho`) and an image payload holding a NaN
-# each end in one `error:` line on stderr, exit code 2 and no output.
+# and greedy and exhaustive sparse-l0; checks that each solver log's phases sum
+# to its wall_time_s and are phases the README lists; then checks that a refused
+# value (sparse-l0 with --k 0, also with an image that does not exist), flags of
+# other solvers (fcls with --k and --re-threshold, or with --opts) or methods
+# (prune --method count with --subspace-dim, transform --method weights with
+# --bands), a missing input (unmix without --library, prune --method music
+# without --image), a retired option (an --opts file with `rho`) and an image
+# payload holding a NaN each end in one `error:` line on stderr, exit code 2 and
+# no output.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -57,6 +59,20 @@ python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --
     --out result_l0/
 python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 2 \
     --l0-mode exhaustive --out result_l0x/
+
+# every solver log's phases partition its call: they sum to wall_time_s, and
+# each is one of the phases the README lists
+python - <<'PY'
+import json, math, pathlib
+listed = {"input", "stats", "gram", "search", "select", "qp", "endmember", "psi", "cost", "result"}
+for path in sorted(pathlib.Path(".").glob("result_*/solver_log.json")):
+    log = json.loads(path.read_text())
+    phases = log["phases"]
+    if set(phases) - listed or not math.isclose(sum(phases.values()), log["wall_time_s"],
+                                                rel_tol=1e-9):
+        raise SystemExit(f"cli_chain: {path}: phases {phases} do not partition "
+                         f"wall_time_s {log['wall_time_s']}")
+PY
 
 # refused EXPECTED ABSENT COMMAND...: COMMAND must exit with code 2, print one
 # stderr line that matches EXPECTED (an exact message or a glob) and leave ABSENT

@@ -16,17 +16,16 @@ for solvers that build them in factored form or from library statistics,
 and also take a stack of shared Grams, each with its own rows, in one
 call; both run ``_kernel``, which books each call in the caller's ``QPCounts``.
 ``monotone_loop`` drives the alternating solvers, ``QPCounts`` records a
-solver call and builds its log, and ``_chunked_result`` builds every
-solver's reconstruction and per-pixel error a block of pixels at a time;
-a solver that emits an endmember field hands the same ``fill`` to a
-factored ``EndmemberField``, which builds the field's rows when read.
+solver call phase by phase and builds its log, and ``_chunked_result``
+builds every solver's reconstruction and per-pixel error a block of pixels
+at a time; a solver that emits an endmember field hands the same ``fill``
+to a factored ``EndmemberField``, which builds the field's rows when read.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,33 +109,37 @@ def _round_bound(p: int) -> int:
 
 @dataclass
 class QPCounts:
-    """One solver call's record, made first in the call: ``start`` is when
-    it began; kernel rounds and unsettled rows summed over its kernel
-    calls; seconds per phase: the kernel calls add theirs to ``qp`` (a
-    Gram build is outside), ``_chunked_result`` to ``result``, a solver
-    its own by ``timed``; phases never nest."""
+    """One solver call's record, made first in the call: kernel rounds and
+    unsettled rows summed over its kernel calls, and its phase clock. The
+    call is in one phase at a time, ``input`` first; ``phase`` switches,
+    and the seconds of each phase sum over its stretches, so the phases
+    partition the call: the kernel books its calls as ``qp``,
+    ``_chunked_result`` switches to ``result``, a solver to its own."""
 
     rounds: int = 0
     unsettled_rows: int = 0
     phases: dict = field(default_factory=dict)
-    start: float = field(default_factory=time.perf_counter)
+    current: str = "input"
+    since: float = field(default_factory=time.perf_counter)
 
-    def add(self, rounds: int, open_rows: np.ndarray, start: float):
-        self.rounds += rounds
-        self.unsettled_rows += int(open_rows.size)
-        self.phases["qp"] = self.phases.get("qp", 0.0) + time.perf_counter() - start
-
-    def flags(self) -> dict:
-        return {"qp_rounds": self.rounds, "unsettled_rows": self.unsettled_rows}
+    def phase(self, name: str) -> str:
+        """End the current phase now and start ``name``; returns the ended phase's name."""
+        now, ended = time.perf_counter(), self.current
+        self.phases[ended] = self.phases.get(ended, 0.0) + (now - self.since)
+        self.current, self.since = name, now
+        return ended
 
     def log(self, iterations: int, cost: float, flags=(), history=None,
             converged=True) -> SolverLog:
-        """Every solver's log, timed from ``start`` to now: ``flags`` then
-        the counts, ``history`` (default: ``cost`` alone), and converged when
-        ``converged`` holds and no kernel row is left unsettled."""
+        """Every solver's log, its open phase closed, so ``wall_time_s`` is
+        the sum of the phases: ``flags`` then the counts, ``history``
+        (default: ``cost`` alone), and converged when ``converged`` holds
+        and no kernel row is left unsettled."""
+        self.phase(self.current)
         return SolverLog(iterations, cost, converged and self.unsettled_rows == 0,
-                         time.perf_counter() - self.start, (cost,) if history is None else history,
-                         dict(flags, **self.flags()), self.phases)
+                         sum(self.phases.values()), (cost,) if history is None else history,
+                         dict(flags, qp_rounds=self.rounds, unsettled_rows=self.unsettled_rows),
+                         self.phases)
 
 
 def _gram(y, m):
@@ -428,15 +431,17 @@ def fcls_core(y: np.ndarray, m: np.ndarray, counts: QPCounts):
 def _kernel(gram, h, counts, simplex):
     """The one body of ``fcls_gram`` and ``nnls_gram``: a lone (P, P) Gram
     with its (N, P) linear terms runs as the stack M = 1, simplex rows are
-    normalised, and ``counts`` books the call."""
-    start = time.perf_counter()
+    normalised, and ``counts`` books the call, as phase ``qp``."""
+    caller = counts.phase("qp")
     lone = gram.ndim == 2
     if lone:
         gram, h = gram[None], h[None]
     a, rounds, open_rows = _active_set(gram, h, simplex)
     if simplex:
         a /= a.sum(axis=-1, keepdims=True)
-    counts.add(rounds, open_rows, start)
+    counts.rounds += rounds
+    counts.unsettled_rows += open_rows.size
+    counts.phase(caller)
     return (a[0] if lone else a), rounds
 
 
@@ -464,25 +469,25 @@ def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _chunked_result(y: np.ndarray, a: np.ndarray, fill, counts: QPCounts):
     """The reconstruction of emitted abundances ``a``, the summed squared
     residual (exactly rounded sum of the chunk sums) and ``per_pixel_re``,
-    built ``_CHUNK_ROWS`` pixels at a time and timed as ``counts``' phase
-    ``result``: ``fill(lo, hi, out)`` writes the endmember field of pixels
-    lo:hi into ``out``, one reused chunk buffer, so the call holds
+    built ``_CHUNK_ROWS`` pixels at a time, in the phase ``result`` it
+    switches ``counts`` to: ``fill(lo, hi, out)`` writes the endmember field
+    of pixels lo:hi into ``out``, one reused chunk buffer, so the call holds
     O(chunk) temporaries besides its outputs and keeps no field. A pixel's
-    bits do not depend on the chunk size when ``fill``'s products keep
-    each row's bits. ``fill`` may instead be a shared (L, P) matrix (FCLS)."""
+    bits do not depend on the chunk size when ``fill``'s products keep each
+    row's bits. ``fill`` may instead be a shared (L, P) matrix (FCLS)."""
     (n, l), p = y.shape, a.shape[1]
     shared = isinstance(fill, np.ndarray)
     chunk = None if shared else np.empty((min(n, _CHUNK_ROWS), l, p))
     recon, re = np.empty((n, l)), np.empty(n)
     sums = []
-    with timed(counts.phases, "result"):
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n)
-            if not shared:
-                fill(lo, hi, chunk[:hi - lo])
-            recon[lo:hi] = reconstruct(fill if shared else chunk[:hi - lo], a[lo:hi])
-            total, re[lo:hi] = residual_stats(y[lo:hi], recon[lo:hi])
-            sums.append(total)
+    counts.phase("result")
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        if not shared:
+            fill(lo, hi, chunk[:hi - lo])
+        recon[lo:hi] = reconstruct(fill if shared else chunk[:hi - lo], a[lo:hi])
+        total, re[lo:hi] = residual_stats(y[lo:hi], recon[lo:hi])
+        sums.append(total)
     return recon, re, math.fsum(sums)
 
 
@@ -506,16 +511,6 @@ def nnls_gram(gram: np.ndarray, h: np.ndarray, counts: QPCounts):
 
 
 _ZERO_COST_FLOOR = 1e-24
-
-
-@contextmanager
-def timed(phases: dict, name: str):
-    """Add the block's wall time to ``phases[name]`` (seconds)."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        phases[name] = phases.get(name, 0.0) + time.perf_counter() - start
 
 
 def monotone_loop(initial_state, step_fn, cost_fn, max_iters, tol):

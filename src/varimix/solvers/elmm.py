@@ -28,7 +28,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from ..types import SpectralImage
-from .base import SolverOptions, UnmixingResult, fcls_gram, monotone_loop, timed
+from .base import SolverOptions, UnmixingResult, fcls_gram, monotone_loop
 from .rankone import RankOneModel
 
 _PSI_FLOOR = 1e-6
@@ -78,15 +78,14 @@ def elmm_unmix(
 
     def step(s):
         new = core.step(s)
-        with timed(core.counts.phases, "psi"):
-            rhs = lam_m * (s.psi * core.col_sq + new.a * new.w)
-            psi = _grid_solve(rhs.reshape(grid), lam_m * core.col_sq, lam_psi).reshape(n, p)
-            np.clip(psi, _PSI_FLOOR, None, out=psi)
+        core.counts.phase("psi")
+        rhs = lam_m * (s.psi * core.col_sq + new.a * new.w)
+        psi = _grid_solve(rhs.reshape(grid), lam_m * core.col_sq, lam_psi).reshape(n, p)
+        np.clip(psi, _PSI_FLOOR, None, out=psi)
         return replace(new, psi=psi)
 
     def cost(s):
-        with timed(core.counts.phases, "cost"):
-            return core.cost(s) + lam_psi * _grid_spatial(s.psi, image.height, image.width)
+        return core.cost(s) + lam_psi * _grid_spatial(s.psi, image.height, image.width)
 
     state, *loop = monotone_loop(core.start(a0, np.ones((n, p))), step, cost,
                                  opts.max_iters, opts.tol)

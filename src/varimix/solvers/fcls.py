@@ -27,6 +27,7 @@ def fcls(image: SpectralImage, matrix: np.ndarray) -> UnmixingResult:
     if np.linalg.matrix_rank(np.vstack([m, np.ones(p)])) < p:
         warnings.warn(f"[M; 1'] has rank below P = {p}: abundances are not unique")
     y = image.pixels
+    counts.phase("gram")
     a, rounds = fcls_core(y, m, counts)
     recon, re, cost = _chunked_result(y, a, m, counts)
     return UnmixingResult(AbundanceMap(a, sum_to_one=True), re, recon,

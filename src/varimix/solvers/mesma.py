@@ -1,8 +1,8 @@
 """Per-pixel exhaustive search over library model combinations, in Gram
 space over each class's distinct signatures (``search``): each model is
 a (P, P) block of the statistics, and runs of models go to the kernel
-as one stack of shared Grams per call. The emitted field keeps a table of
-the selected models' clamped matrices and each pixel's row in it.
+as one stack of shared Grams per call. The fit is that of the selected
+models' matrices as searched; the emitted field reads a clamped copy.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def mesma(
     ``re_threshold`` the blocks start at one model and double),
     ``qp_rounds`` the kernel rounds of the block calls, and ``duplicates``
     the signatures collapsed; ``MODEL_BUDGET`` applies to the library as
-    given.
+    given. The reconstruction, ``per_pixel_re`` and the logged cost are the
+    selected models' own fit; only the emitted field is clamped at zero.
     """
     counts = QPCounts()
     check_mesma(re_threshold)
@@ -64,24 +65,27 @@ def mesma(
     p = library.n_classes
     sigs = [c.signatures for c in library.classes]
 
+    counts.phase("stats")
     keep = [distinct_rows(s) for s in sigs]             # original index per distinct row
     offsets = np.cumsum([0] + [k.size for k in keep[:-1]])
     distinct = np.concatenate([s[k] for s, k in zip(sigs, keep)])
     gram, ys, yy = library_stats(y, distinct)
+    counts.phase("search")
     models = (offsets + np.array(pos) for pos in itertools.product(*(range(k.size) for k in keep)))
     stop = None if re_threshold is None else re_threshold**2 * l
     cols, best_a, models_tried = subset_search(gram, ys, yy, models, p, counts, stop, y, distinct)
     best_model = np.stack([keep[cls][cols[:, cls] - offsets[cls]] for cls in range(p)], axis=1)
 
-    # a clamped (L, P) matrix per selected model (index tuples in mixed radix)
+    # each selected model's (L, P) matrix (index tuples in mixed radix); the field's is clamped
     _, first, which = np.unique(np.ravel_multi_index(best_model.T, sizes), return_index=True,
                                 return_inverse=True)
-    table = np.stack([s[best_model[first, j]] for j, s in enumerate(sigs)], axis=2).clip(0.0)
+    table = np.stack([s[best_model[first, j]] for j, s in enumerate(sigs)], axis=2)
+    clamped = table.clip(0.0)
 
-    def fill(lo, hi, f):
-        np.take(table, which[lo:hi], axis=0, out=f, mode="clip")     # "raise" buffers
+    def fill(lo, hi, f, source=clamped):
+        np.take(source, which[lo:hi], axis=0, out=f, mode="clip")    # "raise" buffers
 
-    recon, re, cost = _chunked_result(y, best_a, fill, counts)
+    recon, re, cost = _chunked_result(y, best_a, lambda lo, hi, f: fill(lo, hi, f, table), counts)
     log = counts.log(models_tried, cost, {
         "models_enumerated": models_tried, "early_stop": re_threshold is not None,
         "duplicates": sum(sizes) - sum(k.size for k in keep)})

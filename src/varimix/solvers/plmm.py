@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..types import SpectralImage
-from .base import SolverOptions, UnmixingResult, fcls_gram, monotone_loop, timed
+from .base import SolverOptions, UnmixingResult, fcls_gram, monotone_loop
 from .rankone import RankOneModel
 
 
@@ -38,11 +38,6 @@ def plmm_unmix(
     gamma = opts.gamma_plmm
     core = RankOneModel(y, ref_matrix, gamma)
     a0, _ = fcls_gram(core.g0, core.ym0, core.counts)
-
-    def cost(s):
-        with timed(core.counts.phases, "cost"):
-            return core.cost(s)
-
-    state, *loop = monotone_loop(core.start(a0, np.ones_like(a0)), core.step, cost,
+    state, *loop = monotone_loop(core.start(a0, np.ones_like(a0)), core.step, core.cost,
                                  opts.max_iters, opts.tol)
     return core.result(state, loop, {"gamma": gamma}, {})

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..types import AbundanceMap, DimensionError, EndmemberField, _all_finite, _freeze
-from .base import QPCounts, UnmixingResult, _chunked_result, _row_product, fcls_gram, timed
+from .base import QPCounts, UnmixingResult, _chunked_result, _row_product, fcls_gram
 
 _RECOMPUTE = 1e-10
 
@@ -59,7 +59,9 @@ class RankOneState:
 class RankOneModel:
     """Factored algebra of sum_n ||y_n - M_n a_n||^2 + lam ||M_n - M0 diag(psi_n)||_F^2,
     with the record (``QPCounts``, made first, so its clock starts with
-    the model) and recomputed rows of one solver call."""
+    the model) and recomputed rows of one solver call. Its methods switch
+    the record's phase: ``stats`` for the statistics, then ``endmember``,
+    ``gram``, ``cost`` and ``result`` (``qp`` is the kernel's own)."""
 
     def __init__(self, y: np.ndarray, ref_matrix, lam: float):
         self.counts = QPCounts()
@@ -69,6 +71,7 @@ class RankOneModel:
         if not _all_finite(m0):
             raise ValueError("non-finite solver inputs")
         self.y, self.m0, self.lam = y, m0, lam
+        self.counts.phase("stats")
         self.g0 = m0.T @ m0
         self.ym0 = _row_product(y, m0)
         self.yy = np.einsum("nl,nl->n", y, y)
@@ -78,9 +81,9 @@ class RankOneModel:
     def start(self, a, psi) -> RankOneState:
         """State with field M0 diag(psi) and abundances ``a``; its fit comes
         from the statistics by the rule of ``update`` and, like that step,
-        is timed as ``endmember``."""
-        with timed(self.counts.phases, "endmember"):
-            fit = self._residual(psi * a)[2]
+        is booked as phase ``endmember``."""
+        self.counts.phase("endmember")
+        fit = self._residual(psi * a)[2]
         zero = np.zeros(psi.shape[0])
         return RankOneState(a, psi, psi, np.zeros_like(psi), zero, zero, fit, start=True)
 
@@ -129,16 +132,16 @@ class RankOneModel:
 
     def step(self, s: RankOneState) -> RankOneState:
         """Abundance step against each pixel's current M_n, its Gram build
-        timed as ``gram``, then the endmember step at the state's scalings."""
-        with timed(self.counts.phases, "gram"):
-            gram, h = self.gram(s)
-        a, _ = fcls_gram(gram, h, self.counts)
-        with timed(self.counts.phases, "endmember"):
-            return self.update(a, s.psi)
+        in phase ``gram``, then the endmember step at the state's scalings."""
+        self.counts.phase("gram")
+        a, _ = fcls_gram(*self.gram(s), self.counts)
+        self.counts.phase("endmember")
+        return self.update(a, s.psi)
 
     def cost(self, s: RankOneState) -> float:
         """Fit plus ``lam`` times the tie ||M_n - M0 diag(psi_n)||_F^2, both
-        from the statistics and the column norms of M0."""
+        from the statistics and the column norms of M0, in phase ``cost``."""
+        self.counts.phase("cost")
         d = s.psi_m - s.psi
         tie = (np.sum(d**2 * self.col_sq) + 2.0 * np.sum(d * s.a * s.w)
                + s.uu @ np.einsum("np,np->n", s.a, s.a))
@@ -151,7 +154,7 @@ class RankOneModel:
         (a, psi_m: read-only copies), and its reconstruction by
         ``_chunked_result``. Its log is ``QPCounts.log`` of ``loop``, the cost
         history, converged and flags ``monotone_loop`` returns, after ``flags``
-        and the recomputed rows, timed from the model's making."""
+        and the recomputed rows, its phases from the model's making on."""
         a, psi_m, start = _freeze(s.a), _freeze(s.psi_m), s.start
         c = self.lam + np.einsum("np,np->n", a, a)
 

@@ -48,7 +48,7 @@ def _class_result(y, raw, library, counts, iterations, flags, cost=None,
     it has no mass), clamped, kept as factors that read ``raw`` (the
     caller's own). The reconstruction, by ``_chunked_result``, is taken from
     the unclamped field; its summed squared residual is the logged cost
-    when ``cost`` is None. The log is timed from ``counts.start``."""
+    when ``cost`` is None; the work before it is booked in the caller's phase."""
     bounds = np.cumsum([0, *library.sizes])
     classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     mass = np.stack([raw[:, cols].sum(axis=1) for cols in classes], axis=1)
@@ -137,6 +137,7 @@ def sparse_su_l1(
     flat, _ = library.flatten()
     y = image.pixels
     lam = opts.lambda_sparse
+    counts.phase("stats")
     keep = distinct_rows(flat)                  # original column per distinct one
     distinct = flat[keep]
     gram, ys, yy = library_stats(y, distinct)
@@ -232,8 +233,10 @@ def sparse_su_l0(
                               f"{L0_SUPPORT_BUDGET}")
     y = image.pixels
     n = y.shape[0]
+    counts.phase("stats")
     keep = distinct_rows(flat)                  # original column per distinct one
     gram, ys, yy = library_stats(y, flat[keep])
+    counts.phase("select" if mode == "greedy" else "search")
     width = min(k, keep.size)
     if mode == "greedy":
         cols = _greedy_supports(gram, ys, k, counts)

@@ -11,13 +11,16 @@ import itertools
 import numpy as np
 import pytest
 
+from varimix.libops import apply_transform, fda_transform
 from varimix.solvers import (QPCounts, kkt_residual_simplex, mesma, search, sparse_su_l0,
                              sparse_su_l1)
 from varimix.solvers.base import fcls_gram
 from varimix.solvers.search import distinct_rows, library_stats, subset_search
 from varimix.solvers.sparse import _greedy_supports
+from varimix.synth import truth_variant_library
 from varimix.types import DimensionError, SpectralImage, SpectralLibrary
 
+from conftest import make_scene
 from oracles import greedy_l0_oracle, mesma_oracle, qp_fcls_oracle
 
 
@@ -354,3 +357,37 @@ def test_greedy_l0_fits_the_oracle_support(rng):
         assert np.all(raw[i, off] == 0.0)
         _, cost = qp_fcls_oracle(y[i], m[:, support])
         assert np.sum((y[i] - m @ raw[i]) ** 2) == pytest.approx(cost, rel=1e-10, abs=1e-14)
+
+
+def test_mesma_reports_the_fit_of_the_selected_model():
+    """On an FDA-transformed library, whose signatures go negative, the
+    reconstruction, ``per_pixel_re`` and cost are those of each pixel's
+    selected model as searched; only the emitted field is clamped."""
+    truth = make_scene(n_bands=20, height=10, width=12, snr_db=10.0, seed=4)
+    lib = truth_variant_library(truth)
+    image, lib = apply_transform(fda_transform(lib, 2), truth.image_noisy, lib)
+    assert min(c.signatures.min() for c in lib.classes) < 0.0
+    y = image.pixels
+    sigs = [c.signatures for c in lib.classes]
+
+    def selected_fit(res):
+        """Per pixel: the oracle RE of the selected model, and the squared
+        residual of the returned abundances on it."""
+        re, r2 = np.empty(y.shape[0]), np.empty(y.shape[0])
+        for i, sel in enumerate(res.selected_model):
+            m = np.stack([s[j] for s, j in zip(sigs, sel)], axis=1)
+            re[i] = np.sqrt(qp_fcls_oracle(y[i], m)[1] / y.shape[1])
+            r2[i] = np.sum((y[i] - m @ res.abundances.data[i]) ** 2)
+        return re, r2
+
+    res = mesma(image, lib)
+    re, r2 = selected_fit(res)
+    assert np.max(np.abs(res.per_pixel_re - re)) <= 1e-12
+    assert res.solver_log.final_cost == pytest.approx(r2.sum(), rel=1e-12, abs=1e-24)
+    assert res.endmembers.data.min() >= 0.0
+    threshold = float(np.median(re[re > 1e-6]))
+    stopped = mesma(image, lib, re_threshold=threshold)
+    re, _ = selected_fit(stopped)
+    fits = re <= threshold
+    assert 0 < fits.sum() < y.shape[0]
+    assert np.all(stopped.per_pixel_re[fits] <= threshold)

@@ -14,6 +14,7 @@ solvers, must not depend on the size of the pixel chunks the field is
 built in.
 """
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -387,15 +388,24 @@ def _unmix_small(solver, seed):
     return name, unmix(name, truth.image_noisy, source, **solver_params(name, max_iters=4))
 
 
+# every solver's phases; sparse L0 in its default greedy mode, exhaustive-l0 in the other
+PHASES = {"fcls": {"input", "gram", "qp", "result"},
+          "mesma": {"input", "stats", "search", "qp", "result"},
+          "sparse-l1": {"input", "stats", "qp", "result"},
+          "sparse-l0": {"input", "stats", "select", "qp", "result"},
+          "elmm": {"input", "stats", "qp", "endmember", "gram", "psi", "cost", "result"},
+          "plmm": {"input", "stats", "qp", "endmember", "gram", "cost", "result"},
+          "exhaustive-l0": {"input", "stats", "search", "qp", "result"}}
+
+
 def test_logs_report_phases_and_loop_flags(tmp_path):
-    loop_phases = {"elmm": {"gram", "endmember", "psi", "cost"},
-                   "plmm": {"gram", "endmember", "cost"}}
     for solver in SOLVER_FNS:
         name, result = _unmix_small(solver, 6)
         log = result.solver_log
-        assert set(log.phases) == {"qp", "result"} | loop_phases.get(name, set()), name
+        assert set(log.phases) == PHASES[name], name
         assert all(v >= 0.0 for v in log.phases.values())
-        if name in loop_phases:
+        assert sum(log.phases.values()) == log.wall_time_s
+        if name in ("elmm", "plmm"):
             assert log.flags["cost_rises"] == 0
             assert log.flags["cap_hit"] == int(log.iterations == 4 and not log.converged)
         written = json.loads((save_result(result, tmp_path / name) / "solver_log.json").read_text())
@@ -413,17 +423,31 @@ def test_wall_time_covers_every_phase(tmp_path, solver):
     assert written["wall_time_s"] == log.wall_time_s and written["phases"] == log.phases
 
 
-@pytest.mark.parametrize("name", ALGORITHMS)
-def test_phases_on_a_bench_scene_add_up_to_at_most_the_wall_time(name):
-    # the per-pixel Gram build of ELMM and PLMM is its own phase, outside qp
+@pytest.mark.parametrize("name", ALGORITHMS + ("exhaustive-l0",))
+def test_phases_on_a_bench_scene_add_up_to_the_wall_time(name):
+    # the phases partition the call: the wall time is their sum
     truth = bench_scene(24, 24, bands=100)
-    source = (truth.endmembers.class_means().T if SOLVERS[name].kind == "matrix"
+    algo, params = ("sparse-l0", {"k": 2, "mode": "exhaustive"}) if name == "exhaustive-l0" \
+        else (name, solver_params(name, max_iters=5))
+    source = (truth.endmembers.class_means().T if SOLVERS[algo].kind == "matrix"
               else truth_variant_library(truth))
-    log = unmix(name, truth.image_noisy, source, **solver_params(name, max_iters=5)).solver_log
-    loop = {"elmm": {"gram", "endmember", "psi", "cost"}, "plmm": {"gram", "endmember", "cost"}}
-    assert set(log.phases) == {"qp", "result"} | loop.get(name, set())
+    log = unmix(algo, truth.image_noisy, source, **params).solver_log
+    assert set(log.phases) == PHASES[name]
     assert all(v >= 0.0 for v in log.phases.values())
-    assert sum(log.phases.values()) <= log.wall_time_s
+    assert math.isclose(sum(log.phases.values()), log.wall_time_s, rel_tol=1e-9)
+
+
+def test_a_kernel_call_books_qp_and_returns_to_its_callers_phase(monkeypatch):
+    clock = itertools.count(1)
+    monkeypatch.setattr(base.time, "perf_counter", lambda: float(next(clock)))
+    counts = QPCounts(since=0.0)
+    assert counts.phase("stats") == "input"                 # t = 1
+    _, rounds = base.fcls_gram(np.eye(2), np.array([[0.2, 0.8]]), counts)  # qp from 2 to 3
+    assert counts.current == "stats" and counts.rounds == rounds
+    assert counts.phases == {"input": 1.0, "stats": 1.0, "qp": 1.0}
+    log = counts.log(1, 0.0)                                 # closes stats at t = 4
+    assert log.phases == {"input": 1.0, "stats": 2.0, "qp": 1.0} and log.wall_time_s == 4.0
+    assert log.flags == {"qp_rounds": rounds, "unsettled_rows": 0}
 
 
 @pytest.mark.parametrize("solver", [elmm_unmix, plmm_unmix, mesma, sparse_su_l1, sparse_su_l0])
