@@ -8,9 +8,10 @@
 # other solvers (fcls with --k and --re-threshold, or with --opts) or methods
 # (prune --method count with --subspace-dim, transform --method weights with
 # --bands), a missing input (unmix without --library, prune --method music
-# without --image), a retired option (an --opts file with `rho`) and an image
-# payload holding a NaN each end in one `error:` line on stderr, exit code 2 and
-# no output.
+# without --image), a retired option (an --opts file with `rho`), a mask that
+# keeps no band (transform --method mask --threshold 0) and an image payload
+# holding a NaN each end in one `error:` line on stderr, exit code 2 and no
+# new file.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -74,52 +75,55 @@ for path in sorted(pathlib.Path(".").glob("result_*/solver_log.json")):
                          f"wall_time_s {log['wall_time_s']}")
 PY
 
-# refused EXPECTED ABSENT COMMAND...: COMMAND must exit with code 2, print one
-# stderr line that matches EXPECTED (an exact message or a glob) and leave ABSENT
-# unmade
+# refused EXPECTED COMMAND...: COMMAND must exit with code 2, print one stderr
+# line that matches EXPECTED (an exact message or a glob) and leave the work
+# directory's file set unchanged
 refused() {
-    local expected="$1" absent="$2" status=0 err
-    shift 2
+    local expected="$1" status=0 err before
+    shift
+    before="$(find . | sort)"
     err="$("$@" 2>&1 >/dev/null)" || status=$?
     if [[ $status -ne 2 || $(printf '%s\n' "$err" | wc -l) -ne 1 || "$err" != $expected \
-          || -e "$absent" ]]; then
+          || "$(find . | sort)" != "$before" ]]; then
         echo "cli_chain: '$*' was not refused as expected (exit $status): $err" >&2
         exit 1
     fi
 }
 
-refused 'error: k must lie*' refused \
+refused 'error: k must lie*' \
     python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 0 \
     --out refused/
 # refused before the image is read
-refused 'error: k must lie*' refused \
+refused 'error: k must lie*' \
     python -m varimix unmix --image no_such_scene/ --algo sparse-l0 --library lib.csv --k 0 \
     --out refused/
-refused 'error: --re-threshold does not apply to --algo fcls' refused \
+refused 'error: --re-threshold does not apply to --algo fcls' \
     python -m varimix unmix --image scene_dir/ --algo fcls --library small.csv --k 0 \
     --re-threshold -5 --out refused/
-refused 'error: --library required' refused \
+refused 'error: --library required' \
     python -m varimix unmix --image scene_dir/ --algo plmm --out refused/
 printf '{"rho": 2.0}\n' > retired_opts.json
-refused 'error: retired_opts.json: rho: unknown key' refused \
+refused 'error: retired_opts.json: rho: unknown key' \
     python -m varimix unmix --image scene_dir/ --algo elmm --library small.csv \
     --opts retired_opts.json --out refused/
-refused 'error: --opts does not apply to --algo fcls' refused \
+refused 'error: --opts does not apply to --algo fcls' \
     python -m varimix unmix --image scene_dir/ --algo fcls --library small.csv \
     --opts retired_opts.json --out refused/
-refused 'error: --image required for --method music' refused.csv \
+refused 'error: --image required for --method music' \
     python -m varimix prune --library lib.csv --method music --out refused.csv
-refused 'error: --subspace-dim does not apply to --method count' refused.csv \
+refused 'error: --subspace-dim does not apply to --method count' \
     python -m varimix prune --library lib.csv --method count --subspace-dim 0 \
     --residual-threshold -1 --out refused.csv
-refused 'error: --bands does not apply to --method weights' refused.json \
+refused 'error: --bands does not apply to --method weights' \
     python -m varimix transform --library lib.csv --method weights --bands 0 --out refused.json
+refused 'error: mask transform has no output band' \
+    python -m varimix transform --library lib.csv --method mask --threshold 0 --out refused.json
 
 # the same bytes on every run, so two runs' directories still compare equal
 python -c "import numpy as np; from varimix.io import save_image; \
 from varimix.types import SpectralImage; \
 save_image(SpectralImage(np.full((2, 3, 24), 0.5)), 'nan_image.json'); \
 payload = np.memmap('nan_image.bin', dtype='<f8', mode='r+'); payload[7] = np.nan; payload.flush()"
-refused 'error: non-finite values in image payload nan_image.json' refused \
+refused 'error: non-finite values in image payload nan_image.json' \
     python -m varimix unmix --image nan_image.json --algo fcls --library small.csv \
     --out refused/

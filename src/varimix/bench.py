@@ -48,6 +48,20 @@ from .types import (
 _CSV_FMT = "%.17g"
 
 
+def solver_keywords(algo: str, options: dict) -> dict:
+    """Solver ``algo``'s keywords for a roster entry's or ``varimix unmix``'s
+    ``options``: an ``opts`` loaded from them (``io.load_config``), or they
+    themselves, an unknown key refused (``FormatError``) and ``check`` passed."""
+    solver = SOLVERS[algo]
+    if "opts" in solver.params:
+        return {"opts": load_config(SolverOptions, options)}
+    unknown = sorted(options.keys() - set(solver.params))
+    if unknown:
+        raise FormatError(f"{unknown[0]}: unknown key")
+    solver.check(**options)
+    return dict(options)
+
+
 @dataclass(frozen=True)
 class RosterEntry:
     """One benchmark row.
@@ -59,9 +73,8 @@ class RosterEntry:
     the CSV at ``library_path``, which only this source takes. The
     transform is built from that library. ``options`` holds the solver's
     ``SOLVERS[algo].params``, an ``opts`` as its ``SolverOptions`` fields;
-    the entry loads it (``io.load_config``) or checks it (``check``) into
-    ``params`` when built, so a key the solver does not read, or a bad
-    value, is refused.
+    the entry turns it into ``params`` by ``solver_keywords`` when built, so
+    a key the solver does not read, or a bad value, is refused.
     """
 
     name: str
@@ -78,16 +91,7 @@ class RosterEntry:
             raise ValueError(f"unknown library source {self.library_source!r}")
         if (self.library_source == "file") != bool(self.library_path):
             raise ValueError("library_path goes with library_source 'file', and only with it")
-        solver = SOLVERS[self.algo]
-        if "opts" in solver.params:
-            params = {"opts": load_config(SolverOptions, self.options)}
-        else:
-            unknown = sorted(self.options.keys() - set(solver.params))
-            if unknown:
-                raise FormatError(f"{unknown[0]}: unknown key")
-            solver.check(**self.options)
-            params = dict(self.options)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", solver_keywords(self.algo, self.options))
 
 
 @dataclass(frozen=True)

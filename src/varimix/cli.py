@@ -6,10 +6,10 @@ are deterministic given the configured seeds.
 ``unmix`` runs a solver through ``bench.run_solver``, as a bench roster
 entry does: its one input is ``--library``, which ``--transform`` maps
 with the image (the matrix solvers take the mapped library's class
-means); the solver gets the flags given that name its parameters
-(``--opts``: its ``opts`` file), checked before any input is read, and
-``io.save_result`` writes the outputs. ``extract``'s flags given are
-``BundleExtractionConfig`` fields.
+means); ``bench.solver_keywords`` turns the flags given that name its
+parameters (``--opts``: its ``opts`` file) into its keywords before any
+input is read, and ``io.save_result`` writes the outputs. ``extract``'s
+flags given are ``BundleExtractionConfig`` fields.
 ``prune`` and ``transform`` turn their flags into a bench config spec and
 call ``libops.prune`` / ``libops.build_transform``, as the bench does.
 A flag that only other solvers or methods take is refused, by one rule
@@ -27,25 +27,25 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .bench import BenchConfig, run_bench, run_solver, write_report_md
+from .bench import BenchConfig, run_bench, run_solver, solver_keywords, write_report_md
 from .extraction import BundleExtractionConfig, extract_bundles
 from .io import load_config, load_library, resolve_image, save_library, save_result, save_scene
 from .libops import METHODS, build_transform, prune
-from .solvers import ALGORITHMS, SOLVERS, SolverOptions
+from .solvers import ALGORITHMS, SOLVERS
 from .synth import SceneConfig, synthesize_from_config
 from .types import BudgetError, FormatError
 
 
-def _read_config(cls, path):
-    """Load config class ``cls`` from a JSON file; errors name the file."""
+def _read_config(load, path):
+    """``load`` applied to the JSON document in a file; errors name the file."""
     try:
-        return load_config(cls, json.loads(Path(path).read_text()))
+        return load(json.loads(Path(path).read_text()))
     except (json.JSONDecodeError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def _cmd_synth(args) -> int:
-    cfg = _read_config(SceneConfig, args.config)
+    cfg = _read_config(functools.partial(load_config, SceneConfig), args.config)
     truth = synthesize_from_config(cfg)
     save_scene(truth, args.out)
     print(f"scene written to {args.out}")
@@ -104,11 +104,9 @@ def _cmd_transform(args) -> int:
 def _cmd_unmix(args) -> int:
     solver = SOLVERS[args.algo]
     _refuse_other_flags(args, "algo", solver.params)
-    params = {k: getattr(args, k) for k in solver.params if getattr(args, k) is not None}
-    if "opts" in params:
-        params["opts"] = _read_config(SolverOptions, params["opts"])
-    else:
-        solver.check(**params)
+    options = {k: getattr(args, k) for k in solver.params if getattr(args, k) is not None}
+    keywords = functools.partial(solver_keywords, args.algo)
+    params = _read_config(keywords, options["opts"]) if "opts" in options else keywords(options)
     if not args.library:
         raise ValueError("--library required")
     spec = {"method": "path", "path": args.transform} if args.transform else None
@@ -121,7 +119,7 @@ def _cmd_unmix(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = _read_config(BenchConfig, args.config)
+    cfg = _read_config(functools.partial(load_config, BenchConfig), args.config)
     report = run_bench(cfg)
     if args.paper_scale:
         write_report_md(report, Path(cfg.output_dir) / "report.md", paper_scale=True)

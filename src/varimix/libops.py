@@ -24,7 +24,8 @@ class SpectralTransform:
     """A linear map W x applied to pixels and library signatures.
 
     ``mask`` keeps the bands with weight 1 (band selection), ``weights``
-    scales bands in place, and ``dense`` applies a full d x L matrix.
+    scales bands in place, and ``dense`` applies a full d x L matrix. One
+    with no output band (a mask that keeps none, no rows) is refused.
     """
 
     kind: str
@@ -47,6 +48,8 @@ class SpectralTransform:
             if np.linalg.matrix_rank(w) < w.shape[0]:
                 raise ValueError("dense transform must have full row rank")
         object.__setattr__(self, "weights", _freeze(w))
+        if self.output_bands == 0:
+            raise ValueError(f"{self.kind} transform has no output band")
 
     @property
     def input_bands(self) -> int:
@@ -116,7 +119,7 @@ def select_stable_bands(
 ) -> SpectralTransform:
     """Band-selection mask keeping the k most stable bands (lowest
     instability index, ties to the lower band index) or every band with
-    index strictly below ``threshold``."""
+    index strictly below ``threshold``; a mask that keeps no band is refused."""
     if (k is None) == (threshold is None):
         raise ValueError("pass exactly one of k / threshold")
     index = instability_index(library)
@@ -129,7 +132,7 @@ def select_stable_bands(
         mask[order[:k]] = 1.0
     else:
         mask[index < threshold] = 1.0
-    if mask.sum() < library.n_classes:
+    if 0 < mask.sum() < library.n_classes:
         warnings.warn("fewer bands than classes: least squares is underdetermined")
     return SpectralTransform("mask", mask)
 

@@ -16,10 +16,10 @@ for solvers that build them in factored form or from library statistics,
 and also take a stack of shared Grams, each with its own rows, in one
 call; both run ``_kernel``, which books each call in the caller's ``QPCounts``.
 ``monotone_loop`` drives the alternating solvers, ``QPCounts`` records a
-solver call phase by phase and builds its log, and ``_chunked_result``
-builds every solver's reconstruction and per-pixel error a block of pixels
-at a time; a solver that emits an endmember field hands the same ``fill``
-to a factored ``EndmemberField``, which builds the field's rows when read.
+solver call phase by phase and builds its log, and ``_result`` builds
+every solver's result: the reconstruction and per-pixel error of the
+model it solved, a block of pixels at a time, and the emitted endmember
+field, factored, whose rows are that model's clamped at zero when read.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class QPCounts:
     unsettled rows summed over its kernel calls, and its phase clock. The
     call is in one phase at a time, ``input`` first; ``phase`` switches,
     and the seconds of each phase sum over its stretches, so the phases
-    partition the call: the kernel books its calls as ``qp``,
-    ``_chunked_result`` switches to ``result``, a solver to its own."""
+    partition the call: the kernel books its calls as ``qp``, ``_result``
+    switches to ``result`` and closes the log, a solver to its own."""
 
     rounds: int = 0
     unsettled_rows: int = 0
@@ -466,15 +466,17 @@ def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.matmul(m, a[:, :, None])[:, :, 0]
 
 
-def _chunked_result(y: np.ndarray, a: np.ndarray, fill, counts: QPCounts):
-    """The reconstruction of emitted abundances ``a``, the summed squared
-    residual (exactly rounded sum of the chunk sums) and ``per_pixel_re``,
-    built ``_CHUNK_ROWS`` pixels at a time, in the phase ``result`` it
-    switches ``counts`` to: ``fill(lo, hi, out)`` writes the endmember field
-    of pixels lo:hi into ``out``, one reused chunk buffer, so the call holds
-    O(chunk) temporaries besides its outputs and keeps no field. A pixel's
-    bits do not depend on the chunk size when ``fill``'s products keep each
-    row's bits. ``fill`` may instead be a shared (L, P) matrix (FCLS)."""
+def _result(y, a, fill, counts: QPCounts, iterations: int, cost=None, flags=(), history=None,
+            converged=True, class_names=None, **fields) -> UnmixingResult:
+    """Every solver's result for simplex abundances ``a``. Its reconstruction,
+    ``per_pixel_re`` and summed squared residual (exactly rounded sum of the
+    chunk sums; the logged cost when ``cost`` is None) are the solved model's
+    own, built ``_CHUNK_ROWS`` pixels at a time in phase ``result``: ``fill(lo,
+    hi, out)`` writes the model's endmembers of pixels lo:hi into one reused
+    buffer (a row's bits do not depend on the chunk size when its products
+    keep them). Its field, the one place an emitted field is clamped, is
+    ``fill`` clamped at zero, built when read; a shared (L, P) matrix as
+    ``fill`` (FCLS) gives none. ``fields`` are the result's own."""
     (n, l), p = y.shape, a.shape[1]
     shared = isinstance(fill, np.ndarray)
     chunk = None if shared else np.empty((min(n, _CHUNK_ROWS), l, p))
@@ -488,7 +490,16 @@ def _chunked_result(y: np.ndarray, a: np.ndarray, fill, counts: QPCounts):
         recon[lo:hi] = reconstruct(fill if shared else chunk[:hi - lo], a[lo:hi])
         total, re[lo:hi] = residual_stats(y[lo:hi], recon[lo:hi])
         sums.append(total)
-    return recon, re, math.fsum(sums)
+
+    def clamped(lo, hi, out):
+        fill(lo, hi, out)
+        np.clip(out, 0.0, None, out=out)
+
+    abundances = AbundanceMap(a, sum_to_one=True, class_names=class_names)
+    log = counts.log(iterations, math.fsum(sums) if cost is None else cost, flags, history,
+                     converged)
+    field = None if shared else EndmemberField.factored((n, l, p), clamped)
+    return UnmixingResult(abundances, re, recon, log, field, **fields)
 
 
 def _row_product(b: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ import warnings
 
 import numpy as np
 
-from ..types import AbundanceMap, DimensionError, SpectralImage
-from .base import QPCounts, UnmixingResult, _chunked_result, fcls_core
+from ..types import DimensionError, SpectralImage
+from .base import QPCounts, UnmixingResult, _result, fcls_core
 
 
 def fcls(image: SpectralImage, matrix: np.ndarray) -> UnmixingResult:
@@ -17,7 +17,7 @@ def fcls(image: SpectralImage, matrix: np.ndarray) -> UnmixingResult:
     are unique when [M; 1'] has rank P, so L = P - 1 bands can suffice;
     below that rank a warning is raised. The result carries no endmember
     field: the baseline does not estimate per-pixel signatures. Its result
-    is built by ``_chunked_result``, so it holds no whole-image residual.
+    is built by ``_result``, so it holds no whole-image residual.
     """
     counts = QPCounts()
     m = np.asarray(matrix, dtype=np.float64)
@@ -29,6 +29,4 @@ def fcls(image: SpectralImage, matrix: np.ndarray) -> UnmixingResult:
     y = image.pixels
     counts.phase("gram")
     a, rounds = fcls_core(y, m, counts)
-    recon, re, cost = _chunked_result(y, a, m, counts)
-    return UnmixingResult(AbundanceMap(a, sum_to_one=True), re, recon,
-                          counts.log(rounds, cost))
+    return _result(y, a, m, counts, rounds)

@@ -1,8 +1,9 @@
 """Per-pixel exhaustive search over library model combinations, in Gram
 space over each class's distinct signatures (``search``): each model is
 a (P, P) block of the statistics, and runs of models go to the kernel
-as one stack of shared Grams per call. The fit is that of the selected
-models' matrices as searched; the emitted field reads a clamped copy.
+as one stack of shared Grams per call. The result, by ``base._result``,
+reports the fit of the selected models' matrices as searched and emits
+them, clamped at zero, as the field.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..types import AbundanceMap, BudgetError, EndmemberField, SpectralImage, SpectralLibrary
-from .base import QPCounts, UnmixingResult, _chunked_result
+from ..types import BudgetError, SpectralImage, SpectralLibrary
+from .base import QPCounts, UnmixingResult, _result
 from .search import distinct_rows, library_stats, subset_search
 
 MODEL_BUDGET = 10**6
@@ -50,8 +51,8 @@ def mesma(
     ``re_threshold`` the blocks start at one model and double),
     ``qp_rounds`` the kernel rounds of the block calls, and ``duplicates``
     the signatures collapsed; ``MODEL_BUDGET`` applies to the library as
-    given. The reconstruction, ``per_pixel_re`` and the logged cost are the
-    selected models' own fit; only the emitted field is clamped at zero.
+    given. The result is built by ``_result``: the reconstruction,
+    ``per_pixel_re`` and the logged cost are the selected models' own fit.
     """
     counts = QPCounts()
     check_mesma(re_threshold)
@@ -76,24 +77,15 @@ def mesma(
     cols, best_a, models_tried = subset_search(gram, ys, yy, models, p, counts, stop, y, distinct)
     best_model = np.stack([keep[cls][cols[:, cls] - offsets[cls]] for cls in range(p)], axis=1)
 
-    # each selected model's (L, P) matrix (index tuples in mixed radix); the field's is clamped
+    # each selected model's (L, P) matrix (index tuples in mixed radix)
     _, first, which = np.unique(np.ravel_multi_index(best_model.T, sizes), return_index=True,
                                 return_inverse=True)
     table = np.stack([s[best_model[first, j]] for j, s in enumerate(sigs)], axis=2)
-    clamped = table.clip(0.0)
 
-    def fill(lo, hi, f, source=clamped):
-        np.take(source, which[lo:hi], axis=0, out=f, mode="clip")    # "raise" buffers
+    def fill(lo, hi, f):
+        np.take(table, which[lo:hi], axis=0, out=f, mode="wrap")    # "raise" buffers
 
-    recon, re, cost = _chunked_result(y, best_a, lambda lo, hi, f: fill(lo, hi, f, table), counts)
-    log = counts.log(models_tried, cost, {
+    return _result(y, best_a, fill, counts, models_tried, flags={
         "models_enumerated": models_tried, "early_stop": re_threshold is not None,
-        "duplicates": sum(sizes) - sum(k.size for k in keep)})
-    return UnmixingResult(
-        abundances=AbundanceMap(best_a, sum_to_one=True, class_names=library.class_names),
-        per_pixel_re=re,
-        reconstruction=recon,
-        solver_log=log,
-        endmembers=EndmemberField.factored((y.shape[0], l, p), fill),
-        selected_model=best_model,
-    )
+        "duplicates": sum(sizes) - sum(k.size for k in keep)},
+        class_names=library.class_names, selected_model=best_model)

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..types import AbundanceMap, DimensionError, EndmemberField, _all_finite, _freeze
-from .base import QPCounts, UnmixingResult, _chunked_result, _row_product, fcls_gram
+from ..types import DimensionError, _all_finite, _freeze
+from .base import QPCounts, UnmixingResult, _result, _row_product, fcls_gram
 
 _RECOMPUTE = 1e-10
 
@@ -149,12 +149,11 @@ class RankOneModel:
 
     def result(self, s: RankOneState, loop: tuple, flags: dict,
                extras: dict) -> UnmixingResult:
-        """The solver's output: the field as factors, whose fill writes a chunk's
-        psi_m_j m0_j + u a_j, clamped, u (zero in a start state) from the pixels
-        (a, psi_m: read-only copies), and its reconstruction by
-        ``_chunked_result``. Its log is ``QPCounts.log`` of ``loop``, the cost
-        history, converged and flags ``monotone_loop`` returns, after ``flags``
-        and the recomputed rows, its phases from the model's making on."""
+        """The solver's output by ``_result``, whose fill writes a chunk's model
+        psi_m_j m0_j + u a_j, u (zero in a start state) from the pixels (a,
+        psi_m: read-only copies), so the residual is lam u. Its log holds
+        ``loop``, the cost history, converged and flags ``monotone_loop``
+        returns, after ``flags`` and the recomputed rows."""
         a, psi_m, start = _freeze(s.a), _freeze(s.psi_m), s.start
         c = self.lam + np.einsum("np,np->n", a, a)
 
@@ -167,13 +166,8 @@ class RankOneModel:
             for j in range(a.shape[1]):
                 np.multiply(psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
                 f[:, :, j] += u * a[lo:hi, j, None]
-            np.clip(f, 0.0, None, out=f)
 
-        recon, re, _ = _chunked_result(self.y, a, fill, self.counts)
         history, converged, loop_flags = loop
-        log = self.counts.log(len(history) - 1, history[-1],
-                              {**flags, "recomputed_rows": self.recomputed_rows, **loop_flags},
-                              history, converged)
-        field = EndmemberField.factored(recon.shape + a.shape[1:], fill)
-        return UnmixingResult(AbundanceMap(a, sum_to_one=True), re, recon, log, field,
-                              extras=extras)
+        return _result(self.y, a, fill, self.counts, len(history) - 1, history[-1],
+                       {**flags, "recomputed_rows": self.recomputed_rows, **loop_flags},
+                       history, converged, extras=extras)

@@ -16,9 +16,8 @@ statistics, are precise to about 1e-8 ||y|| on the RMS error. The greedy
 mode is orthogonal matching pursuit batched over pixels (Batch-OMP,
 Rubinstein, Zibulevsky & Elad 2008) with nonnegative refits. Both emit
 each class's abundance-weighted mean signature per pixel, as factors
-built in chunks of pixels when read; the reconstruction
-(``base._chunked_result``) takes that field unclamped, the emitted
-field is clamped.
+built in chunks of pixels when read; ``base._result`` reconstructs from
+that field and emits it clamped at zero.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..types import AbundanceMap, BudgetError, EndmemberField, SpectralImage, SpectralLibrary
-from .base import (_KKT_TOL, QPCounts, SolverOptions, UnmixingResult, _chunked_result,
-                   _row_product, fcls_gram, nnls_gram)
+from ..types import AbundanceMap, BudgetError, SpectralImage, SpectralLibrary
+from .base import (_KKT_TOL, QPCounts, SolverOptions, UnmixingResult, _result, _row_product,
+                   fcls_gram, nnls_gram)
 from .search import distinct_rows, library_stats, subset_search
 
 _MASS_TOL = 1e-9
@@ -41,14 +40,13 @@ L0_SUPPORT_BUDGET = 10**4
 
 def _class_result(y, raw, library, counts, iterations, flags, cost=None,
                   raw_sum_to_one=False) -> UnmixingResult:
-    """The result of raw library abundances, columns named class:index:
-    each class's mass, normalized over the classes (rows with no mass
-    become uniform, counted before ``flags`` in the log), and the field of
-    each class's abundance-weighted mean signature (the class mean where
-    it has no mass), clamped, kept as factors that read ``raw`` (the
-    caller's own). The reconstruction, by ``_chunked_result``, is taken from
-    the unclamped field; its summed squared residual is the logged cost
-    when ``cost`` is None; the work before it is booked in the caller's phase."""
+    """The result of raw library abundances, by ``_result``, columns named
+    class:index: each class's mass, normalized over the classes (rows with
+    no mass become uniform, counted before ``flags`` in the log), and the
+    field of each class's abundance-weighted mean signature (the class mean
+    where it has no mass), kept as factors that read ``raw`` (the caller's
+    own). Its summed squared residual is the logged cost when ``cost`` is
+    None; the work before it is booked in the caller's phase."""
     bounds = np.cumsum([0, *library.sizes])
     classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     mass = np.stack([raw[:, cols].sum(axis=1) for cols in classes], axis=1)
@@ -57,26 +55,18 @@ def _class_result(y, raw, library, counts, iterations, flags, cost=None,
                           where=total > _MASS_TOL)
     means = [cls.signatures.mean(axis=0) for cls in library.classes]
 
-    def fill(lo, hi, f, clip=True):
+    def fill(lo, hi, f):
         for j, (cols, cls) in enumerate(zip(classes, library.classes)):
             safe = mass[lo:hi, j, None] > _MASS_TOL
             np.divide(_row_product(raw[lo:hi, cols], cls.signatures), mass[lo:hi, j, None],
                       out=f[:, :, j], where=safe)
             np.copyto(f[:, :, j], means[j], where=~safe)
-        if clip:
-            np.clip(f, 0.0, None, out=f)
 
-    recon, re, fit = _chunked_result(y, collapsed, lambda lo, hi, f: fill(lo, hi, f, False), counts)
     names = tuple(f"{cls.name}:{i}" for cls in library.classes for i in range(cls.size))
-    return UnmixingResult(
-        abundances=AbundanceMap(collapsed, sum_to_one=True, class_names=library.class_names),
-        per_pixel_re=re,
-        reconstruction=recon,
-        solver_log=counts.log(iterations, fit if cost is None else cost,
-                              {"uniform_rows": int(np.sum(total <= _MASS_TOL)), **flags}),
-        endmembers=EndmemberField.factored(y.shape + (library.n_classes,), fill),
-        raw_abundances=AbundanceMap(raw, sum_to_one=raw_sum_to_one, class_names=names),
-    )
+    return _result(y, collapsed, fill, counts, iterations, cost,
+                   {"uniform_rows": int(np.sum(total <= _MASS_TOL)), **flags},
+                   class_names=library.class_names,
+                   raw_abundances=AbundanceMap(raw, sum_to_one=raw_sum_to_one, class_names=names))
 
 
 def kkt_residual_l1(y: np.ndarray, m: np.ndarray, a: np.ndarray, lam: float):

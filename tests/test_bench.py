@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,6 +211,16 @@ class TestRunBench:
         assert report.rows["bad"].n_failed == 2
         # failure records carry the seed for standalone reproduction
         assert report.metadata["failed_cells"][0]["seed"] == 100
+
+    def test_transform_with_no_output_band_fails_each_cell(self, tmp_path):
+        roster = (RosterEntry("fcls", "fcls", library_source="truth-variants"),)
+        cfg = replace(_tiny_bench_cfg(tmp_path, n_mc=1, roster=roster),
+                      transform={"method": "mask", "threshold": 0.0})
+        report = run_bench(cfg)
+        assert report.metadata["failed_cells"] == [{
+            "run": 0, "algorithm": "fcls", "seed": 100,
+            "error": "ValueError: mask transform has no output band"}]
+        assert report.rows["fcls"].n_failed == 1
 
     def test_config_round_trip_from_json(self, tmp_path):
         cfg = _tiny_bench_cfg(tmp_path)

@@ -10,7 +10,7 @@ from varimix.cli import build_parser, main
 from varimix.extraction import BundleExtractionConfig, extract_bundles
 from varimix.io import load_abundances, load_library, resolve_image, save_image, save_library
 from varimix.synth import synthetic_base_spectra
-from varimix.types import DegenerateGeometryWarning, SpectralImage
+from varimix.types import DegenerateGeometryWarning, SpectralImage, SpectralLibrary
 
 
 def _scene_config(tmp_path, height=12, width=12, bands=24):
@@ -86,6 +86,26 @@ def test_extract_prune_transform_unmix_pipeline(scene_dir):
     assert main(["unmix", "--image", scene, "--algo", "fcls",
                  "--library", pruned, "--transform", tjson, "--out", out2]) == 0
     assert load_abundances(scene_dir / "fcls_out" / "abundances.csv").n_classes == 3
+
+
+def test_transform_with_no_output_band_exits_2_and_writes_nothing(scene_dir, capsys):
+    # a threshold no band's instability index is below keeps no band
+    rng = np.random.default_rng(0)
+    lib = scene_dir / "lib.csv"
+    save_library(SpectralLibrary.from_arrays(
+        "abc", [rng.uniform(0.1, 1.0, size=(4, 24)) for _ in range(3)]), lib)
+    tjson = scene_dir / "t.json"
+    assert main(["transform", "--library", str(lib), "--method", "mask", "--threshold", "0",
+                 "--out", str(tjson)]) == 2
+    assert capsys.readouterr().err == "error: mask transform has no output band\n"
+    assert not tjson.exists()
+    tjson.write_text(json.dumps({"kind": "mask", "weights": [0.0] * 24}) + "\n")
+    out = scene_dir / "out"
+    assert main(["unmix", "--image", str(scene_dir / "scene"), "--algo", "fcls", "--library",
+                 str(lib), "--transform", str(tjson), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {tjson}: not a valid transform file "
+                                       "(mask transform has no output band)\n")
+    assert not out.exists()
 
 
 def test_unmix_with_opts_json_and_fda(scene_dir):

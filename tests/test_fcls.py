@@ -147,8 +147,8 @@ def test_residual_stats_match_the_two_pass_formulas_bit_for_bit(shape):
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
-def test_chunked_result_matches_the_whole_image_bit_for_bit(n):
-    # FCLS builds its result 256 pixels at a time; each row keeps the bits
+def test_result_matches_the_whole_image_bit_for_bit(n):
+    # ``_result`` builds FCLS's result 256 pixels at a time; each row keeps the bits
     # of the whole-image reconstruction and residual
     rng = np.random.default_rng(n)
     m = rng.uniform(0.05, 1.0, size=(40, 3))

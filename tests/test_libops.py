@@ -18,7 +18,7 @@ from varimix.libops import (
 )
 from varimix.metrics import pairwise_angles
 from varimix.solvers import fcls
-from varimix.types import SpectralImage, SpectralLibrary
+from varimix.types import FormatError, SpectralImage, SpectralLibrary
 
 from conftest import make_scene
 from oracles import music_residual_oracle
@@ -112,6 +112,12 @@ class TestSelectStableBands:
         lib = self._lib(rng)
         with pytest.warns(UserWarning):
             select_stable_bands(lib, k=2)
+
+    def test_threshold_that_keeps_no_band_is_refused_without_a_warning(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^mask transform has no output band$"):
+                select_stable_bands(self._lib(rng), threshold=0.0)
 
 
 class TestFda:
@@ -447,3 +453,13 @@ class TestTransformFile:
         assert np.array_equal(t.apply(x), x @ w.T)
         assert json.loads(t.to_json(tmp_path / "new.json").read_text()) == \
             {"kind": "dense", "weights": w.tolist()}
+
+    def test_transform_with_no_output_band_is_refused(self, tmp_path):
+        for kind, w in (("mask", np.zeros(4)), ("weights", np.zeros(0)),
+                        ("dense", np.zeros((0, 4)))):
+            with pytest.raises(ValueError, match=f"^{kind} transform has no output band$"):
+                SpectralTransform(kind, w)
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"kind": "mask", "weights": [0.0] * 4}) + "\n")
+        with pytest.raises(FormatError, match="mask transform has no output band"):
+            SpectralTransform.from_json(path)

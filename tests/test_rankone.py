@@ -6,8 +6,9 @@ rows the statistics cannot resolve must be recomputed from the pixel;
 the DCT scaling step and the stencil smoothness term must equal their
 sparse-Laplacian forms; the solvers must follow the dense alternating
 references in ``tests/oracles.py``; every abundance step must meet its
-KKT conditions against the dense matrix it was solved for;
-``monotone_loop`` must stop at a cost rise; every solver's log must time
+KKT conditions against the dense matrix it was solved for; their
+reported fit must be the loop's own; ``monotone_loop`` must stop at a
+cost rise; every solver's log must time
 its kernel calls and result assembly, within its wall time; and the
 results of every solver that emits a field, these two and the library
 solvers, must not depend on the size of the pixel chunks the field is
@@ -254,9 +255,10 @@ def test_field_is_the_broadcast_field_bit_for_bit(seed, n, l, p, floor, zeros):
     model = RankOneModel(y, m0, 0.7)
     for state in (model.start(a, s.psi_m), model.update(a, s.psi_m)):
         res = model.result(state, ((0.0,), True, {}), {}, {})
-        field = np.clip(_dense(m0, state, _u(y, m0, 0.7, state)), 0.0, None)
-        assert np.array_equal(res.endmembers.data, field)
-        recon = reconstruct(field, res.abundances.data)
+        # the emitted field is clamped; the reconstruction is the model's own
+        dense = _dense(m0, state, _u(y, m0, 0.7, state))
+        assert np.array_equal(res.endmembers.data, np.clip(dense, 0.0, None))
+        recon = reconstruct(dense, res.abundances.data)
         assert np.array_equal(res.reconstruction, recon)
         assert np.array_equal(res.per_pixel_re, residual_stats(y, recon)[1])
 
@@ -372,6 +374,32 @@ def test_log_is_the_loop_outcome(monkeypatch, solver):
     assert log.iterations == len(history) - 1
     assert log.converged == (converged and log.flags["unsettled_rows"] == 0)
     assert flags.items() <= log.flags.items()
+
+
+@pytest.mark.parametrize("module, solver, opts, lam", [
+    (elmm_module, elmm_unmix, SolverOptions(max_iters=10, lambda_m=0.5, lambda_psi=0.5), 0.5),
+    (plmm_module, plmm_unmix, SolverOptions(max_iters=10, gamma_plmm=0.5), 0.5),
+], ids=["elmm", "plmm"])
+def test_reported_fit_is_the_models_own(monkeypatch, module, solver, opts, lam):
+    # per_pixel_re is the residual lam u of the solved model, whose squared
+    # norm the state keeps as its fit, even where the emitted field is clamped
+    rng = np.random.default_rng(2)
+    m0 = rng.uniform(0.02, 1.0, size=(30, 3))
+    y = rng.dirichlet(np.ones(3), size=42) @ m0.T + rng.normal(0.0, 0.05, size=(42, 30))
+    outcomes = []
+
+    def loop(*args):
+        outcomes.append(monotone_loop(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(module, "monotone_loop", loop)
+    res = solver(SpectralImage(y.reshape(6, 7, 30)), m0, opts)
+    state = outcomes[0][0]
+    assert not state.start and np.array_equal(state.fit, lam**2 * state.uu)
+    assert np.any(_dense(m0, state, _u(y, m0, lam, state)) < 0.0)
+    # the statistics round to about eps ||y||^2 per pixel
+    assert np.all(np.abs(30 * res.per_pixel_re**2 - state.fit)
+                  <= 1e-8 * np.einsum("nl,nl->n", y, y))
 
 
 SOLVER_FNS = [fcls, mesma, sparse_su_l1, sparse_su_l0, elmm_unmix, plmm_unmix]
