@@ -9,9 +9,10 @@
 # (prune --method count with --subspace-dim, transform --method weights with
 # --bands), a missing input (unmix without --library, prune --method music
 # without --image), a retired option (an --opts file with `rho`), a mask that
-# keeps no band (transform --method mask --threshold 0) and an image payload
-# holding a NaN each end in one `error:` line on stderr, exit code 2 and no
-# new file.
+# keeps no band (transform --method mask --threshold 0), band weights of which
+# none is positive (transform --method weights on a library whose class means
+# agree) and an image payload holding a NaN each end in one `error:` line on
+# stderr, exit code 2 and no new file.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -118,6 +119,12 @@ refused 'error: --bands does not apply to --method weights' \
     python -m varimix transform --library lib.csv --method weights --bands 0 --out refused.json
 refused 'error: mask transform has no output band' \
     python -m varimix transform --library lib.csv --method mask --threshold 0 --out refused.json
+# two classes holding the same two signatures in swapped order: their means agree
+python -c "from varimix.io import load_library, save_library; \
+from varimix.types import SpectralLibrary; s = load_library('base.csv').class_means()[:2]; \
+save_library(SpectralLibrary.from_arrays('ab', [s, s[::-1]]), 'same_means.csv')"
+refused 'error: weights transform has no positive weight' \
+    python -m varimix transform --library same_means.csv --method weights --out refused.json
 
 # the same bytes on every run, so two runs' directories still compare equal
 python -c "import numpy as np; from varimix.io import save_image; \

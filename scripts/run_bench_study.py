@@ -5,8 +5,8 @@ variability modes at 30 dB, 10 Monte Carlo repetitions.
 Writes everything under --out (default bench_out/): report.csv,
 report.md, per-run artifact trees, and bench_config.json, the full
 config, so `varimix bench --config <out>/bench_config.json` reruns the
-study. Rerunning with the same arguments reproduces the CSVs byte for
-byte.
+study; then prints report.md. Rerunning with the same arguments
+reproduces the CSVs byte for byte.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from varimix.bench import BenchConfig, RosterEntry, run_bench, write_report_md
+from varimix.bench import BenchConfig, RosterEntry, run_bench
 from varimix.extraction import BundleExtractionConfig
 from varimix.io import save_library
 from varimix.synth import (
@@ -88,16 +88,9 @@ def main() -> int:
     (out_dir / "bench_config.json").write_text(json.dumps(asdict(cfg), indent=1))
 
     start = time.time()
-    report = run_bench(cfg)
-    if args.paper_scale:
-        write_report_md(report, out_dir / "report.md", paper_scale=True)
+    report = run_bench(cfg, paper_scale=args.paper_scale)
     print(f"finished in {time.time() - start:.0f}s")
-    for name, row in report.rows.items():
-        rm = "--" if row.rmse_m_mean is None else f"{row.rmse_m_mean:.4f}"
-        sm = "--" if row.sam_m_mean is None else f"{row.sam_m_mean:.4f}"
-        print(f"  {name:10s} RMSE_A={row.rmse_a_mean:.4f} RMSE_M={rm} "
-              f"SAM_M={sm} RMSE_Y={row.rmse_y_mean:.4f} "
-              f"time={row.runtime_mean:.1f}s")
+    print((out_dir / "report.md").read_text(), end="")
     failed = report.metadata["failed_cells"]
     print(f"report: {out_dir / 'report.md'} ({len(failed)} failed cells)")
     return 0 if not failed else 1

@@ -46,6 +46,7 @@ from .types import (
 )
 
 _CSV_FMT = "%.17g"
+_METRICS = ("rmse_A", "rmse_M", "sam_M", "rmse_Y")     # eval_result's scores, in report order
 
 
 def solver_keywords(algo: str, options: dict) -> dict:
@@ -226,14 +227,10 @@ def _run_entry(entry: RosterEntry, cfg: BenchConfig, truth: SceneTruth, libs: _R
                                clean_pixels=clean_pixels)
 
 
-def _aggregate(values: list) -> tuple[Optional[float], Optional[float]]:
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return None, None
-    return float(np.mean(vals)), float(np.median(vals))
-
-
-def run_bench(cfg: BenchConfig) -> BenchReport:
+def run_bench(cfg: BenchConfig, paper_scale: bool = False) -> BenchReport:
+    """Run the bench; write ``report.csv`` and, once, ``report.md`` (RMSE
+    scaled by 1e4 with ``paper_scale``) from each ``_METRICS`` score's mean
+    and median over the runs that computed it, ``None`` if none did."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     # the digest names the scene: the library enters by its bytes, float fields as floats
@@ -269,43 +266,32 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         "class_alignment": "hungarian assignment on mean-signature angles, per run",
     })
     for entry in cfg.roster:
-        rows = cells[entry.name]
-        if not rows:
-            report.rows[entry.name] = MetricRow(
-                rmse_a_mean=float("nan"), rmse_a_median=float("nan"),
-                rmse_y_mean=float("nan"), rmse_y_median=float("nan"),
-                n_failed=cfg.n_monte_carlo,
-            )
-            continue
-        stats = {}
-        for key in ("rmse_A", "rmse_Y", "rmse_M", "sam_M"):
-            col = key.lower()
-            stats[col + "_mean"], stats[col + "_median"] = _aggregate([r[key] for r in rows])
+        rows, stats = cells[entry.name], {}
+        for key in _METRICS:
+            vals = [r[key] for r in rows if r[key] is not None]
+            if vals:
+                stats[key.lower() + "_mean"] = float(np.mean(vals))
+                stats[key.lower() + "_median"] = float(np.median(vals))
         report.rows[entry.name] = MetricRow(
-            **stats, runtime_mean=float(np.mean([r["runtime"] for r in rows])),
+            **stats, runtime_mean=float(np.mean([r["runtime"] for r in rows] or [0.0])),
             n_failed=cfg.n_monte_carlo - len(rows),
         )
 
     _write_report_csv(report, out / "report.csv")
-    write_report_md(report, out / "report.md")
+    _write_report_md(report, out / "report.md", paper_scale)
     return report
 
 
-def _fmt(v: Optional[float]) -> str:
-    return "" if v is None else _CSV_FMT % v
-
-
 def _write_report_csv(report: BenchReport, path: Path):
-    cols = ["algorithm", "rmse_a_mean", "rmse_a_median", "rmse_m_mean", "rmse_m_median",
-            "sam_m_mean", "sam_m_median", "rmse_y_mean", "rmse_y_median", "n_failed"]
-    lines = [",".join(cols)]
+    cols = [f"{key.lower()}_{stat}" for key in _METRICS for stat in ("mean", "median")]
+    lines = [",".join(["algorithm", *cols, "n_failed"])]
     for name, row in report.rows.items():
-        values = [_fmt(getattr(row, c)) for c in cols[1:-1]]
-        lines.append(",".join([name, *values, str(row.n_failed)]))
+        cells = ["" if v is None else _CSV_FMT % v for v in (getattr(row, c) for c in cols)]
+        lines.append(",".join([name, *cells, str(row.n_failed)]))
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_report_md(report: BenchReport, path, paper_scale: bool = False):
+def _write_report_md(report: BenchReport, path: Path, paper_scale: bool):
     scale = 1e4 if paper_scale else 1.0
     note = " (RMSE columns scaled by 1e4)" if paper_scale else ""
     lines = [
@@ -315,24 +301,17 @@ def write_report_md(report: BenchReport, path, paper_scale: bool = False):
         f"Scene digest: `{report.metadata.get('scene_digest', '')}`;"
         f" seeds: {report.metadata.get('seeds', [])}.",
         "",
-        "| Algorithm | RMSE_A | RMSE_M | SAM_M | RMSE_Y | Time [s] |",
-        "|---|---|---|---|---|---|",
+        f"| Algorithm | {' | '.join(_METRICS).upper()} | Time [s] |",
+        "|---" * (len(_METRICS) + 2) + "|",
     ]
-
-    def cell(v, scaled=True):
-        if v is None or (isinstance(v, float) and np.isnan(v)):
-            return "--"
-        return f"{v * (scale if scaled else 1.0):.4g}"
-
     for name, row in report.rows.items():
-        lines.append(
-            f"| {name} | {cell(row.rmse_a_mean)} | {cell(row.rmse_m_mean)} | "
-            f"{cell(row.sam_m_mean, scaled=False)} | {cell(row.rmse_y_mean)} | "
-            f"{row.runtime_mean:.2f} |"
-        )
+        means = {key: getattr(row, key.lower() + "_mean") for key in _METRICS}
+        cells = ["--" if v is None else f"{v * (scale if key.startswith('rmse') else 1.0):.4g}"
+                 for key, v in means.items()]
+        lines.append(f"| {name} | {' | '.join(cells)} | {row.runtime_mean:.2f} |")
     failed = report.metadata.get("failed_cells", [])
     if failed:
         lines += ["", f"Failed cells: {len(failed)}"]
         for f in failed:
             lines.append(f"- run {f['run']}, {f['algorithm']} (seed {f['seed']}): {f['error']}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")

@@ -27,7 +27,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .bench import BenchConfig, run_bench, run_solver, solver_keywords, write_report_md
+from .bench import BenchConfig, run_bench, run_solver, solver_keywords
 from .extraction import BundleExtractionConfig, extract_bundles
 from .io import load_config, load_library, resolve_image, save_library, save_result, save_scene
 from .libops import METHODS, build_transform, prune
@@ -120,9 +120,7 @@ def _cmd_unmix(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _read_config(functools.partial(load_config, BenchConfig), args.config)
-    report = run_bench(cfg)
-    if args.paper_scale:
-        write_report_md(report, Path(cfg.output_dir) / "report.md", paper_scale=True)
+    report = run_bench(cfg, paper_scale=args.paper_scale)
     failed = report.metadata.get("failed_cells", [])
     print(f"bench finished: {len(report.rows)} algorithms, "
           f"{len(report.metadata['seeds'])} runs, {len(failed)} failed cells")

@@ -181,6 +181,7 @@ def save_abundances(abundances: AbundanceMap, path, digests: Optional[dict] = No
 
 
 def load_abundances(path, sum_to_one: bool = True) -> AbundanceMap:
+    """Read an abundance CSV; a file that is no valid map raises ``FormatError``."""
     p = Path(path)
     lines = p.read_text().splitlines()
     if not lines:
@@ -196,7 +197,10 @@ def load_abundances(path, sum_to_one: bool = True) -> AbundanceMap:
         raise FormatError(f"{p}: non-numeric abundance value") from exc
     if data.ndim != 2 or data.shape[1] != len(names):
         raise FormatError(f"{p}: rows do not match the {len(names)}-column header")
-    return AbundanceMap(data, sum_to_one=sum_to_one, class_names=names)
+    try:
+        return AbundanceMap(data, sum_to_one=sum_to_one, class_names=names)
+    except ValueError as exc:           # the map's value checks
+        raise FormatError(f"{p}: {exc}") from exc
 
 
 def save_endmember_field(field: EndmemberField, path, digests: Optional[dict] = None) -> Path:

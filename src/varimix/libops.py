@@ -25,7 +25,8 @@ class SpectralTransform:
 
     ``mask`` keeps the bands with weight 1 (band selection), ``weights``
     scales bands in place, and ``dense`` applies a full d x L matrix. One
-    with no output band (a mask that keeps none, no rows) is refused.
+    with no output band (a mask that keeps none, no rows) is refused, and
+    so are weights of which none is positive (they map every pixel to 0).
     """
 
     kind: str
@@ -50,6 +51,8 @@ class SpectralTransform:
         object.__setattr__(self, "weights", _freeze(w))
         if self.output_bands == 0:
             raise ValueError(f"{self.kind} transform has no output band")
+        if self.kind == "weights" and not np.any(self.weights > 0):
+            raise ValueError("weights transform has no positive weight")
 
     @property
     def input_bands(self) -> int:

@@ -333,13 +333,13 @@ class SceneTruth:
 
 @dataclass
 class MetricRow:
-    """Per-algorithm summary over Monte Carlo runs; endmember metrics stay
-    None for algorithms that do not emit an EndmemberField."""
+    """Per-algorithm summary over Monte Carlo runs; a score that no run
+    computed (no EndmemberField, or every run failed) stays None."""
 
-    rmse_a_mean: float
-    rmse_a_median: float
-    rmse_y_mean: float
-    rmse_y_median: float
+    rmse_a_mean: Optional[float] = None
+    rmse_a_median: Optional[float] = None
+    rmse_y_mean: Optional[float] = None
+    rmse_y_median: Optional[float] = None
     rmse_m_mean: Optional[float] = None
     rmse_m_median: Optional[float] = None
     sam_m_mean: Optional[float] = None
@@ -350,7 +350,7 @@ class MetricRow:
 
 @dataclass
 class BenchReport:
-    """Benchmark results table plus run metadata (seed list, config digest)."""
+    """One MetricRow per roster entry plus run metadata (seeds, scene digest)."""
 
     rows: dict = field(default_factory=dict)       # algorithm name -> MetricRow
     metadata: dict = field(default_factory=dict)

@@ -21,7 +21,7 @@ from varimix.synth import (
     VariabilityConfig,
     synthetic_base_spectra,
 )
-from varimix.types import AbundanceMap, EndmemberField
+from varimix.types import AbundanceMap, EndmemberField, SpectralLibrary
 
 from conftest import make_scene
 
@@ -113,6 +113,14 @@ def _tiny_bench_cfg(tmp_path, n_mc=2, roster=None):
     )
 
 
+# FCLS emits no field; sparse L0 with a support larger than the library fails every run
+_ROSTER_WITH_FAILURE = (
+    RosterEntry("fcls", "fcls"),
+    RosterEntry("mesma-true", "mesma", library_source="truth-variants"),
+    RosterEntry("bad", "sparse-l0", library_source="truth-variants", options={"k": 500}),
+)
+
+
 class TestRunBench:
     def test_exact_inversion_row(self, tmp_path):
         base = synthetic_base_spectra(24, 3, seed=7)
@@ -198,6 +206,43 @@ class TestRunBench:
         assert (tmp_path / "out" / "runs" / "0" / "fcls" /
                 "abundances.csv").read_bytes() == abunds1
 
+    def test_report_csv_bytes(self, tmp_path):
+        # fcls leaves the field scores empty; an entry that fails in every
+        # run leaves every score empty
+        report = run_bench(_tiny_bench_cfg(tmp_path, n_mc=2, roster=_ROSTER_WITH_FAILURE))
+        fcls, mesma = report.rows["fcls"], report.rows["mesma-true"]
+
+        def cells(*values):
+            return ",".join("%.17g" % v for v in values)
+
+        assert (tmp_path / "out" / "report.csv").read_text() == (
+            "algorithm,rmse_a_mean,rmse_a_median,rmse_m_mean,rmse_m_median,"
+            "sam_m_mean,sam_m_median,rmse_y_mean,rmse_y_median,n_failed\n"
+            f"fcls,{cells(fcls.rmse_a_mean, fcls.rmse_a_median)},,,,,"
+            f"{cells(fcls.rmse_y_mean, fcls.rmse_y_median)},0\n"
+            f"mesma-true,{cells(mesma.rmse_a_mean, mesma.rmse_a_median, mesma.rmse_m_mean)},"
+            f"{cells(mesma.rmse_m_median, mesma.sam_m_mean, mesma.sam_m_median)},"
+            f"{cells(mesma.rmse_y_mean, mesma.rmse_y_median)},0\n"
+            "bad,,,,,,,,,2\n")
+
+    def test_report_md_paper_scale(self, tmp_path):
+        cfg = _tiny_bench_cfg(tmp_path, n_mc=1, roster=_ROSTER_WITH_FAILURE)
+        report = run_bench(cfg, paper_scale=True)
+        md = (tmp_path / "out" / "report.md").read_text().splitlines()
+        assert md[0] == "# Benchmark report (RMSE columns scaled by 1e4)"
+        assert "| Algorithm | RMSE_A | RMSE_M | SAM_M | RMSE_Y | Time [s] |" in md
+        fcls, mesma = report.rows["fcls"], report.rows["mesma-true"]
+        assert (f"| fcls | {fcls.rmse_a_mean * 1e4:.4g} | -- | -- | "
+                f"{fcls.rmse_y_mean * 1e4:.4g} | {fcls.runtime_mean:.2f} |") in md
+        assert (f"| mesma-true | {mesma.rmse_a_mean * 1e4:.4g} | {mesma.rmse_m_mean * 1e4:.4g} | "
+                f"{mesma.sam_m_mean:.4g} | {mesma.rmse_y_mean * 1e4:.4g} | "
+                f"{mesma.runtime_mean:.2f} |") in md
+        assert "| bad | -- | -- | -- | -- | 0.00 |" in md
+        run_bench(cfg)
+        md = (tmp_path / "out" / "report.md").read_text().splitlines()
+        assert md[0] == "# Benchmark report"
+        assert any(ln.startswith(f"| fcls | {fcls.rmse_a_mean:.4g} | -- | -- |") for ln in md)
+
     def test_failed_cell_continues(self, tmp_path):
         roster = (
             RosterEntry("fcls", "fcls"),
@@ -220,6 +265,28 @@ class TestRunBench:
         assert report.metadata["failed_cells"] == [{
             "run": 0, "algorithm": "fcls", "seed": 100,
             "error": "ValueError: mask transform has no output band"}]
+        assert report.rows["fcls"].n_failed == 1
+
+    def test_weights_transform_with_no_positive_weight_fails_each_cell(self, tmp_path):
+        base = synthetic_base_spectra(24, 2, seed=7)
+        save_library(base, tmp_path / "base.csv")
+        # two classes holding the same two signatures, so their means agree
+        sigs = base.class_means()
+        save_library(SpectralLibrary.from_arrays("ab", [sigs, sigs[::-1]]), tmp_path / "same.csv")
+        scene = SceneConfig(
+            height=4, width=4, base_library=str(tmp_path / "base.csv"),
+            abundance=AbundanceFieldConfig(generator="dirichlet", alpha=(1, 1)),
+            variability=VariabilityConfig(class_modes=(
+                ClassVariability("none"), ClassVariability("none")), n_variants=1))
+        cfg = BenchConfig(
+            scene=scene, transform={"method": "weights"},
+            roster=(RosterEntry("fcls", "fcls", library_source="file",
+                                library_path=str(tmp_path / "same.csv")),),
+            master_seed=100, output_dir=str(tmp_path / "out"))
+        report = run_bench(cfg)
+        assert report.metadata["failed_cells"] == [{
+            "run": 0, "algorithm": "fcls", "seed": 100,
+            "error": "ValueError: weights transform has no positive weight"}]
         assert report.rows["fcls"].n_failed == 1
 
     def test_config_round_trip_from_json(self, tmp_path):

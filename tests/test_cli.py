@@ -108,6 +108,18 @@ def test_transform_with_no_output_band_exits_2_and_writes_nothing(scene_dir, cap
     assert not out.exists()
 
 
+def test_weights_transform_with_equal_class_means_exits_2_and_writes_nothing(tmp_path, capsys):
+    # two classes holding the same two signatures in swapped order
+    sigs = np.random.default_rng(0).uniform(0.1, 1.0, size=(2, 10))
+    lib = tmp_path / "lib.csv"
+    save_library(SpectralLibrary.from_arrays("ab", [sigs, sigs[::-1]]), lib)
+    tjson = tmp_path / "t.json"
+    assert main(["transform", "--library", str(lib), "--method", "weights",
+                 "--out", str(tjson)]) == 2
+    assert capsys.readouterr().err == "error: weights transform has no positive weight\n"
+    assert not tjson.exists()
+
+
 def test_unmix_with_opts_json_and_fda(scene_dir):
     scene = str(scene_dir / "scene")
     lib = str(scene_dir / "lib2.csv")

@@ -238,6 +238,19 @@ def test_endmember_field_written_as_image(tmp_path, rng):
     assert _same_bits(load_endmember_field(header, 5).data, field.data)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("nan,1.0", "AbundanceMap.data contains NaN/Inf values"),
+    ("-0.001,1.001", "abundance below -1e-09 (not clampable noise)"),
+    ("0.5,0.6", "abundance row sum deviates from 1 by more than 1e-6"),
+])
+def test_abundances_refused_by_the_map_name_the_file(tmp_path, row, message):
+    path = tmp_path / "a.csv"
+    path.write_text(f"a,b\n0.5,0.5\n{row}\n")
+    with pytest.raises(FormatError) as info:
+        load_abundances(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_abundances_ragged_row(tmp_path):
     (tmp_path / "a.csv").write_text("a,b\n0.5,0.5\n1.0\n")
     with pytest.raises(FormatError, match="row 2 has 1 values, header has 2"):

@@ -463,3 +463,16 @@ class TestTransformFile:
         path.write_text(json.dumps({"kind": "mask", "weights": [0.0] * 4}) + "\n")
         with pytest.raises(FormatError, match="mask transform has no output band"):
             SpectralTransform.from_json(path)
+
+    def test_weights_with_no_positive_weight_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="^weights transform has no positive weight$"):
+            SpectralTransform("weights", np.zeros(4))
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"kind": "weights", "weights": [0.0] * 4}) + "\n")
+        with pytest.raises(FormatError, match="weights transform has no positive weight"):
+            SpectralTransform.from_json(path)
+        # class means that agree in every band give every band an infinite index
+        sigs = np.random.default_rng(0).uniform(0.1, 1.0, size=(2, 10))
+        lib = SpectralLibrary.from_arrays("ab", [sigs, sigs[::-1]])
+        with pytest.raises(ValueError, match="^weights transform has no positive weight$"):
+            instability_weights(lib)
