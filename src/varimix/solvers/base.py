@@ -467,27 +467,32 @@ def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _result(y, a, fill, counts: QPCounts, iterations: int, cost=None, flags=(), history=None,
-            converged=True, class_names=None, **fields) -> UnmixingResult:
+            converged=True, class_names=None, fit=None, **fields) -> UnmixingResult:
     """Every solver's result for simplex abundances ``a``. Its reconstruction,
     ``per_pixel_re`` and summed squared residual (exactly rounded sum of the
     chunk sums; the logged cost when ``cost`` is None) are the solved model's
-    own, built ``_CHUNK_ROWS`` pixels at a time in phase ``result``: ``fill(lo,
-    hi, out)`` writes the model's endmembers of pixels lo:hi into one reused
-    buffer (a row's bits do not depend on the chunk size when its products
-    keep them). Its field, the one place an emitted field is clamped, is
-    ``fill`` clamped at zero, built when read; a shared (L, P) matrix as
-    ``fill`` (FCLS) gives none. ``fields`` are the result's own."""
+    own, built ``_CHUNK_ROWS`` pixels at a time in phase ``result`` by ``fit(lo,
+    hi, out)``, which writes the model's fitted pixels lo:hi (a row's bits do
+    not depend on the chunk size when its products keep them); by default, the
+    shared (L, P) matrix ``fill`` (FCLS) or the endmembers ``fill(lo, hi, out)``
+    writes into one reused buffer, times ``a``. Its field, the one place an
+    emitted field is clamped, is ``fill`` clamped at zero, built only when
+    read; FCLS's gives none. ``fields`` are the result's own."""
     (n, l), p = y.shape, a.shape[1]
     shared = isinstance(fill, np.ndarray)
-    chunk = None if shared else np.empty((min(n, _CHUNK_ROWS), l, p))
+    if fit is None:
+        chunk = None if shared else np.empty((min(n, _CHUNK_ROWS), l, p))
+
+        def fit(lo, hi, out):
+            if not shared:
+                fill(lo, hi, chunk[:hi - lo])
+            out[:] = reconstruct(fill if shared else chunk[:hi - lo], a[lo:hi])
     recon, re = np.empty((n, l)), np.empty(n)
     sums = []
     counts.phase("result")
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
-        if not shared:
-            fill(lo, hi, chunk[:hi - lo])
-        recon[lo:hi] = reconstruct(fill if shared else chunk[:hi - lo], a[lo:hi])
+        fit(lo, hi, recon[lo:hi])
         total, re[lo:hi] = residual_stats(y[lo:hi], recon[lo:hi])
         sums.append(total)
 

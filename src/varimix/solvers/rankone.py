@@ -21,12 +21,12 @@ abundances on M0, solved from G0 and Y M0, unit scalings and u = 0
 abundance step is one kernel call on the per-pixel Gram matrices, which
 settles most pixels in its first round, on the full face.
 
-The image is thus read only by ``__init__``, for the rows fitted to
-within ``_RECOMPUTE``, and by the field's ``fill`` (``result``), which
-takes u from the pixels, for the reconstruction and for each read of
-the emitted field. Products of pixel rows with M0 or G0 are taken by
-``_row_product``, so a lone pixel's PLMM result has the bits that pixel
-gets in a larger image.
+The image is thus read only by ``__init__``, for the rows fitted to within
+``_RECOMPUTE``, and by ``result``, which takes u from the pixels for the fit
+M_n a_n = M0 b_n + ||a_n||^2 u_n, filling no field, and for each read of the
+emitted field. Products of pixel rows with M0 or G0 are taken by
+``_row_product``, so a lone pixel's PLMM result has the bits that pixel gets
+in a larger image.
 """
 
 from __future__ import annotations
@@ -149,20 +149,30 @@ class RankOneModel:
 
     def result(self, s: RankOneState, loop: tuple, flags: dict,
                extras: dict) -> UnmixingResult:
-        """The solver's output by ``_result``, whose fill writes a chunk's model
-        psi_m_j m0_j + u a_j, u (zero in a start state) from the pixels (a,
-        psi_m: read-only copies), so the residual is lam u. Its log holds
-        ``loop``, the cost history, converged and flags ``monotone_loop``
+        """The solver's output by ``_result``. Its fit, the closed form M_n a_n =
+        M0 (psi_m * a) + ||a||^2 u with residual lam u, fills no field; the
+        field's fill writes psi_m_j m0_j + u a_j when read. Both take u (zero in
+        a start state) from the pixels (a, psi_m: read-only copies). Its log
+        holds ``loop``, the cost history, converged and flags ``monotone_loop``
         returns, after ``flags`` and the recomputed rows."""
         a, psi_m, start = _freeze(s.a), _freeze(s.psi_m), s.start
-        c = self.lam + np.einsum("np,np->n", a, a)
+        aa = np.einsum("np,np->n", a, a)
+
+        def direction(lo, hi, u):
+            """M0 (psi_m * a) of pixels lo:hi; their u is written to ``u``."""
+            m0b = _row_product(psi_m[lo:hi] * a[lo:hi], self.m0.T)
+            np.subtract(m0b if start else self.y[lo:hi], m0b, out=u)      # start: u = 0
+            u /= self.lam + aa[lo:hi, None]
+            return m0b
+
+        def fit(lo, hi, out):
+            m0b = direction(lo, hi, out)
+            out *= aa[lo:hi, None]
+            out += m0b
 
         def fill(lo, hi, f):
-            y = self.y[lo:hi]
-            if start:
-                u = np.zeros_like(y)
-            else:
-                u = (y - _row_product(psi_m[lo:hi] * a[lo:hi], self.m0.T)) / c[lo:hi, None]
+            u = np.empty(f.shape[:2])
+            direction(lo, hi, u)
             for j in range(a.shape[1]):
                 np.multiply(psi_m[lo:hi, j, None], self.m0[:, j], out=f[:, :, j])
                 f[:, :, j] += u * a[lo:hi, j, None]
@@ -170,4 +180,4 @@ class RankOneModel:
         history, converged, loop_flags = loop
         return _result(self.y, a, fill, self.counts, len(history) - 1, history[-1],
                        {**flags, "recomputed_rows": self.recomputed_rows, **loop_flags},
-                       history, converged, extras=extras)
+                       history, converged, fit=fit, extras=extras)

@@ -7,9 +7,11 @@ the DCT scaling step and the stencil smoothness term must equal their
 sparse-Laplacian forms; the solvers must follow the dense alternating
 references in ``tests/oracles.py``; every abundance step must meet its
 KKT conditions against the dense matrix it was solved for; their
-reported fit must be the loop's own; ``monotone_loop`` must stop at a
-cost rise; every solver's log must time
-its kernel calls and result assembly, within its wall time; and the
+reported fit must be the loop's own, and their reconstruction the
+rank-one closed form, within rounding of the dense field's product,
+built with no field filled until the field is read; ``monotone_loop``
+must stop at a cost rise; every solver's log must time its kernel
+calls and result assembly, within its wall time; and the
 results of every solver that emits a field, these two and the library
 solvers, must not depend on the size of the pixel chunks the field is
 built in.
@@ -47,6 +49,7 @@ from varimix.solvers import (
 from varimix.solvers import base
 from varimix.solvers import elmm as elmm_module
 from varimix.solvers import plmm as plmm_module
+from varimix.solvers import rankone as rankone_module
 from varimix.solvers.base import _gram, monotone_loop, residual_stats
 from varimix.solvers.elmm import _grid_solve, _grid_spatial
 from varimix.solvers.rankone import RankOneModel, RankOneState
@@ -66,16 +69,22 @@ from oracles import (
 RTOL = 1e-12
 REF_TOL = 1e-10
 KKT_RTOL = 1e-9
+EPS = np.finfo(np.float64).eps
+
+
+def _m0b(m0, s):
+    """M0 (psi_m * a) per pixel, taken by gemm even for one row (the rows
+    twice over)."""
+    b = np.concatenate([s.psi_m * s.a] * 2)
+    return (b @ m0.T)[:s.a.shape[0]]
 
 
 def _u(y, m0, lam, s):
     """The state's rank-one direction from the pixels: zero for a start
-    state, else the endmember step's (y - M0 (psi_m * a)) / (lam + ||a||^2),
-    its product taken by gemm even for one row (the rows twice over)."""
+    state, else the endmember step's (y - M0 (psi_m * a)) / (lam + ||a||^2)."""
     if s.start:
         return np.zeros_like(y)
-    b = np.concatenate([s.psi_m * s.a] * 2)
-    return (y - (b @ m0.T)[:y.shape[0]]) / (lam + np.einsum("np,np->n", s.a, s.a))[:, None]
+    return (y - _m0b(m0, s)) / (lam + np.einsum("np,np->n", s.a, s.a))[:, None]
 
 
 def _dense(m0, s, u):
@@ -248,19 +257,99 @@ def test_non_finite_reference_is_refused(unmix, bad):
 @example(seed=0, n=1, l=3, p=3, floor=False, zeros=False)      # a one-row product
 def test_field_is_the_broadcast_field_bit_for_bit(seed, n, l, p, floor, zeros):
     y, m0, s, _ = _factored_case(seed, n, l, p, floor, zeros)
-    # a result's abundances are on the simplex: an all-zero row becomes a vertex
-    a = s.a.copy()
-    a[a.sum(axis=1) == 0, 0] = 1.0
-    a /= a.sum(axis=1, keepdims=True)
+    a = _on_simplex(s.a)
     model = RankOneModel(y, m0, 0.7)
     for state in (model.start(a, s.psi_m), model.update(a, s.psi_m)):
         res = model.result(state, ((0.0,), True, {}), {}, {})
         # the emitted field is clamped; the reconstruction is the model's own
-        dense = _dense(m0, state, _u(y, m0, 0.7, state))
+        # closed form M0 (psi_m * a) + ||a||^2 u, within rounding of the
+        # field's product
+        u = _u(y, m0, 0.7, state)
+        dense = _dense(m0, state, u)
         assert np.array_equal(res.endmembers.data, np.clip(dense, 0.0, None))
-        recon = reconstruct(dense, res.abundances.data)
+        recon = _m0b(m0, state) + np.einsum("np,np->n", a, a)[:, None] * u
         assert np.array_equal(res.reconstruction, recon)
+        assert np.all(np.abs(recon - reconstruct(dense, a)) <= _recon_bound(dense, a))
         assert np.array_equal(res.per_pixel_re, residual_stats(y, recon)[1])
+
+
+def _on_simplex(a):
+    """A result's abundances are on the simplex: an all-zero row becomes a vertex."""
+    a = a.copy()
+    a[a.sum(axis=1) == 0, 0] = 1.0
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def _recon_bound(m, a):
+    """Rounding of the product of per-pixel matrices ``m`` with ``a``, as in
+    ``tests/test_reconstruct.py``: 2 P eps (|M_n| a_n) per element."""
+    return 2 * a.shape[1] * EPS * np.einsum("nlp,np->nl", np.abs(m), a)
+
+
+@settings(max_examples=60, deadline=None)
+@case
+@example(seed=3, n=1, l=5, p=3, floor=False, zeros=False)      # a one-row image
+@example(seed=4, n=6, l=5, p=3, floor=True, zeros=False)       # scalings at the 1e-6 floor
+@example(seed=5, n=6, l=5, p=4, floor=False, zeros=True)       # zero abundance entries
+def test_closed_form_fit_is_within_rounding_of_the_field_product(seed, n, l, p, floor, zeros):
+    y, m0, s, _ = _factored_case(seed, n, l, p, floor, zeros)
+    a = _on_simplex(s.a)
+    model = RankOneModel(y, m0, 0.7)
+    for state in (model.start(a, s.psi_m), model.update(a, s.psi_m)):
+        res = model.result(state, ((0.0,), True, {}), {}, {})
+        dense = _dense(m0, state, _u(y, m0, 0.7, state))
+        ref = reconstruct(dense, a)
+        bound = _recon_bound(dense, a)
+        assert np.all(np.abs(res.reconstruction - ref) <= bound)
+        # per_pixel_re moves by at most the norm of the reconstruction's bound
+        # plus the rounding of the residual norm: the draws' pixels are not
+        # fitted, so ||y_n|| can be far below ||M_n a_n|| and does not bound it
+        re_bound = (np.linalg.norm(bound, axis=1)
+                    + 2 * EPS * np.linalg.norm(y - ref, axis=1)) / np.sqrt(l)
+        assert np.all(np.abs(res.per_pixel_re - residual_stats(y, ref)[1]) <= re_bound)
+
+
+@pytest.mark.parametrize("module, solver, opts, lam", [
+    (elmm_module, elmm_unmix, SolverOptions(max_iters=5, lambda_m=0.5, lambda_psi=0.5), 0.5),
+    (plmm_module, plmm_unmix, SolverOptions(max_iters=5, gamma_plmm=0.5), 0.5),
+], ids=["elmm", "plmm"])
+def test_result_takes_no_per_pixel_product_and_fills_the_field_only_when_read(
+        monkeypatch, module, solver, opts, lam):
+    truth = make_scene(n_bands=20, height=15, width=20, snr_db=25.0, seed=3)   # two chunks
+    image, m0 = truth.image_noisy, truth.endmembers.class_means().T
+    y = image.pixels
+    products, fills, outcomes = [], [], []
+    reconstruct_, result_ = base.reconstruct, rankone_module._result
+
+    def recorded(m, a):
+        products.append(m.ndim)
+        return reconstruct_(m, a)
+
+    def counted(y, a, fill, *args, **kwargs):
+        def fill_(lo, hi, out):
+            fills.append((lo, hi))
+            fill(lo, hi, out)
+        return result_(y, a, fill_, *args, **kwargs)
+
+    def loop(*args):
+        outcomes.append(monotone_loop(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(base, "reconstruct", recorded)
+    monkeypatch.setattr(rankone_module, "_result", counted)
+    monkeypatch.setattr(module, "monotone_loop", loop)
+    res = solver(image, m0, opts)
+    assert 3 not in products and fills == []
+    state = outcomes[0][0]
+    dense = _dense(m0, state, _u(y, m0, lam, state))
+    # a read fills the window, with the bits of the clamped field
+    assert res.endmembers.rows(5, 270).tobytes() == np.clip(dense[5:270], 0.0, None).tobytes()
+    assert fills == [(5, 270)]
+    a = res.abundances.data
+    ref = reconstruct_(dense, a)
+    assert np.all(np.abs(res.reconstruction - ref) <= _recon_bound(dense, a))
+    re_bound = 2 * EPS * np.linalg.norm(y, axis=1) / np.sqrt(y.shape[1])
+    assert np.all(np.abs(res.per_pixel_re - residual_stats(y, ref)[1]) <= re_bound)
 
 
 def _small_scene(seed):
