@@ -3,7 +3,8 @@
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
 # and greedy and exhaustive sparse-l0; checks that each solver log's phases sum
-# to its wall_time_s and are phases the README lists; then checks that a refused
+# to its wall_time_s and are phases the README lists, and that sparse-l1's files
+# give back its logged cost (the L1 objective); then checks that a refused
 # value (sparse-l0 with --k 0, also with an image that does not exist), flags of
 # other solvers (fcls with --k and --re-threshold, or with --opts) or methods
 # (prune --method count with --subspace-dim, transform --method weights with
@@ -11,8 +12,9 @@
 # without --image), a retired option (an --opts file with `rho`), a mask that
 # keeps no band (transform --method mask --threshold 0), band weights of which
 # none is positive (transform --method weights on a library whose class means
-# agree) and an image payload holding a NaN each end in one `error:` line on
-# stderr, exit code 2 and no new file.
+# agree, exactly or up to rounding), an FDA transform on class means that agree
+# up to rounding and an image payload holding a NaN each end in one `error:`
+# line on stderr, exit code 2 and no new file.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -76,6 +78,22 @@ for path in sorted(pathlib.Path(".").glob("result_*/solver_log.json")):
                          f"wall_time_s {log['wall_time_s']}")
 PY
 
+# sparse L1 reports the L1 problem it solved: its per-pixel RMS errors and raw
+# abundances give back the logged cost, 0.5 L sum(re^2) + lambda sum(raw)
+python - <<'PY'
+import json
+import numpy as np
+from varimix.io import load_abundances, load_image
+log = json.loads(open("result_l1/solver_log.json").read())
+re = load_image("result_l1/re.json").pixels.ravel()
+raw = load_abundances("result_l1/abundances_raw.csv", sum_to_one=False).data
+bands = load_image("scene_dir/image_noisy.json").n_bands
+cost = float(0.5 * bands * np.sum(re**2) + log["flags"]["lambda"] * raw.sum())
+if not abs(cost - log["final_cost"]) <= 1e-9 * log["final_cost"]:
+    raise SystemExit(f"cli_chain: result_l1: re.bin and abundances_raw.csv give the cost "
+                     f"{cost!r}, the log {log['final_cost']!r}")
+PY
+
 # refused EXPECTED COMMAND...: COMMAND must exit with code 2, print one stderr
 # line that matches EXPECTED (an exact message or a glob) and leave the work
 # directory's file set unchanged
@@ -125,6 +143,16 @@ from varimix.types import SpectralLibrary; s = load_library('base.csv').class_me
 save_library(SpectralLibrary.from_arrays('ab', [s, s[::-1]]), 'same_means.csv')"
 refused 'error: weights transform has no positive weight' \
     python -m varimix transform --library same_means.csv --method weights --out refused.json
+# three classes holding the three base signatures in rotated order: their means
+# agree but for the rounding of their sums
+python -c "from varimix.io import load_library, save_library; \
+from varimix.types import SpectralLibrary; s = load_library('base.csv').class_means(); \
+save_library(SpectralLibrary.from_arrays('abc', [s, s[[1, 2, 0]], s[[2, 0, 1]]]), \
+'rotated_means.csv')"
+refused 'error: weights transform has no positive weight' \
+    python -m varimix transform --library rotated_means.csv --method weights --out refused.json
+refused 'error: class means agree up to rounding: no between-class scatter' \
+    python -m varimix transform --library rotated_means.csv --method fda --out refused.json
 
 # the same bytes on every run, so two runs' directories still compare equal
 python -c "import numpy as np; from varimix.io import save_image; \

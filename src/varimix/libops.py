@@ -95,20 +95,34 @@ class SpectralTransform:
             raise FormatError(f"{path}: not a valid transform file ({exc})") from exc
 
 
+def _between_class_variance(library: SpectralLibrary) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, L) class means and their population variance per band, zero
+    at or below (c eps max|x|)^2, max|x| the library's largest entry and
+    c = 2 (2n + P), n its largest class size. A class mean summed in order
+    is within n eps max|x| of its exact value and the rounded mean of the
+    means within (n + P) eps max|x|, so means that agree but for rounding
+    deviate from it by at most half c eps max|x|."""
+    means = library.class_means()
+    inter = means.var(axis=0)
+    c = 2 * (2 * max(library.sizes) + library.n_classes)
+    scale = max(np.abs(cls.signatures).max() for cls in library.classes)
+    inter[inter <= (c * np.finfo(np.float64).eps * scale) ** 2] = 0.0
+    return means, inter
+
+
 def instability_index(library: SpectralLibrary) -> np.ndarray:
     """Per-band ratio of mean within-class variance to the variance of the
     class means (population variances). Bands where the class means agree
-    exactly get a +inf sentinel. A library of one signature per class has
-    no within-class spread to judge a band by: every finite index is 0,
-    and a warning says so."""
+    up to rounding (``_between_class_variance``) get a +inf sentinel. A
+    library of one signature per class has no within-class spread to judge
+    a band by: every finite index is 0, and a warning says so."""
     if library.n_classes < 2:
         raise ValueError("instability index needs at least two classes")
     if max(library.sizes) < 2:
         warnings.warn("one signature per class: no within-class spread, every band scores 0")
-    means = library.class_means()                       # (P, L)
+    means, inter = _between_class_variance(library)
     within = np.stack([c.signatures.var(axis=0) for c in library.classes])
     intra = within.mean(axis=0)
-    inter = means.var(axis=0)
     out = np.full(library.n_bands, np.inf)
     ok = inter > 0
     out[ok] = intra[ok] / inter[ok]
@@ -158,6 +172,8 @@ def fda_transform(library: SpectralLibrary, dim: int) -> SpectralTransform:
     The within-class scatter is the class-size-weighted sum of the
     population covariances, ridge-loaded with eps = 1e-8 tr(S_w)/L before
     inversion (with an absolute floor when the scatter is exactly zero).
+    Class means that agree up to rounding (``_between_class_variance``) in
+    every band have no between-class scatter and are refused.
     """
     p = library.n_classes
     if p < 2:
@@ -165,14 +181,14 @@ def fda_transform(library: SpectralLibrary, dim: int) -> SpectralTransform:
     if not (1 <= dim <= p - 1):
         raise ValueError(f"dim must lie in [1, {p - 1}]")
     l = library.n_bands
-    means = library.class_means()
+    means, inter = _between_class_variance(library)
+    if not inter.any():
+        raise np.linalg.LinAlgError("class means agree up to rounding: no between-class scatter")
     s_within = np.zeros((l, l))
     for c in library.classes:
         centered = c.signatures - c.signatures.mean(axis=0)
         s_within += centered.T @ centered
     s_between = np.atleast_2d(np.cov(means.T, bias=True))
-    if np.linalg.norm(s_between) == 0:
-        raise np.linalg.LinAlgError("identical class means: between-class scatter is zero")
     eps = 1e-8 * np.trace(s_within) / l
     if eps == 0.0:
         eps = 1e-12 * max(1.0, np.trace(s_between) / l)

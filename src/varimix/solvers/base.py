@@ -18,8 +18,8 @@ call; both run ``_kernel``, which books each call in the caller's ``QPCounts``.
 ``monotone_loop`` drives the alternating solvers, ``QPCounts`` records a
 solver call phase by phase and builds its log, and ``_result`` builds
 every solver's result: the reconstruction and per-pixel error of the
-model it solved, a block of pixels at a time, and the emitted endmember
-field, factored, whose rows are that model's clamped at zero when read.
+model it solved, from the fit the solver passes, a block of pixels at a
+time, and the emitted endmember field, factored, clamped at zero when read.
 """
 
 from __future__ import annotations
@@ -466,27 +466,17 @@ def reconstruct(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.matmul(m, a[:, :, None])[:, :, 0]
 
 
-def _result(y, a, fill, counts: QPCounts, iterations: int, cost=None, flags=(), history=None,
-            converged=True, class_names=None, fit=None, **fields) -> UnmixingResult:
+def _result(y, a, fit, fill, counts: QPCounts, iterations: int, cost=None, flags=(),
+            history=None, converged=True, class_names=None, **fields) -> UnmixingResult:
     """Every solver's result for simplex abundances ``a``. Its reconstruction,
     ``per_pixel_re`` and summed squared residual (exactly rounded sum of the
     chunk sums; the logged cost when ``cost`` is None) are the solved model's
     own, built ``_CHUNK_ROWS`` pixels at a time in phase ``result`` by ``fit(lo,
     hi, out)``, which writes the model's fitted pixels lo:hi (a row's bits do
-    not depend on the chunk size when its products keep them); by default, the
-    shared (L, P) matrix ``fill`` (FCLS) or the endmembers ``fill(lo, hi, out)``
-    writes into one reused buffer, times ``a``. Its field, the one place an
-    emitted field is clamped, is ``fill`` clamped at zero, built only when
-    read; FCLS's gives none. ``fields`` are the result's own."""
+    not depend on the chunk size when its products keep them). Its field, the
+    one place an emitted field is clamped, is what ``fill(lo, hi, out)``
+    writes, clamped at zero when read; none if ``fill`` is None (FCLS)."""
     (n, l), p = y.shape, a.shape[1]
-    shared = isinstance(fill, np.ndarray)
-    if fit is None:
-        chunk = None if shared else np.empty((min(n, _CHUNK_ROWS), l, p))
-
-        def fit(lo, hi, out):
-            if not shared:
-                fill(lo, hi, chunk[:hi - lo])
-            out[:] = reconstruct(fill if shared else chunk[:hi - lo], a[lo:hi])
     recon, re = np.empty((n, l)), np.empty(n)
     sums = []
     counts.phase("result")
@@ -503,7 +493,7 @@ def _result(y, a, fill, counts: QPCounts, iterations: int, cost=None, flags=(), 
     abundances = AbundanceMap(a, sum_to_one=True, class_names=class_names)
     log = counts.log(iterations, math.fsum(sums) if cost is None else cost, flags, history,
                      converged)
-    field = None if shared else EndmemberField.factored((n, l, p), clamped)
+    field = None if fill is None else EndmemberField.factored((n, l, p), clamped)
     return UnmixingResult(abundances, re, recon, log, field, **fields)
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 
 from ..types import DimensionError, SpectralImage
-from .base import QPCounts, UnmixingResult, _result, fcls_core
+from .base import QPCounts, UnmixingResult, _result, _row_product, fcls_core
 
 
 def fcls(image: SpectralImage, matrix: np.ndarray) -> UnmixingResult:
@@ -29,4 +29,5 @@ def fcls(image: SpectralImage, matrix: np.ndarray) -> UnmixingResult:
     y = image.pixels
     counts.phase("gram")
     a, rounds = fcls_core(y, m, counts)
-    return _result(y, a, m, counts, rounds)
+    return _result(y, a, lambda lo, hi, out: np.copyto(out, _row_product(a[lo:hi], m.T)), None,
+                   counts, rounds)

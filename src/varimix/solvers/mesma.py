@@ -2,7 +2,8 @@
 space over each class's distinct signatures (``search``): each model is
 a (P, P) block of the statistics, and runs of models go to the kernel
 as one stack of shared Grams per call. The result, by ``base._result``,
-reports the fit of the selected models' matrices as searched and emits
+reports the fit of the selected models' matrices as searched, gathered a
+chunk of pixels at a time and multiplied by the abundances, and emits
 them, clamped at zero, as the field.
 """
 
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..types import BudgetError, SpectralImage, SpectralLibrary
-from .base import QPCounts, UnmixingResult, _result
+from .base import QPCounts, UnmixingResult, _result, reconstruct
 from .search import distinct_rows, library_stats, subset_search
 
 MODEL_BUDGET = 10**6
@@ -82,10 +83,13 @@ def mesma(
                                 return_inverse=True)
     table = np.stack([s[best_model[first, j]] for j, s in enumerate(sigs)], axis=2)
 
+    def fit(lo, hi, out):
+        out[:] = reconstruct(table[which[lo:hi]], best_a[lo:hi])
+
     def fill(lo, hi, f):
         np.take(table, which[lo:hi], axis=0, out=f, mode="wrap")    # "raise" buffers
 
-    return _result(y, best_a, fill, counts, models_tried, flags={
+    return _result(y, best_a, fit, fill, counts, models_tried, flags={
         "models_enumerated": models_tried, "early_stop": re_threshold is not None,
         "duplicates": sum(sizes) - sum(k.size for k in keep)},
         class_names=library.class_names, selected_model=best_model)

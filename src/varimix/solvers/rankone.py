@@ -178,6 +178,6 @@ class RankOneModel:
                 f[:, :, j] += u * a[lo:hi, j, None]
 
         history, converged, loop_flags = loop
-        return _result(self.y, a, fill, self.counts, len(history) - 1, history[-1],
+        return _result(self.y, a, fit, fill, self.counts, len(history) - 1, history[-1],
                        {**flags, "recomputed_rows": self.recomputed_rows, **loop_flags},
-                       history, converged, fit=fit, extras=extras)
+                       history, converged, extras=extras)

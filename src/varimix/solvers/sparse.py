@@ -14,10 +14,10 @@ space (``search``): exact duplicates collapse to their first occurrence,
 which gets the raw mass, and the exhaustive mode's residuals, read from the
 statistics, are precise to about 1e-8 ||y|| on the RMS error. The greedy
 mode is orthogonal matching pursuit batched over pixels (Batch-OMP,
-Rubinstein, Zibulevsky & Elad 2008) with nonnegative refits. Both emit
-each class's abundance-weighted mean signature per pixel, as factors
-built in chunks of pixels when read; ``base._result`` reconstructs from
-that field and emits it clamped at zero.
+Rubinstein, Zibulevsky & Elad 2008) with nonnegative refits. Both fit
+raw S, the raw abundances times the flattened library, and emit each
+class's abundance-weighted mean signature per pixel, factored; with the
+class abundances it gives S a / sum(a), L0's fit but not L1's.
 """
 
 from __future__ import annotations
@@ -38,15 +38,17 @@ _MASS_TOL = 1e-9
 L0_SUPPORT_BUDGET = 10**4
 
 
-def _class_result(y, raw, library, counts, iterations, flags, cost=None,
+def _class_result(y, raw, flat, library, counts, iterations, flags, cost=None,
                   raw_sum_to_one=False) -> UnmixingResult:
     """The result of raw library abundances, by ``_result``, columns named
     class:index: each class's mass, normalized over the classes (rows with
     no mass become uniform, counted before ``flags`` in the log), and the
     field of each class's abundance-weighted mean signature (the class mean
     where it has no mass), kept as factors that read ``raw`` (the caller's
-    own). Its summed squared residual is the logged cost when ``cost`` is
-    None; the work before it is booked in the caller's phase."""
+    own). Its fit is raw S, with S = ``flat`` the flattened library (a
+    massless row reports ||y|| / sqrt(L)); its summed squared residual is
+    the logged cost when ``cost`` is None. The work before it is booked in
+    the caller's phase."""
     bounds = np.cumsum([0, *library.sizes])
     classes = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     mass = np.stack([raw[:, cols].sum(axis=1) for cols in classes], axis=1)
@@ -62,8 +64,11 @@ def _class_result(y, raw, library, counts, iterations, flags, cost=None,
                       out=f[:, :, j], where=safe)
             np.copyto(f[:, :, j], means[j], where=~safe)
 
+    def fit(lo, hi, out):
+        out[:] = _row_product(raw[lo:hi], flat)
+
     names = tuple(f"{cls.name}:{i}" for cls in library.classes for i in range(cls.size))
-    return _result(y, collapsed, fill, counts, iterations, cost,
+    return _result(y, collapsed, fit, fill, counts, iterations, cost,
                    {"uniform_rows": int(np.sum(total <= _MASS_TOL)), **flags},
                    class_names=library.class_names,
                    raw_abundances=AbundanceMap(raw, sum_to_one=raw_sum_to_one, class_names=names))
@@ -119,9 +124,9 @@ def sparse_su_l1(
     abundances are kept without the sum-to-one flag; the
     class-collapsed map sums each class and normalizes rows with
     nonnegligible mass (empty rows turn uniform and are counted in the
-    solver log). The emitted endmembers are the within-class
-    abundance-weighted mean signatures, and the reconstruction is taken
-    from that collapsed model.
+    solver log). The reconstruction, ``per_pixel_re`` and logged cost are
+    the L1 problem's; the emitted endmembers, the within-class abundance-
+    weighted mean signatures, times the class abundances give S a / sum(a).
     """
     counts = QPCounts()
     flat, _ = library.flatten()
@@ -136,7 +141,7 @@ def sparse_su_l1(
     raw[:, keep] = a
     r2 = yy + np.einsum("np,np->n", _row_product(a, gram) - 2.0 * ys, a)   # from the statistics
     cost = float(0.5 * np.maximum(r2, 0.0).sum() + lam * a.sum())
-    return _class_result(y, raw, library, counts, rounds,
+    return _class_result(y, raw, flat, library, counts, rounds,
                          {"lambda": lam, "duplicates": flat.shape[0] - keep.size}, cost=cost)
 
 
@@ -243,5 +248,5 @@ def sparse_su_l0(
     raw = np.zeros((n, q))
     r, slot = np.nonzero(cols >= 0)
     raw[r, keep[cols[r, slot]]] = a[r, slot]
-    return _class_result(y, raw, library, counts, 1,
+    return _class_result(y, raw, flat, library, counts, 1,
                          {"mode": mode, "k": k, "duplicates": q - keep.size}, raw_sum_to_one=True)

@@ -18,6 +18,7 @@ from varimix.libops import (
 )
 from varimix.metrics import pairwise_angles
 from varimix.solvers import fcls
+from varimix.synth import synthetic_base_spectra
 from varimix.types import FormatError, SpectralImage, SpectralLibrary
 
 from conftest import make_scene
@@ -70,6 +71,35 @@ class TestInstabilityIndex:
         lib = SpectralLibrary.from_arrays(["a"], [np.random.rand(3, 4)])
         with pytest.raises(ValueError):
             instability_index(lib)
+
+
+def _rotated_means(scale=1.0):
+    # three classes holding the same three signatures in rotated order, the
+    # third class's scaled by ``scale``: at 1 their means agree but for the
+    # rounding of their sums
+    s = synthetic_base_spectra(24, 3, seed=7).class_means()
+    return SpectralLibrary.from_arrays("abc", [s, s[[1, 2, 0]], scale * s[[2, 0, 1]]])
+
+
+def test_class_means_that_agree_up_to_rounding_are_refused_by_the_weights_transform():
+    lib = _rotated_means()
+    means = lib.class_means()
+    assert 0.0 < np.abs(means - means[0]).max() <= 1e-15
+    assert np.all(np.isinf(instability_index(lib)))
+    with pytest.raises(ValueError, match="^weights transform has no positive weight$"):
+        instability_weights(lib)
+
+
+def test_class_means_that_agree_up_to_rounding_are_refused_by_fda():
+    with pytest.raises(np.linalg.LinAlgError, match="^class means agree up to rounding"):
+        fda_transform(_rotated_means(), 2)
+
+
+def test_class_means_that_differ_by_1e_6_relative_are_accepted():
+    lib = _rotated_means(1.0 + 1e-6)
+    assert np.all(np.isfinite(instability_index(lib)))
+    assert np.all(instability_weights(lib).weights > 0.0)
+    assert fda_transform(lib, 2).weights.shape == (2, 24)
 
 
 class TestSelectStableBands:

@@ -9,12 +9,12 @@ references in ``tests/oracles.py``; every abundance step must meet its
 KKT conditions against the dense matrix it was solved for; their
 reported fit must be the loop's own, and their reconstruction the
 rank-one closed form, within rounding of the dense field's product,
-built with no field filled until the field is read; ``monotone_loop``
-must stop at a cost rise; every solver's log must time its kernel
-calls and result assembly, within its wall time; and the
-results of every solver that emits a field, these two and the library
-solvers, must not depend on the size of the pixel chunks the field is
-built in.
+built, as the library solvers' raw fit is, with no field filled until
+the field is read; ``monotone_loop`` must stop at a cost rise; every
+solver's log must time its kernel calls and result assembly, within
+its wall time; and the results of every solver that emits a field,
+these two and the library solvers, must not depend on the size of the
+pixel chunks the field is built in.
 """
 
 import itertools
@@ -50,6 +50,7 @@ from varimix.solvers import base
 from varimix.solvers import elmm as elmm_module
 from varimix.solvers import plmm as plmm_module
 from varimix.solvers import rankone as rankone_module
+from varimix.solvers import sparse as sparse_module
 from varimix.solvers.base import _gram, monotone_loop, residual_stats
 from varimix.solvers.elmm import _grid_solve, _grid_spatial
 from varimix.solvers.rankone import RankOneModel, RankOneState
@@ -309,47 +310,59 @@ def test_closed_form_fit_is_within_rounding_of_the_field_product(seed, n, l, p, 
         assert np.all(np.abs(res.per_pixel_re - residual_stats(y, ref)[1]) <= re_bound)
 
 
-@pytest.mark.parametrize("module, solver, opts, lam", [
-    (elmm_module, elmm_unmix, SolverOptions(max_iters=5, lambda_m=0.5, lambda_psi=0.5), 0.5),
-    (plmm_module, plmm_unmix, SolverOptions(max_iters=5, gamma_plmm=0.5), 0.5),
-], ids=["elmm", "plmm"])
+@pytest.mark.parametrize("owner, solve, lam", [
+    (rankone_module, lambda truth, m0: elmm_unmix(
+        truth.image_noisy, m0, SolverOptions(max_iters=5, lambda_m=0.5, lambda_psi=0.5)), 0.5),
+    (rankone_module, lambda truth, m0: plmm_unmix(
+        truth.image_noisy, m0, SolverOptions(max_iters=5, gamma_plmm=0.5)), 0.5),
+    (sparse_module, lambda truth, m0: sparse_su_l1(
+        truth.image_noisy, truth_variant_library(truth)), None),
+    (sparse_module, lambda truth, m0: sparse_su_l0(
+        truth.image_noisy, truth_variant_library(truth)), None),
+], ids=["elmm", "plmm", "sparse-l1", "sparse-l0"])
 def test_result_takes_no_per_pixel_product_and_fills_the_field_only_when_read(
-        monkeypatch, module, solver, opts, lam):
+        monkeypatch, owner, solve, lam):
+    # every solver hands ``_result`` its own fit; the library solvers' is raw S
+    # (pinned bit for bit in tests/test_sparse.py), the rank-one solvers' the
+    # closed form, within rounding of the dense field's product
     truth = make_scene(n_bands=20, height=15, width=20, snr_db=25.0, seed=3)   # two chunks
     image, m0 = truth.image_noisy, truth.endmembers.class_means().T
     y = image.pixels
     products, fills, outcomes = [], [], []
-    reconstruct_, result_ = base.reconstruct, rankone_module._result
+    reconstruct_, result_ = base.reconstruct, owner._result
 
     def recorded(m, a):
         products.append(m.ndim)
         return reconstruct_(m, a)
 
-    def counted(y, a, fill, *args, **kwargs):
+    def counted(y, a, fit, fill, *args, **kwargs):
         def fill_(lo, hi, out):
             fills.append((lo, hi))
             fill(lo, hi, out)
-        return result_(y, a, fill_, *args, **kwargs)
+        return result_(y, a, fit, fill_, *args, **kwargs)
 
     def loop(*args):
         outcomes.append(monotone_loop(*args))
         return outcomes[-1]
 
     monkeypatch.setattr(base, "reconstruct", recorded)
-    monkeypatch.setattr(rankone_module, "_result", counted)
-    monkeypatch.setattr(module, "monotone_loop", loop)
-    res = solver(image, m0, opts)
+    monkeypatch.setattr(owner, "_result", counted)
+    for module in (elmm_module, plmm_module):
+        monkeypatch.setattr(module, "monotone_loop", loop)
+    res = solve(truth, m0)
     assert 3 not in products and fills == []
-    state = outcomes[0][0]
-    dense = _dense(m0, state, _u(y, m0, lam, state))
-    # a read fills the window, with the bits of the clamped field
-    assert res.endmembers.rows(5, 270).tobytes() == np.clip(dense[5:270], 0.0, None).tobytes()
+    # a read fills the window; a rank-one one holds the bits of the clamped field
+    window = res.endmembers.rows(5, 270)
     assert fills == [(5, 270)]
-    a = res.abundances.data
-    ref = reconstruct_(dense, a)
-    assert np.all(np.abs(res.reconstruction - ref) <= _recon_bound(dense, a))
-    re_bound = 2 * EPS * np.linalg.norm(y, axis=1) / np.sqrt(y.shape[1])
-    assert np.all(np.abs(res.per_pixel_re - residual_stats(y, ref)[1]) <= re_bound)
+    if lam is not None:
+        state = outcomes[0][0]
+        dense = _dense(m0, state, _u(y, m0, lam, state))
+        assert window.tobytes() == np.clip(dense[5:270], 0.0, None).tobytes()
+        a = res.abundances.data
+        ref = reconstruct_(dense, a)
+        assert np.all(np.abs(res.reconstruction - ref) <= _recon_bound(dense, a))
+        re_bound = 2 * EPS * np.linalg.norm(y, axis=1) / np.sqrt(y.shape[1])
+        assert np.all(np.abs(res.per_pixel_re - residual_stats(y, ref)[1]) <= re_bound)
 
 
 def _small_scene(seed):

@@ -9,6 +9,7 @@ from varimix.solvers import (
     sparse_su_l0,
     sparse_su_l1,
 )
+from varimix.solvers.base import _row_product, residual_stats
 from varimix.synth import truth_variant_library
 from varimix.types import BudgetError, SpectralImage, SpectralLibrary
 
@@ -106,6 +107,26 @@ class TestSparseL1:
         np.testing.assert_allclose(res.reconstruction, ref.reconstruction, rtol=0, atol=1e-12)
         act, inact, scale = kkt_residual_l1(y, m.T, raw, lam)
         assert max(act, inact) <= 1e-9 * scale
+
+    def test_result_reports_the_l1_problem_it_solved(self, rng):
+        # pixels of raw mass far from 1 and one massless row: the reconstruction
+        # is raw S (by _row_product, as a lone row's bits need), per_pixel_re its
+        # residual, and the logged cost the L1 objective at that fit
+        lib = _library(rng)
+        s, _ = lib.flatten()
+        scale = np.repeat([0.4, 2.5], 10)[:, None]
+        y = scale * (rng.dirichlet(np.ones(8), size=20) @ s) + rng.normal(0, 0.01, size=(20, 24))
+        y = np.vstack([y, np.full(24, 1e-6)])       # below lam on every column: no mass
+        lam = 0.01
+        res = sparse_su_l1(_image(y), lib, SolverOptions(lambda_sparse=lam))
+        raw = res.raw_abundances.data
+        mass = raw.sum(axis=1)
+        assert np.all(np.abs(mass[:20] - 1.0) > 0.3) and mass[20] == 0.0
+        assert res.reconstruction.tobytes() == _row_product(raw, s).tobytes()
+        assert res.per_pixel_re.tobytes() == residual_stats(y, res.reconstruction)[1].tobytes()
+        assert res.per_pixel_re[20] == pytest.approx(np.linalg.norm(y[20]) / np.sqrt(24))
+        cost = 0.5 * 24 * np.sum(res.per_pixel_re ** 2) + lam * raw.sum()
+        assert abs(cost - res.solver_log.final_cost) <= 1e-9 * res.solver_log.final_cost
 
 
 class TestSparseL0:
