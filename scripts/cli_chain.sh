@@ -10,11 +10,12 @@
 # (prune --method count with --subspace-dim, transform --method weights with
 # --bands), a missing input (unmix without --library, prune --method music
 # without --image), a retired option (an --opts file with `rho`), a mask that
-# keeps no band (transform --method mask --threshold 0), band weights of which
-# none is positive (transform --method weights on a library whose class means
-# agree, exactly or up to rounding), an FDA transform on class means that agree
-# up to rounding and an image payload holding a NaN each end in one `error:`
-# line on stderr, exit code 2 and no new file.
+# keeps no band (transform --method mask --threshold 0), a NaN pruning threshold
+# (prune --method count --angle-threshold nan), a library whose class means
+# agree, exactly or up to rounding (transform --method weights, and on the
+# rotated library --method mask --bands 12 and --method fda) and an image
+# payload holding a NaN each end in one `error:` line on stderr, exit code 2
+# and no new file.
 # Usage: scripts/cli_chain.sh [work_dir] (default: cli_chain_out); runs the
 # package from this checkout's src/ and exits nonzero on the first command
 # that fails.
@@ -137,11 +138,14 @@ refused 'error: --bands does not apply to --method weights' \
     python -m varimix transform --library lib.csv --method weights --bands 0 --out refused.json
 refused 'error: mask transform has no output band' \
     python -m varimix transform --library lib.csv --method mask --threshold 0 --out refused.json
+refused 'error: threshold must be nonnegative' \
+    python -m varimix prune --library lib.csv --method count --angle-threshold nan \
+    --out refused.csv
 # two classes holding the same two signatures in swapped order: their means agree
 python -c "from varimix.io import load_library, save_library; \
 from varimix.types import SpectralLibrary; s = load_library('base.csv').class_means()[:2]; \
 save_library(SpectralLibrary.from_arrays('ab', [s, s[::-1]]), 'same_means.csv')"
-refused 'error: weights transform has no positive weight' \
+refused 'error: class means agree up to rounding: no between-class scatter' \
     python -m varimix transform --library same_means.csv --method weights --out refused.json
 # three classes holding the three base signatures in rotated order: their means
 # agree but for the rounding of their sums
@@ -149,8 +153,11 @@ python -c "from varimix.io import load_library, save_library; \
 from varimix.types import SpectralLibrary; s = load_library('base.csv').class_means(); \
 save_library(SpectralLibrary.from_arrays('abc', [s, s[[1, 2, 0]], s[[2, 0, 1]]]), \
 'rotated_means.csv')"
-refused 'error: weights transform has no positive weight' \
+refused 'error: class means agree up to rounding: no between-class scatter' \
     python -m varimix transform --library rotated_means.csv --method weights --out refused.json
+refused 'error: class means agree up to rounding: no between-class scatter' \
+    python -m varimix transform --library rotated_means.csv --method mask --bands 12 \
+    --out refused.json
 refused 'error: class means agree up to rounding: no between-class scatter' \
     python -m varimix transform --library rotated_means.csv --method fda --out refused.json
 

@@ -101,26 +101,28 @@ def _between_class_variance(library: SpectralLibrary) -> tuple[np.ndarray, np.nd
     c = 2 (2n + P), n its largest class size. A class mean summed in order
     is within n eps max|x| of its exact value and the rounded mean of the
     means within (n + P) eps max|x|, so means that agree but for rounding
-    deviate from it by at most half c eps max|x|."""
+    deviate from it by at most half c eps max|x|. A library with no band
+    left (one class leaves none) is refused (``np.linalg.LinAlgError``)."""
     means = library.class_means()
     inter = means.var(axis=0)
     c = 2 * (2 * max(library.sizes) + library.n_classes)
     scale = max(np.abs(cls.signatures).max() for cls in library.classes)
     inter[inter <= (c * np.finfo(np.float64).eps * scale) ** 2] = 0.0
+    if not inter.any():
+        raise np.linalg.LinAlgError("class means agree up to rounding: no between-class scatter")
     return means, inter
 
 
 def instability_index(library: SpectralLibrary) -> np.ndarray:
     """Per-band ratio of mean within-class variance to the variance of the
     class means (population variances). Bands where the class means agree
-    up to rounding (``_between_class_variance``) get a +inf sentinel. A
-    library of one signature per class has no within-class spread to judge
-    a band by: every finite index is 0, and a warning says so."""
-    if library.n_classes < 2:
-        raise ValueError("instability index needs at least two classes")
+    up to rounding get a +inf sentinel, and a library where they agree in
+    every band is refused (``_between_class_variance``). A library of one
+    signature per class has no within-class spread to judge a band by:
+    every finite index is 0, and a warning says so."""
+    means, inter = _between_class_variance(library)
     if max(library.sizes) < 2:
         warnings.warn("one signature per class: no within-class spread, every band scores 0")
-    means, inter = _between_class_variance(library)
     within = np.stack([c.signatures.var(axis=0) for c in library.classes])
     intra = within.mean(axis=0)
     out = np.full(library.n_bands, np.inf)
@@ -136,7 +138,9 @@ def select_stable_bands(
 ) -> SpectralTransform:
     """Band-selection mask keeping the k most stable bands (lowest
     instability index, ties to the lower band index) or every band with
-    index strictly below ``threshold``; a mask that keeps no band is refused."""
+    index strictly below ``threshold``. A library whose class means agree
+    up to rounding in every band is refused (``instability_index``), and
+    so is a mask that keeps no band."""
     if (k is None) == (threshold is None):
         raise ValueError("pass exactly one of k / threshold")
     index = instability_index(library)
@@ -172,18 +176,14 @@ def fda_transform(library: SpectralLibrary, dim: int) -> SpectralTransform:
     The within-class scatter is the class-size-weighted sum of the
     population covariances, ridge-loaded with eps = 1e-8 tr(S_w)/L before
     inversion (with an absolute floor when the scatter is exactly zero).
-    Class means that agree up to rounding (``_between_class_variance``) in
-    every band have no between-class scatter and are refused.
+    A library with no between-class scatter, whose class means agree up to
+    rounding in every band, is refused (``_between_class_variance``).
     """
+    means, _ = _between_class_variance(library)
     p = library.n_classes
-    if p < 2:
-        raise ValueError("need at least two classes")
     if not (1 <= dim <= p - 1):
         raise ValueError(f"dim must lie in [1, {p - 1}]")
     l = library.n_bands
-    means, inter = _between_class_variance(library)
-    if not inter.any():
-        raise np.linalg.LinAlgError("class means agree up to rounding: no between-class scatter")
     s_within = np.zeros((l, l))
     for c in library.classes:
         centered = c.signatures - c.signatures.mean(axis=0)
@@ -229,7 +229,7 @@ def count_based_reduce(
     not-yet-covered signatures (coverage: spectral angle <= threshold, or
     squared error with ``metric='sqerr'``); ties go to the lower index.
     Selection stops once everything is covered or the target is reached."""
-    if angle_threshold < 0:
+    if not angle_threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     if target_per_class < 1:
         raise ValueError("target_per_class must be >= 1")
@@ -287,7 +287,7 @@ def music_prune(
     l = image.n_bands
     if not (1 <= subspace_dim <= min(l, image.n_pixels)):
         raise ValueError("subspace_dim must lie in [1, min(L, N)]")
-    if residual_threshold <= 0:
+    if not residual_threshold > 0:
         raise ValueError("residual_threshold must be positive")
     pixels = image.pixels
     mean = pixels.mean(axis=0)

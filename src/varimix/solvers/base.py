@@ -165,59 +165,43 @@ def _border(sub, rhs):
     return border, np.concatenate([rhs, np.ones(rhs.shape[:-1] + (1,))], axis=-1)
 
 
-def _face_minimizer(gram, h, rows, cols, simplex, ridge=False):
-    """Minimizer on a face (dropping the sign constraints, keeping
-    sum-to-one) for each of ``rows``, of a shared (P, P) Gram or of
-    per-row (C, P, P) Grams, whose (R, k) faces ``cols`` go to one
-    stacked solve. A row whose face system is singular, from collinear or
-    zero columns, gets a small ridge; ``ridge`` ridges every row.
-    Singular rows are found by a zero ``slogdet`` sign, the systems
-    LAPACK's LU rejects, so they do not change the other rows' bits."""
-    k = cols.shape[1]
-    if k == 0:
-        return np.zeros((rows.size, 0))
-    face = (cols[:, :, None], cols[:, None, :])
-    sub = gram[face] if gram.ndim == 2 else gram[(rows[:, None, None],) + face]
-    rhs = h[rows[:, None], cols]
-    if simplex:
-        sub, rhs = _border(sub, rhs)
-
+def _solve_faces(gram, h, rows, passive, entering, simplex):
+    """(R, P) minimizers of ``rows`` on their ``passive`` faces (dropping
+    the sign constraints, keeping sum-to-one when ``simplex``), zero off
+    the face, of a shared (P, P) Gram or of per-row (C, P, P) Grams. Each
+    face size's systems are gathered once and go to one stacked LU solve.
+    A row whose face is singular up to rounding, from collinear or zero
+    columns, is solved again from the systems gathered, with a small
+    ridge: a row whose system LAPACK's LU rejects (zero ``slogdet`` sign),
+    and a row whose ``entering`` column (-1: none), positive at the
+    minimizer of a regular face, is not. So a row's bits do not depend on
+    the other rows."""
     def solve(a, b):
         return np.linalg.solve(a, b[..., None])[..., 0]
 
-    bad = np.ones(rows.size, dtype=bool)
-    if not ridge:
-        try:
-            return solve(sub, rhs)[:, :k]
-        except np.linalg.LinAlgError:
-            bad = np.linalg.slogdet(sub)[0] == 0
-    out = np.empty((rows.size, k + simplex))
-    if not bad.all():
-        out[~bad] = solve(sub[~bad], rhs[~bad])
-    sub = sub[bad]
-    tr = np.trace(sub[:, :k, :k], axis1=1, axis2=2) / k
-    sub[:, :k, :k] += (_RIDGE * np.where(tr > 0, tr, 1.0))[:, None, None] * np.eye(k)
-    out[bad] = solve(sub, rhs[bad])
-    return out[:, :k]
-
-
-def _solve_faces(gram, h, rows, passive, entering, simplex):
-    """(R, P) minimizers of ``rows`` on their ``passive`` faces, zero off
-    the face, in one stacked solve per face size. An ``entering`` column
-    (-1: none) is positive at the minimizer of a regular face; a row
-    where it is not has a face singular up to rounding and is solved
-    again with the ridge."""
     s = np.zeros(passive.shape)
     sizes = passive.sum(axis=1)
     for k in np.unique(sizes):
         pos = np.flatnonzero(sizes == k)
         cols = np.nonzero(passive[pos])[1].reshape(pos.size, k)
-        s[pos[:, None], cols] = _face_minimizer(gram, h, rows[pos], cols, simplex)
+        face = (cols[:, :, None], cols[:, None, :])
+        sub = gram[face] if gram.ndim == 2 else gram[(rows[pos, None, None],) + face]
+        rhs = h[rows[pos, None], cols]
+        if simplex:
+            sub, rhs = _border(sub, rhs)
+        try:
+            x, bad = solve(sub, rhs), np.zeros(pos.size, dtype=bool)
+        except np.linalg.LinAlgError:
+            x, bad = np.zeros(rhs.shape), np.linalg.slogdet(sub)[0] == 0
+            x[~bad] = solve(sub[~bad], rhs[~bad])
+        s[pos[:, None], cols] = x[:, :k]
         new = entering[pos]
-        bad = (new >= 0) & (s[pos, np.maximum(new, 0)] <= 0.0)
+        bad |= (new >= 0) & (s[pos, np.maximum(new, 0)] <= 0.0)
         if bad.any():
-            s[pos[bad, None], cols[bad]] = _face_minimizer(gram, h, rows[pos[bad]], cols[bad],
-                                                           simplex, ridge=True)
+            sub = sub[bad]
+            tr = np.trace(sub[:, :k, :k], axis1=1, axis2=2) / k
+            sub[:, :k, :k] += (_RIDGE * np.where(tr > 0, tr, 1.0))[:, None, None] * np.eye(k)
+            s[pos[bad, None], cols[bad]] = solve(sub, rhs[bad])[:, :k]
     return s
 
 

@@ -286,7 +286,7 @@ class TestRunBench:
         report = run_bench(cfg)
         assert report.metadata["failed_cells"] == [{
             "run": 0, "algorithm": "fcls", "seed": 100,
-            "error": "ValueError: weights transform has no positive weight"}]
+            "error": "LinAlgError: class means agree up to rounding: no between-class scatter"}]
         assert report.rows["fcls"].n_failed == 1
 
     def test_config_round_trip_from_json(self, tmp_path):

@@ -116,7 +116,8 @@ def test_weights_transform_with_equal_class_means_exits_2_and_writes_nothing(tmp
     tjson = tmp_path / "t.json"
     assert main(["transform", "--library", str(lib), "--method", "weights",
                  "--out", str(tjson)]) == 2
-    assert capsys.readouterr().err == "error: weights transform has no positive weight\n"
+    assert capsys.readouterr().err == ("error: class means agree up to rounding: "
+                                       "no between-class scatter\n")
     assert not tjson.exists()
 
 
@@ -246,6 +247,21 @@ def test_music_prune_without_image_exits_2(tmp_path, capsys):
     assert main(["prune", "--library", str(tmp_path / "lib.csv"), "--method", "music",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --image required for --method music\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--method", "count", "--angle-threshold", "nan"], "threshold must be nonnegative"),
+    (["--method", "music", "--image", "scene", "--residual-threshold", "nan"],
+     "residual_threshold must be positive"),
+], ids=["count", "music"])
+def test_nan_pruning_threshold_exits_2_and_writes_nothing(scene_dir, flags, error, capsys):
+    # argparse's float reads "nan"
+    out = scene_dir / "pruned.csv"
+    flags = [str(scene_dir / f) if f == "scene" else f for f in flags]
+    assert main(["prune", "--library", str(scene_dir / "base.csv"), *flags,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
 

@@ -344,16 +344,35 @@ def test_collinear_columns_never_all_enter(per_pixel):
 
 
 @pytest.mark.parametrize("per_pixel", [False, True])
-def test_nnls_dependent_entering_column(per_pixel):
+def test_nnls_dependent_entering_column(per_pixel, monkeypatch):
     # with more columns than bands and lam > 0, a column in the span of
     # the passive ones can still enter; the face it makes is singular up
-    # to rounding, and the kernel must step across it rather than cycle
+    # to rounding, yet LU passes it and the entering column comes out
+    # non-positive, so the row is solved again with the ridge. The kernel
+    # must step across it rather than cycle, and every row keeps the
+    # bytes it gets alone
     lam = 1e-3
     y, m = _problem("wide", 4, 40, 4, 4, per_pixel, False)
+    gram, h = _l1_gram(y, m, lam)
+    ridged = []
+    solve_faces = base._solve_faces
+
+    def spy(g, lin, rows, passive, entering, simplex):
+        for r, face, new in zip(rows, passive, entering):
+            cols = np.flatnonzero(face)
+            sub = (g if g.ndim == 2 else g[r])[np.ix_(cols, cols)]
+            if new >= 0 and np.linalg.slogdet(sub)[0] != 0:
+                ridged.append(np.linalg.solve(sub, lin[r, cols])[cols == new][0] <= 0.0)
+        return solve_faces(g, lin, rows, passive, entering, simplex)
+
+    monkeypatch.setattr(base, "_solve_faces", spy)
     counts = QPCounts()
-    a, _ = base.nnls_gram(*_l1_gram(y, m, lam), counts)
-    assert counts.unsettled_rows == 0
+    a, _ = base.nnls_gram(gram, h, counts)
+    monkeypatch.undo()
+    assert counts.unsettled_rows == 0 and any(ridged)
     for i in range(y.shape[0]):
+        alone, _ = base.nnls_gram(gram[i:i + 1] if per_pixel else gram, h[i:i + 1], QPCounts())
+        assert a[i].tobytes() == alone[0].tobytes()
         act, inact, scale = kkt_residual_l1(y[i:i + 1], _pixel_matrix(m, i), a[i:i + 1], lam)
         assert max(act, inact) <= KKT_RTOL * scale
 

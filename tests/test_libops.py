@@ -73,6 +73,10 @@ class TestInstabilityIndex:
             instability_index(lib)
 
 
+# the refusal of a library whose class means agree in every band
+AGREE = "^class means agree up to rounding: no between-class scatter$"
+
+
 def _rotated_means(scale=1.0):
     # three classes holding the same three signatures in rotated order, the
     # third class's scaled by ``scale``: at 1 their means agree but for the
@@ -85,8 +89,9 @@ def test_class_means_that_agree_up_to_rounding_are_refused_by_the_weights_transf
     lib = _rotated_means()
     means = lib.class_means()
     assert 0.0 < np.abs(means - means[0]).max() <= 1e-15
-    assert np.all(np.isinf(instability_index(lib)))
-    with pytest.raises(ValueError, match="^weights transform has no positive weight$"):
+    with pytest.raises(np.linalg.LinAlgError, match=AGREE):
+        instability_index(lib)
+    with pytest.raises(np.linalg.LinAlgError, match=AGREE):
         instability_weights(lib)
 
 
@@ -95,11 +100,37 @@ def test_class_means_that_agree_up_to_rounding_are_refused_by_fda():
         fda_transform(_rotated_means(), 2)
 
 
+def _swapped_pair():
+    # two classes holding the same two signatures in swapped order: their
+    # means agree exactly
+    sigs = np.random.default_rng(0).uniform(0.1, 1.0, size=(2, 24))
+    return SpectralLibrary.from_arrays("ab", [sigs, sigs[::-1]])
+
+
+@pytest.mark.parametrize("library", [_rotated_means, _swapped_pair])
+def test_class_means_that_agree_are_refused_by_the_mask(library):
+    # every band would score +inf, and a mask by k would keep the first k
+    # bands by the tie rule; by threshold, no band
+    for spec in ({"k": 12}, {"threshold": 1e300}):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match=AGREE):
+                select_stable_bands(library(), **spec)
+
+
 def test_class_means_that_differ_by_1e_6_relative_are_accepted():
     lib = _rotated_means(1.0 + 1e-6)
     assert np.all(np.isfinite(instability_index(lib)))
+    assert select_stable_bands(lib, k=12).weights.sum() == 12
     assert np.all(instability_weights(lib).weights > 0.0)
     assert fda_transform(lib, 2).weights.shape == (2, 24)
+
+
+def test_one_signature_per_class_with_distinct_means_still_gives_a_mask():
+    lib = synthetic_base_spectra(24, 3, seed=7)
+    with pytest.warns(UserWarning, match="^one signature per class"):
+        t = select_stable_bands(lib, k=12)
+    assert t.weights.sum() == 12
 
 
 class TestSelectStableBands:
@@ -265,6 +296,15 @@ class TestApplyTransform:
         t = instability_weights(lib)
         assert t.kind == "weights"
         assert np.all(t.weights >= 0) and np.all(t.weights <= 1)
+
+
+def test_pruning_thresholds_refuse_nan(rng):
+    lib = SpectralLibrary.from_arrays(["a", "b"], [rng.uniform(0.1, 1, (3, 15)) for _ in range(2)])
+    with pytest.raises(ValueError, match="^threshold must be nonnegative$"):
+        count_based_reduce(lib, float("nan"), 3)
+    image = make_scene(n_bands=15, height=4, width=6, snr_db=20.0, seed=33).image_noisy
+    with pytest.raises(ValueError, match="^residual_threshold must be positive$"):
+        music_prune(lib, image, 3, float("nan"))
 
 
 class TestCountBasedReduce:
@@ -501,8 +541,9 @@ class TestTransformFile:
         path.write_text(json.dumps({"kind": "weights", "weights": [0.0] * 4}) + "\n")
         with pytest.raises(FormatError, match="weights transform has no positive weight"):
             SpectralTransform.from_json(path)
-        # class means that agree in every band give every band an infinite index
+        # class means that agree in every band leave no band to weight: the
+        # library is refused before a transform is built
         sigs = np.random.default_rng(0).uniform(0.1, 1.0, size=(2, 10))
         lib = SpectralLibrary.from_arrays("ab", [sigs, sigs[::-1]])
-        with pytest.raises(ValueError, match="^weights transform has no positive weight$"):
+        with pytest.raises(np.linalg.LinAlgError, match=AGREE):
             instability_weights(lib)
