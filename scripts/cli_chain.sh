@@ -2,7 +2,8 @@
 # The README's command-line chain on a tiny scene, through `python -m varimix`:
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
-# and greedy and exhaustive sparse-l0; checks that each solver log's phases sum
+# and greedy and exhaustive sparse-l0; checks that the scene directory loads back
+# to the scene its config synthesizes, bit for bit, that each solver log's phases sum
 # to its wall_time_s and are phases the README lists, and that sparse-l1's files
 # give back its logged cost (the L1 objective); then checks that a refused
 # value (sparse-l0 with --k 0, also with an image that does not exist), flags of
@@ -64,6 +65,19 @@ python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --
     --out result_l0/
 python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 2 \
     --l0-mode exhaustive --out result_l0x/
+
+# the scene directory loads back to the scene its config synthesizes: all four
+# truth members bit for bit, the field through its table and per-pixel index
+python - <<'PY'
+import json
+from varimix.io import load_config, load_scene
+from varimix.synth import SceneConfig, synthesize_from_config
+want = synthesize_from_config(load_config(SceneConfig, json.load(open("scene.json"))))
+got = load_scene("scene_dir/")
+for member in ("image_noisy", "image_clean", "abundances", "endmembers"):
+    if getattr(got, member).data.tobytes() != getattr(want, member).data.tobytes():
+        raise SystemExit(f"cli_chain: scene_dir/ {member} differs from scene.json's synthesis")
+PY
 
 # every solver log's phases partition its call: they sum to wall_time_s, and
 # each is one of the phases the README lists

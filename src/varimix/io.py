@@ -3,8 +3,10 @@
 Images are stored as a JSON header plus a raw little-endian float64
 payload, pixel-major (all L bands of pixel 0, then pixel 1, ...). The
 payload is written straight from the array's buffer, without a bytes
-copy; an endmember field and a result's per-pixel error are written the
-same way as 1 x N images without being wrapped in a ``SpectralImage``.
+copy; an endmember field, a result's per-pixel error and a scene's field
+index are written the same way as 1 x N images without being wrapped in
+a ``SpectralImage``. A scene stores its truth field gathered, as the
+table of the matrices that occur and each pixel's row in it.
 Libraries and abundance maps are CSV with 17-significant-digit floats so
 that save/load round trips are bit-exact. The whole table of a file is
 formatted by one ``%`` operation whose template repeats ``%.17g`` once
@@ -32,6 +34,15 @@ from .types import (AbundanceMap, EndmemberField, FormatError, LibraryClass, Sce
 _IMAGE_ORDER = "row-major band-interleaved-by-pixel"
 _FLOAT_FMT = "%.17g"
 _REFLECTANCE_FLOOR = -0.1
+
+
+def _count(meta: dict, key: str, where, least: int = 0) -> int:
+    """``meta[key]`` if it is an integer (not a bool) of at least ``least``,
+    else ``FormatError`` naming ``where``."""
+    value = meta[key]
+    if type(value) is not int or value < least:
+        raise FormatError(f"{where}: {key} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _header_path(path) -> Path:
@@ -85,7 +96,7 @@ def load_image(path) -> SpectralImage:
             raise FormatError(f"image header {header} missing key {key!r}")
     if meta["dtype"] != "f64" or meta["order"] != _IMAGE_ORDER:
         raise FormatError(f"unsupported dtype/order in {header}")
-    h, w, l = int(meta["height"]), int(meta["width"]), int(meta["bands"])
+    h, w, l = (_count(meta, key, header) for key in ("height", "width", "bands"))
     payload = _payload_path(header)
     size, expected = payload.stat().st_size, h * w * l * 8
     if size != expected:
@@ -216,6 +227,8 @@ def save_endmember_field(field: EndmemberField, path, digests: Optional[dict] = 
 
 
 def load_endmember_field(path, n_bands: int) -> EndmemberField:
+    if n_bands < 1:
+        raise ValueError(f"n_bands must be >= 1, got {n_bands}")
     img = load_image(path)
     total = img.n_bands
     if total % n_bands != 0:
@@ -242,18 +255,34 @@ def save_result(result, out) -> Path:
     return out
 
 
+# A scene directory's files, in the order truth_meta.json lists their digests
+_SCENE_FILES = ("image_noisy.json", "image_noisy.bin", "image_clean.json", "image_clean.bin",
+                "abundances.csv", "endmember_table.json", "endmember_table.bin",
+                "endmember_index.json", "endmember_index.bin")
+
+
 def save_scene(truth: SceneTruth, out_dir) -> Path:
-    """Write the four SceneTruth artifacts, the largest first, then truth_meta.json."""
+    """Write the images, the abundances and the gathered truth field, as
+    its table of C matrices (``endmember_table``, written by
+    ``save_endmember_field``) and its per-pixel row in that table
+    (``endmember_index``, a 1 x N one-band image), the largest first;
+    then truth_meta.json with the SHA-256 digest of every file. A field
+    in another form is not written (``FormatError``)."""
+    field = truth.endmembers
+    if field.index is None:
+        raise FormatError(f"{out_dir}: a scene's truth field must be gathered "
+                          "(EndmemberField.gathered)")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    digests = dict.fromkeys(["image_noisy.json", "image_noisy.bin", "image_clean.json",
-                             "image_clean.bin", "abundances.csv", "endmembers.json",
-                             "endmembers.bin"])                 # the order truth_meta.json keeps
+    digests = dict.fromkeys(_SCENE_FILES)
     with background.overlap():
-        save_endmember_field(truth.endmembers, out / "endmembers", digests=digests)
         save_image(truth.image_noisy, out / "image_noisy", digests)
         save_image(truth.image_clean, out / "image_clean", digests)
         save_abundances(truth.abundances, out / "abundances.csv", digests)
+        save_endmember_field(EndmemberField(_Adopt(field.table)), out / "endmember_table",
+                             digests)
+        _write_cube(out / "endmember_index", (1, field.shape[0], 1), [field.index],
+                    "endmember_index", digests)
     img = truth.image_clean
     meta = {"seed": int(truth.seed),
             "snr_db": None if math.isinf(truth.snr_db) else float(truth.snr_db),
@@ -263,23 +292,68 @@ def save_scene(truth: SceneTruth, out_dir) -> Path:
     return out
 
 
+def _scene_meta(path: Path) -> dict:
+    """truth_meta.json: an object with a nonnegative integer ``seed``,
+    positive integer ``height``, ``width`` and ``bands`` and, if present,
+    an object of ``digests``; anything else is one ``FormatError`` naming it."""
+    try:
+        meta = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("digests", {}), dict):
+        raise FormatError(f"{path}: expected an object with an object of digests")
+    for key in ("seed", "height", "width", "bands"):
+        if key not in meta:
+            raise FormatError(f"{path}: missing key {key!r}")
+        _count(meta, key, path, least=0 if key == "seed" else 1)
+    return meta
+
+
+def _load_index(header: Path, n: int, table: np.ndarray) -> EndmemberField:
+    """The gathered field of ``table`` and the index image ``header``:
+    n integral values, each a used row of the table, or ``FormatError``
+    naming the file."""
+    values = load_image(header).data
+    if values.shape != (1, n, 1):
+        raise FormatError(f"{header}: index is {'x'.join(map(str, values.shape))}, "
+                          f"the scene needs 1x{n}x1")
+    values = values.ravel()
+    with np.errstate(invalid="ignore"):         # a huge value casts to garbage, refused below
+        index = values.astype(np.intp)
+    if not np.array_equal(index, values):
+        raise FormatError(f"{header}: index values must be integers")
+    try:
+        return EndmemberField.gathered(_Adopt(table), index)
+    except ValueError as exc:
+        raise FormatError(f"{header}: {exc}") from exc
+
+
 def load_scene(scene_dir) -> SceneTruth:
     """Read a directory written by ``save_scene``, after checking every
-    artifact against the SHA-256 digest recorded in truth_meta.json."""
+    artifact against the SHA-256 digest recorded in truth_meta.json. A
+    missing file, a malformed truth_meta.json and an index that does not
+    fit the table or the scene are refused (``FormatError``, naming the
+    file). The field comes back gathered, its ``data`` bit for bit the
+    saved field's."""
     d = Path(scene_dir)
-    meta = json.loads((d / "truth_meta.json").read_text())
+    meta = _scene_meta(d / "truth_meta.json")
+    for name in _SCENE_FILES:
+        if not (d / name).is_file():
+            raise FormatError(f"{d / name}: missing from the scene directory")
     for name, digest in meta.get("digests", {}).items():
         with open(d / name, "rb") as f:
             if hashlib.file_digest(f, "sha256").hexdigest() != digest:
                 raise FormatError(f"{d / name}: SHA-256 digest does not match truth_meta.json")
+    table = load_endmember_field(d / "endmember_table", meta["bands"]).data
     snr = meta.get("snr_db")
     return SceneTruth(
         image_noisy=load_image(d / "image_noisy"),
         image_clean=load_image(d / "image_clean"),
         abundances=load_abundances(d / "abundances.csv"),
-        endmembers=load_endmember_field(d / "endmembers", int(meta["bands"])),
+        endmembers=_load_index(d / "endmember_index.json", meta["height"] * meta["width"],
+                               table),
         snr_db=math.inf if snr is None else float(snr),
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
     )
 
 

@@ -273,8 +273,10 @@ def synthesize_scene(
     albedo, the other modes as reflectance). Each pixel then draws one
     variant per class uniformly to form its endmember matrix, abundances
     come from the configured field generator, and the clean mixture gets
-    white Gaussian noise at ``snr_db``. The field is copied from a table
-    of the variant combinations that occur, one matrix per pixel.
+    white Gaussian noise at ``snr_db``. The field is returned gathered:
+    a table of the variant combinations that occur, checked once, and each
+    pixel's row in it (``EndmemberField.gathered``); mixing reads its
+    ``data``, taken once from the table.
     """
     p = base_library.n_classes
     if len(var_cfg.class_modes) != p:
@@ -320,7 +322,7 @@ def synthesize_scene(
         table = np.empty((first.size, l, p))    # one (L, P) matrix per combination
         for j in range(p):
             table[:, :, j] = variants[j][draw[first, j]]
-        endmembers = EndmemberField(_Adopt(table[which]))
+        endmembers = EndmemberField.gathered(_Adopt(table), which)
         clean = mix_forward(endmembers, abundances, shape=(height, width), name=f"{name}_clean")
     return SceneTruth(image_noisy=_add_scaled(clean, snr_db, noise, f"{name}_noisy"),
                       image_clean=clean, abundances=abundances, endmembers=endmembers,

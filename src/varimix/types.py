@@ -1,13 +1,15 @@
 """Core data types shared by the whole toolkit.
 
 All containers are immutable after construction, so they can be shared
-freely across threads (a factored field fills a buffer per read). The
-constructors copy a caller's array and mark the copy read-only; an array
-the toolkit has just built (synthesis, loading, solver results) comes
-wrapped in ``_Adopt``, is checked the same way and is marked read-only in
-place instead of copied. The checks read each array by whole-array
-reductions, finiteness by one ``sum`` (``_all_finite``), and build no
-boolean array of its size.
+freely across threads (a factored field fills a buffer per read, a
+gathered one takes one from its table). The constructors copy a caller's
+array and mark the copy read-only; an array the toolkit has just built
+(synthesis, loading, solver results) comes wrapped in ``_Adopt``, is
+checked the same way and is marked read-only in place instead of copied.
+An ``EndmemberField`` is dense, factored or gathered (a table and a
+per-pixel index, the form of a scene's truth field). The checks read each
+array by whole-array reductions, finiteness by one ``sum``
+(``_all_finite``), and build no boolean array of its size.
 """
 
 from __future__ import annotations
@@ -251,10 +253,15 @@ class AbundanceMap:
 
 class EndmemberField:
     """Per-pixel L x P endmember matrices, finite and nonnegative (column p of
-    pixel n: class p's signature there). Dense, or ``factored``: a solver's
-    ``fill(lo, hi, out)`` writing pixels lo:hi from private, unchanging arrays.
-    ``rows(lo, hi)`` is a view or a checked buffer of the call's own; ``data``
-    is built on first access (racing threads build the same bytes) and kept."""
+    pixel n: class p's signature there), in one of three forms. Dense: the
+    (N, L, P) array. ``factored``: a solver's ``fill(lo, hi, out)`` writing
+    pixels lo:hi from private, unchanging arrays. ``gathered``: pixel n is
+    ``table[index[n]]``, a (C, L, P) table and an (N,) index, both checked
+    once and read-only. ``rows(lo, hi)`` is a view, a take of the table or a
+    checked buffer of the call's own; ``data`` is built on first access
+    (racing threads build the same bytes) and kept."""
+
+    table = index = None                # the gathered form's factors
 
     def __init__(self, data):
         self._data, self._fill, self._means = _freeze(data), None, None
@@ -273,12 +280,36 @@ class EndmemberField:
         field._data, field._fill, field._means, field.shape = None, fill, None, tuple(shape)
         return field
 
+    @classmethod
+    def gathered(cls, table, index) -> "EndmemberField":
+        """Pixel n is ``table[index[n]]``. The (C, L, P) table is checked
+        as a dense field; the (N,) index must be integers in [0, C) that use
+        every table row."""
+        table, index = cls(table)._data, np.array(index)
+        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+            raise DimensionError("EndmemberField index must be a 1-D integer array")
+        c = table.shape[0]
+        if index.size and (index.min() < 0 or index.max() >= c):
+            raise ValueError(f"EndmemberField index must lie in [0, {c})")
+        index = index.astype(np.intp, copy=False)
+        if not np.bincount(index, minlength=c).all():
+            raise ValueError("EndmemberField index leaves a table row unused")
+        index.flags.writeable = False
+        field = cls.factored((index.size,) + table.shape[1:], None)
+        field.table, field.index = table, index
+        return field
+
     def rows(self, lo: int, hi: int) -> np.ndarray:
         if self._data is not None:
             return self._data[lo:hi]
-        out = np.empty((min(hi, self.shape[0]) - lo,) + self.shape[1:])
-        self._fill(lo, lo + len(out), out)
-        return EndmemberField(_Adopt(out))._data        # checked, read-only
+        if self.index is not None:
+            out = np.take(self.table, self.index[lo:hi], axis=0)
+        else:
+            out = np.empty((min(hi, self.shape[0]) - lo,) + self.shape[1:])
+            self._fill(lo, lo + len(out), out)
+            out = EndmemberField(_Adopt(out))._data         # checked
+        out.flags.writeable = False
+        return out
 
     def blocks(self):
         """The field in one buffer when dense, else in ``rows`` of ``_CHUNK_ROWS`` pixels."""

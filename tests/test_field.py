@@ -1,5 +1,5 @@
-"""Endmember fields kept as a solver's factors: any window of rows has the
-bytes of the whole array, scoring and saving read rows without building
+"""Endmember fields kept as a solver's factors or gathered from a table:
+any window of rows has the bytes of the whole array, scoring and saving read rows without building
 the whole field, and nothing the caller holds can change the field
 after the call."""
 
@@ -10,7 +10,7 @@ from varimix.bench import eval_result
 from varimix.io import load_endmember_field, save_result
 from varimix.solvers import SOLVERS, unmix
 from varimix.synth import truth_variant_library
-from varimix.types import EndmemberField, SpectralLibrary
+from varimix.types import DimensionError, EndmemberField, SpectralLibrary
 
 from conftest import bench_scene, solver_params
 
@@ -56,6 +56,46 @@ def test_rows_of_a_dense_field_are_views():
     assert np.shares_memory(rows, field.data) and not rows.flags.writeable
     assert rows.tobytes() == data[1:3].tobytes()
     assert field.rows(4, 9).shape == (1, 4, 2)
+
+
+def _gathered_factors(n=600, c=7):
+    rng = np.random.default_rng(3)
+    index = np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)])
+    return rng.uniform(0.0, 1.0, size=(c, 5, 3)), rng.permutation(index)
+
+
+def test_rows_of_a_gathered_field_are_takes_of_its_table():
+    table, index = _gathered_factors()
+    field = EndmemberField.gathered(table, index)
+    want = table[index]
+    table[...], index[...] = 0.0, 0         # the field keeps copies of the caller's arrays
+    for lo, hi in ((0, 1), (7, 300), (255, 257), (0, 600)):
+        rows = field.rows(lo, hi)
+        assert rows.tobytes() == want[lo:hi].tobytes() and not rows.flags.writeable
+    assert field._data is None
+    data = field.data
+    assert data.tobytes() == want.tobytes() and field.data is data
+    assert not (field.table.flags.writeable or field.index.flags.writeable)
+    assert field.shape == (600, 5, 3) and field.index.dtype == np.intp
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (lambda t, i: (-t, i), ValueError, "^EndmemberField values must be nonnegative$"),
+    (lambda t, i: (np.where(t > 0.5, np.inf, t), i), ValueError,
+     "^EndmemberField.data contains NaN/Inf values$"),
+    (lambda t, i: (t[:, :, 0], i), DimensionError, "^EndmemberField.data must be"),
+    (lambda t, i: (t, i.astype(float)), DimensionError, "1-D integer array"),
+    (lambda t, i: (t, i > 0), DimensionError, "1-D integer array"),
+    (lambda t, i: (t, i.reshape(20, 30)), DimensionError, "1-D integer array"),
+    (lambda t, i: (t, i - 1), ValueError, r"must lie in \[0, 7\)$"),
+    (lambda t, i: (t, i + 1), ValueError, r"must lie in \[0, 7\)$"),
+    (lambda t, i: (t, i % 6), ValueError, "leaves a table row unused$"),
+    (lambda t, i: (t, i[:0]), ValueError, "leaves a table row unused$"),
+], ids=["negative-table", "infinite-table", "2-D-table", "float-index", "bool-index",
+        "2-D-index", "negative-index", "index-past-the-table", "unused-row", "empty-index"])
+def test_gathered_field_refuses_a_bad_table_or_index(change, error, message):
+    with pytest.raises(error, match=message):
+        EndmemberField.gathered(*change(*_gathered_factors()))
 
 
 @pytest.mark.parametrize("bad, message", [(-1e-3, "^EndmemberField values must be nonnegative$"),

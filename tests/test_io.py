@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -162,13 +163,16 @@ def test_scene_digests_are_those_of_the_written_files(tmp_path):
     digests = json.loads((out / "truth_meta.json").read_text())["digests"]
     assert list(digests) == [
         "image_noisy.json", "image_noisy.bin", "image_clean.json", "image_clean.bin",
-        "abundances.csv", "endmembers.json", "endmembers.bin",
+        "abundances.csv", "endmember_table.json", "endmember_table.bin",
+        "endmember_index.json", "endmember_index.bin",
     ]
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", ["image_noisy.bin", "abundances.csv", "endmembers.json"])
+@pytest.mark.parametrize("name", ["image_noisy.bin", "abundances.csv", "endmember_table.json",
+                                  "endmember_table.bin", "endmember_index.json",
+                                  "endmember_index.bin"])
 def test_scene_load_rejects_one_flipped_byte(tmp_path, name):
     truth = make_scene(height=4, width=5)
     out = save_scene(truth, tmp_path / "scene")
@@ -178,6 +182,106 @@ def test_scene_load_rejects_one_flipped_byte(tmp_path, name):
     target.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match=name):
         load_scene(out)
+
+
+def test_scene_field_is_saved_as_its_table_and_index(tmp_path):
+    truth = make_scene(height=4, width=5)
+    field = truth.endmembers
+    out = save_scene(truth, tmp_path / "scene")
+    assert sorted(f.name for f in out.iterdir()) == sorted(
+        ["truth_meta.json", "image_noisy.json", "image_noisy.bin", "image_clean.json",
+         "image_clean.bin", "abundances.csv", "endmember_table.json", "endmember_table.bin",
+         "endmember_index.json", "endmember_index.bin"])
+    assert _same_bits(load_endmember_field(out / "endmember_table", 40).data, field.table)
+    assert np.array_equal(load_image(out / "endmember_index").data, field.index.reshape(1, 20, 1))
+    back = load_scene(out).endmembers
+    assert back.table.tobytes() == field.table.tobytes()
+    assert back.index.tobytes() == field.index.tobytes()
+    assert back.data.tobytes() == field.data.tobytes()
+
+
+def test_save_scene_refuses_a_field_that_is_not_gathered(tmp_path):
+    truth = make_scene(height=4, width=5)
+    dense = dataclasses.replace(truth, endmembers=EndmemberField(truth.endmembers.data))
+    with pytest.raises(FormatError, match="must be gathered"):
+        save_scene(dense, tmp_path / "scene")
+    assert not (tmp_path / "scene").exists()
+
+
+def _rewrite(out, name, write):
+    """Rewrite scene file ``name`` by ``write(path)`` and record its new digest."""
+    write(out / name)
+    meta = json.loads((out / "truth_meta.json").read_text())
+    for n in (name, name.replace(".json", ".bin")):
+        meta["digests"][n] = hashlib.sha256((out / n).read_bytes()).hexdigest()
+    (out / "truth_meta.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("values, message", [
+    (lambda i: i + 0.5, "index values must be integers$"),
+    (lambda i: np.where(i == 0, 1e300, i), "index values must be integers$"),
+    (lambda i: i - 1, r"EndmemberField index must lie in \[0, \d+\)$"),
+    (lambda i: i + 1, r"EndmemberField index must lie in \[0, \d+\)$"),
+    (lambda i: np.zeros_like(i), "EndmemberField index leaves a table row unused$"),
+    (lambda i: i[:-1], "index is 1x19x1, the scene needs 1x20x1$"),
+    (lambda i: np.concatenate([i, i]), "index is 1x40x1, the scene needs 1x20x1$"),
+], ids=["half", "huge", "negative", "past-the-table", "unused-row", "short", "long"])
+def test_load_scene_refuses_an_index_that_does_not_fit(tmp_path, values, message):
+    truth = make_scene(height=4, width=5)
+    out = save_scene(truth, tmp_path / "scene")
+    index = truth.endmembers.index
+    _rewrite(out, "endmember_index.json",
+             lambda path: save_image(SpectralImage(values(index).reshape(1, -1, 1)), path))
+    with pytest.raises(FormatError, match=f"^{out / 'endmember_index.json'}: {message}"):
+        load_scene(out)
+
+
+def test_load_scene_refuses_the_old_format_by_its_missing_file(tmp_path):
+    # the field as one (N, L, P) payload, endmembers.json/.bin, is no longer read
+    truth = make_scene(height=4, width=5)
+    out = save_scene(truth, tmp_path / "scene")
+    for name in ("endmember_table", "endmember_index"):
+        for suffix in (".json", ".bin"):
+            (out / (name + suffix)).unlink()
+    save_endmember_field(EndmemberField(truth.endmembers.data), out / "endmembers")
+    with pytest.raises(FormatError, match="endmember_table.json: missing"):
+        load_scene(out)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda meta: "{not json", "not JSON", id="not-json"),
+    pytest.param(lambda meta: "[1, 2]", "expected an object", id="not-an-object"),
+    *[pytest.param(lambda meta, k=k: json.dumps({x: v for x, v in meta.items() if x != k}),
+                   f"missing key '{k}'", id=f"no-{k}") for k in ("seed", "bands", "height", "width")],
+    *[pytest.param(lambda meta, k=k, v=v: json.dumps({**meta, k: v}),
+                   f"{k} must be an integer >= {least}, got {v!r}", id=f"{k}={v!r}")
+      for k, v, least in (("bands", 0, 1), ("height", -4, 1), ("width", 5.0, 1),
+                          ("bands", "40", 1), ("height", True, 1), ("seed", "42", 0))],
+])
+def test_load_scene_refuses_a_malformed_truth_meta(tmp_path, edit, message):
+    out = save_scene(make_scene(height=4, width=5), tmp_path / "scene")
+    meta = out / "truth_meta.json"
+    meta.write_text(edit(json.loads(meta.read_text())))
+    with pytest.raises(FormatError, match=f"^{meta}: {message}"):
+        load_scene(out)
+
+
+@pytest.mark.parametrize("shape", [
+    {"height": -1, "width": -2, "bands": 3},
+    {"height": 2.0}, {"width": "3"}, {"bands": True},
+], ids=["negative", "float", "string", "bool"])
+def test_image_header_with_a_bad_shape_is_refused(tmp_path, shape):
+    header = save_image(SpectralImage(np.full((2, 1, 3), 0.5)), tmp_path / "img")
+    header.write_text(json.dumps({**json.loads(header.read_text()), **shape}))
+    key = next(iter(shape))
+    with pytest.raises(FormatError, match=f"^{header}: {key} must be an integer >= 0"):
+        load_image(header)
+
+
+def test_load_endmember_field_refuses_no_bands(tmp_path):
+    header = save_endmember_field(EndmemberField(np.full((2, 3, 2), 0.5)), tmp_path / "f")
+    with pytest.raises(ValueError, match="^n_bands must be >= 1, got 0$"):
+        load_endmember_field(header, 0)
 
 
 # values whose %.17g text is easy to get wrong: signed zero, the smallest

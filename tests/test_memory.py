@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from varimix.bench import eval_result
-from varimix.io import (load_endmember_field, load_image, load_library, load_scene, save_library,
-                        save_scene)
+from varimix.io import load_image, load_library, load_scene, save_library, save_scene
 from varimix.solvers import ALGORITHMS, SOLVERS, SolverOptions, plmm_unmix, unmix
 from varimix.synth import truth_variant_library
 from varimix.types import EndmemberField, LibraryClass, SpectralImage, SpectralLibrary
@@ -125,10 +124,10 @@ def test_arrays_from_synthesis_loading_and_solvers_are_read_only(tmp_path):
     truth = make_scene(snr_db=30.0, height=4, width=5)
     save_scene(truth, tmp_path / "scene")
     loaded = load_scene(tmp_path / "scene")
-    arrays = [load_image(tmp_path / "scene" / "image_noisy").data,
-              load_endmember_field(tmp_path / "scene" / "endmembers", 40).data]
+    arrays = [load_image(tmp_path / "scene" / "image_noisy").data]
     for t in (truth, loaded):
-        arrays += [t.image_noisy.data, t.image_clean.data, t.abundances.data, t.endmembers.data]
+        arrays += [t.image_noisy.data, t.image_clean.data, t.abundances.data, t.endmembers.data,
+                   t.endmembers.table, t.endmembers.index]
     library = truth_variant_library(truth)
     matrix = truth.endmembers.class_means().T
     for name in ALGORITHMS:
@@ -138,7 +137,7 @@ def test_arrays_from_synthesis_loading_and_solvers_are_read_only(tmp_path):
                    if r is not None]
     save_library(library, tmp_path / "lib.csv")
     arrays += [c.signatures for c in load_library(tmp_path / "lib.csv").classes]
-    assert len(arrays) == 26
+    assert len(arrays) == 29
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
