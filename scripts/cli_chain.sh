@@ -2,9 +2,10 @@
 # The README's command-line chain on a tiny scene, through `python -m varimix`:
 # synth -> extract -> prune (count, music) -> transform (mask, fda) -> unmix fcls,
 # elmm, plmm, mesma (through fda, and with an early-stop threshold), sparse-l1,
-# and greedy and exhaustive sparse-l0; checks that the scene directory loads back
-# to the scene its config synthesizes, bit for bit, that each solver log's phases sum
-# to its wall_time_s and are phases the README lists, and that sparse-l1's files
+# and greedy and exhaustive sparse-l0; checks that the scene directory holds its
+# eight digested files and truth_meta.json and loads back to the scene its config
+# synthesizes, bit for bit, that each solver log's phases sum to its wall_time_s
+# and are phases the README lists, and that sparse-l1's files
 # give back its logged cost (the L1 objective); then checks that a refused
 # value (sparse-l0 with --k 0, also with an image that does not exist), flags of
 # other solvers (fcls with --k and --re-threshold, or with --opts) or methods
@@ -66,12 +67,22 @@ python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --
 python -m varimix unmix --image scene_dir/ --algo sparse-l0 --library lib.csv --k 2 \
     --l0-mode exhaustive --out result_l0x/
 
-# the scene directory loads back to the scene its config synthesizes: all four
-# truth members bit for bit, the field through its table and per-pixel index
+# the scene directory holds the noisy image, the abundances cube, the field's
+# table and per-pixel index and truth_meta.json, whose digests name exactly
+# those eight files; it loads back to the scene its config synthesizes: all
+# four truth members bit for bit, the clean image mixed again on load
 python - <<'PY'
-import json
+import json, pathlib
 from varimix.io import load_config, load_scene
 from varimix.synth import SceneConfig, synthesize_from_config
+files = [f"{stem}.{ext}" for stem in ("image_noisy", "abundances", "endmember_table",
+                                      "endmember_index") for ext in ("json", "bin")]
+held = sorted(f.name for f in pathlib.Path("scene_dir").iterdir())
+if held != sorted(files + ["truth_meta.json"]):
+    raise SystemExit(f"cli_chain: scene_dir/ holds {held}")
+digests = json.load(open("scene_dir/truth_meta.json"))["digests"]
+if list(digests) != files:
+    raise SystemExit(f"cli_chain: scene_dir/truth_meta.json digests name {list(digests)}")
 want = synthesize_from_config(load_config(SceneConfig, json.load(open("scene.json"))))
 got = load_scene("scene_dir/")
 for member in ("image_noisy", "image_clean", "abundances", "endmembers"):

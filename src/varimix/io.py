@@ -3,14 +3,16 @@
 Images are stored as a JSON header plus a raw little-endian float64
 payload, pixel-major (all L bands of pixel 0, then pixel 1, ...). The
 payload is written straight from the array's buffer, without a bytes
-copy; an endmember field, a result's per-pixel error and a scene's field
-index are written the same way as 1 x N images without being wrapped in
-a ``SpectralImage``. A scene stores its truth field gathered, as the
-table of the matrices that occur and each pixel's row in it.
-Libraries and abundance maps are CSV with 17-significant-digit floats so
-that save/load round trips are bit-exact. The whole table of a file is
-formatted by one ``%`` operation whose template repeats ``%.17g`` once
-per value, which gives the same bytes as formatting value by value.
+copy; an endmember field, a result's per-pixel error and a scene's
+abundances and field index are written the same way as 1 x N images
+without being wrapped in a ``SpectralImage``. A scene stores its noisy
+image and the factors its clean image is mixed from again on load: the
+abundances, and the truth field gathered, as the table of the matrices
+that occur and each pixel's row in it.
+Libraries and result abundance maps are CSV with 17-significant-digit
+floats so that save/load round trips are bit-exact. The whole table of a
+file is formatted by one ``%`` operation whose template repeats ``%.17g``
+once per value, which gives the same bytes as formatting value by value.
 Text is written as UTF-8. A writer given ``digests`` records there the SHA-256
 of each file's bytes by file name, hashed on the background worker as written.
 """
@@ -28,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import background
+from .mixing import mix_forward
 from .types import (AbundanceMap, EndmemberField, FormatError, LibraryClass, SceneTruth,
                     SpectralImage, SpectralLibrary, _Adopt)
 
@@ -109,8 +112,7 @@ def load_image(path) -> SpectralImage:
         raise FormatError(f"non-finite values in image payload {header}") from exc
 
 
-def _write_csv(path, header: str, values: np.ndarray, labels=None,
-               digests: Optional[dict] = None) -> Path:
+def _write_csv(path, header: str, values: np.ndarray, labels=None) -> Path:
     """Write ``header`` and one line per row of ``values``: the row's
     values as ``%.17g`` joined by commas, led by ``label,`` when labels
     are given. One ``%`` call formats the whole file."""
@@ -123,7 +125,7 @@ def _write_csv(path, header: str, values: np.ndarray, labels=None,
     else:
         rows = [label.replace("%", "%%") + "," + row for label in labels]
     template = "\n".join([header.replace("%", "%%")] + rows) + "\n"
-    _write_bytes(p, [(template % tuple(values.ravel().tolist())).encode()], digests)
+    _write_bytes(p, [(template % tuple(values.ravel().tolist())).encode()], None)
     return p
 
 
@@ -185,10 +187,10 @@ def load_library(path) -> SpectralLibrary:
     return SpectralLibrary(tuple(LibraryClass(n, np.stack(s)) for n, s in rows.items()))
 
 
-def save_abundances(abundances: AbundanceMap, path, digests: Optional[dict] = None) -> Path:
+def save_abundances(abundances: AbundanceMap, path) -> Path:
     names = abundances.names_or_default()
     _check_names(names, path)
-    return _write_csv(path, ",".join(names), abundances.data, digests=digests)
+    return _write_csv(path, ",".join(names), abundances.data)
 
 
 def load_abundances(path, sum_to_one: bool = True) -> AbundanceMap:
@@ -256,18 +258,21 @@ def save_result(result, out) -> Path:
 
 
 # A scene directory's files, in the order truth_meta.json lists their digests
-_SCENE_FILES = ("image_noisy.json", "image_noisy.bin", "image_clean.json", "image_clean.bin",
-                "abundances.csv", "endmember_table.json", "endmember_table.bin",
+_SCENE_FILES = ("image_noisy.json", "image_noisy.bin", "abundances.json", "abundances.bin",
+                "endmember_table.json", "endmember_table.bin",
                 "endmember_index.json", "endmember_index.bin")
 
 
 def save_scene(truth: SceneTruth, out_dir) -> Path:
-    """Write the images, the abundances and the gathered truth field, as
-    its table of C matrices (``endmember_table``, written by
+    """Write the noisy image and the factors the clean image is mixed
+    from: the abundances as a 1 x N x P cube, and the gathered truth
+    field, as its table of C matrices (``endmember_table``, written by
     ``save_endmember_field``) and its per-pixel row in that table
-    (``endmember_index``, a 1 x N one-band image), the largest first;
-    then truth_meta.json with the SHA-256 digest of every file. A field
-    in another form is not written (``FormatError``)."""
+    (``endmember_index``, a 1 x N one-band image); then truth_meta.json
+    with the shapes, the class names, the clean image's name and the
+    SHA-256 digest of every file. The clean image is not written:
+    ``load_scene`` mixes it again. A field in another form is not written
+    (``FormatError``)."""
     field = truth.endmembers
     if field.index is None:
         raise FormatError(f"{out_dir}: a scene's truth field must be gathered "
@@ -275,38 +280,54 @@ def save_scene(truth: SceneTruth, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digests = dict.fromkeys(_SCENE_FILES)
+    n, p = truth.abundances.data.shape
     with background.overlap():
         save_image(truth.image_noisy, out / "image_noisy", digests)
-        save_image(truth.image_clean, out / "image_clean", digests)
-        save_abundances(truth.abundances, out / "abundances.csv", digests)
+        _write_cube(out / "abundances", (1, n, p), [truth.abundances.data], "abundances",
+                    digests)
         save_endmember_field(EndmemberField(_Adopt(field.table)), out / "endmember_table",
                              digests)
-        _write_cube(out / "endmember_index", (1, field.shape[0], 1), [field.index],
-                    "endmember_index", digests)
+        _write_cube(out / "endmember_index", (1, n, 1), [field.index], "endmember_index",
+                    digests)
     img = truth.image_clean
     meta = {"seed": int(truth.seed),
             "snr_db": None if math.isinf(truth.snr_db) else float(truth.snr_db),
-            "height": img.height, "width": img.width, "bands": img.n_bands,
-            "classes": truth.abundances.n_classes, "digests": digests}
+            "height": img.height, "width": img.width, "bands": img.n_bands, "classes": p,
+            "class_names": list(truth.abundances.names_or_default()), "clean_name": img.name,
+            "digests": digests}
     (out / "truth_meta.json").write_text(json.dumps(meta, indent=1) + "\n")
     return out
 
 
 def _scene_meta(path: Path) -> dict:
     """truth_meta.json: an object with a nonnegative integer ``seed``,
-    positive integer ``height``, ``width`` and ``bands`` and, if present,
-    an object of ``digests``; anything else is one ``FormatError`` naming it."""
+    positive integer ``height``, ``width``, ``bands`` and ``classes``, a
+    list of ``classes`` strings ``class_names``, a string ``clean_name``
+    and, if present, an object of ``digests``; anything else is one
+    ``FormatError`` naming it."""
     try:
         meta = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(meta, dict) or not isinstance(meta.get("digests", {}), dict):
         raise FormatError(f"{path}: expected an object with an object of digests")
-    for key in ("seed", "height", "width", "bands"):
+    for key in ("seed", "height", "width", "bands", "classes", "class_names", "clean_name"):
         if key not in meta:
             raise FormatError(f"{path}: missing key {key!r}")
+    for key in ("seed", "height", "width", "bands", "classes"):
         _count(meta, key, path, least=0 if key == "seed" else 1)
+    names = meta["class_names"]
+    if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):
+        raise FormatError(f"{path}: class_names must be a list of strings")
+    if len(names) != meta["classes"]:
+        raise FormatError(f"{path}: {len(names)} class_names for {meta['classes']} classes")
+    if not isinstance(meta["clean_name"], str):
+        raise FormatError(f"{path}: clean_name must be a string")
     return meta
+
+
+def _dims(shape) -> str:
+    return "x".join(map(str, shape))
 
 
 def _load_index(header: Path, n: int, table: np.ndarray) -> EndmemberField:
@@ -315,7 +336,7 @@ def _load_index(header: Path, n: int, table: np.ndarray) -> EndmemberField:
     naming the file."""
     values = load_image(header).data
     if values.shape != (1, n, 1):
-        raise FormatError(f"{header}: index is {'x'.join(map(str, values.shape))}, "
+        raise FormatError(f"{header}: index is {_dims(values.shape)}, "
                           f"the scene needs 1x{n}x1")
     values = values.ravel()
     with np.errstate(invalid="ignore"):         # a huge value casts to garbage, refused below
@@ -330,28 +351,52 @@ def _load_index(header: Path, n: int, table: np.ndarray) -> EndmemberField:
 
 def load_scene(scene_dir) -> SceneTruth:
     """Read a directory written by ``save_scene``, after checking every
-    artifact against the SHA-256 digest recorded in truth_meta.json. A
-    missing file, a malformed truth_meta.json and an index that does not
-    fit the table or the scene are refused (``FormatError``, naming the
-    file). The field comes back gathered, its ``data`` bit for bit the
-    saved field's."""
+    artifact against the SHA-256 digest recorded in truth_meta.json, and
+    mix the clean image again as ``synthesize_scene`` does
+    (``mix_forward`` of the field and the abundances), under its saved
+    name; ``SceneTruth`` checks that mixture once more. A missing file, a
+    malformed truth_meta.json or one whose shapes or classes disagree with
+    the noisy image and the abundances, abundances of the wrong shape or
+    off the simplex, and an index that does not fit the table or the scene
+    are refused (``FormatError``, naming the file). Every member comes back
+    bit for bit as saved, the field gathered."""
     d = Path(scene_dir)
-    meta = _scene_meta(d / "truth_meta.json")
-    for name in _SCENE_FILES:
+    meta_path = d / "truth_meta.json"
+    for name in ("truth_meta.json",) + _SCENE_FILES:
         if not (d / name).is_file():
             raise FormatError(f"{d / name}: missing from the scene directory")
+    meta = _scene_meta(meta_path)
     for name, digest in meta.get("digests", {}).items():
         with open(d / name, "rb") as f:
             if hashlib.file_digest(f, "sha256").hexdigest() != digest:
                 raise FormatError(f"{d / name}: SHA-256 digest does not match truth_meta.json")
-    table = load_endmember_field(d / "endmember_table", meta["bands"]).data
+    h, w, l, p = meta["height"], meta["width"], meta["bands"], meta["classes"]
+    noisy = load_image(d / "image_noisy")
+    if noisy.data.shape != (h, w, l):
+        raise FormatError(f"{meta_path}: the scene is {_dims((h, w, l))}, "
+                          f"{d / 'image_noisy.json'} is {_dims(noisy.data.shape)}")
+    header = d / "abundances.json"
+    cube = load_image(header).data
+    if cube.shape[:2] != (1, h * w):
+        raise FormatError(f"{header}: abundances are {_dims(cube.shape)}, "
+                          f"the scene needs 1x{h * w}x{p}")
+    if cube.shape[2] != p:
+        raise FormatError(f"{meta_path}: {p} classes, {header} holds {cube.shape[2]}")
+    try:
+        abundances = AbundanceMap(cube[0], class_names=meta["class_names"])
+    except ValueError as exc:           # the map's value checks
+        raise FormatError(f"{header}: {exc}") from exc
+    table = load_endmember_field(d / "endmember_table", l).data
+    if table.shape[2] != p:
+        raise FormatError(f"{d / 'endmember_table.json'}: matrices of {table.shape[2]} "
+                          f"classes, the scene has {p}")
+    field = _load_index(d / "endmember_index.json", h * w, table)
     snr = meta.get("snr_db")
     return SceneTruth(
-        image_noisy=load_image(d / "image_noisy"),
-        image_clean=load_image(d / "image_clean"),
-        abundances=load_abundances(d / "abundances.csv"),
-        endmembers=_load_index(d / "endmember_index.json", meta["height"] * meta["width"],
-                               table),
+        image_noisy=noisy,
+        image_clean=mix_forward(field, abundances, shape=(h, w), name=meta["clean_name"]),
+        abundances=abundances,
+        endmembers=field,
         snr_db=math.inf if snr is None else float(snr),
         seed=meta["seed"],
     )

@@ -337,7 +337,9 @@ _CHUNK_ROWS = 256           # pixels per block of a per-pixel product over a fie
 class SceneTruth:
     """Ground truth bundle for one synthetic scene. ``image_clean`` must be
     the mixture of the field and abundances to ``_CLEAN_MIX_ATOL``,
-    checked ``_CHUNK_ROWS`` pixels at a time."""
+    checked ``_CHUNK_ROWS`` pixels at a time. Synthesis and ``load_scene``
+    both build it by ``mix_forward`` of those two, so a saved scene keeps
+    no clean image."""
 
     image_noisy: SpectralImage
     image_clean: SpectralImage

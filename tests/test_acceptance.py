@@ -319,7 +319,7 @@ assert main(["unmix", "--image", base + "/scene_t{threads}", "--algo", "mesma",
     subprocess.run([sys.executable, "-c", script], check=True, env=env,
                    capture_output=True)
     return [
-        (workdir / f"scene_t{threads}" / "abundances.csv").read_bytes(),
+        (workdir / f"scene_t{threads}" / "abundances.bin").read_bytes(),
         (workdir / f"lib_t{threads}.csv").read_bytes(),
         (workdir / f"out_t{threads}" / "abundances.csv").read_bytes(),
     ]

@@ -150,29 +150,57 @@ def test_scene_round_trip_bit_exact(tmp_path):
     assert back.seed == truth.seed and back.snr_db == truth.snr_db
 
 
+_SCENE_FILES = ["image_noisy.json", "image_noisy.bin", "abundances.json", "abundances.bin",
+                "endmember_table.json", "endmember_table.bin",
+                "endmember_index.json", "endmember_index.bin"]
+
+
 def test_scene_meta_has_digests(tmp_path):
     truth = make_scene(height=4, width=5)
     out = save_scene(truth, tmp_path / "scene")
     meta = json.loads((out / "truth_meta.json").read_text())
-    assert "digests" in meta and "abundances.csv" in meta["digests"]
+    assert "digests" in meta and "abundances.bin" in meta["digests"]
 
 
 def test_scene_digests_are_those_of_the_written_files(tmp_path):
     truth = make_scene(height=4, width=5)
     out = save_scene(truth, tmp_path / "scene")
     digests = json.loads((out / "truth_meta.json").read_text())["digests"]
-    assert list(digests) == [
-        "image_noisy.json", "image_noisy.bin", "image_clean.json", "image_clean.bin",
-        "abundances.csv", "endmember_table.json", "endmember_table.bin",
-        "endmember_index.json", "endmember_index.bin",
-    ]
+    assert list(digests) == _SCENE_FILES
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", ["image_noisy.bin", "abundances.csv", "endmember_table.json",
-                                  "endmember_table.bin", "endmember_index.json",
-                                  "endmember_index.bin"])
+def test_scene_directory_holds_its_eight_files_and_the_meta(tmp_path):
+    # no clean image (it is mixed again on load) and no CSV
+    out = save_scene(make_scene(height=4, width=5), tmp_path / "scene")
+    assert sorted(f.name for f in out.iterdir()) == sorted(_SCENE_FILES + ["truth_meta.json"])
+    meta = json.loads((out / "truth_meta.json").read_text())
+    assert {k: v for k, v in meta.items() if k != "digests"} == {
+        "seed": 42, "snr_db": None, "height": 4, "width": 5, "bands": 40, "classes": 3,
+        "class_names": ["material_0", "material_1", "material_2"], "clean_name": "scene_clean"}
+
+
+@pytest.mark.parametrize("snr_db", [30.0, float("inf")], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("shape", [(1, 5, 7), (4, 5, 40), (64, 64, 40)],
+                         ids=["1x5x7", "4x5", "64x64"])
+def test_scene_round_trips_every_member_and_name_bit_for_bit(tmp_path, shape, snr_db):
+    h, w, bands = shape
+    truth = make_scene(n_bands=bands, height=h, width=w, snr_db=snr_db)
+    back = load_scene(save_scene(truth, tmp_path / "scene"))
+    for member in ("image_noisy", "image_clean", "abundances", "endmembers"):
+        assert _same_bits(getattr(back, member).data, getattr(truth, member).data), member
+    assert back.image_noisy.name == truth.image_noisy.name == "scene_noisy"
+    assert back.image_clean.name == truth.image_clean.name == "scene_clean"
+    assert back.abundances.class_names == truth.abundances.class_names
+    assert back.endmembers.table.tobytes() == truth.endmembers.table.tobytes()
+    assert back.endmembers.index.tobytes() == truth.endmembers.index.tobytes()
+    assert (back.seed, back.snr_db) == (truth.seed, truth.snr_db)
+
+
+@pytest.mark.parametrize("name", ["image_noisy.bin", "abundances.json", "abundances.bin",
+                                  "endmember_table.json", "endmember_table.bin",
+                                  "endmember_index.json", "endmember_index.bin"])
 def test_scene_load_rejects_one_flipped_byte(tmp_path, name):
     truth = make_scene(height=4, width=5)
     out = save_scene(truth, tmp_path / "scene")
@@ -188,10 +216,6 @@ def test_scene_field_is_saved_as_its_table_and_index(tmp_path):
     truth = make_scene(height=4, width=5)
     field = truth.endmembers
     out = save_scene(truth, tmp_path / "scene")
-    assert sorted(f.name for f in out.iterdir()) == sorted(
-        ["truth_meta.json", "image_noisy.json", "image_noisy.bin", "image_clean.json",
-         "image_clean.bin", "abundances.csv", "endmember_table.json", "endmember_table.bin",
-         "endmember_index.json", "endmember_index.bin"])
     assert _same_bits(load_endmember_field(out / "endmember_table", 40).data, field.table)
     assert np.array_equal(load_image(out / "endmember_index").data, field.index.reshape(1, 20, 1))
     back = load_scene(out).endmembers
@@ -252,16 +276,87 @@ def test_load_scene_refuses_the_old_format_by_its_missing_file(tmp_path):
     pytest.param(lambda meta: "{not json", "not JSON", id="not-json"),
     pytest.param(lambda meta: "[1, 2]", "expected an object", id="not-an-object"),
     *[pytest.param(lambda meta, k=k: json.dumps({x: v for x, v in meta.items() if x != k}),
-                   f"missing key '{k}'", id=f"no-{k}") for k in ("seed", "bands", "height", "width")],
+                   f"missing key '{k}'", id=f"no-{k}")
+      for k in ("seed", "bands", "height", "width", "classes", "class_names", "clean_name")],
     *[pytest.param(lambda meta, k=k, v=v: json.dumps({**meta, k: v}),
                    f"{k} must be an integer >= {least}, got {v!r}", id=f"{k}={v!r}")
       for k, v, least in (("bands", 0, 1), ("height", -4, 1), ("width", 5.0, 1),
-                          ("bands", "40", 1), ("height", True, 1), ("seed", "42", 0))],
+                          ("bands", "40", 1), ("height", True, 1), ("seed", "42", 0),
+                          ("classes", 0, 1))],
+    pytest.param(lambda meta: json.dumps({**meta, "class_names": "abc"}),
+                 "class_names must be a list of strings", id="class_names='abc'"),
+    pytest.param(lambda meta: json.dumps({**meta, "class_names": [0, 1, 2]}),
+                 "class_names must be a list of strings", id="class_names=[0, 1, 2]"),
+    pytest.param(lambda meta: json.dumps({**meta, "clean_name": 5}),
+                 "clean_name must be a string", id="clean_name=5"),
 ])
 def test_load_scene_refuses_a_malformed_truth_meta(tmp_path, edit, message):
     out = save_scene(make_scene(height=4, width=5), tmp_path / "scene")
     meta = out / "truth_meta.json"
     meta.write_text(edit(json.loads(meta.read_text())))
+    with pytest.raises(FormatError, match=f"^{meta}: {message}"):
+        load_scene(out)
+
+
+@pytest.mark.parametrize("values, message", [
+    (lambda a: a[:, :-1], "abundances are 1x19x3, the scene needs 1x20x3$"),
+    (lambda a: np.concatenate([a, a], axis=1), "abundances are 1x40x3, the scene needs 1x20x3$"),
+    (lambda a: a.reshape(2, 10, 3), "abundances are 2x10x3, the scene needs 1x20x3$"),
+    (lambda a: a * 1.1, "abundance row sum deviates from 1 by more than 1e-6$"),
+    (lambda a: a - 0.01, r"abundance below -1e-09 \(not clampable noise\)$"),
+], ids=["short", "long", "two-rows", "off-the-simplex", "negative"])
+def test_load_scene_refuses_abundances_that_do_not_fit(tmp_path, values, message):
+    truth = make_scene(height=4, width=5)
+    out = save_scene(truth, tmp_path / "scene")
+    cube = truth.abundances.data.reshape(1, 20, 3)
+    _rewrite(out, "abundances.json", lambda path: save_image(SpectralImage(values(cube)), path))
+    with pytest.raises(FormatError, match=f"^{out / 'abundances.json'}: {message}"):
+        load_scene(out)
+
+
+def test_load_scene_refuses_a_table_of_another_class_count(tmp_path):
+    truth = make_scene(height=4, width=5)
+    out = save_scene(truth, tmp_path / "scene")
+    table = np.concatenate([truth.endmembers.table] * 2, axis=2)      # (C, 40, 6)
+    _rewrite(out, "endmember_table.json",
+             lambda path: save_endmember_field(EndmemberField(table), path))
+    with pytest.raises(FormatError, match=f"^{out / 'endmember_table.json'}: matrices of 6 "
+                                          "classes, the scene has 3$"):
+        load_scene(out)
+
+
+def test_load_scene_refuses_a_directory_with_a_clean_image_and_an_abundance_csv(tmp_path):
+    # the layout that stored image_clean and abundances.csv is no longer read
+    truth = make_scene(height=4, width=5)
+    out = save_scene(truth, tmp_path / "scene")
+    for suffix in (".json", ".bin"):
+        (out / ("abundances" + suffix)).unlink()
+    save_image(truth.image_clean, out / "image_clean")
+    save_abundances(truth.abundances, out / "abundances.csv")
+    meta = json.loads((out / "truth_meta.json").read_text())
+    for key in ("class_names", "clean_name"):
+        del meta[key]
+    names = ["image_noisy.json", "image_noisy.bin", "image_clean.json", "image_clean.bin",
+             "abundances.csv"] + _SCENE_FILES[4:]
+    meta["digests"] = {n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
+    (out / "truth_meta.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match="abundances.json: missing from the scene directory$"):
+        load_scene(out)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"bands": 41}, "the scene is 4x5x41, {noisy} is 4x5x40$"),
+    ({"bands": 39}, "the scene is 4x5x39, {noisy} is 4x5x40$"),
+    ({"height": 5, "width": 4}, "the scene is 5x4x40, {noisy} is 4x5x40$"),
+    ({"classes": 7}, "3 class_names for 7 classes$"),
+    ({"class_names": ["a", "b"]}, "2 class_names for 3 classes$"),
+    ({"classes": 4, "class_names": list("abcd")}, "4 classes, {abundances} holds 3$"),
+], ids=["bands+1", "bands-1", "height-width-swapped", "classes", "class-names", "both"])
+def test_load_scene_refuses_a_meta_that_disagrees_with_its_files(tmp_path, edit, message):
+    out = save_scene(make_scene(height=4, width=5), tmp_path / "scene")
+    meta = out / "truth_meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), **edit}))
+    message = message.format(noisy=out / "image_noisy.json", abundances=out / "abundances.json")
     with pytest.raises(FormatError, match=f"^{meta}: {message}"):
         load_scene(out)
 
